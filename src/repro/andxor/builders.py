@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
+from repro.andxor.columns import check_block, check_tuple_probability
 from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
@@ -57,10 +58,7 @@ def tuple_independent_tree(
     xor_nodes = []
     for spec, probability in tuples:
         alternative = _as_alternative(spec)
-        if not 0.0 <= probability <= 1.0 + 1e-12:
-            raise ProbabilityError(
-                f"tuple probability {probability} outside [0, 1]"
-            )
+        check_tuple_probability(probability)
         xor_nodes.append(XorNode([(Leaf(alternative), float(probability))]))
     return AndXorTree(AndNode(xor_nodes))
 
@@ -89,18 +87,17 @@ def bid_tree(
         items = blocks
     xor_nodes = []
     for key, alternatives in items:
-        edges = []
-        total = 0.0
-        for value, probability in alternatives:
-            score = None if scores is None else scores.get((key, value))
-            leaf = Leaf(TupleAlternative(key, value, score))
-            edges.append((leaf, float(probability)))
-            total += probability
-        if total > 1.0 + 1e-9:
-            raise ProbabilityError(
-                f"block {key!r} alternative probabilities sum to {total} > 1"
+        rows = [
+            (value, None if scores is None else scores.get((key, value)), p)
+            for value, p in alternatives
+        ]
+        check_block(key, rows)
+        xor_nodes.append(
+            XorNode(
+                (Leaf(TupleAlternative(key, value, score)), float(p))
+                for value, score, p in rows
             )
-        xor_nodes.append(XorNode(edges))
+        )
     return AndXorTree(AndNode(xor_nodes))
 
 

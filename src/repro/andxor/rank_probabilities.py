@@ -25,8 +25,18 @@ its and-node products through the engine's multiply-accumulate kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.andxor.columns import FlatColumns
 from repro.andxor.generating import (
     conditional_univariate_generating_function,
 )
@@ -40,14 +50,17 @@ ScoringFunction = Callable[[TupleAlternative], float]
 
 
 class RankStatistics:
-    """Caches rank-position probabilities for one and/xor tree.
+    """Caches rank-position probabilities for one database.
 
     Parameters
     ----------
-    tree:
-        The and/xor tree.  Every leaf must carry a numeric score (either an
-        explicit score or a numeric value attribute) unless ``scoring``
-        supplies the scores.
+    source:
+        The and/xor tree, or the :class:`~repro.andxor.columns.FlatColumns`
+        of a tuple-independent / BID relation.  Every alternative must
+        carry a numeric score (either an explicit score or a numeric value
+        attribute) unless ``scoring`` supplies the scores.  Flat layouts
+        (columns, or trees of the TI / BID shape) are read as columns; the
+        tree is only built or walked by the general-layout routines.
     validate_scores:
         When True (default) scores of alternatives belonging to *different*
         tuples must be pairwise distinct, matching the paper's no-ties
@@ -61,35 +74,69 @@ class RankStatistics:
 
     def __init__(
         self,
-        tree: AndXorTree,
+        source: Union[AndXorTree, FlatColumns],
         validate_scores: bool = True,
         use_fast_path: bool = True,
         scoring: Optional[ScoringFunction] = None,
     ) -> None:
-        self._tree = tree
+        if isinstance(source, FlatColumns):
+            self._columns: Optional[FlatColumns] = source
+            self._given_tree: Optional[AndXorTree] = None
+        else:
+            self._columns = FlatColumns.from_tree(source)
+            self._given_tree = source
         self._scoring = scoring
         # Construction flags, re-read by QuerySession so invalidation can
         # rebuild an equivalent statistics object.
         self._validate_scores_flag = validate_scores
         self._use_fast_path_flag = use_fast_path
-        if scoring is None:
-            self._scores = {
-                alternative: alternative.effective_score()
-                for alternative in tree.alternatives()
-            }
+        # One score per row -- per leaf alternative of a flat layout, per
+        # distinct alternative of a general tree -- and the rows by
+        # decreasing score (stable, so ties keep row order).
+        self._score_table: Optional[Dict[TupleAlternative, float]] = None
+        columns = self._columns
+        if columns is None:
+            alternatives = self.tree.alternatives()
+            row_keys = [alternative.key for alternative in alternatives]
+            row_scores = list(map(self._score_alternative, alternatives))
+            self._score_table = dict(zip(alternatives, row_scores))
         else:
-            self._scores = {
-                alternative: float(scoring(alternative))
-                for alternative in tree.alternatives()
-            }
+            row_keys = [columns.keys[block] for block in columns.blocks]
+            if scoring is None:
+                row_scores = columns.scores
+                if None in row_scores:
+                    # Raises the tree path's TypeError for an unscored row.
+                    columns.alternative(row_scores.index(None)).effective_score()
+            else:
+                row_scores = list(
+                    map(self._score_alternative, columns.row_alternatives())
+                )
+        self._keys: List[Hashable] = (
+            list(dict.fromkeys(row_keys)) if columns is None else columns.keys
+        )
+        self._row_scores: List[float] = row_scores
+        self._order: List[int] = (
+            columns.order
+            if columns is not None and row_scores is columns.scores
+            else sorted(
+                range(len(row_scores)), key=row_scores.__getitem__, reverse=True
+            )
+        )
         if validate_scores:
-            self._validate_scores()
+            self._validate_scores(row_keys)
         self._rank_cache: Dict[Tuple[Hashable, int], List[float]] = {}
         # Fast path: pure tuple-level uncertainty over independent tuples
-        # (every xor block holds a single leaf).  The rank distributions of
-        # all tuples can then be computed in one O(n * max_rank) sweep.
+        # (every block holds a single alternative).  The rank distributions
+        # of all tuples can then be computed in one O(n * max_rank) sweep;
+        # the layout is the (key, probability, score) triples sorted by
+        # decreasing score.
         self._fast_layout: Optional[List[Tuple[Hashable, float, float]]] = (
-            self._detect_fast_layout() if use_fast_path else None
+            [
+                (row_keys[row], columns.probabilities[row], row_scores[row])
+                for row in self._order
+            ]
+            if use_fast_path and columns is not None and columns.independent
+            else None
         )
         self._matrix_cache: Dict[int, RankMatrix] = {}
         self._preference_cache: Dict[
@@ -97,38 +144,19 @@ class RankStatistics:
         ] = {}
         self._expected_rank_cache: Optional[Dict[Hashable, float]] = None
 
-    def _detect_fast_layout(
-        self,
-    ) -> Optional[List[Tuple[Hashable, float, float]]]:
-        """Detect the tuple-independent layout enabling the O(n k) sweep.
+    def _score_alternative(self, alternative: TupleAlternative) -> float:
+        if self._scoring is None:
+            return alternative.effective_score()
+        return float(self._scoring(alternative))
 
-        Returns, when applicable, the list of ``(key, probability, score)``
-        triples sorted by decreasing score; otherwise None.
-        """
-        from repro.andxor.nodes import AndNode, XorNode  # local import
-
-        root = self._tree.root
-        if not isinstance(root, AndNode):
-            return None
-        layout: List[Tuple[Hashable, float, float]] = []
-        for child in root.children():
-            if not isinstance(child, XorNode):
-                return None
-            edges = child.edges()
-            if len(edges) != 1 or not edges[0][0].is_leaf():
-                return None
-            leaf, probability = edges[0]
-            layout.append(
-                (
-                    leaf.alternative.key,
-                    probability,
-                    self._scores[leaf.alternative],
-                )
+    @property
+    def _scores(self) -> Dict[TupleAlternative, float]:
+        """Score of every distinct alternative (built on first use)."""
+        if self._score_table is None:
+            self._score_table = dict(
+                zip(self._columns.row_alternatives(), self._row_scores)
             )
-        if len({key for key, _, _ in layout}) != len(layout):
-            return None
-        layout.sort(key=lambda item: -item[2])
-        return layout
+        return self._score_table
 
     def rank_matrix(self, max_rank: int | None = None) -> RankMatrix:
         """Batched rank-position probabilities for every tuple at once.
@@ -166,25 +194,45 @@ class RankStatistics:
         self._matrix_cache[max_rank] = matrix
         return matrix
 
-    def _validate_scores(self) -> None:
-        by_score: Dict[float, TupleAlternative] = {}
-        for alternative, score in self._scores.items():
-            other = by_score.get(score)
-            if other is not None and other.key != alternative.key:
+    def _validate_scores(self, row_keys: List[Hashable]) -> None:
+        """Reject equal scores on rows of different keys (adjacent in the
+        decreasing-score order)."""
+        scores = self._row_scores
+        for first, second in zip(self._order, self._order[1:]):
+            if (
+                scores[first] == scores[second]
+                and row_keys[first] != row_keys[second]
+            ):
+                if self._columns is None:
+                    alternatives = list(self._scores)
+                    pair = (alternatives[first], alternatives[second])
+                else:
+                    pair = tuple(map(self._columns.alternative, (first, second)))
                 raise ModelError(
-                    f"alternatives {other!r} and {alternative!r} of different "
-                    f"tuples share score {score}; ranking assumes distinct "
-                    "scores"
+                    f"alternatives {pair[0]!r} and {pair[1]!r} of different "
+                    f"tuples share score {scores[first]}; ranking assumes "
+                    "distinct scores"
                 )
-            by_score[score] = alternative
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
     def tree(self) -> AndXorTree:
-        """The underlying and/xor tree."""
-        return self._tree
+        """The underlying and/xor tree (built on first use from columns)."""
+        if self._given_tree is None:
+            return self._columns.tree
+        return self._given_tree
+
+    def flat_rows(
+        self,
+    ) -> Optional[Tuple[FlatColumns, List[float], List[int]]]:
+        """``(columns, row scores, decreasing-score row order)`` of a flat
+        (TI / BID) layout under the active scoring; None for a general
+        tree.  Callers must not mutate the lists."""
+        if self._columns is None:
+            return None
+        return self._columns, self._row_scores, self._order
 
     def session(self) -> "QuerySession":
         """The (lazily created) query session bound to these statistics.
@@ -214,18 +262,20 @@ class RankStatistics:
         """
         if self._fast_layout is None:
             return None
-        return [tuple(item) for item in self._fast_layout]
+        return list(self._fast_layout)
 
     def keys(self) -> List[Hashable]:
-        """The tuple keys of the tree."""
-        return self._tree.keys()
+        """The tuple keys, in first-appearance order."""
+        return list(self._keys)
 
     def number_of_tuples(self) -> int:
         """Number of distinct tuple keys."""
-        return len(self._tree.keys())
+        return len(self._keys)
 
     def score_of(self, alternative: TupleAlternative) -> float:
-        """The ranking score of an alternative."""
+        """The ranking score of an alternative (KeyError when absent)."""
+        if self._columns is not None:
+            return self._row_scores[self._columns.row_of(alternative)]
         return self._scores[alternative]
 
     # ------------------------------------------------------------------
@@ -269,7 +319,7 @@ class RankStatistics:
         if max_rank < 1:
             return []
         result = [0.0] * max_rank
-        for alternative in self._tree.alternatives_of(key):
+        for alternative in self.tree.alternatives_of(key):
             threshold = self._scores[alternative]
 
             def marked(
@@ -282,18 +332,18 @@ class RankStatistics:
                     and self._scores[leaf.alternative] > score
                 )
 
-            for pinned_leaf in self._tree.leaves_of_alternative(alternative):
-                leaf_probability = self._tree.leaf_probability(pinned_leaf)
+            for pinned_leaf in self.tree.leaves_of_alternative(alternative):
+                leaf_probability = self.tree.leaf_probability(pinned_leaf)
                 if leaf_probability == 0.0:
                     continue
                 pinned = {
                     xor_id: index
-                    for xor_id, (index, _) in self._tree.leaf_choices(
+                    for xor_id, (index, _) in self.tree.leaf_choices(
                         pinned_leaf
                     ).items()
                 }
                 polynomial = conditional_univariate_generating_function(
-                    self._tree,
+                    self.tree,
                     pinned,
                     marked,
                     max_degree=max_rank - 1,
@@ -332,15 +382,15 @@ class RankStatistics:
         """
         if first_key == second_key:
             return 0.0
-        first_alternatives = self._tree.alternatives_of(first_key)
-        second_alternatives = self._tree.alternatives_of(second_key)
-        presence_first = self._tree.key_probability(first_key)
+        first_alternatives = self.tree.alternatives_of(first_key)
+        second_alternatives = self.tree.alternatives_of(second_key)
+        presence_first = self.tree.key_probability(first_key)
         both_with_second_higher = 0.0
         for first in first_alternatives:
             for second in second_alternatives:
                 if self._scores[second] > self._scores[first]:
                     both_with_second_higher += (
-                        self._tree.joint_alternative_probability(first, second)
+                        self.tree.joint_alternative_probability(first, second)
                     )
         return presence_first - both_with_second_higher
 
@@ -413,15 +463,15 @@ class RankStatistics:
         the "expected rank" ranking semantics of Cormode, Li and Yi used as a
         baseline in the benchmark harness.
         """
-        alternatives = self._tree.alternatives_of(key)
+        alternatives = self.tree.alternatives_of(key)
         higher_and_present = 0.0
         for alternative in alternatives:
-            for other in self._tree.alternatives():
+            for other in self.tree.alternatives():
                 if other.key == key:
                     continue
                 if self._scores[other] > self._scores[alternative]:
                     higher_and_present += (
-                        self._tree.joint_alternative_probability(
+                        self.tree.joint_alternative_probability(
                             alternative, other
                         )
                     )
@@ -429,11 +479,11 @@ class RankStatistics:
         for other_key in self.keys():
             if other_key == key:
                 continue
-            p_other = self._tree.key_probability(other_key)
+            p_other = self.tree.key_probability(other_key)
             p_both = 0.0
             for alternative in alternatives:
-                for other in self._tree.alternatives_of(other_key):
-                    p_both += self._tree.joint_alternative_probability(
+                for other in self.tree.alternatives_of(other_key):
+                    p_both += self.tree.joint_alternative_probability(
                         alternative, other
                     )
             absent_size += p_other - p_both

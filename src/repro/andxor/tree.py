@@ -63,6 +63,8 @@ class AndXorTree:
         self._alternatives_by_key: Optional[Dict[Hashable, List[TupleAlternative]]] = None
         self._leaves_by_alternative: Optional[Dict[TupleAlternative, List[Leaf]]] = None
         self._alternative_probabilities: Optional[Dict[TupleAlternative, float]] = None
+        self._alternatives: Optional[List[TupleAlternative]] = None
+        self._keys: Optional[List[Hashable]] = None
         if validate:
             self.validate()
 
@@ -121,23 +123,19 @@ class AndXorTree:
 
     def alternatives(self) -> List[TupleAlternative]:
         """The distinct tuple alternatives carried by the leaves."""
-        seen = set()
-        out = []
-        for leaf in self._leaves:
-            if leaf.alternative not in seen:
-                seen.add(leaf.alternative)
-                out.append(leaf.alternative)
-        return out
+        if self._alternatives is None:
+            self._alternatives = list(
+                dict.fromkeys(leaf.alternative for leaf in self._leaves)
+            )
+        return list(self._alternatives)
 
     def keys(self) -> List[Hashable]:
         """The distinct possible-worlds keys, in first-appearance order."""
-        seen = set()
-        out = []
-        for leaf in self._leaves:
-            if leaf.alternative.key not in seen:
-                seen.add(leaf.alternative.key)
-                out.append(leaf.alternative.key)
-        return out
+        if self._keys is None:
+            self._keys = list(
+                dict.fromkeys(leaf.alternative.key for leaf in self._leaves)
+            )
+        return list(self._keys)
 
     def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
         """The distinct alternatives of the tuple with the given key."""

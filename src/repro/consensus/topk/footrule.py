@@ -54,9 +54,11 @@ class FootruleStatistics:
     """
 
     def __init__(self, source: TreeOrStatistics, k: int) -> None:
-        self._session = as_session(source)
-        self._k = validate_k(self._session, k)
-        self._matrix = rank_matrix_view(self._session, k)
+        # The session is not kept: it memoizes this object, and a back
+        # reference would make every session a reference cycle.
+        session = as_session(source)
+        self._k = validate_k(session, k)
+        self._matrix = rank_matrix_view(session, k)
         # Υ1 and Υ2 for all tuples in two weighted row sums.
         self._upsilon1 = self._matrix.membership()
         self._upsilon2 = self._matrix.weighted_sums(

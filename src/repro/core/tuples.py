@@ -16,6 +16,18 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional
 
 
+def effective_score(
+    value: Hashable, score: Optional[float]
+) -> Optional[float]:
+    """The ranking score of a ``(value, score)`` pair: the explicit score,
+    else a numeric (non-bool) value, else None."""
+    if score is not None:
+        return float(score)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
 @dataclass(frozen=True, order=True)
 class TupleAlternative:
     """One alternative of a probabilistic tuple.
@@ -47,16 +59,13 @@ class TupleAlternative:
         TypeError
             If neither an explicit score nor a numeric value is available.
         """
-        if self.score is not None:
-            return float(self.score)
-        if isinstance(self.value, bool) or not isinstance(
-            self.value, (int, float)
-        ):
+        score = effective_score(self.value, self.score)
+        if score is None:
             raise TypeError(
                 f"alternative {self!r} has no numeric score; "
                 "provide an explicit score for ranking queries"
             )
-        return float(self.value)
+        return score
 
     def with_score(self, score: float) -> "TupleAlternative":
         """Return a copy of this alternative with the given explicit score."""

@@ -1,14 +1,16 @@
 """Convenience wrappers for the classic probabilistic database models.
 
-Every model is represented internally as an and/xor tree
-(:mod:`repro.andxor`); this package provides user-facing constructors for
+Every model is an and/xor tree (:mod:`repro.andxor`).  Tuple-independent
+and BID relations -- the tree's flat special case -- are stored as columns
+(:class:`~repro.andxor.columns.FlatColumns`) and build their tree only on
+demand.  This package provides user-facing constructors for
 
 * tuple-independent databases,
 * block-independent disjoint (BID) relations,
 * x-tuple relations,
 
 and the :class:`~repro.models.relation.ProbabilisticRelation` facade that
-bundles a tree with the query helpers used by the examples.
+bundles the storage with the query helpers used by the examples.
 """
 
 from repro.models.relation import ProbabilisticRelation

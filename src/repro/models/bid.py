@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
-from repro.andxor.builders import bid_tree
+from repro.andxor.columns import FlatColumns
 from repro.exceptions import ProbabilityError
 from repro.models.relation import ProbabilisticRelation
 
@@ -39,13 +39,14 @@ class BlockIndependentDatabase(ProbabilisticRelation):
             items = list(blocks.items())
         else:
             items = list(blocks)
-        normalized: List[Tuple[Hashable, List[Tuple[Hashable, float]]]] = []
+        normalized: List[Tuple[Hashable, List[Tuple]]] = []
         scores: Dict[Tuple[Hashable, Hashable], float] = {}
-        self._blocks: Dict[Hashable, List[Tuple[Hashable, float]]] = {}
+        seen: set = set()
         for key, alternatives in items:
-            if key in self._blocks:
+            if key in seen:
                 raise ProbabilityError(f"duplicate block key {key!r}")
-            block: List[Tuple[Hashable, float]] = []
+            seen.add(key)
+            block: List[Tuple] = []
             for alternative in alternatives:
                 if len(alternative) == 2:
                     value, probability = alternative
@@ -59,15 +60,33 @@ class BlockIndependentDatabase(ProbabilisticRelation):
                     )
                 block.append((value, float(probability)))
             normalized.append((key, block))
-            self._blocks[key] = block
+        # Explicit scores are looked up per (key, value) once every block is
+        # read, as the tree builder always did.
         super().__init__(
-            bid_tree(normalized, scores=scores or None), name=name
+            FlatColumns.from_blocks(
+                (
+                    key,
+                    [
+                        (value, scores.get((key, value)), probability)
+                        for value, probability in block
+                    ],
+                )
+                for key, block in normalized
+            ),
+            name=name,
         )
 
     def blocks(self) -> Dict[Hashable, List[Tuple[Hashable, float]]]:
-        """The block specification as given at construction."""
-        return {key: list(block) for key, block in self._blocks.items()}
+        """The (non-empty) blocks as ``key -> [(value, probability), ...]``."""
+        columns = self._columns
+        return {
+            key: [
+                (columns.values[row], columns.probabilities[row])
+                for row in columns.rows_of(key)
+            ]
+            for key in columns.keys
+        }
 
     def block_presence_probability(self, key: Hashable) -> float:
         """Probability that the block produces any alternative."""
-        return sum(probability for _, probability in self._blocks[key])
+        return self._columns.presence(key)

@@ -4,15 +4,18 @@
 (BID) database into ``shard_count`` shards -- by stable key hash or by score
 range -- with BID blocks always kept intact inside one shard.  Because
 distinct keys are independent in both models, each shard is itself a valid
-database of the same model, materializing its own and/xor tree and
+database of the same model, stored as columns
+(:class:`~repro.andxor.columns.FlatColumns`) with its own
 :class:`~repro.session.QuerySession`; exact global answers are recovered by
 the :class:`~repro.sharding.ShardedQuerySession` coordinator, which
-convolves the shards' partial rank generating functions.
+convolves the shards' partial rank generating functions.  No shard tree is
+built unless a world-level or sampling route asks for one.
 
 Shards are the unit of cache invalidation: :meth:`ShardedDatabase.\
-update_tuple` / :meth:`ShardedDatabase.update_block` rebuild only the
-owning shard, bump its version and notify subscribers (the serving layer's
-invalidation fan-out); the other shards' memoized statistics stay warm.
+update_tuple` / :meth:`ShardedDatabase.update_block` replace only the
+owning shard -- a copy of its columns with one block patched -- bump its
+version and notify subscribers (the serving layer's invalidation fan-out);
+the other shards' memoized statistics stay warm.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from repro.exceptions import ModelError, ProbabilityError
+from repro.andxor.columns import check_tuple_probability
+from repro.exceptions import ModelError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
@@ -51,15 +56,32 @@ def hash_shard_of(key: Hashable, shard_count: int) -> int:
 
 
 def build_shard_database(
-    name: str, index: int, units: Sequence[_Unit]
+    name: str,
+    index: int,
+    units: Sequence[_Unit],
+    base: Optional[Tuple[SourceDatabase, _Unit]] = None,
 ) -> SourceDatabase:
     """Materialize one shard's database from its partition units.
 
     Module-level (not a method) so shard worker processes can rebuild
     their shard from pickled units without shipping the whole
-    :class:`ShardedDatabase`; the tuple-independent fast path is kept when
+    :class:`ShardedDatabase`; the tuple-independent model is kept when
     every unit is independent, otherwise blocks go through the BID model.
+
+    ``base`` -- ``(current database, replacing unit)`` -- patches instead:
+    the result is the current database's columns with that unit's block
+    replaced, only the new unit validated.  ``units`` must then equal the
+    current units with that one unit swapped in.
     """
+    if base is not None:
+        database, unit = base
+        rows = [unit[2:]] if unit[0] == "independent" else unit[2]
+        if rows:
+            independent = isinstance(database, TupleIndependentDatabase)
+            return type(database).from_columns(
+                database.columns.replace_block(unit[1], rows, independent),
+                name=f"{name}/shard{index}",
+            )
     if all(unit[0] == "independent" for unit in units):
         return TupleIndependentDatabase(
             [
@@ -131,7 +153,7 @@ class DatabaseShard:
         if database is None:
             return None
         if self._session is None:
-            self._session = QuerySession(database.tree)
+            self._session = QuerySession(database.columns)
         return self._session
 
     def _replace_units(
@@ -151,6 +173,16 @@ class DatabaseShard:
         )
 
 
+class _UnitSnapshot(NamedTuple):
+    """A shard's state at the start of a prepared update of one unit."""
+
+    shard_index: int
+    base_version: int
+    units: List[_Unit]
+    position: int
+    database: Optional[SourceDatabase]
+
+
 class StaleUpdateError(ModelError):
     """Raised by :meth:`ShardedDatabase.apply_update` when the shard moved on.
 
@@ -160,14 +192,14 @@ class StaleUpdateError(ModelError):
 
 
 class PendingUpdate:
-    """A prepared shard rebuild, not yet applied.
+    """A prepared shard replacement, not yet applied.
 
     Preparation builds the replacement unit list *and* the replacement
-    shard database (tree construction, the expensive part -- safe to run on
-    a shard worker thread); :meth:`ShardedDatabase.apply_update` is then a
-    version-bumping pointer swap that the serving executor serializes
-    against queries.  This split is what makes the serving layer's
-    invalidation graceful.
+    shard database -- a copy of the shard's columns with one block patched,
+    safe to run on a shard worker thread; :meth:`ShardedDatabase.\
+apply_update` is then a version-bumping pointer swap that the serving
+    executor serializes against queries.  This split is what makes the
+    serving layer's invalidation graceful.
     """
 
     __slots__ = (
@@ -342,9 +374,12 @@ class ShardedDatabase:
                 self._score_owner[score] = unit[1]
 
     def _build_shard_database(
-        self, index: int, units: Sequence[_Unit]
+        self,
+        index: int,
+        units: Sequence[_Unit],
+        base: Optional[Tuple[SourceDatabase, _Unit]] = None,
     ) -> SourceDatabase:
-        return build_shard_database(self._name, index, units)
+        return build_shard_database(self._name, index, units, base)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -492,6 +527,27 @@ class ShardedDatabase:
         for callback in self._subscribers:
             callback(shard_index, key)
 
+    def _snapshot_unit(self, key: Hashable) -> "_UnitSnapshot":
+        """The state a prepared update of ``key`` starts from.
+
+        Optimistic lock: the version is stamped BEFORE the units and the
+        database are read.  _replace_units rebinds both before bumping the
+        version, so a concurrent apply between the reads can only make the
+        stamp stale (caught by apply_update), never silently drop the
+        other update's changes.
+        """
+        shard_index = self.shard_of(key)
+        shard = self._shards[shard_index]
+        base_version = shard.version
+        units = shard._units
+        database = shard._database
+        for position, unit in enumerate(units):
+            if unit[1] == key:
+                return _UnitSnapshot(
+                    shard_index, base_version, units, position, database
+                )
+        raise ModelError(f"unknown tuple key {key!r}")
+
     def prepare_update(
         self,
         key: Hashable,
@@ -503,51 +559,35 @@ class ShardedDatabase:
         Only tuple-independent units support in-place probability/score
         updates; use :meth:`prepare_block_update` for BID blocks.
         """
-        shard_index = self.shard_of(key)
-        shard = self._shards[shard_index]
-        # Optimistic lock: stamp the version BEFORE snapshotting the unit
-        # list.  _replace_units rebinds the list after bumping the version,
-        # so a concurrent apply between the two reads can only make the
-        # stamp stale (caught by apply_update), never silently drop the
-        # other update's units.
-        base_version = shard.version
-        source_units = shard._units
-        units: List[_Unit] = []
-        found = False
+        snapshot = self._snapshot_unit(key)
+        unit = snapshot.units[snapshot.position]
+        if unit[0] != "independent":
+            raise ModelError(
+                f"tuple {key!r} belongs to a BID block; use "
+                "update_block() to replace its alternatives"
+            )
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
-        for unit in source_units:
-            if unit[1] != key:
-                units.append(unit)
-                continue
-            if unit[0] != "independent":
-                raise ModelError(
-                    f"tuple {key!r} belongs to a BID block; use "
-                    "update_block() to replace its alternatives"
-                )
-            _, _, value, old_score, old_probability = unit
-            new_probability = (
-                old_probability if probability is None else float(probability)
-            )
-            if not 0.0 <= new_probability <= 1.0 + 1e-12:
-                raise ProbabilityError(
-                    f"tuple probability {new_probability} outside [0, 1]"
-                )
-            new_score = old_score if score is None else float(score)
-            if score is not None:
-                self._check_score_free(key, (new_score,))
-                removed = tuple(_unit_scores(unit))
-                added = (new_score,)
-                # A score update also moves the value when the value doubles
-                # as the score (the common generator layout).
-                if old_score is None or value == old_score:
-                    value = new_score
-            units.append(("independent", key, value, new_score, new_probability))
-            found = True
-        if not found:
-            raise ModelError(f"unknown tuple key {key!r}")
+        _, _, value, old_score, old_probability = unit
+        new_probability = (
+            old_probability if probability is None else float(probability)
+        )
+        check_tuple_probability(new_probability)
+        new_score = old_score if score is None else float(score)
+        if score is not None:
+            self._check_score_free(key, (new_score,))
+            removed = tuple(_unit_scores(unit))
+            added = (new_score,)
+            # A score update also moves the value when the value doubles
+            # as the score (the common generator layout).
+            if old_score is None or value == old_score:
+                value = new_score
         return self._stage_pending(
-            shard_index, key, units, base_version, removed, added
+            snapshot,
+            key,
+            ("independent", key, value, new_score, new_probability),
+            removed,
+            added,
         )
 
     def prepare_block_update(
@@ -556,81 +596,72 @@ class ShardedDatabase:
         alternatives: Sequence[Tuple[Hashable, Optional[float], float]],
     ) -> PendingUpdate:
         """Build a BID block replacement: ``(value, score, probability)``s."""
-        shard_index = self.shard_of(key)
-        shard = self._shards[shard_index]
-        base_version = shard.version  # before the unit snapshot, as above
-        source_units = shard._units
+        snapshot = self._snapshot_unit(key)
+        old_unit = snapshot.units[snapshot.position]
         replacement = [
             (value, None if score is None else float(score), float(probability))
             for value, score, probability in alternatives
         ]
-        units: List[_Unit] = []
-        found = False
-        for unit in source_units:
-            if unit[1] != key:
-                units.append(unit)
-                continue
-            found = True
-            if unit[0] == "independent":
-                if len(replacement) != 1:
-                    raise ModelError(
-                        f"tuple {key!r} is tuple-independent; a replacement "
-                        "block must hold exactly one alternative"
-                    )
-                value, score, probability = replacement[0]
-                units.append(("independent", key, value, score, probability))
-            else:
-                units.append(("block", key, replacement))
-        if not found:
-            raise ModelError(f"unknown tuple key {key!r}")
+        if old_unit[0] == "independent":
+            if len(replacement) != 1:
+                raise ModelError(
+                    f"tuple {key!r} is tuple-independent; a replacement "
+                    "block must hold exactly one alternative"
+                )
+            unit: _Unit = ("independent", key) + replacement[0]
+        else:
+            unit = ("block", key, replacement)
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
         if self._validate_scores:
-            old_unit = next(
-                unit for unit in source_units if unit[1] == key
-            )
             added = tuple(_unit_scores(("block", key, replacement)))
             self._check_score_free(key, added)
             removed = tuple(_unit_scores(old_unit))
-        return self._stage_pending(
-            shard_index, key, units, base_version, removed, added
-        )
+        return self._stage_pending(snapshot, key, unit, removed, added)
 
     def _stage_pending(
         self,
-        shard_index: int,
+        snapshot: "_UnitSnapshot",
         key: Hashable,
-        units: List[_Unit],
-        base_version: int,
+        unit: _Unit,
         removed: Tuple[float, ...],
         added: Tuple[float, ...],
     ) -> PendingUpdate:
-        """Run the expensive rebuild half of a prepared update.
+        """Build the replacement half of a prepared update.
 
         Under ``executor="threads"`` the replacement shard database is
-        built here in-process; under ``executor="processes"`` the rebuild
-        is staged on the owning worker instead (ticketed), and the parent
-        keeps only the replacement units -- the worker's copy is swapped
-        in by :meth:`apply_update` under the same version check.
+        patched here in-process from the current one; under
+        ``executor="processes"`` the rebuild is staged on the owning
+        worker instead (ticketed), and the parent keeps only the
+        replacement units -- the worker's copy is swapped in by
+        :meth:`apply_update` under the same version check.
         """
+        shard_index = snapshot.shard_index
+        units = list(snapshot.units)
+        units[snapshot.position] = unit
         if self._executor == "processes":
             ticket = self.process_pool().prepare_replace(shard_index, units)
             return PendingUpdate(
                 shard_index,
                 key,
                 units,
-                base_version,
+                snapshot.base_version,
                 None,
                 removed,
                 added,
                 remote_ticket=ticket,
             )
+        database = snapshot.database
         return PendingUpdate(
             shard_index,
             key,
             units,
-            base_version,
-            self._build_shard_database(shard_index, units),
+            snapshot.base_version,
+            self._build_shard_database(
+                shard_index,
+                units,
+                None if database is None else (database, unit),
+            ),
             removed,
             added,
         )
@@ -715,8 +746,9 @@ class ShardedDatabase:
     ) -> None:
         """Update one independent tuple's probability and/or score.
 
-        Rebuilds only the owning shard, bumps its version (invalidating the
-        coordinator's merged artifacts lazily) and notifies subscribers.
+        Replaces only the owning shard (its columns with one row patched),
+        bumps its version (invalidating the coordinator's merged artifacts
+        lazily) and notifies subscribers.
         """
         self.apply_update(self.prepare_update(key, probability, score))
 
@@ -795,36 +827,20 @@ class DatabaseSnapshot:
 def _extract_units(
     source: Union[SourceDatabase, Iterable[Tuple]]
 ) -> List[_Unit]:
-    if isinstance(source, TupleIndependentDatabase):
-        tree = source.tree
-        probabilities = source.tuple_probabilities()
-        units: List[_Unit] = []
-        for key in tree.keys():
-            alternative = tree.alternatives_of(key)[0]
-            units.append(
-                (
-                    "independent",
-                    key,
-                    alternative.value,
-                    alternative.score,
-                    probabilities[key],
-                )
-            )
-        return units
-    if isinstance(source, BlockIndependentDatabase):
-        tree = source.tree
-        units = []
-        for key in tree.keys():
-            alternatives = [
-                (
-                    alternative.value,
-                    alternative.score,
-                    tree.alternative_probability(alternative),
-                )
-                for alternative in tree.alternatives_of(key)
+    if isinstance(source, (TupleIndependentDatabase, BlockIndependentDatabase)):
+        columns = source.columns
+        rows = list(
+            zip(columns.values, columns.explicit_scores, columns.probabilities)
+        )
+        if isinstance(source, TupleIndependentDatabase):
+            return [
+                ("independent", key) + row
+                for key, row in zip(columns.keys, rows)
             ]
-            units.append(("block", key, alternatives))
-        return units
+        return [
+            ("block", key, [rows[row] for row in columns.rows_of(key)])
+            for key in columns.keys
+        ]
     if isinstance(source, Iterable):
         units = []
         seen: Dict[Hashable, bool] = {}

@@ -7,10 +7,9 @@ mean-world algorithm (Section 4.2) is stated.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.andxor.builders import tuple_independent_tree
-from repro.core.tuples import TupleAlternative
+from repro.andxor.columns import FlatColumns, check_tuple_probability
 from repro.exceptions import ProbabilityError
 from repro.models.relation import ProbabilisticRelation
 
@@ -32,28 +31,38 @@ class TupleIndependentDatabase(ProbabilisticRelation):
         tuples: Iterable[Tuple],
         name: str = "tuple_independent",
     ) -> None:
-        specs: List[Tuple[TupleAlternative, float]] = []
-        self._probabilities: Dict[Hashable, float] = {}
+        keys: List[Hashable] = []
+        values: List[Hashable] = []
+        scores: List[Optional[float]] = []
+        probabilities: List[float] = []
+        seen: set = set()
         for item in tuples:
             if len(item) == 3:
                 key, value, probability = item
-                alternative = TupleAlternative(key, value)
+                score = None
             elif len(item) == 4:
                 key, value, score, probability = item
-                alternative = TupleAlternative(key, value, score)
             else:
                 raise ProbabilityError(
                     "expected (key, value, probability) or "
                     f"(key, value, score, probability), got {item!r}"
                 )
-            if key in self._probabilities:
+            if key in seen:
                 raise ProbabilityError(
                     f"duplicate key {key!r} in a tuple-independent database"
                 )
-            specs.append((alternative, float(probability)))
-            self._probabilities[key] = float(probability)
-        super().__init__(tuple_independent_tree(specs), name=name)
+            seen.add(key)
+            keys.append(key)
+            values.append(value)
+            scores.append(score)
+            probabilities.append(check_tuple_probability(float(probability)))
+        super().__init__(
+            FlatColumns(
+                keys, values, scores, probabilities, list(range(len(keys)))
+            ),
+            name=name,
+        )
 
     def tuple_probabilities(self) -> Dict[Hashable, float]:
         """The per-key presence probabilities as given at construction."""
-        return dict(self._probabilities)
+        return dict(zip(self._columns.keys, self._columns.probabilities))

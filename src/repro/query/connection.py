@@ -20,6 +20,7 @@ session behind it, and delegates route selection to the hardness-aware
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from typing import Any, List, Optional, Sequence, Union
 
@@ -150,6 +151,7 @@ class Connection:
                 return asyncio.run_coroutine_threadsafe(
                     self._executor.execute(query), loop
                 ).result()
+        started = time.perf_counter()
         cache_key = None
         if self._result_cache is not None and rng is None:
             # rng overrides deliberately bypass the cache: a seeded run
@@ -160,10 +162,15 @@ class Connection:
                 hit = self._result_cache.get(cache_key)
                 if hit is not None:
                     # A replayed answer causes no session-cache traffic
-                    # of its own; the hit/miss deltas describe *this*
-                    # execution, not the original compute.
+                    # of its own; the hit/miss deltas and the elapsed
+                    # time describe *this* lookup, not the original
+                    # compute.
                     return replace(
-                        hit, cached=True, cache_hits=0, cache_misses=0
+                        hit,
+                        cached=True,
+                        cache_hits=0,
+                        cache_misses=0,
+                        elapsed=time.perf_counter() - started,
                     )
         answer = self.plan(query).execute(rng=rng)
         if cache_key is not None and not answer.stale and not answer.degraded:

@@ -153,10 +153,10 @@ def resolve_session(target: Any) -> Tuple[QuerySession, str]:
     Accepts a :class:`~repro.session.QuerySession` (or the sharded
     coordinator), a :class:`~repro.andxor.rank_probabilities.RankStatistics`,
     a bare :class:`~repro.andxor.tree.AndXorTree`, any
-    :class:`~repro.models.relation.ProbabilisticRelation` (via its tree), a
-    :class:`~repro.models.sharded.ShardedDatabase` (via its coordinator), a
-    :class:`~repro.serving.ServingExecutor` (via its database's
-    coordinator) or a :class:`~repro.query.Connection`.
+    :class:`~repro.models.relation.ProbabilisticRelation` (via its cached
+    session), a :class:`~repro.models.sharded.ShardedDatabase` (via its
+    coordinator), a :class:`~repro.serving.ServingExecutor` (via its
+    database's coordinator) or a :class:`~repro.query.Connection`.
     """
     if isinstance(target, QuerySession):
         return target, target.deployment
@@ -183,14 +183,13 @@ def resolve_session(target: Any) -> Tuple[QuerySession, str]:
             resolved = inner()
             if isinstance(resolved, QuerySession):
                 return resolved, "served"
-    # Any relation-like object backed by an and/xor tree.  Prefer the
-    # relation's cached RankStatistics so repeated connects against the
-    # same database share one warm session.
-    statistics = getattr(target, "rank_statistics", None)
-    if callable(statistics):
-        resolved = statistics()
-        if isinstance(resolved, RankStatistics):
-            return resolved.session(), "local"
+    # Any relation-like object: its cached session, so repeated connects
+    # against the same database share one warm session.
+    query_session = getattr(target, "query_session", None)
+    if callable(query_session):
+        resolved = query_session()
+        if isinstance(resolved, QuerySession):
+            return resolved, "local"
     tree = getattr(target, "tree", None)
     if isinstance(tree, AndXorTree):
         return QuerySession(tree), "local"
@@ -199,6 +198,17 @@ def resolve_session(target: Any) -> Tuple[QuerySession, str]:
         f"{type(target).__name__}; expected a database, tree, statistics, "
         "(sharded) session, sharded database or serving executor"
     )
+
+
+def release_plans(session: QuerySession) -> None:
+    """Drop the execution plans cached on ``session``.
+
+    A cached plan references its session, so a session with plans is a
+    reference cycle.  An owner that drops the session calls this so that
+    reference counting frees it -- with every artifact it memoized --
+    instead of a later full garbage collection.
+    """
+    session.__dict__.pop("_query_plan_cache", None)
 
 
 def _layout_kind(session: QuerySession) -> str:
@@ -459,13 +469,7 @@ class Planner:
 
         probed = session.__dict__.get("_query_target_probe")
         if probed is None:
-            try:
-                n = session.number_of_tuples()
-            except TypeError:
-                # Trees without numeric scores (set-level consensus only)
-                # cannot build rank statistics; count keys structurally.
-                n = len(session.tree.keys())
-            probed = (_layout_kind(session), n)
+            probed = (_layout_kind(session), session.number_of_tuples())
             session.__dict__["_query_target_probe"] = probed
         layout, n = probed
         return TargetProfile(
@@ -963,15 +967,11 @@ class Planner:
             from repro.engine import get_backend
             from repro.query.calibration import derive_batch_size
 
-            try:
-                n = session.number_of_tuples()
-            except TypeError:
-                n = len(session.tree.keys())
             return derive_batch_size(
                 table,
                 get_backend().name,
                 _layout_kind(session),
-                n,
+                session.number_of_tuples(),
                 fallback=self.BATCH_SIZE_DEFAULT,
             )
         return self.BATCH_SIZE_DEFAULT

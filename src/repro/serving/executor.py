@@ -11,8 +11,8 @@ cross-shard coordinator session:
   first pre-warms the per-shard partial summaries *concurrently* on the
   per-shard worker pool, then answers every request on the coordinator
   worker, so batch members share the freshly merged artifacts.
-* **Graceful invalidation fan-out** -- updates rebuild only the owning
-  shard on that shard's worker (tree construction off the event loop and
+* **Graceful invalidation fan-out** -- updates replace only the owning
+  shard on that shard's worker (a column patch, off the event loop and
   off the query path), then the version-bumping swap is serialized with
   queries on the coordinator worker; the coordinator notices the version
   change lazily and re-merges from the unchanged shards' warm summaries.
@@ -432,11 +432,17 @@ class ServingExecutor:
             if hit is not None:
                 self._metrics.count_query(query.kind)
                 self._metrics.result_cache_hits += 1
-                self._metrics.latency.record(time.perf_counter() - started)
-                # Zero the session-traffic deltas: a replayed answer
-                # causes no artifact computation of its own.
+                elapsed = time.perf_counter() - started
+                self._metrics.latency.record(elapsed)
+                # Zero the session-traffic deltas and report the lookup's
+                # own time: a replayed answer causes no artifact
+                # computation of its own.
                 return replace(
-                    hit, cached=True, cache_hits=0, cache_misses=0
+                    hit,
+                    cached=True,
+                    cache_hits=0,
+                    cache_misses=0,
+                    elapsed=elapsed,
                 )
             self._metrics.result_cache_misses += 1
         pending_key = (query, versions)
@@ -546,7 +552,7 @@ class ServingExecutor:
     ) -> None:
         """Update one tuple; only its shard is rebuilt and invalidated.
 
-        Both the rebuild (tree construction) and the version-bumping swap
+        Both the rebuild (a column patch) and the version-bumping swap
         run on the owning shard's worker: snapshot-pinned reads make the
         swap safe against in-flight queries, so updates no longer wait
         behind the coordinator worker's merge queue.  Retries

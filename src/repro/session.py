@@ -55,12 +55,13 @@ from typing import (
     Union,
 )
 
+from repro.andxor.columns import FlatColumns
 from repro.andxor.rank_probabilities import RankStatistics, ScoringFunction
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
 from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
 
-SessionSource = Union[AndXorTree, RankStatistics, "QuerySession"]
+SessionSource = Union[AndXorTree, FlatColumns, RankStatistics, "QuerySession"]
 
 #: Cache key of one memoized artifact: (artifact name, parameter tuple).
 ArtifactKey = Tuple[str, Tuple[Any, ...]]
@@ -154,7 +155,9 @@ class QuerySession:
     Parameters
     ----------
     source:
-        The and/xor tree, or an existing
+        The and/xor tree, the :class:`~repro.andxor.columns.FlatColumns` of
+        a tuple-independent / BID relation (its tree is then built only by
+        the world-level, sampling and general routes), or an existing
         :class:`~repro.andxor.rank_probabilities.RankStatistics` to adopt.
     scoring:
         Optional scoring function overriding
@@ -165,6 +168,10 @@ class QuerySession:
         Forwarded to :class:`RankStatistics`: require pairwise-distinct
         scores across tuples (the paper's no-ties assumption).
     """
+
+    #: The tree or flat columns the session reads (None on the sharded
+    #: coordinator, which merges shard sessions instead).
+    _source: Union[AndXorTree, FlatColumns, None] = None
 
     def __init__(
         self,
@@ -183,7 +190,7 @@ class QuerySession:
                     "cannot re-score an existing RankStatistics; pass the "
                     "tree instead"
                 )
-            self._tree = source.tree
+            self._source = source._given_tree or source._columns
             self._statistics: Optional[RankStatistics] = source
             self._adopted = True
             # Adopt the statistics object's construction settings so that
@@ -192,14 +199,14 @@ class QuerySession:
             scoring = source._scoring
             validate_scores = source._validate_scores_flag
             self._use_fast_path = source._use_fast_path_flag
-        elif isinstance(source, AndXorTree):
-            self._tree = source
+        elif isinstance(source, (AndXorTree, FlatColumns)):
+            self._source = source
             self._statistics = None
             self._adopted = False
             self._use_fast_path = True
         else:
             raise TypeError(
-                "expected an AndXorTree or RankStatistics, got "
+                "expected an AndXorTree, FlatColumns or RankStatistics, got "
                 f"{type(source).__name__}"
             )
         self._scoring = scoring
@@ -336,8 +343,20 @@ class QuerySession:
     # ------------------------------------------------------------------
     @property
     def tree(self) -> AndXorTree:
-        """The underlying and/xor tree."""
+        """The underlying and/xor tree (built on first use from columns)."""
         return self._tree
+
+    @property
+    def _tree(self) -> AndXorTree:
+        if isinstance(self._source, FlatColumns):
+            return self._source.tree
+        return self._source
+
+    @property
+    def _columns(self) -> Optional[FlatColumns]:
+        """The flat columns the session was built on, else None."""
+        source = self._source
+        return source if isinstance(source, FlatColumns) else None
 
     @property
     def deployment(self) -> str:
@@ -357,6 +376,9 @@ class QuerySession:
         """
         from repro.query.planner import layout_of_tree
 
+        columns = self._columns
+        if columns is not None:
+            return "tuple-independent" if columns.independent else "bid"
         kind = layout_of_tree(self._tree)
         if kind == "general":
             try:
@@ -382,8 +404,9 @@ class QuerySession:
     def statistics(self) -> RankStatistics:
         """The rank statistics the session is built on (lazily created)."""
         if self._statistics is None:
+            columns = self._columns
             self._statistics = RankStatistics(
-                self._tree,
+                self._tree if columns is None else columns,
                 validate_scores=self._validate_scores,
                 use_fast_path=self._use_fast_path,
                 scoring=self._scoring,
@@ -400,11 +423,17 @@ class QuerySession:
         Overridden by the sharded coordinator to serve the owning shard's
         alternatives without materializing a merged tree.
         """
+        columns = self._columns
+        if columns is not None:
+            return columns.alternatives_of(key)
         return self._tree.alternatives_of(key)
 
     def number_of_tuples(self) -> int:
-        """Number of distinct tuple keys."""
-        return self.statistics.number_of_tuples()
+        """Number of distinct tuple keys (structural: no scores needed)."""
+        columns = self._columns
+        if columns is not None:
+            return len(columns.keys)
+        return len(self._tree.keys())
 
     def score_of(self, alternative: TupleAlternative) -> float:
         """The ranking score of an alternative under the active scoring."""
@@ -730,7 +759,7 @@ class QuerySession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"QuerySession({self._tree!r}, entries={len(self._cache)}, "
+            f"QuerySession({self._source!r}, entries={len(self._cache)}, "
             f"hits={self._hits}, misses={self._misses}, "
             f"generation={self._generation})"
         )
@@ -748,7 +777,7 @@ def as_session(source: SessionSource) -> QuerySession:
         return source
     if isinstance(source, RankStatistics):
         return source.session()
-    if isinstance(source, AndXorTree):
+    if isinstance(source, (AndXorTree, FlatColumns)):
         return QuerySession(source)
     # Sharded databases coerce to their coordinator session, so every
     # module-level consensus function accepts one directly.

@@ -140,7 +140,7 @@ class _ShardArchive:
             database = self.owner._build_shard_database(
                 self.index, self.units
             )
-            self._session = QuerySession(database.tree)
+            self._session = QuerySession(database.columns)
         return self._session
 
     def layout_fragment(self) -> Optional[Any]:
@@ -769,7 +769,7 @@ class ShardedQuerySession(QuerySession):
         provider = self._layout().key_to_session.get(key)
         if provider is None:
             raise ModelError(f"unknown tuple key {key!r}")
-        return self._resolve_session(provider).tree.alternatives_of(key)
+        return self._resolve_session(provider).alternatives_of(key)
 
     def best_scores(
         self, keys: Sequence[Hashable]

@@ -127,7 +127,7 @@ class ShardWorkerState:
         if self._session is None:
             if self._database is None:
                 self._database = self._build_database(self.units)
-            self._session = QuerySession(self._database.tree)
+            self._session = QuerySession(self._database.columns)
         return self._session
 
     # -- command handlers ----------------------------------------------
@@ -197,8 +197,8 @@ class ShardWorkerState:
 
     def handle_prepare(self, payload: Tuple[int, List[Any]]) -> int:
         ticket, units = payload
-        # The expensive half of the swap: tree construction runs here, on
-        # the owning worker, while other shards keep answering queries.
+        # The expensive half of the swap: the shard database is built here,
+        # on the owning worker, while other shards keep answering queries.
         self.staged[ticket] = (units, self._build_database(units))
         return ticket
 

@@ -12,10 +12,10 @@ prefix_count_polynomials`), one memoized Bernoulli product per requested
 prefix for block-independent shards.
 
 The ``max_rank``-independent part -- key/score/probability layout, block
-structure, the decreasing-score alternative stream -- is extracted once per
-shard session (:func:`shard_layout`, memoized as a session artifact and
-therefore dropped on invalidation), so summaries at several truncations and
-the coordinator's merged key space all share one extraction.
+structure, the decreasing-score alternative stream -- is read off the shard's
+columns once per shard session (:func:`shard_layout`, memoized as a session
+artifact and therefore dropped on invalidation), so summaries at several
+truncations and the coordinator's merged key space all share one view.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.engine import get_backend
 from repro.exceptions import ModelError
 
@@ -33,7 +32,11 @@ class ShardLayout:
 
     One instance per shard session generation, shared by every
     :class:`ShardRankSummary` over that shard and by the coordinator's
-    merged key space.
+    merged key space.  Read straight off the shard's flat (TI / BID)
+    columns and their decreasing-score permutation -- never off a tree.
+    Keys are in decreasing score order for independent shards and in
+    block order otherwise; ``triples`` are ``(score, probability, block)``
+    in decreasing score order, with ``block`` indexing ``keys``.
     """
 
     __slots__ = (
@@ -50,103 +53,61 @@ class ShardLayout:
     )
 
     def __init__(self, session: Any) -> None:
-        layout = session.independent_tuple_layout()
-        if layout is not None:
-            self.independent = True
-            self.keys: List[Hashable] = [key for key, _, _ in layout]
-            self.probabilities: List[float] = [p for _, p, _ in layout]
-            self.scores: List[float] = [score for _, _, score in layout]
-            self.block_of: Dict[Hashable, int] = {
-                key: index for index, key in enumerate(self.keys)
-            }
-            self.alternatives: Dict[Hashable, List[Tuple[float, float]]] = {
-                key: [(score, probability)]
-                for key, probability, score in layout
-            }
-            self.triples: List[Tuple[float, float, int]] = [
-                (score, probability, index)
-                for index, (_, probability, score) in enumerate(layout)
-            ]
-            self.key_triples: List[Tuple[float, float, Hashable]] = [
-                (score, probability, key)
-                for key, probability, score in layout
-            ]
-            self.presence: Dict[Hashable, float] = dict(
-                zip(self.keys, self.probabilities)
-            )
-            self.best_score: Dict[Hashable, float] = dict(
-                zip(self.keys, self.scores)
-            )
-            return
-        self.independent = False
-        self._extract_block_layout(session)
-
-    def _extract_block_layout(self, session: Any) -> None:
-        """Read the block-independent (BID) layout off the shard's tree."""
-        tree = session.tree
-        root = tree.root
-        if not isinstance(root, AndNode):
+        statistics = session.statistics
+        flat = statistics.flat_rows()
+        if flat is None:
             raise ModelError(
                 "shard summaries require a tuple-independent or "
                 "block-independent database layout"
             )
-        self.keys = []
-        self.block_of = {}
-        self.alternatives = {}
-        triples: List[Tuple[float, float, int]] = []
-        for child in root.children():
-            if not isinstance(child, XorNode):
-                raise ModelError(
-                    "shard summaries require xor blocks directly under the "
-                    "and root (tuple-independent or BID layout)"
-                )
-            block_key: Optional[Hashable] = None
-            alternatives: List[Tuple[float, float]] = []
-            for leaf, probability in child.edges():
-                if not isinstance(leaf, Leaf):
-                    raise ModelError(
-                        "shard summaries require leaf-only xor blocks "
-                        "(tuple-independent or BID layout)"
-                    )
-                if block_key is None:
-                    block_key = leaf.alternative.key
-                elif leaf.alternative.key != block_key:
-                    raise ModelError(
-                        "shard summaries require same-key alternatives "
-                        "within each block (BID layout)"
-                    )
-                alternatives.append(
-                    (session.score_of(leaf.alternative), float(probability))
-                )
-            if block_key is None:
-                continue  # empty block: never produces a tuple
-            if block_key in self.block_of:
-                raise ModelError(
-                    f"duplicate block key {block_key!r} in shard layout"
-                )
-            block_index = len(self.keys)
-            self.keys.append(block_key)
-            self.block_of[block_key] = block_index
-            self.alternatives[block_key] = alternatives
-            triples.extend(
-                (score, probability, block_index)
-                for score, probability in alternatives
-            )
-        triples.sort(key=lambda item: -item[0])
-        self.triples = triples
-        self.key_triples = [
+        columns, row_scores, order = flat
+        probabilities = columns.probabilities
+        self.independent = statistics.independent_tuple_layout() is not None
+        if self.independent:
+            blocks = range(len(order))
+            self.keys: List[Hashable] = [columns.keys[row] for row in order]
+            self.probabilities: List[float] = [
+                probabilities[row] for row in order
+            ]
+        else:
+            blocks = [columns.blocks[row] for row in order]
+            self.keys = list(columns.keys)
+            masses = [0.0] * len(self.keys)
+            for block, probability in zip(columns.blocks, probabilities):
+                masses[block] += probability
+            self.probabilities = masses
+        self.scores: List[float] = [row_scores[row] for row in order]
+        self.triples: List[Tuple[float, float, int]] = list(
+            zip(self.scores, (probabilities[row] for row in order), blocks)
+        )
+        self.key_triples: List[Tuple[float, float, Hashable]] = [
             (score, probability, self.keys[block])
-            for score, probability, block in triples
+            for score, probability, block in self.triples
         ]
-        self.scores = [score for score, _, _ in triples]
-        self.probabilities = [
-            sum(p for _, p in self.alternatives[key]) for key in self.keys
-        ]
-        self.presence = dict(zip(self.keys, self.probabilities))
-        self.best_score = {
-            key: max(score for score, _ in self.alternatives[key])
-            for key in self.keys
+        self.block_of: Dict[Hashable, int] = {
+            key: index for index, key in enumerate(self.keys)
         }
+        self.presence: Dict[Hashable, float] = dict(
+            zip(self.keys, self.probabilities)
+        )
+        self.alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
+        if self.independent:
+            self.best_score: Dict[Hashable, float] = dict(
+                zip(self.keys, self.scores)
+            )
+            for score, probability, key in self.key_triples:
+                self.alternatives[key] = [(score, probability)]
+            return
+        for block, score, probability in zip(
+            columns.blocks, row_scores, probabilities
+        ):
+            self.alternatives.setdefault(columns.keys[block], []).append(
+                (score, probability)
+            )
+        # The first triple of a key carries its best score.
+        self.best_score = {}
+        for score, _, key in self.key_triples:
+            self.best_score.setdefault(key, score)
 
 
 def shard_layout(session: Any) -> ShardLayout:
@@ -172,7 +133,6 @@ class ShardRankSummary:
     """
 
     def __init__(self, session: Any, max_rank: int) -> None:
-        self._session = session
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
         self._layout = shard_layout(session)
@@ -203,7 +163,6 @@ class ShardRankSummary:
         worker's sweep.
         """
         self = cls.__new__(cls)
-        self._session = None
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
         self._layout = layout
