@@ -10,17 +10,23 @@ with ``r(t) = ∞`` when ``t`` is absent.  This module computes
   Kendall-tau approximation (Section 5.5), and
 * Cormode-style expected ranks used as a baseline ranking semantics.
 
-The computation follows the paper's generating-function framework: for a
-leaf carrying alternative ``(t, a)`` with score ``s``, condition on that
-leaf being present (which pins the independent xor choices on its root
-path) and take the univariate generating function marking every leaf of a
-*different* key with score larger than ``s``; the coefficient of
-``x^(j-1)`` times the leaf's probability is the probability that ``t`` is
-ranked at position ``j`` through this leaf.  Probabilities of a tuple's
-leaves add up because same-key leaves are mutually exclusive.  This is
-equivalent to the paper's per-alternative bivariate generating function
-with ``y`` on the target leaf, but the conditional univariate form batches
-its and-node products through the engine's multiply-accumulate kernel.
+The computation follows the paper's generating-function framework.  For a
+flat (tuple-independent or BID) relation the generating function is a
+closed form over the columns: alternative ``t`` of block ``B`` is ranked at
+position ``j`` with probability ``p_t · [x^(j-1)] Π_{B' ≠ B} (1 - q_B' +
+q_B' x)``, where ``q_B'`` is the mass of block ``B'`` scored above ``t``, so
+every rank row comes out of one backend kernel sweep over the columns in
+decreasing score order.  For a general and/xor tree, a leaf carrying
+alternative ``(t, a)`` with score ``s`` is conditioned on being present
+(which pins the independent xor choices on its root path) and the
+univariate generating function marks every leaf of a *different* key with
+score larger than ``s``; the coefficient of ``x^(j-1)`` times the leaf's
+probability is the probability that ``t`` is ranked at position ``j``
+through this leaf.  Probabilities of a tuple's leaves add up because
+same-key leaves are mutually exclusive.  This is equivalent to the paper's
+per-alternative bivariate generating function with ``y`` on the target
+leaf, but the conditional univariate form batches its and-node products
+through the engine's multiply-accumulate kernel.
 """
 
 from __future__ import annotations
@@ -125,11 +131,10 @@ class RankStatistics:
         if validate_scores:
             self._validate_scores(row_keys)
         self._rank_cache: Dict[Tuple[Hashable, int], List[float]] = {}
-        # Fast path: pure tuple-level uncertainty over independent tuples
-        # (every block holds a single alternative).  The rank distributions
-        # of all tuples can then be computed in one O(n * max_rank) sweep;
-        # the layout is the (key, probability, score) triples sorted by
-        # decreasing score.
+        # Pure tuple-level uncertainty over independent tuples (every block
+        # holds a single alternative): the (key, probability, score)
+        # triples sorted by decreasing score, read by the linear-time
+        # consensus routines, preferences and expected ranks.
         self._fast_layout: Optional[List[Tuple[Hashable, float, float]]] = (
             [
                 (row_keys[row], columns.probabilities[row], row_scores[row])
@@ -162,13 +167,17 @@ class RankStatistics:
         """Batched rank-position probabilities for every tuple at once.
 
         Returns the :class:`~repro.engine.RankMatrix` whose row for key
-        ``t`` is ``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]``.  For
-        tuple-independent databases the whole matrix is produced by one
-        backend sweep of the running product ``Π (1 - p_i + p_i x)`` in
-        decreasing score order (the probability that a tuple has rank ``j``
-        is its own probability times the coefficient of ``x^(j-1)``); the
-        general and/xor layout assembles the matrix from per-leaf
-        conditional univariate generating functions (see
+        ``t`` is ``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]``.  A flat
+        (TI / BID) layout is one backend kernel call over the columns in
+        decreasing score order
+        (:meth:`~repro.engine.backends.Backend.rank_probability_matrix`):
+        a tuple-independent row is its probability times the running
+        product ``Π (1 - p_i + p_i x)`` of the rows above it, and a BID
+        alternative's row multiplies in, for every other block, the factor
+        ``1 - q + q x`` of that block's mass ``q`` scored above it; the
+        per-alternative rows of a block are then summed into its key's
+        row.  Only the general and/xor layout assembles the matrix from
+        per-leaf conditional generating functions (see
         :meth:`_general_rank_positions`).  Matrices are cached per
         ``max_rank``.
         """
@@ -178,10 +187,32 @@ class RankStatistics:
         if cached is not None:
             return cached
         backend = get_backend()
-        if self._fast_layout is not None:
-            keys = [key for key, _, _ in self._fast_layout]
-            probabilities = [p for _, p, _ in self._fast_layout]
-            native = backend.rank_probability_matrix(probabilities, max_rank)
+        columns = self._columns
+        if self._use_fast_path_flag and columns is not None:
+            order = self._order
+            blocks = [columns.blocks[row] for row in order]
+            probabilities = [columns.probabilities[row] for row in order]
+            # Equal scores of different keys (allowed only unvalidated)
+            # must not count each other as above.
+            scores = (
+                None
+                if self._validate_scores_flag
+                else [self._row_scores[row] for row in order]
+            )
+            if columns.independent:
+                keys = [columns.keys[block] for block in blocks]
+                native = backend.rank_probability_matrix(
+                    probabilities, max_rank, scores=scores
+                )
+            else:
+                keys = self.keys()
+                native = backend.sum_rows_by_group(
+                    backend.rank_probability_matrix(
+                        probabilities, max_rank, blocks, scores
+                    ),
+                    blocks,
+                    len(keys),
+                )
         else:
             keys = self.keys()
             native = backend.matrix_from_rows(
@@ -290,17 +321,19 @@ class RankStatistics:
         """
         if max_rank is None:
             max_rank = self.number_of_tuples()
-        if self._fast_layout is not None:
+        if self._use_fast_path_flag and self._columns is not None:
             matrix = self.rank_matrix(max_rank)
-            if key not in matrix:
-                raise ModelError(f"unknown tuple key {key!r}")
-            return matrix.row(key)
-        return self._general_rank_positions(key, max_rank)
+            if key in matrix:
+                return matrix.row(key)
+        elif key in self._keys:
+            return self._general_rank_positions(key, max_rank)
+        raise ModelError(f"unknown tuple key {key!r}")
 
     def _general_rank_positions(
         self, key: Hashable, max_rank: int
     ) -> List[float]:
-        """Per-key rank distribution via conditional generating functions.
+        """Per-key rank distribution via conditional generating functions
+        (general trees, and the ``use_fast_path=False`` oracle).
 
         Conditioning on one leaf of the tuple being present fixes the
         independent xor choices on its root path, so ``Pr(r(t) = j)`` is

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import random as _random
 from bisect import bisect_right as _bisect_right
+from collections import Counter as _Counter
+from math import isqrt as _isqrt
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # NumPy is an optional accelerator, never a hard dependency.
@@ -123,15 +125,36 @@ class Backend:
 
     # -- batched rank kernels ----------------------------------------------
     def rank_probability_matrix(
-        self, probabilities: Sequence[float], max_rank: int
+        self,
+        probabilities: Sequence[float],
+        max_rank: int,
+        blocks: Optional[Sequence[int]] = None,
+        scores: Optional[Sequence[float]] = None,
     ) -> Any:
-        """Rank distributions of independent tuples sorted by score.
+        """Rank distributions of the rows of a TI or BID relation.
 
-        ``probabilities`` lists the presence probabilities in decreasing
-        score order; row ``i`` of the result holds
-        ``[Pr(r(t_i) = 1), ..., Pr(r(t_i) = max_rank)]``.  Maintaining the
-        truncated running product ``Π_{j<i} (1 - p_j + p_j x)``, row ``i`` is
-        ``p_i`` times its coefficients -- one sweep for all tuples.
+        ``probabilities`` lists the rows' presence probabilities in
+        decreasing score order; row ``i`` of the result holds
+        ``[Pr(r(row_i) = 1), ..., Pr(r(row_i) = max_rank)]``.
+
+        * ``blocks=None`` (tuple-independent): row ``i`` is ``p_i`` times
+          the truncated prefix product ``Π_{j<i} (1 - p_j + p_j x)`` (the
+          rows of :meth:`prefix_count_polynomials`) -- one sweep for all
+          tuples.
+        * ``blocks[i]`` is the block id of row ``i`` (BID: the rows of one
+          block are mutually exclusive alternatives of one tuple).  Row
+          ``i`` is ``p_i · Π_{B ≠ blocks[i]} (1 - q_B(i) + q_B(i) x)``
+          truncated at ``max_rank``, where ``q_B(i)`` is the probability
+          mass of ``B``'s rows above row ``i``.  Only nonnegative
+          arithmetic is used -- no polynomial division, which cancels as a
+          block's mass nears 1: single-row blocks go through the prefix
+          sweep and every larger block multiplies its factor into the
+          later rows in one pass.
+
+        A row is *above* row ``i`` when it comes earlier, or, when
+        ``scores`` (the rows' scores, decreasing) are given, only when its
+        score is strictly greater -- equal-score rows never count each
+        other, matching the and/xor tree's strict comparison.
         """
         raise NotImplementedError
 
@@ -368,6 +391,25 @@ class Backend:
 # ----------------------------------------------------------------------
 # Pure-Python reference backend
 # ----------------------------------------------------------------------
+def _bernoulli_step(coefficients: List[float], probability: float) -> None:
+    """Multiply a truncated polynomial by ``1 - p + p x`` in place."""
+    previous = 0.0
+    for index, current in enumerate(coefficients):
+        coefficients[index] = (
+            current * (1.0 - probability) + previous * probability
+        )
+        previous = current
+
+
+def _tie_starts(scores: Sequence[float]) -> List[int]:
+    """Per row of a decreasing score list, the first row of equal score."""
+    starts: List[int] = []
+    for row, score in enumerate(scores):
+        tied = row and score == scores[row - 1]
+        starts.append(starts[-1] if tied else row)
+    return starts
+
+
 class PurePythonBackend(Backend):
     """Reference implementation; exact on ``int`` / ``Fraction`` inputs."""
 
@@ -471,22 +513,46 @@ class PurePythonBackend(Backend):
         return coefficients
 
     def rank_probability_matrix(
-        self, probabilities: Sequence[float], max_rank: int
+        self,
+        probabilities: Sequence[float],
+        max_rank: int,
+        blocks: Optional[Sequence[int]] = None,
+        scores: Optional[Sequence[float]] = None,
     ) -> List[List[float]]:
-        if max_rank < 1:
-            return [[] for _ in probabilities]
-        coefficients = [1.0] + [0.0] * (max_rank - 1)
-        rows: List[List[float]] = []
-        for probability in probabilities:
-            rows.append([probability * c for c in coefficients])
-            previous = 0.0
-            for index in range(max_rank):
-                current = coefficients[index]
-                coefficients[index] = (
-                    current * (1.0 - probability) + previous * probability
-                )
-                previous = current
-        return rows
+        count = len(probabilities)
+        if blocks is None and scores is None:
+            table = self._prefix_products(probabilities, max_rank)
+        else:
+            blocks = range(count) if blocks is None else blocks
+            times = range(count) if scores is None else _tie_starts(scores)
+            sizes = _Counter(blocks)
+            prefix = self._prefix_products(
+                [
+                    0.0 if sizes[block] > 1 else probability
+                    for probability, block in zip(probabilities, blocks)
+                ],
+                max_rank,
+            )
+            table = [list(prefix[time]) for time in times]
+            shared: Dict[int, List[int]] = {}
+            for row, block in enumerate(blocks):
+                if sizes[block] > 1:
+                    shared.setdefault(block, []).append(row)
+            for block, members in shared.items():
+                cursor = 0
+                mass = 0.0
+                for row in range(members[0] + 1, count):
+                    while (
+                        cursor < len(members) and members[cursor] < times[row]
+                    ):
+                        mass += probabilities[members[cursor]]
+                        cursor += 1
+                    if blocks[row] != block:
+                        _bernoulli_step(table[row], mass)
+        return [
+            [probability * c for c in row]
+            for probability, row in zip(probabilities, table)
+        ]
 
     def pairwise_preference_matrix(
         self, probabilities: Sequence[float], scores: Sequence[float]
@@ -565,19 +631,18 @@ class PurePythonBackend(Backend):
     def prefix_count_polynomials(
         self, probabilities: Sequence[float], out_len: int
     ) -> List[List[float]]:
+        return self._prefix_products(probabilities, out_len)
+
+    def _prefix_products(
+        self, probabilities: Sequence[float], out_len: int
+    ) -> List[List[float]]:
         if out_len < 1:
             return [[] for _ in range(len(probabilities) + 1)]
         coefficients = [0.0] * out_len
         coefficients[0] = 1.0
         rows: List[List[float]] = [list(coefficients)]
         for probability in probabilities:
-            previous = 0.0
-            for index in range(out_len):
-                current = coefficients[index]
-                coefficients[index] = (
-                    current * (1.0 - probability) + previous * probability
-                )
-                previous = current
+            _bernoulli_step(coefficients, probability)
             rows.append(list(coefficients))
         return rows
 
@@ -915,24 +980,49 @@ class NumpyBackend(Backend):
         return coefficients.tolist()
 
     def rank_probability_matrix(
-        self, probabilities: Sequence[float], max_rank: int
+        self,
+        probabilities: Sequence[float],
+        max_rank: int,
+        blocks: Optional[Sequence[int]] = None,
+        scores: Optional[Sequence[float]] = None,
     ) -> Any:
         values = _np.asarray(probabilities, dtype=_np.float64)
         count = values.shape[0]
-        if max_rank < 1:
-            return _np.zeros((count, 0), dtype=_np.float64)
-        coefficients = _np.zeros(max_rank, dtype=_np.float64)
-        coefficients[0] = 1.0
-        rows = _np.empty((count, max_rank), dtype=_np.float64)
-        shifted = _np.empty_like(coefficients)
-        for index in range(count):
-            probability = values[index]
-            _np.multiply(probability, coefficients, out=rows[index])
-            shifted[0] = 0.0
-            shifted[1:] = coefficients[:-1]
-            coefficients *= 1.0 - probability
-            coefficients += shifted * probability
-        return rows
+        if blocks is None and scores is None:
+            table = self._prefix_products(values, max_rank)[:-1]
+            return values[:, None] * table
+        ids = _np.arange(count) if blocks is None else _np.asarray(blocks)
+        times = _np.asarray(
+            range(count) if scores is None else _tie_starts(scores),
+            dtype=_np.intp,
+        )
+        _, inverse, sizes = _np.unique(
+            ids, return_inverse=True, return_counts=True
+        )
+        shared = sizes[inverse] > 1
+        table = self._prefix_products(
+            _np.where(shared, 0.0, values), max_rank
+        )[times]
+        # The rows of every multi-row block, grouped by block, in row order.
+        members = _np.flatnonzero(shared)
+        members = members[_np.argsort(inverse[members], kind="stable")]
+        splits = _np.flatnonzero(_np.diff(inverse[members])) + 1
+        groups = (
+            _np.split(members, splits) if members.size and max_rank else []
+        )
+        for rows in groups:
+            start = _np.searchsorted(times, rows[0], side="right")
+            masses = _np.zeros(rows.shape[0] + 1)
+            _np.cumsum(values[rows], out=masses[1:])
+            mass = masses[_np.searchsorted(rows, times[start:], side="left")]
+            mass[inverse[start:] == inverse[rows[0]]] = 0.0
+            later = table[start:]
+            later[:, 1:] = (
+                later[:, 1:] * (1.0 - mass)[:, None]
+                + later[:, :-1] * mass[:, None]
+            )
+            later[:, 0] *= 1.0 - mass
+        return values[:, None] * table
 
     def pairwise_preference_matrix(
         self, probabilities: Sequence[float], scores: Sequence[float]
@@ -1017,23 +1107,51 @@ class NumpyBackend(Backend):
     def prefix_count_polynomials(
         self, probabilities: Sequence[float], out_len: int
     ) -> Any:
-        values = _np.asarray(probabilities, dtype=_np.float64)
+        return self._prefix_products(
+            _np.asarray(probabilities, dtype=_np.float64), out_len
+        )
+
+    def _prefix_products(self, values: Any, out_len: int) -> Any:
+        """The prefix-product rows as a chunked sweep.
+
+        The rows are cut into about ``√n`` chunks of ``√n`` that advance
+        in lockstep, one vectorised step per position across all chunks.
+        A first pass multiplies out each chunk's total, one sequential
+        pass convolves the totals into each chunk's offset (the product of
+        every earlier chunk), and a second pass advances every chunk from
+        its offset, writing the rows.  As in a per-row sweep, every term
+        is a sum of nonnegative products.
+        """
         count = values.shape[0]
+        size = max(_isqrt(count), 1)
+        chunks = max(-(-count // size), 1)
+        rows = _np.zeros((chunks * size + 1, max(out_len, 0)))
         if out_len < 1:
-            return _np.zeros((count + 1, 0), dtype=_np.float64)
-        rows = _np.empty((count + 1, out_len), dtype=_np.float64)
-        coefficients = _np.zeros(out_len, dtype=_np.float64)
-        coefficients[0] = 1.0
-        rows[0] = coefficients
-        shifted = _np.empty_like(coefficients)
-        for index in range(count):
-            probability = values[index]
-            shifted[0] = 0.0
-            shifted[1:] = coefficients[:-1]
-            coefficients *= 1.0 - probability
-            coefficients += shifted * probability
-            rows[index + 1] = coefficients
-        return rows
+            return rows[: count + 1]
+        padded = _np.zeros(chunks * size)
+        padded[:count] = values
+        # grid[j, c] is the probability of row c·size + j (0 past the end).
+        grid = padded.reshape(chunks, size).T[:, :, None]
+        totals = _np.zeros((chunks, min(size + 1, out_len)))
+        totals[:, 0] = 1.0
+        for probability in grid:
+            shifted = totals[:, :-1] * probability
+            totals *= 1.0 - probability
+            totals[:, 1:] += shifted
+        offsets = rows[:-1:size]  # the first row of every chunk
+        offsets[0, 0] = 1.0
+        for chunk in range(chunks - 1):
+            offsets[chunk + 1] = _np.convolve(
+                offsets[chunk], totals[chunk]
+            )[:out_len]
+        for position, probability in enumerate(grid):
+            current = rows[position:-1:size]
+            following = rows[position + 1 :: size]
+            # Read before writing: one-row chunks make the two views overlap.
+            shifted = current[:, :-1] * probability
+            _np.multiply(current, 1.0 - probability, out=following)
+            following[:, 1:] += shifted
+        return rows[: count + 1]
 
     def convolve_rows(self, a: Any, b: Any, out_len: int) -> Any:
         self.count_kernel("convolve_rows")

@@ -138,6 +138,29 @@ class TestFastPath:
                 assert math.isclose(probability, expected, abs_tol=1e-9)
 
 
+class TestUnknownKeys:
+    """Every layout rejects an unknown key instead of returning zeros."""
+
+    @pytest.mark.parametrize(
+        "statistics_factory",
+        [
+            lambda: RankStatistics(small_tuple_independent(1, count=4).tree),
+            lambda: RankStatistics(small_bid(2, blocks=4).columns),
+            lambda: RankStatistics(
+                small_bid(2, blocks=4).tree, use_fast_path=False
+            ),
+            lambda: RankStatistics(figure1_correlated_example()),
+        ],
+        ids=["tuple-independent", "bid", "bid-tree-path", "general"],
+    )
+    def test_unknown_key_raises(self, statistics_factory):
+        statistics = statistics_factory()
+        with pytest.raises(ModelError, match="unknown tuple key"):
+            statistics.rank_position_probabilities("nope", 2)
+        with pytest.raises(ModelError, match="unknown tuple key"):
+            statistics.rank_at_most("nope", 2)
+
+
 class TestPairwisePreference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_enumeration(self, seed):

@@ -241,6 +241,27 @@ class TestLazyTree:
             connection.execute(query)
         assert database.columns._tree is None
 
+    def test_reads_leave_bid_tree_unbuilt(self):
+        database = BlockIndependentDatabase(
+            [
+                (
+                    f"b{block}",
+                    [
+                        (f"v{block}.{i}", 10.0 * block + i, 0.9 / (1 + size))
+                        for i in range(size)
+                    ],
+                )
+                for block, size in enumerate([1, 2, 3, 2, 1, 3, 2, 4])
+            ]
+        )
+        connection = connect(database, result_cache=False)
+        for query in BENCHMARK_READS:
+            connection.execute(query)
+        statistics = connection.session.statistics
+        for key in statistics.keys():
+            statistics.rank_at_most(key, 3)
+        assert database.columns._tree is None
+
     def test_reads_leave_shard_trees_unbuilt_after_updates(self):
         rows = [
             (f"t{i}", f"v{i}", float(i), 0.1 + 0.8 * i / 40) for i in range(40)

@@ -5,6 +5,9 @@ speed.  These tests drive both implementations over randomized inputs --
 raw kernels, polynomial products on random and/xor trees, and the batched
 ``RankMatrix`` API against the per-key ``rank_position_probabilities`` path
 (both the fast tuple-independent layout and the general bivariate layout).
+The rank kernels are also checked differentially to 1e-12: the chunked
+prefix sweep against a per-row reference sweep, and the block-aware BID
+kernel against the tree path and brute-force world enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 import pytest
 
 from tests.conftest import small_bid, small_tuple_independent
+from repro.andxor.enumeration import enumerate_worlds
 from repro.andxor.generating import (
     bivariate_generating_function,
     univariate_generating_function,
@@ -22,6 +26,7 @@ from repro.andxor.generating import (
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.statistics import size_distribution
 from repro.engine import (
+    NumpyBackend,
     PurePythonBackend,
     available_backends,
     get_backend,
@@ -29,6 +34,7 @@ from repro.engine import (
     set_backend,
     use_backend,
 )
+from repro.models import BlockIndependentDatabase
 from repro.workloads.generators import (
     random_andxor_tree,
     random_bid_database,
@@ -45,9 +51,14 @@ needs_numpy = pytest.mark.skipif(
 def forced_numpy_backend():
     """A NumpyBackend that always takes the vector path (no small-input
     fallback), so parity tests actually exercise the NumPy kernels."""
-    from repro.engine import NumpyBackend
-
     return NumpyBackend(small_cutoff=0)
+
+
+BACKEND_NAMES = ["python", "numpy"] if numpy_available() else ["python"]
+
+
+def backend_named(name):
+    return pure if name == "python" else forced_numpy_backend()
 
 
 def assert_close_lists(left, right, tolerance=1e-9):
@@ -336,3 +347,200 @@ class TestRankMatrixAgainstPerKeyPath:
         matrix = RankStatistics(database.tree).rank_matrix(2)
         with pytest.raises(KeyError):
             matrix.row("no-such-key")
+
+
+# ----------------------------------------------------------------------
+# The chunked TI sweep against a per-row reference sweep
+# ----------------------------------------------------------------------
+def per_row_sweep(probabilities, out_len):
+    """Rows ``m = 0..n`` of ``Π_{i<m} (1 - p_i + p_i x)``, one row at a
+    time (the sweep the chunked kernels replace)."""
+    coefficients = [1.0] + [0.0] * (out_len - 1)
+    rows = [coefficients]
+    for p in probabilities:
+        coefficients = [
+            c * (1.0 - p) + (coefficients[i - 1] * p if i else 0.0)
+            for i, c in enumerate(coefficients)
+        ]
+        rows.append(coefficients)
+    return rows
+
+
+class TestChunkedSweep:
+    # Chunks hold isqrt(n) rows: sizes around perfect squares put the last
+    # chunk one short, exactly full and one row into a new chunk.
+    @pytest.mark.parametrize(
+        "count", [0, 1, 2, 3, 8, 15, 16, 17, 23, 48, 49, 50, 70, 101]
+    )
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_matches_per_row_sweep(self, count, backend_name):
+        backend = backend_named(backend_name)
+        rng = random.Random(9000 + count)
+        probabilities = [
+            rng.choice([0.0, 1.0, rng.random(), rng.random()])
+            for _ in range(count)
+        ]
+        for max_rank in (1, 4, count + 3):
+            expected = per_row_sweep(probabilities, max_rank)
+            prefix = backend.matrix_to_lists(
+                backend.prefix_count_polynomials(probabilities, max_rank)
+            )
+            ranks = backend.matrix_to_lists(
+                backend.rank_probability_matrix(probabilities, max_rank)
+            )
+            assert len(prefix) == count + 1 and len(ranks) == count
+            for row, expected_row in zip(prefix, expected):
+                assert_close_lists(row, expected_row, tolerance=1e-12)
+            for p, row, expected_row in zip(probabilities, ranks, expected):
+                assert_close_lists(
+                    row, [p * c for c in expected_row], tolerance=1e-12
+                )
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_zero_width(self, backend_name):
+        backend = backend_named(backend_name)
+        assert backend.matrix_to_lists(
+            backend.rank_probability_matrix([0.5, 0.25], 0)
+        ) == [[], []]
+
+
+# ----------------------------------------------------------------------
+# The block-aware BID kernel against the tree path and world enumeration
+# ----------------------------------------------------------------------
+def random_blocks(rng, sizes, full_mass):
+    """BID blocks of the given sizes with distinct integer scores; a block
+    with ``full_mass`` sums to exactly 1 (dyadic weights), others to less,
+    and some alternatives have probability 0."""
+    scores = iter(rng.sample(range(1, 100), sum(sizes)))
+    blocks = []
+    for index, (size, full) in enumerate(zip(sizes, full_mass)):
+        if full:
+            cuts = sorted(rng.choice(range(9)) for _ in range(size - 1))
+            weights = [
+                (high - low) / 8 for low, high in zip([0] + cuts, cuts + [8])
+            ]
+        else:
+            weights = [rng.choice([0.0, rng.uniform(0.0, 0.9 / size)])
+                       for _ in range(size)]
+        blocks.append(
+            (
+                f"b{index}",
+                [(f"v{index}.{i}", float(next(scores)), weight)
+                 for i, weight in enumerate(weights)],
+            )
+        )
+    return BlockIndependentDatabase(blocks)
+
+
+def enumerated_rank_rows(tree, score, max_rank):
+    """``Pr(r(t) = j)`` by summing over every possible world; a tuple's rank
+    counts only the present alternatives scored strictly above it."""
+    rows = {key: [0.0] * max_rank for key in tree.keys()}
+    for world, probability in enumerate_worlds(tree):
+        for alternative in world:
+            rank = 1 + sum(
+                score(other) > score(alternative) for other in world
+            )
+            if rank <= max_rank:
+                rows[alternative.key][rank - 1] += probability
+    return rows
+
+
+def descending(alternative):
+    return -alternative.effective_score()
+
+
+def tied(alternative):
+    return float(int(alternative.effective_score()) // 10)
+
+
+SCORINGS = {"default": None, "descending": descending, "tied": tied}
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("scoring", sorted(SCORINGS))
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_matches_enumeration(self, seed, scoring, backend_name):
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        while sum(sizes) > 8:
+            sizes.pop()
+        database = random_blocks(
+            rng, sizes, [rng.random() < 0.5 for _ in sizes]
+        )
+        score = SCORINGS[scoring] or (lambda alt: alt.effective_score())
+        max_rank = rng.choice([1, 2, len(sizes) + 1])
+        with use_backend(backend_named(backend_name)):
+            matrix = RankStatistics(
+                database.columns,
+                validate_scores=scoring != "tied",
+                scoring=SCORINGS[scoring],
+            ).rank_matrix(max_rank)
+        assert database.columns._tree is None
+        expected = enumerated_rank_rows(database.tree, score, max_rank)
+        assert sorted(matrix.keys()) == sorted(expected)
+        for key, row in expected.items():
+            assert_close_lists(matrix.row(key), row, tolerance=1e-12)
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_tuple_independent_ties_match_enumeration(self, backend_name):
+        database = random_blocks(random.Random(5), [1] * 7, [False] * 7)
+        with use_backend(backend_named(backend_name)):
+            matrix = RankStatistics(
+                database.columns, validate_scores=False, scoring=tied
+            ).rank_matrix(4)
+        expected = enumerated_rank_rows(database.tree, tied, 4)
+        for key, row in expected.items():
+            assert_close_lists(matrix.row(key), row, tolerance=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scoring", sorted(SCORINGS))
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_matches_tree_path(self, seed, scoring, backend_name):
+        rng = random.Random(100 + seed)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(5, 9))]
+        database = random_blocks(
+            rng, sizes, [rng.random() < 0.5 for _ in sizes]
+        )
+        options = dict(
+            validate_scores=scoring != "tied", scoring=SCORINGS[scoring]
+        )
+        for max_rank in (1, 3, len(sizes) + 2):
+            with use_backend(backend_named(backend_name)):
+                statistics = RankStatistics(database.columns, **options)
+                matrix = statistics.rank_matrix(max_rank)
+                oracle = RankStatistics(
+                    database.columns.tree, use_fast_path=False, **options
+                )
+                for key in matrix.keys():
+                    assert_close_lists(
+                        matrix.row(key),
+                        oracle._general_rank_positions(key, max_rank),
+                        tolerance=1e-12,
+                    )
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_singleton_blocks_match_ti_sweep(self, backend_name):
+        """With every block a single row, the block kernel is the TI
+        sweep; equal-score rows then stop counting each other."""
+        backend = backend_named(backend_name)
+        probabilities = [0.5, 1.0, 0.0, 0.3, 0.7, 0.2]
+        blocks = [4, 2, 9, 0, 1, 3]
+        by_block = backend.matrix_to_lists(
+            backend.rank_probability_matrix(probabilities, 4, blocks)
+        )
+        by_row = backend.matrix_to_lists(
+            backend.rank_probability_matrix(probabilities, 4)
+        )
+        for left, right in zip(by_block, by_row):
+            assert_close_lists(left, right, tolerance=1e-12)
+        scores = [9.0, 9.0, 5.0, 5.0, 5.0, 1.0]
+        rows = backend.matrix_to_lists(
+            backend.rank_probability_matrix(probabilities, 4, scores=scores)
+        )
+        assert_close_lists(rows[1], [1.0, 0.0, 0.0, 0.0], tolerance=1e-12)
+        # Rows 2-4 see only rows 0 and 1 above them.
+        assert_close_lists(
+            rows[4], [0.0, 0.7 * 0.5, 0.7 * 0.5, 0.0], tolerance=1e-12
+        )
