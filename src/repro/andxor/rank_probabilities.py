@@ -131,23 +131,45 @@ class RankStatistics:
         if validate_scores:
             self._validate_scores(row_keys)
         self._rank_cache: Dict[Tuple[Hashable, int], List[float]] = {}
-        # Pure tuple-level uncertainty over independent tuples (every block
-        # holds a single alternative): the (key, probability, score)
-        # triples sorted by decreasing score, read by the linear-time
-        # consensus routines, preferences and expected ranks.
-        self._fast_layout: Optional[List[Tuple[Hashable, float, float]]] = (
-            [
-                (row_keys[row], columns.probabilities[row], row_scores[row])
-                for row in self._order
-            ]
-            if use_fast_path and columns is not None and columns.independent
-            else None
-        )
+        self._layout_cache: Optional[
+            List[Tuple[Hashable, float, float]]
+        ] = None
         self._matrix_cache: Dict[int, RankMatrix] = {}
         self._preference_cache: Dict[
             Optional[Tuple[Hashable, ...]], PairwisePreferenceMatrix
         ] = {}
         self._expected_rank_cache: Optional[Dict[Hashable, float]] = None
+
+    @property
+    def is_independent(self) -> bool:
+        """True when the database is tuple-independent with tuple-level
+        uncertainty (every block holds a single alternative) and the fast
+        path is on -- exactly when :meth:`independent_tuple_layout` is not
+        None, without building the layout."""
+        columns = self._columns
+        return (
+            self._use_fast_path_flag
+            and columns is not None
+            and columns.independent
+        )
+
+    @property
+    def _fast_layout(self) -> Optional[List[Tuple[Hashable, float, float]]]:
+        """The ``(key, probability, score)`` triples of a tuple-independent
+        layout by decreasing score (built on first use), else None; read by
+        the linear-time consensus routines, preferences and expected
+        ranks."""
+        if not self.is_independent:
+            return None
+        if self._layout_cache is None:
+            columns = self._columns
+            keys, blocks = columns.keys, columns.blocks
+            probabilities, scores = columns.probabilities, self._row_scores
+            self._layout_cache = [
+                (keys[blocks[row]], probabilities[row], scores[row])
+                for row in self._order
+            ]
+        return self._layout_cache
 
     def _score_alternative(self, alternative: TupleAlternative) -> float:
         if self._scoring is None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple, Union
+from typing import Any, Hashable, List, Sequence, Tuple, Union
 
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.tree import AndXorTree
@@ -72,6 +72,61 @@ def rank_matrix_view(
     if cumulative:
         return session.cumulative_rank_matrix(k)
     return session.rank_matrix(k)
+
+
+def validate_answer(
+    source: TreeOrStatistics, answer: Sequence[Hashable], k: int
+) -> TopKAnswer:
+    """Check a candidate Top-k answer and return it as a tuple.
+
+    The one rule every closed-form expected distance applies: ``k`` must
+    be valid for the database, and the answer must list exactly ``k``
+    distinct keys of the database.  Raises
+    :class:`~repro.exceptions.ConsensusError` otherwise.
+    """
+    matrix = rank_matrix_view(source, k)
+    answer = tuple(answer)
+    if len(answer) != k:
+        raise ConsensusError(
+            f"the candidate answer must have exactly k = {k} items"
+        )
+    if len(set(answer)) != k:
+        raise ConsensusError("the candidate answer contains duplicates")
+    for key in answer:
+        if key not in matrix:
+            raise ConsensusError(f"answer mentions unknown tuple {key!r}")
+    return answer
+
+
+def top_keys(matrix: RankMatrix, values: Any, count: int) -> List[Hashable]:
+    """The ``count`` keys with the largest ``values``, ties by ``repr(key)``.
+
+    ``values`` is a backend-native vector aligned with ``matrix``'s rows.
+    The result equals sorting every key by ``(-value, repr(key))`` and
+    keeping the first ``count``, but only the survivors of
+    :meth:`~repro.engine.backends.Backend.top_indices` (every value tied
+    with the ``count``-th largest included) are converted and sorted.
+    """
+    backend = matrix.backend
+    rows = backend.top_indices(values, count)
+    scored = sorted(
+        zip(backend.vector_values(values, rows), matrix.keys_at(rows)),
+        key=lambda item: (-item[0], repr(item[1])),
+    )
+    return [key for _, key in scored[:count]]
+
+
+def assignment_table(
+    matrix: RankMatrix, table: Any, maximize: bool
+) -> Tuple[List[int], List[List[float]]]:
+    """The candidate rows of a native ``n × k`` table aligned with
+    ``matrix`` (:meth:`~repro.engine.backends.Backend.assignment_candidates`)
+    and the ``k × len(rows)`` position-major table over them: assignment
+    column ``c`` is matrix row ``rows[c]``."""
+    backend = matrix.backend
+    rows = backend.assignment_candidates(table, matrix.max_rank, maximize)
+    pruned = backend.transpose(backend.take_rows(table, rows))
+    return rows, backend.matrix_to_lists(pruned)
 
 
 def order_by_score(

@@ -16,6 +16,19 @@ where, writing ``Υ1(t) = Σ_{i<=k} Pr(r(t)=i)``,
 Choosing which tuple occupies which position to minimise ``Σ_i f(τ(i), i)``
 is an assignment problem, solved exactly with the Hungarian algorithm.
 
+**Candidate pruning.**  The assignment is solved over at most ``k²`` of the
+``n`` tuples.  Let ``S_i`` be ``k`` tuples with the smallest cost at
+position ``i``, so no tuple outside ``S_i`` is cheaper there.  Some optimal
+assignment uses only tuples of ``∪ S_i``: if position ``i`` holds a tuple
+``c ∉ S_i``, the other ``k - 1`` positions hold at most ``k - 1`` tuples of
+``S_i``, so some ``c' ∈ S_i`` is free and ``f(c', i) <= f(c, i)``; swapping
+``c`` for ``c'`` never raises the cost, and repeating the swap ends inside
+``∪ S_i``.  (With ``n <= k²`` every tuple is kept.)  The pruned optimum
+therefore has the full optimum's cost.  The caveat is ties: when several
+assignments reach the optimal cost, the pruned solve may return a different
+one of them than a solve over all ``n`` tuples would -- same expected
+distance, different answer.
+
 .. note::
    The paper prints ``Υ3`` with ``+ i Pr(r(t) > k)``, but its own derivation
    in Figure 2 subtracts the ``Σ_i δ(t = τ(i)) i Pr(r(t) > k)`` term (a tuple
@@ -28,13 +41,15 @@ is an assignment problem, solved exactly with the Hungarian algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Hashable, List, Sequence, Tuple
 
 from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    assignment_table,
     rank_matrix_view,
+    validate_answer,
     validate_k,
 )
 from repro.exceptions import ConsensusError
@@ -51,6 +66,8 @@ class FootruleStatistics:
     (:meth:`~repro.engine.backends.Backend.footrule_cost_matrix`: a matrix
     product of the truncated rank matrix against the ``k × k`` ``|i-j|``
     grid plus two rank-one updates) instead of the per-entry Υ3 loop.
+    Υ1, Υ2 and the cost table stay backend-native; the per-key accessors
+    look one row up on demand.
     """
 
     def __init__(self, source: TreeOrStatistics, k: int) -> None:
@@ -59,16 +76,14 @@ class FootruleStatistics:
         session = as_session(source)
         self._k = validate_k(session, k)
         self._matrix = rank_matrix_view(session, k)
-        # Υ1 and Υ2 for all tuples in two weighted row sums.
-        self._upsilon1 = self._matrix.membership()
-        self._upsilon2 = self._matrix.weighted_sums(
-            [float(i) for i in range(1, k + 1)]
-        )
         backend = self._matrix.backend
-        self._cost = backend.footrule_cost_matrix(self._matrix.native, k)
-        self._row_index = {
-            key: row for row, key in enumerate(self._matrix.keys())
-        }
+        native = self._matrix.native
+        # Υ1 and Υ2 for all tuples as two native vectors.
+        self._upsilon1 = backend.row_sums(native)
+        self._upsilon2 = backend.matvec(
+            native, [float(i) for i in range(1, k + 1)]
+        )
+        self._cost = backend.footrule_cost_matrix(native, k)
 
     @property
     def k(self) -> int:
@@ -83,13 +98,17 @@ class FootruleStatistics:
         """
         return self._matrix.keys()
 
+    def _vector_entry(self, vector: Any, key: Hashable) -> float:
+        backend = self._matrix.backend
+        return backend.vector_values(vector, self._matrix.rows_of([key]))[0]
+
     def upsilon1(self, key: Hashable) -> float:
         """``Υ1(t) = Pr(r(t) <= k)``."""
-        return self._upsilon1[key]
+        return self._vector_entry(self._upsilon1, key)
 
     def upsilon2(self, key: Hashable) -> float:
         """``Υ2(t) = Σ_{i<=k} i Pr(r(t) = i)``."""
-        return self._upsilon2[key]
+        return self._vector_entry(self._upsilon2, key)
 
     def upsilon3(self, key: Hashable, position: int) -> float:
         """``Υ3(t, i) = Σ_{j<=k} Pr(r(t)=j) |i-j| - i Pr(r(t) > k)``.
@@ -107,9 +126,11 @@ class FootruleStatistics:
     def constant_term(self) -> float:
         """The ``τ``-independent constant ``C`` of Figure 2."""
         k = self._k
-        return (k + 1.0) * k + sum(
-            (k + 1.0) * self.upsilon1(key) - self.upsilon2(key)
-            for key in self.keys()
+        backend = self._matrix.backend
+        return (
+            (k + 1.0) * k
+            + (k + 1.0) * backend.vector_sum(self._upsilon1)
+            - backend.vector_sum(self._upsilon2)
         )
 
     def position_cost(self, key: Hashable, position: int) -> float:
@@ -118,9 +139,8 @@ class FootruleStatistics:
             raise ConsensusError(
                 f"position must lie in 1..{self._k}, got {position}"
             )
-        return self._matrix.backend.matrix_cell(
-            self._cost, self._row_index[key], position - 1
-        )
+        (row,) = self._matrix.rows_of([key])
+        return self._matrix.backend.matrix_cell(self._cost, row, position - 1)
 
     def cost_rows(self) -> List[List[float]]:
         """The ``k × n`` assignment cost table (rows = positions).
@@ -128,7 +148,8 @@ class FootruleStatistics:
         ``cost_rows()[i - 1][column]`` is ``f(t, i)`` for the tuple at
         ``keys()[column]`` -- the orientation
         :func:`~repro.matching.minimize_cost_assignment` needs
-        (``rows <= cols``).
+        (``rows <= cols``).  A full-width per-key view: the mean answer
+        solves the pruned table instead.
         """
         backend = self._matrix.backend
         return backend.matrix_to_lists(backend.transpose(self._cost))
@@ -141,18 +162,13 @@ def expected_topk_footrule_distance(
 
     Evaluates the Figure 2 decomposition ``C + Σ_i f(τ(i), i)`` exactly.
     """
-    footrule = as_session(source).footrule_statistics(k)
-    answer = tuple(answer)
-    if len(answer) != k:
-        raise ConsensusError(
-            f"the candidate answer must have exactly k = {k} items"
-        )
-    if len(set(answer)) != k:
-        raise ConsensusError("the candidate answer contains duplicates")
-    total = footrule.constant_term()
-    for position, key in enumerate(answer, start=1):
-        total += footrule.position_cost(key, position)
-    return total
+    session = as_session(source)
+    answer = validate_answer(session, answer, k)
+    footrule = session.footrule_statistics(k)
+    return footrule.constant_term() + sum(
+        footrule.position_cost(key, position)
+        for position, key in enumerate(answer, start=1)
+    )
 
 
 def mean_topk_footrule(
@@ -160,12 +176,15 @@ def mean_topk_footrule(
 ) -> Tuple[TopKAnswer, float]:
     """The exact mean Top-k answer under the footrule distance ``F^(k+1)``.
 
-    Solved as a minimum-cost assignment of tuples to the ``k`` positions with
-    cost ``f(t, i)``; returns the optimal answer and its expected distance.
+    Solved as a minimum-cost assignment of tuples to the ``k`` positions
+    with cost ``f(t, i)``, over the at most ``k²`` candidate tuples of the
+    pruning lemma (module docstring); returns the optimal answer and its
+    expected distance.
     """
     session = as_session(source)
     footrule = session.footrule_statistics(k)
-    keys = footrule.keys()
-    assignment, _ = minimize_cost_assignment(footrule.cost_rows())
-    answer = tuple(keys[column] for column in assignment)
+    matrix = footrule._matrix
+    rows, table = assignment_table(matrix, footrule._cost, maximize=False)
+    assignment, _ = minimize_cost_assignment(table)
+    answer = tuple(matrix.keys_at([rows[column] for column in assignment]))
     return answer, expected_topk_footrule_distance(session, answer, k)

@@ -13,47 +13,57 @@ Only the last sum depends on ``τ``; maximising
        = Σ_t Σ_{j=1..k} δ(t = τ(j)) Σ_{i=j..k} Pr(r(t) <= i) / i``
 
 is an assignment problem between tuples and positions, solved exactly with
-the Hungarian algorithm.  The paper also proves that ranking tuples by the
-``Υ_H`` parameterized ranking function gives an answer ``τ_H`` with
+the Hungarian algorithm.  The profit table ``P(t, j) = Σ_{i=j..k}
+Pr(r(t) <= i) / i`` comes from one backend kernel
+(:meth:`~repro.engine.backends.Backend.intersection_profit_matrix`), and the
+assignment is solved over at most ``k²`` candidate tuples: the ``k`` most
+profitable tuples of every position.  The pruning lemma of
+:mod:`repro.consensus.topk.footrule` (stated there for costs) applies with
+"most profitable" for "cheapest", so the pruned optimum has the full
+optimum's profit; when several assignments tie for it, the pruned solve may
+return a different one of them.  The paper also proves that ranking tuples
+by the ``Υ_H`` parameterized ranking function gives an answer ``τ_H`` with
 ``A(τ_H) >= A(τ*) / H_k``, i.e. an ``H_k``-approximation; both are provided
 and the benchmark harness measures the empirical gap.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    assignment_table,
     rank_matrix_view,
-    validate_k,
+    top_keys,
+    validate_answer,
 )
-from repro.consensus.topk.ranking_functions import upsilon_h
-from repro.exceptions import ConsensusError
+from repro.consensus.topk.ranking_functions import upsilon_h_weights
 from repro.matching import maximize_profit_assignment
+
+
+def _answer_rows(
+    source: TreeOrStatistics, answer: Sequence[Hashable], k: int
+) -> Tuple[List[float], List[List[float]]]:
+    """Validate ``answer``; return the column totals of the cumulative
+    matrix and its rows for the answer's keys, in answer order."""
+    session = as_session(source)
+    answer = validate_answer(session, answer, k)
+    cumulative = rank_matrix_view(session, k, cumulative=True)
+    return cumulative.column_totals(), [cumulative.row(key) for key in answer]
 
 
 def expected_topk_intersection_distance(
     source: TreeOrStatistics, answer: Sequence[Hashable], k: int
 ) -> float:
     """Expected intersection distance between ``answer`` and the random Top-k."""
-    session = as_session(source)
-    answer = tuple(answer)
-    if len(answer) != k:
-        raise ConsensusError(
-            f"the candidate answer must have exactly k = {k} items"
-        )
-    cumulative = rank_matrix_view(session, k, cumulative=True)
-    totals = cumulative.column_totals()
-    table = cumulative.to_dict()
+    totals, rows = _answer_rows(source, answer, k)
     total = 0.0
     for i in range(1, k + 1):
-        prefix = set(answer[:i])
-        value = i + totals[i - 1]
-        value -= 2.0 * sum(table[key][i - 1] for key in prefix)
-        total += value / (2.0 * i)
+        inside = sum(row[i - 1] for row in rows[:i])
+        total += (i + totals[i - 1] - 2.0 * inside) / (2.0 * i)
     return total / k
 
 
@@ -61,13 +71,10 @@ def intersection_objective(
     source: TreeOrStatistics, answer: Sequence[Hashable], k: int
 ) -> float:
     """The objective ``A(τ)`` maximised by the mean intersection answer."""
-    session = as_session(source)
-    table = rank_matrix_view(session, k, cumulative=True).to_dict()
-    total = 0.0
-    for i in range(1, k + 1):
-        prefix = answer[:i]
-        total += sum(table[key][i - 1] for key in prefix) / i
-    return total
+    _, rows = _answer_rows(source, answer, k)
+    return sum(
+        sum(row[i - 1] for row in rows[:i]) / i for i in range(1, k + 1)
+    )
 
 
 def mean_topk_intersection(
@@ -81,17 +88,12 @@ def mean_topk_intersection(
     """
     session = as_session(source)
     cumulative = rank_matrix_view(session, k, cumulative=True)
-    keys = cumulative.keys()
-    # profit[position j - 1][tuple index]: one weighted row sum per
-    # position, with weights 1/i on the suffix i >= j.
-    harmonic_weights = [1.0 / i for i in range(1, k + 1)]
-    profit = []
-    for j in range(1, k + 1):
-        weights = [0.0] * (j - 1) + harmonic_weights[j - 1 :]
-        row_sums = cumulative.weighted_sums(weights)
-        profit.append([row_sums[key] for key in keys])
-    assignment, _ = maximize_profit_assignment(profit)
-    answer = tuple(keys[column] for column in assignment)
+    profit = cumulative.backend.intersection_profit_matrix(
+        cumulative.native, k
+    )
+    rows, table = assignment_table(cumulative, profit, maximize=True)
+    assignment, _ = maximize_profit_assignment(table)
+    answer = tuple(cumulative.keys_at([rows[column] for column in assignment]))
     return answer, expected_topk_intersection_distance(session, answer, k)
 
 
@@ -104,8 +106,7 @@ def approximate_topk_intersection(
     decreasing value, and the expected intersection distance of that answer.
     """
     session = as_session(source)
-    validate_k(session, k)
-    values = upsilon_h(session, k)
-    ordered = sorted(values, key=lambda key: (-values[key], repr(key)))[:k]
-    answer = tuple(ordered)
+    matrix = rank_matrix_view(session, k)
+    values = matrix.backend.matvec(matrix.native, upsilon_h_weights(k))
+    answer = tuple(top_keys(matrix, values, k))
     return answer, expected_topk_intersection_distance(session, answer, k)

@@ -34,6 +34,8 @@ from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    rank_matrix_view,
+    top_keys,
     validate_k,
 )
 from repro.consensus.topk.footrule import mean_topk_footrule
@@ -99,13 +101,11 @@ def approximate_topk_kendall(
     answer.
     """
     session = as_session(source)
-    membership = session.top_k_membership(k)
+    matrix = rank_matrix_view(session, k)
     if candidate_pool_size is None:
-        candidate_pool_size = min(2 * k, len(membership))
+        candidate_pool_size = min(2 * k, len(matrix))
     candidate_pool_size = max(candidate_pool_size, k)
-    pool = sorted(
-        membership, key=lambda key: (-membership[key], repr(key))
-    )[:candidate_pool_size]
+    pool = top_keys(matrix, matrix.membership_vector(), candidate_pool_size)
     preferences = session.preference_matrix(pool)
 
     def prefers(first: Hashable, second: Hashable) -> float:

@@ -32,9 +32,12 @@ from repro.consensus.topk.common import (
     TreeOrStatistics,
     as_session,
     order_by_score,
+    rank_matrix_view,
+    top_keys,
+    validate_answer,
 )
 from repro.core.tuples import TupleAlternative
-from repro.exceptions import ConsensusError, InfeasibleAnswerError, ModelError
+from repro.exceptions import InfeasibleAnswerError, ModelError
 
 _NEG_INF = float("-inf")
 
@@ -54,16 +57,12 @@ def expected_topk_symmetric_difference(
     by ``2k``.
     """
     session = as_session(source)
-    answer_set = set(answer)
-    membership = session.top_k_membership(k)
-    for key in answer_set:
-        if key not in membership:
-            raise ConsensusError(f"answer mentions unknown tuple {key!r}")
-    total = (
-        k
-        + sum(membership.values())
-        - 2.0 * sum(membership[key] for key in answer_set)
-    )
+    answer = validate_answer(session, answer, k)
+    matrix = session.rank_matrix(k)
+    backend = matrix.backend
+    membership = matrix.membership_vector()
+    inside = backend.vector_values(membership, matrix.rows_of(answer))
+    total = k + backend.vector_sum(membership) - 2.0 * sum(inside)
     if normalized:
         return total / (2.0 * k)
     return total
@@ -79,11 +78,9 @@ def mean_topk_symmetric_difference(
     normalised distance.
     """
     session = as_session(source)
-    membership = session.top_k_membership(k)
-    chosen = sorted(
-        membership, key=lambda key: (-membership[key], repr(key))
-    )[:k]
-    answer = order_by_score(session, chosen)
+    matrix = rank_matrix_view(session, k)
+    membership = matrix.membership_vector()
+    answer = order_by_score(session, top_keys(matrix, membership, k))
     return answer, expected_topk_symmetric_difference(session, answer, k)
 
 

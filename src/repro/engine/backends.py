@@ -25,6 +25,7 @@ depend on it without cycles.
 
 from __future__ import annotations
 
+import heapq as _heapq
 import random as _random
 from bisect import bisect_right as _bisect_right
 from collections import Counter as _Counter
@@ -53,6 +54,9 @@ class Backend:
     pure backend, a 2-D ``ndarray`` for NumPy -- and the row/aggregation
     accessors accept that same native layout, so batch consumers such as
     :class:`repro.engine.RankMatrix` never round-trip through Python lists.
+    Per-row vectors (``row_sums``, ``matvec``) are native too -- a list, or
+    a 1-D ``ndarray`` -- and :meth:`vector_values` converts the entries a
+    caller actually reads.
     """
 
     name: str = "abstract"
@@ -325,6 +329,46 @@ class Backend:
         """
         raise NotImplementedError
 
+    def intersection_profit_matrix(self, cumulative: Any, k: int) -> Any:
+        """The intersection assignment profit table of Section 5.3.
+
+        ``cumulative`` is the native ``n × k`` cumulative rank matrix (cell
+        ``(t, i-1)`` is ``Pr(r(t) <= i)``).  The result's cell ``(t, j-1)``
+        is ``P(t, j) = Σ_{i=j..k} Pr(r(t) <= i) / i``, the profit of placing
+        tuple ``t`` at position ``j`` -- one product against the ``k × k``
+        grid holding ``1/i`` at ``(i, j)`` for ``i >= j``, the counterpart
+        of :meth:`footrule_cost_matrix`.
+        """
+        raise NotImplementedError
+
+    def assignment_candidates(
+        self, table: Any, count: int, maximize: bool = False
+    ) -> List[int]:
+        """Rows of an assignment table that some optimum is confined to.
+
+        ``table`` is a native ``n × w`` table with one row per tuple and one
+        column per position (the layout of :meth:`footrule_cost_matrix` and
+        :meth:`intersection_profit_matrix`).  Returns, in ascending order,
+        every row that is among the ``count`` best rows of some column
+        (smallest values, or largest with ``maximize``); when
+        ``n <= count * w`` that is every row.  Ties at a column's cut-off
+        may be broken either way.  With ``count = w`` some optimal
+        assignment of the ``w`` positions uses only these rows (the
+        pruning lemma in :mod:`repro.consensus.topk.footrule`).
+        """
+        raise NotImplementedError
+
+    def top_indices(self, values: Any, count: int) -> List[int]:
+        """Ascending indices of every value ``>=`` the ``count``-th largest.
+
+        ``values`` is a native vector (or a sequence).  Every value tied
+        with the ``count``-th largest is kept, so sorting the survivors by
+        decreasing value under any tie-break reproduces the first ``count``
+        entries of a full sort under the same tie-break;
+        ``count >= len(values)`` keeps every index.
+        """
+        raise NotImplementedError
+
     # -- native matrix helpers ----------------------------------------------
     def matrix_from_rows(self, rows: Sequence[Sequence[float]]) -> Any:
         """Pack per-key coefficient rows into the backend-native layout."""
@@ -368,16 +412,24 @@ class Backend:
         """Sum of a vector's entries."""
         raise NotImplementedError
 
-    def row_sums(self, matrix: Any) -> List[float]:
-        """Per-row totals of a native matrix."""
+    def row_sums(self, matrix: Any) -> Any:
+        """Per-row totals of a native matrix, as a native vector."""
         raise NotImplementedError
 
     def column_sums(self, matrix: Any) -> List[float]:
         """Per-column totals of a native matrix."""
         raise NotImplementedError
 
-    def matvec(self, matrix: Any, weights: Sequence[float]) -> List[float]:
-        """Per-row weighted sums ``Σ_j matrix[i][j] * weights[j]``."""
+    def matvec(self, matrix: Any, weights: Sequence[float]) -> Any:
+        """Per-row weighted sums ``Σ_j matrix[i][j] * weights[j]``, as a
+        native vector."""
+        raise NotImplementedError
+
+    def vector_values(
+        self, vector: Any, indices: Optional[Sequence[int]] = None
+    ) -> List[float]:
+        """Entries of a native vector (all, or those at ``indices``) as a
+        Python list."""
         raise NotImplementedError
 
     def matrix_to_lists(self, matrix: Any) -> List[List[float]]:
@@ -716,21 +768,67 @@ class PurePythonBackend(Backend):
     ) -> List[List[float]]:
         rows: List[List[float]] = []
         for row in matrix:
-            upsilon1 = sum(row)
-            upsilon2 = sum((j + 1) * p for j, p in enumerate(row))
-            absent_or_low = 1.0 - upsilon1
-            base = upsilon2 - 2.0 * (k + 1.0) * upsilon1
+            # spread[i - 1] = Σ_j p_j |i - j| in O(k): the forward sweep
+            # charges each position the mass of the ranks before it, the
+            # backward sweep the mass of the ranks after it.  The backward
+            # sweep ends with mass = Υ1 and distance = Σ_j j p_j = Υ2.
+            spread = [0.0] * k
+            mass = distance = 0.0
+            for i in range(k):
+                spread[i] = distance
+                mass += row[i]
+                distance += mass
+            mass = distance = 0.0
+            for i in range(k - 1, -1, -1):
+                spread[i] += distance
+                mass += row[i]
+                distance += mass
+            absent_or_low = 1.0 - mass
+            base = distance - 2.0 * (k + 1.0) * mass
             rows.append(
                 [
-                    sum(
-                        p * abs(i - (j + 1)) for j, p in enumerate(row)
-                    )
-                    - i * absent_or_low
-                    + base
-                    for i in range(1, k + 1)
+                    spread[i] - (i + 1) * absent_or_low + base
+                    for i in range(k)
                 ]
             )
         return rows
+
+    def intersection_profit_matrix(
+        self, cumulative: List[List[float]], k: int
+    ) -> List[List[float]]:
+        rows: List[List[float]] = []
+        for row in cumulative:
+            out = [0.0] * k
+            running = 0.0
+            for i in range(k - 1, -1, -1):
+                running += row[i] / (i + 1)
+                out[i] = running
+            rows.append(out)
+        return rows
+
+    def assignment_candidates(
+        self, table: List[List[float]], count: int, maximize: bool = False
+    ) -> List[int]:
+        n = len(table)
+        width = len(table[0]) if table else 0
+        if n <= count * width:
+            return list(range(n))
+        pick = _heapq.nlargest if maximize else _heapq.nsmallest
+        chosen = set()
+        for position in range(width):
+            column = [row[position] for row in table]
+            chosen.update(pick(count, range(n), key=column.__getitem__))
+        return sorted(chosen)
+
+    def top_indices(self, values: Sequence[float], count: int) -> List[int]:
+        if count <= 0:
+            return []
+        if count >= len(values):
+            return list(range(len(values)))
+        threshold = _heapq.nlargest(count, values)[-1]
+        return [
+            index for index, value in enumerate(values) if value >= threshold
+        ]
 
     def matrix_from_rows(
         self, rows: Sequence[Sequence[float]]
@@ -798,6 +896,13 @@ class PurePythonBackend(Backend):
             sum(value * weight for value, weight in zip(row, weights))
             for row in matrix
         ]
+
+    def vector_values(
+        self, vector: Sequence[float], indices: Optional[Sequence[int]] = None
+    ) -> List[float]:
+        if indices is None:
+            return list(vector)
+        return [vector[index] for index in indices]
 
     def matrix_to_lists(
         self, matrix: List[List[float]]
@@ -1233,6 +1338,36 @@ class NumpyBackend(Backend):
         cost += (upsilon2 - 2.0 * (k + 1.0) * upsilon1)[:, None]
         return cost
 
+    def intersection_profit_matrix(self, cumulative: Any, k: int) -> Any:
+        positions = _np.arange(1, k + 1, dtype=_np.float64)
+        # grid[i - 1, j - 1] = 1/i for i >= j
+        grid = _np.tril(_np.broadcast_to(1.0 / positions[:, None], (k, k)))
+        return cumulative @ grid
+
+    def assignment_candidates(
+        self, table: Any, count: int, maximize: bool = False
+    ) -> List[int]:
+        n, width = table.shape
+        if n <= count * width:
+            return list(range(n))
+        # Partitioning each position's row of the transposed view is about
+        # twice as fast as partitioning down the columns.
+        if maximize:
+            best = _np.argpartition(table.T, n - count, axis=1)[:, n - count :]
+        else:
+            best = _np.argpartition(table.T, count - 1, axis=1)[:, :count]
+        return _np.unique(best).tolist()
+
+    def top_indices(self, values: Any, count: int) -> List[int]:
+        values = _np.asarray(values, dtype=_np.float64)
+        n = len(values)
+        if count <= 0:
+            return []
+        if count >= n:
+            return list(range(n))
+        threshold = _np.partition(values, n - count)[n - count]
+        return _np.flatnonzero(values >= threshold).tolist()
+
     def matrix_from_rows(self, rows: Sequence[Sequence[float]]) -> Any:
         return _np.asarray(rows, dtype=_np.float64)
 
@@ -1263,14 +1398,21 @@ class NumpyBackend(Backend):
     def vector_sum(self, values: Sequence[float]) -> float:
         return float(_np.asarray(values, dtype=_np.float64).sum())
 
-    def row_sums(self, matrix: Any) -> List[float]:
-        return matrix.sum(axis=1).tolist()
+    def row_sums(self, matrix: Any) -> Any:
+        return matrix.sum(axis=1)
 
     def column_sums(self, matrix: Any) -> List[float]:
         return matrix.sum(axis=0).tolist()
 
-    def matvec(self, matrix: Any, weights: Sequence[float]) -> List[float]:
-        return (matrix @ _np.asarray(weights, dtype=_np.float64)).tolist()
+    def matvec(self, matrix: Any, weights: Sequence[float]) -> Any:
+        return matrix @ _np.asarray(weights, dtype=_np.float64)
+
+    def vector_values(
+        self, vector: Any, indices: Optional[Sequence[int]] = None
+    ) -> List[float]:
+        if indices is None:
+            return vector.tolist()
+        return vector[_np.asarray(indices, dtype=_np.intp)].tolist()
 
     def matrix_to_lists(self, matrix: Any) -> List[List[float]]:
         return matrix.tolist()

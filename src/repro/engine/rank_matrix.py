@@ -3,11 +3,14 @@
 :class:`RankMatrix` packages the ``n_tuples × max_rank`` matrix of
 rank-position probabilities ``Pr(r(t) = i)`` (or, after
 :meth:`RankMatrix.cumulative`, ``Pr(r(t) <= i)``) together with a key index.
-It replaces the repeated per-key ``Dict[key, List[float]]`` lookups that the
-consensus algorithms used to assemble one dictionary entry at a time: the
-matrix is produced in a single backend sweep and the aggregations the
-algorithms need -- memberships, column totals, position-weighted sums --
-stay inside the backend's native array layout.
+The matrix is produced in a single backend sweep and stays in the backend's
+native array layout.  The consensus hot paths read it natively: they hand
+:attr:`RankMatrix.native` (and the native vectors of
+:meth:`RankMatrix.membership_vector`) to backend kernels and convert to keys
+only for the handful of rows an answer picks (:meth:`RankMatrix.keys_at`,
+:meth:`RankMatrix.rows_of`).  The per-key views -- :meth:`RankMatrix.to_dict`,
+:meth:`RankMatrix.membership`, :meth:`RankMatrix.weighted_sums` -- build
+Python dicts over every key and serve callers that want them.
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ class RankMatrix:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._index
 
+    def rows_of(self, keys: Sequence[Hashable]) -> List[int]:
+        """The matrix rows of ``keys`` (``KeyError`` on an unknown key)."""
+        try:
+            return [self._index[key] for key in keys]
+        except KeyError as error:
+            raise KeyError(f"unknown tuple key {error.args[0]!r}") from None
+
+    def keys_at(self, rows: Sequence[int]) -> List[Hashable]:
+        """The tuple keys of matrix rows ``rows``."""
+        keys = self._keys
+        return [keys[row] for row in rows]
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -126,6 +141,7 @@ class RankMatrix:
             self._backend,
             self._max_rank,
             cumulative=True,
+            key_index=self._index,
         )
 
     def truncated(self, max_rank: int) -> "RankMatrix":
@@ -153,17 +169,23 @@ class RankMatrix:
             key_index=self._index,
         )
 
-    def membership(self) -> Dict[Hashable, float]:
-        """``Pr(r(t) <= max_rank)`` per key.
+    def membership_vector(self) -> Any:
+        """``Pr(r(t) <= max_rank)`` per row, as a backend-native vector.
 
         Row sums on a density matrix, the last column on a cumulative one --
         both views answer the same question.
         """
         if self._cumulative:
-            if self._max_rank < 1:
-                return {key: 0.0 for key in self._keys}
-            return dict(zip(self._keys, self.column(self._max_rank)))
-        return dict(zip(self._keys, self._backend.row_sums(self._matrix)))
+            unit = [0.0] * self._max_rank
+            if unit:
+                unit[-1] = 1.0
+            return self._backend.matvec(self._matrix, unit)
+        return self._backend.row_sums(self._matrix)
+
+    def membership(self) -> Dict[Hashable, float]:
+        """``Pr(r(t) <= max_rank)`` per key (see :meth:`membership_vector`)."""
+        values = self._backend.vector_values(self.membership_vector())
+        return dict(zip(self._keys, values))
 
     def column_totals(self) -> List[float]:
         """``Σ_t`` of every column (e.g. ``Σ_t Pr(r(t) <= i)``)."""
@@ -179,9 +201,9 @@ class RankMatrix:
             raise ValueError(
                 f"expected {self._max_rank} weights, got {len(weights)}"
             )
-        return dict(
-            zip(self._keys, self._backend.matvec(self._matrix, weights))
-        )
+        backend = self._backend
+        values = backend.vector_values(backend.matvec(self._matrix, weights))
+        return dict(zip(self._keys, values))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -328,7 +328,8 @@ def micro_calibrate(sizes: Tuple[int, ...] = (64, 256)) -> CalibrationTable:
         # marginal kernel cost, not the one-time artifact build.
         statistics = session.statistics
         probabilities = [
-            probability for _, probability, _ in statistics._fast_layout
+            probability
+            for _, probability, _ in statistics.independent_tuple_layout()
         ]
         # The rank-sweep kernel directly (RankStatistics caches matrices
         # per max_rank, which would turn a second timing into a hit).

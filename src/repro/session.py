@@ -382,7 +382,7 @@ class QuerySession:
         kind = layout_of_tree(self._tree)
         if kind == "general":
             try:
-                if self.statistics.independent_tuple_layout() is not None:
+                if self.statistics.is_independent:
                     return "tuple-independent"
             except TypeError:
                 pass  # unscored tree: set-level queries only

@@ -62,7 +62,7 @@ class ShardLayout:
             )
         columns, row_scores, order = flat
         probabilities = columns.probabilities
-        self.independent = statistics.independent_tuple_layout() is not None
+        self.independent = statistics.is_independent
         if self.independent:
             blocks = range(len(order))
             self.keys: List[Hashable] = [columns.keys[row] for row in order]

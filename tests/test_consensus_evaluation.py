@@ -13,7 +13,13 @@ from repro.consensus.evaluation import (
     compare_topk_answers,
     evaluate_topk_answer,
 )
+from repro.consensus.topk.footrule import expected_topk_footrule_distance
+from repro.consensus.topk.intersection import (
+    expected_topk_intersection_distance,
+    intersection_objective,
+)
 from repro.consensus.topk.symmetric_difference import (
+    expected_topk_symmetric_difference,
     mean_topk_symmetric_difference,
 )
 from repro.exceptions import ConsensusError
@@ -90,3 +96,27 @@ class TestCompareTopKAnswers:
             results["consensus"].distance("symmetric_difference")
             <= results["other"].distance("symmetric_difference") + 1e-9
         )
+
+
+# ----------------------------------------------------------------------
+# Candidate-answer validation: one rule for every closed form
+# ----------------------------------------------------------------------
+SCORERS = {
+    "symmetric_difference": expected_topk_symmetric_difference,
+    "intersection": expected_topk_intersection_distance,
+    "footrule": expected_topk_footrule_distance,
+    "intersection_objective": intersection_objective,
+    "evaluate_topk_answer": evaluate_topk_answer,
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+@pytest.mark.parametrize(
+    "answer",
+    [("t1",), ("t1", "t2", "t3"), ("t1", "t1"), ("t1", "nope")],
+    ids=["short", "long", "duplicate", "unknown"],
+)
+def test_invalid_answer_rejected(scorer, answer):
+    tree = small_tuple_independent(1, count=4).tree
+    with pytest.raises(ConsensusError):
+        SCORERS[scorer](tree, answer, 2)
