@@ -336,6 +336,63 @@ class TestTrafficGenerator:
         assert any(event.is_update for event in first)
         assert any(not event.is_update for event in first)
 
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (
+                {"update_ratio": 0.3},
+                "6250b499398617e22fe2427f09df0387"
+                "d013c41ca22743021c7b404c7ff9bffe",
+            ),
+            (
+                {
+                    "query_mix": {
+                        kind: 1.0
+                        for kind in (
+                            "mean_topk_symmetric_difference",
+                            "median_topk_symmetric_difference",
+                            "mean_topk_footrule",
+                            "mean_topk_intersection",
+                            "approximate_topk_intersection",
+                            "approximate_topk_kendall",
+                            "top_k_membership",
+                            "expected_rank_table",
+                            "global_topk",
+                            "expected_rank_topk",
+                        )
+                    },
+                    "k_choices": (3, 5),
+                    "update_ratio": 0.25,
+                    "popular_pool": None,
+                    "popularity": "zipf",
+                },
+                "de793371b2849760796099d8fc33411d"
+                "807f2771573fb304c94c9c6dd266a956",
+            ),
+        ],
+        ids=["default_mix", "every_kind_zipf"],
+    )
+    def test_seeded_stream_is_pinned(self, options, expected):
+        # The digest was taken from the generator before the query-layer
+        # rewrite; any change to the draw sequence, the kind names or the
+        # queries they denote shows up here.
+        import hashlib
+
+        keys = [f"t{i}" for i in range(12)]
+        events = generate_traffic(keys, 120, rng=2024, **options)
+        rows = [
+            (
+                event.kind,
+                None if event.query is None else event.query.kind,
+                None if event.query is None else event.query.k,
+                None if event.query is None else event.query.fingerprint(),
+                event.key,
+                event.probability,
+            )
+            for event in events
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
+
     def test_repro_seed_controls_default_stream(self, monkeypatch):
         from repro.engine.sampling import reset_default_rng
 
