@@ -50,6 +50,7 @@ import time
 from _harness import report
 from repro.engine import get_backend
 from repro.models import ShardedDatabase
+from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.sharding.procpool import resolve_start_method
@@ -92,7 +93,7 @@ def _replay(sharded, events, **executor_options):
         async with ServingExecutor(sharded, **executor_options) as executor:
             # One warm query excludes one-time construction from the
             # steady-state throughput measurement.
-            await executor.query("top_k_membership", k=K)
+            await executor.submit(Query.membership(K))
             start = time.perf_counter()
             await replay_traffic(executor, events, concurrency=CONCURRENCY)
             elapsed = time.perf_counter() - start

@@ -4,7 +4,7 @@ The unified API must be free: routing every query through
 ``ConsensusQuery`` -> ``Planner`` -> ``ExecutionPlan`` instead of calling
 session methods directly may not tax the serving hot path.  Two cases:
 
-* **E14a -- planner overhead on a realistic query mix.**  The ten wire
+* **E14a -- planner overhead on a realistic query mix.**  The ten named
   kinds at several Top-k sizes run against one long-lived session under
   cache-invalidation churn (the serving regime after updates), once
   through direct session-method calls and once through the planner
@@ -46,8 +46,7 @@ import statistics as stats
 import time
 
 from _harness import RESULTS_DIRECTORY, report
-from repro.query import DEFAULT_PLANNER, Query, connect, query_for_kind
-from repro.query.compat import LEGACY_KINDS
+from repro.query import DEFAULT_PLANNER, NAMED_KINDS, Query, connect
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
 
@@ -61,10 +60,10 @@ MICRO_CALLS = 2000 if SMOKE else 10_000
 OVERHEAD_BAR = 0.05
 MICRO_BAR_SECONDS = 50e-6
 
-#: The serving mix: every wire kind, at every k.
+#: The serving mix: every named kind, at every k.
 QUERY_SET = [
     (kind, k)
-    for kind in LEGACY_KINDS
+    for kind in NAMED_KINDS
     for k in K_CHOICES
 ]
 
@@ -111,7 +110,7 @@ def _sweep_planner(session, queries) -> float:
 
 def test_e14a_planner_overhead_on_query_mix(benchmark):
     database = _database()
-    queries = [query_for_kind(kind, k) for kind, k in QUERY_SET]
+    queries = [Query.named(kind, k) for kind, k in QUERY_SET]
     # One long-lived session per side (the serving deployment model); each
     # round invalidates the caches -- the churn updates cause -- so both
     # sides recompute the same artifacts and the difference isolates
@@ -147,7 +146,7 @@ def test_e14a_planner_overhead_on_query_mix(benchmark):
         notes=(
             f"seed={SEED}; best of {ROUNDS} interleaved rounds, every "
             f"round invalidating the session then answering all "
-            f"{len(LEGACY_KINDS)} wire kinds x k in {K_CHOICES}.  "
+            f"{len(NAMED_KINDS)} named kinds x k in {K_CHOICES}.  "
             f"Acceptance bar: < {OVERHEAD_BAR:.0%}."
         ),
     )
@@ -166,7 +165,7 @@ def test_e14b_warm_micro_dispatch(benchmark):
     database = _database()
     session = QuerySession(database.tree)
     k = K_CHOICES[0]
-    query = query_for_kind("mean_topk_symmetric_difference", k)
+    query = Query.named("mean_topk_symmetric_difference", k)
     # Warm everything: artifacts, result memo, plan cache.
     session.mean_topk_symmetric_difference(k)
     DEFAULT_PLANNER.run(query, session)
@@ -265,7 +264,7 @@ def test_e14c_result_cache_zipf_mix(benchmark):
 
     database = _database()
     pool = [
-        query_for_kind(kind, k)
+        Query.named(kind, k)
         for kind in CACHE_KINDS
         for k in K_CHOICES[:2]
     ]
@@ -461,7 +460,7 @@ def test_e14e_calibrated_planner(benchmark):
     planner = Planner(calibration=loaded)
     session = QuerySession(_database().tree)
     plan = planner.plan_for(
-        query_for_kind("mean_topk_footrule", K_CHOICES[0]), session, "local"
+        Query.named("mean_topk_footrule", K_CHOICES[0]), session, "local"
     )
     rendered = plan.explain()
     assert plan.cost_source in ("calibrated", "micro-calibrated"), (
@@ -496,7 +495,7 @@ def test_e14e_calibrated_planner(benchmark):
     )
     benchmark.pedantic(
         lambda: planner.plan_for(
-            query_for_kind("mean_topk_footrule", K_CHOICES[0]),
+            Query.named("mean_topk_footrule", K_CHOICES[0]),
             session,
             "local",
         ),

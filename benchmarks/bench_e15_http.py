@@ -35,9 +35,9 @@ from collections import Counter
 from _harness import report
 from repro.engine import get_backend
 from repro.models import ShardedDatabase
+from repro.query import Query
 from repro.server import ServerThread
 from repro.serving import ServingExecutor
-from repro.serving.requests import QueryRequest
 from repro.workloads.scenarios import movie_rating_scenario
 from repro.workloads.traffic import (
     generate_traffic,
@@ -111,7 +111,7 @@ def _replay_in_process(sharded, events):
         async with ServingExecutor(sharded) as executor:
             # One warm query keeps one-time construction out of the
             # steady-state comparison, mirroring the HTTP leg's warm-up.
-            await executor.query("top_k_membership", k=K)
+            await executor.submit(Query.membership(K))
             start = time.perf_counter()
             values = await replay_traffic(
                 executor, events, concurrency=CONCURRENCY
@@ -162,7 +162,7 @@ def test_e15a_loopback_vs_in_process(benchmark):
         with ServerThread(sharded, max_inflight=64) as thread:
             client = thread.client()
             try:
-                client.query(QueryRequest.make("top_k_membership", K))
+                client.query(Query.membership(K))
                 timed = _TimingClient(client)
                 start = time.perf_counter()
                 http_values = replay_traffic_http(
@@ -238,7 +238,7 @@ def test_e15b_load_shed_accounting(benchmark):
             client = thread.client()
             try:
                 barrier = threading.Barrier(BLAST_THREADS)
-                request = QueryRequest.make("top_k_membership", K)
+                request = Query.membership(K)
 
                 def blast():
                     barrier.wait()

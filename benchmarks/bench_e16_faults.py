@@ -42,6 +42,7 @@ import time
 
 from _harness import report
 from repro.models import ShardedDatabase
+from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.sharding import FaultEvent, FaultInjector, FaultSchedule, SupervisorPolicy
 from repro.sharding.procpool import resolve_start_method
@@ -127,7 +128,7 @@ def _run(fault_injector):
             ) as executor:
                 # One warm query excludes worker spawn + first merge from
                 # the replay window (identical for both runs).
-                await executor.query("top_k_membership", k=K)
+                await executor.submit(Query.membership(K))
                 started = time.perf_counter()
                 outcomes = await chaos_replay(
                     executor, events, concurrency=CONCURRENCY

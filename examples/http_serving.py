@@ -21,11 +21,10 @@ Run with:  PYTHONPATH=src python examples/http_serving.py
 
 from __future__ import annotations
 
-from repro import QuerySession
+from repro import Query, QuerySession
 from repro.exceptions import DeadlineExceededError, ShardUnavailableError
 from repro.models import ShardedDatabase
 from repro.server import ServerThread
-from repro.serving.requests import QueryRequest
 from repro.workloads.scenarios import movie_rating_scenario
 
 K = 5
@@ -43,7 +42,7 @@ def main() -> None:
         client = thread.client()
 
         # -- one query, loss-free across the wire ----------------------
-        answer = client.query(QueryRequest.make("mean_topk_footrule", K))
+        answer = client.query(Query.topk(K, "footrule"))
         reference, _ = QuerySession(database.tree).mean_topk_footrule(K)
         tag = "== in-process" if answer.value[0] == reference else "!="
         print(f"GET  mean_topk_footrule(k={K}) over HTTP:")
@@ -60,9 +59,9 @@ def main() -> None:
         # -- a micro-batch fused by the executor's batch loop ----------
         batch = client.query_many(
             [
-                QueryRequest.make("top_k_membership", K),
-                QueryRequest.make("global_topk", K),
-                QueryRequest.make("expected_rank_table", None),
+                Query.membership(K),
+                Query.ranking("global", K),
+                Query.expected_ranks(),
             ]
         )
         print(f"POST /query micro-batch ({len(batch)} fused):")
@@ -80,7 +79,7 @@ def main() -> None:
         victim = answer.value[0][0]
         versions = client.shards()
         client.update(victim, probability=0.01)
-        moved = client.query(QueryRequest.make("mean_topk_footrule", K))
+        moved = client.query(Query.topk(K, "footrule"))
         print(f"\nPOST /update: Pr({victim}) -> 0.01")
         print(f"  new answer: {', '.join(moved.value[0])}")
         print(
@@ -91,7 +90,7 @@ def main() -> None:
 
         # -- metrics scrapes carry deltas ------------------------------
         first = client.metrics()
-        client.query(QueryRequest.make("top_k_membership", K))
+        client.query(Query.membership(K))
         second = client.metrics()
         print(
             f"\nGET /metrics: {second['snapshot']['queries']} queries "
@@ -106,7 +105,7 @@ def main() -> None:
             # A kind this example has not warmed: the executor's batch
             # window alone already exceeds a microsecond deadline.
             client.query(
-                QueryRequest.make("median_topk_symmetric_difference", K),
+                Query.topk(K).median(),
                 deadline_ms=0.001,
             )
         except DeadlineExceededError as error:
@@ -122,7 +121,7 @@ def main() -> None:
         drained = client.drain(timeout_s=5.0)
         print(f"POST /admin/drain: {drained}")
         try:
-            client.query(QueryRequest.make("top_k_membership", K))
+            client.query(Query.membership(K))
         except ShardUnavailableError as error:
             print(f"query after drain -> 503: {error}")
         print(f"GET /health: {client.health()['status']}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro import QuerySession
+from repro import Query, QuerySession
 from repro.models import ShardedDatabase
 from repro.serving import ServingExecutor
 from repro.sharding import FaultInjector, FaultSchedule, SupervisorPolicy
@@ -47,22 +47,22 @@ async def main() -> None:
             "mean_topk_footrule",
             "approximate_topk_intersection",
         ):
-            answer, distance = await executor.query(kind, k=K)
+            answer, distance = await executor.submit(Query.named(kind, K))
             reference, _ = getattr(unsharded, kind)(K)
             tag = "== unsharded" if answer == reference else "!= unsharded"
             print(f"  {kind:35s} {', '.join(answer)}   [{tag}]")
 
         # -- a burst of identical queries coalesces --------------------
         await asyncio.gather(
-            *(executor.query("mean_topk_footrule", k=K) for _ in range(8))
+            *(executor.submit(Query.topk(K, "footrule")) for _ in range(8))
         )
 
         # -- updates invalidate only the owning shard ------------------
-        top_key = (await executor.query("mean_topk_symmetric_difference", k=K))[0][0]
+        top_key = (await executor.submit(Query.topk(K)))[0][0]
         owner = sharded.shard_of(top_key)
         versions_before = sharded.versions()
         await executor.update(top_key, probability=0.01)
-        after, _ = await executor.query("mean_topk_symmetric_difference", k=K)
+        after, _ = await executor.submit(Query.topk(K))
         print(
             f"\nAfter crushing Pr({top_key}) to 0.01 "
             f"(shard {owner} rebuilt, versions "

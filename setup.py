@@ -9,7 +9,6 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     description=(
         "Consensus answers for queries over probabilistic databases "
         "(Li & Deshpande, PODS 2009) - full reproduction"

@@ -83,9 +83,10 @@ per-kernel rates (fitted from ``benchmarks/results/`` timings, or
 micro-probed at first use) give ``explain()`` wall-clock estimates and
 set the exact-vs-sampling crossovers from data instead of constants.
 
-The pre-declarative module-level functions
-(``repro.mean_topk_symmetric_difference`` and friends) keep working but
-emit :class:`DeprecationWarning` and re-route through the planner.
+Ten common query shapes have names, the kind strings the serving
+layer's metrics are labelled with: ``Query.named("mean_topk_footrule",
+k=2)`` equals ``Query.topk(k=2).distance("footrule")``, and
+``query.kind`` reads the name back.
 
 Architecture
 ------------
@@ -231,7 +232,7 @@ new queries.
 >>> from repro.server import ReproClient, ServerThread   # doctest: +SKIP
 >>> with ServerThread(ShardedDatabase(database, 4)) as thread:
 ...     client = thread.client()
-...     answer = client.query(QueryRequest.make("mean_topk_footrule", 2))
+...     answer = client.query(Query.topk(k=2).distance("footrule"))
 ...     client.metrics()["admissions"]
 
 The ``repro`` console script (``[project.scripts]``; also
@@ -285,29 +286,15 @@ from repro.models import (
     XTupleDatabase,
 )
 from repro.sharding import ShardedQuerySession
-from repro.serving import QueryRequest, ServingExecutor
+from repro.serving import ServingExecutor
 from repro.consensus import (
     GroupByCountConsensus,
     consensus_clustering,
     expected_jaccard_distance_to_world,
     expected_symmetric_difference_to_world,
 )
-# The pre-declarative consensus entry points: deprecation shims that
-# re-route through the planner (identical answers, DeprecationWarning).
-from repro.query.shims import (
-    approximate_topk_intersection,
-    approximate_topk_kendall,
-    mean_topk_footrule,
-    mean_topk_intersection,
-    mean_topk_symmetric_difference,
-    mean_world_jaccard_tuple_independent,
-    mean_world_symmetric_difference,
-    median_topk_symmetric_difference,
-    median_world_jaccard_bid,
-    median_world_symmetric_difference,
-)
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -350,19 +337,8 @@ __all__ = [
     "ShardedDatabase",
     "ShardedQuerySession",
     "ServingExecutor",
-    "QueryRequest",
-    "mean_world_symmetric_difference",
-    "median_world_symmetric_difference",
     "expected_symmetric_difference_to_world",
-    "mean_world_jaccard_tuple_independent",
-    "median_world_jaccard_bid",
     "expected_jaccard_distance_to_world",
-    "mean_topk_symmetric_difference",
-    "median_topk_symmetric_difference",
-    "mean_topk_intersection",
-    "approximate_topk_intersection",
-    "mean_topk_footrule",
-    "approximate_topk_kendall",
     "GroupByCountConsensus",
     "consensus_clustering",
 ]

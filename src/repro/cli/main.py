@@ -163,14 +163,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.serving.requests import QueryRequest
+    from repro.query.builder import ConsensusQuery
 
-    request = QueryRequest.make(
+    query = ConsensusQuery.named(
         args.kind, args.k, **_parse_params(args.param)
     )
     client = _client(args)
     try:
-        answer = client.query(request, deadline_ms=args.deadline_ms)
+        answer = client.query(query, deadline_ms=args.deadline_ms)
     finally:
         client.close()
     if args.json:
@@ -208,9 +208,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         else:
             if not args.kind:
                 raise ReproError("explain needs a kind or --fingerprint")
-            from repro.query.compat import query_for_kind
+            from repro.query.builder import ConsensusQuery
 
-            query = query_for_kind(args.kind, args.k, ())
+            query = ConsensusQuery.named(args.kind, args.k)
             hints = {"kind": args.kind}
             if args.k is not None:
                 hints["k"] = str(args.k)

@@ -17,8 +17,10 @@ with an exact PTIME algorithm, an approximation, or an NP-hardness result
   and served deployments; every query executes identically through any of
   them and returns a :class:`QueryAnswer` with provenance and timing.
 
-The legacy module-level entry points survive as deprecation shims
-(:mod:`repro.query.shims`) that re-route through this planner.
+The ten named kinds (:data:`NAMED_KINDS`, e.g. ``"mean_topk_footrule"``)
+are shorthands for common query shapes: ``Query.named(name, k)`` builds
+one, and :attr:`ConsensusQuery.kind` reads the name back as the serving
+layer's metric label.
 """
 
 from repro.query.answers import PlanSummary, QueryAnswer
@@ -41,17 +43,13 @@ from repro.query.calibration import (
 from repro.query.builder import (
     FAMILIES,
     MODES,
+    NAMED_KINDS,
     RANKING_SEMANTICS,
     STATISTICS,
     TOPK_DISTANCES,
     WORLD_DISTANCES,
     ConsensusQuery,
     Query,
-)
-from repro.query.compat import (
-    LEGACY_KINDS,
-    query_for_kind,
-    required_max_rank,
 )
 from repro.query.connection import Connection, connect
 from repro.query.plan import (
@@ -108,9 +106,7 @@ __all__ = [
     "load_calibration",
     "kendall_crossover",
     "derive_batch_size",
-    "LEGACY_KINDS",
-    "query_for_kind",
-    "required_max_rank",
+    "NAMED_KINDS",
     "FAMILIES",
     "MODES",
     "STATISTICS",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ConsensusError
 
@@ -61,6 +61,43 @@ _MEDIAN_TOPK_DISTANCES = ("symmetric_difference",)
 _APPROXIMABLE_TOPK_DISTANCES = ("intersection", "kendall")
 
 
+#: The named query kinds.  Each name denotes one query shape
+#: ``(family, metric, statistic, mode, semantics)``:
+#: :meth:`ConsensusQuery.named` builds it and :attr:`ConsensusQuery.kind`
+#: reads it back.  Kind strings label serving metrics and traffic mixes,
+#: so the names never change.
+NAMED_KINDS: Dict[str, Tuple[str, Optional[str], str, str, Optional[str]]] = {
+    "mean_topk_symmetric_difference": (
+        "topk", "symmetric_difference", "mean", "auto", None,
+    ),
+    "median_topk_symmetric_difference": (
+        "topk", "symmetric_difference", "median", "auto", None,
+    ),
+    "mean_topk_footrule": ("topk", "footrule", "mean", "auto", None),
+    "mean_topk_intersection": ("topk", "intersection", "mean", "auto", None),
+    "approximate_topk_intersection": (
+        "topk", "intersection", "mean", "approximate", None,
+    ),
+    "approximate_topk_kendall": (
+        "topk", "kendall", "mean", "approximate", None,
+    ),
+    "top_k_membership": ("membership", None, "mean", "auto", None),
+    "expected_rank_table": ("expected_ranks", None, "mean", "auto", None),
+    "global_topk": ("ranking", None, "mean", "auto", "global"),
+    "expected_rank_topk": ("ranking", None, "mean", "auto", "expected_rank"),
+}
+
+_NAMES_BY_SHAPE = {shape: name for name, shape in NAMED_KINDS.items()}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _sorted_params(params: Any) -> Tuple[Tuple[str, Any], ...]:
     if isinstance(params, dict):
         return tuple(sorted(params.items()))
@@ -72,7 +109,7 @@ class ConsensusQuery:
     """One declarative consensus query (immutable, hashable).
 
     Build instances through the class-method constructors
-    (:meth:`topk`, :meth:`set_consensus`, :meth:`jaccard`,
+    (:meth:`named`, :meth:`topk`, :meth:`set_consensus`, :meth:`jaccard`,
     :meth:`membership`, :meth:`expected_ranks`, :meth:`ranking`,
     :meth:`aggregate`) and refine them with the chaining builder methods
     (:meth:`distance`, :meth:`mean` / :meth:`median`, :meth:`exact` /
@@ -140,9 +177,28 @@ class ConsensusQuery:
                 f"unknown execution mode {self.mode!r}; expected one of "
                 f"{MODES}"
             )
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
+        if self.k is not None and (not _is_int(self.k) or self.k < 1):
             raise ConsensusError(
                 f"answer size k must be a positive integer, got {self.k!r}"
+            )
+        if self.target_epsilon is not None and not _is_real(
+            self.target_epsilon
+        ):
+            raise ConsensusError(
+                f"epsilon must be a number, got {self.target_epsilon!r}"
+            )
+        if not _is_real(self.confidence_level):
+            raise ConsensusError(
+                f"confidence level must be a number, got "
+                f"{self.confidence_level!r}"
+            )
+        if self.sample_cap is not None and not _is_int(self.sample_cap):
+            raise ConsensusError(
+                f"sample cap must be an integer, got {self.sample_cap!r}"
+            )
+        if self.family != "ranking" and self.semantics is not None:
+            raise ConsensusError(
+                "semantics is only valid for the 'ranking' family"
             )
         if self.family == "topk":
             if self.k is None:
@@ -196,15 +252,13 @@ class ConsensusQuery:
                 raise ConsensusError(
                     f"a {self.family!r} query requires an answer size k"
                 )
-            if self.family == "ranking":
-                if self.semantics not in RANKING_SEMANTICS:
-                    raise ConsensusError(
-                        f"unknown ranking semantics {self.semantics!r}; "
-                        f"expected one of {RANKING_SEMANTICS}"
-                    )
-            elif self.semantics is not None:
+            if (
+                self.family == "ranking"
+                and self.semantics not in RANKING_SEMANTICS
+            ):
                 raise ConsensusError(
-                    "semantics is only valid for the 'ranking' family"
+                    f"unknown ranking semantics {self.semantics!r}; "
+                    f"expected one of {RANKING_SEMANTICS}"
                 )
             if self.family != "aggregate" and self.statistic == "median":
                 raise ConsensusError(
@@ -233,6 +287,36 @@ class ConsensusQuery:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def named(
+        cls, name: str, k: Optional[int] = None, **params: Any
+    ) -> "ConsensusQuery":
+        """The query one of the :data:`NAMED_KINDS` denotes.
+
+        Every name but ``expected_rank_table`` needs an answer size; that
+        one carries ``k`` when given even though execution ignores it.
+        """
+        shape = NAMED_KINDS.get(name)
+        if shape is None:
+            raise ConsensusError(
+                f"unknown query kind {name!r}; expected one of "
+                f"{sorted(NAMED_KINDS)}"
+            )
+        family, metric, statistic, mode, semantics = shape
+        if k is None and family != "expected_ranks":
+            raise ConsensusError(
+                f"query kind {name!r} requires an answer size k"
+            )
+        return cls(
+            family=family,
+            k=k,
+            metric=metric,
+            statistic=statistic,
+            mode=mode,
+            semantics=semantics,
+            params=_sorted_params(params),
+        )
+
     @classmethod
     def topk(
         cls, k: int, distance: str = "symmetric_difference"
@@ -374,37 +458,22 @@ class ConsensusQuery:
 
     @property
     def kind(self) -> str:
-        """Canonical kind string (the serving layer's wire name).
+        """Canonical kind string (the serving layer's metric label).
 
-        Combinations matching one of the legacy dispatch kinds return that
-        exact string (so metrics, coalescing keys and traffic mixes stay
-        comparable across versions); anything else gets a structured
-        ``family:metric:statistic:mode`` name.
+        A query of one of the :data:`NAMED_KINDS` shapes (mode ``exact``
+        counting as ``auto``) returns that name; anything else gets a
+        structured ``family:metric:statistic:mode`` name.
         """
-        if self.family == "topk":
-            if self.metric == "symmetric_difference" and self.mode in (
-                "auto", "exact"
-            ):
-                return f"{self.statistic}_topk_symmetric_difference"
-            if self.metric == "footrule" and self.mode in ("auto", "exact"):
-                return "mean_topk_footrule"
-            if self.metric == "intersection":
-                if self.mode == "approximate":
-                    return "approximate_topk_intersection"
-                if self.mode in ("auto", "exact"):
-                    return "mean_topk_intersection"
-            if self.metric == "kendall" and self.mode == "approximate":
-                return "approximate_topk_kendall"
-        elif self.family == "membership":
-            return "top_k_membership"
-        elif self.family == "expected_ranks":
-            return "expected_rank_table"
-        elif self.family == "ranking":
-            return (
-                "global_topk"
-                if self.semantics == "global"
-                else "expected_rank_topk"
-            )
+        shape = (
+            self.family,
+            self.metric,
+            self.statistic,
+            "auto" if self.mode == "exact" else self.mode,
+            self.semantics,
+        )
+        name = _NAMES_BY_SHAPE.get(shape)
+        if name is not None:
+            return name
         parts = [self.family, self.metric or "-", self.statistic, self.mode]
         return ":".join(parts)
 

@@ -119,9 +119,8 @@ def decode_value(data: Any) -> Any:
 def query_to_dict(query: Any) -> Dict[str, Any]:
     """The full wire form of one :class:`~repro.query.ConsensusQuery`.
 
-    Unlike the legacy ``(kind, k, params)`` triple this carries *every*
-    field -- Monte-Carlo sizing included -- so any declarative query
-    round-trips, not just the ten legacy wire kinds.
+    Carries *every* field -- Monte-Carlo sizing included -- so any
+    declarative query round-trips.
     """
     return {
         "family": query.family,

@@ -49,7 +49,6 @@ from repro.server.http import (
     response_bytes,
 )
 from repro.serving.executor import ServingExecutor
-from repro.serving.requests import QueryRequest
 
 #: How many executed queries the ``/plans`` registry remembers.
 PLAN_REGISTRY_LIMIT = 1024
@@ -291,15 +290,13 @@ class ReproServer:
         return data
 
     def _parse_query(self, doc: Any) -> ConsensusQuery:
-        """One query document -> ConsensusQuery (legacy or declarative)."""
-        if not isinstance(doc, dict):
+        """One query document ``{"query": {...}}`` -> ConsensusQuery."""
+        if not isinstance(doc, dict) or "query" not in doc:
             raise ConsensusError(
-                f"a query document must be a JSON object, got "
-                f"{type(doc).__name__!r}"
+                'a query document must be a JSON object {"query": {...}} '
+                "holding query_to_dict() of a ConsensusQuery"
             )
-        if "query" in doc:
-            return query_from_dict(doc["query"])
-        return QueryRequest.from_wire(doc).to_query()
+        return query_from_dict(doc["query"])
 
     async def _handle_query(
         self, request: HttpRequest
@@ -449,13 +446,14 @@ class ReproServer:
         query = self._seen_queries.get(fingerprint)
         if query is None and "kind" in request.query:
             # Cold registry: the client may describe the query it means.
-            from repro.query.compat import query_for_kind
-
             k_text = request.query.get("k")
-            rebuilt = query_for_kind(
-                request.query["kind"],
-                int(k_text) if k_text else None,
-                (),
+            if k_text and not k_text.isdigit():
+                raise ConsensusError(
+                    f"plan hint k must be a non-negative integer, "
+                    f"got {k_text!r}"
+                )
+            rebuilt = ConsensusQuery.named(
+                request.query["kind"], int(k_text) if k_text else None
             )
             if rebuilt.fingerprint() == fingerprint:
                 query = rebuilt

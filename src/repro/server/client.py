@@ -33,7 +33,6 @@ from repro.exceptions import (
 from repro.query.answers import QueryAnswer
 from repro.query.builder import ConsensusQuery
 from repro.query.wire import dumps, encode_value, loads, query_to_dict
-from repro.serving.requests import QueryRequest
 
 
 class _Connection:
@@ -194,12 +193,10 @@ class ReproClient:
     # ------------------------------------------------------------------
     @staticmethod
     def _query_document(
-        query: Union[ConsensusQuery, QueryRequest, Dict[str, Any]]
+        query: Union[ConsensusQuery, Dict[str, Any]]
     ) -> Dict[str, Any]:
         if isinstance(query, ConsensusQuery):
             return {"query": query_to_dict(query)}
-        if isinstance(query, QueryRequest):
-            return query.to_wire()
         if isinstance(query, dict):
             return query
         raise TypeError(
@@ -208,7 +205,7 @@ class ReproClient:
 
     def query_raw(
         self,
-        query: Union[ConsensusQuery, QueryRequest, Dict[str, Any]],
+        query: Union[ConsensusQuery, Dict[str, Any]],
         deadline_ms: Optional[float] = None,
     ) -> Tuple[int, Any]:
         """POST one query; returns (status, body) without raising."""
@@ -220,7 +217,7 @@ class ReproClient:
 
     def query(
         self,
-        query: Union[ConsensusQuery, QueryRequest, Dict[str, Any]],
+        query: Union[ConsensusQuery, Dict[str, Any]],
         deadline_ms: Optional[float] = None,
     ) -> QueryAnswer:
         """POST one query and decode the full :class:`QueryAnswer`."""
@@ -231,7 +228,7 @@ class ReproClient:
 
     def query_many(
         self,
-        queries: List[Union[ConsensusQuery, QueryRequest, Dict[str, Any]]],
+        queries: List[Union[ConsensusQuery, Dict[str, Any]]],
         deadline_ms: Optional[float] = None,
     ) -> List[Union[QueryAnswer, ReproError]]:
         """POST a micro-batch; the executor's batch loop fuses it.

@@ -4,11 +4,9 @@ The paper frames consensus answers as a query-time service over a
 probabilistic database; this package is the serving assembly of the
 reproduction's per-shard pieces:
 
-* :class:`~repro.serving.requests.QueryRequest` -- the string-keyed wire
-  form; every request converts to one declarative
-  :class:`~repro.query.ConsensusQuery`, the single execution type.
 * :class:`~repro.serving.executor.ServingExecutor` -- the asyncio
-  front-end: request coalescing (keyed by the query objects' stable
+  front-end over declarative :class:`~repro.query.ConsensusQuery`
+  objects: request coalescing (keyed by the query objects' stable
   hash), micro-batching, a per-shard worker pool for summary refresh /
   shard rebuilds, and graceful cache-invalidation fan-out on updates.
   Execution routes through the hardness-aware planner
@@ -26,27 +24,10 @@ from repro.serving.metrics import (
     ServingMetrics,
     ServingMetricsSnapshot,
 )
-from repro.serving.requests import (
-    QUERY_KINDS,
-    QueryRequest,
-    execute_request,
-)
 
 __all__ = [
     "LatencyRecorder",
-    "QUERY_KINDS",
-    "QueryRequest",
     "ServingExecutor",
     "ServingMetrics",
     "ServingMetricsSnapshot",
-    "execute_request",
 ]
-
-
-def __getattr__(name: str):
-    # QUERY_DISPATCH moved behind a deprecation shim in .requests.
-    if name == "QUERY_DISPATCH":
-        from repro.serving import requests
-
-        return requests.QUERY_DISPATCH
-    raise AttributeError(name)

@@ -31,11 +31,9 @@ cross-shard coordinator session:
 
 >>> async def main():
 ...     async with ServingExecutor(database) as executor:
-...         answer, distance = await executor.query(
-...             "mean_topk_symmetric_difference", k=5
-...         )
+...         answer, distance = await executor.submit(Query.topk(5))
 ...         await executor.update("t3", probability=0.2)
-...         answer2, _ = await executor.query("mean_topk_footrule", k=5)
+...         answer2, _ = await executor.submit(Query.topk(5, "footrule"))
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.exceptions import (
     DeadlineExceededError,
@@ -60,19 +58,24 @@ from repro.query.builder import ConsensusQuery
 from repro.query.planner import DEFAULT_PLANNER
 from repro.query.results import ResultCache, answer_key, result_cache_for
 from repro.serving.metrics import ServingMetrics, ServingMetricsSnapshot
-from repro.serving.requests import (
-    QueryRequest,
-    as_query,
-    required_max_rank,
-)
 
 _SENTINEL = object()
 
-#: Anything the executor accepts as one query submission.
-Submittable = Union[QueryRequest, ConsensusQuery]
-
 #: Bound on the last-good-answer cache behind stale serving.
 _LAST_ANSWER_CAP = 256
+
+
+def required_max_rank(query: ConsensusQuery) -> Optional[int]:
+    """Rank-matrix truncation a query needs, for shard summary pre-warming.
+
+    ``None`` for queries that never touch the merged rank matrix (the
+    expected-rank family and world/aggregate queries).
+    """
+    if query.family in ("expected_ranks", "world", "aggregate"):
+        return None
+    if query.family == "ranking" and query.semantics == "expected_rank":
+        return None
+    return query.k
 
 
 def _is_transient(error: BaseException) -> bool:
@@ -228,7 +231,7 @@ class ServingExecutor:
         self._merge_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[Any] = None
         self._owns_process_pool = False
-        self._pending: Dict[Tuple[QueryRequest, Tuple[int, ...]], asyncio.Future] = {}
+        self._pending: Dict[Tuple[ConsensusQuery, Tuple[int, ...]], asyncio.Future] = {}
         self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._database.subscribe(self._on_invalidation)
@@ -383,16 +386,14 @@ class ServingExecutor:
     # ------------------------------------------------------------------
     async def execute(
         self,
-        request: Submittable,
+        query: ConsensusQuery,
         deadline_ms: Optional[float] = None,
     ) -> QueryAnswer:
         """Answer one query, returning the full :class:`QueryAnswer`.
 
-        Accepts a declarative :class:`~repro.query.ConsensusQuery` or a
-        wire :class:`QueryRequest` (normalized to a query at ingress, so
-        both forms coalesce onto the same in-flight computation -- the
+        Equal queries coalesce onto the same in-flight computation: the
         coalescing key is the query object's stable hash plus the shard
-        versions it would read).
+        versions it would read.
 
         ``deadline_ms`` overrides the executor default for this call (a
         value <= 0 disables the deadline).  On expiry the call raises
@@ -400,7 +401,6 @@ class ServingExecutor:
         was the last waiter -- cancels the queued batch entry so the
         dispatcher never computes an answer nobody wants.
         """
-        query = as_query(request)
         timeout = self._deadline_ms if deadline_ms is None else deadline_ms
         if timeout is not None and timeout <= 0:
             timeout = None
@@ -531,18 +531,12 @@ class ServingExecutor:
 
     async def submit(
         self,
-        request: Submittable,
+        query: ConsensusQuery,
         deadline_ms: Optional[float] = None,
     ) -> Any:
-        """Answer one query, returning the raw (legacy-shaped) value."""
-        answer = await self.execute(request, deadline_ms=deadline_ms)
+        """Answer one query, returning the raw answer value."""
+        answer = await self.execute(query, deadline_ms=deadline_ms)
         return answer.value
-
-    async def query(
-        self, kind: str, k: Optional[int] = None, **params: Any
-    ) -> Any:
-        """Convenience wrapper: build a :class:`QueryRequest` and submit it."""
-        return await self.submit(QueryRequest.make(kind, k, **params))
 
     async def update(
         self,

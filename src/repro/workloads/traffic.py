@@ -5,23 +5,20 @@
 :class:`~repro.query.ConsensusQuery` objects drawn from a weighted kind
 mix (with Top-k sizes and distance choices) plus probability/score updates
 at a configurable read/update ratio -- over the tuple keys of an existing
-database or scenario.  Mixes are specified by the wire kind strings
-(:data:`repro.serving.requests.QUERY_KINDS`), and the random-draw sequence
-is unchanged from the string-kind era, so a seeded replay produces a
-byte-identical query stream to the pre-declarative generator.  Seeds route
-through :func:`repro.workloads.generators._as_rng`, i.e. through the
-process-wide ``REPRO_SEED`` generator when no explicit seed is given, so
-serving benchmarks and traffic replays are reproducible end to end.
+database or scenario.  Mixes are weighted over the named kinds
+(:data:`repro.query.NAMED_KINDS`).  Seeds route through
+:func:`repro.workloads.generators._as_rng`, i.e. through the process-wide
+``REPRO_SEED`` generator when no explicit seed is given, so serving
+benchmarks and traffic replays are reproducible end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import WorkloadError
-from repro.query.builder import ConsensusQuery
-from repro.query.compat import LEGACY_KINDS, query_for_kind
+from repro.query.builder import NAMED_KINDS, ConsensusQuery
 from repro.workloads.generators import RandomSource, _as_rng
 
 #: Default weighted query mix: the cheap membership-style reads dominate,
@@ -37,13 +34,7 @@ DEFAULT_QUERY_MIX: Dict[str, float] = {
 
 @dataclass(frozen=True)
 class TrafficEvent:
-    """One serving-layer event: a consensus query or a tuple update.
-
-    Events carry declarative :class:`~repro.query.ConsensusQuery` objects;
-    string-kind-era constructors keep working -- ``request=`` accepts a
-    wire :class:`~repro.serving.QueryRequest` and converts it -- and the
-    ``request`` attribute reads back the wire-format view.
-    """
+    """One serving-layer event: a consensus query or a tuple update."""
 
     kind: str  # "query" | "update"
     query: Optional[ConsensusQuery] = None
@@ -53,38 +44,10 @@ class TrafficEvent:
     #: Inter-arrival gap (seconds) before this event; ``None`` for steady
     #: streams, set by the bursty arrival process.
     gap: Optional[float] = None
-    request: InitVar[Optional[Any]] = None
-
-    def __post_init__(self, request: Optional[Any]) -> None:
-        if request is not None:
-            if self.query is not None:
-                raise WorkloadError(
-                    "pass either query= or the legacy request=, not both"
-                )
-            object.__setattr__(self, "query", request.to_query())
 
     @property
     def is_update(self) -> bool:
         return self.kind == "update"
-
-
-def _request_view(self: TrafficEvent) -> Optional[Any]:
-    """The wire-format :class:`~repro.serving.QueryRequest` view.
-
-    Kept so stream consumers from the string-kind era keep reading the
-    same ``(kind, k)`` pairs off a seeded stream.
-    """
-    if self.query is None:
-        return None
-    from repro.serving.requests import QueryRequest
-
-    return QueryRequest.from_query(self.query)
-
-
-# Installed after class creation: the name `request` doubles as the
-# compatibility constructor argument (an InitVar above) and the read-only
-# wire-format view; a property in the class body would shadow the InitVar.
-TrafficEvent.request = property(_request_view)  # type: ignore[assignment]
 
 
 def _zipf_cumulative(n: int, s: float) -> List[float]:
@@ -133,8 +96,7 @@ def generate_traffic(
         process-wide generator.
     query_mix:
         Weighted query kinds (default :data:`DEFAULT_QUERY_MIX`); every
-        kind must be a supported wire kind
-        (:data:`repro.serving.requests.QUERY_KINDS`).
+        kind must be one of :data:`repro.query.NAMED_KINDS`.
     k_choices:
         Candidate Top-k sizes (clamped to the database size).
     update_ratio:
@@ -173,11 +135,11 @@ def generate_traffic(
         raise WorkloadError("traffic needs at least one tuple key")
     rng = _as_rng(rng)
     mix = dict(DEFAULT_QUERY_MIX if query_mix is None else query_mix)
-    unknown = sorted(set(mix) - set(LEGACY_KINDS))
+    unknown = sorted(set(mix) - set(NAMED_KINDS))
     if unknown:
         raise WorkloadError(
             f"unknown query kinds in mix: {unknown}; expected a subset of "
-            f"{sorted(LEGACY_KINDS)}"
+            f"{sorted(NAMED_KINDS)}"
         )
     if not mix:
         raise WorkloadError("the query mix must not be empty")
@@ -218,16 +180,15 @@ def generate_traffic(
     )
 
     def draw_query() -> ConsensusQuery:
-        # One rng.random() + one rng.randrange() per draw, exactly as the
-        # string-kind generator consumed them: seeded streams stay
-        # byte-identical across the declarative migration.
+        # One rng.random() + one rng.randrange() per draw; seeded streams
+        # depend on this draw order.
         draw = rng.random()
         index = 0
         while index < len(cumulative) - 1 and draw > cumulative[index]:
             index += 1
         kind = kinds[index]
         k = sizes[rng.randrange(len(sizes))]
-        return query_for_kind(kind, k)
+        return ConsensusQuery.named(kind, k)
 
     pool: Optional[List[ConsensusQuery]] = None
     pool_cumulative: Optional[List[float]] = None

@@ -1,18 +1,11 @@
-"""Public-API surface snapshot and deprecation-shim contract.
+"""Public-API surface snapshot.
 
 ``repro.__all__`` is the compatibility surface downstream code imports
 from; this suite pins it exactly (additions require updating the snapshot
-here, removals are API breaks) and asserts the deprecation contract: every
-pre-declarative entry point still resolves, emits
-:class:`DeprecationWarning`, and returns answers identical to the direct
-algorithm call.
+here, removals are API breaks).
 """
 
 from __future__ import annotations
-
-import warnings
-
-import pytest
 
 import repro
 from tests.conftest import small_bid, small_tuple_independent
@@ -64,38 +57,12 @@ EXPECTED_ALL = {
     "ShardedDatabase",
     "ShardedQuerySession",
     "ServingExecutor",
-    "QueryRequest",
-    # consensus entry points (deprecation shims) + helpers
-    "mean_world_symmetric_difference",
-    "median_world_symmetric_difference",
+    # consensus helpers
     "expected_symmetric_difference_to_world",
-    "mean_world_jaccard_tuple_independent",
-    "median_world_jaccard_bid",
     "expected_jaccard_distance_to_world",
-    "mean_topk_symmetric_difference",
-    "median_topk_symmetric_difference",
-    "mean_topk_intersection",
-    "approximate_topk_intersection",
-    "mean_topk_footrule",
-    "approximate_topk_kendall",
     "GroupByCountConsensus",
     "consensus_clustering",
 }
-
-#: Every shim, with the direct (non-deprecated) implementation it must
-#: bit-for-bit agree with.
-DEPRECATED_SHIMS = (
-    "mean_topk_symmetric_difference",
-    "median_topk_symmetric_difference",
-    "mean_topk_footrule",
-    "mean_topk_intersection",
-    "approximate_topk_intersection",
-    "approximate_topk_kendall",
-    "mean_world_symmetric_difference",
-    "median_world_symmetric_difference",
-    "mean_world_jaccard_tuple_independent",
-    "median_world_jaccard_bid",
-)
 
 
 class TestApiSurface:
@@ -106,112 +73,63 @@ class TestApiSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
-    def test_shims_are_the_query_layer_wrappers(self):
-        from repro.query import shims
 
-        for name in DEPRECATED_SHIMS:
-            assert getattr(repro, name) is getattr(shims, name), name
+class TestShimMigration:
+    """The replacements for the removed top-level consensus functions.
 
-    def test_consensus_module_functions_are_not_shimmed(self):
-        # The algorithm implementations stay warning-free: sessions and
-        # the planner call them directly.
-        from repro.consensus.topk import footrule
-
-        database = small_tuple_independent(1, count=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            footrule.mean_topk_footrule(database.tree, 2)
-
-
-class TestDeprecationContract:
-    @pytest.mark.parametrize("name", DEPRECATED_SHIMS)
-    def test_shim_warns(self, name):
-        database = small_tuple_independent(2, count=5)
-        bid = small_bid(2, blocks=3)
-        shim = getattr(repro, name)
-        with pytest.warns(DeprecationWarning):
-            if "world" in name:
-                source = bid.tree if name.endswith("bid") else database.tree
-                shim(source)
-            else:
-                shim(database.tree, 2)
+    Each removed ``repro.<algorithm>(tree, ...)`` function migrates to a
+    :class:`repro.Query` executed through :func:`repro.connect`; the
+    answers must be those of the algorithm in :mod:`repro.consensus`.
+    """
 
     def test_topk_shims_match_direct_calls(self):
-        from repro.session import QuerySession
+        from repro import consensus
 
         database = small_tuple_independent(4, count=6)
-        session = QuerySession(database.tree)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.mean_topk_symmetric_difference(
-                database.tree, 3
-            ) == session.mean_topk_symmetric_difference(3)
-            assert repro.median_topk_symmetric_difference(
-                database.tree, 3
-            ) == session.median_topk_symmetric_difference(3)
-            assert repro.mean_topk_footrule(
-                database.tree, 3
-            ) == session.mean_topk_footrule(3)
-            assert repro.mean_topk_intersection(
-                database.tree, 3
-            ) == session.mean_topk_intersection(3)
-            assert repro.approximate_topk_intersection(
-                database.tree, 3
-            ) == session.approximate_topk_intersection(3)
-            assert repro.approximate_topk_kendall(
-                database.tree, 3
-            ) == session.approximate_topk_kendall(3)
+        conn = repro.connect(database.tree)
+        for kind in (
+            "mean_topk_symmetric_difference",
+            "median_topk_symmetric_difference",
+            "mean_topk_footrule",
+            "mean_topk_intersection",
+            "approximate_topk_intersection",
+            "approximate_topk_kendall",
+        ):
+            migrated = conn.execute(repro.Query.named(kind, 3)).value
+            assert migrated == getattr(consensus, kind)(database.tree, 3), kind
 
     def test_world_shims_match_direct_calls(self):
-        from repro.consensus import jaccard, set_consensus
+        from repro import consensus
 
         database = small_tuple_independent(5, count=6)
         bid = small_bid(5, blocks=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.mean_world_symmetric_difference(
-                database.tree
-            ) == set_consensus.mean_world_symmetric_difference(database.tree)
-            assert repro.median_world_symmetric_difference(
-                database.tree
-            ) == set_consensus.median_world_symmetric_difference(
-                database.tree
-            )
-            assert repro.mean_world_jaccard_tuple_independent(
-                database.tree
-            ) == jaccard.mean_world_jaccard_tuple_independent(database.tree)
-            assert repro.median_world_jaccard_bid(
-                bid.tree
-            ) == jaccard.median_world_jaccard_bid(bid.tree)
+        Query = repro.Query
+        for query, tree, algorithm in (
+            (Query.set_consensus("mean"), database.tree,
+             consensus.mean_world_symmetric_difference),
+            (Query.set_consensus("median"), database.tree,
+             consensus.median_world_symmetric_difference),
+            (Query.jaccard("mean"), database.tree,
+             consensus.mean_world_jaccard_tuple_independent),
+            (Query.jaccard("median"), bid.tree,
+             consensus.median_world_jaccard_bid),
+        ):
+            migrated = repro.connect(tree).execute(query).value
+            assert migrated == algorithm(tree), query
 
     def test_kendall_shim_forwards_pool_and_rng(self):
         import random
 
-        from repro.consensus.topk.kendall import approximate_topk_kendall
+        from repro.consensus import approximate_topk_kendall
 
         database = small_tuple_independent(6, count=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = repro.approximate_topk_kendall(
-                database.tree, 2,
-                candidate_pool_size=4,
-                rng=random.Random(9),
-            )
+        query = repro.Query.named(
+            "approximate_topk_kendall", 2, candidate_pool_size=4
+        )
+        migrated = repro.connect(database.tree).execute(
+            query, rng=random.Random(9)
+        ).value
         direct = approximate_topk_kendall(
             database.tree, 2, candidate_pool_size=4, rng=random.Random(9)
         )
-        assert shimmed == direct
-
-    def test_execute_request_and_dispatch_table_warn(self):
-        from repro.serving import requests
-        from repro.session import QuerySession
-
-        database = small_tuple_independent(3, count=5)
-        session = QuerySession(database.tree)
-        with pytest.warns(DeprecationWarning):
-            value = requests.execute_request(
-                session, requests.QueryRequest.make("top_k_membership", 2)
-            )
-        assert value == session.top_k_membership(2)
-        with pytest.warns(DeprecationWarning):
-            requests.QUERY_DISPATCH
+        assert migrated == direct

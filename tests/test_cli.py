@@ -105,11 +105,11 @@ class TestArgparseCli:
     def test_top_renders_tables(self, server, capsys):
         client = server.client()
         try:
-            from repro.serving.requests import QueryRequest
+            from repro.query import Query
 
             client.metrics()
             for _ in range(3):
-                client.query(QueryRequest.make("global_topk", K))
+                client.query(Query.ranking("global", K))
         finally:
             client.close()
         code = main(["top", "--interval", "0.05"] + endpoint(server))

@@ -18,9 +18,14 @@ import pytest
 from conftest import small_bid
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
-from repro.models import BlockIndependentDatabase, ShardedDatabase
+from repro.models import (
+    BlockIndependentDatabase,
+    ShardedDatabase,
+    TupleIndependentDatabase,
+)
 from repro.session import QuerySession
 from repro.sharding import ShardedQuerySession
+from repro.sharding.coordinator import _ShardArchive
 from repro.workloads.traffic import (
     bursty_traffic,
     generate_traffic,
@@ -268,6 +273,72 @@ class TestBoundedSnapshotHistory:
         # archived shard state and matches the pre-update answer.
         reader = coordinator.at(snapshot.versions)
         assert_rows_close(reference, _matrix_rows(reader, K))
+
+
+class TestArchivedShardReads:
+    """An invalidated reader pinned at a superseded vector re-reads every
+    updated shard from its archive (session, layout fragment, summary)."""
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_invalidated_pin_reads_archives(
+        self, model, executor, warm, monkeypatch
+    ):
+        reached = {}
+        for name in ("session", "layout_fragment", "summary"):
+            original = getattr(_ShardArchive, name)
+
+            def spy(archive, *args, _original=original, _name=name):
+                reached[_name] = reached.get(_name, 0) + 1
+                return _original(archive, *args)
+
+            monkeypatch.setattr(_ShardArchive, name, spy)
+        if model == "ti":
+            tuples = _ti_tuples(47, 24)
+            reference = QuerySession(TupleIndependentDatabase(tuples).tree)
+            source = tuples
+        else:
+            spec = _bid_spec(53, 12)
+            source = BlockIndependentDatabase(spec)
+            reference = QuerySession(source.tree)
+        expected = _matrix_rows(reference, K)
+        with ShardedDatabase(source, 4, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            if warm:
+                # A shallower depth than the read below, so archived
+                # summaries have to be derived, not replayed.
+                coordinator.rank_matrix(K - 2)
+            pinned = sharded.snapshot().versions
+            # One key from each of two different shards.
+            owners = {}
+            for key in sharded.keys():
+                owners.setdefault(sharded.shard_of(key), key)
+            targets = list(owners.values())[:2]
+            for key in targets:
+                if model == "ti":
+                    sharded.update_tuple(key, probability=0.5)
+                else:
+                    sharded.update_block(
+                        key,
+                        [
+                            (value, score, probability * 0.5)
+                            for value, score, probability in dict(spec)[key]
+                        ],
+                    )
+            reader = coordinator.at(pinned)
+            reader.invalidate()
+            assert_rows_close(expected, _matrix_rows(reader, K))
+            live = _matrix_rows(coordinator, K)
+            assert any(
+                abs(a - b) >= TOLERANCE
+                for key in expected
+                for a, b in zip(expected[key], live[key])
+            )
+        assert reached.get("summary", 0) >= 2
+        assert reached.get("layout_fragment", 0) >= 2
+        if not warm or executor == "threads":
+            assert reached.get("session", 0) >= 2
 
 
 class TestMergeGeneralMemo:

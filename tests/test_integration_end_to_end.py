@@ -12,14 +12,8 @@ from repro import (
     BlockIndependentDatabase,
     GroupByCountConsensus,
     TupleIndependentDatabase,
-    approximate_topk_intersection,
     consensus_clustering,
     enumerate_worlds,
-    mean_topk_footrule,
-    mean_topk_intersection,
-    mean_topk_symmetric_difference,
-    mean_world_symmetric_difference,
-    median_topk_symmetric_difference,
 )
 from repro.algebra import (
     DeterministicRelation,
@@ -30,6 +24,13 @@ from repro.algebra import (
 )
 from repro.andxor.builders import from_explicit_worlds
 from repro.baselines.ranking import expected_rank_topk, global_topk, u_topk
+from repro.consensus import (
+    mean_topk_footrule,
+    mean_topk_intersection,
+    mean_topk_symmetric_difference,
+    mean_world_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.consensus.topk.symmetric_difference import (
     expected_topk_symmetric_difference,
 )

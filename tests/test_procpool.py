@@ -30,6 +30,7 @@ from repro.exceptions import (
 )
 from repro.models import ShardedDatabase
 from repro.models.sharded import StaleUpdateError
+from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.session import CacheInfo, QuerySession
 from repro.sharding.procpool import IpcSnapshot, resolve_start_method
@@ -311,12 +312,9 @@ class TestServingIntegration:
             async with ServingExecutor(reference) as ref_ex, ServingExecutor(
                 pooled
             ) as pool_ex:
-                for kind in (
-                    "mean_topk_symmetric_difference",
-                    "mean_topk_footrule",
-                ):
-                    expected = await ref_ex.query(kind, k=K)
-                    actual = await pool_ex.query(kind, k=K)
+                for metric in ("symmetric_difference", "footrule"):
+                    expected = await ref_ex.submit(Query.topk(K, metric))
+                    actual = await pool_ex.submit(Query.topk(K, metric))
                     assert actual[0] == expected[0]
                     assert math.isclose(
                         actual[1], expected[1], abs_tol=TOLERANCE
@@ -324,12 +322,8 @@ class TestServingIntegration:
                 key = pooled.keys()[2]
                 await ref_ex.update(key, probability=0.35)
                 await pool_ex.update(key, probability=0.35)
-                expected = await ref_ex.query(
-                    "mean_topk_symmetric_difference", k=K
-                )
-                actual = await pool_ex.query(
-                    "mean_topk_symmetric_difference", k=K
-                )
+                expected = await ref_ex.submit(Query.topk(K))
+                actual = await pool_ex.submit(Query.topk(K))
                 assert actual[0] == expected[0]
                 snapshot = pool_ex.metrics()
                 assert snapshot.ipc is not None

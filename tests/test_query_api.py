@@ -3,7 +3,7 @@
 Three promises, all exercised here:
 
 * **Parity** -- every query expressible through the new API returns
-  1e-9-identical answers to the legacy call path, on both array backends,
+  1e-9-identical answers to the session methods, on both array backends,
   against a local session and a 4-shard sharded database.
 * **Planner routing** -- PTIME distances get exact kernels, NP-hard
   distances get Monte-Carlo above the size threshold (exhaustive
@@ -38,18 +38,17 @@ from repro.exceptions import ConsensusError, PlanningError
 from repro.models import ShardedDatabase
 from repro.query import (
     DEFAULT_PLANNER,
-    LEGACY_KINDS,
+    NAMED_KINDS,
     Connection,
     ConsensusQuery,
     Planner,
     Query,
     connect,
     hardness_of,
-    query_for_kind,
-    required_max_rank,
     resolve_session,
 )
-from repro.serving import QueryRequest, ServingExecutor
+from repro.serving import ServingExecutor
+from repro.serving.executor import required_max_rank
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
 
@@ -125,10 +124,19 @@ class TestBuilder:
         with pytest.raises(ConsensusError):
             Query.topk(k=3).sampled(0)
 
-    def test_kind_round_trips_every_legacy_kind(self):
-        for kind in LEGACY_KINDS:
-            query = query_for_kind(kind, K)
+    def test_kind_round_trips_every_named_kind(self):
+        for kind, shape in NAMED_KINDS.items():
+            query = Query.named(kind, K)
             assert query.kind == kind, kind
+            if shape[3] == "auto":
+                assert query.exact().kind == kind, kind
+        # Shapes without a name keep the structured kind string.
+        assert Query.topk(k=K).distance("kendall").kind == (
+            "topk:kendall:mean:auto"
+        )
+        assert Query.set_consensus().exact().kind == (
+            "world:symmetric_difference:mean:exact"
+        )
 
     def test_pickle_round_trip_preserves_hash_eq_contract(self):
         import pickle
@@ -146,46 +154,31 @@ class TestBuilder:
         state = query.__getstate__()
         assert "_hash_cache" not in state
 
-    def test_from_query_refuses_lossy_wire_conversions(self):
-        # Monte-Carlo sizing has no legacy wire form: refusing beats
-        # silently answering an exact query instead of a CI-driven one.
-        with pytest.raises(ConsensusError):
-            QueryRequest.from_query(Query.topk(k=2).epsilon(0.05))
-        with pytest.raises(ConsensusError):
-            QueryRequest.from_query(Query.topk(k=2).sampled(100))
-        with pytest.raises(ConsensusError):
-            QueryRequest.from_query(Query.topk(k=2).distance("kendall"))
-        wire = QueryRequest.from_query(
-            Query.topk(k=2).distance("kendall").approximate()
-        )
-        assert wire.to_query() == Query.topk(k=2).distance("kendall").approximate()
-
-    def test_query_for_kind_errors_match_legacy_dispatch(self):
-        with pytest.raises(ConsensusError):
-            query_for_kind("no_such_kind", 3)
-        with pytest.raises(ConsensusError):
-            query_for_kind("mean_topk_footrule", None)
-        # expected_rank_table never needed k on the wire, but keeps one
-        # when given (legacy streams carried the drawn k in the request).
-        assert query_for_kind("expected_rank_table").family == "expected_ranks"
-        carried = query_for_kind("expected_rank_table", 5)
-        assert carried.k == 5
-        assert QueryRequest.from_query(carried) == QueryRequest.make(
-            "expected_rank_table", 5
+    def test_named_errors_and_expected_rank_k(self):
+        with pytest.raises(ConsensusError, match="unknown query kind"):
+            Query.named("no_such_kind", 3)
+        with pytest.raises(ConsensusError, match="requires an answer size"):
+            Query.named("mean_topk_footrule")
+        # expected_rank_table needs no k, but keeps one when given (seeded
+        # traffic streams carry the drawn k).
+        assert Query.named("expected_rank_table").family == "expected_ranks"
+        assert Query.named("expected_rank_table", 5).k == 5
+        assert Query.named("approximate_topk_kendall", 3, b=1, a=2) == (
+            Query.named("approximate_topk_kendall", 3, a=2, b=1)
         )
 
     def test_required_max_rank(self):
-        assert required_max_rank(query_for_kind("mean_topk_footrule", 5)) == 5
-        assert required_max_rank(query_for_kind("expected_rank_table")) is None
-        assert required_max_rank(query_for_kind("expected_rank_topk", 5)) is None
+        assert required_max_rank(Query.named("mean_topk_footrule", 5)) == 5
+        assert required_max_rank(Query.named("expected_rank_table")) is None
+        assert required_max_rank(Query.named("expected_rank_topk", 5)) is None
         assert required_max_rank(Query.set_consensus()) is None
 
 
 # ----------------------------------------------------------------------
-# Parity: new API vs legacy call path
+# Parity: new API vs the session methods
 # ----------------------------------------------------------------------
-def _legacy_answer(session: QuerySession, kind: str, k: int):
-    """The pre-declarative call path for one kind."""
+def _session_answer(session: QuerySession, kind: str, k: int):
+    """The session-method call path for one named kind."""
     method = {
         "mean_topk_symmetric_difference":
             lambda: session.mean_topk_symmetric_difference(k),
@@ -206,13 +199,13 @@ def _legacy_answer(session: QuerySession, kind: str, k: int):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kind", LEGACY_KINDS)
+@pytest.mark.parametrize("kind", NAMED_KINDS)
 def test_new_api_matches_legacy_local_and_sharded(backend, kind):
     database = random_tuple_independent_database(16, rng=97)
     with use_backend(backend):
         oracle = QuerySession(database.tree)
-        expected = _legacy_answer(oracle, kind, K)
-        query = query_for_kind(kind, K)
+        expected = _session_answer(oracle, kind, K)
+        query = Query.named(kind, K)
         # Local: fresh session through the facade.
         local = connect(database.tree).execute(query)
         assert _close(local.value, expected), f"{kind} local/{backend}"
@@ -262,22 +255,6 @@ def test_aggregate_query_parity():
     median = conn.execute(Query.aggregate("median"))
     assert median.value == reference.median_answer_approximation()
     assert median.plan.route == "approximate"
-
-
-def test_deprecated_shims_return_identical_answers():
-    import repro
-
-    database = small_tuple_independent(3, count=6)
-    session = QuerySession(database.tree)
-    with pytest.warns(DeprecationWarning):
-        legacy = repro.mean_topk_footrule(database.tree, 3)
-    assert legacy == session.mean_topk_footrule(3)
-    with pytest.warns(DeprecationWarning):
-        legacy_world = repro.mean_world_symmetric_difference(database.tree)
-    assert legacy_world == mean_world_symmetric_difference(database.tree)
-    with pytest.warns(DeprecationWarning):
-        kendall = repro.approximate_topk_kendall(database.tree, 3)
-    assert kendall == session.approximate_topk_kendall(3)
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +355,9 @@ class TestPlannerRouting:
                 assert second is not first
                 assert second.profile.backend == "numpy"
 
-    def test_hardness_map_covers_every_legacy_kind(self):
-        for kind in LEGACY_KINDS:
-            entry = hardness_of(query_for_kind(kind, K))
+    def test_hardness_map_covers_every_named_kind(self):
+        for kind in NAMED_KINDS:
+            entry = hardness_of(Query.named(kind, K))
             assert entry.paper
             assert entry.complexity in ("ptime", "np-hard", "approximation")
 
@@ -581,7 +558,7 @@ class TestConnect:
 # Serving integration: coalescing keyed by query hashes
 # ----------------------------------------------------------------------
 class TestServingIntegration:
-    def test_wire_requests_and_queries_coalesce_together(self):
+    def test_named_and_built_queries_coalesce_together(self):
         database = random_tuple_independent_database(16, rng=13)
         sharded = ShardedDatabase(database, SHARDS)
 
@@ -589,11 +566,11 @@ class TestServingIntegration:
             async with ServingExecutor(
                 sharded, batch_window=0.002
             ) as executor:
-                wire = QueryRequest.make("mean_topk_footrule", K)
-                declarative = Query.topk(k=K).distance("footrule")
+                named = Query.named("mean_topk_footrule", K)
+                built = Query.topk(k=K).distance("footrule")
                 results = await asyncio.gather(
                     *(
-                        executor.submit(wire if i % 2 else declarative)
+                        executor.submit(named if i % 2 else built)
                         for i in range(10)
                     )
                 )
@@ -601,8 +578,8 @@ class TestServingIntegration:
 
         results, metrics = asyncio.run(scenario())
         assert all(result == results[0] for result in results)
-        # Wire requests and declarative queries normalize to the same
-        # query object, so they share one in-flight computation.
+        # A named query equals the built one, so they share one in-flight
+        # computation.
         assert metrics.coalesced > 0
 
     def test_executor_execute_returns_answers_with_provenance(self):
@@ -628,7 +605,7 @@ class TestServingIntegration:
         assert events
         for event in events:
             assert isinstance(event.query, ConsensusQuery)
-            assert event.request.kind == event.query.kind
+            assert event.query.kind in NAMED_KINDS
 
     def test_traffic_stream_is_byte_identical_to_string_kind_era(self):
         # Golden stream captured from the pre-declarative generator
@@ -641,7 +618,7 @@ class TestServingIntegration:
         observed = [
             ("update", event.key, round(event.probability, 9))
             if event.is_update
-            else (event.request.kind, event.request.k)
+            else (event.query.kind, event.query.k)
             for event in events
         ]
         assert observed == [

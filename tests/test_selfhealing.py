@@ -32,7 +32,8 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.models import ShardedDatabase
-from repro.serving import QueryRequest, ServingExecutor
+from repro.query import Query
+from repro.serving import ServingExecutor
 from repro.serving.metrics import ServingMetrics
 from repro.sharding import (
     FaultEvent,
@@ -366,13 +367,13 @@ class TestDeadlines:
                 async with ServingExecutor(sharded) as executor:
                     with pytest.raises(DeadlineExceededError):
                         await executor.execute(
-                            QueryRequest.make("top_k_membership", K),
+                            Query.named("top_k_membership", K),
                             deadline_ms=100.0,
                         )
                     assert executor.metrics().deadline_exceeded == 1
                     # The stall passes; the same query then answers fresh.
                     answer = await executor.execute(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     assert not answer.stale and not answer.degraded
             assert injector.fired_of_kind("stall")
@@ -388,7 +389,7 @@ class TestDeadlines:
                     sharded, deadline_ms=-5.0
                 ) as executor:
                     answer = await executor.execute(
-                        QueryRequest.make("mean_topk_footrule", K)
+                        Query.named("mean_topk_footrule", K)
                     )
                     assert answer.value is not None
                     assert executor.metrics().deadline_exceeded == 0
@@ -418,7 +419,7 @@ class TestRetries:
                     sharded, warm_shards=False, retry_backoff=0.0
                 ) as executor:
                     answer = await executor.execute(
-                        QueryRequest.make("mean_topk_symmetric_difference", K)
+                        Query.named("mean_topk_symmetric_difference", K)
                     )
                     metrics = executor.metrics()
                     assert metrics.retries >= 1
@@ -452,7 +453,7 @@ class TestDegradedServing:
                     staleness_bound_s=60.0,
                 ) as executor:
                     fresh = await executor.execute(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     assert not fresh.stale
                     pool = sharded.process_pool()
@@ -460,7 +461,7 @@ class TestDegradedServing:
                     kill_worker(pool, victim)
                     force_cold_reads(sharded)
                     stale = await executor.execute(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     assert stale.stale and not stale.degraded
                     assert stale.provenance()["stale"] is True
@@ -487,7 +488,7 @@ class TestDegradedServing:
                     kill_worker(pool, victim)
                     force_cold_reads(sharded)
                     degraded = await executor.execute(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     assert degraded.degraded and not degraded.stale
                     assert degraded.provenance()["degraded"] is True
@@ -527,12 +528,12 @@ class TestDegradedServing:
                     force_cold_reads(sharded)
                     with pytest.raises(WorkerCrashError):
                         await executor.execute(
-                            QueryRequest.make("mean_topk_footrule", K)
+                            Query.named("mean_topk_footrule", K)
                         )
                     # Breaker now open: the typed refusal is immediate.
                     with pytest.raises(ShardUnavailableError):
                         await executor.execute(
-                            QueryRequest.make("mean_topk_footrule", K)
+                            Query.named("mean_topk_footrule", K)
                         )
 
         run(scenario())
@@ -616,7 +617,7 @@ class TestStopClose:
                 await executor.start()
                 tasks = [
                     asyncio.ensure_future(
-                        executor.execute(QueryRequest.make("top_k_membership", K))
+                        executor.execute(Query.named("top_k_membership", K))
                     )
                     for _ in range(3)
                 ]
@@ -650,7 +651,7 @@ class TestStopClose:
                 # The query self-heals through the restart; stop() right
                 # behind it must drain cleanly, not hang.
                 task = asyncio.ensure_future(
-                    executor.execute(QueryRequest.make("mean_topk_footrule", K))
+                    executor.execute(Query.named("mean_topk_footrule", K))
                 )
                 await asyncio.sleep(0.01)
                 await executor.stop()
@@ -668,7 +669,7 @@ class TestStopClose:
             with ShardedDatabase(database, 2, executor="processes") as sharded:
                 executor = ServingExecutor(sharded)
                 await executor.start()
-                await executor.execute(QueryRequest.make("top_k_membership", K))
+                await executor.execute(Query.named("top_k_membership", K))
                 executor.close()
                 executor.close()  # idempotent
                 await executor.stop()  # no-op after close

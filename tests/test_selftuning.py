@@ -35,7 +35,6 @@ from repro.query import (
     derive_batch_size,
     kendall_crossover,
     micro_calibrate,
-    query_for_kind,
     result_cache_for,
 )
 from repro.query.calibration import host_fingerprint
@@ -87,7 +86,7 @@ class TestResultCache:
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_cached_answer_identical_to_cold(self, backend, kind):
         database = _database()
-        query = query_for_kind(kind, K)
+        query = Query.named(kind, K)
         with use_backend(backend):
             conn = connect(QuerySession(database.tree))
             cold = conn.execute(query)

@@ -17,7 +17,7 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.models import ShardedDatabase
-from repro.query import ConsensusQuery, Query
+from repro.query import NAMED_KINDS, ConsensusQuery, Query
 from repro.query.answers import PlanSummary, QueryAnswer
 from repro.query.wire import (
     decode_value,
@@ -29,7 +29,6 @@ from repro.query.wire import (
 )
 from repro.serving import ServingExecutor
 from repro.serving.metrics import ServingMetrics, ServingMetricsSnapshot
-from repro.serving.requests import QUERY_KINDS, QueryRequest
 from repro.server import ReproClient, ReproServer, ServerThread
 from repro.server.http import HttpError
 from repro.sharding.merge import MergeStatsSnapshot
@@ -166,31 +165,34 @@ class TestWireCodec:
 
 
 # ----------------------------------------------------------------------
-# Request / query / answer JSON round-trips (satellite: 10 kinds x backends)
+# Query / answer JSON round-trips (satellite: 10 kinds x backends)
 # ----------------------------------------------------------------------
+def _wire_roundtrip(query):
+    return query_from_dict(loads(dumps(query_to_dict(query))))
+
+
 class TestRequestJson:
-    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    @pytest.mark.parametrize("kind", NAMED_KINDS)
     def test_every_kind_roundtrips(self, kind):
-        request = QueryRequest.make(
+        query = Query.named(
             kind, K, candidates=(("t1", "t2"), ("t2", "t1")), weight=0.5
         )
-        assert QueryRequest.from_json(request.to_json()) == request
+        assert _wire_roundtrip(query) == query
 
     def test_json_is_canonical(self):
-        request = QueryRequest.make("global_topk", 2, b=1, a=(2, 3))
-        assert request.to_json() == QueryRequest.from_json(
-            request.to_json()
-        ).to_json()
+        query = Query.named("global_topk", 2, b=1, a=(2, 3))
+        text = dumps(query_to_dict(query))
+        assert text == dumps(query_to_dict(_wire_roundtrip(query)))
 
     def test_malformed_documents_raise(self):
         with pytest.raises(ConsensusError):
-            QueryRequest.from_wire(["not", "an", "object"])
+            query_from_dict(["not", "an", "object"])
         with pytest.raises(ConsensusError):
-            QueryRequest.from_wire({"kind": 7})
+            query_from_dict({"family": 7})
         with pytest.raises(ConsensusError):
-            QueryRequest.from_wire({"kind": "global_topk", "k": "three"})
+            query_from_dict({"family": "ranking", "k": "three"})
         with pytest.raises(ConsensusError):
-            QueryRequest.from_wire({"kind": "global_topk", "params": 9})
+            query_from_dict({"family": "membership", "k": 2, "params": 9})
 
     def test_query_dict_roundtrips_declarative_fields(self):
         query = Query.topk(k=5).distance("kendall").epsilon(0.05)
@@ -207,7 +209,7 @@ class TestRequestJson:
 
 class TestAnswerJson:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    @pytest.mark.parametrize("kind", NAMED_KINDS)
     def test_every_kind_roundtrips_on_backend(self, kind, backend):
         with use_backend(backend):
             _, sharded = make_sharded()
@@ -215,9 +217,7 @@ class TestAnswerJson:
 
                 async def scenario():
                     async with ServingExecutor(sharded) as executor:
-                        return await executor.execute(
-                            QueryRequest.make(kind, K)
-                        )
+                        return await executor.execute(Query.named(kind, K))
 
                 answer = asyncio.run(scenario())
             text = answer.to_json()
@@ -330,7 +330,7 @@ class TestEndpoints:
         from repro.session import QuerySession
 
         oracle = QuerySession(database.tree)
-        answer = client.query(QueryRequest.make("mean_topk_footrule", K))
+        answer = client.query(Query.named("mean_topk_footrule", K))
         assert _close(answer.value, oracle.mean_topk_footrule(K))
         assert answer.deployment == "served"
         assert isinstance(answer.plan, PlanSummary)
@@ -343,7 +343,7 @@ class TestEndpoints:
 
     def test_result_cache_flag_survives_wire(self, server):
         _database, _sharded, _thread, client = server
-        request = QueryRequest.make("top_k_membership", K)
+        request = Query.named("top_k_membership", K)
         first = client.query(request)
         second = client.query(request)
         assert not first.cached
@@ -354,8 +354,8 @@ class TestEndpoints:
         _database, _sharded, _thread, client = server
         results = client.query_many(
             [
-                QueryRequest.make("mean_topk_footrule", 2),
-                QueryRequest.make("global_topk", K),
+                Query.named("mean_topk_footrule", 2),
+                Query.named("global_topk", K),
                 {"kind": "no_such_kind"},
             ]
         )
@@ -365,11 +365,11 @@ class TestEndpoints:
 
     def test_metrics_scrape_and_delta(self, server):
         _database, _sharded, _thread, client = server
-        client.query(QueryRequest.make("global_topk", K))
+        client.query(Query.named("global_topk", K))
         first = client.metrics()
         decoded = ServingMetricsSnapshot.from_dict(first["snapshot"])
         assert decoded.queries >= 1
-        client.query(QueryRequest.make("mean_topk_intersection", K))
+        client.query(Query.named("mean_topk_intersection", K))
         second = client.metrics()
         assert second["delta"] is not None
         assert second["elapsed_s"] > 0
@@ -380,7 +380,7 @@ class TestEndpoints:
 
     def test_plans_endpoint(self, server):
         _database, _sharded, _thread, client = server
-        answer = client.query(QueryRequest.make("approximate_topk_kendall", K))
+        answer = client.query(Query.named("approximate_topk_kendall", K))
         fingerprint = answer.query.fingerprint()
         plan = client.plan(fingerprint)
         assert plan["fingerprint"] == fingerprint
@@ -391,11 +391,24 @@ class TestEndpoints:
 
     def test_plans_cold_registry_rebuild(self, server):
         _database, _sharded, _thread, client = server
-        from repro.query.compat import query_for_kind
-
-        query = query_for_kind("expected_rank_table", None, ())
+        query = Query.named("expected_rank_table")
         plan = client.plan(query.fingerprint(), kind="expected_rank_table")
         assert plan["kind"] == "expected_rank_table"
+
+    def test_plans_cold_registry_bad_hint_is_400(self, server):
+        _database, _sharded, _thread, client = server
+        fingerprint = Query.named("mean_topk_footrule", K).fingerprint()
+        for hint, message in (
+            ("kind=no_such_kind&k=3", "unknown query kind"),
+            ("kind=mean_topk_footrule", "requires an answer size"),
+            ("kind=mean_topk_footrule&k=abc", "non-negative integer"),
+        ):
+            status, _headers, body = client.request(
+                "GET", f"/plans/{fingerprint}?{hint}"
+            )
+            assert status == 400, hint
+            assert body["type"] == "ConsensusError", hint
+            assert message in body["error"], hint
 
     def test_update_over_the_wire(self, server):
         database, sharded, _thread, client = server
@@ -439,12 +452,43 @@ class TestFailureSurface:
         _database, _sharded, _thread, client = server
         with pytest.raises(ConsensusError):
             client.query({"kind": "no_such_kind"})
+        # A kind-string body names the one accepted document form.
+        status, body = client.query_raw({"kind": "global_topk", "k": K})
+        assert status == 400
+        assert body["type"] == "ConsensusError"
+        assert '{"query": {...}}' in body["error"]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target_epsilon", "x"),
+            ("confidence_level", "x"),
+            ("sample_cap", "x"),
+            ("sample_cap", 2.5),
+            ("k", True),
+        ],
+    )
+    def test_malformed_query_field_is_400(self, server, field, value, batched):
+        _database, _sharded, _thread, client = server
+        document = query_to_dict(Query.topk(k=3).distance("footrule"))
+        del document["fingerprint"]
+        document[field] = value
+        if batched:
+            status, _headers, body = client.request(
+                "POST", "/query", {"queries": [{"query": document}]}
+            )
+            body = body["answers"][0]
+        else:
+            status, body = client.query_raw({"query": document})
+        assert status == 400
+        assert body["type"] == "ConsensusError"
 
     def test_deadline_propagates_as_504(self, server):
         _database, _sharded, _thread, client = server
         with pytest.raises(DeadlineExceededError):
             client.query(
-                QueryRequest.make("approximate_topk_kendall", K),
+                Query.named("approximate_topk_kendall", K),
                 deadline_ms=1e-6,
             )
         metrics = client.metrics()
@@ -457,12 +501,12 @@ class TestFailureSurface:
                 client = thread.client()
                 try:
                     with pytest.raises(ServerOverloadedError) as info:
-                        client.query(QueryRequest.make("global_topk", K))
+                        client.query(Query.named("global_topk", K))
                     assert info.value.retry_after > 0
                     status, headers, _body = client.request(
                         "POST",
                         "/query",
-                        QueryRequest.make("global_topk", K).to_wire(),
+                        {"query": query_to_dict(Query.ranking("global", K))},
                     )
                     assert status == 429
                     assert "retry-after" in headers
@@ -484,7 +528,7 @@ class TestFailureSurface:
                 def blast():
                     barrier.wait()
                     status, _body = client.query_raw(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     with lock:
                         statuses.append(status)
@@ -521,7 +565,7 @@ class TestFailureSurface:
                     for shard in range(sharded.shard_count):
                         executor._record_shard_failure(shard)
                     with pytest.raises(ShardUnavailableError):
-                        client.query(QueryRequest.make("top_k_membership", K))
+                        client.query(Query.named("top_k_membership", K))
                     metrics = client.metrics()
                     assert metrics["admissions"].get("503", 0) >= 1
                 finally:
@@ -544,7 +588,7 @@ class TestFailureSurface:
                     victim = 0
                     executor._record_shard_failure(victim)
                     answer = client.query(
-                        QueryRequest.make("top_k_membership", K)
+                        Query.named("top_k_membership", K)
                     )
                     assert answer.degraded and not answer.stale
                     dead_keys = {
@@ -569,7 +613,7 @@ class TestFailureSurface:
                 def slow_query():
                     slow_result["status"], slow_result["body"] = (
                         client.query_raw(
-                            QueryRequest.make("mean_topk_footrule", K)
+                            Query.named("mean_topk_footrule", K)
                         )
                     )
 
@@ -590,7 +634,7 @@ class TestFailureSurface:
                 assert slow_result["status"] == 200
                 # New work is refused while draining.
                 status, body = drain_client.query_raw(
-                    QueryRequest.make("mean_topk_footrule", K)
+                    Query.named("mean_topk_footrule", K)
                 )
                 assert status == 503
                 assert body["type"] == "ShardUnavailableError"

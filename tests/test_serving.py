@@ -9,12 +9,9 @@ import pytest
 
 from repro.exceptions import ConsensusError, WorkloadError
 from repro.models import ShardedDatabase
-from repro.serving import (
-    QueryRequest,
-    ServingExecutor,
-    execute_request,
-)
-from repro.serving.requests import required_max_rank
+from repro.query import NAMED_KINDS, Query
+from repro.query.wire import query_from_dict
+from repro.serving import ServingExecutor
 from repro.serving.metrics import LatencyRecorder
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
@@ -38,54 +35,50 @@ def make_sharded(count=16, shard_count=4, seed=21):
 # ----------------------------------------------------------------------
 class TestRequests:
     def test_make_canonicalizes_params(self):
-        first = QueryRequest.make("approximate_topk_kendall", 3, b=1, a=2)
-        second = QueryRequest.make("approximate_topk_kendall", 3, a=2, b=1)
+        first = Query.named("approximate_topk_kendall", 3, b=1, a=2)
+        second = Query.named("approximate_topk_kendall", 3, a=2, b=1)
         assert first == second
         assert hash(first) == hash(second)
+        assert first.fingerprint() == second.fingerprint()
         assert first.param("a") == 2
         assert first.param("missing", 7) == 7
 
     def test_unknown_kind_raises(self):
-        database, _ = make_sharded()
-        with pytest.raises(ConsensusError):
-            execute_request(
-                QuerySession(database.tree), QueryRequest.make("no_such", 3)
-            )
+        with pytest.raises(ConsensusError, match="unknown query kind"):
+            Query.named("no_such", 3)
+        with pytest.raises(WorkloadError, match="unknown query kinds"):
+            generate_traffic(["t1"], 5, query_mix={"no_such": 1.0})
 
     def test_missing_k_raises(self):
-        database, _ = make_sharded()
-        with pytest.raises(ConsensusError):
-            execute_request(
-                QuerySession(database.tree),
-                QueryRequest.make("mean_topk_footrule"),
-            )
-
-    def test_required_max_rank(self):
-        assert required_max_rank(QueryRequest.make("mean_topk_footrule", 5)) == 5
-        assert required_max_rank(
-            QueryRequest.make("expected_rank_table")
-        ) is None
+        with pytest.raises(ConsensusError, match="answer size"):
+            Query.named("mean_topk_footrule")
+        # The wire form of the same query fails the same way.
+        with pytest.raises(ConsensusError, match="answer size"):
+            query_from_dict({"family": "topk", "metric": "footrule"})
+        # Only the expected-rank table is answered without a size.
+        without_k = [
+            kind for kind in NAMED_KINDS
+            if _builds_without_k(kind)
+        ]
+        assert without_k == ["expected_rank_table"]
 
     def test_every_kind_dispatches(self):
         database, sharded = make_sharded()
         session = sharded.coordinator()
         oracle = QuerySession(database.tree)
-        for kind in (
-            "mean_topk_symmetric_difference",
-            "median_topk_symmetric_difference",
-            "mean_topk_footrule",
-            "mean_topk_intersection",
-            "approximate_topk_intersection",
-            "approximate_topk_kendall",
-            "top_k_membership",
-            "expected_rank_table",
-            "global_topk",
-            "expected_rank_topk",
-        ):
-            request = QueryRequest.make(kind, K)
-            merged = execute_request(session, request)
-            reference = execute_request(oracle, request)
+        for kind in NAMED_KINDS:
+            query = Query.named(kind, K)
+            merged = query.execute(session).value
+            reference = query.execute(oracle).value
             assert merged == reference or _close(merged, reference), kind
+
+
+def _builds_without_k(kind):
+    try:
+        Query.named(kind)
+    except ConsensusError:
+        return False
+    return True
 
 
 def _close(a, b, tolerance=1e-9):
@@ -110,11 +103,9 @@ class TestServingExecutor:
 
         async def scenario():
             async with ServingExecutor(sharded) as executor:
-                mean = await executor.query(
-                    "mean_topk_symmetric_difference", k=K
-                )
-                footrule = await executor.query("mean_topk_footrule", k=K)
-                membership = await executor.query("top_k_membership", k=K)
+                mean = await executor.submit(Query.topk(K))
+                footrule = await executor.submit(Query.topk(K, "footrule"))
+                membership = await executor.submit(Query.membership(K))
                 return mean, footrule, membership
 
         mean, footrule, membership = asyncio.run(scenario())
@@ -129,7 +120,7 @@ class TestServingExecutor:
             async with ServingExecutor(sharded, batch_window=0.002) as executor:
                 answers = await asyncio.gather(
                     *(
-                        executor.query("mean_topk_footrule", k=K)
+                        executor.submit(Query.named("mean_topk_footrule", K))
                         for _ in range(12)
                     )
                 )
@@ -148,7 +139,7 @@ class TestServingExecutor:
             async with ServingExecutor(sharded, coalesce=False) as executor:
                 await asyncio.gather(
                     *(
-                        executor.query("top_k_membership", k=K)
+                        executor.submit(Query.named("top_k_membership", K))
                         for _ in range(6)
                     )
                 )
@@ -163,15 +154,11 @@ class TestServingExecutor:
 
         async def scenario():
             async with ServingExecutor(sharded) as executor:
-                before = await executor.query(
-                    "mean_topk_symmetric_difference", k=K
-                )
+                before = await executor.submit(Query.topk(K))
                 top_key = before[0][0]
                 versions_before = sharded.versions()
                 await executor.update(top_key, probability=0.001)
-                after = await executor.query(
-                    "mean_topk_symmetric_difference", k=K
-                )
+                after = await executor.submit(Query.topk(K))
                 return (
                     before,
                     after,
@@ -202,11 +189,11 @@ class TestServingExecutor:
         async def scenario():
             async with ServingExecutor(sharded) as executor:
                 with pytest.raises(ConsensusError):
-                    await executor.query("mean_topk_footrule", k=999)
+                    await executor.submit(Query.topk(999, "footrule"))
                 with pytest.raises(ConsensusError):
-                    await executor.query("nonsense", k=2)
+                    await executor.submit(Query.named("nonsense", 2))
                 # The executor survives failed requests.
-                return await executor.query("top_k_membership", k=2)
+                return await executor.submit(Query.membership(2))
 
         membership = asyncio.run(scenario())
         assert len(membership) == 6
@@ -218,7 +205,7 @@ class TestServingExecutor:
             async with ServingExecutor(sharded, batch_window=0.002) as executor:
                 await asyncio.gather(
                     *(
-                        executor.query("top_k_membership", k=k)
+                        executor.submit(Query.named("top_k_membership", k))
                         for k in (2, 3, 4, 2, 3, 4)
                     )
                 )
@@ -236,7 +223,7 @@ class TestServingExecutor:
 
         async def scenario():
             async with ServingExecutor(sharded) as executor:
-                await executor.query("top_k_membership", k=2)
+                await executor.submit(Query.named("top_k_membership", 2))
             return executor
 
         stopped = asyncio.run(scenario())
@@ -250,10 +237,10 @@ class TestServingExecutor:
 
         async def scenario():
             executor = ServingExecutor(sharded)
-            result = await executor.query("top_k_membership", k=2)
+            result = await executor.submit(Query.named("top_k_membership", 2))
             await executor.stop()
             with pytest.raises(RuntimeError):
-                await executor.query("top_k_membership", k=2)
+                await executor.submit(Query.named("top_k_membership", 2))
             return result
 
         assert len(asyncio.run(scenario())) == 8
@@ -264,7 +251,7 @@ class TestServingExecutor:
         async def scenario():
             executor = ServingExecutor(sharded)
             await executor.start()
-            await executor.query("top_k_membership", k=2)
+            await executor.submit(Query.named("top_k_membership", 2))
             await executor.stop()
             await executor.stop()  # second stop: no-op, no error
             return executor
@@ -281,7 +268,7 @@ class TestServingExecutor:
         async def scenario():
             executor = ServingExecutor(sharded)
             await executor.start()
-            await executor.query("top_k_membership", k=2)
+            await executor.submit(Query.named("top_k_membership", 2))
             return executor
 
         executor = asyncio.run(scenario())
@@ -300,7 +287,7 @@ class TestServingExecutor:
             executor = ServingExecutor(sharded)
             with pytest.raises(ValueError, match="boom"):
                 async with executor:
-                    await executor.query("top_k_membership", k=2)
+                    await executor.submit(Query.named("top_k_membership", 2))
                     raise ValueError("boom")
             return executor
 
@@ -427,13 +414,13 @@ class TestTrafficGenerator:
             popular_pool=None,
         )
         for event in events:
-            assert event.request.kind == "top_k_membership"
-            assert event.request.k in (3, 20)  # 200 clamped to |keys|
+            assert event.query.kind == "top_k_membership"
+            assert event.query.k in (3, 20)  # 200 clamped to |keys|
 
     def test_popular_pool_produces_repeats(self):
         keys = [f"t{i}" for i in range(10)]
         events = generate_traffic(keys, 60, rng=3, popular_pool=4)
-        distinct = {event.request for event in events}
+        distinct = {event.query for event in events}
         assert len(distinct) <= 4
 
     def test_validation_errors(self):
@@ -451,23 +438,8 @@ class TestTrafficGenerator:
         with pytest.raises(WorkloadError):
             generate_traffic(keys, -1)
 
-    def test_default_mix_kinds_are_dispatchable(self):
-        from repro.serving.requests import QUERY_KINDS
-
-        assert set(DEFAULT_QUERY_MIX) <= set(QUERY_KINDS)
-
-    def test_query_dispatch_shim_warns_and_dispatches(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.serving import requests
-
-            dispatch = requests.QUERY_DISPATCH
-        assert set(dispatch) == set(requests.QUERY_KINDS)
-        database, _ = make_sharded(count=8)
-        session = QuerySession(database.tree)
-        handler = dispatch["top_k_membership"]
-        assert handler(session, QueryRequest.make("top_k_membership", 2)) == (
-            session.top_k_membership(2)
-        )
+    def test_default_mix_kinds_are_named(self):
+        assert set(DEFAULT_QUERY_MIX) <= set(NAMED_KINDS)
 
     def test_replay_orders_updates_as_barriers(self):
         _, sharded = make_sharded(count=12, shard_count=3)
@@ -489,23 +461,9 @@ class TestTrafficGenerator:
         assert metrics.updates == sum(1 for e in events if e.is_update)
 
     def test_traffic_event_fields(self):
-        from repro.query import Query
-
         event = TrafficEvent(kind="update", key="t1", probability=0.5)
         assert event.is_update
-        assert event.request is None
+        assert event.query is None
         query = TrafficEvent(kind="query", query=Query.membership(2))
         assert not query.is_update
-        # The wire-format view keeps reading the legacy (kind, k) pairs.
-        assert query.request == QueryRequest.make("top_k_membership", 2)
-        # String-kind-era constructors keep working: request= converts.
-        legacy = TrafficEvent(
-            kind="query", request=QueryRequest.make("top_k_membership", 2)
-        )
-        assert legacy == query
-        with pytest.raises(WorkloadError):
-            TrafficEvent(
-                kind="query",
-                query=Query.membership(2),
-                request=QueryRequest.make("top_k_membership", 2),
-            )
+        assert query.query.kind == "top_k_membership"
