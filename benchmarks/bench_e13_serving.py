@@ -30,11 +30,13 @@ Six cases over the scaled movie-ratings scenario (tuple-independent,
   database: after each single-shard update the incremental engine re-merges
   through its cached prefix/suffix partial products (O(S) convolutions, the
   changed shard's summary shipped as a row-suffix delta), while the full
-  re-merge baseline re-ships every summary and re-runs the S(S-1)-conv
-  legacy merge plus the global layout rebuild.  The run asserts 1e-9
-  rank-matrix parity between both strategies after every update, the O(S)
-  vs O(S^2) convolution budgets via merge-engine and backend counters, and
-  (full scale, NumPy) a >= 3x median update-latency advantage.
+  re-merge baseline is a cold coordinator: its artifacts and engine are
+  invalidated and the pool's parent-side summaries forgotten, so every
+  summary is re-shipped, the global layout rebuilt and the grid merged from
+  scratch.  The run asserts 1e-9 rank-matrix parity between both strategies
+  after every update, the O(S) incremental convolution budget, exactly one
+  full (and no incremental) merge on the cold side per update, and (full
+  scale, NumPy) a >= 3x median update-latency advantage.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink every case to seconds (the CI smoke
 leg).  JSON results record the active backend, the traffic seed, and (for
@@ -361,8 +363,8 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
     )
     try:
         pool = sharded.process_pool()
-        incremental = ShardedQuerySession(sharded, merge_mode="incremental")
-        full = ShardedQuerySession(sharded, merge_mode="rebuild")
+        incremental = ShardedQuerySession(sharded)
+        full = ShardedQuerySession(sharded)
         incremental.rank_matrix(K)
         full.rank_matrix(K)
         events = update_heavy_traffic(
@@ -374,12 +376,11 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
         )
         updates = [event for event in events if event.is_update]
         assert updates, "update-heavy stream produced no updates"
-        backend = get_backend()
         ipc_before = pool.stats()
         incremental_times = []
         full_times = []
+        full_convs = 0
         conv_budget = 3 * shard_count - 2
-        legacy_floor = shard_count * (shard_count - 1)
         for event in updates:
             sharded.update_tuple(event.key, probability=event.probability)
             # The owning worker's summary recompute and its delta ship are
@@ -397,21 +398,22 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 f"convolutions; O(S) budget is {conv_budget}"
             )
             # Full re-merge baseline on the very same update: cold
-            # coordinator (summaries re-shipped, layout rebuilt, legacy
-            # S(S-1) merge) against warm worker-side shard state.
-            pool.forget_cached_summaries()
+            # coordinator (summaries re-shipped, layout rebuilt, grid
+            # merged from scratch) against warm worker-side shard state.
             full.invalidate()
-            legacy_before = backend.kernel_calls("convolve_rows")
+            pool.forget_cached_summaries()
+            full_before = full.merge_stats()
             start = time.perf_counter()
             rebuilt = full.rank_matrix(K)
             full_times.append((time.perf_counter() - start) * 1000.0)
-            legacy_convs = (
-                backend.kernel_calls("convolve_rows") - legacy_before
+            full_delta = full.merge_stats() - full_before
+            assert full_delta.full_merges == 1, (
+                f"cold coordinator did {full_delta.full_merges} full merges"
             )
-            assert legacy_convs >= legacy_floor, (
-                f"legacy merge spent {legacy_convs} convolutions; expected "
-                f"the full S(S-1) = {legacy_floor}"
+            assert full_delta.incremental_merges == 0, (
+                "cold coordinator reused cached partial products"
             )
+            full_convs += full_delta.convolutions
             _assert_matrix_parity(merged, rebuilt)
         ipc_delta = pool.stats() - ipc_before
         assert ipc_delta.summary_deltas > 0, "no summary delta was shipped"
@@ -435,7 +437,7 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 len(updates),
                 full_p50,
                 full_p95,
-                legacy_convs * len(updates),
+                full_convs,
                 0,
                 0,
             ),
@@ -453,9 +455,9 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 "Each update re-merges twice on the same shard state: "
                 "through the cached prefix/suffix partial products "
                 f"(<= {conv_budget} convolutions, summary delta shipped) "
-                "and from scratch (summaries re-shipped, layout rebuilt, "
-                f">= {legacy_floor} convolutions); 1e-9 parity asserted "
-                f"per update.  Median advantage: {advantage:.2f}x."
+                "and on a cold coordinator (summaries re-shipped, layout "
+                "rebuilt, one full grid merge); 1e-9 parity asserted per "
+                f"update.  Median advantage: {advantage:.2f}x."
             ),
         )
         if not SMOKE and get_backend().name == "numpy":

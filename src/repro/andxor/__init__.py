@@ -49,7 +49,6 @@ from repro.andxor.statistics import (
     size_distribution,
     subset_size_distribution,
     tuple_probability,
-    joint_alternative_probability,
     value_agreement_probability,
     co_membership_probability,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "subset_size_distribution",
     "membership_probability",
     "tuple_probability",
-    "joint_alternative_probability",
     "value_agreement_probability",
     "co_membership_probability",
     "RankStatistics",

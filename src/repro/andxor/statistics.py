@@ -106,15 +106,6 @@ def tuple_probability(tree: AndXorTree, key: Hashable) -> float:
     return tree.key_probability(key)
 
 
-def joint_alternative_probability(
-    tree: AndXorTree,
-    first: TupleAlternative,
-    second: TupleAlternative,
-) -> float:
-    """Probability that both alternatives appear simultaneously."""
-    return tree.joint_alternative_probability(first, second)
-
-
 def co_membership_probability(
     tree: AndXorTree, first_key: Hashable, second_key: Hashable
 ) -> float:

@@ -157,9 +157,7 @@ class DatabaseShard:
         return self._session
 
     def _replace_units(
-        self,
-        units: List[_Unit],
-        database: Optional[SourceDatabase] = None,
+        self, units: List[_Unit], database: Optional[SourceDatabase]
     ) -> None:
         self._units = units
         self._database = database
@@ -759,16 +757,6 @@ class ShardedDatabase:
     ) -> None:
         """Replace one BID block's alternatives (``(value, score, prob)``)."""
         self.apply_update(self.prepare_block_update(key, alternatives))
-
-    def invalidate_shard(self, index: int) -> None:
-        """Force-drop one shard's session and bump its version."""
-        shard = self._shards[index]
-        with self._apply_lock:
-            self._archive_current(shard)
-            shard._replace_units(list(shard._units))
-            if self._pool is not None and not self._pool.closed:
-                self._pool.invalidate(index)
-        self._notify(index, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = [len(shard._units) for shard in self._shards]

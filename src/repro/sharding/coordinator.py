@@ -7,9 +7,10 @@ function of independent shards factorizes, so the coordinator recovers the
 exact global ``Pr(r(t) = i)`` matrix by convolving each tuple's *local*
 rank polynomial (its own shard, own block excluded) with the other shards'
 count-above-threshold partials (:class:`~repro.sharding.summary.\
-ShardRankSummary`).  For all-tuple-independent shardings the whole merge is
-a handful of batched backend kernels (row gathers + row-aligned truncated
-convolutions); block-independent shards take an equivalent scalar path.
+ShardRankSummary`).  The whole merge is a handful of batched backend
+kernels (row gathers + row-aligned truncated convolutions);
+block-independent shards contribute one row per alternative, collapsed
+per tuple.
 
 Every consensus algorithm of :mod:`repro.consensus` then runs unchanged at
 the coordinator -- the Top-k answers under the symmetric-difference,
@@ -19,28 +20,37 @@ single unsharded session over the same data.
 
 Two properties make the coordinator honest under sustained mixed traffic:
 
-* **Incremental merging** (``merge_mode="incremental"``, the default): the
-  merge runs through :class:`~repro.sharding.merge.MergeEngine`, which
-  keeps prefix/suffix partial products of the per-shard count-above
-  polynomials on one shared score grid, keyed by per-shard version tokens.
-  A full merge is O(S) row convolutions and a single-shard update
-  recomputes only the partial-product rows containing that shard.
-  ``merge_mode="rebuild"`` keeps the legacy from-scratch O(S²) merge (used
-  by parity tests and as the baseline of the update-latency benchmarks).
+* **Incremental merging**: :class:`~repro.sharding.merge.MergeEngine` is
+  the one merge path.  It keeps prefix/suffix partial products of the
+  per-shard count-above polynomials on one shared score grid, keyed by
+  per-shard version tokens.  A full merge is O(S) row convolutions and a
+  single-shard update recomputes only the partial-product rows containing
+  that shard.
 * **MVCC snapshot reads**: merged artifacts are memoized *per version
   vector* in a small bounded store, and :meth:`at` returns a
   :class:`SnapshotReader` pinned at one vector.  Updates publish a new
   vector (the owning database archives the outgoing shard state first),
   so in-flight readers keep answering from their pinned snapshot without
   blocking or racing the writer; a reader whose vector has been evicted
-  raises :class:`~repro.exceptions.SnapshotTooOldError`.
+  raises :class:`~repro.exceptions.SnapshotTooOldError`.  A reader pinned
+  at a superseded vector merges through a throwaway engine, so stale
+  reads never touch the live engine's cached partials.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.andxor.nodes import AndNode
 from repro.andxor.rank_probabilities import RankStatistics
@@ -110,9 +120,9 @@ class _ShardArchive:
     Created by the owning database right before an update swaps the
     shard's units, so readers pinned at the outgoing version can still
     resolve it.  Whatever warm artifacts exist at archive time -- the live
-    session on the in-process path, the pool's cached layout and summaries
-    on the process path -- are adopted; anything missing is rebuilt lazily
-    from the archived units.
+    session on the in-process path, the pool's layout and summaries cached
+    at the archived version on the process path -- are adopted; anything
+    missing is rebuilt lazily from the archived units.
     """
 
     __slots__ = (
@@ -176,10 +186,6 @@ class ShardedQuerySession(QuerySession):
         Require pairwise-distinct scores *across* shards (each shard only
         validates its own); the merge semantics assume the paper's no-ties
         ranking.
-    merge_mode:
-        ``"incremental"`` (default) merges through the prefix/suffix
-        partial-product engine; ``"rebuild"`` keeps the legacy from-scratch
-        merge on every call.
     snapshot_history:
         How many version vectors (and per-shard archived states) to retain
         for pinned snapshot readers; older pins raise
@@ -190,7 +196,6 @@ class ShardedQuerySession(QuerySession):
         self,
         shards: Any,
         validate_scores: bool = True,
-        merge_mode: str = "incremental",
         snapshot_history: int = 4,
     ) -> None:
         if hasattr(shards, "sessions") and hasattr(shards, "versions"):
@@ -206,13 +211,7 @@ class ShardedQuerySession(QuerySession):
             self._static_sessions = [
                 as_session(source) for source in shards
             ]
-        if merge_mode not in ("incremental", "rebuild"):
-            raise ValueError(
-                f"unknown merge_mode {merge_mode!r}; expected "
-                "'incremental' or 'rebuild'"
-            )
         self._validate_scores = validate_scores
-        self._merge_mode = merge_mode
         self._snapshot_history = max(1, int(snapshot_history))
         self._scoring = None
         self._adopted = False
@@ -497,8 +496,10 @@ class ShardedQuerySession(QuerySession):
             if pool is not None and getattr(pool, "closed", False):
                 pool = None
         if pool is not None:
-            archive._fragment = pool.cached_layout(shard.index)
-            archive._summaries = pool.cached_summaries(shard.index)
+            archive._fragment = pool.cached_layout(shard.index, shard.version)
+            archive._summaries = pool.cached_summaries(
+                shard.index, shard.version
+            )
         else:
             session = shard._session
             if session is not None:
@@ -562,10 +563,6 @@ class ShardedQuerySession(QuerySession):
             summaries.append(session.partial_rank_summary(max_rank))
             tokens.append((index, session.generation))
         return summaries, tokens
-
-    def _summaries(self, max_rank: int) -> List[ShardRankSummary]:
-        summaries, _ = self._summaries_and_tokens(max_rank)
-        return summaries
 
     def _layout(self) -> _MergedLayout:
         return self._memoized("merged_layout", (), self._build_layout)
@@ -837,127 +834,28 @@ class ShardedQuerySession(QuerySession):
             for session in only:
                 if session.number_of_tuples() > 0:
                     return session.rank_matrix(max_rank)
-        if self._merge_mode == "incremental":
-            keys, native = self._engine.merge(
-                summaries,
-                tokens,
-                max_rank,
-                layout.grid_scores,
-                layout.keys_order,
-                backend,
-            )
-            # The engine returns the *same* key-order list across
-            # incremental re-merges, so the n-entry position index is
-            # shared instead of rebuilt for every updated matrix.
-            cached = self._rank_key_index
-            if cached is None or cached[0] is not keys:
-                cached = (keys, {k: row for row, k in enumerate(keys)})
-                self._rank_key_index = cached
-            return RankMatrix(
-                list(keys), native, backend, max_rank, key_index=cached[1]
-            )
-        self._engine.counters["merges"] += 1
-        self._engine.counters["rebuild_merges"] += 1
-        if all(summary.is_independent for summary in summaries):
-            return self._merge_independent(summaries, max_rank, backend)
-        return self._merge_general(summaries, max_rank, backend)
+        keys, native = self._merge_engine().merge(
+            summaries,
+            tokens,
+            max_rank,
+            layout.grid_scores,
+            layout.keys_order,
+            backend,
+        )
+        # The engine returns the *same* key-order list across incremental
+        # re-merges, so the n-entry position index is shared instead of
+        # rebuilt for every updated matrix.
+        cached = self._rank_key_index
+        if cached is None or cached[0] is not keys:
+            cached = (keys, {k: row for row, k in enumerate(keys)})
+            self._rank_key_index = cached
+        return RankMatrix(
+            list(keys), native, backend, max_rank, key_index=cached[1]
+        )
 
-    def _merge_independent(
-        self,
-        summaries: List[ShardRankSummary],
-        max_rank: int,
-        backend: Any,
-    ) -> RankMatrix:
-        """Batched merge: per shard, one row-gather + convolution per peer.
-
-        For the ``m``-th tuple of shard ``s`` (decreasing score), the local
-        rank polynomial is row ``m`` of the shard's prefix table; convolving
-        it with every other shard's count-above partial at the tuple's score
-        and scaling by the tuple's presence probability yields the exact
-        global ``Pr(r(t) = ·)`` row.
-        """
-        parts: List[Any] = []
-        keys: List[Hashable] = []
-        row_scores: List[float] = []
-        for i, summary in enumerate(summaries):
-            count = summary.number_of_tuples()
-            scores = summary.scores()
-            acc = backend.take_rows(summary.prefix_table, list(range(count)))
-            for j, other in enumerate(summaries):
-                if j == i:
-                    continue
-                indices = other.prefix_indices(scores)
-                gathered = backend.take_rows(other.prefix_table, indices)
-                acc = backend.convolve_rows(acc, gathered, max_rank)
-            acc = backend.scale_rows(acc, summary.probabilities())
-            parts.append(acc)
-            keys.extend(summary.keys())
-            row_scores.extend(scores)
-        native = backend.stack_matrices(parts)
-        order = sorted(range(len(keys)), key=lambda row: -row_scores[row])
-        native = backend.take_rows(native, order)
-        keys = [keys[row] for row in order]
-        return RankMatrix(keys, native, backend, max_rank)
-
-    def _merge_general(
-        self,
-        summaries: List[ShardRankSummary],
-        max_rank: int,
-        backend: Any,
-    ) -> RankMatrix:
-        """Scalar merge for block-independent shards.
-
-        ``Pr(r(t) = i) = Σ_{a ∈ alts(t)} p_a · [own shard's count-above
-        score(a), t's block excluded] ⊛ [⊛ other shards' count-above
-        score(a)]`` -- the per-alternative threshold matters because a BID
-        tuple's realized score is itself uncertain.
-        """
-        rows: List[List[float]] = []
-        keys: List[Hashable] = []
-        row_scores: List[float] = []
-        for i, summary in enumerate(summaries):
-            others = [s for j, s in enumerate(summaries) if j != i]
-            # Scores are globally distinct, so memoizing the others-product
-            # by raw score would never hit.  What *does* repeat across a
-            # shard's alternatives is the vector of prefix indices their
-            # thresholds induce in the other shards: two thresholds falling
-            # in the same inter-score gaps share the exact same product.
-            others_products: Dict[Tuple[int, ...], List[float]] = {}
-            for key in summary.keys():
-                row = [0.0] * max_rank
-                pairs = summary.alternatives_of(key)
-                for score, probability in pairs:
-                    if probability <= 0.0:
-                        continue
-                    own = summary.count_above_excluding(score, key)
-                    if others:
-                        signature = tuple(
-                            other.prefix_index(score) for other in others
-                        )
-                        product = others_products.get(signature)
-                        if product is None:
-                            product = backend.polynomial_product(
-                                [
-                                    other.prefix_polynomial(prefix)
-                                    for other, prefix in zip(
-                                        others, signature
-                                    )
-                                ],
-                                max_rank,
-                            )
-                            others_products[signature] = product
-                        combined = backend.convolve(own, product, max_rank)
-                    else:
-                        combined = own
-                    for index in range(min(len(combined), max_rank)):
-                        row[index] += probability * combined[index]
-                rows.append(row)
-                keys.append(key)
-                row_scores.append(max(score for score, _ in pairs))
-        order = sorted(range(len(keys)), key=lambda row: -row_scores[row])
-        native = backend.matrix_from_rows([rows[row] for row in order])
-        keys = [keys[row] for row in order]
-        return RankMatrix(keys, native, backend, max_rank)
+    def _merge_engine(self) -> MergeEngine:
+        """The engine that merges this session's shard summaries."""
+        return self._engine
 
     def preference_matrix(
         self, keys: Optional[Sequence[Hashable]] = None
@@ -1060,8 +958,9 @@ class SnapshotReader(ShardedQuerySession):
     per-shard archive history.  A reader whose vector is still live merges
     through the parent's incremental engine; once any pinned shard version
     is superseded the reader resolves archived shard states and merges
-    from scratch, so stale reads never thrash the live partial products.
-    Readers never mutate shard state; writers never wait for readers.
+    through a throwaway engine, so stale reads never thrash the live
+    partial products.  Readers never mutate shard state; writers never
+    wait for readers.
     """
 
     def __init__(
@@ -1071,7 +970,6 @@ class SnapshotReader(ShardedQuerySession):
         self._database = parent._database
         self._static_sessions = parent._static_sessions
         self._validate_scores = parent._validate_scores
-        self._merge_mode = parent._merge_mode
         self._snapshot_history = parent._snapshot_history
         self._scoring = None
         self._adopted = False
@@ -1139,13 +1037,6 @@ class SnapshotReader(ShardedQuerySession):
             return self._parent._current_versions() == self._pinned
         return tuple(self._database.versions()) == self._pinned
 
-    def _require_live_static(self) -> None:
-        if self._parent._current_versions() != self._pinned:
-            raise SnapshotTooOldError(
-                "static shard sessions keep no history; this pinned "
-                "snapshot predates a session invalidation"
-            )
-
     def invalidate(self) -> None:
         # Drop only this reader's (possibly shared) artifact entry.
         QuerySession.invalidate(self)
@@ -1155,117 +1046,106 @@ class SnapshotReader(ShardedQuerySession):
         return self._parent.at(versions)
 
     # -- pinned shard resolution ---------------------------------------
-    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._shard_fragments(self)
-        if self._live():
-            return ShardedQuerySession._shard_fragments(self)
-        pool = self._process_pool()
-        live_fragments: Dict[int, Any] = (
-            dict(pool.layouts()) if pool is not None else {}
-        )
-        fragments: List[Tuple[Any, Any]] = []
-        for shard in self._database.shards():
-            pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if pool is not None:
-                    if shard.index in live_fragments:
-                        fragments.append(
-                            (live_fragments[shard.index], shard)
-                        )
-                elif not shard.is_empty:
-                    session = shard.session()
-                    fragments.append((shard_layout(session), session))
-            else:
-                archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
-                    fragments.append(
-                        (archive.layout_fragment(), archive)
-                    )
-        return fragments
+    def _superseded(self) -> bool:
+        """Whether any pinned shard version has been replaced since the pin.
 
-    def _shard_sessions(self) -> List[QuerySession]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._shard_sessions(self)
-        if self._live():
-            return ShardedQuerySession._shard_sessions(self)
-        sessions: List[QuerySession] = []
+        Live pins read through the coordinator's own paths.  Static
+        coordinators keep no history, so their pins must still be live.
+        """
+        live = self._live()
+        if not live and self._database is None:
+            raise SnapshotTooOldError(
+                "static shard sessions keep no history; this pinned "
+                "snapshot predates a session invalidation"
+            )
+        return not live
+
+    def _pinned_shards(
+        self,
+        live: Callable[[Any], Any],
+        archived: Callable[[_ShardArchive], Any],
+    ) -> List[Any]:
+        """One row per non-empty shard at the pinned vector, in shard order.
+
+        ``live(shard)`` builds the row of a shard still at its pinned
+        version, ``archived(archive)`` that of a superseded one.
+        """
+        rows: List[Any] = []
         for shard in self._database.shards():
             pinned = self._pinned[shard.index]
             if shard.version == pinned:
                 if not shard.is_empty:
-                    sessions.append(shard.session())
+                    rows.append(live(shard))
             else:
                 archive = self._parent._archive_lookup(shard.index, pinned)
                 if archive.units:
-                    sessions.append(archive.session())
-        return sessions
+                    rows.append(archived(archive))
+        return rows
+
+    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
+        if not self._superseded():
+            return ShardedQuerySession._shard_fragments(self)
+        pool = self._process_pool()
+        layouts = dict(pool.layouts()) if pool is not None else None
+
+        def live(shard: Any) -> Tuple[Any, Any]:
+            if layouts is not None:
+                return layouts[shard.index], shard
+            session = shard.session()
+            return shard_layout(session), session
+
+        return self._pinned_shards(
+            live, lambda archive: (archive.layout_fragment(), archive)
+        )
+
+    def _shard_sessions(self) -> List[QuerySession]:
+        if not self._superseded():
+            return ShardedQuerySession._shard_sessions(self)
+        return self._pinned_shards(
+            lambda shard: shard.session(), lambda archive: archive.session()
+        )
 
     def _summaries_and_tokens(
         self, max_rank: int
     ) -> Tuple[List[ShardRankSummary], List[Any]]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._summaries_and_tokens(self, max_rank)
-        if self._live():
+        if not self._superseded():
             return ShardedQuerySession._summaries_and_tokens(self, max_rank)
         pool = self._process_pool()
-        live_rows: Dict[int, Tuple[Any, Any]] = {}
+        rows = None
         if pool is not None:
-            live_rows = {
+            rows = {
                 index: (summary, token)
                 for index, summary, token in pool.summaries_with_tokens(
                     max_rank
                 )
             }
-        summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
-        for shard in self._database.shards():
-            pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if pool is not None:
-                    if shard.index in live_rows:
-                        summary, token = live_rows[shard.index]
-                        summaries.append(summary)
-                        tokens.append(token)
-                elif not shard.is_empty:
-                    session = shard.session()
-                    summaries.append(
-                        session.partial_rank_summary(max_rank)
-                    )
-                    tokens.append((shard.version, session.generation))
-            else:
-                archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
-                    summaries.append(archive.summary(max_rank))
-                    tokens.append(("archive", shard.index, pinned))
-        return summaries, tokens
 
-    def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:
-        if self._database is None or self._live():
-            return ShardedQuerySession._merged_rank_matrix(self, max_rank)
-        # Pinned at a superseded vector: merge from scratch off archived
-        # shard states so stale reads cannot thrash the live engine's
-        # cached partial products.
-        backend = get_backend()
-        self._layout()
-        all_summaries, _ = self._summaries_and_tokens(max_rank)
-        summaries = [
-            summary
-            for summary in all_summaries
-            if summary.number_of_tuples() > 0
-        ]
-        if not summaries:
-            return RankMatrix(
-                [], backend.matrix_from_rows([]), backend, max_rank
+        def live(shard: Any) -> Tuple[ShardRankSummary, Any]:
+            if rows is not None:
+                return rows[shard.index]
+            session = shard.session()
+            return (
+                session.partial_rank_summary(max_rank),
+                (shard.version, session.generation),
             )
+
+        pairs = self._pinned_shards(
+            live,
+            lambda archive: (
+                archive.summary(max_rank),
+                ("archive", archive.index, archive.version),
+            ),
+        )
+        return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+
+    def _merge_engine(self) -> MergeEngine:
+        if not self._superseded():
+            return self._engine
+        # A throwaway engine: stale reads must not replace the live
+        # engine's cached partials, which current traffic keeps reusing.
         self._engine.counters["merges"] += 1
         self._engine.counters["rebuild_merges"] += 1
-        if all(summary.is_independent for summary in summaries):
-            return self._merge_independent(summaries, max_rank, backend)
-        return self._merge_general(summaries, max_rank, backend)
+        return MergeEngine()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,11 +1,11 @@
 """Incremental cross-shard merge: grid-aligned prefix/suffix partials.
 
 The coordinator recovers exact global rank probabilities by convolving
-per-shard count-above-threshold polynomials.  The from-scratch merge pairs
-every shard with every other shard -- O(S²) row convolutions -- and
-re-derives the merged layout, gathers and sort order on every shard
-update.  :class:`MergeEngine` restructures that around partial products on
-one shared score grid:
+per-shard count-above-threshold polynomials.  Pairing every shard with
+every other shard would cost O(S²) row convolutions and re-derive the
+gathers and sort order on every shard update.  :class:`MergeEngine`, the
+coordinator's only merge path, instead keeps partial products on one
+shared score grid:
 
 * every shard's count table is gathered once onto the **global descending
   score grid** (the merged layout's alternative stream), so cross-shard
@@ -45,10 +45,10 @@ class MergeStatsSnapshot:
 convolve_rows` calls issued by the engine (the backend keeps its own
     independent ``kernel_calls`` tally); ``incremental_merges`` reused
     cached prefix/suffix partials, ``full_merges`` rebuilt the grid state,
-    and ``rebuild_merges`` took the legacy from-scratch path
-    (``merge_mode="rebuild"`` or a pinned snapshot at a non-live vector).
-    Subtracting two snapshots gives the counters of the interval between
-    them.
+    and ``rebuild_merges`` counts from-scratch merges of a pinned snapshot
+    at a superseded vector (through a throwaway engine, whose own
+    counters are not folded in).  Subtracting two snapshots gives the
+    counters of the interval between them.
     """
 
     merges: int = 0
@@ -122,9 +122,10 @@ class MergeEngine:
     """Versioned prefix/suffix partial-product cache behind a coordinator.
 
     One engine per coordinator, one :class:`_GridState` per requested
-    truncation (bounded LRU).  The engine only ever serves the *live*
-    version vector -- pinned snapshot readers at older vectors merge from
-    scratch so they cannot thrash the partials of current traffic.
+    truncation (bounded LRU).  A coordinator's engine only ever serves the
+    *live* version vector -- pinned snapshot readers at older vectors merge
+    through a throwaway engine so they cannot thrash the partials of
+    current traffic.
     """
 
     def __init__(self, state_limit: int = 8) -> None:

@@ -84,8 +84,7 @@ _REMOTE_EXCEPTIONS = (
 #: (its replay needs the staged units, handled in ``commit_replace``),
 #: and the test hooks (``exit-now``, ``stall``) must never self-heal.
 _RETRYABLE_OPS = frozenset(
-    {"layout", "summary", "cache_info", "stats", "ping", "prepare",
-     "invalidate"}
+    {"layout", "summary", "cache_info", "stats", "ping", "prepare"}
 )
 
 #: Cap on restart-and-retry cycles within one request (the supervisor's
@@ -760,25 +759,31 @@ class ShardProcessPool:
                 rows.append((index, summary, (version, state_id)))
             return rows
 
-    def cached_layout(self, shard_index: int) -> Optional[ShardLayout]:
-        """The warm layout for one shard, if any (no worker round-trip)."""
+    def cached_layout(
+        self, shard_index: int, version: int
+    ) -> Optional[ShardLayout]:
+        """The warm layout of one shard at ``version``, if cached (no I/O)."""
         with self._cache_lock:
             entry = self._layout_cache.get(shard_index)
-            return entry[1] if entry is not None else None
+            if entry is None or entry[0] != version:
+                return None
+            return entry[1]
 
     def cached_summaries(
-        self, shard_index: int
+        self, shard_index: int, version: int
     ) -> Dict[int, ShardRankSummary]:
-        """Warm ``max_rank -> summary`` entries for one shard (no I/O).
+        """Warm ``max_rank -> summary`` entries of one shard at ``version``.
 
-        Used by the coordinator to freeze a shard's outgoing state into
-        its snapshot history right before an update commits.
+        No I/O.  Used by the coordinator to freeze a shard's outgoing state
+        into its snapshot history right before an update commits; entries
+        cached at an older version (the shard was updated again with no
+        read in between) are left out.
         """
         with self._cache_lock:
             return {
                 key[1]: value[1]
                 for key, value in self._summary_cache.items()
-                if key[0] == shard_index
+                if key[0] == shard_index and value[0] == version
             }
 
     def _decode_summary(
@@ -911,12 +916,6 @@ class ShardProcessPool:
         finally:
             with self._staged_lock:
                 self._staged_units.pop((shard_index, ticket), None)
-
-    def invalidate(self, shard_index: int) -> None:
-        """Drop one worker's memoized artifacts (force-invalidation path)."""
-        if shard_index in self._workers:
-            self._request(shard_index, "invalidate", None)
-        self._drop_shard_cache(shard_index)
 
     def forget_cached_summaries(self) -> None:
         """Drop the parent-side layout/summary caches for every shard.

@@ -222,11 +222,6 @@ class ShardWorkerState:
         self.staged.pop(ticket, None)
         return ticket
 
-    def handle_invalidate(self, _payload: Any) -> None:
-        if self._session is not None:
-            self._session.invalidate()
-        return None
-
     def handle_cache_info(self, _payload: Any) -> Any:
         if self._session is None:
             from repro.session import CacheInfo
@@ -262,7 +257,6 @@ def worker_main(
         "prepare": state.handle_prepare,
         "commit": state.handle_commit,
         "abort": state.handle_abort,
-        "invalidate": state.handle_invalidate,
         "cache_info": state.handle_cache_info,
         "stats": state.handle_stats,
         "ping": lambda _payload: "pong",

@@ -182,7 +182,7 @@ class ShardRankSummary:
 
     @property
     def is_independent(self) -> bool:
-        """True for tuple-independent shards (enables the batched merge)."""
+        """True for tuple-independent shards (dense prefix table)."""
         return self._layout.independent
 
     @property
@@ -190,32 +190,8 @@ class ShardRankSummary:
         """Number of coefficients kept per partial polynomial."""
         return self._max_rank
 
-    def keys(self) -> List[Hashable]:
-        """Tuple keys of the shard (decreasing score for independent shards)."""
-        return list(self._layout.keys)
-
     def number_of_tuples(self) -> int:
         return len(self._layout.keys)
-
-    def presence_probability(self, key: Hashable) -> float:
-        """``Pr(t present)`` for one tuple key of the shard."""
-        return self._layout.presence[key]
-
-    def probabilities(self) -> List[float]:
-        """Per-key presence probabilities aligned with :meth:`keys`."""
-        return list(self._layout.probabilities)
-
-    def scores(self) -> List[float]:
-        """Alternative scores in decreasing order."""
-        return list(self._layout.scores)
-
-    def alternatives_of(self, key: Hashable) -> List[Tuple[float, float]]:
-        """``(score, probability)`` pairs of one tuple's alternatives."""
-        return list(self._layout.alternatives[key])
-
-    def alternative_triples(self) -> List[Tuple[float, float, Hashable]]:
-        """All ``(score, probability, key)`` triples, decreasing score."""
-        return list(self._layout.key_triples)
 
     # ------------------------------------------------------------------
     # Partial generating functions
@@ -266,8 +242,8 @@ class ShardRankSummary:
 
         The prefix-indexed form of :meth:`count_above`: two thresholds with
         the same prefix index have identical distributions, so callers that
-        already hold prefix indices (the coordinator's per-threshold
-        memoization, the grid-aligned tables) skip the bisect.
+        already hold prefix indices (the dense :meth:`count_table`) skip
+        the bisect.
         """
         if self._layout.independent:
             return self._backend.matrix_row(self.prefix_table, prefix)

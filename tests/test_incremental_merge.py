@@ -1,10 +1,12 @@
 """Incremental cross-shard re-merge and MVCC snapshot-read suite.
 
-Covers the prefix/suffix partial-product merge engine (incremental vs
-from-scratch parity across models, partitioners, shard counts, backends
-and executors), version-pinned snapshot readers staying 1e-9-identical
-across concurrent shard swaps, the bounded snapshot history actually
-evicting, the memoized ``_merge_general`` hot loop, and the seeded
+Covers the prefix/suffix partial-product merge engine (1e-9 parity with
+one unsharded session before and after an incremental re-merge, across
+models, partitioners, shard counts, backends and executors), its O(S)
+convolution budget, version-pinned snapshot readers staying 1e-9-identical
+across concurrent shard swaps while their stale merges leave the live
+engine alone, the bounded snapshot history actually evicting, archived
+shard states resolving at the pinned version, and the seeded
 update-heavy / bursty traffic streams.
 """
 
@@ -24,7 +26,6 @@ from repro.models import (
     TupleIndependentDatabase,
 )
 from repro.session import QuerySession
-from repro.sharding import ShardedQuerySession
 from repro.sharding.coordinator import _ShardArchive
 from repro.workloads.traffic import (
     bursty_traffic,
@@ -84,51 +85,92 @@ def assert_rows_close(left, right, tolerance=TOLERANCE):
             assert abs(a - b) < tolerance
 
 
+def _small_bid_spec(seed, blocks):
+    """``small_bid``'s spec (it uses each alternative's value as its score)."""
+    return [
+        (key, [(value, value, p) for value, p in alternatives])
+        for key, alternatives in small_bid(seed, blocks=blocks).blocks().items()
+    ]
+
+
+def _database(data):
+    """TI tuples or a BID spec as an unsharded database."""
+    if isinstance(data[0][1], list):
+        return BlockIndependentDatabase(data)
+    return TupleIndependentDatabase(data)
+
+
+def _unsharded_rows(data):
+    return _matrix_rows(QuerySession(_database(data).tree), K)
+
+
+def _update(sharded, data, key, factor=0.5):
+    """Scale ``key``'s probabilities in ``sharded``; returns the new data."""
+    if isinstance(data[0][1], list):
+        block = [(v, s, p * factor) for v, s, p in dict(data)[key]]
+        sharded.update_block(key, block)
+        return [(k, block if k == key else alts) for k, alts in data]
+    probability = next(p for k, _, _, p in data if k == key) * factor
+    sharded.update_tuple(key, probability=probability)
+    return [(k, v, s, probability if k == key else p) for k, v, s, p in data]
+
+
+def _keys_of_distinct_shards(sharded, count):
+    owners = {}
+    for key in sharded.keys():
+        owners.setdefault(sharded.shard_of(key), key)
+    return list(owners.values())[:count]
+
+
 class TestIncrementalVsRebuildParity:
-    """The merge engine answers exactly like a from-scratch merge."""
+    """An incremental single-shard re-merge answers exactly like a rebuild
+    from scratch: a fresh unsharded session over the updated data."""
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("executor", ["threads", "processes"])
-    @pytest.mark.parametrize("partitioner", ["hash", "range"])
-    @pytest.mark.parametrize("shard_count", [1, 2, 4, 8])
-    @pytest.mark.parametrize("model", ["ti", "bid"])
+    @pytest.mark.parametrize(
+        "model, shard_count, partitioner",
+        [
+            (model, shard_count, partitioner)
+            for model in ("ti", "bid")
+            for shard_count in (1, 2, 4, 8)
+            for partitioner in ("hash", "range")
+        ]
+        + [("small_bid", 3, "hash")],
+    )
     def test_parity_after_update(
         self, model, shard_count, partitioner, executor, backend_name
     ):
         with use_backend(_backend_or_skip(backend_name)):
             if model == "ti":
-                source = _ti_tuples(shard_count + 17, 14)
+                data = _ti_tuples(shard_count + 17, 14)
+            elif model == "bid":
+                data = _bid_spec(shard_count + 29, 7)
             else:
-                spec = _bid_spec(shard_count + 29, 7)
-                source = BlockIndependentDatabase(spec)
+                data = _small_bid_spec(13, 7)
             sharded = ShardedDatabase(
-                source, shard_count,
+                _database(data), shard_count,
                 partitioner=partitioner, executor=executor,
             )
             with sharded:
-                incremental = sharded.coordinator()
-                rebuild = ShardedQuerySession(sharded, merge_mode="rebuild")
+                coordinator = sharded.coordinator()
                 assert_rows_close(
-                    _matrix_rows(incremental, K), _matrix_rows(rebuild, K)
+                    _unsharded_rows(data), _matrix_rows(coordinator, K)
                 )
-                # A single-shard swap: the incremental path re-merges
-                # through cached partial products, the rebuild path from
-                # scratch; answers must still match to 1e-9.
-                if model == "ti":
-                    sharded.update_tuple("t3", probability=0.42)
-                else:
-                    replacement = [
-                        (value, score, min(1.0, probability * 0.7))
-                        for value, score, probability in spec[2][1]
-                    ]
-                    sharded.update_block(spec[2][0], replacement)
+                # A single-shard swap re-merges through cached partial
+                # products; answers must still match to 1e-9.
+                data = _update(sharded, data, data[2][0], 0.7)
+                reference = QuerySession(_database(data).tree)
                 assert_rows_close(
-                    _matrix_rows(incremental, K), _matrix_rows(rebuild, K)
+                    _matrix_rows(reference, K), _matrix_rows(coordinator, K)
                 )
-                mean_inc = incremental.mean_topk_symmetric_difference(K)
-                mean_reb = rebuild.mean_topk_symmetric_difference(K)
-                assert mean_inc[0] == mean_reb[0]
-                assert abs(mean_inc[1] - mean_reb[1]) < TOLERANCE
+                mean = coordinator.mean_topk_symmetric_difference(K)
+                mean_ref = reference.mean_topk_symmetric_difference(K)
+                assert mean[0] == mean_ref[0]
+                assert abs(mean[1] - mean_ref[1]) < TOLERANCE
+                membership = coordinator.top_k_membership(K)
+                for key, value in reference.top_k_membership(K).items():
+                    assert abs(membership[key] - value) < TOLERANCE
 
 
 class TestConvolutionBudget:
@@ -148,7 +190,7 @@ class TestConvolutionBudget:
         assert delta.full_merges == 0
         # Incremental re-merge: own rank rows + the partial-product rows
         # containing the swapped shard -- at most 3S convolutions, far
-        # under the S*(S-1) of the pairwise legacy merge.
+        # under the S*(S-1) of pairing every shard with every other.
         assert delta.convolutions <= 3 * shard_count
         assert delta.convolutions < shard_count * (shard_count - 1) or (
             shard_count <= 3
@@ -196,6 +238,38 @@ class TestPinnedSnapshotReads:
                 for key in before
                 for a, b in zip(before[key], live[key])
             )
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_stale_read_leaves_live_engine_alone(self, model, executor):
+        data = _ti_tuples(67, 24) if model == "ti" else _bid_spec(67, 12)
+        expected = _unsharded_rows(data)
+        with ShardedDatabase(_database(data), 4, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(K)
+            pinned = sharded.versions()
+            first, second = _keys_of_distinct_shards(sharded, 2)
+            data = _update(sharded, data, first)
+            coordinator.rank_matrix(K)
+            before = coordinator.merge_stats()
+            reader = coordinator.at(pinned)
+            reader.invalidate()
+            assert_rows_close(expected, _matrix_rows(reader, K))
+            delta = coordinator.merge_stats() - before
+            # Counted as a from-scratch merge, run on a throwaway engine.
+            assert delta.rebuild_merges == 1
+            assert delta.full_merges == delta.incremental_merges == 0
+            assert delta.convolutions == 0
+            data = _update(sharded, data, second)
+            before = coordinator.merge_stats()
+            live = _matrix_rows(coordinator, K)
+            delta = coordinator.merge_stats() - before
+            assert delta.incremental_merges == 1
+            assert delta.full_merges == 0
+            assert delta.convolutions <= 3 * sum(
+                1 for shard in sharded.shards() if not shard.is_empty
+            )
+            assert_rows_close(_unsharded_rows(data), live)
 
     def test_pinned_reader_during_concurrent_swaps(self):
         sharded = ShardedDatabase(_ti_tuples(31, 24), 4, snapshot_history=8)
@@ -294,16 +368,9 @@ class TestArchivedShardReads:
                 return _original(archive, *args)
 
             monkeypatch.setattr(_ShardArchive, name, spy)
-        if model == "ti":
-            tuples = _ti_tuples(47, 24)
-            reference = QuerySession(TupleIndependentDatabase(tuples).tree)
-            source = tuples
-        else:
-            spec = _bid_spec(53, 12)
-            source = BlockIndependentDatabase(spec)
-            reference = QuerySession(source.tree)
-        expected = _matrix_rows(reference, K)
-        with ShardedDatabase(source, 4, executor=executor) as sharded:
+        data = _ti_tuples(47, 24) if model == "ti" else _bid_spec(53, 12)
+        expected = _unsharded_rows(data)
+        with ShardedDatabase(_database(data), 4, executor=executor) as sharded:
             coordinator = sharded.coordinator()
             if warm:
                 # A shallower depth than the read below, so archived
@@ -311,21 +378,8 @@ class TestArchivedShardReads:
                 coordinator.rank_matrix(K - 2)
             pinned = sharded.snapshot().versions
             # One key from each of two different shards.
-            owners = {}
-            for key in sharded.keys():
-                owners.setdefault(sharded.shard_of(key), key)
-            targets = list(owners.values())[:2]
-            for key in targets:
-                if model == "ti":
-                    sharded.update_tuple(key, probability=0.5)
-                else:
-                    sharded.update_block(
-                        key,
-                        [
-                            (value, score, probability * 0.5)
-                            for value, score, probability in dict(spec)[key]
-                        ],
-                    )
+            for key in _keys_of_distinct_shards(sharded, 2):
+                data = _update(sharded, data, key)
             reader = coordinator.at(pinned)
             reader.invalidate()
             assert_rows_close(expected, _matrix_rows(reader, K))
@@ -340,27 +394,22 @@ class TestArchivedShardReads:
         if not warm or executor == "threads":
             assert reached.get("session", 0) >= 2
 
-
-class TestMergeGeneralMemo:
-    """The memoized others-product hot loop answers like the unsharded
-    session (the general/BID merge path used by rebuilds and stale
-    readers)."""
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_general_merge_parity(self, backend_name):
-        with use_backend(_backend_or_skip(backend_name)):
-            database = small_bid(13, blocks=7)
-            reference = QuerySession(database.tree)
-            sharded = ShardedDatabase(database, 3, partitioner="hash")
-            rebuild = ShardedQuerySession(sharded, merge_mode="rebuild")
-            assert_rows_close(
-                _matrix_rows(reference, K), _matrix_rows(rebuild, K)
-            )
-            membership_ref = reference.top_k_membership(K)
-            membership_merged = rebuild.top_k_membership(K)
-            assert set(membership_ref) == set(membership_merged)
-            for key, value in membership_ref.items():
-                assert abs(membership_merged[key] - value) < TOLERANCE
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_pin_between_two_unread_updates(self, model, executor):
+        """Two updates of one shard with no read in between: a reader
+        pinned at the middle version answers from the middle state, not
+        from warm state cached at the first version."""
+        data = _ti_tuples(59, 24) if model == "ti" else _bid_spec(59, 12)
+        with ShardedDatabase(_database(data), 2, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(K)
+            key = sharded.keys()[0]
+            data = _update(sharded, data, key)
+            middle = sharded.versions()
+            _update(sharded, data, key)
+            reader = coordinator.at(middle)
+            assert_rows_close(_unsharded_rows(data), _matrix_rows(reader, K))
 
 
 class TestTrafficStreams:

@@ -199,7 +199,9 @@ class TestUpdateProtocol:
             probabilities = {
                 k: p
                 for summary in summaries
-                for k, p in zip(summary.keys(), summary.probabilities())
+                for k, p in zip(
+                    summary.layout.keys, summary.layout.probabilities
+                )
             }
             assert abs(probabilities[key] - 0.3) < TOLERANCE
 
