@@ -41,6 +41,7 @@ from repro.exceptions import ModelError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
+from repro.sharding.summary import shard_layout
 
 SourceDatabase = Union[TupleIndependentDatabase, BlockIndependentDatabase]
 #: A partition unit: one independent tuple or one intact BID block.
@@ -114,7 +115,15 @@ def build_shard_database(
 
 
 class DatabaseShard:
-    """One shard: a sub-database plus its version and lazy query session."""
+    """One shard: a sub-database plus its version and lazy query session.
+
+    The coordinator reads every live shard through :meth:`layout`,
+    :meth:`summary` and :meth:`session`; this class alone knows whether the
+    shard's state lives in this process (``executor="threads"``: the
+    session's memoized artifacts) or in a worker process
+    (``executor="processes"``: the pool's version-keyed cache, which is
+    also the baseline the worker ships row-suffix deltas against).
+    """
 
     __slots__ = ("index", "_units", "_database", "_session", "version", "_owner")
 
@@ -155,6 +164,56 @@ class DatabaseShard:
         if self._session is None:
             self._session = QuerySession(database.columns)
         return self._session
+
+    @property
+    def generation(self) -> int:
+        """Generation of the in-process session (0 until it is built)."""
+        return 0 if self._session is None else self._session.generation
+
+    def _pool(self) -> Optional[Any]:
+        if self._owner.executor == "processes":
+            return self._owner.process_pool()
+        return None
+
+    def layout(self) -> Any:
+        """The shard's :class:`~repro.sharding.summary.ShardLayout`."""
+        pool = self._pool()
+        if pool is not None:
+            return pool.layout(self.index)
+        return shard_layout(self.session())
+
+    def summary(self, max_rank: int) -> Tuple[Any, Any]:
+        """``(summary, token)``: the truncated rank summary and a token
+        that repeats only when the summary content does.
+
+        In-process the token is ``(version, session generation)``,
+        re-checked after the build so a concurrent swap cannot mislabel
+        it; on the process path it is ``(version, worker state id)``, and
+        a cache miss fetches every stale shard in one parallel exchange.
+        """
+        pool = self._pool()
+        if pool is not None:
+            return pool.summary_with_token(self.index, max_rank)
+        for _ in range(8):
+            version = self.version
+            session = self.session()
+            summary = session.partial_rank_summary(max_rank)
+            if self.version == version and self._session is session:
+                break
+        return summary, (version, session.generation)
+
+    def warm_state(self) -> Tuple[Optional[QuerySession], Any, Dict[int, Any]]:
+        """``(session, layout, {max_rank: summary})`` already built at the
+        current version, for the coordinator's archive; no I/O, no builds.
+        """
+        pool = self._owner._pool
+        if pool is None or pool.closed:
+            return self._session, None, {}
+        return (
+            self._session,
+            pool.cached_layout(self.index, self.version),
+            pool.cached_summaries(self.index, self.version),
+        )
 
     def _replace_units(
         self, units: List[_Unit], database: Optional[SourceDatabase]

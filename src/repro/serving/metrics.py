@@ -185,25 +185,11 @@ class ServingMetricsSnapshot:
         other_kinds = dict(other.queries_by_kind)
         return replace(
             self,
-            queries=self.queries - other.queries,
-            coalesced=self.coalesced - other.coalesced,
-            batches=self.batches - other.batches,
-            updates=self.updates - other.updates,
-            invalidations=self.invalidations - other.invalidations,
-            snapshot_reads=self.snapshot_reads - other.snapshot_reads,
-            stale_reads=self.stale_reads - other.stale_reads,
+            **{
+                name: getattr(self, name) - getattr(other, name)
+                for name in _COUNTERS
+            },
             worker_restarts=self.worker_restarts - other.worker_restarts,
-            retries=self.retries - other.retries,
-            deadline_exceeded=self.deadline_exceeded - other.deadline_exceeded,
-            breaker_open=self.breaker_open - other.breaker_open,
-            stale_served=self.stale_served - other.stale_served,
-            degraded_served=self.degraded_served - other.degraded_served,
-            updates_queued=self.updates_queued - other.updates_queued,
-            result_cache_hits=self.result_cache_hits
-            - other.result_cache_hits,
-            result_cache_misses=self.result_cache_misses
-            - other.result_cache_misses,
-            fused_plans=self.fused_plans - other.fused_plans,
             queries_by_kind=tuple(
                 (kind, count - other_kinds.get(kind, 0))
                 for kind, count in self.queries_by_kind
@@ -257,25 +243,10 @@ class ServingMetrics:
         self, ipc: Optional[Any] = None, merge: Optional[Any] = None
     ) -> ServingMetricsSnapshot:
         return ServingMetricsSnapshot(
+            **{name: getattr(self, name) for name in _COUNTERS},
             ipc=ipc,
             merge=merge,
-            queries=self.queries,
-            coalesced=self.coalesced,
-            batches=self.batches,
-            updates=self.updates,
-            invalidations=self.invalidations,
-            snapshot_reads=self.snapshot_reads,
-            stale_reads=self.stale_reads,
             worker_restarts=getattr(ipc, "restarts", 0),
-            retries=self.retries,
-            deadline_exceeded=self.deadline_exceeded,
-            breaker_open=self.breaker_open,
-            stale_served=self.stale_served,
-            degraded_served=self.degraded_served,
-            updates_queued=self.updates_queued,
-            result_cache_hits=self.result_cache_hits,
-            result_cache_misses=self.result_cache_misses,
-            fused_plans=self.fused_plans,
             mean_batch_size=(
                 self.batched_requests / self.batches if self.batches else 0.0
             ),
@@ -284,3 +255,13 @@ class ServingMetrics:
             latency_p95=self.latency.percentile(0.95),
             queries_by_kind=tuple(sorted(self.queries_by_kind.items())),
         )
+
+
+#: The monotone counters: :class:`ServingMetrics`' int fields that a
+#: snapshot carries (``batched_requests`` only feeds ``mean_batch_size``).
+_COUNTERS = tuple(
+    f.name
+    for f in fields(ServingMetrics)
+    if f.type in (int, "int")
+    and f.name in {g.name for g in fields(ServingMetricsSnapshot)}
+)

@@ -35,6 +35,16 @@ Two properties make the coordinator honest under sustained mixed traffic:
   raises :class:`~repro.exceptions.SnapshotTooOldError`.  A reader pinned
   at a superseded vector merges through a throwaway engine, so stale
   reads never touch the live engine's cached partials.
+
+Every shard is read through one interface, whatever holds its state:
+``layout()`` (its :class:`~repro.sharding.summary.ShardLayout`),
+``summary(max_rank)`` (its truncated summary plus a content token for the
+merge engine) and ``session()`` (only for the tree-level fallbacks).  Live
+shards are :class:`~repro.models.sharded.DatabaseShard` objects, which alone
+know whether their state sits in this process or in a worker;
+superseded ones are :class:`_ShardArchive` entries of the snapshot history,
+and the list-of-sessions form wraps each session in a :class:`_StaticShard`.
+The coordinator picks them in one hook, :meth:`ShardedQuerySession._shards`.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ import threading
 from collections import OrderedDict
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -73,7 +82,7 @@ class _MergedLayout:
         "best_score",
         "triples",
         "independent",
-        "key_to_session",
+        "key_to_shard",
         "grid_scores",
     )
 
@@ -85,7 +94,7 @@ class _MergedLayout:
         best_score: Dict[Hashable, float],
         triples: List[Tuple[float, float, Hashable]],
         independent: bool,
-        key_to_session: Dict[Hashable, QuerySession],
+        key_to_shard: Dict[Hashable, int],
         grid_scores: List[float],
     ) -> None:
         self.keys_order = keys_order
@@ -94,7 +103,7 @@ class _MergedLayout:
         self.best_score = best_score
         self.triples = triples
         self.independent = independent
-        self.key_to_session = key_to_session
+        self.key_to_shard = key_to_shard
         self.grid_scores = grid_scores
 
 
@@ -119,10 +128,11 @@ class _ShardArchive:
 
     Created by the owning database right before an update swaps the
     shard's units, so readers pinned at the outgoing version can still
-    resolve it.  Whatever warm artifacts exist at archive time -- the live
-    session on the in-process path, the pool's layout and summaries cached
-    at the archived version on the process path -- are adopted; anything
-    missing is rebuilt lazily from the archived units.
+    resolve it.  It adopts whatever the live shard already built at that
+    version (:meth:`~repro.models.sharded.DatabaseShard.warm_state`);
+    anything missing is rebuilt lazily from the archived units.  Answers
+    the coordinator through the same ``layout()`` / ``summary()`` /
+    ``session()`` interface as a live shard.
     """
 
     __slots__ = (
@@ -131,7 +141,7 @@ class _ShardArchive:
         "units",
         "owner",
         "_session",
-        "_fragment",
+        "_layout",
         "_summaries",
     )
 
@@ -140,9 +150,7 @@ class _ShardArchive:
         self.version = shard.version
         self.units = shard.units  # a copy, by DatabaseShard contract
         self.owner = shard._owner
-        self._session: Optional[QuerySession] = None
-        self._fragment: Optional[Any] = None
-        self._summaries: Dict[int, ShardRankSummary] = {}
+        self._session, self._layout, self._summaries = shard.warm_state()
 
     def session(self) -> Optional[QuerySession]:
         """The archived shard session (rebuilt from units when cold)."""
@@ -153,22 +161,46 @@ class _ShardArchive:
             self._session = QuerySession(database.columns)
         return self._session
 
-    def layout_fragment(self) -> Optional[Any]:
-        if self._fragment is None and self.units:
-            self._fragment = shard_layout(self.session())
-        return self._fragment
+    def layout(self) -> Optional[Any]:
+        if self._layout is None and self.units:
+            self._layout = shard_layout(self.session())
+        return self._layout
 
-    def summary(self, max_rank: int) -> ShardRankSummary:
+    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
         cached = self._summaries.get(max_rank)
         if cached is None:
-            if self._session is not None or self._fragment is None:
+            if self._session is not None or self._layout is None:
                 cached = self.session().partial_rank_summary(max_rank)
             else:
-                cached = ShardRankSummary.from_layout(
-                    self._fragment, max_rank
-                )
+                cached = ShardRankSummary.from_layout(self._layout, max_rank)
             self._summaries[max_rank] = cached
-        return cached
+        return cached, ("archive", self.index, self.version)
+
+
+class _StaticShard:
+    """One shard of a coordinator built over a list of shard sessions."""
+
+    __slots__ = ("index", "_session")
+
+    def __init__(self, index: int, session: QuerySession) -> None:
+        self.index = index
+        self._session = session
+
+    @property
+    def generation(self) -> int:
+        return self._session.generation
+
+    def session(self) -> QuerySession:
+        return self._session
+
+    def layout(self) -> Any:
+        return shard_layout(self._session)
+
+    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
+        return (
+            self._session.partial_rank_summary(max_rank),
+            (self.index, self._session.generation),
+        )
 
 
 class ShardedQuerySession(QuerySession):
@@ -200,7 +232,7 @@ class ShardedQuerySession(QuerySession):
     ) -> None:
         if hasattr(shards, "sessions") and hasattr(shards, "versions"):
             self._database: Optional[Any] = shards
-            self._static_sessions: Optional[List[QuerySession]] = None
+            self._static: Optional[List[_StaticShard]] = None
         else:
             if isinstance(shards, (AndXorTree, RankStatistics, QuerySession)):
                 raise TypeError(
@@ -208,8 +240,9 @@ class ShardedQuerySession(QuerySession):
                     "sources; a single database has nothing to merge"
                 )
             self._database = None
-            self._static_sessions = [
-                as_session(source) for source in shards
+            self._static = [
+                _StaticShard(index, as_session(source))
+                for index, source in enumerate(shards)
             ]
         self._validate_scores = validate_scores
         self._snapshot_history = max(1, int(snapshot_history))
@@ -231,61 +264,21 @@ class ShardedQuerySession(QuerySession):
     # ------------------------------------------------------------------
     # Shard plumbing
     # ------------------------------------------------------------------
-    def _shard_sessions(self) -> List[QuerySession]:
-        if self._database is not None:
-            return list(self._database.sessions())
-        assert self._static_sessions is not None
-        return self._static_sessions
-
-    def _process_pool(self) -> Optional[Any]:
-        """The database's started worker pool under ``executor="processes"``.
-
-        ``None`` in every other configuration; when a pool is live the
-        coordinator must not touch :meth:`_shard_sessions` on its merge
-        paths -- that would rebuild every shard in the parent process and
-        forfeit exactly the work the pool moved out.
-        """
-        if (
-            self._database is not None
-            and getattr(self._database, "executor", "threads") == "processes"
-        ):
-            return self._database.process_pool()
-        return None
-
-    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
-        """``(layout_fragment, session_provider)`` per non-empty shard.
-
-        The provider is a live :class:`~repro.session.QuerySession` on the
-        in-process path, or the owning
-        :class:`~repro.models.sharded.DatabaseShard` on the process-pool
-        path (resolved lazily -- and only -- by the tree-level fallbacks).
-        """
-        pool = self._process_pool()
-        if pool is not None:
-            shards = self._database.shards()
-            return [
-                (fragment, shards[index])
-                for index, fragment in pool.layouts()
-            ]
+    def _shards(self) -> List[Any]:
+        """The shards to read, each answering ``layout()``, ``summary()``
+        and ``session()``: the database's non-empty shards, or the
+        wrapped static sessions."""
+        if self._database is None:
+            assert self._static is not None
+            return self._static
         return [
-            (shard_layout(session), session)
-            for session in self._shard_sessions()
+            shard for shard in self._database.shards() if not shard.is_empty
         ]
-
-    @staticmethod
-    def _resolve_session(provider: Any) -> QuerySession:
-        if isinstance(provider, QuerySession):
-            return provider
-        return provider.session()
 
     @property
     def shard_count(self) -> int:
         """Number of (non-empty) shards behind the coordinator."""
-        if self._database is not None:
-            return sum(
-                1 for shard in self._database.shards() if not shard.is_empty
-            )
-        return len(self._shard_sessions())
+        return len(self._shards())
 
     @property
     def deployment(self) -> str:
@@ -293,38 +286,22 @@ class ShardedQuerySession(QuerySession):
         return "sharded"
 
     def layout_kind(self) -> str:
-        """Model layout, read off a shard (never off the merged tree).
+        """Model layout, read off the merged layout (never a merged tree).
 
-        All shards of one database share a layout by construction, so the
-        first shard session answers for the whole coordinator without
-        materializing the merged tree.
+        The merged ``independent`` flag ANDs every shard: a BID shard that
+        happens to hold only single-alternative blocks is
+        tuple-independent on its own, the database is not.
         """
-        if self._process_pool() is not None:
-            fragments = self._shard_fragments()
-            if not fragments:
-                return "general"
-            # Shard layouts are TI or BID by construction (anything else
-            # is rejected at extraction time on the worker).
-            return (
-                "tuple-independent" if fragments[0][0].independent else "bid"
-            )
-        sessions = self._shard_sessions()
-        if not sessions:
+        if not self._shards():
             return "general"
-        return sessions[0].layout_kind()
+        return "tuple-independent" if self._layout().independent else "bid"
 
     def _current_versions(self) -> Tuple[Any, ...]:
         if self._database is not None:
             shard_versions: Tuple[Any, ...] = tuple(self._database.versions())
         else:
             shard_versions = ()
-        if self._process_pool() is not None:
-            # Worker sessions live behind the pool; the shard versions
-            # (bumped by every committed update) are the whole signal.
-            return (shard_versions, ())
-        generations = tuple(
-            session.generation for session in self._shard_sessions()
-        )
+        generations = tuple(shard.generation for shard in self._shards())
         return (shard_versions, generations)
 
     # ------------------------------------------------------------------
@@ -482,28 +459,10 @@ class ShardedQuerySession(QuerySession):
         """Archive a shard's state just before its version is bumped.
 
         Called by the owning database with the *outgoing* state still
-        live, so pinned readers that resolve the old version find either
-        the warm session (in-process path) or the pool's cached layout
-        and summaries (process path) -- worst case the raw units.
+        live, so pinned readers that resolve the old version find whatever
+        the shard had already built there -- worst case the raw units.
         """
         archive = _ShardArchive(shard)
-        pool = None
-        if (
-            self._database is not None
-            and getattr(self._database, "executor", "threads") == "processes"
-        ):
-            pool = getattr(self._database, "_pool", None)
-            if pool is not None and getattr(pool, "closed", False):
-                pool = None
-        if pool is not None:
-            archive._fragment = pool.cached_layout(shard.index, shard.version)
-            archive._summaries = pool.cached_summaries(
-                shard.index, shard.version
-            )
-        else:
-            session = shard._session
-            if session is not None:
-                archive._session = session
         with self._state_lock:
             history = self._history.setdefault(shard.index, OrderedDict())
             history[shard.version] = archive
@@ -527,43 +486,6 @@ class ShardedQuerySession(QuerySession):
     # ------------------------------------------------------------------
     # Merged layout
     # ------------------------------------------------------------------
-    def _summaries_and_tokens(
-        self, max_rank: int
-    ) -> Tuple[List[ShardRankSummary], List[Any]]:
-        """Per-shard summaries plus content-faithful version tokens.
-
-        The tokens key the merge engine's cached partial products, so a
-        token may only repeat when the summary content is identical.  On
-        the process path the worker's own state counter is authoritative
-        (it changes atomically with the worker's committed state); on the
-        in-process path the (version, generation) pair is re-checked after
-        the summary is built so a concurrent swap cannot mislabel it.
-        """
-        pool = self._process_pool()
-        if pool is not None:
-            rows = pool.summaries_with_tokens(max_rank)
-            return [row[1] for row in rows], [row[2] for row in rows]
-        summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
-        if self._database is not None:
-            for shard in self._database.shards():
-                if shard.is_empty:
-                    continue
-                for _ in range(8):
-                    version = shard.version
-                    session = shard.session()
-                    summary = session.partial_rank_summary(max_rank)
-                    if shard.version == version and shard._session is session:
-                        break
-                summaries.append(summary)
-                tokens.append((version, session.generation))
-            return summaries, tokens
-        assert self._static_sessions is not None
-        for index, session in enumerate(self._static_sessions):
-            summaries.append(session.partial_rank_summary(max_rank))
-            tokens.append((index, session.generation))
-        return summaries, tokens
-
     def _layout(self) -> _MergedLayout:
         return self._memoized("merged_layout", (), self._build_layout)
 
@@ -593,8 +515,8 @@ class ShardedQuerySession(QuerySession):
             or len(fragments) != len(cached)
         ):
             return None
-        changed: List[Tuple[Any, Any, Any]] = []
-        for index, (fragment, provider) in enumerate(fragments):
+        changed: List[Any] = []
+        for index, (fragment, _) in enumerate(fragments):
             old = cached[index]
             if fragment is old:
                 continue
@@ -604,14 +526,14 @@ class ShardedQuerySession(QuerySession):
                 or fragment.keys != old.keys
             ):
                 return None
-            changed.append((fragment, old, provider))
+            changed.append(fragment)
         if not changed:
             return previous
         backend = get_backend()
         presence = dict(previous.presence)
         alternatives = dict(previous.alternatives)
         triples = list(previous.triples)
-        for fragment, _, provider in changed:
+        for fragment in changed:
             presence.update(fragment.presence)
             alternatives.update(fragment.alternatives)
             # A shard's scores are a subsequence of the (unchanged) grid,
@@ -631,12 +553,12 @@ class ShardedQuerySession(QuerySession):
             previous.best_score,
             triples,
             previous.independent,
-            previous.key_to_session,
+            previous.key_to_shard,
             previous.grid_scores,
         )
 
     def _build_layout(self) -> _MergedLayout:
-        fragments = self._shard_fragments()
+        fragments = [(shard.layout(), shard) for shard in self._shards()]
         patched = self._patched_layout(fragments)
         if patched is not None:
             self._engine.counters["layout_patches"] += 1
@@ -644,23 +566,21 @@ class ShardedQuerySession(QuerySession):
         presence: Dict[Hashable, float] = {}
         alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
         best_score: Dict[Hashable, float] = {}
-        key_to_session: Dict[Hashable, Any] = {}
+        key_to_shard: Dict[Hashable, int] = {}
         independent = True
         per_shard_triples: List[List[Tuple[float, float, Hashable]]] = []
         total = 0
-        for fragment, provider in fragments:
+        for fragment, shard in fragments:
             independent = independent and fragment.independent
             per_shard_triples.append(fragment.key_triples)
-            # Bulk dictionary merges: the per-shard fragments are memoized
+            # Bulk dictionary merges: the per-shard layouts are memoized
             # (on their sessions, or in the pool's version-keyed cache), so
             # after one shard's update only that shard re-extracts and
             # this loop is C-speed dict work.
             presence.update(fragment.presence)
             alternatives.update(fragment.alternatives)
             best_score.update(fragment.best_score)
-            key_to_session.update(
-                dict.fromkeys(fragment.keys, provider)
-            )
+            key_to_shard.update(dict.fromkeys(fragment.keys, shard.index))
             total += len(fragment.keys)
         if len(presence) != total:
             counts: Dict[Hashable, int] = {}
@@ -708,7 +628,7 @@ class ShardedQuerySession(QuerySession):
                 best_score,
                 triples,
                 independent,
-                key_to_session,
+                key_to_shard,
                 [score for score, _, _ in triples],
             ),
         )
@@ -728,8 +648,8 @@ class ShardedQuerySession(QuerySession):
         self._sync()  # a shard update must not serve a stale merged tree
         if self._merged_tree is None:
             children = []
-            for session in self._shard_sessions():
-                root = session.tree.root
+            for shard in self._shards():
+                root = shard.session().tree.root
                 if not isinstance(root, AndNode):
                     raise ModelError(
                         "sharded sessions require and-rooted shard trees"
@@ -756,17 +676,26 @@ class ShardedQuerySession(QuerySession):
     def number_of_tuples(self) -> int:
         return len(self._layout().keys_order)
 
+    def _session_of(self, key: Hashable) -> QuerySession:
+        """The session of the shard owning ``key``, at this session's vector.
+
+        The merged layout records owners by shard *index*: pinned readers
+        share it, so the owner must resolve through :meth:`_shards` -- the
+        live shard while it is at the pinned version, its archive after.
+        """
+        index = self._layout().key_to_shard.get(key)
+        if index is None:
+            raise ModelError(f"unknown tuple key {key!r}")
+        for shard in self._shards():
+            if shard.index == index:
+                return shard.session()
+        raise ModelError(f"shard {index} owning {key!r} is gone")
+
     def score_of(self, alternative: TupleAlternative) -> float:
-        provider = self._layout().key_to_session.get(alternative.key)
-        if provider is None:
-            raise ModelError(f"unknown tuple key {alternative.key!r}")
-        return self._resolve_session(provider).score_of(alternative)
+        return self._session_of(alternative.key).score_of(alternative)
 
     def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
-        provider = self._layout().key_to_session.get(key)
-        if provider is None:
-            raise ModelError(f"unknown tuple key {key!r}")
-        return self._resolve_session(provider).alternatives_of(key)
+        return self._session_of(key).alternatives_of(key)
 
     def best_scores(
         self, keys: Sequence[Hashable]
@@ -816,24 +745,26 @@ class ShardedQuerySession(QuerySession):
         # tied scores); building it first means a direct rank_matrix()
         # call fails as loudly as every other merged artifact.
         layout = self._layout()
-        all_summaries, all_tokens = self._summaries_and_tokens(max_rank)
+        shards: List[Any] = []
         summaries: List[ShardRankSummary] = []
         tokens: List[Any] = []
-        for summary, token in zip(all_summaries, all_tokens):
+        for shard in self._shards():
+            summary, token = shard.summary(max_rank)
             if summary.number_of_tuples() > 0:
+                shards.append(shard)
                 summaries.append(summary)
                 tokens.append(token)
         if not summaries:
             return RankMatrix([], backend.matrix_from_rows([]), backend, max_rank)
-        if len(summaries) == 1 and self._process_pool() is None:
+        if (
+            len(summaries) == 1
+            and getattr(self._database, "executor", "threads") == "threads"
+        ):
             # A single shard needs no merging; serve its own (memoized)
             # matrix so the coordinator adds zero overhead.  (On the pool
             # path the shard session lives in a worker, so the merge below
             # runs from the shipped summary instead.)
-            only = self._shard_sessions()
-            for session in only:
-                if session.number_of_tuples() > 0:
-                    return session.rank_matrix(max_rank)
+            return shards[0].session().rank_matrix(max_rank)
         keys, native = self._merge_engine().merge(
             summaries,
             tokens,
@@ -968,7 +899,7 @@ class SnapshotReader(ShardedQuerySession):
     ) -> None:
         self._parent = parent
         self._database = parent._database
-        self._static_sessions = parent._static_sessions
+        self._static = parent._static
         self._validate_scores = parent._validate_scores
         self._snapshot_history = parent._snapshot_history
         self._scoring = None
@@ -1020,9 +951,6 @@ class SnapshotReader(ShardedQuerySession):
         # A pinned reader never swaps artifact stores.
         return None
 
-    def _current_versions(self) -> Tuple[Any, ...]:
-        return self._pinned
-
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:
         # Answers computed through a pinned reader are the parent
         # coordinator's answers at the pinned vector; sharing the
@@ -1060,83 +988,20 @@ class SnapshotReader(ShardedQuerySession):
             )
         return not live
 
-    def _pinned_shards(
-        self,
-        live: Callable[[Any], Any],
-        archived: Callable[[_ShardArchive], Any],
-    ) -> List[Any]:
-        """One row per non-empty shard at the pinned vector, in shard order.
-
-        ``live(shard)`` builds the row of a shard still at its pinned
-        version, ``archived(archive)`` that of a superseded one.
-        """
-        rows: List[Any] = []
+    def _shards(self) -> List[Any]:
+        """Live shards still at their pinned version, archives for the rest."""
+        if not self._superseded():
+            return ShardedQuerySession._shards(self)
+        shards: List[Any] = []
         for shard in self._database.shards():
             pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if not shard.is_empty:
-                    rows.append(live(shard))
-            else:
+            if shard.version != pinned:
                 archive = self._parent._archive_lookup(shard.index, pinned)
                 if archive.units:
-                    rows.append(archived(archive))
-        return rows
-
-    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
-        if not self._superseded():
-            return ShardedQuerySession._shard_fragments(self)
-        pool = self._process_pool()
-        layouts = dict(pool.layouts()) if pool is not None else None
-
-        def live(shard: Any) -> Tuple[Any, Any]:
-            if layouts is not None:
-                return layouts[shard.index], shard
-            session = shard.session()
-            return shard_layout(session), session
-
-        return self._pinned_shards(
-            live, lambda archive: (archive.layout_fragment(), archive)
-        )
-
-    def _shard_sessions(self) -> List[QuerySession]:
-        if not self._superseded():
-            return ShardedQuerySession._shard_sessions(self)
-        return self._pinned_shards(
-            lambda shard: shard.session(), lambda archive: archive.session()
-        )
-
-    def _summaries_and_tokens(
-        self, max_rank: int
-    ) -> Tuple[List[ShardRankSummary], List[Any]]:
-        if not self._superseded():
-            return ShardedQuerySession._summaries_and_tokens(self, max_rank)
-        pool = self._process_pool()
-        rows = None
-        if pool is not None:
-            rows = {
-                index: (summary, token)
-                for index, summary, token in pool.summaries_with_tokens(
-                    max_rank
-                )
-            }
-
-        def live(shard: Any) -> Tuple[ShardRankSummary, Any]:
-            if rows is not None:
-                return rows[shard.index]
-            session = shard.session()
-            return (
-                session.partial_rank_summary(max_rank),
-                (shard.version, session.generation),
-            )
-
-        pairs = self._pinned_shards(
-            live,
-            lambda archive: (
-                archive.summary(max_rank),
-                ("archive", archive.index, archive.version),
-            ),
-        )
-        return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+                    shards.append(archive)
+            elif not shard.is_empty:
+                shards.append(shard)
+        return shards
 
     def _merge_engine(self) -> MergeEngine:
         if not self._superseded():

@@ -661,8 +661,13 @@ class ShardProcessPool:
     def _shard_version(self, shard_index: int) -> int:
         return self._database.shards()[shard_index].version
 
-    def layouts(self) -> List[Tuple[int, ShardLayout]]:
-        """``(shard_index, layout)`` per non-empty shard, warm-cached."""
+    def layout(self, shard_index: int) -> ShardLayout:
+        """One shard's warm layout; a miss fetches every stale shard's."""
+        version = self._shard_version(shard_index)
+        with self._cache_lock:
+            cached = self._layout_cache.get(shard_index)
+        if cached is not None and cached[0] == version:
+            return cached[1]
         wanted = []
         for index in self.shard_indices():
             version = self._shard_version(index)
@@ -679,10 +684,7 @@ class ShardProcessPool:
                 for (index, version), layout in zip(wanted, fetched):
                     self._layout_cache[index] = (version, layout)
         with self._cache_lock:
-            return [
-                (index, self._layout_cache[index][1])
-                for index in self.shard_indices()
-            ]
+            return self._layout_cache[shard_index][1]
 
     def summaries(
         self, max_rank: int, use_cache: bool = True
@@ -695,6 +697,15 @@ class ShardProcessPool:
         benchmarking).
         """
         max_rank = max(int(max_rank), 1)
+        self._refresh_summaries(max_rank, use_cache)
+        with self._cache_lock:
+            return [
+                self._summary_cache[(index, max_rank)][1]
+                for index in self.shard_indices()
+            ]
+
+    def _refresh_summaries(self, max_rank: int, use_cache: bool) -> None:
+        """Fetch every stale shard's summary in one parallel exchange."""
         wanted: List[Tuple[int, int, Optional[int], Any]] = []
         for index in self.shard_indices():
             version = self._shard_version(index)
@@ -731,33 +742,28 @@ class ShardProcessPool:
                     existing = self._layout_cache.get(index)
                     if existing is None or existing[0] != version:
                         self._layout_cache[index] = (version, summary.layout)
-        with self._cache_lock:
-            return [
-                self._summary_cache[(index, max_rank)][1]
-                for index in self.shard_indices()
-            ]
 
-    def summaries_with_tokens(
-        self, max_rank: int
-    ) -> List[Tuple[int, ShardRankSummary, Tuple[int, int]]]:
-        """``(shard_index, summary, token)`` rows, warm-cached.
+    def summary_with_token(
+        self, shard_index: int, max_rank: int
+    ) -> Tuple[ShardRankSummary, Tuple[int, int]]:
+        """One shard's ``(summary, token)``, warm-cached.
 
-        The token pairs the parent-side shard version with the worker's
-        committed ``state_id`` (shipped in the same reply as the summary,
-        so it identifies the summary's *content* even when a fetch races a
-        concurrent commit).  Merge-engine partial products keyed by these
-        tokens therefore never mix shard states.
+        A miss fetches every stale shard's summary in one parallel
+        exchange.  The token pairs the parent-side shard version with the
+        worker's committed ``state_id`` (shipped in the same reply as the
+        summary, so it identifies the summary's *content* even when a
+        fetch races a concurrent commit).  Merge-engine partial products
+        keyed by these tokens therefore never mix shard states.
         """
-        self.summaries(max_rank)
-        max_rank = max(int(max_rank), 1)
+        key = (shard_index, max(int(max_rank), 1))
         with self._cache_lock:
-            rows = []
-            for index in self.shard_indices():
-                version, summary, state_id, _ = self._summary_cache[
-                    (index, max_rank)
-                ]
-                rows.append((index, summary, (version, state_id)))
-            return rows
+            cached = self._summary_cache.get(key)
+        if cached is None or cached[0] != self._shard_version(shard_index):
+            self._refresh_summaries(key[1], use_cache=True)
+            with self._cache_lock:
+                cached = self._summary_cache[key]
+        version, summary, state_id, _ = cached
+        return summary, (version, state_id)
 
     def cached_layout(
         self, shard_index: int, version: int
@@ -878,7 +884,7 @@ class ShardProcessPool:
         """Swap a staged rebuild in (called under the parent's version check).
 
         The shard's cache entries are deliberately *retained*: the version
-        check in :meth:`summaries` / :meth:`layouts` already keeps a stale
+        check in :meth:`summaries` / :meth:`layout` already keeps a stale
         entry from being served, and its table is the baseline the worker
         ships a row-suffix delta against on the next fetch.
 

@@ -226,6 +226,15 @@ class TestPinnedSnapshotReads:
             membership_before = dict(pinned.top_k_membership(K))
             sharded.update_tuple("t2", probability=0.11)
             assert not snapshot.is_current
+            # The reader's token and re-pins are the coordinator's.
+            assert pinned.version_token() == coordinator.version_token(
+                snapshot.versions
+            )
+            for versions in (snapshot.versions, None):
+                assert (
+                    pinned.at(versions).pinned_versions
+                    == coordinator.at(versions).pinned_versions
+                )
             # The pinned reader keeps answering at its version vector.
             assert_rows_close(before, _matrix_rows(pinned, K))
             membership_after = dict(pinned.top_k_membership(K))
@@ -270,6 +279,42 @@ class TestPinnedSnapshotReads:
                 1 for shard in sharded.shards() if not shard.is_empty
             )
             assert_rows_close(_unsharded_rows(data), live)
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_superseded_reader_resolves_pinned_alternatives(
+        self, model, executor
+    ):
+        data = _ti_tuples(71, 16) if model == "ti" else _bid_spec(71, 10)
+        expected = QuerySession(_database(data).tree)
+        with ShardedDatabase(_database(data), 4, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(K)  # warms the merged layout at the pin
+            reader = coordinator.at()
+            # Re-score one tuple (a multi-alternative block under BID):
+            # the pinned alternatives no longer exist in the live shard.
+            if model == "ti":
+                sharded.update_tuple(data[0][0], score=9500.0)
+            else:
+                key, block = max(data, key=lambda item: len(item[1]))
+                sharded.update_block(
+                    key,
+                    [
+                        (value, 9500.0 + j, p)
+                        for j, (value, _, p) in enumerate(block)
+                    ],
+                )
+            for probe in expected.keys():
+                alternatives = expected.alternatives_of(probe)
+                assert reader.alternatives_of(probe) == alternatives
+                for alternative in alternatives:
+                    assert reader.score_of(alternative) == expected.score_of(
+                        alternative
+                    )
+            answer, distance = reader.median_topk_symmetric_difference(K)
+            reference = expected.median_topk_symmetric_difference(K)
+            assert answer == reference[0]
+            assert abs(distance - reference[1]) < TOLERANCE
 
     def test_pinned_reader_during_concurrent_swaps(self):
         sharded = ShardedDatabase(_ti_tuples(31, 24), 4, snapshot_history=8)
@@ -351,7 +396,7 @@ class TestBoundedSnapshotHistory:
 
 class TestArchivedShardReads:
     """An invalidated reader pinned at a superseded vector re-reads every
-    updated shard from its archive (session, layout fragment, summary)."""
+    updated shard from its archive (session, layout, summary)."""
 
     @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
     @pytest.mark.parametrize("executor", ["threads", "processes"])
@@ -360,7 +405,7 @@ class TestArchivedShardReads:
         self, model, executor, warm, monkeypatch
     ):
         reached = {}
-        for name in ("session", "layout_fragment", "summary"):
+        for name in ("session", "layout", "summary"):
             original = getattr(_ShardArchive, name)
 
             def spy(archive, *args, _original=original, _name=name):
@@ -390,7 +435,7 @@ class TestArchivedShardReads:
                 for a, b in zip(expected[key], live[key])
             )
         assert reached.get("summary", 0) >= 2
-        assert reached.get("layout_fragment", 0) >= 2
+        assert reached.get("layout", 0) >= 2
         if not warm or executor == "threads":
             assert reached.get("session", 0) >= 2
 

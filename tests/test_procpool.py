@@ -22,13 +22,14 @@ import math
 import pytest
 
 from conftest import small_bid, small_tuple_independent
+from repro import connect
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     ModelError,
     ProcessPoolError,
     WorkerCrashError,
 )
-from repro.models import ShardedDatabase
+from repro.models import BlockIndependentDatabase, ShardedDatabase
 from repro.models.sharded import StaleUpdateError
 from repro.query import Query
 from repro.serving import ServingExecutor
@@ -120,6 +121,30 @@ class TestProcessPoolParity:
                 membership_got = coordinator.top_k_membership(3)
                 for key, expected in membership_ref.items():
                     assert abs(membership_got[key] - expected) < TOLERANCE
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_bid_layout_when_first_shard_looks_independent(self, executor):
+        # Shard 0 holds only single-alternative blocks, so on its own it
+        # is tuple-independent; the sharded database is still BID.
+        database = BlockIndependentDatabase(
+            [
+                ("a", [(1.0, 1.0, 0.5)]),
+                ("b", [(2.0, 2.0, 0.3), (3.0, 3.0, 0.4)]),
+                ("c", [(4.0, 4.0, 0.6)]),
+                ("d", [(5.0, 5.0, 0.7)]),
+            ]
+        )
+        query = Query.topk(k=2)
+        assert "layout=bid" in connect(database).explain(query)
+        with ShardedDatabase(
+            database,
+            2,
+            partitioner=lambda key: 0 if key in ("c", "d") else 1,
+            executor=executor,
+        ) as sharded:
+            assert sharded.shards()[0].keys() == ["c", "d"]
+            assert sharded.coordinator().layout_kind() == "bid"
+            assert "layout=bid" in connect(sharded).explain(query)
 
     def test_best_scores_served_from_layout(self):
         database = small_tuple_independent(5, count=8)
