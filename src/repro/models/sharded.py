@@ -150,20 +150,30 @@ class DatabaseShard:
     @property
     def database(self) -> Optional[SourceDatabase]:
         """The shard's own database (None for an empty shard)."""
-        if self._database is None and self._units:
-            self._database = self._owner._build_shard_database(
-                self.index, self._units
-            )
-        return self._database
+        units, database = self._units, self._database
+        if database is None and units:
+            database = self._owner._build_shard_database(self.index, units)
+            # Install it only if no update swapped the units meanwhile: a
+            # lazy build racing a swap must not revive the outgoing state.
+            with self._owner._apply_lock:
+                if self._units is units and self._database is None:
+                    self._database = database
+        return database
 
     def session(self) -> Optional[QuerySession]:
         """The shard's lazily created, version-tracked query session."""
         database = self.database
         if database is None:
             return None
-        if self._session is None:
-            self._session = QuerySession(database.columns)
-        return self._session
+        session = self._session
+        if session is None:
+            session = QuerySession(database.columns)
+            with self._owner._apply_lock:
+                if self._database is database:
+                    if self._session is None:
+                        self._session = session
+                    session = self._session
+        return session
 
     @property
     def generation(self) -> int:

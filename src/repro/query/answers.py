@@ -11,7 +11,7 @@ interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -135,6 +135,24 @@ class QueryAnswer:
             "degraded": self.degraded,
             "cached": self.cached,
         }
+
+    def detached(self) -> "QueryAnswer":
+        """This answer with its plan cut down to a :class:`PlanSummary`.
+
+        An :class:`~repro.query.ExecutionPlan` closes over the session that
+        answered, so an answer cache holding it keeps that session's whole
+        artifact store alive; caches hold this copy instead.  It encodes
+        to the same wire document.
+        """
+        plan = self.plan
+        if plan is None or isinstance(plan, PlanSummary):
+            return self
+        return replace(
+            self,
+            plan=PlanSummary(
+                plan.route, plan.algorithm, bool(plan.paired), plan.hardness
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Wire form (loss-free JSON; see repro.query.wire)

@@ -757,6 +757,9 @@ class ServingExecutor:
                         break
                     batch.append(item)
             await self._execute_batch(batch)
+            # Waiting for the next batch must not keep this one's answers
+            # -- and the snapshot readers their plans close over -- alive.
+            del batch, item
             if stop_after_batch:
                 return
 
@@ -903,7 +906,8 @@ class ServingExecutor:
                 # A merged answer touched every live shard: close all
                 # breakers and refresh the stale-serving cache.
                 self._record_shard_success(None)
-                self._cache_answer(query, result)
+                kept = result.detached()
+                self._cache_answer(query, kept)
                 if (
                     cache_key is not None
                     and pinned_ok
@@ -915,7 +919,7 @@ class ServingExecutor:
                     # fallback answered at *newer* state than the key's
                     # version token, and stale/degraded answers belong to
                     # the self-healing ladder, not the cache.
-                    self._result_cache.put(cache_key, result)
+                    self._result_cache.put(cache_key, kept)
                 return result
 
     async def _run_pinned(
@@ -950,8 +954,10 @@ class ServingExecutor:
             return answer, False
 
     def _cache_answer(self, query: ConsensusQuery, answer: QueryAnswer) -> None:
+        # The full plan would keep the answering reader alive (see
+        # QueryAnswer.detached); the stale-serving ladder needs no plan.
         cache = self._last_answers
-        cache[query] = (answer, time.monotonic())
+        cache[query] = (answer.detached(), time.monotonic())
         cache.move_to_end(query)
         while len(cache) > _LAST_ANSWER_CAP:
             cache.popitem(last=False)

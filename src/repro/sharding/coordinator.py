@@ -50,12 +50,13 @@ The coordinator picks them in one hook, :meth:`ShardedQuerySession._shards`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import (
     Any,
     Dict,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -72,39 +73,163 @@ from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
 from repro.sharding.summary import ShardRankSummary, shard_layout
 
 
-class _MergedLayout:
-    """Light per-coordinator index of the merged key/alternative space."""
+class _MergedLayout(NamedTuple):
+    """The merged rows of every shard, as columns, plus one key index.
 
-    __slots__ = (
-        "keys_order",
-        "presence",
-        "alternatives",
-        "best_score",
-        "triples",
-        "independent",
-        "key_to_shard",
-        "grid_scores",
-    )
+    Row ``r`` is the database's ``r``-th alternative by decreasing score:
+    ``grid_scores[r]`` (the merge engine's shared score grid),
+    ``row_keys[r]``, ``row_probabilities[r]`` and ``row_shards[r]`` (the
+    owning shard's index).  ``keys_order`` lists the keys by decreasing
+    best score (first appearance in the rows), ``key_index`` maps each key
+    to its position there -- the index every merged :class:`RankMatrix`
+    reuses -- and ``key_rows[i]`` is the row of key ``i``'s best
+    alternative.  ``shard_rows[j]`` holds the global rows of shard
+    fragment ``j``'s rows: the scatter positions of a probability patch.
 
-    def __init__(
-        self,
-        keys_order: List[Hashable],
-        presence: Dict[Hashable, float],
-        alternatives: Dict[Hashable, List[Tuple[float, float]]],
-        best_score: Dict[Hashable, float],
-        triples: List[Tuple[float, float, Hashable]],
-        independent: bool,
-        key_to_shard: Dict[Hashable, int],
-        grid_scores: List[float],
-    ) -> None:
-        self.keys_order = keys_order
-        self.presence = presence
-        self.alternatives = alternatives
-        self.best_score = best_score
-        self.triples = triples
-        self.independent = independent
-        self.key_to_shard = key_to_shard
-        self.grid_scores = grid_scores
+    A probability-only update changes ``row_probabilities`` alone; the
+    patched layout (``_replace``) shares every other column with the
+    layout it patches.
+    """
+
+    independent: bool
+    grid_scores: List[float]
+    row_keys: List[Hashable]
+    row_probabilities: List[float]
+    row_shards: List[int]
+    keys_order: List[Hashable]
+    key_index: Dict[Hashable, int]
+    key_rows: List[int]
+    shard_rows: List[List[int]]
+
+    @classmethod
+    def build(
+        cls,
+        fragments: Sequence[Any],
+        shard_indices: Sequence[int],
+        validate_scores: bool,
+    ) -> "_MergedLayout":
+        """Merge shard layouts into one decreasing-score row stream."""
+        scores: List[float] = []
+        probabilities: List[float] = []
+        keys: List[Hashable] = []
+        shards: List[int] = []
+        key_count = 0
+        for fragment, index in zip(fragments, shard_indices):
+            scores += fragment.scores
+            probabilities += fragment.probabilities
+            keys += fragment.row_keys()
+            shards += [index] * len(fragment.scores)
+            key_count += len(fragment.keys)
+        # Each shard's rows are already sorted, so Timsort merges the
+        # concatenated runs in near-linear time.
+        order = sorted(
+            range(len(scores)), key=scores.__getitem__, reverse=True
+        )
+        grid = list(map(scores.__getitem__, order))
+        row_keys = list(map(keys.__getitem__, order))
+        key_index: Dict[Hashable, int] = {}
+        key_rows: List[int] = []
+        for row, key in enumerate(row_keys):
+            if key not in key_index:
+                key_index[key] = len(key_rows)
+                key_rows.append(row)
+        if len(key_index) != key_count:
+            counts = Counter(key for f in fragments for key in f.keys)
+            duplicates = sorted(
+                repr(key) for key, count in counts.items() if count > 1
+            )
+            raise ModelError(
+                f"tuple keys {duplicates} appear in more than one shard"
+            )
+        if validate_scores:
+            for row in range(1, len(grid)):
+                if (
+                    grid[row] == grid[row - 1]
+                    and row_keys[row] != row_keys[row - 1]
+                ):
+                    raise ModelError(
+                        f"tuples {row_keys[row - 1]!r} and {row_keys[row]!r} "
+                        f"of different shards share score {grid[row]}; "
+                        "ranking assumes distinct scores"
+                    )
+        # The inverse permutation: the global row of every source row.
+        global_row = sorted(range(len(order)), key=order.__getitem__)
+        shard_rows: List[List[int]] = []
+        offset = 0
+        for fragment in fragments:
+            shard_rows.append(
+                global_row[offset : offset + len(fragment.scores)]
+            )
+            offset += len(fragment.scores)
+        return cls(
+            all(fragment.independent for fragment in fragments),
+            grid,
+            row_keys,
+            list(map(probabilities.__getitem__, order)),
+            list(map(shards.__getitem__, order)),
+            list(key_index),
+            key_index,
+            key_rows,
+            shard_rows,
+        )
+
+    def best_row(self, key: Hashable) -> int:
+        """The row of ``key``'s best alternative."""
+        position = self.key_index.get(key)
+        if position is None:
+            raise ModelError(f"unknown tuple key {key!r}")
+        return self.key_rows[position]
+
+    def alternatives(self) -> Dict[Hashable, List[Tuple[float, float]]]:
+        """Per key, its ``(score, probability)`` rows by decreasing score.
+
+        Built on demand for the merged preference grid of a
+        block-independent layout, its one per-key reader.
+        """
+        grouped: Dict[Hashable, List[Tuple[float, float]]] = {
+            key: [] for key in self.keys_order
+        }
+        for key, score, probability in zip(
+            self.row_keys, self.grid_scores, self.row_probabilities
+        ):
+            grouped[key].append((score, probability))
+        return grouped
+
+
+def _patched_layout(
+    base: Optional[Tuple[List[Any], _MergedLayout]], fragments: List[Any]
+) -> Optional[_MergedLayout]:
+    """Patch the shared base layout when no score or key moved.
+
+    ``base`` is a ``(fragments, layout)`` pair: the shard layouts a merged
+    layout was built or patched from.  A probability-only update keeps
+    every score (hence the grid, the row order and the key index) in
+    place, so the new layout is the base with the changed shards'
+    probabilities scattered into a copy of the probability column, at
+    scatter positions computed once per score layout.  Returns ``None``
+    whenever a full rebuild is required.
+    """
+    if base is None:
+        return None
+    cached, previous = base
+    if len(fragments) != len(cached):
+        return None
+    changed: List[int] = []
+    for position, (fragment, old) in enumerate(zip(fragments, cached)):
+        if fragment is old:
+            continue
+        if not fragment.same_rows(old):
+            return None
+        changed.append(position)
+    if not changed:
+        return previous
+    probabilities = list(previous.row_probabilities)
+    for position in changed:
+        for row, probability in zip(
+            previous.shard_rows[position], fragments[position].probabilities
+        ):
+            probabilities[row] = probability
+    return previous._replace(row_probabilities=probabilities)
 
 
 class _VersionEntry:
@@ -175,6 +300,38 @@ class _ShardArchive:
                 cached = ShardRankSummary.from_layout(self._layout, max_rank)
             self._summaries[max_rank] = cached
         return cached, ("archive", self.index, self.version)
+
+
+class _PinnedShard:
+    """A live shard read by a reader pinned at the shard's version.
+
+    The owning database archives a shard's state before it starts a swap,
+    so a read that finds no archive of the pinned version afterwards saw
+    the pinned state; a read that does find one raced the swap and is
+    answered from the archive instead.
+    """
+
+    __slots__ = ("index", "_shard", "_version", "_coordinator")
+
+    def __init__(self, shard: Any, version: int, coordinator: Any) -> None:
+        self.index = shard.index
+        self._shard = shard
+        self._version = version
+        self._coordinator = coordinator
+
+    def _read(self, name: str, *args: Any) -> Any:
+        result = getattr(self._shard, name)(*args)
+        archive = self._coordinator._archived(self.index, self._version)
+        return result if archive is None else getattr(archive, name)(*args)
+
+    def session(self) -> Optional[QuerySession]:
+        return self._read("session")
+
+    def layout(self) -> Any:
+        return self._read("layout")
+
+    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
+        return self._read("summary", max_rank)
 
 
 class _StaticShard:
@@ -256,9 +413,6 @@ class ShardedQuerySession(QuerySession):
         self._store: "OrderedDict[Any, _VersionEntry]" = OrderedDict()
         self._history: Dict[int, "OrderedDict[int, _ShardArchive]"] = {}
         self._state_lock = threading.Lock()
-        self._last_fragments: Optional[List[Any]] = None
-        self._last_layout: Optional[_MergedLayout] = None
-        self._rank_key_index: Optional[Tuple[Any, Dict[Hashable, int]]] = None
         self._init_cache_state()
 
     # ------------------------------------------------------------------
@@ -400,8 +554,6 @@ class ShardedQuerySession(QuerySession):
         super().invalidate()
         self._merged_tree = None
         self._engine.clear()
-        self._last_fragments = None
-        self._last_layout = None
         with self._state_lock:
             self._store.clear()
             self._history.clear()
@@ -471,10 +623,13 @@ class ShardedQuerySession(QuerySession):
                 history.popitem(last=False)
                 self._engine.counters["snapshot_evictions"] += 1
 
-    def _archive_lookup(self, index: int, version: int) -> _ShardArchive:
+    def _archived(self, index: int, version: int) -> Optional[_ShardArchive]:
         with self._state_lock:
             history = self._history.get(index)
-            archive = history.get(version) if history is not None else None
+            return history.get(version) if history is not None else None
+
+    def _archive_lookup(self, index: int, version: int) -> _ShardArchive:
+        archive = self._archived(index, version)
         if archive is None:
             raise SnapshotTooOldError(
                 f"shard {index} version {version} is no longer in the "
@@ -489,149 +644,34 @@ class ShardedQuerySession(QuerySession):
     def _layout(self) -> _MergedLayout:
         return self._memoized("merged_layout", (), self._build_layout)
 
-    def _remember_layout(
-        self, fragments: List[Tuple[Any, Any]], layout: _MergedLayout
-    ) -> _MergedLayout:
-        self._last_fragments = [fragment for fragment, _ in fragments]
-        self._last_layout = layout
-        return layout
-
-    def _patched_layout(
-        self, fragments: List[Tuple[Any, Any]]
-    ) -> Optional[_MergedLayout]:
-        """Patch the previous merged layout when no score moved.
-
-        A probability-only update keeps every score (hence the global
-        grid, the triple positions and the key order) in place, so the new
-        layout is the old one with the changed shards' dictionaries and
-        triple rows substituted -- no global re-sort, no re-validation.
-        Returns ``None`` whenever a full rebuild is required.
-        """
-        previous = self._last_layout
-        cached = self._last_fragments
-        if (
-            previous is None
-            or cached is None
-            or len(fragments) != len(cached)
-        ):
-            return None
-        changed: List[Any] = []
-        for index, (fragment, _) in enumerate(fragments):
-            old = cached[index]
-            if fragment is old:
-                continue
-            if (
-                fragment.independent != old.independent
-                or fragment.scores != old.scores
-                or fragment.keys != old.keys
-            ):
-                return None
-            changed.append(fragment)
-        if not changed:
-            return previous
-        backend = get_backend()
-        presence = dict(previous.presence)
-        alternatives = dict(previous.alternatives)
-        triples = list(previous.triples)
-        for fragment in changed:
-            presence.update(fragment.presence)
-            alternatives.update(fragment.alternatives)
-            # A shard's scores are a subsequence of the (unchanged) grid,
-            # so each alternative's global position is its strict-above
-            # count there -- one backend sweep per changed shard.
-            positions = backend.descending_prefix_lengths(
-                previous.grid_scores, fragment.scores
-            )
-            for position, triple in zip(positions, fragment.key_triples):
-                triples[position] = triple
-        # Scores and keys are unchanged by precondition, so the best-score
-        # and key-ownership maps carry over without copying.
-        return _MergedLayout(
-            previous.keys_order,
-            presence,
-            alternatives,
-            previous.best_score,
-            triples,
-            previous.independent,
-            previous.key_to_shard,
-            previous.grid_scores,
-        )
-
     def _build_layout(self) -> _MergedLayout:
-        fragments = [(shard.layout(), shard) for shard in self._shards()]
-        patched = self._patched_layout(fragments)
-        if patched is not None:
+        """Patch the shared base layout, or rebuild it when a score moved.
+
+        The patch base is the engine's ``layout_base``: one coordinator's
+        engine is shared by every reader, so each live read publishes its
+        ``(fragments, layout)`` pair for the next one, and a
+        probability-only update costs one copy of the probability column
+        whichever reader meets it first.
+        """
+        shards = self._shards()
+        fragments = [shard.layout() for shard in shards]
+        layout = _patched_layout(self._engine.layout_base, fragments)
+        if layout is not None:
             self._engine.counters["layout_patches"] += 1
-            return self._remember_layout(fragments, patched)
-        presence: Dict[Hashable, float] = {}
-        alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
-        best_score: Dict[Hashable, float] = {}
-        key_to_shard: Dict[Hashable, int] = {}
-        independent = True
-        per_shard_triples: List[List[Tuple[float, float, Hashable]]] = []
-        total = 0
-        for fragment, shard in fragments:
-            independent = independent and fragment.independent
-            per_shard_triples.append(fragment.key_triples)
-            # Bulk dictionary merges: the per-shard layouts are memoized
-            # (on their sessions, or in the pool's version-keyed cache), so
-            # after one shard's update only that shard re-extracts and
-            # this loop is C-speed dict work.
-            presence.update(fragment.presence)
-            alternatives.update(fragment.alternatives)
-            best_score.update(fragment.best_score)
-            key_to_shard.update(dict.fromkeys(fragment.keys, shard.index))
-            total += len(fragment.keys)
-        if len(presence) != total:
-            counts: Dict[Hashable, int] = {}
-            for fragment, _ in fragments:
-                for key in fragment.keys:
-                    counts[key] = counts.get(key, 0) + 1
-            duplicates = sorted(
-                repr(key) for key, count in counts.items() if count > 1
+        else:
+            layout = _MergedLayout.build(
+                fragments,
+                [shard.index for shard in shards],
+                self._validate_scores,
             )
-            raise ModelError(
-                f"tuple keys {duplicates} appear in more than one shard"
-            )
-        # One global decreasing-score stream of (score, probability, key):
-        # each shard's list is already sorted, so Timsort merges the
-        # concatenated runs in near-linear time (scores are distinct, so
-        # plain reverse tuple order never compares the trailing fields).
-        triples: List[Tuple[float, float, Hashable]] = []
-        for shard_triples in per_shard_triples:
-            triples.extend(shard_triples)
-        triples.sort(reverse=True)
-        if self._validate_scores:
-            for first, second in zip(triples, triples[1:]):
-                if first[0] == second[0] and first[2] != second[2]:
-                    raise ModelError(
-                        f"tuples {first[2]!r} and {second[2]!r} of different "
-                        f"shards share score {first[0]}; ranking assumes "
-                        "distinct scores"
-                    )
-        # Global key order = first appearance in the merged decreasing-score
-        # stream, i.e. decreasing best-alternative score (scores are
-        # distinct, so no tie-break is needed and no extra sort is paid).
-        keys_order: List[Hashable] = []
-        seen: Dict[Hashable, bool] = {}
-        for _, _, key in triples:
-            if key not in seen:
-                seen[key] = True
-                keys_order.append(key)
-        self._engine.counters["layout_rebuilds"] += 1
-        return self._remember_layout(
-            fragments,
-            _MergedLayout(
-                keys_order,
-                presence,
-                alternatives,
-                best_score,
-                triples,
-                independent,
-                key_to_shard,
-                [score for score, _, _ in triples],
-            ),
-        )
+            self._engine.counters["layout_rebuilds"] += 1
+        if not self._superseded():
+            # A superseded reader only reads the base, as it merges through
+            # a throwaway engine: publishing its older rows would make the
+            # next live read patch them back.
+            with self._state_lock:
+                self._engine.layout_base = (fragments, layout)
+        return layout
 
     # ------------------------------------------------------------------
     # Database accessors (merged, no global statistics object)
@@ -683,9 +723,8 @@ class ShardedQuerySession(QuerySession):
         share it, so the owner must resolve through :meth:`_shards` -- the
         live shard while it is at the pinned version, its archive after.
         """
-        index = self._layout().key_to_shard.get(key)
-        if index is None:
-            raise ModelError(f"unknown tuple key {key!r}")
+        layout = self._layout()
+        index = layout.row_shards[layout.best_row(key)]
         for shard in self._shards():
             if shard.index == index:
                 return shard.session()
@@ -708,12 +747,12 @@ class ShardedQuerySession(QuerySession):
         process-pool path, a cheap win in-process too.
         """
         layout = self._layout()
-        missing = [key for key in keys if key not in layout.best_score]
+        missing = [key for key in keys if key not in layout.key_index]
         if missing:
             raise ModelError(
                 f"unknown tuple keys {sorted(map(repr, missing))}"
             )
-        return {key: layout.best_score[key] for key in keys}
+        return {key: layout.grid_scores[layout.best_row(key)] for key in keys}
 
     def independent_tuple_layout(
         self,
@@ -721,10 +760,9 @@ class ShardedQuerySession(QuerySession):
         layout = self._layout()
         if not layout.independent:
             return None
-        return [
-            (key, probability, score)
-            for score, probability, key in layout.triples
-        ]
+        return list(
+            zip(layout.row_keys, layout.row_probabilities, layout.grid_scores)
+        )
 
     # ------------------------------------------------------------------
     # Merged statistics artifacts
@@ -765,7 +803,7 @@ class ShardedQuerySession(QuerySession):
             # path the shard session lives in a worker, so the merge below
             # runs from the shipped summary instead.)
             return shards[0].session().rank_matrix(max_rank)
-        keys, native = self._merge_engine().merge(
+        native = self._merge_engine().merge(
             summaries,
             tokens,
             max_rank,
@@ -773,20 +811,29 @@ class ShardedQuerySession(QuerySession):
             layout.keys_order,
             backend,
         )
-        # The engine returns the *same* key-order list across incremental
-        # re-merges, so the n-entry position index is shared instead of
-        # rebuilt for every updated matrix.
-        cached = self._rank_key_index
-        if cached is None or cached[0] is not keys:
-            cached = (keys, {k: row for row, k in enumerate(keys)})
-            self._rank_key_index = cached
+        # Patched layouts share one key index, so every re-merged matrix
+        # reuses it instead of rebuilding an n-entry dict.
         return RankMatrix(
-            list(keys), native, backend, max_rank, key_index=cached[1]
+            layout.keys_order,
+            native,
+            backend,
+            max_rank,
+            key_index=layout.key_index,
         )
+
+    def _superseded(self) -> bool:
+        """Whether this session reads a superseded version vector."""
+        return False
 
     def _merge_engine(self) -> MergeEngine:
         """The engine that merges this session's shard summaries."""
-        return self._engine
+        if not self._superseded():
+            return self._engine
+        # A throwaway engine: stale reads must not replace the live
+        # engine's cached partials, which current traffic keeps reusing.
+        self._engine.counters["merges"] += 1
+        self._engine.counters["rebuild_merges"] += 1
+        return MergeEngine()
 
     def preference_matrix(
         self, keys: Optional[Sequence[Hashable]] = None
@@ -807,18 +854,20 @@ class ShardedQuerySession(QuerySession):
                 layout.keys_order if keys is None else keys
             )
             missing = [
-                key for key in matrix_keys if key not in layout.presence
+                key for key in matrix_keys if key not in layout.key_index
             ]
             if missing:
                 raise ModelError(
                     f"unknown tuple keys {sorted(map(repr, missing))}"
                 )
             if layout.independent:
+                rows = [layout.best_row(key) for key in matrix_keys]
                 native = backend.pairwise_preference_matrix(
-                    [layout.presence[key] for key in matrix_keys],
-                    [layout.best_score[key] for key in matrix_keys],
+                    [layout.row_probabilities[row] for row in rows],
+                    [layout.grid_scores[row] for row in rows],
                 )
             else:
+                alternatives = layout.alternatives()
                 rows = []
                 for first in matrix_keys:
                     row = []
@@ -827,10 +876,10 @@ class ShardedQuerySession(QuerySession):
                             row.append(0.0)
                             continue
                         value = 0.0
-                        for score, probability in layout.alternatives[first]:
+                        for score, probability in alternatives[first]:
                             above = sum(
                                 p
-                                for s, p in layout.alternatives[second]
+                                for s, p in alternatives[second]
                                 if s > score
                             )
                             value += probability * (1.0 - above)
@@ -842,33 +891,33 @@ class ShardedQuerySession(QuerySession):
         return self._memoized("preference_matrix", params, compute)
 
     def expected_rank_table(self) -> Dict[Hashable, float]:
-        """Merged Cormode-style expected ranks (closed form, O(n log n))."""
+        """Merged Cormode-style expected ranks (closed form, one row pass).
+
+        ``E[r(t)] = 1 + Σ_a p_a·(mass above a − own mass above a)
+        + (1 − p_t)·(total mass − p_t)``: the rows come in decreasing
+        score order, so "mass above" is a running sum.
+        """
 
         def compute() -> Dict[Hashable, float]:
             layout = self._layout()
-            triples = layout.triples
-            neg_scores = [-score for score, _, _ in triples]
-            prefix_mass = [0.0]
-            for _, probability, _ in triples:
-                prefix_mass.append(prefix_mass[-1] + probability)
-            total_presence = sum(layout.presence.values())
-            from bisect import bisect_left
-
-            table: Dict[Hashable, float] = {}
-            for key in layout.keys_order:
-                presence = layout.presence[key]
-                higher = 0.0
-                for score, probability in layout.alternatives[key]:
-                    above = prefix_mass[bisect_left(neg_scores, -score)]
-                    own_above = sum(
-                        p
-                        for s, p in layout.alternatives[key]
-                        if s > score
-                    )
-                    higher += probability * (above - own_above)
-                absent = (1.0 - presence) * (total_presence - presence)
-                table[key] = 1.0 + higher + absent
-            return table
+            running = 0.0
+            own: Dict[Hashable, float] = {}
+            higher: Dict[Hashable, float] = {}
+            for key, probability in zip(
+                layout.row_keys, layout.row_probabilities
+            ):
+                seen = own.get(key, 0.0)
+                higher[key] = higher.get(key, 0.0) + probability * (
+                    running - seen
+                )
+                own[key] = seen + probability
+                running += probability
+            return {
+                key: 1.0
+                + higher[key]
+                + (1.0 - own[key]) * (running - own[key])
+                for key in layout.keys_order
+            }
 
         return dict(self._memoized("expected_rank_table", (), compute))
 
@@ -890,8 +939,10 @@ class SnapshotReader(ShardedQuerySession):
     through the parent's incremental engine; once any pinned shard version
     is superseded the reader resolves archived shard states and merges
     through a throwaway engine, so stale reads never thrash the live
-    partial products.  Readers never mutate shard state; writers never
-    wait for readers.
+    partial products.  The merged layout works the same way: every reader
+    patches the parent's one shared patch base, and only a live reader
+    publishes its result back.  Readers never mutate shard state; writers
+    never wait for readers.
     """
 
     def __init__(
@@ -912,9 +963,6 @@ class SnapshotReader(ShardedQuerySession):
         self._store = parent._store
         self._history = parent._history
         self._state_lock = parent._state_lock
-        self._last_fragments = None
-        self._last_layout = None
-        self._rank_key_index = None
         self._init_cache_state()
         if self._database is not None:
             if versions is None:
@@ -989,8 +1037,10 @@ class SnapshotReader(ShardedQuerySession):
         return not live
 
     def _shards(self) -> List[Any]:
-        """Live shards still at their pinned version, archives for the rest."""
-        if not self._superseded():
+        """Archives for the shards updated since the pin; the others are
+        read live, each through a :class:`_PinnedShard` check."""
+        if self._database is None:
+            self._superseded()  # raises once the static pin is invalidated
             return ShardedQuerySession._shards(self)
         shards: List[Any] = []
         for shard in self._database.shards():
@@ -1000,17 +1050,8 @@ class SnapshotReader(ShardedQuerySession):
                 if archive.units:
                     shards.append(archive)
             elif not shard.is_empty:
-                shards.append(shard)
+                shards.append(_PinnedShard(shard, pinned, self._parent))
         return shards
-
-    def _merge_engine(self) -> MergeEngine:
-        if not self._superseded():
-            return self._engine
-        # A throwaway engine: stale reads must not replace the live
-        # engine's cached partials, which current traffic keeps reusing.
-        self._engine.counters["merges"] += 1
-        self._engine.counters["rebuild_merges"] += 1
-        return MergeEngine()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

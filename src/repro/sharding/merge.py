@@ -30,6 +30,7 @@ shardings merge on the same grid machinery.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -131,6 +132,10 @@ class MergeEngine:
     def __init__(self, state_limit: int = 8) -> None:
         self._states: "OrderedDict[int, _GridState]" = OrderedDict()
         self._state_limit = max(1, state_limit)
+        self._lock = threading.Lock()
+        #: The coordinator's merged-layout patch base: a ``(shard
+        #: fragments, merged layout)`` pair, replaced as one unit.
+        self.layout_base: Optional[Tuple[List[Any], Any]] = None
         self.counters: Dict[str, int] = {
             field.name: 0 for field in fields(MergeStatsSnapshot)
         }
@@ -142,6 +147,7 @@ class MergeEngine:
     def clear(self) -> None:
         """Drop every cached grid state (explicit invalidation)."""
         self._states.clear()
+        self.layout_base = None
 
     # ------------------------------------------------------------------
     # Merge entry point
@@ -154,43 +160,51 @@ class MergeEngine:
         grid_scores: List[float],
         keys_order: List[Hashable],
         backend: Any,
-    ) -> Tuple[List[Hashable], Any]:
+    ) -> Any:
         """Merge shard summaries into the global rank rows.
 
         ``tokens`` are per-shard version tokens aligned with ``summaries``;
         they key every cached partial, so an unchanged token means the
-        shard's cached contribution is reused verbatim.  Returns
-        ``(keys, native_matrix)`` with rows in merged decreasing-score
-        order (``keys_order``).
+        shard's cached contribution is reused verbatim.  Returns the
+        native matrix, one row per key of ``keys_order`` (the merged
+        decreasing-score key order).
         """
-        self.counters["merges"] += 1
-        tokens = tuple(tokens)
-        count = len(summaries)
-        state = self._states.get(max_rank)
-        if state is not None and not self._compatible(
-            state, summaries, tokens, backend
-        ):
-            state = None
-        if state is None:
-            state = self._build_grid(
-                summaries, max_rank, grid_scores, keys_order, backend, count
+        # Readers on several threads share a coordinator's engine, whose
+        # cached partials are updated in place: merges take turns.
+        with self._lock:
+            self.counters["merges"] += 1
+            tokens = tuple(tokens)
+            count = len(summaries)
+            state = self._states.get(max_rank)
+            if state is not None and not self._compatible(
+                state, summaries, tokens, keys_order, backend
+            ):
+                state = None
+            if state is None:
+                state = self._build_grid(
+                    summaries, max_rank, grid_scores, keys_order, backend,
+                    count,
+                )
+                self._states[max_rank] = state
+                self.counters["full_merges"] += 1
+            else:
+                self._refresh_chains(
+                    state, summaries, tokens, max_rank, backend
+                )
+                self.counters["incremental_merges"] += 1
+            self._states.move_to_end(max_rank)
+            while len(self._states) > self._state_limit:
+                self._states.popitem(last=False)
+            state.tokens = tokens
+            parts = [
+                self._shard_final(
+                    state, index, summary, tokens, max_rank, backend
+                )
+                for index, summary in enumerate(summaries)
+            ]
+            return backend.take_rows(
+                backend.stack_matrices(parts), state.order
             )
-            self._states[max_rank] = state
-            self.counters["full_merges"] += 1
-        else:
-            self._refresh_chains(state, summaries, tokens, max_rank, backend)
-            self.counters["incremental_merges"] += 1
-        self._states.move_to_end(max_rank)
-        while len(self._states) > self._state_limit:
-            self._states.popitem(last=False)
-        state.tokens = tokens
-        parts = [
-            self._shard_final(state, index, summary, tokens, max_rank, backend)
-            for index, summary in enumerate(summaries)
-        ]
-        native = backend.stack_matrices(parts)
-        native = backend.take_rows(native, state.order)
-        return state.keys, native
 
     # ------------------------------------------------------------------
     # Grid state construction / refresh
@@ -200,18 +214,22 @@ class MergeEngine:
         state: _GridState,
         summaries: Sequence[ShardRankSummary],
         tokens: Tuple[Any, ...],
+        keys_order: List[Hashable],
         backend: Any,
     ) -> bool:
         """Whether the cached state's grid still describes these shards.
 
-        A probability-only update keeps every score in place, so the grid,
-        index maps and positions all stay valid; a score update (or a
-        shard-count / backend change) moves grid rows and forces a full
-        rebuild.
+        A probability-only update keeps every score and key in place, so
+        the grid, index maps, positions and row order all stay valid; a
+        score or key move (or a shard-count / backend change) forces a
+        full rebuild.  The coordinator shares one key-order list across
+        patched layouts, so the key check is an identity hit.
         """
         if state.backend_name != backend.name:
             return False
         if len(state.tokens) != len(tokens):
+            return False
+        if state.keys is not keys_order and state.keys != keys_order:
             return False
         for cached, summary in zip(state.scores, summaries):
             fresh = summary.layout.scores
@@ -258,7 +276,7 @@ class MergeEngine:
         state.order = backend.index_vector(
             [position_of[key] for key in keys_order]
         )
-        state.keys = list(keys_order)
+        state.keys = keys_order
         return state
 
     def _refresh_chains(
@@ -416,21 +434,16 @@ class MergeEngine:
             factors = backend.factor_vector(layout.probabilities)
             return local, factors, None
         # Block-independent: one row per alternative (own block excluded),
-        # scaled by the alternative's probability and summed per key.
-        triples = layout.triples
+        # scaled by the alternative's probability and summed per key.  Row
+        # ``r`` has exactly ``r`` alternatives above it.
         local = backend.matrix_from_rows(
             [
-                summary.count_above_excluding(score, layout.keys[block])
-                for score, _, block in triples
+                summary.prefix_polynomial(row, block)
+                for row, block in enumerate(layout.blocks)
             ]
         )
-        factors = backend.factor_vector(
-            [probability for _, probability, _ in triples]
-        )
-        groups = (
-            backend.index_vector([block for _, _, block in triples]),
-            len(layout.keys),
-        )
+        factors = backend.factor_vector(layout.probabilities)
+        groups = (backend.index_vector(layout.blocks), len(layout.keys))
         return local, factors, groups
 
     def _final_rows(

@@ -11,16 +11,16 @@ tuple-independent shards (:meth:`~repro.engine.backends.Backend.\
 prefix_count_polynomials`), one memoized Bernoulli product per requested
 prefix for block-independent shards.
 
-The ``max_rank``-independent part -- key/score/probability layout, block
-structure, the decreasing-score alternative stream -- is read off the shard's
-columns once per shard session (:func:`shard_layout`, memoized as a session
-artifact and therefore dropped on invalidation), so summaries at several
-truncations and the coordinator's merged key space all share one view.
+The ``max_rank``-independent part is a :class:`ShardLayout`: a handful of
+columns gathered off the shard's flat (TI / BID) columns in decreasing
+score order (:func:`shard_layout`, memoized as a session artifact and
+therefore dropped on invalidation).  Summaries at several truncations, the
+merge engine and the coordinator's merged layout all read those columns;
+nothing keeps a per-key dictionary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.engine import get_backend
@@ -28,29 +28,27 @@ from repro.exceptions import ModelError
 
 
 class ShardLayout:
-    """The truncation-independent layout of one shard.
+    """The truncation-independent columns of one shard.
 
     One instance per shard session generation, shared by every
     :class:`ShardRankSummary` over that shard and by the coordinator's
-    merged key space.  Read straight off the shard's flat (TI / BID)
-    columns and their decreasing-score permutation -- never off a tree.
-    Keys are in decreasing score order for independent shards and in
-    block order otherwise; ``triples`` are ``(score, probability, block)``
-    in decreasing score order, with ``block`` indexing ``keys``.
+    merged layout.  Gathered straight off the shard's
+    :class:`~repro.andxor.columns.FlatColumns` through their
+    decreasing-score permutation (``flat_rows()``) -- never off a tree.
+    Row ``r`` of the three row columns is the shard's ``r``-th alternative
+    by decreasing score:
+
+    ``scores`` / ``probabilities``
+        the alternative's score and probability;
+    ``blocks``
+        (block-independent shards only; ``None`` otherwise) the index into
+        ``keys`` of the alternative's block.
+
+    ``keys`` lists the tuple keys: per row for tuple-independent shards
+    (one alternative per key), in block order for block-independent ones.
     """
 
-    __slots__ = (
-        "independent",
-        "keys",
-        "probabilities",
-        "presence",
-        "alternatives",
-        "best_score",
-        "block_of",
-        "triples",
-        "key_triples",
-        "scores",
-    )
+    __slots__ = ("independent", "keys", "scores", "probabilities", "blocks")
 
     def __init__(self, session: Any) -> None:
         statistics = session.statistics
@@ -61,53 +59,35 @@ class ShardLayout:
                 "block-independent database layout"
             )
         columns, row_scores, order = flat
-        probabilities = columns.probabilities
-        self.independent = statistics.is_independent
+        self.independent: bool = statistics.is_independent
+        self.scores: List[float] = list(map(row_scores.__getitem__, order))
+        self.probabilities: List[float] = list(
+            map(columns.probabilities.__getitem__, order)
+        )
+        self.blocks: Optional[List[int]] = None
         if self.independent:
-            blocks = range(len(order))
-            self.keys: List[Hashable] = [columns.keys[row] for row in order]
-            self.probabilities: List[float] = [
-                probabilities[row] for row in order
-            ]
+            self.keys: List[Hashable] = list(
+                map(columns.keys.__getitem__, order)
+            )
         else:
-            blocks = [columns.blocks[row] for row in order]
-            self.keys = list(columns.keys)
-            masses = [0.0] * len(self.keys)
-            for block, probability in zip(columns.blocks, probabilities):
-                masses[block] += probability
-            self.probabilities = masses
-        self.scores: List[float] = [row_scores[row] for row in order]
-        self.triples: List[Tuple[float, float, int]] = list(
-            zip(self.scores, (probabilities[row] for row in order), blocks)
+            self.keys = columns.keys
+            self.blocks = list(map(columns.blocks.__getitem__, order))
+
+    def row_keys(self) -> List[Hashable]:
+        """The tuple key of every row (decreasing score order)."""
+        if self.blocks is None:
+            return self.keys
+        return list(map(self.keys.__getitem__, self.blocks))
+
+    def same_rows(self, other: "ShardLayout") -> bool:
+        """Whether ``other`` has these keys, scores and blocks -- so the
+        two differ at most in probabilities (a probability-only update)."""
+        return (
+            self.independent == other.independent
+            and self.scores == other.scores
+            and self.keys == other.keys
+            and self.blocks == other.blocks
         )
-        self.key_triples: List[Tuple[float, float, Hashable]] = [
-            (score, probability, self.keys[block])
-            for score, probability, block in self.triples
-        ]
-        self.block_of: Dict[Hashable, int] = {
-            key: index for index, key in enumerate(self.keys)
-        }
-        self.presence: Dict[Hashable, float] = dict(
-            zip(self.keys, self.probabilities)
-        )
-        self.alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
-        if self.independent:
-            self.best_score: Dict[Hashable, float] = dict(
-                zip(self.keys, self.scores)
-            )
-            for score, probability, key in self.key_triples:
-                self.alternatives[key] = [(score, probability)]
-            return
-        for block, score, probability in zip(
-            columns.blocks, row_scores, probabilities
-        ):
-            self.alternatives.setdefault(columns.keys[block], []).append(
-                (score, probability)
-            )
-        # The first triple of a key carries its best score.
-        self.best_score = {}
-        for score, _, key in self.key_triples:
-            self.best_score.setdefault(key, score)
 
 
 def shard_layout(session: Any) -> ShardLayout:
@@ -137,12 +117,7 @@ class ShardRankSummary:
         self._backend = get_backend()
         self._layout = shard_layout(session)
         self._prefix_table: Any = None
-        self._block_polynomials: Dict[int, List[float]] = {}
-        self._excluding_polynomials: Dict[Tuple[int, int], List[float]] = {}
-        # Ascending negated scores make "number of scores > θ" a bisect.
-        self._neg_scores: List[float] = [
-            -score for score in self._layout.scores
-        ]
+        self._block_polynomials: Dict[Tuple[int, Any], List[float]] = {}
 
     @classmethod
     def from_layout(
@@ -168,8 +143,6 @@ class ShardRankSummary:
         self._layout = layout
         self._prefix_table = prefix_table
         self._block_polynomials = {}
-        self._excluding_polynomials = {}
-        self._neg_scores = [-score for score in layout.scores]
         return self
 
     # ------------------------------------------------------------------
@@ -196,16 +169,12 @@ class ShardRankSummary:
     # ------------------------------------------------------------------
     # Partial generating functions
     # ------------------------------------------------------------------
-    def prefix_index(self, threshold: float) -> int:
-        """Number of shard alternatives scoring strictly above ``threshold``."""
-        return bisect_left(self._neg_scores, -threshold)
-
     def prefix_indices(self, thresholds_desc: List[float]) -> List[int]:
-        """:meth:`prefix_index` for a decreasing threshold sequence.
+        """Per threshold of a decreasing sequence, the number of shard
+        alternatives scoring strictly above it.
 
-        One backend sweep (two-pointer merge / vectorized bisect) instead
-        of a bisect per threshold -- the coordinator calls this with
-        another shard's score column.
+        One backend sweep (two-pointer merge / vectorized bisect) -- the
+        coordinator calls this with the merged score grid.
         """
         return self._backend.descending_prefix_lengths(
             self._layout.scores, thresholds_desc
@@ -230,26 +199,31 @@ class ShardRankSummary:
             )
         return self._prefix_table
 
-    def _block_masses(self, prefix: int) -> Dict[int, float]:
-        """Per-block probability mass among the first ``prefix`` alternatives."""
-        masses: Dict[int, float] = {}
-        for score, probability, block in self._layout.triples[:prefix]:
-            masses[block] = masses.get(block, 0.0) + probability
-        return masses
-
-    def prefix_polynomial(self, prefix: int) -> List[float]:
+    def prefix_polynomial(
+        self, prefix: int, excluded_block: Optional[int] = None
+    ) -> List[float]:
         """Count distribution of the first ``prefix`` alternatives.
 
         The prefix-indexed form of :meth:`count_above`: two thresholds with
         the same prefix index have identical distributions, so callers that
         already hold prefix indices (the dense :meth:`count_table`) skip
-        the bisect.
+        the lookup.  ``excluded_block`` leaves one block out -- the merge's
+        local rank polynomial of a row, whose own block's alternatives are
+        mutually exclusive with it.  A tuple-independent block is a single
+        row, never above itself, so the exclusion is a no-op there.
         """
-        if self._layout.independent:
+        layout = self._layout
+        if layout.independent:
             return self._backend.matrix_row(self.prefix_table, prefix)
-        cached = self._block_polynomials.get(prefix)
+        cache_key = (prefix, excluded_block)
+        cached = self._block_polynomials.get(cache_key)
         if cached is None:
-            masses = self._block_masses(prefix)
+            masses: Dict[int, float] = {}
+            for probability, block in zip(
+                layout.probabilities[:prefix], layout.blocks[:prefix]
+            ):
+                if block != excluded_block:
+                    masses[block] = masses.get(block, 0.0) + probability
             cached = _pad(
                 self._backend.bernoulli_product(
                     [mass for mass in masses.values() if mass > 0.0],
@@ -257,7 +231,7 @@ class ShardRankSummary:
                 ),
                 self._max_rank,
             )
-            self._block_polynomials[prefix] = cached
+            self._block_polynomials[cache_key] = cached
         return cached
 
     def count_above(self, threshold: float) -> List[float]:
@@ -268,7 +242,7 @@ class ShardRankSummary:
         exactly ``j`` tuples of this shard are present with realized score
         above ``threshold`` (truncated at ``max_rank`` coefficients).
         """
-        return self.prefix_polynomial(self.prefix_index(threshold))
+        return self.prefix_polynomial(self.prefix_indices([threshold])[0])
 
     def count_table(self) -> Any:
         """The native ``(n_s + 1) × max_rank`` count-above table, both kinds.
@@ -304,37 +278,6 @@ class ShardRankSummary:
         if indices is None:
             indices = self.prefix_indices(grid_scores_desc)
         return self._backend.take_rows(self.count_table(), indices)
-
-    def count_above_excluding(
-        self, threshold: float, key: Hashable
-    ) -> List[float]:
-        """:meth:`count_above`, with ``key``'s own block left out.
-
-        Used for the shard that owns the query tuple: its other blocks are
-        independent of the tuple's realization, but alternatives of the
-        tuple's own block are mutually exclusive with it and must not be
-        counted.
-        """
-        prefix = self.prefix_index(threshold)
-        block = self._layout.block_of[key]
-        if self._layout.independent:
-            # With distinct scores a tuple never outscores its own
-            # threshold, so the prefix cannot contain the excluded key.
-            return self._backend.matrix_row(self.prefix_table, prefix)
-        cache_key = (prefix, block)
-        cached = self._excluding_polynomials.get(cache_key)
-        if cached is None:
-            masses = self._block_masses(prefix)
-            masses.pop(block, None)
-            cached = _pad(
-                self._backend.bernoulli_product(
-                    [mass for mass in masses.values() if mass > 0.0],
-                    self._max_rank,
-                ),
-                self._max_rank,
-            )
-            self._excluding_polynomials[cache_key] = cached
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "independent" if self._layout.independent else "block"

@@ -12,12 +12,15 @@ update-heavy / bursty traffic streams.
 
 from __future__ import annotations
 
+import asyncio
+import math
 import random
 import threading
 
 import pytest
 
 from conftest import small_bid
+from repro import Query, connect
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
 from repro.models import (
@@ -25,6 +28,9 @@ from repro.models import (
     ShardedDatabase,
     TupleIndependentDatabase,
 )
+from repro.models import sharded as sharded_module
+from repro.models.sharded import DatabaseShard
+from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.sharding.coordinator import _ShardArchive
 from repro.workloads.traffic import (
@@ -113,6 +119,42 @@ def _update(sharded, data, key, factor=0.5):
     probability = next(p for k, _, _, p in data if k == key) * factor
     sharded.update_tuple(key, probability=probability)
     return [(k, v, s, probability if k == key else p) for k, v, s, p in data]
+
+
+def _with_probability(data, key, probability):
+    """TI tuples with ``key``'s probability replaced."""
+    return [(k, v, s, probability if k == key else p) for k, v, s, p in data]
+
+
+#: Exact reads rotated by the served-patch tests.
+READS = (
+    Query.topk(K, "footrule"),
+    Query.topk(K, "symmetric_difference"),
+    Query.membership(K),
+    Query.topk(K, "intersection"),
+)
+
+
+def assert_value_close(left, right, tolerance=TOLERANCE):
+    """Answer values equal, floats to ``tolerance``."""
+    if isinstance(left, (tuple, list)):
+        assert type(left) is type(right) and len(left) == len(right)
+        for a, b in zip(left, right):
+            assert_value_close(a, b, tolerance)
+    elif isinstance(left, dict):
+        assert set(left) == set(right)
+        for key in left:
+            assert_value_close(left[key], right[key], tolerance)
+    elif isinstance(left, float):
+        assert math.isclose(left, right, abs_tol=tolerance)
+    else:
+        assert left == right
+
+
+def _oracle(data, query):
+    """``query`` answered by a fresh unsharded session over ``data``."""
+    session = QuerySession(_database(data).tree)
+    return connect(session, result_cache=False).execute(query).value
 
 
 def _keys_of_distinct_shards(sharded, count):
@@ -208,6 +250,63 @@ class TestConvolutionBudget:
         # A probability-only update keeps every score in place: the merged
         # layout is patched, not rebuilt.
         assert delta.layout_patches == 1
+        assert delta.layout_rebuilds == 0
+
+
+class TestServedLayoutPatches:
+    """A probability-only update costs every read path one layout patch.
+
+    Served reads run on a fresh ``coordinator.at()`` reader per request;
+    each must patch the coordinator's shared merged layout, never rebuild
+    it, and still answer exactly like an unsharded session.
+    """
+
+    UPDATES = 6
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_serving_executor_reads_patch(self, executor):
+        data = _ti_tuples(83, 40)
+        rng = random.Random(83)
+        sharded = ShardedDatabase(_database(data), 4, executor=executor)
+
+        async def scenario(data):
+            async with ServingExecutor(sharded, result_cache=False) as serving:
+                coordinator = sharded.coordinator()
+                await serving.execute(READS[0])
+                before = coordinator.merge_stats()
+                for step in range(self.UPDATES):
+                    key = data[rng.randrange(len(data))][0]
+                    probability = round(rng.uniform(0.05, 0.95), 3)
+                    await serving.update(key, probability=probability)
+                    data = _with_probability(data, key, probability)
+                    query = READS[step % len(READS)]
+                    answer = await serving.execute(query)
+                    assert_value_close(answer.value, _oracle(data, query))
+                return coordinator.merge_stats() - before
+
+        with sharded:
+            delta = asyncio.run(scenario(data))
+        assert delta.layout_patches == self.UPDATES
+        assert delta.layout_rebuilds == 0
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_pinned_readers_patch(self, model, executor):
+        data = _ti_tuples(89, 40) if model == "ti" else _bid_spec(89, 20)
+        rng = random.Random(89)
+        with ShardedDatabase(_database(data), 4, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            connect(coordinator.at(), result_cache=False).execute(READS[0])
+            before = coordinator.merge_stats()
+            for step in range(self.UPDATES):
+                key = data[rng.randrange(len(data))][0]
+                data = _update(sharded, data, key, rng.uniform(0.5, 1.0))
+                query = READS[step % len(READS)]
+                reader = coordinator.at(sharded.versions())
+                answer = connect(reader, result_cache=False).execute(query)
+                assert_value_close(answer.value, _oracle(data, query))
+            delta = coordinator.merge_stats() - before
+        assert delta.layout_patches == self.UPDATES
         assert delta.layout_rebuilds == 0
 
 
@@ -315,6 +414,132 @@ class TestPinnedSnapshotReads:
             reference = expected.median_topk_symmetric_difference(K)
             assert answer == reference[0]
             assert abs(distance - reference[1]) < TOLERANCE
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_superseded_read_leaves_patch_base_alone(self, model, executor):
+        data = _ti_tuples(97, 24) if model == "ti" else _bid_spec(97, 12)
+        with ShardedDatabase(_database(data), 4, executor=executor) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.at().rank_matrix(K)
+            pinned, pinned_data = sharded.versions(), data
+            first, second = _keys_of_distinct_shards(sharded, 2)
+            data = _update(sharded, data, first)
+            assert_rows_close(
+                _unsharded_rows(data), _matrix_rows(coordinator.at(), K)
+            )
+            base = coordinator._engine.layout_base
+            # A superseded read patches from the shared base (its rows
+            # differ from it in one shard's probabilities) but never
+            # publishes its older rows back.
+            reader = coordinator.at(pinned)
+            reader.invalidate()
+            before = coordinator.merge_stats()
+            assert_rows_close(
+                _unsharded_rows(pinned_data), _matrix_rows(reader, K)
+            )
+            delta = coordinator.merge_stats() - before
+            assert (delta.layout_patches, delta.layout_rebuilds) == (1, 0)
+            assert coordinator._engine.layout_base is base
+            data = _update(sharded, data, second)
+            before = coordinator.merge_stats()
+            assert_rows_close(
+                _unsharded_rows(data), _matrix_rows(coordinator.at(), K)
+            )
+            delta = coordinator.merge_stats() - before
+            assert (delta.layout_patches, delta.layout_rebuilds) == (1, 0)
+
+    def test_concurrent_readers_and_writer_share_patch_base(self):
+        """Two reader threads pin ``at()`` while a writer updates; every
+        read matches the unsharded session of its pinned data.  The live
+        readers share one merge engine and one layout patch base."""
+        data = _ti_tuples(101, 32)
+        sharded = ShardedDatabase(_database(data), 4, snapshot_history=64)
+        sharded.coordinator().rank_matrix(K)
+        expected = {sharded.versions(): _unsharded_rows(data)}
+        reads = []
+        published = threading.Lock()
+        errors = []
+
+        def writer():
+            rng = random.Random(101)
+            state = data
+            try:
+                for _ in range(16):
+                    key = state[rng.randrange(len(state))][0]
+                    with published:
+                        state = _update(sharded, state, key, 0.8)
+                        versions = sharded.versions()
+                    expected[versions] = _unsharded_rows(state)
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        def reader():
+            try:
+                for _ in range(16):
+                    with published:
+                        versions = sharded.versions()
+                    reader = sharded.coordinator().at(versions)
+                    reads.append((versions, _matrix_rows(reader, K)))
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        # More threads than cores, at the default switch interval (a
+        # shorter one made the readers' merges overlap less often).
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for versions, rows in reads:
+            assert_rows_close(expected[versions], rows)
+
+    def test_read_racing_a_swap_answers_at_the_pin(self, monkeypatch):
+        """A swap that lands while a live-pinned reader reads the shard:
+        the reader answers from the shard's archive, not the new state."""
+        data = _ti_tuples(103, 24)
+        expected = _unsharded_rows(data)
+        with ShardedDatabase(_database(data), 4) as sharded:
+            coordinator = sharded.coordinator()
+            key = data[0][0]
+            target = sharded.shard_of(key)
+            original = DatabaseShard.summary
+
+            def summary(shard, max_rank):
+                if shard.index == target and not sharded.versions()[target]:
+                    sharded.update_tuple(key, probability=0.01)
+                return original(shard, max_rank)
+
+            monkeypatch.setattr(DatabaseShard, "summary", summary)
+            reader = coordinator.at()
+            assert_rows_close(expected, _matrix_rows(reader, K))
+            assert sharded.versions()[target] == 1
+
+    def test_lazy_session_racing_a_swap_is_not_installed(self, monkeypatch):
+        """A shard session built from the outgoing database while an update
+        swaps the shard must not become the new version's session."""
+        data = _ti_tuples(107, 24)
+        with ShardedDatabase(_database(data), 2) as sharded:
+            key = data[0][0]
+            shard = sharded.shards()[sharded.shard_of(key)]
+            original = sharded_module.QuerySession
+
+            def racing(columns):
+                if not shard.version:
+                    sharded.update_tuple(key, probability=0.01)
+                return original(columns)
+
+            monkeypatch.setattr(sharded_module, "QuerySession", racing)
+            shard.session()
+            monkeypatch.setattr(sharded_module, "QuerySession", original)
+            data = _with_probability(data, key, 0.01)
+            assert_rows_close(
+                _unsharded_rows(data), _matrix_rows(sharded.coordinator(), K)
+            )
 
     def test_pinned_reader_during_concurrent_swaps(self):
         sharded = ShardedDatabase(_ti_tuples(31, 24), 4, snapshot_history=8)

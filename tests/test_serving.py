@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import math
+import weakref
 
 import pytest
 
+from repro import connect
 from repro.exceptions import ConsensusError, WorkloadError
 from repro.models import ShardedDatabase
-from repro.query import NAMED_KINDS, Query
+from repro.query import NAMED_KINDS, PlanSummary, Query, ResultCache
 from repro.query.wire import query_from_dict
 from repro.serving import ServingExecutor
 from repro.serving.metrics import LatencyRecorder
@@ -295,6 +298,60 @@ class TestServingExecutor:
         assert executor._shard_pools == []
         assert executor._merge_pool is None
         assert executor._on_invalidation not in sharded._subscribers
+
+
+class TestCachedAnswersReleaseTheirReader:
+    """A cached answer holds a :class:`PlanSummary`, not the plan that
+    closes over the answering snapshot reader, so the reader (and every
+    artifact it pins) is freed while the answer stays cached."""
+
+    def test_executor_caches_drop_the_reader(self, monkeypatch):
+        _, sharded = make_sharded()
+        coordinator = sharded.coordinator()
+        readers = []
+        original_at = type(coordinator).at
+
+        def at(session, versions=None):
+            reader = original_at(session, versions)
+            readers.append(weakref.ref(reader))
+            return reader
+
+        monkeypatch.setattr(type(coordinator), "at", at)
+        query = Query.topk(K, "footrule")
+
+        async def scenario():
+            async with ServingExecutor(sharded) as executor:
+                answer = await executor.execute(query)
+                assert not isinstance(answer.plan, PlanSummary)
+                text = answer.to_json()
+                key = executor._result_cache_key(query, sharded.versions())
+                del answer
+                await asyncio.sleep(0)  # let the loop run pending wakeups
+                gc.collect()
+                assert readers and all(ref() is None for ref in readers)
+                cached = executor.result_cache.get(key)
+                stale, _ = executor._last_answers[query]
+                return text, cached, stale
+
+        text, cached, stale = asyncio.run(scenario())
+        assert isinstance(cached.plan, PlanSummary)
+        assert cached.to_json() == text
+        assert stale.to_json() == text
+
+    def test_connection_cache_drops_the_reader(self):
+        _, sharded = make_sharded()
+        reader = sharded.coordinator().at()
+        alive = weakref.ref(reader)
+        cache = ResultCache()
+        connection = connect(reader, result_cache=cache)
+        query = Query.topk(K, "symmetric_difference")
+        answer = connection.execute(query)
+        text = answer.to_json()
+        key = connection._answer_key(query)
+        del answer, connection, reader
+        gc.collect()
+        assert alive() is None
+        assert cache.get(key).to_json() == text
 
 
 class TestLatencyRecorder:
