@@ -42,8 +42,10 @@ Every shard is read through one interface, whatever holds its state:
 merge engine) and ``session()`` (only for the tree-level fallbacks).  Live
 shards are :class:`~repro.models.sharded.DatabaseShard` objects, which alone
 know whether their state sits in this process or in a worker;
-superseded ones are :class:`_ShardArchive` entries of the snapshot history,
-and the list-of-sessions form wraps each session in a :class:`_StaticShard`.
+superseded ones are :class:`_ShardArchive` entries of the snapshot history
+(a reader reads a live shard through a :class:`_PinnedShard`, which falls
+back to the archive when a swap raced the read), and the list-of-sessions
+form wraps each session in a :class:`_StaticShard`.
 The coordinator picks them in one hook, :meth:`ShardedQuerySession._shards`.
 """
 

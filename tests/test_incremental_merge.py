@@ -3,10 +3,12 @@
 Covers the prefix/suffix partial-product merge engine (1e-9 parity with
 one unsharded session before and after an incremental re-merge, across
 models, partitioners, shard counts, backends and executors), its O(S)
-convolution budget, version-pinned snapshot readers staying 1e-9-identical
-across concurrent shard swaps while their stale merges leave the live
-engine alone, the bounded snapshot history actually evicting, archived
-shard states resolving at the pinned version, and the seeded
+convolution budget, served and pinned reads patching the one shared
+merged layout after a probability-only update, version-pinned snapshot
+readers staying 1e-9-identical across concurrent shard swaps (and reads
+racing a swap) while their stale merges leave the live engine and the
+layout patch base alone, the bounded snapshot history actually evicting,
+archived shard states resolving at the pinned version, and the seeded
 update-heavy / bursty traffic streams.
 """
 
@@ -118,7 +120,7 @@ def _update(sharded, data, key, factor=0.5):
         return [(k, block if k == key else alts) for k, alts in data]
     probability = next(p for k, _, _, p in data if k == key) * factor
     sharded.update_tuple(key, probability=probability)
-    return [(k, v, s, probability if k == key else p) for k, v, s, p in data]
+    return _with_probability(data, key, probability)
 
 
 def _with_probability(data, key, probability):
