@@ -180,7 +180,7 @@ class Connection:
             # post-execution token is what the next lookup will compute.
             store_key = self._answer_key(query)
             if store_key is not None:
-                self._result_cache.put(store_key, answer.detached())
+                self._result_cache.put(store_key, answer)
         return answer
 
     def _answer_key(self, query: ConsensusQuery) -> Optional[Any]:

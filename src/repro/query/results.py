@@ -107,7 +107,13 @@ class ResultCache:
             return entry[0]
 
     def put(self, key: Hashable, answer: Any) -> None:
-        """Store a completed answer, evicting the LRU entry beyond capacity."""
+        """Store a completed answer, evicting the LRU entry beyond capacity.
+
+        The entry is the answer's detached copy (see
+        :meth:`~repro.query.QueryAnswer.detached`), so it does not keep
+        the answering session alive.
+        """
+        answer = answer.detached()
         with self._lock:
             self._entries[key] = (answer, time.monotonic())
             self._entries.move_to_end(key)

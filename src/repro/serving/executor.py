@@ -906,8 +906,7 @@ class ServingExecutor:
                 # A merged answer touched every live shard: close all
                 # breakers and refresh the stale-serving cache.
                 self._record_shard_success(None)
-                kept = result.detached()
-                self._cache_answer(query, kept)
+                self._cache_answer(query, result)
                 if (
                     cache_key is not None
                     and pinned_ok
@@ -919,7 +918,7 @@ class ServingExecutor:
                     # fallback answered at *newer* state than the key's
                     # version token, and stale/degraded answers belong to
                     # the self-healing ladder, not the cache.
-                    self._result_cache.put(cache_key, kept)
+                    self._result_cache.put(cache_key, result)
                 return result
 
     async def _run_pinned(

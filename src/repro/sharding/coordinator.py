@@ -159,10 +159,9 @@ class _MergedLayout(NamedTuple):
         shard_rows: List[List[int]] = []
         offset = 0
         for fragment in fragments:
-            shard_rows.append(
-                global_row[offset : offset + len(fragment.scores)]
-            )
-            offset += len(fragment.scores)
+            end = offset + len(fragment.scores)
+            shard_rows.append(global_row[offset:end])
+            offset = end
         return cls(
             all(fragment.independent for fragment in fragments),
             grid,
@@ -211,11 +210,9 @@ def _patched_layout(
     scatter positions computed once per score layout.  Returns ``None``
     whenever a full rebuild is required.
     """
-    if base is None:
+    if base is None or len(fragments) != len(base[0]):
         return None
     cached, previous = base
-    if len(fragments) != len(cached):
-        return None
     changed: List[int] = []
     for position, (fragment, old) in enumerate(zip(fragments, cached)):
         if fragment is old:
@@ -307,10 +304,11 @@ class _ShardArchive:
 class _PinnedShard:
     """A live shard read by a reader pinned at the shard's version.
 
-    The owning database archives a shard's state before it starts a swap,
-    so a read that finds no archive of the pinned version afterwards saw
-    the pinned state; a read that does find one raced the swap and is
-    answered from the archive instead.
+    The owning database archives a shard's state before a swap and bumps
+    the version after it.  A read that then finds neither an archive of
+    the pinned version nor a newer version saw the pinned state; any other
+    read is answered from the archive, or raises ``SnapshotTooOldError``
+    once that archive has been evicted.
     """
 
     __slots__ = ("index", "_shard", "_version", "_coordinator")
@@ -324,7 +322,10 @@ class _PinnedShard:
     def _read(self, name: str, *args: Any) -> Any:
         result = getattr(self._shard, name)(*args)
         archive = self._coordinator._archived(self.index, self._version)
-        return result if archive is None else getattr(archive, name)(*args)
+        if archive is None and self._shard.version == self._version:
+            return result
+        archive = self._coordinator._archive_lookup(self.index, self._version)
+        return getattr(archive, name)(*args)
 
     def session(self) -> Optional[QuerySession]:
         return self._read("session")

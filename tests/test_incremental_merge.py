@@ -521,6 +521,29 @@ class TestPinnedSnapshotReads:
             assert_rows_close(expected, _matrix_rows(reader, K))
             assert sharded.versions()[target] == 1
 
+    def test_read_racing_two_swaps_is_too_old(self, monkeypatch):
+        """Two swaps land while a live-pinned reader reads the shard, and
+        the second evicts the pinned archive: the read must raise instead
+        of answering the new state as the pinned one."""
+        data = _ti_tuples(109, 24)
+        with ShardedDatabase(_database(data), 4, snapshot_history=1) as sharded:
+            coordinator = sharded.coordinator()
+            key = data[0][0]
+            target = sharded.shard_of(key)
+            original = DatabaseShard.summary
+
+            def summary(shard, max_rank):
+                if shard.index == target and not sharded.versions()[target]:
+                    sharded.update_tuple(key, probability=0.01)
+                    sharded.update_tuple(key, probability=0.02)
+                return original(shard, max_rank)
+
+            monkeypatch.setattr(DatabaseShard, "summary", summary)
+            reader = coordinator.at()
+            with pytest.raises(SnapshotTooOldError):
+                reader.rank_matrix(K)
+            assert sharded.versions()[target] == 2
+
     def test_lazy_session_racing_a_swap_is_not_installed(self, monkeypatch):
         """A shard session built from the outgoing database while an update
         swaps the shard must not become the new version's session."""

@@ -17,7 +17,7 @@ verdict, each end-to-end metric's median and interquartile range, and the
 traced run's per-layer figures.
 
 ``--compare FILE`` diffs ``FILE`` against the newest older ``BENCH_*.json``
-(or ``--against``) and flags every end-to-end median that moved by more
+and flags every end-to-end median that moved by more
 than the older file's recorded interquartile range.  Per-layer figures
 come from one traced run, so they are listed without a flag.  The exit
 status is 1 when any run of either file was incorrect or failed an
@@ -35,7 +35,7 @@ import re
 import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: One per-run line of ``run.py --repeat``: workload, seed, verdicts and
@@ -155,13 +155,10 @@ def bench_files() -> List[Tuple[int, str]]:
 def compare(args: argparse.Namespace) -> int:
     with open(args.compare) as handle:
         new = json.load(handle)
-    against: Optional[str] = args.against
-    if against is None:
-        older = [path for pr, path in bench_files() if pr < new["pr"]]
-        if not older:
-            raise SystemExit(f"no BENCH_*.json older than PR {new['pr']}")
-        against = older[-1]
-    with open(against) as handle:
+    older = [path for pr, path in bench_files() if pr < new["pr"]]
+    if not older:
+        raise SystemExit(f"no BENCH_*.json older than PR {new['pr']}")
+    with open(older[-1]) as handle:
         old = json.load(handle)
     print(f"PR {old['pr']} ({old['git_sha'][:10]}) -> PR {new['pr']} ({new['git_sha'][:10]})")
     if old["host"] != new["host"] or old["backend"] != new["backend"]:
@@ -202,7 +199,6 @@ def main() -> int:
     parser.add_argument("--workload")
     parser.add_argument("--checkout", default=ROOT, help="checkout whose perfbench runs")
     parser.add_argument("--compare", metavar="FILE")
-    parser.add_argument("--against", metavar="FILE")
     args = parser.parse_args()
     if args.compare:
         return compare(args)
