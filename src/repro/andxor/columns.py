@@ -166,22 +166,56 @@ class FlatColumns:
         columns._tree = tree
         return columns
 
+    def gather(self, blocks: Sequence[int]) -> "FlatColumns":
+        """The columns of ``blocks`` only, renumbered in the given order.
+
+        Rows are gathered, never re-validated; the scores are reused.
+        """
+        rows: List[int] = []
+        block_ids: List[int] = []
+        for position, block in enumerate(blocks):
+            start = bisect_left(self.blocks, block)
+            stop = bisect_right(self.blocks, block, start)
+            rows.extend(range(start, stop))
+            block_ids.extend([position] * (stop - start))
+
+        def take(column: List) -> List:
+            return [column[row] for row in rows]
+
+        return FlatColumns(
+            [self.keys[block] for block in blocks],
+            take(self.values),
+            take(self.explicit_scores),
+            take(self.probabilities),
+            block_ids,
+            scores=take(self.scores),
+        )
+
     def replace_block(
         self, key: Hashable, rows: Sequence[Row], independent: bool
     ) -> "FlatColumns":
-        """A copy with ``key``'s block replaced by (non-empty) ``rows``.
+        """A copy with ``key``'s block replaced by ``rows``.
 
-        Only the new rows are validated -- under the tuple-independent
-        rule when ``independent``, else the BID block rule.  The other rows
-        are copied (C-speed list slices), never re-validated; the key
-        index, and the score permutation when no score moved, are shared.
+        Empty ``rows`` drop the block; an unknown key (e.g. a block emptied
+        earlier) is appended as the last block.  Only the new rows are
+        validated -- under the tuple-independent rule when
+        ``independent``, else the BID block rule.  The other rows are
+        copied (C-speed list slices), never re-validated; the key index,
+        and the score permutation when no score moved, are shared.
         """
         if independent:
             (_, _, probability), = rows
             probabilities = [check_tuple_probability(float(probability))]
         else:
             probabilities = check_block(key, rows)
-        block = self.block_of(key)
+        keys = self.keys
+        try:
+            block = self.block_of(key)
+            block_index = self._block_index  # same keys
+        except KeyError:
+            if not rows:
+                return self
+            block, keys, block_index = len(keys), keys + [key], None
         start = bisect_left(self.blocks, block)
         stop = bisect_right(self.blocks, block, start)
         values = [value for value, _, _ in rows]
@@ -191,21 +225,24 @@ class FlatColumns:
         def spliced(column: List, replacement: List) -> List:
             return column[:start] + replacement + column[stop:]
 
+        if not rows:
+            keys, block_index = keys[:block] + keys[block + 1 :], None
+            blocks = self.blocks[:start] + [b - 1 for b in self.blocks[stop:]]
+        elif stop - start == len(rows):
+            blocks = self.blocks
+        else:
+            blocks = spliced(self.blocks, [block] * len(rows))
         same_scores = self.scores[start:stop] == scores
         patched = FlatColumns(
-            self.keys,
+            keys,
             spliced(self.values, values),
             spliced(self.explicit_scores, explicit),
             spliced(self.probabilities, probabilities),
-            (
-                self.blocks
-                if stop - start == len(rows)
-                else spliced(self.blocks, [block] * len(rows))
-            ),
+            blocks,
             scores=self.scores if same_scores else spliced(self.scores, scores),
             order=self._order if same_scores else None,
         )
-        patched._block_index = self._block_index  # same keys
+        patched._block_index = block_index
         return patched
 
     # ------------------------------------------------------------------

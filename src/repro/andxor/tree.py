@@ -21,7 +21,16 @@ independent cross-check in tests.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.andxor.nodes import AndNode, Leaf, Node, XorNode
 from repro.core.tuples import TupleAlternative

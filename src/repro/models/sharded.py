@@ -1,21 +1,23 @@
 """Partitioned probabilistic databases.
 
 :class:`ShardedDatabase` splits a tuple-independent or block-independent
-(BID) database into ``shard_count`` shards -- by stable key hash or by score
-range -- with BID blocks always kept intact inside one shard.  Because
-distinct keys are independent in both models, each shard is itself a valid
-database of the same model, stored as columns
-(:class:`~repro.andxor.columns.FlatColumns`) with its own
-:class:`~repro.session.QuerySession`; exact global answers are recovered by
+(BID) database into ``shard_count`` shards -- by stable key hash, by score
+range or by a callable -- with BID blocks always kept intact inside one
+shard.  Because distinct keys are independent in both models, each shard is
+itself a valid database of the same model.  A shard's whole state is one
+immutable :class:`~repro.andxor.columns.FlatColumns` (the rows of its
+blocks) plus a version; its :class:`~repro.session.QuerySession` is opened
+over those columns on first read.  Exact global answers are recovered by
 the :class:`~repro.sharding.ShardedQuerySession` coordinator, which
 convolves the shards' partial rank generating functions.  No shard tree is
 built unless a world-level or sampling route asks for one.
 
 Shards are the unit of cache invalidation: :meth:`ShardedDatabase.\
 update_tuple` / :meth:`ShardedDatabase.update_block` replace only the
-owning shard -- a copy of its columns with one block patched -- bump its
-version and notify subscribers (the serving layer's invalidation fan-out);
-the other shards' memoized statistics stay warm.
+owning shard's columns -- a copy with one block patched through
+:meth:`~repro.andxor.columns.FlatColumns.replace_block`, on either
+executor -- bump its version and notify subscribers (the serving layer's
+invalidation fan-out); the other shards' memoized statistics stay warm.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from typing import (
     Hashable,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from repro.andxor.columns import check_tuple_probability
+from repro.andxor.columns import FlatColumns, Row
 from repro.exceptions import ModelError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
@@ -44,11 +45,9 @@ from repro.session import CacheInfo, QuerySession
 from repro.sharding.summary import shard_layout
 
 SourceDatabase = Union[TupleIndependentDatabase, BlockIndependentDatabase]
-#: A partition unit: one independent tuple or one intact BID block.
-#: ("independent", key, value, score, probability) or
-#: ("block", key, [(value, score, probability), ...]).
-_Unit = Tuple[Any, ...]
 Partitioner = Union[str, Callable[[Hashable], int]]
+#: ``(shard index, base version, columns)`` a prepared update starts from.
+_ShardState = Tuple[int, int, FlatColumns]
 
 
 def hash_shard_of(key: Hashable, shard_count: int) -> int:
@@ -57,119 +56,69 @@ def hash_shard_of(key: Hashable, shard_count: int) -> int:
 
 
 def build_shard_database(
-    name: str,
-    index: int,
-    units: Sequence[_Unit],
-    base: Optional[Tuple[SourceDatabase, _Unit]] = None,
+    model: type, name: str, index: int, columns: FlatColumns
 ) -> SourceDatabase:
-    """Materialize one shard's database from its partition units.
+    """Wrap one shard's columns in the source's model (no copy, no checks).
 
-    Module-level (not a method) so shard worker processes can rebuild
-    their shard from pickled units without shipping the whole
-    :class:`ShardedDatabase`; the tuple-independent model is kept when
-    every unit is independent, otherwise blocks go through the BID model.
-
-    ``base`` -- ``(current database, replacing unit)`` -- patches instead:
-    the result is the current database's columns with that unit's block
-    replaced, only the new unit validated.  ``units`` must then equal the
-    current units with that one unit swapped in.
+    The model follows the source, not the shard's contents: a BID shard
+    whose blocks all hold one alternative is still a BID database.
     """
-    if base is not None:
-        database, unit = base
-        rows = [unit[2:]] if unit[0] == "independent" else unit[2]
-        if rows:
-            independent = isinstance(database, TupleIndependentDatabase)
-            return type(database).from_columns(
-                database.columns.replace_block(unit[1], rows, independent),
-                name=f"{name}/shard{index}",
-            )
-    if all(unit[0] == "independent" for unit in units):
-        return TupleIndependentDatabase(
-            [
-                (key, value, score, probability)
-                if score is not None
-                else (key, value, probability)
-                for _, key, value, score, probability in units
-            ],
-            name=f"{name}/shard{index}",
-        )
-    blocks = []
-    for unit in units:
-        if unit[0] == "independent":
-            _, key, value, score, probability = unit
-            alternatives = [(value, score, probability)]
-        else:
-            _, key, alternatives = unit
-        blocks.append(
-            (
-                key,
-                [
-                    (value, score, probability)
-                    if score is not None
-                    else (value, probability)
-                    for value, score, probability in alternatives
-                ],
-            )
-        )
-    return BlockIndependentDatabase(blocks, name=f"{name}/shard{index}")
+    return model.from_columns(columns, name=f"{name}/shard{index}")
 
 
 class DatabaseShard:
-    """One shard: a sub-database plus its version and lazy query session.
+    """One shard: its columns, its version and a lazy query session.
 
     The coordinator reads every live shard through :meth:`layout`,
     :meth:`summary` and :meth:`session`; this class alone knows whether the
-    shard's state lives in this process (``executor="threads"``: the
+    shard's statistics live in this process (``executor="threads"``: the
     session's memoized artifacts) or in a worker process
     (``executor="processes"``: the pool's version-keyed cache, which is
-    also the baseline the worker ships row-suffix deltas against).
+    also the baseline the worker ships row-suffix deltas against).  The
+    columns are held parent-side on both executors.
     """
 
-    __slots__ = ("index", "_units", "_database", "_session", "version", "_owner")
+    __slots__ = ("index", "columns", "_session", "version", "_owner")
 
-    def __init__(self, owner: "ShardedDatabase", index: int) -> None:
+    def __init__(
+        self, owner: "ShardedDatabase", index: int, columns: FlatColumns
+    ) -> None:
         self._owner = owner
         self.index = index
-        self._units: List[_Unit] = []
-        self._database: Optional[SourceDatabase] = None
+        self.columns = columns
         self._session: Optional[QuerySession] = None
         self.version = 0
 
     @property
     def is_empty(self) -> bool:
-        return not self._units
-
-    @property
-    def units(self) -> List[_Unit]:
-        """The shard's (picklable) partition units, as assigned."""
-        return list(self._units)
+        return not self.columns.values
 
     def keys(self) -> List[Hashable]:
-        return [unit[1] for unit in self._units]
+        return list(self.columns.keys)
 
     @property
     def database(self) -> Optional[SourceDatabase]:
-        """The shard's own database (None for an empty shard)."""
-        units, database = self._units, self._database
-        if database is None and units:
-            database = self._owner._build_shard_database(self.index, units)
-            # Install it only if no update swapped the units meanwhile: a
-            # lazy build racing a swap must not revive the outgoing state.
-            with self._owner._apply_lock:
-                if self._units is units and self._database is None:
-                    self._database = database
-        return database
+        """The shard's columns in the source's model (None when empty)."""
+        columns = self.columns
+        if not columns.values:
+            return None
+        owner = self._owner
+        return build_shard_database(
+            owner._model, owner.name, self.index, columns
+        )
 
     def session(self) -> Optional[QuerySession]:
         """The shard's lazily created, version-tracked query session."""
-        database = self.database
-        if database is None:
+        columns = self.columns
+        if not columns.values:
             return None
         session = self._session
         if session is None:
-            session = QuerySession(database.columns)
+            session = QuerySession(columns)
+            # Install it only if no update swapped the columns meanwhile: a
+            # lazy open racing a swap must not revive the outgoing state.
             with self._owner._apply_lock:
-                if self._database is database:
+                if self.columns is columns:
                     if self._session is None:
                         self._session = session
                     session = self._session
@@ -225,29 +174,16 @@ class DatabaseShard:
             pool.cached_summaries(self.index, self.version),
         )
 
-    def _replace_units(
-        self, units: List[_Unit], database: Optional[SourceDatabase]
-    ) -> None:
-        self._units = units
-        self._database = database
+    def _replace(self, columns: FlatColumns) -> None:
+        self.columns = columns
         self._session = None
         self.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DatabaseShard(index={self.index}, tuples={len(self._units)}, "
-            f"version={self.version})"
+            f"DatabaseShard(index={self.index}, "
+            f"tuples={len(self.columns.keys)}, version={self.version})"
         )
-
-
-class _UnitSnapshot(NamedTuple):
-    """A shard's state at the start of a prepared update of one unit."""
-
-    shard_index: int
-    base_version: int
-    units: List[_Unit]
-    position: int
-    database: Optional[SourceDatabase]
 
 
 class StaleUpdateError(ModelError):
@@ -261,9 +197,8 @@ class StaleUpdateError(ModelError):
 class PendingUpdate:
     """A prepared shard replacement, not yet applied.
 
-    Preparation builds the replacement unit list *and* the replacement
-    shard database -- a copy of the shard's columns with one block patched,
-    safe to run on a shard worker thread; :meth:`ShardedDatabase.\
+    Preparation patches a copy of the shard's columns -- one block
+    replaced, safe to run on a shard worker thread; :meth:`ShardedDatabase.\
 apply_update` is then a version-bumping pointer swap that the serving
     executor serializes against queries.  This split is what makes the
     serving layer's invalidation graceful.
@@ -272,9 +207,8 @@ apply_update` is then a version-bumping pointer swap that the serving
     __slots__ = (
         "shard_index",
         "key",
-        "units",
         "base_version",
-        "database",
+        "columns",
         "removed_scores",
         "added_scores",
         "remote_ticket",
@@ -284,24 +218,22 @@ apply_update` is then a version-bumping pointer swap that the serving
         self,
         shard_index: int,
         key: Hashable,
-        units: List[_Unit],
         base_version: int,
-        database: Optional[SourceDatabase],
+        columns: FlatColumns,
         removed_scores: Tuple[float, ...] = (),
         added_scores: Tuple[float, ...] = (),
         remote_ticket: Optional[int] = None,
     ) -> None:
         self.shard_index = shard_index
         self.key = key
-        self.units = units
         self.base_version = base_version
-        self.database = database
+        self.columns = columns
         # Distinct-score registry delta, applied (and re-validated) only by
         # apply_update: an abandoned prepared update must leave the
         # registry untouched.
         self.removed_scores = removed_scores
         self.added_scores = added_scores
-        # Ticket of the matching staged rebuild on the owning worker
+        # Ticket of the same block patch staged on the owning worker
         # process (executor="processes" only): committed or aborted by
         # apply_update in lockstep with the parent-side version check.
         self.remote_ticket = remote_ticket
@@ -321,8 +253,8 @@ class ShardedDatabase:
         Number of shards (>= 1; shards may end up empty).
     partitioner:
         ``"hash"`` (stable key hash), ``"range"`` (contiguous chunks of the
-        score-sorted units, i.e. score-range partitioning) or a callable
-        mapping a tuple key to a shard index.
+        blocks sorted by best score, i.e. score-range partitioning) or a
+        callable mapping a tuple key to a shard index.
     validate_scores:
         Require globally distinct scores across shards (checked lazily by
         the coordinator, eagerly on score updates).
@@ -361,6 +293,18 @@ class ShardedDatabase:
             raise ModelError(
                 f"executor must be 'threads' or 'processes', got {executor!r}"
             )
+        if isinstance(
+            source, (TupleIndependentDatabase, BlockIndependentDatabase)
+        ):
+            database = source
+        elif isinstance(source, Iterable):
+            database = TupleIndependentDatabase(source)
+        else:
+            raise ModelError(
+                "expected a TupleIndependentDatabase, "
+                "BlockIndependentDatabase or an iterable of tuple specs, "
+                f"got {type(source).__name__}"
+            )
         self._shard_count = shard_count
         self._validate_scores = validate_scores
         self._executor = executor
@@ -371,49 +315,56 @@ class ShardedDatabase:
         self._partitioner_name = (
             partitioner if isinstance(partitioner, str) else "custom"
         )
-        units = _extract_units(source)
         self._name = name or getattr(source, "name", "sharded")
-        self._shard_of: Dict[Hashable, int] = {}
-        self._shards: List[DatabaseShard] = [
-            DatabaseShard(self, index) for index in range(shard_count)
-        ]
+        self._model = type(database)
+        self._independent = isinstance(database, TupleIndependentDatabase)
         self._subscribers: List[Callable[[int, Hashable], None]] = []
         self._coordinator: Optional[Any] = None
-        assignments = self._assign(units, partitioner)
-        per_shard: List[List[_Unit]] = [[] for _ in range(shard_count)]
-        for unit, shard_index in zip(units, assignments):
-            per_shard[shard_index].append(unit)
-            self._shard_of[unit[1]] = shard_index
-        for shard, shard_units in zip(self._shards, per_shard):
-            shard._units = shard_units
+        columns = database.columns
+        assignments = self._assign(columns, partitioner)
+        self._shard_of: Dict[Hashable, int] = dict(
+            zip(columns.keys, assignments)
+        )
+        per_shard: List[List[int]] = [[] for _ in range(shard_count)]
+        for block, shard_index in enumerate(assignments):
+            per_shard[shard_index].append(block)
+        self._shards: List[DatabaseShard] = [
+            DatabaseShard(self, index, columns.gather(blocks))
+            for index, blocks in enumerate(per_shard)
+        ]
         if validate_scores:
-            self._check_distinct_scores(units)
+            self._check_distinct_scores(columns)
 
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
     def _assign(
-        self, units: Sequence[_Unit], partitioner: Partitioner
+        self, columns: FlatColumns, partitioner: Partitioner
     ) -> List[int]:
+        """The shard index of every block."""
+        keys = columns.keys
         if callable(partitioner):
-            return [
-                self._checked_index(partitioner(unit[1])) for unit in units
-            ]
+            return [self._checked_index(partitioner(key)) for key in keys]
         if partitioner == "hash":
-            return [
-                hash_shard_of(unit[1], self._shard_count) for unit in units
-            ]
+            return [hash_shard_of(key, self._shard_count) for key in keys]
         if partitioner == "range":
-            order = sorted(
-                range(len(units)),
-                key=lambda position: -_unit_best_score(units[position]),
-            )
-            assignments = [0] * len(units)
-            chunk = -(-len(units) // self._shard_count) if units else 1
-            for rank, position in enumerate(order):
-                assignments[position] = min(
-                    rank // chunk, self._shard_count - 1
-                )
+            best: List[Optional[float]] = [None] * len(keys)
+            for score, block in zip(columns.scores, columns.blocks):
+                if score is not None and (
+                    best[block] is None or score > best[block]
+                ):
+                    best[block] = score
+            for key, score in zip(keys, best):
+                if score is None:
+                    raise ModelError(
+                        f"block {key!r} has no numeric score; range "
+                        "partitioning requires scored tuples"
+                    )
+            order = sorted(range(len(keys)), key=lambda block: -best[block])
+            assignments = [0] * len(keys)
+            chunk = -(-len(keys) // self._shard_count) if keys else 1
+            for rank, block in enumerate(order):
+                assignments[block] = min(rank // chunk, self._shard_count - 1)
             return assignments
         raise ModelError(
             f"unknown partitioner {partitioner!r}; expected 'hash', "
@@ -428,25 +379,18 @@ class ShardedDatabase:
             )
         return index
 
-    def _check_distinct_scores(self, units: Sequence[_Unit]) -> None:
+    def _check_distinct_scores(self, columns: FlatColumns) -> None:
         self._score_owner: Dict[float, Hashable] = {}
-        for unit in units:
-            for score in _unit_scores(unit):
-                owner = self._score_owner.get(score)
-                if owner is not None and owner != unit[1]:
-                    raise ModelError(
-                        f"tuples {owner!r} and {unit[1]!r} share score "
-                        f"{score}; ranking assumes distinct scores"
-                    )
-                self._score_owner[score] = unit[1]
-
-    def _build_shard_database(
-        self,
-        index: int,
-        units: Sequence[_Unit],
-        base: Optional[Tuple[SourceDatabase, _Unit]] = None,
-    ) -> SourceDatabase:
-        return build_shard_database(self._name, index, units, base)
+        for score, block in zip(columns.scores, columns.blocks):
+            if score is None:
+                continue
+            key = columns.keys[block]
+            owner = self._score_owner.setdefault(score, key)
+            if owner != key:
+                raise ModelError(
+                    f"tuples {owner!r} and {key!r} share score "
+                    f"{score}; ranking assumes distinct scores"
+                )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -594,26 +538,30 @@ class ShardedDatabase:
         for callback in self._subscribers:
             callback(shard_index, key)
 
-    def _snapshot_unit(self, key: Hashable) -> "_UnitSnapshot":
+    def _shard_state(self, key: Hashable) -> _ShardState:
         """The state a prepared update of ``key`` starts from.
 
-        Optimistic lock: the version is stamped BEFORE the units and the
-        database are read.  _replace_units rebinds both before bumping the
-        version, so a concurrent apply between the reads can only make the
-        stamp stale (caught by apply_update), never silently drop the
+        Optimistic lock: the version is stamped BEFORE the columns are
+        read.  DatabaseShard._replace rebinds the columns before bumping
+        the version, so a concurrent apply between the reads can only make
+        the stamp stale (caught by apply_update), never silently drop the
         other update's changes.
         """
         shard_index = self.shard_of(key)
         shard = self._shards[shard_index]
         base_version = shard.version
-        units = shard._units
-        database = shard._database
-        for position, unit in enumerate(units):
-            if unit[1] == key:
-                return _UnitSnapshot(
-                    shard_index, base_version, units, position, database
-                )
-        raise ModelError(f"unknown tuple key {key!r}")
+        return shard_index, base_version, shard.columns
+
+    @staticmethod
+    def _block_scores(
+        columns: FlatColumns, key: Hashable
+    ) -> Tuple[float, ...]:
+        """The numeric scores of ``key``'s block."""
+        return tuple(
+            score
+            for score in map(columns.scores.__getitem__, columns.rows_of(key))
+            if score is not None
+        )
 
     def prepare_update(
         self,
@@ -623,38 +571,32 @@ class ShardedDatabase:
     ) -> PendingUpdate:
         """Build (but do not apply) a tuple update for ``key``'s shard.
 
-        Only tuple-independent units support in-place probability/score
-        updates; use :meth:`prepare_block_update` for BID blocks.
+        Only tuple-independent databases support in-place
+        probability/score updates; use :meth:`prepare_block_update` for
+        BID blocks.
         """
-        snapshot = self._snapshot_unit(key)
-        unit = snapshot.units[snapshot.position]
-        if unit[0] != "independent":
+        state = self._shard_state(key)
+        if not self._independent:
             raise ModelError(
                 f"tuple {key!r} belongs to a BID block; use "
                 "update_block() to replace its alternatives"
             )
-        removed: Tuple[float, ...] = ()
-        added: Tuple[float, ...] = ()
-        _, _, value, old_score, old_probability = unit
-        new_probability = (
-            old_probability if probability is None else float(probability)
-        )
-        check_tuple_probability(new_probability)
+        columns = state[2]
+        row = columns.rows_of(key)[0]
+        value = columns.values[row]
+        old_score = columns.explicit_scores[row]
         new_score = old_score if score is None else float(score)
-        if score is not None:
-            self._check_score_free(key, (new_score,))
-            removed = tuple(_unit_scores(unit))
-            added = (new_score,)
-            # A score update also moves the value when the value doubles
-            # as the score (the common generator layout).
-            if old_score is None or value == old_score:
-                value = new_score
+        # A score update also moves the value when the value doubles as
+        # the score (the common generator layout).
+        if score is not None and (old_score is None or value == old_score):
+            value = new_score
+        new_probability = (
+            columns.probabilities[row]
+            if probability is None
+            else float(probability)
+        )
         return self._stage_pending(
-            snapshot,
-            key,
-            ("independent", key, value, new_score, new_probability),
-            removed,
-            added,
+            state, key, [(value, new_score, new_probability)]
         )
 
     def prepare_block_update(
@@ -662,75 +604,50 @@ class ShardedDatabase:
         key: Hashable,
         alternatives: Sequence[Tuple[Hashable, Optional[float], float]],
     ) -> PendingUpdate:
-        """Build a BID block replacement: ``(value, score, probability)``s."""
-        snapshot = self._snapshot_unit(key)
-        old_unit = snapshot.units[snapshot.position]
-        replacement = [
+        """Build a BID block replacement: ``(value, score, probability)``s.
+
+        An empty replacement drops the block; a later replacement of the
+        same key brings it back.
+        """
+        state = self._shard_state(key)
+        rows = [
             (value, None if score is None else float(score), float(probability))
             for value, score, probability in alternatives
         ]
-        if old_unit[0] == "independent":
-            if len(replacement) != 1:
-                raise ModelError(
-                    f"tuple {key!r} is tuple-independent; a replacement "
-                    "block must hold exactly one alternative"
-                )
-            unit: _Unit = ("independent", key) + replacement[0]
-        else:
-            unit = ("block", key, replacement)
+        if self._independent and len(rows) != 1:
+            raise ModelError(
+                f"tuple {key!r} is tuple-independent; a replacement "
+                "block must hold exactly one alternative"
+            )
+        return self._stage_pending(state, key, rows)
+
+    def _stage_pending(
+        self, state: _ShardState, key: Hashable, rows: List[Row]
+    ) -> PendingUpdate:
+        """Patch ``key``'s block into a copy of the shard's columns.
+
+        The same on both executors.  Under ``executor="processes"`` the
+        same block is also staged on the owning worker (ticketed), which
+        patches its own committed columns; :meth:`apply_update` commits it
+        under the same version check that swaps the parent's copy in.
+        """
+        shard_index, base_version, columns = state
+        patched = columns.replace_block(key, rows, self._independent)
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
         if self._validate_scores:
-            added = tuple(_unit_scores(("block", key, replacement)))
+            removed = self._block_scores(columns, key)
+            added = self._block_scores(patched, key)
+            if added == removed:
+                removed = added = ()
             self._check_score_free(key, added)
-            removed = tuple(_unit_scores(old_unit))
-        return self._stage_pending(snapshot, key, unit, removed, added)
-
-    def _stage_pending(
-        self,
-        snapshot: "_UnitSnapshot",
-        key: Hashable,
-        unit: _Unit,
-        removed: Tuple[float, ...],
-        added: Tuple[float, ...],
-    ) -> PendingUpdate:
-        """Build the replacement half of a prepared update.
-
-        Under ``executor="threads"`` the replacement shard database is
-        patched here in-process from the current one; under
-        ``executor="processes"`` the rebuild is staged on the owning
-        worker instead (ticketed), and the parent keeps only the
-        replacement units -- the worker's copy is swapped in by
-        :meth:`apply_update` under the same version check.
-        """
-        shard_index = snapshot.shard_index
-        units = list(snapshot.units)
-        units[snapshot.position] = unit
+        ticket = None
         if self._executor == "processes":
-            ticket = self.process_pool().prepare_replace(shard_index, units)
-            return PendingUpdate(
-                shard_index,
-                key,
-                units,
-                snapshot.base_version,
-                None,
-                removed,
-                added,
-                remote_ticket=ticket,
+            ticket = self.process_pool().prepare_replace(
+                shard_index, key, rows, self._independent
             )
-        database = snapshot.database
         return PendingUpdate(
-            shard_index,
-            key,
-            units,
-            snapshot.base_version,
-            self._build_shard_database(
-                shard_index,
-                units,
-                None if database is None else (database, unit),
-            ),
-            removed,
-            added,
+            shard_index, key, base_version, patched, removed, added, ticket
         )
 
     def _check_score_free(
@@ -748,7 +665,7 @@ class ShardedDatabase:
                 )
 
     def apply_update(self, pending: PendingUpdate) -> None:
-        """Swap a prepared shard rebuild in and fan the invalidation out.
+        """Swap prepared shard columns in and fan the invalidation out.
 
         Raises :class:`StaleUpdateError` when the shard's version changed
         after the update was prepared (a concurrent update won the race);
@@ -761,9 +678,8 @@ class ShardedDatabase:
                     pending.remote_ticket is not None
                     and self._pool is not None
                 ):
-                    # Losing the race must also drop the worker-side staged
-                    # rebuild, or worker and parent units would diverge on
-                    # the next prepared update that does win.
+                    # Losing the race must also drop the patch staged on the
+                    # worker, or its columns would stay there until close.
                     self._pool.abort_replace(
                         pending.shard_index, pending.remote_ticket
                     )
@@ -792,12 +708,12 @@ class ShardedDatabase:
             if pending.remote_ticket is not None:
                 # Commit on the worker BEFORE the parent swap: a worker
                 # crash here raises and leaves the parent at the old
-                # version, so parent and (rebuilt) workers never disagree
-                # about state.
+                # version, so parent and (respawned) workers never
+                # disagree about state.
                 self.process_pool().commit_replace(
                     pending.shard_index, pending.remote_ticket
                 )
-            shard._replace_units(pending.units, pending.database)
+            shard._replace(pending.columns)
         self._notify(pending.shard_index, pending.key)
 
     def _archive_current(self, shard: DatabaseShard) -> None:
@@ -828,7 +744,7 @@ class ShardedDatabase:
         self.apply_update(self.prepare_block_update(key, alternatives))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(shard._units) for shard in self._shards]
+        sizes = [len(shard.columns.keys) for shard in self._shards]
         return (
             f"ShardedDatabase({self._name!r}, shards={sizes}, "
             f"partitioner={self._partitioner_name!r})"
@@ -876,72 +792,3 @@ class DatabaseSnapshot:
             f"DatabaseSnapshot({self._database.name!r}, "
             f"versions={self._versions}, current={self.is_current})"
         )
-
-
-# ----------------------------------------------------------------------
-# Unit extraction
-# ----------------------------------------------------------------------
-def _extract_units(
-    source: Union[SourceDatabase, Iterable[Tuple]]
-) -> List[_Unit]:
-    if isinstance(source, (TupleIndependentDatabase, BlockIndependentDatabase)):
-        columns = source.columns
-        rows = list(
-            zip(columns.values, columns.explicit_scores, columns.probabilities)
-        )
-        if isinstance(source, TupleIndependentDatabase):
-            return [
-                ("independent", key) + row
-                for key, row in zip(columns.keys, rows)
-            ]
-        return [
-            ("block", key, [rows[row] for row in columns.rows_of(key)])
-            for key in columns.keys
-        ]
-    if isinstance(source, Iterable):
-        units = []
-        seen: Dict[Hashable, bool] = {}
-        for item in source:
-            if len(item) == 3:
-                key, value, probability = item
-                score: Optional[float] = None
-            elif len(item) == 4:
-                key, value, score, probability = item
-            else:
-                raise ModelError(
-                    "expected (key, value, probability) or "
-                    f"(key, value, score, probability), got {item!r}"
-                )
-            if key in seen:
-                raise ModelError(f"duplicate tuple key {key!r}")
-            seen[key] = True
-            units.append(
-                ("independent", key, value, score, float(probability))
-            )
-        return units
-    raise ModelError(
-        "expected a TupleIndependentDatabase, BlockIndependentDatabase or "
-        f"an iterable of tuple specs, got {type(source).__name__}"
-    )
-
-
-def _unit_scores(unit: _Unit) -> List[float]:
-    if unit[0] == "independent":
-        _, _, value, score, _ = unit
-        effective = score if score is not None else value
-        return [effective] if isinstance(effective, (int, float)) else []
-    return [
-        (score if score is not None else value)
-        for value, score, _ in unit[2]
-        if isinstance(score if score is not None else value, (int, float))
-    ]
-
-
-def _unit_best_score(unit: _Unit) -> float:
-    scores = _unit_scores(unit)
-    if not scores:
-        raise ModelError(
-            f"unit {unit[1]!r} has no numeric score; range partitioning "
-            "requires scored tuples"
-        )
-    return max(scores)

@@ -43,7 +43,17 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import (
     DeadlineExceededError,
@@ -1010,7 +1020,7 @@ class ServingExecutor:
     def _degraded_session(self, dead: FrozenSet[int]) -> Any:
         """A static merged session over the live shards only.
 
-        Built parent-side from the shards' units (the parent always
+        Built parent-side over the shards' columns (the parent always
         holds them, whatever executor runs the healthy path), cached by
         (dead set, live shard versions) and rebuilt only when either
         changes.  Runs on the coordinator worker thread.

@@ -251,19 +251,19 @@ class _ShardArchive:
     """One shard's frozen state at a historical version.
 
     Created by the owning database right before an update swaps the
-    shard's units, so readers pinned at the outgoing version can still
-    resolve it.  It adopts whatever the live shard already built at that
-    version (:meth:`~repro.models.sharded.DatabaseShard.warm_state`);
-    anything missing is rebuilt lazily from the archived units.  Answers
-    the coordinator through the same ``layout()`` / ``summary()`` /
+    shard's columns, so readers pinned at the outgoing version can still
+    resolve it.  It holds a reference to those (immutable) columns and
+    adopts whatever the live shard already built at that version
+    (:meth:`~repro.models.sharded.DatabaseShard.warm_state`); anything
+    missing is computed lazily from the archived columns.  Answers the
+    coordinator through the same ``layout()`` / ``summary()`` /
     ``session()`` interface as a live shard.
     """
 
     __slots__ = (
         "index",
         "version",
-        "units",
-        "owner",
+        "columns",
         "_session",
         "_layout",
         "_summaries",
@@ -272,21 +272,17 @@ class _ShardArchive:
     def __init__(self, shard: Any) -> None:
         self.index = shard.index
         self.version = shard.version
-        self.units = shard.units  # a copy, by DatabaseShard contract
-        self.owner = shard._owner
+        self.columns = shard.columns
         self._session, self._layout, self._summaries = shard.warm_state()
 
     def session(self) -> Optional[QuerySession]:
-        """The archived shard session (rebuilt from units when cold)."""
-        if self._session is None and self.units:
-            database = self.owner._build_shard_database(
-                self.index, self.units
-            )
-            self._session = QuerySession(database.columns)
+        """The archived shard session (opened over the columns when cold)."""
+        if self._session is None and self.columns.values:
+            self._session = QuerySession(self.columns)
         return self._session
 
     def layout(self) -> Optional[Any]:
-        if self._layout is None and self.units:
+        if self._layout is None and self.columns.values:
             self._layout = shard_layout(self.session())
         return self._layout
 
@@ -615,7 +611,7 @@ class ShardedQuerySession(QuerySession):
 
         Called by the owning database with the *outgoing* state still
         live, so pinned readers that resolve the old version find whatever
-        the shard had already built there -- worst case the raw units.
+        the shard had already built there -- worst case just its columns.
         """
         archive = _ShardArchive(shard)
         with self._state_lock:
@@ -1050,7 +1046,7 @@ class SnapshotReader(ShardedQuerySession):
             pinned = self._pinned[shard.index]
             if shard.version != pinned:
                 archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
+                if archive.columns.values:
                     shards.append(archive)
             elif not shard.is_empty:
                 shards.append(_PinnedShard(shard, pinned, self._parent))

@@ -1,11 +1,11 @@
 """Process-backed shard execution: the parent-side worker pool.
 
-The per-shard kernels behind every merged statistic -- layout extraction,
-the ``(n_s + 1) × k`` prefix polynomial sweep, shard tree rebuilds -- are
-dense array work that one interpreter serializes behind the GIL no matter
-how many shard *threads* structure it.  :class:`ShardProcessPool` moves
-that work into real processes: each worker
-(:mod:`repro.sharding.procworker`) owns one shard's database plus a warm
+The per-shard kernels behind every merged statistic -- layout extraction
+and the ``(n_s + 1) × k`` prefix polynomial sweep -- are dense array work
+that one interpreter serializes behind the GIL no matter how many shard
+*threads* structure it.  :class:`ShardProcessPool` moves that work into
+real processes: each worker
+(:mod:`repro.sharding.procworker`) owns one shard's columns plus a warm
 :class:`~repro.session.QuerySession`, and the coordinator exchanges only
 compact partials with it:
 
@@ -16,8 +16,8 @@ compact partials with it:
 * a shared-memory fast path (``multiprocessing.shared_memory``) for the
   dense numpy prefix tables, so large partials cross the process boundary
   as one memcpy instead of a pickle round-trip;
-* staged ``prepare`` / ``commit`` / ``abort`` rebuilds implementing the
-  version-checked update swap of
+* staged ``prepare`` / ``commit`` / ``abort`` block patches implementing
+  the version-checked update swap of
   :meth:`repro.models.sharded.ShardedDatabase.apply_update` across process
   boundaries (the parent stays the sole authority over shard versions).
 
@@ -27,10 +27,11 @@ re-fetched -- the exact analogue of the warm in-process shard sessions.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
 **supervised**: the pool respawns the dead worker from the shard's last
-committed units under a :class:`~repro.sharding.supervisor.WorkerSupervisor`
-budget (exponential backoff + jitter), transparently retries idempotent
-requests on the fresh worker, replays a staged-but-uncommitted rebuild
-whose commit raced the crash, and drops only the dead shard's parent-side
+committed columns under a
+:class:`~repro.sharding.supervisor.WorkerSupervisor` budget (exponential
+backoff + jitter), transparently retries idempotent requests on the fresh
+worker, replays a staged-but-uncommitted block patch whose commit raced the
+crash, and drops only the dead shard's parent-side
 cache entries so the other shards' version-keyed partials survive the
 restart.  When the restart budget is spent (or ``supervise=False``) the
 crash surfaces as :class:`~repro.exceptions.WorkerCrashError` instead of
@@ -53,8 +54,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.andxor.columns import FlatColumns, Row
 from repro.engine import get_backend
 from repro.exceptions import ProcessPoolError, WorkerCrashError
 from repro.session import CacheInfo
@@ -81,7 +83,7 @@ _REMOTE_EXCEPTIONS = (
 
 #: Ops a supervised pool transparently retries on a respawned worker.
 #: All are idempotent reads or re-stageable writes; ``commit`` is absent
-#: (its replay needs the staged units, handled in ``commit_replace``),
+#: (its replay needs the staged block, handled in ``commit_replace``),
 #: and the test hooks (``exit-now``, ``stall``) must never self-heal.
 _RETRYABLE_OPS = frozenset(
     {"layout", "summary", "cache_info", "stats", "ping", "prepare"}
@@ -185,8 +187,8 @@ class ShardProcessPool:
     ----------
     database:
         The owning :class:`~repro.models.sharded.ShardedDatabase`; one
-        worker is spawned per non-empty shard, seeded with that shard's
-        partition units and the parent's active backend.
+        worker is spawned per shard that owns a key, seeded with that
+        shard's committed columns and the parent's active backend.
     start_method:
         ``spawn`` / ``fork`` / ``forkserver``; defaults to the
         ``REPRO_PROC_START_METHOD`` environment variable, then the
@@ -256,11 +258,11 @@ class ShardProcessPool:
         self._restart_locks: Dict[int, threading.Lock] = {}
         self._gather: Optional[ThreadPoolExecutor] = None
         self._tickets = itertools.count(1)
-        # Staged-but-uncommitted rebuild payloads, kept parent-side so a
+        # Staged-but-uncommitted prepare payloads, kept parent-side so a
         # commit that races a worker crash can be replayed on the
-        # respawned worker: (shard_index, ticket) -> units.
+        # respawned worker: (shard_index, ticket) -> payload.
         self._staged_lock = threading.Lock()
-        self._staged_units: Dict[Tuple[int, int], List[Any]] = {}
+        self._staged: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
         self._started = False
         self._closed = False
         self._stats_lock = threading.Lock()
@@ -322,7 +324,7 @@ class ShardProcessPool:
         return sorted(self._workers)
 
     def start(self) -> "ShardProcessPool":
-        """Spawn one worker per non-empty shard (idempotent)."""
+        """Spawn one worker per shard that owns a key (idempotent)."""
         if self._closed:
             raise ProcessPoolError(
                 "process pool already closed; request a fresh pool from "
@@ -331,12 +333,16 @@ class ShardProcessPool:
         if self._started:
             return self
         self._context = multiprocessing.get_context(self._start_method)
+        # Not just the shards with rows: a shard whose blocks were all
+        # emptied still needs a worker to stage their refill on.
+        database = self._database
+        owners = {database.shard_of(key) for key in database.keys()}
         try:
-            for shard in self._database.shards():
-                if shard.is_empty:
+            for shard in database.shards():
+                if shard.index not in owners:
                     continue
                 self._workers[shard.index] = self._spawn_worker(
-                    shard.index, list(shard.units)
+                    shard.index, shard.columns
                 )
                 self._restart_locks[shard.index] = threading.Lock()
         except BaseException:
@@ -349,7 +355,9 @@ class ShardProcessPool:
         self._started = True
         return self
 
-    def _spawn_worker(self, shard_index: int, units: List[Any]) -> _WorkerHandle:
+    def _spawn_worker(
+        self, shard_index: int, columns: FlatColumns
+    ) -> _WorkerHandle:
         context = self._context or multiprocessing.get_context(
             self._start_method
         )
@@ -359,9 +367,8 @@ class ShardProcessPool:
             args=(
                 child_end,
                 shard_index,
-                self._database.name,
                 get_backend().name,
-                units,
+                columns,
             ),
             daemon=True,
             name=f"repro-shard-{shard_index}",
@@ -392,7 +399,7 @@ class ShardProcessPool:
         self._workers.clear()
         self._restart_locks.clear()
         with self._staged_lock:
-            self._staged_units.clear()
+            self._staged.clear()
         if self._gather is not None:
             self._gather.shutdown(wait=True)
             self._gather = None
@@ -564,7 +571,7 @@ class ShardProcessPool:
     def restart_worker(
         self, shard_index: int, expected: Optional[_WorkerHandle] = None
     ) -> bool:
-        """Respawn one shard's worker from its last committed units.
+        """Respawn one shard's worker from its last committed columns.
 
         Returns ``True`` when a live worker is installed for the shard
         (whether this call respawned it or a concurrent one already had),
@@ -601,7 +608,7 @@ class ShardProcessPool:
             self._reap(handle)
             shard = self._database.shards()[shard_index]
             self._workers[shard_index] = self._spawn_worker(
-                shard_index, list(shard.units)
+                shard_index, shard.columns
             )
             self._drop_shard_cache(shard_index)
             self._count(restarts=1)
@@ -859,29 +866,38 @@ class ShardProcessPool:
             self.summaries(max_rank)
 
     # ------------------------------------------------------------------
-    # Update fan-out (staged rebuild protocol)
+    # Update fan-out (staged block patch protocol)
     # ------------------------------------------------------------------
-    def prepare_replace(self, shard_index: int, units: List[Any]) -> int:
-        """Stage a shard rebuild on the owning worker; returns a ticket.
+    def prepare_replace(
+        self,
+        shard_index: int,
+        key: Hashable,
+        rows: List[Row],
+        independent: bool,
+    ) -> int:
+        """Stage ``key``'s block replacement on the owning worker.
 
-        The staged units are retained parent-side until the ticket
-        commits or aborts, so a commit that races a worker crash can be
-        *replayed* -- re-staged and re-committed -- on the respawned
-        worker instead of losing the update.
+        Returns a ticket.  The worker patches its committed columns with
+        :meth:`~repro.andxor.columns.FlatColumns.replace_block`.  The
+        block is retained parent-side until the ticket commits or aborts,
+        so a commit that races a worker crash can be *replayed* --
+        re-staged and re-committed -- on the respawned worker instead of
+        losing the update.
         """
         ticket = next(self._tickets)
+        payload = (ticket, key, rows, independent)
         with self._staged_lock:
-            self._staged_units[(shard_index, ticket)] = units
+            self._staged[(shard_index, ticket)] = payload
         try:
-            self._request(shard_index, "prepare", (ticket, units))
+            self._request(shard_index, "prepare", payload)
         except BaseException:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
             raise
         return ticket
 
     def commit_replace(self, shard_index: int, ticket: int) -> None:
-        """Swap a staged rebuild in (called under the parent's version check).
+        """Swap a staged patch in (called under the parent's version check).
 
         The shard's cache entries are deliberately *retained*: the version
         check in :meth:`summaries` / :meth:`layout` already keeps a stale
@@ -890,8 +906,8 @@ class ShardProcessPool:
 
         A worker crash here (the staged state died with the process) is
         recovered on a supervised pool by replaying the ticket: the
-        respawned worker rebuilt from the shard's last *committed* units,
-        so the retained staged units are re-staged and committed again --
+        respawned worker holds the shard's last *committed* columns, so
+        the retained block is re-staged on them and committed again --
         the parent's version check still happens after this returns, so
         version authority is untouched.  Unsupervised pools surface the
         crash unchanged (the parent stays at the old version).
@@ -900,18 +916,18 @@ class ShardProcessPool:
             self._request(shard_index, "commit", ticket)
         except WorkerCrashError:
             with self._staged_lock:
-                units = self._staged_units.get((shard_index, ticket))
-            if units is None or not self.restart_worker(shard_index):
+                payload = self._staged.get((shard_index, ticket))
+            if payload is None or not self.restart_worker(shard_index):
                 raise
-            self._request(shard_index, "prepare", (ticket, units))
+            self._request(shard_index, "prepare", payload)
             self._request(shard_index, "commit", ticket)
         finally:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
         self._count(updates=1)
 
     def abort_replace(self, shard_index: int, ticket: int) -> None:
-        """Drop a staged rebuild whose version check lost the race."""
+        """Drop a staged patch whose version check lost the race."""
         try:
             self._request(shard_index, "abort", ticket)
         except ProcessPoolError:
@@ -921,7 +937,7 @@ class ShardProcessPool:
             pass
         finally:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
 
     def forget_cached_summaries(self) -> None:
         """Drop the parent-side layout/summary caches for every shard.
@@ -942,7 +958,7 @@ class ShardProcessPool:
                 del self._summary_cache[key]
 
     def staged_count(self, shard_index: int) -> int:
-        """Number of rebuilds staged but not yet committed on one worker."""
+        """Number of patches staged but not yet committed on one worker."""
         return int(self._request(shard_index, "stats")["staged"])
 
     # ------------------------------------------------------------------

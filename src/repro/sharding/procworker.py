@@ -1,13 +1,15 @@
 """Shard worker process entrypoint.
 
-One worker process owns one database shard: it rebuilds the shard's
-database and warm :class:`~repro.session.QuerySession` from the (picklable)
-partition units, answers layout / summary / cache-info requests over its
-pipe, and participates in the coordinator's version-checked update protocol
-through staged ``prepare`` / ``commit`` / ``abort`` commands (the expensive
-tree rebuild happens here, off the parent's query path; the parent's
-:class:`~repro.models.sharded.ShardedDatabase` keeps sole authority over
-shard versions and the distinct-score registry).
+One worker process owns one database shard: it opens a warm
+:class:`~repro.session.QuerySession` over the shard's (pickled)
+:class:`~repro.andxor.columns.FlatColumns`, answers layout / summary /
+cache-info requests over its pipe, and participates in the coordinator's
+version-checked update protocol through staged ``prepare`` / ``commit`` /
+``abort`` commands.  A ``prepare`` carries one block, which the worker
+patches into its committed columns with the same
+:meth:`~repro.andxor.columns.FlatColumns.replace_block` the parent applied
+to its copy; the parent's :class:`~repro.models.sharded.ShardedDatabase`
+keeps sole authority over shard versions and the distinct-score registry.
 
 Everything in this module is importable at top level so the ``spawn`` start
 method can pickle the :func:`worker_main` target; the parent side lives in
@@ -26,6 +28,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.andxor.columns import FlatColumns, Row
 from repro.engine import get_backend, set_backend
 from repro.exceptions import ProcessPoolError
 from repro.session import QuerySession
@@ -97,16 +100,14 @@ def export_prefix_table(
 
 
 class ShardWorkerState:
-    """The worker-side shard: units, database, session, staged rebuilds."""
+    """The worker-side shard: committed columns, session, staged patches."""
 
-    def __init__(self, shard_index: int, name: str, units: List[Any]) -> None:
+    def __init__(self, shard_index: int, columns: FlatColumns) -> None:
         self.shard_index = shard_index
-        self.name = name
-        self.units = units
-        self._database: Optional[Any] = None
+        self.columns = columns
         self._session: Optional[QuerySession] = None
-        #: ticket -> (units, database): rebuilds prepared but not committed.
-        self.staged: Dict[int, Tuple[List[Any], Any]] = {}
+        #: ticket -> patched columns: updates prepared but not committed.
+        self.staged: Dict[int, FlatColumns] = {}
         #: Monotone id of the worker's committed state.  Bumped atomically
         #: with the staged swap, so it identifies summary *content* even
         #: while the parent's version bump is still in flight.
@@ -116,39 +117,20 @@ class ShardWorkerState:
         self._exports: Dict[int, Tuple[int, List[Any], List[float]]] = {}
         self._next_export = 0
 
-    def _build_database(self, units: List[Any]) -> Any:
-        from repro.models.sharded import build_shard_database
-
-        return build_shard_database(self.name, self.shard_index, units)
-
-    def session(self) -> Optional[QuerySession]:
-        if not self.units:
-            return None
+    def session(self) -> QuerySession:
         if self._session is None:
-            if self._database is None:
-                self._database = self._build_database(self.units)
-            self._session = QuerySession(self._database.columns)
+            self._session = QuerySession(self.columns)
         return self._session
 
     # -- command handlers ----------------------------------------------
     def handle_layout(self, _payload: Any) -> Any:
-        session = self.session()
-        if session is None:
-            raise ProcessPoolError(
-                f"shard {self.shard_index} is empty; it has no layout"
-            )
-        return shard_layout(session)
+        return shard_layout(self.session())
 
     def handle_summary(
         self, payload: Tuple[int, bool, int, Optional[int]]
     ) -> Any:
         max_rank, shm_wanted, shm_min_bytes, base_export = payload
-        session = self.session()
-        if session is None:
-            raise ProcessPoolError(
-                f"shard {self.shard_index} is empty; it has no summary"
-            )
-        summary = session.partial_rank_summary(max_rank)
+        summary = self.session().partial_rank_summary(max_rank)
         layout = summary.layout
         table = None
         export_id: Optional[int] = None
@@ -195,23 +177,22 @@ class ShardWorkerState:
             "export_id": export_id,
         }
 
-    def handle_prepare(self, payload: Tuple[int, List[Any]]) -> int:
-        ticket, units = payload
-        # The expensive half of the swap: the shard database is built here,
-        # on the owning worker, while other shards keep answering queries.
-        self.staged[ticket] = (units, self._build_database(units))
+    def handle_prepare(self, payload: Tuple[int, Any, List[Row], bool]) -> int:
+        ticket, key, rows, independent = payload
+        self.staged[ticket] = self.columns.replace_block(
+            key, rows, independent
+        )
         return ticket
 
     def handle_commit(self, ticket: int) -> int:
         try:
-            units, database = self.staged.pop(ticket)
+            columns = self.staged.pop(ticket)
         except KeyError:
             raise ProcessPoolError(
-                f"unknown staged rebuild ticket {ticket} on shard "
+                f"unknown staged patch ticket {ticket} on shard "
                 f"{self.shard_index} (already committed or aborted?)"
             ) from None
-        self.units = units
-        self._database = database
+        self.columns = columns
         self._session = None
         # New committed content: advance the state id the parent pairs
         # with shard versions so merge caches never mix states.
@@ -233,7 +214,7 @@ class ShardWorkerState:
         return {
             "pid": os.getpid(),
             "shard_index": self.shard_index,
-            "tuples": len(self.units),
+            "tuples": len(self.columns.keys),
             "staged": len(self.staged),
             "session_built": self._session is not None,
             "backend": get_backend().name,
@@ -244,13 +225,12 @@ class ShardWorkerState:
 def worker_main(
     connection: Any,
     shard_index: int,
-    name: str,
     backend_name: str,
-    units: List[Any],
+    columns: FlatColumns,
 ) -> None:
     """Run one shard worker until shutdown or parent disconnect."""
     set_backend(backend_name)
-    state = ShardWorkerState(shard_index, name, units)
+    state = ShardWorkerState(shard_index, columns)
     handlers = {
         "layout": state.handle_layout,
         "summary": state.handle_summary,

@@ -73,6 +73,17 @@ class TestApiSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
+    def test_annotations_resolve(self):
+        """String annotations name only imported types."""
+        import typing
+
+        from repro.andxor.tree import AndXorTree
+        from repro.serving.executor import ServingExecutor
+
+        hints = typing.get_type_hints(ServingExecutor.__init__)
+        assert "result_cache" in hints
+        assert "keep" in typing.get_type_hints(AndXorTree.restrict)
+
 
 class TestShimMigration:
     """The replacements for the removed top-level consensus functions.

@@ -346,26 +346,25 @@ class TestPatchedUpdates:
         sharded = ShardedDatabase(TupleIndependentDatabase(self.rows()), 3)
         sharded.coordinator().rank_matrix(5)
         pending = sharded.prepare_update("t7", probability=0.9, score=score)
+        # t7's value doubles as its score, so a score update moves both.
+        moved = 7.0 if score is None else score
+        rows = [
+            ("t7", moved, moved, 0.9) if row[0] == "t7" else row
+            for row in self.rows()
+        ]
+        shard = pending.shard_index
         rebuilt = TupleIndependentDatabase(
-            [unit[1:] for unit in pending.units]
-        )
-        patched = pending.database.columns
-        assert patched.keys == rebuilt.columns.keys
-        assert patched.probabilities == rebuilt.columns.probabilities
-        assert patched.scores == rebuilt.columns.scores
-        assert patched.order == rebuilt.columns.order
+            [row for row in rows if sharded.shard_of(row[0]) == shard]
+        ).columns
+        patched = pending.columns
+        assert patched.keys == rebuilt.keys
+        assert patched.values == rebuilt.values
+        assert patched.explicit_scores == rebuilt.explicit_scores
+        assert patched.probabilities == rebuilt.probabilities
+        assert patched.scores == rebuilt.scores
+        assert patched.order == rebuilt.order
         sharded.apply_update(pending)
-        expected = connect(
-            TupleIndependentDatabase(
-                [
-                    row[:2] + ((score,) if score else row[2:3]) + (0.9,)
-                    if row[0] == "t7"
-                    else row
-                    for row in self.rows()
-                ]
-            ),
-            result_cache=False,
-        )
+        expected = connect(TupleIndependentDatabase(rows), result_cache=False)
         served = connect(sharded, result_cache=False)
         for query in BENCHMARK_READS:
             assert same(

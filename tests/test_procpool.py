@@ -273,6 +273,24 @@ class TestWorkerFailure:
                 for expected, actual in zip(before.row(key), after.row(key)):
                     assert abs(expected - actual) < TOLERANCE
 
+    def test_emptied_shard_refilled_on_a_new_pool(self):
+        blocks = {"a": [(9.0, 0.5)], "b": [(8.0, 0.3), (7.0, 0.4)]}
+        with ShardedDatabase(
+            BlockIndependentDatabase(blocks),
+            2,
+            partitioner=lambda key: 1 if key == "b" else 0,
+            executor="processes",
+        ) as sharded:
+            sharded.update_block("b", [])
+            sharded.process_pool().close()
+            # The new pool still spawns a worker for shard 1, which owns
+            # the emptied block.
+            sharded.update_block("b", [(6.0, 6.0, 0.7)])
+            oracle = QuerySession(
+                BlockIndependentDatabase({**blocks, "b": [(6.0, 0.7)]}).tree
+            )
+            assert_rank_matrix_parity(oracle, sharded.coordinator())
+
     def test_close_is_idempotent(self):
         database = small_tuple_independent(2, count=6)
         sharded = ShardedDatabase(database, 2, executor="processes")

@@ -31,7 +31,7 @@ from repro.exceptions import (
     WorkerCrashError,
     WorkloadError,
 )
-from repro.models import ShardedDatabase
+from repro.models import ShardedDatabase, TupleIndependentDatabase
 from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.serving.metrics import ServingMetrics
@@ -305,21 +305,44 @@ class TestSupervisedPool:
         ) as sharded:
             pool = sharded.process_pool()
             coordinator = sharded.coordinator()
-            reference = coordinator.mean_topk_footrule(K)
+            before = coordinator.mean_topk_footrule(K)
             victim = pool.shard_indices()[0]
-            units = list(sharded.shards()[victim].units)
-            ticket = pool.prepare_replace(victim, units)
+            key = sharded.shards()[victim].keys()[0]
+            pending = sharded.prepare_update(key, probability=0.999)
             assert pool.staged_count(victim) == 1
-            # The crash takes the staged rebuild down with the worker; the
+            # The crash takes the staged patch down with the worker; the
             # supervised commit replays it on the respawned worker.
             kill_worker(pool, victim)
-            pool.commit_replace(victim, ticket)
+            sharded.apply_update(pending)
             assert pool.restart_count() >= 1
             assert pool.staged_count(victim) == 0
             force_cold_reads(sharded)
+            columns = database.columns
+            oracle = QuerySession(
+                TupleIndependentDatabase(
+                    [
+                        (k, value, score, 0.999 if k == key else p)
+                        for k, value, score, p in zip(
+                            columns.keys,
+                            columns.values,
+                            columns.explicit_scores,
+                            columns.probabilities,
+                        )
+                    ]
+                ).columns
+            )
+            expected = oracle.mean_topk_footrule(K)
+            # The change must show in the answer, or a lost replay would
+            # pass unnoticed.
+            assert not math.isclose(before[1], expected[1], abs_tol=1e-6)
             replayed = coordinator.mean_topk_footrule(K)
-            assert replayed[0] == reference[0]
-            assert math.isclose(replayed[1], reference[1], abs_tol=TOLERANCE)
+            assert replayed[0] == expected[0]
+            assert math.isclose(replayed[1], expected[1], abs_tol=TOLERANCE)
+            membership = coordinator.top_k_membership(K)
+            for k, probability in oracle.top_k_membership(K).items():
+                assert math.isclose(
+                    membership[k], probability, abs_tol=TOLERANCE
+                )
 
     def test_close_escalates_past_wedged_worker(self):
         database = small_tuple_independent(16, count=10)

@@ -17,7 +17,11 @@ import pytest
 from conftest import small_bid, small_tuple_independent
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import ModelError
-from repro.models import ShardedDatabase, TupleIndependentDatabase
+from repro.models import (
+    BlockIndependentDatabase,
+    ShardedDatabase,
+    TupleIndependentDatabase,
+)
 from repro.models.sharded import StaleUpdateError, hash_shard_of
 from repro.session import CacheInfo, QuerySession, as_session
 from repro.sharding import ShardRankSummary, ShardedQuerySession
@@ -411,6 +415,39 @@ class TestShardedDatabase:
         after = coordinator.top_k_membership(2)
         assert abs(after[key] - 1.0) < TOLERANCE
         assert before != after
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    def test_emptied_block_refilled(self, executor, partitioner):
+        database = small_bid(23, blocks=6)
+        columns = database.columns
+        spec = {
+            key: [
+                (
+                    columns.values[row],
+                    columns.explicit_scores[row],
+                    columns.probabilities[row],
+                )
+                for row in columns.rows_of(key)
+            ]
+            for key in columns.keys
+        }
+        key = columns.keys[1]
+        refill = [(6000.0, 6000.0, 0.4), (7.5, 7.5, 0.5)]
+        with ShardedDatabase(
+            database, 2, partitioner=partitioner, executor=executor
+        ) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(3)
+            for rows in ([], refill):
+                sharded.update_block(key, rows)
+                oracle = QuerySession(
+                    BlockIndependentDatabase({**spec, key: rows}).columns
+                )
+                assert set(oracle.keys()) == set(coordinator.keys())
+                assert_rank_matrix_parity(oracle, coordinator)
+                assert_rank_matrix_parity(oracle, coordinator, max_rank=3)
+                assert_consensus_parity(oracle, coordinator, 3)
 
     def test_cache_info_is_read_only(self):
         # A cold counters snapshot must not materialize shard databases.
