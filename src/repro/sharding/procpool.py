@@ -4,10 +4,9 @@ The per-shard kernels behind every merged statistic -- layout extraction
 and the ``(n_s + 1) × k`` prefix polynomial sweep -- are dense array work
 that one interpreter serializes behind the GIL no matter how many shard
 *threads* structure it.  :class:`ShardProcessPool` moves that work into
-real processes: each worker
-(:mod:`repro.sharding.procworker`) owns one shard's columns plus a warm
-:class:`~repro.session.QuerySession`, and the coordinator exchanges only
-compact partials with it:
+real processes: each worker (:mod:`repro.sharding.procworker`) owns one
+shard's columns plus a warm :class:`~repro.session.QuerySession`, and the
+coordinator exchanges only compact partials with it:
 
 * :class:`~repro.sharding.summary.ShardLayout` fragments and truncated
   :class:`~repro.sharding.summary.ShardRankSummary` tables, fetched in
@@ -30,14 +29,14 @@ Worker death is detected (pipe poll + liveness checks) and, by default,
 committed columns under a
 :class:`~repro.sharding.supervisor.WorkerSupervisor` budget (exponential
 backoff + jitter), transparently retries idempotent requests on the fresh
-worker, replays a staged-but-uncommitted block patch whose commit raced the
-crash, and drops only the dead shard's parent-side
-cache entries so the other shards' version-keyed partials survive the
-restart.  When the restart budget is spent (or ``supervise=False``) the
-crash surfaces as :class:`~repro.exceptions.WorkerCrashError` instead of
-hanging; closing the pool is idempotent (``join`` -> ``terminate`` ->
-``kill`` escalation, so a wedged worker cannot hang shutdown), and a
-closed pool can be rebuilt by the owning database's
+worker, replays a staged-but-uncommitted block patch whose commit raced
+the crash, and drops only the dead shard's parent-side cache entries so
+the other shards' version-keyed partials survive the restart.  When the
+restart budget is spent (or ``supervise=False``) the crash surfaces as
+:class:`~repro.exceptions.WorkerCrashError` instead of hanging; closing
+the pool is idempotent (``join`` -> ``terminate`` -> ``kill`` escalation,
+so a wedged worker cannot hang shutdown), and a closed pool can be rebuilt
+by the owning database's
 :meth:`~repro.models.sharded.ShardedDatabase.process_pool`.
 
 Failure paths are testable deterministically: install a seeded
