@@ -52,8 +52,7 @@ def main() -> None:
             f"algorithm={answer.plan.algorithm}"
         )
         print(
-            f"  flags:    cached={answer.cached} stale={answer.stale} "
-            f"degraded={answer.degraded}\n"
+            f"  flags:    cached={answer.cached}\n"
         )
 
         # -- a micro-batch fused by the executor's batch loop ----------

@@ -6,8 +6,8 @@ asyncio executor, and shows that the cross-shard merged answers are exactly
 the unsharded answers -- while updates invalidate only the owning shard.
 The final section injects seeded worker kills into a supervised process
 pool and shows the serving layer self-healing: workers respawn, every
-request terminates, and answers served while a shard was down are flagged
-stale or degraded.
+request terminates, and reads of a shard whose worker is down fail over
+to the parent's columns, so every answer stays exact.
 
 Run with:  PYTHONPATH=src python examples/sharded_serving.py
 """
@@ -187,15 +187,13 @@ async def main() -> None:
             f"version vector {tuple(pinned.pinned_versions)}."
         )
 
-    # -- fault tolerance: supervised workers + degraded answers ---------
+    # -- fault tolerance: supervised workers + exact failover -----------
     # Process pools are supervised by default: a crashed or wedged
-    # worker is respawned (exponential backoff + seeded jitter), staged
-    # but uncommitted shard rebuilds are replayed, and the executor adds
-    # per-query deadlines (``deadline_ms=``), bounded retries and a
-    # per-shard circuit breaker.  While a shard is down, queries degrade
-    # gracefully -- a recent cached answer flagged ``stale=True``, or a
-    # fresh merge over the surviving shards flagged ``degraded=True`` --
-    # instead of silently serving wrong values.  A seeded FaultSchedule
+    # worker is respawned from the parent's columns (exponential backoff
+    # + seeded jitter), and the executor adds per-query deadlines
+    # (``deadline_ms=``) and a per-shard circuit breaker.  While a
+    # worker cannot answer, its shard's reads fail over to the parent's
+    # columns, so every answer stays exact.  A seeded FaultSchedule
     # makes whole failure scenarios replayable from one integer.
     schedule = FaultSchedule.periodic("kill", start=8, every=20, count=2)
     injector = FaultInjector(schedule)
@@ -213,9 +211,7 @@ async def main() -> None:
         events = generate_traffic(
             supervised.keys(), 40, rng=17, update_ratio=0.2, k_choices=(3, K)
         )
-        async with ServingExecutor(
-            supervised, retry_backoff=0.0
-        ) as executor:
+        async with ServingExecutor(supervised) as executor:
             outcomes = await chaos_replay(executor, events, concurrency=8)
             summary = chaos_summary(outcomes)
             snapshot = executor.metrics()
@@ -224,15 +220,12 @@ async def main() -> None:
             f"\nChaos replay with {len(kills)} injected worker kills "
             f"(schedule {schedule.signature()}): "
             f"{summary['completed']}/{summary['events']} events completed "
-            f"({summary['fresh']} fresh, {summary['stale']} stale, "
-            f"{summary['degraded']} degraded answers)"
+            f"({summary['answered']} answers)"
         )
         print(
             f"Self-healing: {snapshot.worker_restarts} worker restarts, "
-            f"{snapshot.retries} retries, {snapshot.breaker_open} breaker "
-            f"trips, {snapshot.stale_served} stale / "
-            f"{snapshot.degraded_served} degraded served, "
-            f"{snapshot.updates_queued} updates queued"
+            f"{snapshot.breaker_open} breaker trips, "
+            f"{snapshot.failover_served} shard reads failed over"
         )
 
 

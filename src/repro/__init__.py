@@ -193,22 +193,24 @@ execution for large shards (n >= 10^4) on the numpy backend, where
 shard-local compute dominates the summary-exchange cost; use the
 database as a context manager (or call ``close()``) to release workers.
 
-Serving is self-healing.  Process pools are supervised by default: a
-crashed or wedged worker is restarted with exponential backoff and
-seeded jitter (:class:`~repro.sharding.SupervisorPolicy`), staged but
-uncommitted shard rebuilds are replayed, and ``close()`` escalates
-join -> terminate -> kill so shutdown never hangs.  The executor layers
-per-query deadlines (``execute(query, deadline_ms=...)`` raising
-:class:`~repro.exceptions.DeadlineExceededError`), bounded retries with
-backoff for transient worker failures, and a per-shard circuit breaker
-on top.  While a shard is down, answers degrade gracefully instead of
-failing or silently lying: a recent cached answer is re-served flagged
-``stale=True``, or the query re-runs over the surviving shards flagged
-``degraded=True``; updates queue (bounded) until the shard heals, else
-raise the typed :class:`~repro.exceptions.ShardUnavailableError`.
-Failure scenarios are replayable: a seeded
-:class:`~repro.sharding.FaultSchedule` of worker kills / stalls /
-message drops drives :class:`~repro.sharding.FaultInjector`, and
+Serving is self-healing, and a failure never changes an answer.  The
+parent holds every shard's committed columns, so a worker is never the
+only copy of its shard.  Process pools are supervised by default: a
+crashed or wedged worker is restarted from the parent's columns with
+exponential backoff and seeded jitter
+(:class:`~repro.sharding.SupervisorPolicy`), and ``close()`` escalates
+join -> terminate -> kill so shutdown never hangs.  When a worker cannot
+answer -- it failed the request, its restart budget is spent, or the
+executor's per-shard circuit breaker is open -- that shard's reads fail
+over to the parent's columns through the same coordinator and merge, so
+the answer is the exact, current consensus answer of the whole database.
+Updates always commit parent-side; a worker that misses a commit is
+respawned from the new columns.  The executor adds per-query deadlines
+(``execute(query, deadline_ms=...)`` raising
+:class:`~repro.exceptions.DeadlineExceededError`).  Failure scenarios
+are replayable: a seeded :class:`~repro.sharding.FaultSchedule` of
+worker kills / stalls / message drops drives
+:class:`~repro.sharding.FaultInjector`, and
 :func:`repro.workloads.chaos_replay` accounts for every request under
 faults (see ``benchmarks/bench_e16_faults.py``).
 
@@ -224,10 +226,9 @@ sets, non-string keys and non-finite floats round-trip exactly, so a
 :class:`~repro.query.QueryAnswer` decoded from the wire equals the
 in-process one, provenance flags and confidence intervals included.
 Robustness is in-protocol: bounded admission sheds load with 429 +
-``Retry-After``, per-request deadlines surface as 504, shard outages as
-503 (degraded answers, when enabled, still arrive as 200 with
-``degraded: true``), and draining finishes in-flight work before 503-ing
-new queries.
+``Retry-After``, per-request deadlines surface as 504, a shard worker
+outage still answers an exact 200, and draining finishes in-flight work
+before 503-ing new queries.
 
 >>> from repro.server import ReproClient, ServerThread   # doctest: +SKIP
 >>> with ServerThread(ShardedDatabase(database, 4)) as thread:

@@ -191,8 +191,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         "backend",
         "deployment",
         "elapsed",
-        "stale",
-        "degraded",
         "cached",
     ):
         rows.append([name, provenance[name]])
@@ -254,8 +252,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         ["batches", delta["batches"]],
         ["updates", delta["updates"]],
         ["deadline_exceeded", delta["deadline_exceeded"]],
-        ["stale_served", delta["stale_served"]],
-        ["degraded_served", delta["degraded_served"]],
+        ["failover_served", delta["failover_served"]],
         ["result_cache_hits", delta["result_cache_hits"]],
         ["fused_plans", delta["fused_plans"]],
     ]

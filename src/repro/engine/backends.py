@@ -404,10 +404,6 @@ class Backend:
         """One scalar cell of a native matrix."""
         raise NotImplementedError
 
-    def dot(self, a: Sequence[float], b: Sequence[float]) -> float:
-        """Inner product of two equal-length vectors."""
-        raise NotImplementedError
-
     def vector_sum(self, values: Sequence[float]) -> float:
         """Sum of a vector's entries."""
         raise NotImplementedError
@@ -870,9 +866,6 @@ class PurePythonBackend(Backend):
         self, matrix: List[List[float]], row: int, column: int
     ) -> float:
         return matrix[row][column]
-
-    def dot(self, a: Sequence[float], b: Sequence[float]) -> float:
-        return sum(x * y for x, y in zip(a, b))
 
     def vector_sum(self, values: Sequence[float]) -> float:
         return sum(values)
@@ -1388,12 +1381,6 @@ class NumpyBackend(Backend):
 
     def matrix_cell(self, matrix: Any, row: int, column: int) -> float:
         return float(matrix[row, column])
-
-    def dot(self, a: Sequence[float], b: Sequence[float]) -> float:
-        return float(
-            _np.asarray(a, dtype=_np.float64)
-            @ _np.asarray(b, dtype=_np.float64)
-        )
 
     def vector_sum(self, values: Sequence[float]) -> float:
         return float(_np.asarray(values, dtype=_np.float64).sum())

@@ -100,27 +100,24 @@ class ProcessPoolError(ReproError):
 class WorkerCrashError(ProcessPoolError):
     """Raised when a shard worker process died mid-request.
 
-    Surfaced instead of hanging on the dead worker's pipe.  **Retryable**:
-    on a supervised pool the worker is respawned automatically (with
-    exponential backoff), so retrying the request -- or letting
-    :class:`~repro.serving.ServingExecutor`'s retry budget do it -- is
-    expected to succeed once the restart budget allows it.  On an
-    unsupervised pool, close and re-request the database's process pool
-    to rebuild workers.
+    Surfaced by the pool instead of hanging on the dead worker's pipe.
+    On a supervised pool the worker is respawned automatically (with
+    exponential backoff) and idempotent requests retry on it.  Reads
+    through a :class:`~repro.models.ShardedDatabase` never see this
+    error: a shard whose worker failed is answered from the parent's
+    columns instead.
     """
 
 
 class ShardUnavailableError(ReproError):
-    """Raised when a shard stays unusable after every recovery avenue.
+    """Raised when the serving front door refuses new work.
 
-    **Terminal for this request**: the caller has already burned its
-    retry budget, the shard's circuit breaker is open (or its worker
-    exhausted the supervisor's restart budget), no sufficiently fresh
-    cached answer exists to serve stale, and -- for updates -- the
-    bounded per-shard update queue is full.  Callers should shed load or
-    surface the failure; retrying immediately will fail the same way.
-    The shard becomes usable again once its worker recovers (breaker
-    half-opens after the cooldown).
+    A draining :class:`~repro.server.ReproServer` answers new queries
+    with HTTP 503, which :class:`~repro.server.ReproClient` raises as this
+    error.  A shard whose worker process is down is *not* unavailable:
+    its reads fail over to the parent's copy of its columns and answer
+    exactly.  **Terminal for this request**: retry against a server that
+    is not draining.
     """
 
 

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from repro.andxor.columns import FlatColumns, Row
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, ProcessPoolError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
@@ -75,7 +75,8 @@ class DatabaseShard:
     session's memoized artifacts) or in a worker process
     (``executor="processes"``: the pool's version-keyed cache, which is
     also the baseline the worker ships row-suffix deltas against).  The
-    columns are held parent-side on both executors.
+    columns are held parent-side on both executors and are authoritative:
+    when the worker cannot answer, the read fails over to them.
     """
 
     __slots__ = ("index", "columns", "_session", "version", "_owner")
@@ -129,16 +130,30 @@ class DatabaseShard:
         """Generation of the in-process session (0 until it is built)."""
         return 0 if self._session is None else self._session.generation
 
-    def _pool(self) -> Optional[Any]:
-        if self._owner.executor == "processes":
-            return self._owner.process_pool()
+    def _from_worker(self, op: str, *args: Any) -> Any:
+        """``op`` answered by the shard's worker, or None when this
+        process answers: always on ``executor="threads"``, and on a
+        *failover* read when the worker is down, bypassed by an open
+        breaker, or failed this request (recorded with the pool)."""
+        owner = self._owner
+        if owner.executor != "processes":
+            return None
+        pool = None
+        try:
+            pool = owner.process_pool()
+            if pool.serves(self.index):
+                return getattr(pool, op)(self.index, *args)
+        except ProcessPoolError:
+            pass
+        if pool is not None:
+            pool.note_failover(self.index)
         return None
 
     def layout(self) -> Any:
         """The shard's :class:`~repro.sharding.summary.ShardLayout`."""
-        pool = self._pool()
-        if pool is not None:
-            return pool.layout(self.index)
+        layout = self._from_worker("layout")
+        if layout is not None:
+            return layout
         return shard_layout(self.session())
 
     def summary(self, max_rank: int) -> Tuple[Any, Any]:
@@ -147,12 +162,12 @@ class DatabaseShard:
 
         In-process the token is ``(version, session generation)``,
         re-checked after the build so a concurrent swap cannot mislabel
-        it; on the process path it is ``(version, worker state id)``, and
-        a cache miss fetches every stale shard in one parallel exchange.
+        it; from a worker it is ``(version, worker state id)``, and a
+        cache miss fetches every stale shard in one parallel exchange.
         """
-        pool = self._pool()
-        if pool is not None:
-            return pool.summary_with_token(self.index, max_rank)
+        remote = self._from_worker("summary_with_token", max_rank)
+        if remote is not None:
+            return remote
         for _ in range(8):
             version = self.version
             session = self.session()
@@ -236,6 +251,8 @@ apply_update` is then a version-bumping pointer swap that the serving
         # Ticket of the same block patch staged on the owning worker
         # process (executor="processes" only): committed or aborted by
         # apply_update in lockstep with the parent-side version check.
+        # None when the worker could not stage it; apply_update then
+        # respawns the worker from the parent's new columns.
         self.remote_ticket = remote_ticket
 
 
@@ -629,7 +646,9 @@ class ShardedDatabase:
         The same on both executors.  Under ``executor="processes"`` the
         same block is also staged on the owning worker (ticketed), which
         patches its own committed columns; :meth:`apply_update` commits it
-        under the same version check that swaps the parent's copy in.
+        under the same version check that swaps the parent's copy in.  A
+        worker that cannot stage it does not stop the update: the parent's
+        columns are authoritative.
         """
         shard_index, base_version, columns = state
         patched = columns.replace_block(key, rows, self._independent)
@@ -643,9 +662,12 @@ class ShardedDatabase:
             self._check_score_free(key, added)
         ticket = None
         if self._executor == "processes":
-            ticket = self.process_pool().prepare_replace(
-                shard_index, key, rows, self._independent
-            )
+            try:
+                ticket = self.process_pool().prepare_replace(
+                    shard_index, key, rows, self._independent
+                )
+            except ProcessPoolError:
+                pass
         return PendingUpdate(
             shard_index, key, base_version, patched, removed, added, ticket
         )
@@ -670,6 +692,12 @@ class ShardedDatabase:
         Raises :class:`StaleUpdateError` when the shard's version changed
         after the update was prepared (a concurrent update won the race);
         the caller should re-prepare and retry.
+
+        Under ``executor="processes"`` the worker commits first and the
+        parent swaps second, which the ``(version, state id)`` summary
+        tokens rely on.  When the worker misses the commit (it failed,
+        timed out, or never staged the patch) the parent swaps anyway and
+        the worker is respawned from the new columns.
         """
         with self._apply_lock:
             shard = self._shards[pending.shard_index]
@@ -705,15 +733,15 @@ class ShardedDatabase:
             # readers pinned at the current vector keep resolving it after
             # the swap publishes the new one.
             self._archive_current(shard)
-            if pending.remote_ticket is not None:
-                # Commit on the worker BEFORE the parent swap: a worker
-                # crash here raises and leaves the parent at the old
-                # version, so parent and (respawned) workers never
-                # disagree about state.
-                self.process_pool().commit_replace(
+            missed = self._executor == "processes" and not (
+                pending.remote_ticket is not None
+                and self.process_pool().commit_replace(
                     pending.shard_index, pending.remote_ticket
                 )
+            )
             shard._replace(pending.columns)
+        if missed:
+            self.process_pool().respawn(pending.shard_index)
         self._notify(pending.shard_index, pending.key)
 
     def _archive_current(self, shard: DatabaseShard) -> None:

@@ -57,16 +57,11 @@ class QueryAnswer:
     estimate:
         The :class:`~repro.engine.Estimate` behind a Monte-Carlo route
         (None on exact/approximate routes).
-    stale:
-        True when the serving layer answered from a previously computed
-        answer (exact, but at a superseded shard-version vector) because
-        a shard was unavailable.  The value is bit-identical to what the
-        same query answered before the outage.
-    degraded:
-        True when the serving layer answered *fresh but approximate*:
-        the query ran over the merged tree minus the unavailable
-        shard(s), so the dead shards' tuples are missing and any
-        confidence interval is effectively widened.
+    stale / degraded:
+        Always ``False``: every answer is exact and current (a shard
+        whose worker is down is answered from the parent's columns).
+        The fields and their wire keys remain so that existing readers
+        keep working.
     cached:
         True when the answer was served from the cross-session
         :class:`~repro.query.ResultCache` -- numerically identical to the

@@ -173,7 +173,7 @@ class Connection:
                         elapsed=time.perf_counter() - started,
                     )
         answer = self.plan(query).execute(rng=rng)
-        if cache_key is not None and not answer.stale and not answer.degraded:
+        if cache_key is not None:
             # Re-key after execution: a sharded session syncs to the
             # latest shard versions (bumping its generation) while the
             # query runs, so the ingress key may already be stale.  The

@@ -11,9 +11,9 @@ blocking client with typed error mapping, and :class:`ServerThread`
 boots a server on a background thread for tests, benchmarks and the
 examples.
 
-Admission control (429 + ``Retry-After``), per-request deadlines (504),
-typed shard-outage reporting (503, honoring degraded reads) and
-graceful drain are part of the protocol -- see :mod:`repro.server.app`.
+Admission control (429 + ``Retry-After``), per-request deadlines (504)
+and graceful drain (503) are part of the protocol -- see
+:mod:`repro.server.app`.
 """
 
 from repro.server.app import PLAN_REGISTRY_LIMIT, ReproServer, ServerThread

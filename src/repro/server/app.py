@@ -17,11 +17,12 @@ small MAAS-style resource tree onto the serving layer:
 Robustness is part of the protocol, not an afterthought: admission
 control sheds load with 429 + ``Retry-After`` once ``max_inflight``
 queries are in flight, per-request deadlines propagate into
-``execute(deadline_ms=...)`` and surface as 504, a shard outage that
-exhausts every fallback is 503 (degraded answers, when enabled, still
-arrive as 200 with ``degraded: true``), malformed JSON is 400, and every
-admission decision is tallied per status in :attr:`ReproServer.admissions`
--- nothing is ever dropped silently.
+``execute(deadline_ms=...)`` and surface as 504, a draining server
+answers 503, malformed JSON is 400, and every admission decision is
+tallied per status in :attr:`ReproServer.admissions` -- nothing is ever
+dropped silently.  A shard worker outage is not an error at all: the
+executor answers that shard from the parent's columns, so the answer
+arrives as an exact 200.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.exceptions import (
     DeadlineExceededError,
     PlanningError,
     ReproError,
-    ShardUnavailableError,
 )
 from repro.query.builder import ConsensusQuery
 from repro.query.planner import DEFAULT_PLANNER
@@ -366,9 +366,6 @@ class ReproServer:
         except DeadlineExceededError as error:
             status = 504
             return status, self._error_payload(error), None
-        except ShardUnavailableError as error:
-            status = 503
-            return status, self._error_payload(error), None
         except ReproError as error:
             status = 500
             return status, self._error_payload(error), None
@@ -403,8 +400,6 @@ class ReproServer:
             )
         except DeadlineExceededError as error:
             return 504, self._error_payload(error)
-        except ShardUnavailableError as error:
-            return 503, self._error_payload(error)
         except (ConsensusError, PlanningError) as error:
             return 400, self._error_payload(error)
         except ReproError as error:
@@ -423,22 +418,12 @@ class ReproServer:
         key = decode_value(body["key"])
         probability = body.get("probability")
         score = body.get("score")
-        try:
-            await self._executor.update(
-                key,
-                probability=None if probability is None else float(probability),
-                score=None if score is None else float(score),
-            )
-        except ShardUnavailableError as error:
-            return 503, self._error_payload(error), None
-        return (
-            200,
-            {
-                "updated": True,
-                "queued": self._executor.queued_update_count(),
-            },
-            None,
+        await self._executor.update(
+            key,
+            probability=None if probability is None else float(probability),
+            score=None if score is None else float(score),
         )
+        return 200, {"updated": True}, None
 
     def _handle_plan(
         self, fingerprint: str, request: HttpRequest
@@ -493,7 +478,6 @@ class ReproServer:
             "shard_count": database.shard_count,
             "versions": list(database.versions()),
             "open_breakers": list(self._executor.open_breakers()),
-            "queued_updates": self._executor.queued_update_count(),
             "inflight": self._inflight,
             "max_inflight": self._max_inflight,
             "pending": self._executor.pending_count(),
@@ -520,7 +504,6 @@ class ReproServer:
         }
 
     def _shards_payload(self) -> Dict[str, Any]:
-        queues = getattr(self._executor, "_update_queues", {})
         open_breakers = set(self._executor.open_breakers())
         shards = []
         for shard in self._executor.database.shards():
@@ -530,7 +513,6 @@ class ReproServer:
                     "version": shard.version,
                     "tuples": len(shard.keys()),
                     "breaker_open": shard.index in open_breakers,
-                    "queued_updates": len(queues.get(shard.index, ())),
                 }
             )
         return {"shards": shards}

@@ -11,8 +11,8 @@ reproduction's per-shard pieces:
   shard rebuilds, and graceful cache-invalidation fan-out on updates.
   Execution routes through the hardness-aware planner
   (:mod:`repro.query.planner`) and self-heals: per-query deadlines,
-  bounded retries, per-shard circuit breakers, and stale / shard-excluded
-  degraded answers while a shard worker is down.
+  per-shard circuit breakers, and exact failover to the parent's shard
+  columns while a shard worker is down.
 * :mod:`repro.serving.metrics` -- latency and throughput instrumentation.
 
 Traffic to drive it comes from :mod:`repro.workloads.traffic`.

@@ -20,14 +20,15 @@ cross-shard coordinator session:
   coalescing and invalidation counters (:meth:`ServingExecutor.metrics`).
 * **Self-healing** -- per-query deadlines (``deadline_ms`` ->
   :class:`~repro.exceptions.DeadlineExceededError`, with abandoned
-  batch entries cancelled once no coalesced waiter remains), bounded
-  retries with exponential backoff for transient worker failures, a
-  per-shard circuit breaker, and graceful degradation when a shard stays
-  down: reads serve the last good answer (``stale=True`` provenance)
-  within ``staleness_bound_s``, then fall back to a fresh answer over
-  the merged tree *minus* the dead shards (``degraded=True``); updates
-  to a dead shard land in a bounded queue that drains on recovery, or
-  fail fast with :class:`~repro.exceptions.ShardUnavailableError`.
+  batch entries cancelled once no coalesced waiter remains) and exact
+  failover.  The parent holds every shard's committed columns, so when a
+  shard's worker cannot answer (it failed the request, its restart budget
+  is spent, or its per-shard circuit breaker is open) that shard's reads
+  are answered from those columns, through the same coordinator and
+  merge: the answer is the exact, current consensus answer of the whole
+  database (counted as ``failover_served``).  Updates always commit
+  parent-side; a worker that misses one is respawned from the new
+  columns.
 
 >>> async def main():
 ...     async with ServingExecutor(database) as executor:
@@ -40,28 +41,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
 
-from repro.exceptions import (
-    DeadlineExceededError,
-    ProcessPoolError,
-    ShardUnavailableError,
-    SnapshotTooOldError,
-    WorkerCrashError,
-)
+from repro.exceptions import DeadlineExceededError, SnapshotTooOldError
 from repro.models.sharded import ShardedDatabase, StaleUpdateError
 from repro.query.answers import QueryAnswer
 from repro.query.builder import ConsensusQuery
@@ -70,9 +54,6 @@ from repro.query.results import ResultCache, answer_key, result_cache_for
 from repro.serving.metrics import ServingMetrics, ServingMetricsSnapshot
 
 _SENTINEL = object()
-
-#: Bound on the last-good-answer cache behind stale serving.
-_LAST_ANSWER_CAP = 256
 
 
 def required_max_rank(query: ConsensusQuery) -> Optional[int]:
@@ -88,19 +69,14 @@ def required_max_rank(query: ConsensusQuery) -> Optional[int]:
     return query.k
 
 
-def _is_transient(error: BaseException) -> bool:
-    """Whether a pool failure is worth retrying (crash/timeout/drop)."""
-    return bool(getattr(error, "transient", isinstance(error, WorkerCrashError)))
-
-
 class _ShardBreaker:
     """Circuit breaker for one shard.
 
-    ``threshold`` consecutive failures trip it open; while open (within
-    ``cooldown`` seconds of the trip) callers skip the shard entirely.
-    After the cooldown the breaker *half-opens*: one probe request is
-    admitted, and its outcome either closes the breaker or re-arms the
-    cooldown.
+    ``threshold`` consecutive failed reads trip it open; while open
+    (within ``cooldown`` seconds of the trip) the shard's reads skip its
+    worker and fail over to the parent's columns.  After the cooldown the
+    breaker *half-opens*: the next read probes the worker again, and its
+    outcome either closes the breaker or re-arms the cooldown.
     """
 
     __slots__ = ("consecutive", "opened_at")
@@ -152,26 +128,12 @@ class ServingExecutor:
         :class:`~repro.exceptions.DeadlineExceededError`; its queued
         batch entry is cancelled once no coalesced waiter remains.
         Overridable per call via ``execute(..., deadline_ms=...)``.
-    max_retries / retry_backoff:
-        Budget for re-running a query or update whose execution failed
-        with a *transient* worker error (crash, request timeout, dropped
-        message).  Attempt ``i`` sleeps ``retry_backoff * 2**(i-1)``
-        seconds first.
     breaker_threshold / breaker_cooldown_s:
-        Per-shard circuit breaker: after ``breaker_threshold``
-        consecutive failures the shard is skipped for
-        ``breaker_cooldown_s`` seconds (reads degrade, updates queue),
-        then one probe is admitted (half-open).
-    degraded_reads:
-        Allow stale / shard-excluded answers when a shard is
-        unavailable; when false, exhausted retries surface the error.
-    staleness_bound_s:
-        Maximum age of a cached answer served stale; older falls through
-        to the fresh-but-degraded route (merged tree minus dead shards).
-    update_queue_limit:
-        Bounded per-shard queue for updates arriving while the shard is
-        down; beyond it updates fail fast with
-        :class:`~repro.exceptions.ShardUnavailableError`.
+        Per-shard circuit breaker (``executor="processes"``): after
+        ``breaker_threshold`` consecutive reads its worker failed, the
+        shard's reads skip the worker for ``breaker_cooldown_s`` seconds
+        and fail over to the parent's columns; then the next read probes
+        the worker (half-open).
     result_cache:
         Serve completed answers from the cross-session
         :class:`~repro.query.ResultCache` (keyed by query fingerprint,
@@ -181,10 +143,8 @@ class ServingExecutor:
         and connection over the same database shares one pool of
         answers); pass a :class:`~repro.query.ResultCache` instance for
         explicit bounds, or ``False`` to disable (e.g. fault-injection
-        harnesses that align faults with request ordinals).  Lookups are
-        bypassed while any circuit breaker is open, and stale / degraded
-        answers are never stored, so the self-healing provenance ladder
-        is unaffected.
+        harnesses that align faults with request ordinals).  Failover
+        answers are exact, so caching keeps running during an outage.
     fuse_batches:
         Plan micro-batch members wanting the rank-matrix artifact at
         different ``k`` as one fused ``k_max`` sweep (smaller ``k``
@@ -199,13 +159,8 @@ class ServingExecutor:
         max_batch_size: int = 64,
         warm_shards: bool = True,
         deadline_ms: Optional[float] = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.02,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 0.5,
-        degraded_reads: bool = True,
-        staleness_bound_s: float = 30.0,
-        update_queue_limit: int = 32,
         result_cache: Union[bool, ResultCache] = True,
         fuse_batches: bool = True,
     ) -> None:
@@ -215,13 +170,8 @@ class ServingExecutor:
         self._max_batch_size = max(1, max_batch_size)
         self._warm_shards = warm_shards
         self._deadline_ms = deadline_ms
-        self._max_retries = max(0, int(max_retries))
-        self._retry_backoff = max(0.0, retry_backoff)
         self._breaker_threshold = max(1, int(breaker_threshold))
         self._breaker_cooldown = max(0.0, breaker_cooldown_s)
-        self._degraded_reads = degraded_reads
-        self._staleness_bound = max(0.0, staleness_bound_s)
-        self._update_queue_limit = max(0, int(update_queue_limit))
         if isinstance(result_cache, ResultCache):
             self._result_cache: Optional[ResultCache] = result_cache
         elif result_cache:
@@ -230,10 +180,6 @@ class ServingExecutor:
             self._result_cache = None
         self._fuse_batches = fuse_batches
         self._breakers: Dict[int, _ShardBreaker] = {}
-        #: query -> (QueryAnswer, monotonic time): the stale-serving source.
-        self._last_answers: "OrderedDict[ConsensusQuery, Tuple[QueryAnswer, float]]" = OrderedDict()
-        self._degraded_cache: Optional[Tuple[Any, Any]] = None
-        self._update_queues: Dict[int, Deque[Tuple[Hashable, Optional[float], Optional[float]]]] = {}
         self._metrics = ServingMetrics()
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -490,19 +436,15 @@ class ServingExecutor:
     ) -> Optional[Tuple[Any, ...]]:
         """The answer-cache key of one request at ingress, or None.
 
-        None disables caching for this request: the cache is off, the
+        None disables caching for this request: the cache is off, or the
         query is randomized (``rng`` params must never be served a
-        memoized draw), or a circuit breaker is open (while shards are
-        down the self-healing ladder owns provenance -- a cache hit must
-        not mask a stale/degraded answer).  The token is the
-        coordinator's version token, so shard version bumps *and*
-        explicit ``invalidate()`` calls (e.g. a cold-read fault drill)
-        both miss structurally; the backend name keeps answers computed
-        by different backends apart across ``set_backend()`` switches.
+        memoized draw).  The token is the coordinator's version token, so
+        shard version bumps *and* explicit ``invalidate()`` calls (e.g. a
+        cold-read fault drill) both miss structurally; the backend name
+        keeps answers computed by different backends apart across
+        ``set_backend()`` switches.
         """
         if self._result_cache is None:
-            return None
-        if self._breakers and self._open_breaker_shards(time.monotonic()):
             return None
         try:
             coordinator = self._database.coordinator()
@@ -561,62 +503,14 @@ class ServingExecutor:
         swap safe against in-flight queries, so updates no longer wait
         behind the coordinator worker's merge queue.  Retries
         transparently if a concurrent update to the same shard wins the
-        race (``StaleUpdateError``) and, within the retry budget, if the
-        shard's worker fails transiently.
-
-        When the owning shard is down (breaker open, or retries
-        exhausted on a transient failure) the update lands in a bounded
-        per-shard queue that drains once the shard recovers; a full
-        queue fails fast with
-        :class:`~repro.exceptions.ShardUnavailableError`.
+        race (``StaleUpdateError``).  The update commits to the parent's
+        columns even when the shard's worker process is down; the worker
+        is respawned from them.
         """
         if self._dispatcher is None:
             await self.start()
         loop = asyncio.get_running_loop()
-        shard_index = self._database.shard_of(key)
-        breaker = self._breakers.get(shard_index)
-        if breaker is not None and breaker.is_open(
-            time.monotonic(), self._breaker_cooldown
-        ):
-            self._queue_update(shard_index, key, probability, score)
-            return
-        attempt = 0
-        while True:
-            try:
-                await self._apply_update_once(
-                    loop, shard_index, key, probability, score
-                )
-            except (WorkerCrashError, ProcessPoolError) as error:
-                self._record_shard_failure(shard_index)
-                if not _is_transient(error):
-                    raise
-                if attempt < self._max_retries:
-                    attempt += 1
-                    self._metrics.retries += 1
-                    await asyncio.sleep(
-                        self._retry_backoff * (2 ** (attempt - 1))
-                    )
-                    continue
-                self._queue_update(
-                    shard_index, key, probability, score, cause=error
-                )
-                return
-            else:
-                self._record_shard_success(shard_index)
-                self._metrics.updates += 1
-                await self._drain_queued_updates(loop)
-                return
-
-    async def _apply_update_once(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        shard_index: int,
-        key: Hashable,
-        probability: Optional[float],
-        score: Optional[float],
-    ) -> None:
-        """One prepare+apply cycle, retrying only lost version races."""
-        pool = self._shard_pools[shard_index]
+        pool = self._shard_pools[self._database.shard_of(key)]
         while True:
             pending = await loop.run_in_executor(
                 pool,
@@ -631,55 +525,8 @@ class ServingExecutor:
                 )
             except StaleUpdateError:
                 continue
+            self._metrics.updates += 1
             return
-
-    def _queue_update(
-        self,
-        shard_index: int,
-        key: Hashable,
-        probability: Optional[float],
-        score: Optional[float],
-        cause: Optional[BaseException] = None,
-    ) -> None:
-        queue = self._update_queues.setdefault(shard_index, deque())
-        if len(queue) >= self._update_queue_limit:
-            raise ShardUnavailableError(
-                f"shard {shard_index} is unavailable and its bounded "
-                f"update queue is full ({self._update_queue_limit} "
-                "entries); shed load or wait for the worker to recover"
-            ) from cause
-        queue.append((key, probability, score))
-        self._metrics.updates_queued += 1
-
-    async def _drain_queued_updates(
-        self, loop: asyncio.AbstractEventLoop
-    ) -> None:
-        """Apply queued updates for every shard whose breaker allows it."""
-        for shard_index in list(self._update_queues):
-            queue = self._update_queues[shard_index]
-            if not queue:
-                continue
-            breaker = self._breakers.get(shard_index)
-            if breaker is not None and breaker.is_open(
-                time.monotonic(), self._breaker_cooldown
-            ):
-                continue
-            while queue:
-                key, probability, score = queue[0]
-                try:
-                    await self._apply_update_once(
-                        loop, shard_index, key, probability, score
-                    )
-                except (WorkerCrashError, ProcessPoolError):
-                    self._record_shard_failure(shard_index)
-                    break
-                queue.popleft()
-                self._metrics.updates += 1
-                self._record_shard_success(shard_index)
-
-    def queued_update_count(self) -> int:
-        """Updates currently parked in the per-shard recovery queues."""
-        return sum(len(queue) for queue in self._update_queues.values())
 
     def pending_count(self) -> int:
         """Distinct queries currently submitted and not yet answered.
@@ -690,32 +537,39 @@ class ServingExecutor:
         """
         return len(self._pending)
 
-    async def flush_updates(self) -> int:
-        """Try to drain the queued updates now; returns how many remain."""
-        if self._dispatcher is None:
-            await self.start()
-        await self._drain_queued_updates(asyncio.get_running_loop())
-        return self.queued_update_count()
-
     # ------------------------------------------------------------------
     # Circuit breakers
     # ------------------------------------------------------------------
-    def _record_shard_failure(self, shard_index: Optional[int]) -> None:
-        if shard_index is None:
-            return
+    def _record_shard_failure(self, shard_index: int) -> None:
         breaker = self._breakers.setdefault(shard_index, _ShardBreaker())
         if breaker.record_failure(time.monotonic(), self._breaker_threshold):
             self._metrics.breaker_open += 1
 
-    def _record_shard_success(self, shard_index: Optional[int] = None) -> None:
-        if shard_index is None:
-            # A fresh merged answer touched every live shard.
-            for breaker in self._breakers.values():
+    def _settle_failovers(self) -> None:
+        """Count the reads the parent answered, feed the breakers, and
+        hand the pool the shards whose reads skip their worker.
+
+        A read whose worker failed counts against the shard's breaker; a
+        read that skipped the worker because its breaker is open does
+        not, so the breaker half-opens after its cooldown and the next
+        read probes the worker.  Every breaker that is not open closes
+        once its shard read through the worker again.
+        """
+        pool = self._process_pool
+        if pool is None:
+            return
+        failovers = pool.take_failovers()
+        self._metrics.failover_served += len(failovers)
+        for shard_index, failed in failovers.items():
+            if failed:
+                self._record_shard_failure(shard_index)
+        now = time.monotonic()
+        for shard_index, breaker in self._breakers.items():
+            if shard_index not in failovers and not breaker.is_open(
+                now, self._breaker_cooldown
+            ):
                 breaker.record_success()
-        else:
-            breaker = self._breakers.get(shard_index)
-            if breaker is not None:
-                breaker.record_success()
+        pool.bypass(self._open_breaker_shards(now))
 
     def _open_breaker_shards(self, now: float) -> FrozenSet[int]:
         return frozenset(
@@ -781,10 +635,7 @@ class ServingExecutor:
     ) -> None:
         loop = asyncio.get_running_loop()
         self._metrics.count_batch(len(batch))
-        if self._update_queues and self.queued_update_count():
-            # Shards may have recovered since the updates were parked;
-            # drain before reading so answers see the queued writes.
-            await self._drain_queued_updates(loop)
+        self._settle_failovers()
         try:
             coordinator = self._database.coordinator()
         except Exception as error:  # route to waiters, keep dispatching
@@ -796,8 +647,8 @@ class ServingExecutor:
             try:
                 await self._warm_batch(loop, batch)
             except Exception:
-                # Warming is advisory; the query path surfaces real
-                # failures with retry/degradation applied.
+                # Warming is advisory; the query path fails over or
+                # surfaces real failures.
                 pass
         if self._fuse_batches and len(batch) > 1:
             try:
@@ -819,6 +670,8 @@ class ServingExecutor:
             else:
                 if not future.done():
                     future.set_result(result)
+            finally:
+                self._settle_failovers()
 
     async def _fuse_batch(
         self,
@@ -837,8 +690,6 @@ class ServingExecutor:
         snapshot's artifact store as exact column-prefix slices, so the
         per-query executions below all dispatch against warm artifacts.
         """
-        if self._open_breaker_shards(time.monotonic()):
-            return  # degraded routes don't read the pinned snapshots
         groups: Dict[Tuple[int, ...], List[ConsensusQuery]] = {}
         for query, future, versions, _ in batch:
             if not future.done():
@@ -873,77 +724,15 @@ class ServingExecutor:
         versions: Tuple[int, ...],
         cache_key: Any = None,
     ) -> QueryAnswer:
-        """One query through the full robustness ladder.
+        """One query, answered on a reader pinned at its ingress versions.
 
-        Fresh merged answer first (with bounded retries on transient
-        worker failures), degradation when a shard stays unavailable,
-        :class:`~repro.exceptions.ShardUnavailableError` when every
-        avenue is exhausted.
+        The plan is memoized per session generation on the live
+        coordinator, then rebound to a reader pinned at the versions
+        captured when the request arrived, so the read is isolated from
+        updates that landed while it was queued.  Only pinned answers are
+        stored in the result cache: the aged-out-snapshot fallback answers
+        at *newer* state than the key's version token.
         """
-        dead = self._open_breaker_shards(time.monotonic())
-        if dead:
-            if self._degraded_reads:
-                return await self._serve_degraded(loop, query, dead, None)
-            raise ShardUnavailableError(
-                f"shard(s) {sorted(dead)} have an open circuit breaker "
-                "and degraded reads are disabled"
-            )
-        attempt = 0
-        while True:
-            try:
-                result, pinned_ok = await self._run_pinned(
-                    loop, coordinator, query, versions
-                )
-            except (WorkerCrashError, ProcessPoolError) as error:
-                shard = getattr(error, "shard_index", None)
-                self._record_shard_failure(shard)
-                if _is_transient(error) and attempt < self._max_retries:
-                    attempt += 1
-                    self._metrics.retries += 1
-                    await asyncio.sleep(
-                        self._retry_backoff * (2 ** (attempt - 1))
-                    )
-                    continue
-                if self._degraded_reads:
-                    dead = self._open_breaker_shards(time.monotonic())
-                    if shard is not None:
-                        dead = frozenset(dead | {shard})
-                    return await self._serve_degraded(
-                        loop, query, dead, error
-                    )
-                raise
-            else:
-                # A merged answer touched every live shard: close all
-                # breakers and refresh the stale-serving cache.
-                self._record_shard_success(None)
-                self._cache_answer(query, result)
-                if (
-                    cache_key is not None
-                    and pinned_ok
-                    and self._result_cache is not None
-                    and not result.stale
-                    and not result.degraded
-                ):
-                    # Store only clean pinned answers: a SnapshotTooOld
-                    # fallback answered at *newer* state than the key's
-                    # version token, and stale/degraded answers belong to
-                    # the self-healing ladder, not the cache.
-                    self._result_cache.put(cache_key, result)
-                return result
-
-    async def _run_pinned(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        coordinator: Any,
-        query: ConsensusQuery,
-        versions: Tuple[int, ...],
-    ) -> Tuple[QueryAnswer, bool]:
-        # Plan (memoized per session generation) on the live
-        # coordinator, then rebind to a reader pinned at the
-        # versions captured when the request arrived: the read is
-        # isolated from updates that landed while it was queued.
-        # The boolean reports whether the answer really reflects the
-        # pinned vector (False on the aged-out-snapshot fallback).
         plan = DEFAULT_PLANNER.plan_for(query, coordinator, "served")
         reader = coordinator.at(versions)
         self._metrics.snapshot_reads += 1
@@ -953,106 +742,13 @@ class ServingExecutor:
             answer = await loop.run_in_executor(
                 self._merge_pool, plan.rebound(reader).execute
             )
-            return answer, True
         except SnapshotTooOldError:
-            # The pinned state aged out of the bounded history
-            # while queued; answer at the current versions instead.
-            answer = await loop.run_in_executor(
-                self._merge_pool, plan.execute
-            )
-            return answer, False
-
-    def _cache_answer(self, query: ConsensusQuery, answer: QueryAnswer) -> None:
-        # The full plan would keep the answering reader alive (see
-        # QueryAnswer.detached); the stale-serving ladder needs no plan.
-        cache = self._last_answers
-        cache[query] = (answer.detached(), time.monotonic())
-        cache.move_to_end(query)
-        while len(cache) > _LAST_ANSWER_CAP:
-            cache.popitem(last=False)
-
-    async def _serve_degraded(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        query: ConsensusQuery,
-        dead: FrozenSet[int],
-        error: Optional[BaseException],
-    ) -> QueryAnswer:
-        """Answer without the dead shard(s): stale, then shard-excluded.
-
-        The ladder: (1) the last good answer for this exact query, when
-        younger than ``staleness_bound_s`` -- exact but at a superseded
-        version vector (``stale=True``); (2) a fresh answer over the
-        merged tree *minus* the dead shards -- current but missing their
-        tuples, so confidence intervals are effectively widened
-        (``degraded=True``); (3) a typed
-        :class:`~repro.exceptions.ShardUnavailableError`.
-        """
-        cached = self._last_answers.get(query)
-        if cached is not None:
-            answer, at_time = cached
-            if time.monotonic() - at_time <= self._staleness_bound:
-                self._last_answers.move_to_end(query)
-                self._metrics.stale_served += 1
-                return replace(answer, stale=True)
-        if dead and len(dead) < self._database.shard_count:
-            try:
-                session = await loop.run_in_executor(
-                    self._merge_pool, self._degraded_session, frozenset(dead)
-                )
-                plan = DEFAULT_PLANNER.plan_for(query, session, "served")
-                result = await loop.run_in_executor(
-                    self._merge_pool, plan.execute
-                )
-            except Exception as degraded_error:
-                raise ShardUnavailableError(
-                    f"shard(s) {sorted(dead)} are unavailable and the "
-                    f"degraded route failed too: {degraded_error}"
-                ) from (error if error is not None else degraded_error)
-            self._metrics.degraded_served += 1
-            return replace(result, degraded=True)
-        raise ShardUnavailableError(
-            f"shard(s) {sorted(dead) if dead else '(unknown)'} are "
-            "unavailable: no cached answer within the staleness bound "
-            "and no live shards left to answer from"
-        ) from error
-
-    def _degraded_session(self, dead: FrozenSet[int]) -> Any:
-        """A static merged session over the live shards only.
-
-        Built parent-side over the shards' columns (the parent always
-        holds them, whatever executor runs the healthy path), cached by
-        (dead set, live shard versions) and rebuilt only when either
-        changes.  Runs on the coordinator worker thread.
-        """
-        versions = self._database.versions()
-        key = (
-            dead,
-            tuple(
-                version
-                for index, version in enumerate(versions)
-                if index not in dead
-            ),
-        )
-        cached = self._degraded_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        from repro.sharding.coordinator import ShardedQuerySession
-
-        sources = []
-        for shard in self._database.shards():
-            if shard.index in dead:
-                continue
-            session = shard.session()
-            if session is not None:
-                sources.append(session)
-        if not sources:
-            raise ShardUnavailableError(
-                "every shard is unavailable; nothing to degrade onto"
-            )
-        session = ShardedQuerySession(sources)
-        self._degraded_cache = (key, session)
-        return session
+            # The pinned state aged out of the bounded history while
+            # queued; answer at the current versions instead.
+            return await loop.run_in_executor(self._merge_pool, plan.execute)
+        if cache_key is not None:
+            self._result_cache.put(cache_key, answer)
+        return answer
 
     async def _warm_batch(
         self,

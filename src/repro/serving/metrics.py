@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Deque, Dict, Optional, Tuple
 
 
@@ -53,50 +53,32 @@ class LatencyRecorder:
 
 @dataclass(frozen=True)
 class ServingMetricsSnapshot:
-    """Immutable view of the executor's counters at one instant."""
+    """Immutable view of the executor's counters at one instant.
 
-    queries: int
-    coalesced: int
-    batches: int
-    updates: int
-    invalidations: int
-    mean_batch_size: float
-    latency_mean: float
-    latency_p50: float
-    latency_p95: float
-    queries_by_kind: Tuple[Tuple[str, int], ...]
+    The ``int`` fields are the monotone counters, declared only here:
+    :class:`ServingMetrics` keeps one mutable attribute per field, and
+    snapshot deltas subtract them.  The rest are point-in-time gauges and
+    nested snapshots.
+    """
+
+    queries: int = 0
+    coalesced: int = 0
+    batches: int = 0
+    updates: int = 0
+    invalidations: int = 0
     #: Reads answered on a version-pinned snapshot reader (MVCC path).
     snapshot_reads: int = 0
     #: Snapshot-pinned reads whose pinned vector was already superseded
     #: when the batch ran (the read resolved archived shard state).
     stale_reads: int = 0
-    #: Transport counters of the process-backed shard pool
-    #: (:class:`repro.sharding.procpool.IpcSnapshot`: summaries exchanged,
-    #: pipe vs shared-memory messages and bytes); ``None`` under
-    #: ``executor="threads"``.
-    ipc: Optional[Any] = None
-    #: Coordinator merge-engine counters
-    #: (:class:`repro.sharding.merge.MergeStatsSnapshot`: full vs
-    #: incremental merges, convolutions, reused partial products);
-    #: ``None`` when no coordinator has been built yet.
-    merge: Optional[Any] = None
-    #: Robustness counters (the self-healing serving path).
-    #: Workers respawned by the pool supervisor (mirrors the pool's
-    #: ``restarts`` IPC counter; 0 under ``executor="threads"``).
-    worker_restarts: int = 0
-    #: Executor-level retries of transient worker failures.
-    retries: int = 0
     #: Queries that missed their ``deadline_ms``.
     deadline_exceeded: int = 0
     #: Per-shard circuit-breaker open transitions.
     breaker_open: int = 0
-    #: Answers served from the last good cached answer (``stale=True``).
-    stale_served: int = 0
-    #: Answers served fresh over the merged tree minus dead shards
-    #: (``degraded=True``).
-    degraded_served: int = 0
-    #: Updates accepted into a dead shard's bounded queue.
-    updates_queued: int = 0
+    #: Shard reads the parent answered from its own columns because the
+    #: shard's worker could not (failed, down, or breaker open); counted
+    #: once per shard per query.
+    failover_served: int = 0
     #: Requests answered from the cross-session result cache (completed
     #: answers at an unchanged shard-version vector and backend).
     result_cache_hits: int = 0
@@ -107,6 +89,27 @@ class ServingMetricsSnapshot:
     #: queries wanting the rank-matrix artifact at different ``k``,
     #: materialized once at ``k_max`` and sliced).
     fused_plans: int = 0
+    mean_batch_size: float = 0.0
+    latency_mean: float = 0.0
+    latency_p50: float = 0.0
+    latency_p95: float = 0.0
+    queries_by_kind: Tuple[Tuple[str, int], ...] = ()
+    #: Transport counters of the process-backed shard pool
+    #: (:class:`repro.sharding.procpool.IpcSnapshot`: summaries exchanged,
+    #: pipe vs shared-memory messages and bytes); ``None`` under
+    #: ``executor="threads"``.
+    ipc: Optional[Any] = None
+    #: Coordinator merge-engine counters
+    #: (:class:`repro.sharding.merge.MergeStatsSnapshot`: full vs
+    #: incremental merges, convolutions, reused partial products);
+    #: ``None`` when no coordinator has been built yet.
+    merge: Optional[Any] = None
+
+    @property
+    def worker_restarts(self) -> int:
+        """Workers respawned by the pool supervisor (the ``restarts`` IPC
+        counter; 0 under ``executor="threads"``)."""
+        return getattr(self.ipc, "restarts", 0)
 
     @property
     def coalesce_rate(self) -> float:
@@ -123,25 +126,8 @@ class ServingMetricsSnapshot:
         their dataclass fields (or ``None``).  :meth:`from_dict` rebuilds
         an equal snapshot, nested snapshots included.
         """
-        data = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("queries_by_kind", "ipc", "merge")
-        }
+        data = asdict(self)
         data["queries_by_kind"] = dict(self.queries_by_kind)
-        data["ipc"] = (
-            None
-            if self.ipc is None
-            else {f.name: getattr(self.ipc, f.name) for f in fields(self.ipc)}
-        )
-        data["merge"] = (
-            None
-            if self.merge is None
-            else {
-                f.name: getattr(self.merge, f.name)
-                for f in fields(self.merge)
-            }
-        )
         return data
 
     @staticmethod
@@ -187,9 +173,8 @@ class ServingMetricsSnapshot:
             self,
             **{
                 name: getattr(self, name) - getattr(other, name)
-                for name in _COUNTERS
+                for name in COUNTERS
             },
-            worker_restarts=self.worker_restarts - other.worker_restarts,
             queries_by_kind=tuple(
                 (kind, count - other_kinds.get(kind, 0))
                 for kind, count in self.queries_by_kind
@@ -207,29 +192,24 @@ class ServingMetricsSnapshot:
         )
 
 
-@dataclass
-class ServingMetrics:
-    """Mutable counters owned by one executor."""
+#: The monotone counters: the ``int`` fields of the snapshot.
+COUNTERS = tuple(
+    f.name
+    for f in fields(ServingMetricsSnapshot)
+    if f.type in (int, "int")
+)
 
-    queries: int = 0
-    coalesced: int = 0
-    batches: int = 0
-    updates: int = 0
-    invalidations: int = 0
-    snapshot_reads: int = 0
-    stale_reads: int = 0
-    retries: int = 0
-    deadline_exceeded: int = 0
-    breaker_open: int = 0
-    stale_served: int = 0
-    degraded_served: int = 0
-    updates_queued: int = 0
-    result_cache_hits: int = 0
-    result_cache_misses: int = 0
-    fused_plans: int = 0
-    batched_requests: int = 0
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    queries_by_kind: Dict[str, int] = field(default_factory=dict)
+
+class ServingMetrics:
+    """Mutable counters owned by one executor: one attribute per name in
+    :data:`COUNTERS`, plus the latency and batch-size gauges' inputs."""
+
+    def __init__(self) -> None:
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self.batched_requests = 0
+        self.latency = LatencyRecorder()
+        self.queries_by_kind: Dict[str, int] = {}
 
     def count_query(self, kind: str) -> None:
         self.queries += 1
@@ -243,10 +223,9 @@ class ServingMetrics:
         self, ipc: Optional[Any] = None, merge: Optional[Any] = None
     ) -> ServingMetricsSnapshot:
         return ServingMetricsSnapshot(
-            **{name: getattr(self, name) for name in _COUNTERS},
+            **{name: getattr(self, name) for name in COUNTERS},
             ipc=ipc,
             merge=merge,
-            worker_restarts=getattr(ipc, "restarts", 0),
             mean_batch_size=(
                 self.batched_requests / self.batches if self.batches else 0.0
             ),
@@ -255,13 +234,3 @@ class ServingMetrics:
             latency_p95=self.latency.percentile(0.95),
             queries_by_kind=tuple(sorted(self.queries_by_kind.items())),
         )
-
-
-#: The monotone counters: :class:`ServingMetrics`' int fields that a
-#: snapshot carries (``batched_requests`` only feeds ``mean_batch_size``).
-_COUNTERS = tuple(
-    f.name
-    for f in fields(ServingMetrics)
-    if f.type in (int, "int")
-    and f.name in {g.name for g in fields(ServingMetricsSnapshot)}
-)

@@ -25,18 +25,18 @@ version, so after one shard's update only that shard's partials are
 re-fetched -- the exact analogue of the warm in-process shard sessions.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
-**supervised**: the pool respawns the dead worker from the shard's last
+**supervised**: the pool respawns the dead worker from the parent's
 committed columns under a
 :class:`~repro.sharding.supervisor.WorkerSupervisor` budget (exponential
 backoff + jitter), transparently retries idempotent requests on the fresh
-worker, replays a staged-but-uncommitted block patch whose commit raced
-the crash, and drops only the dead shard's parent-side cache entries so
-the other shards' version-keyed partials survive the restart.  When the
-restart budget is spent (or ``supervise=False``) the crash surfaces as
-:class:`~repro.exceptions.WorkerCrashError` instead of hanging; closing
-the pool is idempotent (``join`` -> ``terminate`` -> ``kill`` escalation,
-so a wedged worker cannot hang shutdown), and a closed pool can be rebuilt
-by the owning database's
+worker, and drops only the dead shard's parent-side cache entries.  A
+worker that misses a commit is reaped before the parent swaps and
+respawned from the new columns after, so it never runs ahead of the
+parent.  When the restart budget is spent (or ``supervise=False``) the
+shard is *down* and its reads fail over to the parent's columns
+(:meth:`ShardProcessPool.serves`).  Closing the pool is idempotent
+(``join`` -> ``terminate`` -> ``kill`` escalation), and a closed pool can
+be rebuilt by the owning database's
 :meth:`~repro.models.sharded.ShardedDatabase.process_pool`.
 
 Failure paths are testable deterministically: install a seeded
@@ -52,8 +52,18 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.andxor.columns import FlatColumns, Row
 from repro.engine import get_backend
@@ -82,8 +92,8 @@ _REMOTE_EXCEPTIONS = (
 
 #: Ops a supervised pool transparently retries on a respawned worker.
 #: All are idempotent reads or re-stageable writes; ``commit`` is absent
-#: (its replay needs the staged block, handled in ``commit_replace``),
-#: and the test hooks (``exit-now``, ``stall``) must never self-heal.
+#: (see ``commit_replace``), and the test hooks (``exit-now``, ``stall``)
+#: must never self-heal.
 _RETRYABLE_OPS = frozenset(
     {"layout", "summary", "cache_info", "stats", "ping", "prepare"}
 )
@@ -140,21 +150,19 @@ class IpcSnapshot:
 
     def __sub__(self, other: "IpcSnapshot") -> "IpcSnapshot":
         """Delta between two snapshots (workers kept from ``self``)."""
-        return IpcSnapshot(
-            commands=self.commands - other.commands,
-            summaries=self.summaries - other.summaries,
-            layouts=self.layouts - other.layouts,
-            pipe_messages=self.pipe_messages - other.pipe_messages,
-            shm_messages=self.shm_messages - other.shm_messages,
-            pipe_bytes=self.pipe_bytes - other.pipe_bytes,
-            shm_bytes=self.shm_bytes - other.shm_bytes,
-            updates=self.updates - other.updates,
-            summary_deltas=self.summary_deltas - other.summary_deltas,
-            delta_rows=self.delta_rows - other.delta_rows,
-            delta_rows_saved=self.delta_rows_saved - other.delta_rows_saved,
-            restarts=self.restarts - other.restarts,
-            workers=self.workers,
+        return replace(
+            self,
+            **{
+                name: getattr(self, name) - getattr(other, name)
+                for name in _IPC_COUNTERS
+            },
         )
+
+
+#: The pool's monotone transport counters (``workers`` is a gauge).
+_IPC_COUNTERS = tuple(
+    f.name for f in fields(IpcSnapshot) if f.name != "workers"
+)
 
 
 class _WorkerHandle:
@@ -205,9 +213,8 @@ class ShardProcessPool:
     supervise:
         When true (the default), dead or wedged workers are respawned
         under the supervisor's restart budget and idempotent requests
-        retry transparently; when false, the first crash surfaces as
-        :class:`~repro.exceptions.WorkerCrashError` (pre-supervision
-        behaviour).
+        retry transparently; when false, a shard goes down at its
+        worker's first crash and its reads fail over to the parent.
     supervisor:
         A :class:`~repro.sharding.supervisor.WorkerSupervisor` or
         :class:`~repro.sharding.supervisor.SupervisorPolicy` overriding
@@ -257,23 +264,19 @@ class ShardProcessPool:
         self._restart_locks: Dict[int, threading.Lock] = {}
         self._gather: Optional[ThreadPoolExecutor] = None
         self._tickets = itertools.count(1)
-        # Staged-but-uncommitted prepare payloads, kept parent-side so a
-        # commit that races a worker crash can be replayed on the
-        # respawned worker: (shard_index, ticket) -> payload.
-        self._staged_lock = threading.Lock()
-        self._staged: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
+        #: Shards whose worker could not be brought back: the parent
+        #: answers their reads until a respawn succeeds.
+        self._down: Set[int] = set()
+        #: Shards whose reads skip a live worker (set by the serving
+        #: executor from its open circuit breakers).
+        self._bypassed: FrozenSet[int] = frozenset()
+        #: shard -> whether its worker failed: reads the parent answered
+        #: since the last :meth:`take_failovers`.
+        self._failovers: Dict[int, bool] = {}
         self._started = False
         self._closed = False
         self._stats_lock = threading.Lock()
-        self._stats: Dict[str, int] = {
-            key: 0
-            for key in (
-                "commands", "summaries", "layouts", "pipe_messages",
-                "shm_messages", "pipe_bytes", "shm_bytes", "updates",
-                "summary_deltas", "delta_rows", "delta_rows_saved",
-                "restarts",
-            )
-        }
+        self._stats: Dict[str, int] = dict.fromkeys(_IPC_COUNTERS, 0)
         # version-keyed warm partials: only an updated shard re-fetches.
         # Entries outlive a commit: a stale entry never serves (the version
         # check forces a re-fetch) but its table is the baseline the worker
@@ -397,8 +400,6 @@ class ShardProcessPool:
             self._reap(handle, join_timeout)
         self._workers.clear()
         self._restart_locks.clear()
-        with self._staged_lock:
-            self._staged.clear()
         if self._gather is not None:
             self._gather.shutdown(wait=True)
             self._gather = None
@@ -444,7 +445,9 @@ class ShardProcessPool:
         A crash (or a hang past ``request_timeout``, treated as a wedged
         worker) on a supervised pool respawns the worker under the
         supervisor's backoff budget and transparently retries idempotent
-        ops; everything else surfaces to the caller.
+        ops; everything else surfaces to the caller.  A wedged worker that
+        is not replaced is reaped, so its late reply cannot answer a later
+        request.
         """
         attempts = 0
         while True:
@@ -458,14 +461,15 @@ class ShardProcessPool:
                 wedged = isinstance(error, WorkerCrashError) or getattr(
                     error, "worker_hang", False
                 )
-                if (
-                    wedged
-                    and op in _RETRYABLE_OPS
-                    and attempts < _MAX_RESTART_RETRIES
-                    and self.restart_worker(shard_index, expected=handle)
-                ):
-                    attempts += 1
-                    continue
+                if wedged:
+                    if (
+                        op in _RETRYABLE_OPS
+                        and attempts < _MAX_RESTART_RETRIES
+                        and self.restart_worker(shard_index, expected=handle)
+                    ):
+                        attempts += 1
+                        continue
+                    self._reap(handle)
                 raise
             if attempts and self._supervisor is not None:
                 self._supervisor.record_recovery(shard_index)
@@ -482,25 +486,27 @@ class ShardProcessPool:
             except (BrokenPipeError, OSError):
                 raise self._crash(handle, op) from None
             deadline = time.monotonic() + self._request_timeout
-            while not handle.connection.poll(0.05):
-                if not handle.process.is_alive():
-                    # One grace poll: the reply may have been written just
-                    # before the process exited.
-                    if handle.connection.poll(0.2):
-                        break
-                    raise self._crash(handle, op)
-                if time.monotonic() > deadline:
-                    error = ProcessPoolError(
-                        f"shard worker {handle.shard_index} did not answer "
-                        f"{op!r} within {self._request_timeout:.0f}s"
-                    )
-                    error.shard_index = handle.shard_index
-                    error.transient = True
-                    error.worker_hang = True
-                    raise error
             try:
+                while not handle.connection.poll(0.05):
+                    if not handle.process.is_alive():
+                        # One grace poll: the reply may have been written
+                        # just before the process exited.
+                        if handle.connection.poll(0.2):
+                            break
+                        raise self._crash(handle, op)
+                    if time.monotonic() > deadline:
+                        error = ProcessPoolError(
+                            f"shard worker {handle.shard_index} did not "
+                            f"answer {op!r} within "
+                            f"{self._request_timeout:.0f}s"
+                        )
+                        error.shard_index = handle.shard_index
+                        error.transient = True
+                        error.worker_hang = True
+                        raise error
                 return handle.connection.recv()
             except (EOFError, OSError):
+                # Also a pipe closed under us by a concurrent reap.
                 raise self._crash(handle, op) from None
 
     def _inject_fault(
@@ -570,12 +576,13 @@ class ShardProcessPool:
     def restart_worker(
         self, shard_index: int, expected: Optional[_WorkerHandle] = None
     ) -> bool:
-        """Respawn one shard's worker from its last committed columns.
+        """Respawn one shard's worker from the parent's committed columns.
 
         Returns ``True`` when a live worker is installed for the shard
         (whether this call respawned it or a concurrent one already had),
         ``False`` when supervision is off, the pool is closed, or the
-        supervisor's restart budget for the shard is spent.  Applies the
+        supervisor's restart budget for the shard is spent -- the shard is
+        then down and its reads fail over to the parent.  Applies the
         supervisor's exponential backoff + jitter before spawning, bumps
         the ``restarts`` IPC counter, and drops only this shard's
         parent-side layout/summary cache entries -- the other shards'
@@ -586,7 +593,7 @@ class ShardProcessPool:
         observed dead and the restart is skipped (reported successful) if
         another thread already swapped in a fresh worker.
         """
-        if self._supervisor is None or self._closed or not self._started:
+        if self._closed or not self._started:
             return False
         lock = self._restart_locks.get(shard_index)
         if lock is None:
@@ -599,8 +606,13 @@ class ShardProcessPool:
                 return True  # a concurrent restart already replaced it
             if expected is None and handle.process.is_alive():
                 return True  # already healthy: nothing to respawn
-            backoff = self._supervisor.admit_restart(shard_index)
+            backoff = (
+                None
+                if self._supervisor is None
+                else self._supervisor.admit_restart(shard_index)
+            )
             if backoff is None:
+                self._down.add(shard_index)
                 return False
             if backoff > 0.0:
                 time.sleep(backoff)
@@ -610,8 +622,22 @@ class ShardProcessPool:
                 shard_index, shard.columns
             )
             self._drop_shard_cache(shard_index)
+            self._down.discard(shard_index)
             self._count(restarts=1)
             return True
+
+    def respawn(self, shard_index: int) -> None:
+        """Replace a worker that missed a commit the parent made.
+
+        The installed worker is reaped, so a late commit can never
+        surface, and a fresh one is spawned from the parent's new columns
+        under the supervisor's budget (refused: the shard stays down).
+        """
+        handle = self._workers.get(shard_index)
+        if handle is None or self._closed:
+            return
+        self._reap(handle)
+        self.restart_worker(shard_index, expected=handle)
 
     def check_workers(self, restart: bool = True) -> List[int]:
         """Heartbeat sweep: indices of workers found dead.
@@ -649,17 +675,54 @@ class ShardProcessPool:
     def _request_many(
         self, commands: Sequence[Tuple[int, str, Any]]
     ) -> List[Any]:
-        """Issue one request per worker concurrently, results in order."""
+        """Issue one request per worker concurrently, results in order.
+
+        A worker failure takes the place of its shard's result instead of
+        raising, so one failed worker costs only its own shard's read.
+        """
+
+        def one(index: int, op: str, payload: Any) -> Any:
+            try:
+                return self._request(index, op, payload)
+            except ProcessPoolError as error:
+                return error
+
         if len(commands) <= 1 or self._gather is None:
-            return [
-                self._request(index, op, payload)
-                for index, op, payload in commands
-            ]
-        futures = [
-            self._gather.submit(self._request, index, op, payload)
-            for index, op, payload in commands
-        ]
+            return [one(*command) for command in commands]
+        futures = [self._gather.submit(one, *command) for command in commands]
         return [future.result() for future in futures]
+
+    # ------------------------------------------------------------------
+    # Failover: which reads the parent answers
+    # ------------------------------------------------------------------
+    def serves(self, shard_index: int) -> bool:
+        """Whether the shard's worker answers its reads; not while the
+        shard is down or bypassed, when the parent answers them."""
+        return (
+            shard_index in self._workers
+            and shard_index not in self._down
+            and shard_index not in self._bypassed
+        )
+
+    def bypass(self, shards: FrozenSet[int]) -> None:
+        """Answer these shards' reads parent-side, worker or not (the
+        serving executor's open circuit breakers)."""
+        self._bypassed = frozenset(shards)
+
+    def note_failover(self, shard_index: int) -> None:
+        """Record one read the parent answered for the shard."""
+        with self._stats_lock:
+            self._failovers[shard_index] = shard_index not in self._bypassed
+
+    def take_failovers(self) -> Dict[int, bool]:
+        """``{shard: worker failed}`` of the reads the parent answered
+        since the last call; ``False`` marks a bypassed shard."""
+        with self._stats_lock:
+            failovers, self._failovers = self._failovers, {}
+        return failovers
+
+    def _served(self) -> List[int]:
+        return [index for index in self.shard_indices() if self.serves(index)]
 
     # ------------------------------------------------------------------
     # Partial exchange
@@ -668,52 +731,60 @@ class ShardProcessPool:
         return self._database.shards()[shard_index].version
 
     def layout(self, shard_index: int) -> ShardLayout:
-        """One shard's warm layout; a miss fetches every stale shard's."""
+        """One shard's warm layout; a miss fetches every stale served
+        shard's, and raises only this shard's worker failure."""
         version = self._shard_version(shard_index)
         with self._cache_lock:
             cached = self._layout_cache.get(shard_index)
         if cached is not None and cached[0] == version:
             return cached[1]
-        wanted = []
-        for index in self.shard_indices():
+        wanted = [(shard_index, version)]
+        for index in self._served():
             version = self._shard_version(index)
             with self._cache_lock:
                 cached = self._layout_cache.get(index)
-            if cached is None or cached[0] != version:
+            stale = cached is None or cached[0] != version
+            if stale and index != shard_index:
                 wanted.append((index, version))
-        if wanted:
-            fetched = self._request_many(
-                [(index, "layout", None) for index, _ in wanted]
-            )
-            self._count(layouts=len(wanted))
-            with self._cache_lock:
-                for (index, version), layout in zip(wanted, fetched):
-                    self._layout_cache[index] = (version, layout)
+        fetched = self._request_many(
+            [(index, "layout", None) for index, _ in wanted]
+        )
         with self._cache_lock:
-            return self._layout_cache[shard_index][1]
+            for (index, version), layout in zip(wanted, fetched):
+                if not isinstance(layout, ProcessPoolError):
+                    self._count(layouts=1)
+                    self._layout_cache[index] = (version, layout)
+        if isinstance(fetched[0], ProcessPoolError):
+            raise fetched[0]
+        return fetched[0]
 
     def summaries(
         self, max_rank: int, use_cache: bool = True
     ) -> List[ShardRankSummary]:
-        """Per-shard truncated summaries, fetched in parallel.
+        """The served shards' truncated summaries, fetched in parallel.
 
         Cached parent-side per (shard, version, truncation): after one
         shard's update, only that shard ships fresh partials.  Pass
         ``use_cache=False`` to force a full exchange (transport
-        benchmarking).
+        benchmarking).  Raises the first worker failure.
         """
         max_rank = max(int(max_rank), 1)
-        self._refresh_summaries(max_rank, use_cache)
+        indices = self._served()
+        failures = self._refresh_summaries(max_rank, use_cache, indices)
+        if failures:
+            raise next(iter(failures.values()))
         with self._cache_lock:
             return [
-                self._summary_cache[(index, max_rank)][1]
-                for index in self.shard_indices()
+                self._summary_cache[(index, max_rank)][1] for index in indices
             ]
 
-    def _refresh_summaries(self, max_rank: int, use_cache: bool) -> None:
-        """Fetch every stale shard's summary in one parallel exchange."""
+    def _refresh_summaries(
+        self, max_rank: int, use_cache: bool, indices: Sequence[int]
+    ) -> Dict[int, ProcessPoolError]:
+        """Fetch the stale summaries of ``indices`` in one parallel
+        exchange; returns the worker failures by shard."""
         wanted: List[Tuple[int, int, Optional[int], Any]] = []
-        for index in self.shard_indices():
+        for index in indices:
             version = self._shard_version(index)
             with self._cache_lock:
                 cached = self._summary_cache.get((index, max_rank))
@@ -723,49 +794,61 @@ class ShardProcessPool:
                 else:
                     base_id, base_summary = None, None
                 wanted.append((index, version, base_id, base_summary))
-        if wanted:
-            shm_wanted = self._shm != "never" and get_backend().name == "numpy"
-            shm_floor = 0 if self._shm == "always" else self._shm_min_bytes
-            fetched = self._request_many(
-                [
-                    (index, "summary", (max_rank, shm_wanted, shm_floor, base_id))
-                    for index, _, base_id, _ in wanted
-                ]
-            )
-            self._count(summaries=len(wanted))
-            with self._cache_lock:
-                for (index, version, _, base_summary), exported in zip(
-                    wanted, fetched
-                ):
-                    summary = self._decode_summary(exported, base_summary)
-                    self._summary_cache[(index, max_rank)] = (
-                        version,
-                        summary,
-                        int(exported.get("state_id", 0)),
-                        exported.get("export_id"),
-                    )
-                    # The summary ships its layout anyway: keep it warm.
-                    existing = self._layout_cache.get(index)
-                    if existing is None or existing[0] != version:
-                        self._layout_cache[index] = (version, summary.layout)
+        if not wanted:
+            return {}
+        shm_wanted = self._shm != "never" and get_backend().name == "numpy"
+        shm_floor = 0 if self._shm == "always" else self._shm_min_bytes
+        fetched = self._request_many(
+            [
+                (index, "summary", (max_rank, shm_wanted, shm_floor, base_id))
+                for index, _, base_id, _ in wanted
+            ]
+        )
+        failures: Dict[int, ProcessPoolError] = {}
+        with self._cache_lock:
+            for (index, version, _, base_summary), exported in zip(
+                wanted, fetched
+            ):
+                if isinstance(exported, ProcessPoolError):
+                    failures[index] = exported
+                    continue
+                self._count(summaries=1)
+                summary = self._decode_summary(exported, base_summary)
+                self._summary_cache[(index, max_rank)] = (
+                    version,
+                    summary,
+                    int(exported.get("state_id", 0)),
+                    exported.get("export_id"),
+                )
+                # The summary ships its layout anyway: keep it warm.
+                existing = self._layout_cache.get(index)
+                if existing is None or existing[0] != version:
+                    self._layout_cache[index] = (version, summary.layout)
+        return failures
 
     def summary_with_token(
         self, shard_index: int, max_rank: int
     ) -> Tuple[ShardRankSummary, Tuple[int, int]]:
         """One shard's ``(summary, token)``, warm-cached.
 
-        A miss fetches every stale shard's summary in one parallel
-        exchange.  The token pairs the parent-side shard version with the
-        worker's committed ``state_id`` (shipped in the same reply as the
-        summary, so it identifies the summary's *content* even when a
-        fetch races a concurrent commit).  Merge-engine partial products
-        keyed by these tokens therefore never mix shard states.
+        A miss fetches every stale served shard's summary in one parallel
+        exchange and raises only this shard's worker failure.  The token
+        pairs the parent-side shard version with the worker's committed
+        ``state_id`` (shipped in the same reply as the summary, so it
+        identifies the summary's *content* even when a fetch races a
+        concurrent commit).  Merge-engine partial products keyed by these
+        tokens therefore never mix shard states.
         """
         key = (shard_index, max(int(max_rank), 1))
         with self._cache_lock:
             cached = self._summary_cache.get(key)
         if cached is None or cached[0] != self._shard_version(shard_index):
-            self._refresh_summaries(key[1], use_cache=True)
+            others = [i for i in self._served() if i != shard_index]
+            failures = self._refresh_summaries(
+                key[1], True, [shard_index, *others]
+            )
+            if shard_index in failures:
+                raise failures[shard_index]
             with self._cache_lock:
                 cached = self._summary_cache[key]
         version, summary, state_id, _ = cached
@@ -860,9 +943,13 @@ class ShardProcessPool:
         return table
 
     def prefetch(self, truncations: Sequence[int]) -> None:
-        """Warm the parent-side summary cache for a batch's truncations."""
-        for max_rank in sorted(set(truncations)):
-            self.summaries(max_rank)
+        """Warm the parent-side summary cache for a batch's truncations.
+
+        Advisory: a failed worker is left for the read itself to fail
+        over.
+        """
+        for max_rank in sorted({max(int(rank), 1) for rank in truncations}):
+            self._refresh_summaries(max_rank, True, self._served())
 
     # ------------------------------------------------------------------
     # Update fan-out (staged block patch protocol)
@@ -877,25 +964,13 @@ class ShardProcessPool:
         """Stage ``key``'s block replacement on the owning worker.
 
         Returns a ticket.  The worker patches its committed columns with
-        :meth:`~repro.andxor.columns.FlatColumns.replace_block`.  The
-        block is retained parent-side until the ticket commits or aborts,
-        so a commit that races a worker crash can be *replayed* --
-        re-staged and re-committed -- on the respawned worker instead of
-        losing the update.
+        :meth:`~repro.andxor.columns.FlatColumns.replace_block`.
         """
         ticket = next(self._tickets)
-        payload = (ticket, key, rows, independent)
-        with self._staged_lock:
-            self._staged[(shard_index, ticket)] = payload
-        try:
-            self._request(shard_index, "prepare", payload)
-        except BaseException:
-            with self._staged_lock:
-                self._staged.pop((shard_index, ticket), None)
-            raise
+        self._request(shard_index, "prepare", (ticket, key, rows, independent))
         return ticket
 
-    def commit_replace(self, shard_index: int, ticket: int) -> None:
+    def commit_replace(self, shard_index: int, ticket: int) -> bool:
         """Swap a staged patch in (called under the parent's version check).
 
         The shard's cache entries are deliberately *retained*: the version
@@ -903,27 +978,20 @@ class ShardProcessPool:
         entry from being served, and its table is the baseline the worker
         ships a row-suffix delta against on the next fetch.
 
-        A worker crash here (the staged state died with the process) is
-        recovered on a supervised pool by replaying the ticket: the
-        respawned worker holds the shard's last *committed* columns, so
-        the retained block is re-staged on them and committed again --
-        the parent's version check still happens after this returns, so
-        version authority is untouched.  Unsupervised pools surface the
-        crash unchanged (the parent stays at the old version).
+        Returns ``False`` when the commit failed (crash, timeout or lost
+        message): the worker is reaped and the shard marked down before
+        the parent swaps, and the caller then calls :meth:`respawn`.
         """
         try:
             self._request(shard_index, "commit", ticket)
-        except WorkerCrashError:
-            with self._staged_lock:
-                payload = self._staged.get((shard_index, ticket))
-            if payload is None or not self.restart_worker(shard_index):
-                raise
-            self._request(shard_index, "prepare", payload)
-            self._request(shard_index, "commit", ticket)
-        finally:
-            with self._staged_lock:
-                self._staged.pop((shard_index, ticket), None)
+        except ProcessPoolError:
+            handle = self._workers.get(shard_index)
+            if handle is not None:
+                self._reap(handle)
+            self._down.add(shard_index)
+            return False
         self._count(updates=1)
+        return True
 
     def abort_replace(self, shard_index: int, ticket: int) -> None:
         """Drop a staged patch whose version check lost the race."""
@@ -934,9 +1002,6 @@ class ShardProcessPool:
             # stale update and must see StaleUpdateError, not a transport
             # failure; a dead worker's staged state died with it anyway.
             pass
-        finally:
-            with self._staged_lock:
-                self._staged.pop((shard_index, ticket), None)
 
     def forget_cached_summaries(self) -> None:
         """Drop the parent-side layout/summary caches for every shard.
@@ -965,14 +1030,13 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     def cache_info(self) -> CacheInfo:
         """Roll-up of every worker session's cache counters (one exchange)."""
-        if not self._workers:
-            return CacheInfo()
         infos = self._request_many(
-            [(index, "cache_info", None) for index in self.shard_indices()]
+            [(index, "cache_info", None) for index in self._served()]
         )
         rollup = CacheInfo()
         for info in infos:
-            rollup = rollup + info
+            if not isinstance(info, ProcessPoolError):
+                rollup = rollup + info
         return rollup
 
     def stats(self) -> IpcSnapshot:

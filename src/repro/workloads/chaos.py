@@ -2,12 +2,13 @@
 
 :func:`replay_traffic` assumes a healthy executor -- any failure
 propagates and aborts the replay.  Under fault injection the interesting
-property is the opposite: every request must *terminate* (a fresh answer,
-a stale/degraded answer, or a typed :class:`~repro.exceptions.ReproError`
--- never a hang, never an untyped crash).  :func:`chaos_replay` replays
-the same seeded streams while recording one :class:`ChaosOutcome` per
-event, so tests and benchmarks can assert completeness, count degraded
-answers, and compare the non-degraded subset against a fault-free run.
+property is the opposite: every request must *terminate* (an answer, an
+applied update, or a typed :class:`~repro.exceptions.ReproError` --
+never a hang, never an untyped crash).  :func:`chaos_replay` replays the
+same seeded streams while recording one :class:`ChaosOutcome` per event,
+so tests and benchmarks can assert completeness and compare every answer
+against a fault-free run: a shard whose worker fails is answered from the
+parent's columns, so faults never change an answer.
 """
 
 from __future__ import annotations
@@ -17,24 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import (
-    DeadlineExceededError,
-    ProcessPoolError,
-    ReproError,
-    ShardUnavailableError,
-    WorkerCrashError,
-)
+from repro.exceptions import ReproError
 from repro.workloads.traffic import TrafficEvent
-
-#: Update failures a chaos run records instead of propagating: the typed
-#: outcomes a resilient client would handle (shard down and queue full,
-#: worker died mid-update past the retry budget, deadline missed).
-UPDATE_FAULT_ERRORS = (
-    ShardUnavailableError,
-    WorkerCrashError,
-    ProcessPoolError,
-    DeadlineExceededError,
-)
 
 
 @dataclass
@@ -61,15 +46,6 @@ class ChaosOutcome:
         if self.error is not None:
             return isinstance(self.error, ReproError)
         return self.event.is_update or self.answer is not None
-
-    @property
-    def fresh(self) -> bool:
-        """An answered query whose answer is neither stale nor degraded."""
-        return (
-            self.answer is not None
-            and not getattr(self.answer, "stale", False)
-            and not getattr(self.answer, "degraded", False)
-        )
 
     @property
     def elapsed(self) -> float:
@@ -128,7 +104,7 @@ async def chaos_replay(
                     probability=event.probability,
                     score=event.score,
                 )
-            except UPDATE_FAULT_ERRORS as error:
+            except ReproError as error:
                 outcome.error = error
             outcome.finished = time.monotonic()
             outcomes[position] = outcome
@@ -159,17 +135,6 @@ def chaos_summary(outcomes: Sequence[ChaosOutcome]) -> Dict[str, Any]:
         "completed": sum(1 for o in outcomes if o.completed),
         "queries": len(queries),
         "answered": sum(1 for o in queries if o.answer is not None),
-        "fresh": sum(1 for o in queries if o.fresh),
-        "stale": sum(
-            1
-            for o in queries
-            if o.answer is not None and getattr(o.answer, "stale", False)
-        ),
-        "degraded": sum(
-            1
-            for o in queries
-            if o.answer is not None and getattr(o.answer, "degraded", False)
-        ),
         "query_failures": sum(1 for o in queries if o.error is not None),
         "updates": len(updates),
         "updates_applied": sum(1 for o in updates if o.error is None),

@@ -6,9 +6,9 @@ sharded coordinator AND an unsharded session to 1e-9, on both backends,
 for 1/2/4 shards, hash and range partitioning, tuple-independent and BID
 data; the version-checked update protocol must stay correct across the
 process boundary (stale races abort the worker-side staged rebuild); a
-dead worker must surface :class:`~repro.exceptions.WorkerCrashError`
-without hanging; and seeded traffic replay must be byte-identical under
-both executors.
+request to a dead worker must surface
+:class:`~repro.exceptions.WorkerCrashError` without hanging; and seeded
+traffic replay must be byte-identical under both executors.
 
 Run under ``REPRO_PROC_START_METHOD=spawn`` in CI to catch fork-only
 pickling bugs (everything a worker needs must be importable + picklable).

@@ -1,14 +1,15 @@
 """Self-healing serving suite.
 
 The acceptance bar for the robustness layer: a killed or wedged shard
-worker must be respawned under the supervisor's budget with staged
-rebuilds replayed (never silently lost); queries must honour per-request
-deadlines and retry transient worker failures within a bounded budget;
-when a shard stays down, reads degrade explicitly (``stale=True`` /
-``degraded=True`` provenance, never silent wrong answers) and updates
-queue bounded or fail typed; stop/close must never hang or leak
-processes mid-flight or mid-restart; and every failure path must be
-reproducible from a seeded :class:`~repro.sharding.faults.FaultSchedule`.
+worker must be respawned from the parent's columns under the
+supervisor's budget, and a worker that misses a commit must come back
+holding exactly the parent's state; queries must honour per-request
+deadlines; when a worker cannot answer (it failed, its restart budget is
+spent, or its breaker is open) its shard's reads fail over to the
+parent's columns and stay exact to 1e-9, and updates to it still land;
+stop/close must never hang or leak processes mid-flight or mid-restart;
+and every failure path must be reproducible from a seeded
+:class:`~repro.sharding.faults.FaultSchedule`.
 
 Run under ``REPRO_PROC_START_METHOD=spawn`` in CI alongside the procpool
 suite to catch fork-only pickling bugs in the respawn path.
@@ -19,19 +20,27 @@ from __future__ import annotations
 import asyncio
 import math
 import multiprocessing
+import random
+import sys
+import threading
 import time
 
 import pytest
 
-from conftest import small_tuple_independent
+from conftest import small_bid, small_tuple_independent
+from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     DeadlineExceededError,
     ProcessPoolError,
-    ShardUnavailableError,
     WorkerCrashError,
     WorkloadError,
 )
-from repro.models import ShardedDatabase, TupleIndependentDatabase
+from repro.models import (
+    BlockIndependentDatabase,
+    ShardedDatabase,
+    TupleIndependentDatabase,
+)
+from repro.models.sharded import StaleUpdateError
 from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.serving.metrics import ServingMetrics
@@ -211,7 +220,7 @@ class TestFaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Supervised pool: restart, heartbeat, staged replay, close escalation
+# Supervised pool: restart, heartbeat, commit respawn, close escalation
 # ---------------------------------------------------------------------------
 class TestSupervisedPool:
     def test_kill_then_self_heal_with_parity(self):
@@ -240,40 +249,27 @@ class TestSupervisedPool:
             assert pool.supervisor.restarts(victim) == 1
         assert no_repro_workers_alive()
 
-    def test_restart_budget_exhaustion_surfaces_crash(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"supervisor": SupervisorPolicy(max_restarts=0, jitter=0.0)},
+            {"supervise": False},
+        ],
+        ids=["budget-spent", "unsupervised"],
+    )
+    def test_unrestartable_crash_takes_the_shard_down(self, options):
         database = small_tuple_independent(12, count=10)
         with ShardedDatabase(
-            database,
-            2,
-            executor="processes",
-            executor_options={
-                "supervisor": SupervisorPolicy(
-                    max_restarts=0, backoff_base=0.0, jitter=0.0
-                )
-            },
+            database, 2, executor="processes", executor_options=options
         ) as sharded:
             pool = sharded.process_pool()
-            victim = pool.shard_indices()[0]
-            kill_worker(pool, victim)
-            with pytest.raises(WorkerCrashError):
-                pool._request(victim, "ping")
-            assert pool.restart_count() == 0
-
-    def test_unsupervised_pool_keeps_legacy_crash_behaviour(self):
-        database = small_tuple_independent(13, count=10)
-        with ShardedDatabase(
-            database,
-            2,
-            executor="processes",
-            executor_options={"supervise": False},
-        ) as sharded:
-            pool = sharded.process_pool()
-            assert not pool.supervised
             victim = pool.shard_indices()[0]
             kill_worker(pool, victim)
             with pytest.raises(WorkerCrashError):
                 pool._request(victim, "ping")
             assert pool.restart_worker(victim) is False
+            assert pool.restart_count() == 0
+            assert not pool.serves(victim)
 
     def test_check_workers_heartbeat_restarts_dead(self):
         database = small_tuple_independent(14, count=10)
@@ -295,7 +291,7 @@ class TestSupervisedPool:
             assert pool._request(victim, "ping") == "pong"
             assert pool.restart_count() == 1
 
-    def test_staged_rebuild_replayed_through_commit_crash(self):
+    def test_update_survives_commit_crash(self):
         database = small_tuple_independent(15, count=12)
         with ShardedDatabase(
             database,
@@ -311,7 +307,8 @@ class TestSupervisedPool:
             pending = sharded.prepare_update(key, probability=0.999)
             assert pool.staged_count(victim) == 1
             # The crash takes the staged patch down with the worker; the
-            # supervised commit replays it on the respawned worker.
+            # parent commits anyway and respawns the worker from its new
+            # columns.
             kill_worker(pool, victim)
             sharded.apply_update(pending)
             assert pool.restart_count() >= 1
@@ -332,7 +329,7 @@ class TestSupervisedPool:
                 ).columns
             )
             expected = oracle.mean_topk_footrule(K)
-            # The change must show in the answer, or a lost replay would
+            # The change must show in the answer, or a lost update would
             # pass unnoticed.
             assert not math.isclose(before[1], expected[1], abs_tol=1e-6)
             replayed = coordinator.mean_topk_footrule(K)
@@ -364,7 +361,7 @@ class TestSupervisedPool:
 
 
 # ---------------------------------------------------------------------------
-# Executor: deadlines, retries, breaker, degradation, update queue
+# Executor: deadlines, failover, breaker
 # ---------------------------------------------------------------------------
 def run(coroutine):
     return asyncio.run(coroutine)
@@ -398,7 +395,7 @@ class TestDeadlines:
                     answer = await executor.execute(
                         Query.named("top_k_membership", K)
                     )
-                    assert not answer.stale and not answer.degraded
+                    assert answer.value is not None
             assert injector.fired_of_kind("stall")
 
         run(scenario())
@@ -420,200 +417,289 @@ class TestDeadlines:
         run(scenario())
 
 
-class TestRetries:
-    def test_dropped_message_retries_to_fresh_answer(self):
-        database = small_tuple_independent(23, count=12)
-        unsharded = QuerySession(database.tree)
-        injector = FaultInjector(FaultSchedule([FaultEvent(1, "drop")]))
+def _blocks(database):
+    """``{key: [(value, score, probability), ...]}`` of a database."""
+    columns = database.columns
+    blocks = {}
+    for row, block in enumerate(columns.blocks):
+        blocks.setdefault(columns.keys[block], []).append(
+            (
+                columns.values[row],
+                columns.explicit_scores[row],
+                columns.probabilities[row],
+            )
+        )
+    return blocks
+
+
+def _oracle(database, key=None, alternatives=None):
+    """An unsharded session over ``database``, ``key``'s block replaced."""
+    blocks = _blocks(database)
+    if key is not None:
+        blocks[key] = alternatives
+    # A tuple-independent database is the BID one with single alternatives.
+    return QuerySession(BlockIndependentDatabase(list(blocks.items())).columns)
+
+
+def _content(summary):
+    layout = summary.layout
+    rows = [list(row) for row in summary.prefix_table]
+    return layout.keys, layout.probabilities, rows
+
+
+async def assert_exact(executor, oracle):
+    """Every exact query kind answers like the unsharded oracle."""
+    for kind in EXACT_MIX:
+        answer = await executor.execute(Query.named(kind, K))
+        assert_value_parity(getattr(oracle, kind)(K), answer.value)
+
+
+class TestFailover:
+    """A shard whose worker cannot answer is answered from the parent's
+    columns: exact, current, and counted as ``failover_served``."""
+
+    @pytest.mark.parametrize("backend_name", ["python", "numpy"])
+    @pytest.mark.parametrize("layout", ["ti", "bid"])
+    @pytest.mark.parametrize("outage", ["breaker", "budget"])
+    def test_outage_reads_and_updates_stay_exact(
+        self, backend_name, layout, outage
+    ):
+        if backend_name == "numpy" and not numpy_available():
+            pytest.skip("numpy not installed")
+        if layout == "ti":
+            database = small_tuple_independent(51, count=12)
+        else:
+            database = small_bid(52, blocks=10, max_alternatives=3)
+        spent = SupervisorPolicy(max_restarts=0, backoff_base=0.0, jitter=0.0)
 
         async def scenario():
             with ShardedDatabase(
                 database,
-                2,
+                3,
                 executor="processes",
-                executor_options={
-                    "supervisor": FAST_SUPERVISION,
-                    "fault_injector": injector,
-                },
+                executor_options={"supervisor": spent},
+            ) as sharded:
+                async with ServingExecutor(
+                    sharded, breaker_threshold=1, breaker_cooldown_s=60.0
+                ) as executor:
+                    pool = sharded.process_pool()
+                    victim = pool.shard_indices()[0]
+                    if outage == "breaker":
+                        # The worker is healthy: only the breaker keeps
+                        # the reads away from it.
+                        executor._record_shard_failure(victim)
+                    else:
+                        kill_worker(pool, victim)
+                    force_cold_reads(sharded)
+                    await assert_exact(executor, _oracle(database))
+                    assert executor.metrics().failover_served >= 1
+                    if outage == "breaker":
+                        assert victim in executor.open_breakers()
+                    else:
+                        assert not pool.serves(victim)
+                    key = next(
+                        k
+                        for k in sharded.keys()
+                        if sharded.shard_of(k) == victim
+                    )
+                    halved = [
+                        (value, score, probability / 2)
+                        for value, score, probability in _blocks(database)[key]
+                    ]
+                    if layout == "ti":
+                        await executor.update(
+                            key, probability=halved[0][2]
+                        )
+                    else:
+                        sharded.update_block(key, halved)
+                    updated = _oracle(database, key, halved)
+                    membership = updated.top_k_membership(K)
+                    assert not math.isclose(
+                        membership[key],
+                        _oracle(database).top_k_membership(K)[key],
+                        abs_tol=1e-6,
+                    )
+                    await assert_exact(executor, updated)
+
+        with use_backend(backend_name):
+            run(scenario())
+        assert no_repro_workers_alive()
+
+    def test_one_dead_worker_fails_over_alone(self):
+        database = small_tuple_independent(54, count=16)
+        oracle = _oracle(database)
+
+        async def scenario():
+            with ShardedDatabase(
+                database,
+                4,
+                partitioner="range",
+                executor="processes",
+                executor_options={"supervise": False},
+            ) as sharded:
+                async with ServingExecutor(sharded) as executor:
+                    pool = sharded.process_pool()
+                    assert len(pool.shard_indices()) == 4
+                    victim = pool.shard_indices()[1]
+                    handle = pool._workers[victim]
+                    handle.process.terminate()
+                    handle.process.join(5.0)
+                    force_cold_reads(sharded)
+                    before = pool.stats().summaries
+                    answer = await executor.execute(
+                        Query.named("mean_topk_footrule", K)
+                    )
+                    assert_value_parity(
+                        oracle.mean_topk_footrule(K), answer.value
+                    )
+                    # The three healthy shards still shipped their own
+                    # summaries; only the dead one was computed here.
+                    assert pool.stats().summaries - before == 3
+                    assert executor.metrics().failover_served == 1
+
+        run(scenario())
+
+    def test_dropped_message_fails_over_exactly(self):
+        database = small_tuple_independent(23, count=12)
+        injector = FaultInjector(FaultSchedule([FaultEvent(1, "drop")]))
+        options = {"supervisor": FAST_SUPERVISION, "fault_injector": injector}
+
+        async def scenario():
+            with ShardedDatabase(
+                database, 2, executor="processes", executor_options=options
             ) as sharded:
                 # warm_shards off: the drop must hit the query path itself,
                 # not the advisory prefetch.
                 async with ServingExecutor(
-                    sharded, warm_shards=False, retry_backoff=0.0
+                    sharded, warm_shards=False
                 ) as executor:
-                    answer = await executor.execute(
-                        Query.named("mean_topk_symmetric_difference", K)
-                    )
-                    metrics = executor.metrics()
-                    assert metrics.retries >= 1
-                    assert not answer.stale and not answer.degraded
-                    reference = unsharded.mean_topk_symmetric_difference(K)
-                    assert answer.value[0] == reference[0]
-                    assert math.isclose(
-                        answer.value[1], reference[1], abs_tol=TOLERANCE
-                    )
+                    await assert_exact(executor, _oracle(database))
+                    assert executor.metrics().failover_served == 1
+            assert injector.fired_of_kind("drop")
 
         run(scenario())
 
-
-class TestDegradedServing:
-    @staticmethod
-    def _dead_shard_database(seed):
-        return ShardedDatabase(
-            small_tuple_independent(seed, count=12),
-            2,
-            executor="processes",
-            executor_options={"supervise": False},
-        )
-
-    def test_stale_answer_served_from_cache(self):
-        async def scenario():
-            with self._dead_shard_database(31) as sharded:
-                async with ServingExecutor(
-                    sharded,
-                    max_retries=0,
-                    breaker_threshold=1,
-                    staleness_bound_s=60.0,
-                ) as executor:
-                    fresh = await executor.execute(
-                        Query.named("top_k_membership", K)
-                    )
-                    assert not fresh.stale
-                    pool = sharded.process_pool()
-                    victim = pool.shard_indices()[0]
-                    kill_worker(pool, victim)
-                    force_cold_reads(sharded)
-                    stale = await executor.execute(
-                        Query.named("top_k_membership", K)
-                    )
-                    assert stale.stale and not stale.degraded
-                    assert stale.provenance()["stale"] is True
-                    assert_value_parity(fresh.value, stale.value)
-                    metrics = executor.metrics()
-                    assert metrics.stale_served == 1
-                    assert metrics.breaker_open >= 1
-                    assert victim in executor.open_breakers()
-
-        run(scenario())
-
-    def test_degraded_answer_excludes_dead_shard(self):
-        async def scenario():
-            with self._dead_shard_database(32) as sharded:
-                async with ServingExecutor(
-                    sharded,
-                    max_retries=0,
-                    breaker_threshold=1,
-                    staleness_bound_s=0.0,  # never serve stale: force fresh-minus-dead
-                ) as executor:
-                    await executor.start()
-                    pool = sharded.process_pool()
-                    victim = pool.shard_indices()[0]
-                    kill_worker(pool, victim)
-                    force_cold_reads(sharded)
-                    degraded = await executor.execute(
-                        Query.named("top_k_membership", K)
-                    )
-                    assert degraded.degraded and not degraded.stale
-                    assert degraded.provenance()["degraded"] is True
-                    # The degraded answer is exact over the live shards.
-                    live = [
-                        shard.session()
-                        for shard in sharded.shards()
-                        if shard.index != victim and shard.session()
-                    ]
-                    from repro.sharding import ShardedQuerySession
-
-                    reference = ShardedQuerySession(live).top_k_membership(K)
-                    assert_value_parity(reference, degraded.value)
-                    dead_keys = {
-                        key
-                        for key in sharded.keys()
-                        if sharded.shard_of(key) == victim
-                    }
-                    assert dead_keys
-                    assert dead_keys.isdisjoint(degraded.value)
-                    assert executor.metrics().degraded_served == 1
-
-        run(scenario())
-
-    def test_degraded_reads_disabled_raises_typed(self):
-        async def scenario():
-            with self._dead_shard_database(33) as sharded:
-                async with ServingExecutor(
-                    sharded,
-                    max_retries=0,
-                    breaker_threshold=1,
-                    degraded_reads=False,
-                ) as executor:
-                    await executor.start()
-                    pool = sharded.process_pool()
-                    kill_worker(pool, pool.shard_indices()[0])
-                    force_cold_reads(sharded)
-                    with pytest.raises(WorkerCrashError):
-                        await executor.execute(
-                            Query.named("mean_topk_footrule", K)
-                        )
-                    # Breaker now open: the typed refusal is immediate.
-                    with pytest.raises(ShardUnavailableError):
-                        await executor.execute(
-                            Query.named("mean_topk_footrule", K)
-                        )
-
-        run(scenario())
-
-    def test_updates_to_dead_shard_queue_bounded(self):
-        async def scenario():
-            with self._dead_shard_database(34) as sharded:
-                async with ServingExecutor(
-                    sharded,
-                    max_retries=0,
-                    breaker_threshold=1,
-                    update_queue_limit=1,
-                ) as executor:
-                    await executor.start()
-                    pool = sharded.process_pool()
-                    victim = pool.shard_indices()[0]
-                    kill_worker(pool, victim)
-                    keys = [
-                        key
-                        for key in sharded.keys()
-                        if sharded.shard_of(key) == victim
-                    ]
-                    assert keys
-                    await executor.update(keys[0], probability=0.4)
-                    assert executor.queued_update_count() == 1
-                    assert executor.metrics().updates_queued == 1
-                    with pytest.raises(ShardUnavailableError):
-                        await executor.update(keys[0], probability=0.6)
-
-        run(scenario())
-
-    def test_queued_updates_drain_on_recovery(self):
-        database = small_tuple_independent(35, count=12)
+    def test_breaker_closes_once_the_worker_answers_again(self):
+        database = small_tuple_independent(55, count=12)
 
         async def scenario():
             with ShardedDatabase(database, 2, executor="processes") as sharded:
                 async with ServingExecutor(
-                    sharded, breaker_threshold=1, update_queue_limit=8
+                    sharded, breaker_threshold=1, breaker_cooldown_s=0.05
                 ) as executor:
-                    await executor.start()
-                    key = sharded.keys()[0]
-                    shard_index = sharded.shard_of(key)
-                    version_before = sharded.versions()[shard_index]
-                    # Trip the breaker by hand: the worker is healthy, so
-                    # the queued update demonstrably waits on the breaker,
-                    # not on the worker.
-                    executor._record_shard_failure(shard_index)
-                    await executor.update(key, probability=0.3)
-                    assert executor.queued_update_count() == 1
-                    assert sharded.versions()[shard_index] == version_before
-                    executor._record_shard_success(shard_index)
-                    remaining = await executor.flush_updates()
-                    assert remaining == 0
-                    assert sharded.versions()[shard_index] == version_before + 1
-                    assert executor.metrics().updates == 1
+                    pool = sharded.process_pool()
+                    victim = pool.shard_indices()[0]
+                    executor._record_shard_failure(victim)
+                    assert executor.open_breakers() == (victim,)
+                    await asyncio.sleep(0.1)  # cooldown over: half-open
+                    force_cold_reads(sharded)
+                    before = executor.metrics().failover_served
+                    await assert_exact(executor, _oracle(database))
+                    assert executor._breakers[victim].opened_at is None
+                    assert executor.metrics().failover_served == before
 
         run(scenario())
+
+    def test_commit_timeout_respawns_worker_from_parent(self):
+        database = small_tuple_independent(56, count=12)
+        injector = FaultInjector(
+            FaultSchedule([FaultEvent(3, "stall", seconds=30.0)])
+        )
+        with ShardedDatabase(
+            database,
+            2,
+            executor="processes",
+            executor_options={
+                "supervisor": FAST_SUPERVISION,
+                "fault_injector": injector,
+            },
+        ) as sharded:
+            pool = sharded.process_pool()
+            key = sharded.keys()[0]
+            victim = sharded.shard_of(key)
+            assert pool._request(victim, "ping") == "pong"  # request 1
+            # Request 2 stages the patch; request 3, the commit, stalls
+            # past the timeout, so the worker's state is unknown.
+            pool._request_timeout = 0.5
+            sharded.update_tuple(key, probability=0.999)
+            pool._request_timeout = 120.0
+            (fired,) = injector.fired
+            assert (fired.op, fired.shard_index) == ("commit", victim)
+            assert pool.restart_count() == 1
+            worker, _ = pool.summary_with_token(victim, K)
+            parent = sharded.shards()[victim].session().partial_rank_summary(K)
+            assert 0.999 in worker.layout.probabilities
+            assert_value_parity(_content(parent), _content(worker), 1e-12)
+        assert no_repro_workers_alive()
+
+
+    def test_concurrent_updates_under_kills_keep_workers_in_sync(self):
+        database = small_tuple_independent(57, count=16)
+        injector = FaultInjector(
+            FaultSchedule.periodic("kill", start=3, every=7, count=4)
+        )
+        options = {"supervisor": FAST_SUPERVISION, "fault_injector": injector}
+        writers = 4  # more threads than cores
+        with ShardedDatabase(
+            database, 3, executor="processes", executor_options=options
+        ) as sharded:
+            pool = sharded.process_pool()
+            keys = sharded.keys()
+            final = {}
+
+            def write(offset):
+                rng = random.Random(offset)
+                for _ in range(4):
+                    for key in keys[offset::writers]:
+                        probability = round(rng.uniform(0.05, 0.95), 6)
+                        while True:
+                            try:
+                                sharded.update_tuple(
+                                    key, probability=probability
+                                )
+                                break
+                            except StaleUpdateError:
+                                continue  # another writer hit the shard
+                        final[key] = probability
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=write, args=(offset,))
+                    for offset in range(writers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(final) == len(keys)
+            assert len(injector.fired_of_kind("kill")) == 4
+            blocks = _blocks(database)
+            for key, probability in final.items():
+                value, score, _ = blocks[key][0]
+                blocks[key] = [(value, score, probability)]
+            oracle = QuerySession(
+                BlockIndependentDatabase(list(blocks.items())).columns
+            )
+            force_cold_reads(sharded)
+            coordinator = sharded.coordinator()
+            for kind in EXACT_MIX:
+                assert_value_parity(
+                    getattr(oracle, kind)(K), getattr(coordinator, kind)(K)
+                )
+            # Every worker holds exactly the parent's committed state.
+            for index in pool.shard_indices():
+                worker, _ = pool.summary_with_token(index, K)
+                parent = sharded.shards()[index].session()
+                assert_value_parity(
+                    _content(parent.partial_rank_summary(K)),
+                    _content(worker),
+                    1e-12,
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +751,7 @@ class TestStopClose:
                 executor="processes",
                 executor_options={"supervisor": FAST_SUPERVISION},
             ) as sharded:
-                executor = ServingExecutor(sharded, retry_backoff=0.0)
+                executor = ServingExecutor(sharded)
                 await executor.start()
                 pool = sharded.process_pool()
                 victim = pool.shard_indices()[0]
@@ -708,26 +794,22 @@ class TestMetricsDelta:
     def test_snapshot_subtraction(self):
         metrics = ServingMetrics()
         metrics.count_query("top_k_membership")
-        metrics.retries = 2
-        metrics.stale_served = 1
+        metrics.failover_served = 2
+        metrics.stale_reads = 1
         before = metrics.snapshot(ipc=IpcSnapshot(commands=5, restarts=1))
         metrics.count_query("top_k_membership")
         metrics.count_query("mean_topk_footrule")
-        metrics.retries = 5
         metrics.deadline_exceeded = 1
         metrics.breaker_open = 2
-        metrics.stale_served = 3
-        metrics.degraded_served = 1
-        metrics.updates_queued = 4
+        metrics.failover_served = 5
+        metrics.stale_reads = 4
         after = metrics.snapshot(ipc=IpcSnapshot(commands=9, restarts=3))
         delta = after - before
         assert delta.queries == 2
-        assert delta.retries == 3
         assert delta.deadline_exceeded == 1
         assert delta.breaker_open == 2
-        assert delta.stale_served == 2
-        assert delta.degraded_served == 1
-        assert delta.updates_queued == 4
+        assert delta.failover_served == 3
+        assert delta.stale_reads == 3
         assert delta.worker_restarts == 2
         assert delta.ipc.commands == 4
         assert dict(delta.queries_by_kind) == {
@@ -774,9 +856,7 @@ class TestChaosReplay:
                 assert [e.kind for e in stream] == [e.kind for e in events]
 
                 async def drive():
-                    async with ServingExecutor(
-                        sharded, retry_backoff=0.0
-                    ) as executor:
+                    async with ServingExecutor(sharded) as executor:
                         outcomes = await chaos_replay(
                             executor, stream, concurrency=4
                         )
@@ -796,18 +876,16 @@ class TestChaosReplay:
         # The kills actually happened and were healed.
         assert injector.fired_of_kind("kill")
         assert metrics.worker_restarts >= 1
-        # Supervision healed every update, so both runs hold equal state
-        # and the non-degraded answers must agree to 1e-9.
+        # Every update landed, so both runs hold equal state, and every
+        # answer -- failover or not -- must agree to 1e-9.
         assert fault_summary["update_failures"] == 0
         assert base_summary["update_failures"] == 0
+        assert fault_summary["answered"] == fault_summary["queries"]
         compared = 0
         for reference, outcome in zip(baseline, faulted):
             if reference.event.is_update:
                 continue
-            if reference.fresh and outcome.fresh:
-                assert_value_parity(
-                    reference.answer.value, outcome.answer.value
-                )
-                compared += 1
-        assert compared > 0
+            assert_value_parity(reference.answer.value, outcome.answer.value)
+            compared += 1
+        assert compared == fault_summary["queries"]
         assert no_repro_workers_alive()

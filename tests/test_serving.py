@@ -330,13 +330,11 @@ class TestCachedAnswersReleaseTheirReader:
                 gc.collect()
                 assert readers and all(ref() is None for ref in readers)
                 cached = executor.result_cache.get(key)
-                stale, _ = executor._last_answers[query]
-                return text, cached, stale
+                return text, cached
 
-        text, cached, stale = asyncio.run(scenario())
+        text, cached = asyncio.run(scenario())
         assert isinstance(cached.plan, PlanSummary)
         assert cached.to_json() == text
-        assert stale.to_json() == text
 
     def test_connection_cache_drops_the_reader(self):
         _, sharded = make_sharded()
