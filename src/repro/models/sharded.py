@@ -740,8 +740,8 @@ class ShardedDatabase:
                 )
             )
             shard._replace(pending.columns)
-        if missed:
-            self.process_pool().respawn(pending.shard_index)
+        if missed and self._pool is not None:
+            self._pool.respawn(pending.shard_index)
         self._notify(pending.shard_index, pending.key)
 
     def _archive_current(self, shard: DatabaseShard) -> None:

@@ -617,10 +617,15 @@ class ShardProcessPool:
             if backoff > 0.0:
                 time.sleep(backoff)
             self._reap(handle)
-            shard = self._database.shards()[shard_index]
-            self._workers[shard_index] = self._spawn_worker(
-                shard_index, shard.columns
-            )
+            # Under the database's update lock: an update that already
+            # committed on the dead worker cannot swap the parent's columns
+            # between this read and the install, leaving the new worker
+            # behind the parent.
+            with self._database._apply_lock:
+                shard = self._database.shards()[shard_index]
+                self._workers[shard_index] = self._spawn_worker(
+                    shard_index, shard.columns
+                )
             self._drop_shard_cache(shard_index)
             self._down.discard(shard_index)
             self._count(restarts=1)
