@@ -82,9 +82,11 @@ SUPERVISION = SupervisorPolicy(
 )
 
 
-def _fault_schedule():
+def _fault_schedule(horizon):
+    """Kills spread over the ``horizon`` worker requests of the fault-free
+    run (so every kill lands inside the replay), a stall and a drop."""
     kills = FaultSchedule.periodic(
-        "kill", start=10, every=max(10, EVENT_COUNT // KILLS), count=KILLS
+        "kill", start=10, every=max(10, (horizon - 10) // KILLS), count=KILLS
     )
     extras = FaultSchedule(
         [
@@ -156,8 +158,9 @@ def _value_close(expected, actual, tol=TOLERANCE):
 
 
 def test_e16_selfhealing_under_faults():
-    schedule = _fault_schedule()
-    baseline, base_elapsed, base_metrics = _run(None)
+    counter = FaultInjector(FaultSchedule([]))
+    baseline, base_elapsed, base_metrics = _run(counter)
+    schedule = _fault_schedule(counter.request_count)
     injector = FaultInjector(schedule)
     faulted, fault_elapsed, fault_metrics = _run(injector)
 

@@ -91,9 +91,9 @@ class WorkloadError(ReproError):
 class ProcessPoolError(ReproError):
     """Raised when process-backed shard execution fails.
 
-    Covers protocol errors (unknown staged tickets, commands against a
-    closed pool) and request timeouts; the worker-death case is the more
-    specific :class:`WorkerCrashError`.
+    Covers protocol errors (unknown commands, commands against a closed
+    pool), lost messages and request timeouts; the worker-death case is
+    the more specific :class:`WorkerCrashError`.
     """
 
 

@@ -222,25 +222,28 @@ apply_update` is then a version-bumping pointer swap that the serving
     __slots__ = (
         "shard_index",
         "key",
+        "rows",
         "base_version",
         "columns",
         "removed_scores",
         "added_scores",
-        "remote_ticket",
     )
 
     def __init__(
         self,
         shard_index: int,
         key: Hashable,
+        rows: List[Row],
         base_version: int,
         columns: FlatColumns,
         removed_scores: Tuple[float, ...] = (),
         added_scores: Tuple[float, ...] = (),
-        remote_ticket: Optional[int] = None,
     ) -> None:
         self.shard_index = shard_index
         self.key = key
+        # The block's new rows, which the owning worker process patches in
+        # (executor="processes") when the update is applied.
+        self.rows = rows
         self.base_version = base_version
         self.columns = columns
         # Distinct-score registry delta, applied (and re-validated) only by
@@ -248,12 +251,6 @@ apply_update` is then a version-bumping pointer swap that the serving
         # registry untouched.
         self.removed_scores = removed_scores
         self.added_scores = added_scores
-        # Ticket of the same block patch staged on the owning worker
-        # process (executor="processes" only): committed or aborted by
-        # apply_update in lockstep with the parent-side version check.
-        # None when the worker could not stage it; apply_update then
-        # respawns the worker from the parent's new columns.
-        self.remote_ticket = remote_ticket
 
 
 class ShardedDatabase:
@@ -643,12 +640,8 @@ class ShardedDatabase:
     ) -> PendingUpdate:
         """Patch ``key``'s block into a copy of the shard's columns.
 
-        The same on both executors.  Under ``executor="processes"`` the
-        same block is also staged on the owning worker (ticketed), which
-        patches its own committed columns; :meth:`apply_update` commits it
-        under the same version check that swaps the parent's copy in.  A
-        worker that cannot stage it does not stop the update: the parent's
-        columns are authoritative.
+        The same on both executors; under ``executor="processes"``,
+        :meth:`apply_update` also sends the rows to the owning worker.
         """
         shard_index, base_version, columns = state
         patched = columns.replace_block(key, rows, self._independent)
@@ -660,16 +653,8 @@ class ShardedDatabase:
             if added == removed:
                 removed = added = ()
             self._check_score_free(key, added)
-        ticket = None
-        if self._executor == "processes":
-            try:
-                ticket = self.process_pool().prepare_replace(
-                    shard_index, key, rows, self._independent
-                )
-            except ProcessPoolError:
-                pass
         return PendingUpdate(
-            shard_index, key, base_version, patched, removed, added, ticket
+            shard_index, key, rows, base_version, patched, removed, added
         )
 
     def _check_score_free(
@@ -695,22 +680,13 @@ class ShardedDatabase:
 
         Under ``executor="processes"`` the worker commits first and the
         parent swaps second, which the ``(version, state id)`` summary
-        tokens rely on.  When the worker misses the commit (it failed,
-        timed out, or never staged the patch) the parent swaps anyway and
-        the worker is respawned from the new columns.
+        tokens rely on.  When the worker misses the commit (it crashed,
+        timed out or lost the message) the parent swaps anyway and the
+        worker is respawned from the new columns.
         """
         with self._apply_lock:
             shard = self._shards[pending.shard_index]
             if shard.version != pending.base_version:
-                if (
-                    pending.remote_ticket is not None
-                    and self._pool is not None
-                ):
-                    # Losing the race must also drop the patch staged on the
-                    # worker, or its columns would stay there until close.
-                    self._pool.abort_replace(
-                        pending.shard_index, pending.remote_ticket
-                    )
                 raise StaleUpdateError(
                     f"shard {pending.shard_index} moved from version "
                     f"{pending.base_version} to {shard.version} since the "
@@ -733,15 +709,18 @@ class ShardedDatabase:
             # readers pinned at the current vector keep resolving it after
             # the swap publishes the new one.
             self._archive_current(shard)
-            missed = self._executor == "processes" and not (
-                pending.remote_ticket is not None
-                and self.process_pool().commit_replace(
-                    pending.shard_index, pending.remote_ticket
+            missed = (
+                self._executor == "processes"
+                and not self.process_pool().commit_replace(
+                    pending.shard_index,
+                    pending.key,
+                    pending.rows,
+                    self._independent,
                 )
             )
             shard._replace(pending.columns)
         if missed and self._pool is not None:
-            self._pool.respawn(pending.shard_index)
+            self._pool.restart_worker(pending.shard_index)
         self._notify(pending.shard_index, pending.key)
 
     def _archive_current(self, shard: DatabaseShard) -> None:

@@ -21,9 +21,10 @@ distributions.  This package exploits that factorization:
 * :class:`~repro.sharding.procpool.ShardProcessPool` -- the process-backed
   execution of the same protocol: one worker process per shard, supervised
   by :class:`~repro.sharding.supervisor.WorkerSupervisor` (crashed or
-  wedged workers restart with backoff and their staged-but-uncommitted
-  rebuilds replay or abort cleanly), with a deterministic fault-injection
-  harness in :mod:`repro.sharding.faults` for chaos testing.
+  wedged workers restart with backoff from the parent's columns, which
+  answer a shard's reads while its worker cannot), with a deterministic
+  fault-injection harness in :mod:`repro.sharding.faults` for chaos
+  testing.
 """
 
 from repro.sharding.summary import ShardRankSummary

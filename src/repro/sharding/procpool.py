@@ -15,10 +15,9 @@ coordinator exchanges only compact partials with it:
 * a shared-memory fast path (``multiprocessing.shared_memory``) for the
   dense numpy prefix tables, so large partials cross the process boundary
   as one memcpy instead of a pickle round-trip;
-* staged ``prepare`` / ``commit`` / ``abort`` block patches implementing
-  the version-checked update swap of
-  :meth:`repro.models.sharded.ShardedDatabase.apply_update` across process
-  boundaries (the parent stays the sole authority over shard versions).
+* block patches committed on the worker inside the version-checked
+  update swap of :meth:`repro.models.sharded.ShardedDatabase.apply_update`
+  (the parent stays the sole authority over shard versions and columns).
 
 Summaries and layouts are cached parent-side keyed by the owning shard's
 version, so after one shard's update only that shard's partials are
@@ -46,7 +45,6 @@ the pool will kill, stall, delay or drop at scheduled request ordinals.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import threading
@@ -90,13 +88,10 @@ _REMOTE_EXCEPTIONS = (
     "ProcessPoolError",
 )
 
-#: Ops a supervised pool transparently retries on a respawned worker.
-#: All are idempotent reads or re-stageable writes; ``commit`` is absent
-#: (see ``commit_replace``), and the test hooks (``exit-now``, ``stall``)
-#: must never self-heal.
-_RETRYABLE_OPS = frozenset(
-    {"layout", "summary", "cache_info", "stats", "ping", "prepare"}
-)
+#: Ops a supervised pool transparently retries on a respawned worker:
+#: the idempotent reads.  ``replace`` is absent (see ``commit_replace``),
+#: and the test hooks (``exit-now``, ``stall``) must never self-heal.
+_RETRYABLE_OPS = frozenset({"layout", "summary", "cache_info", "stats", "ping"})
 
 #: Cap on restart-and-retry cycles within one request (the supervisor's
 #: own per-worker budget is the real limiter; this bounds pathological
@@ -263,7 +258,6 @@ class ShardProcessPool:
         self._workers: Dict[int, _WorkerHandle] = {}
         self._restart_locks: Dict[int, threading.Lock] = {}
         self._gather: Optional[ThreadPoolExecutor] = None
-        self._tickets = itertools.count(1)
         #: Shards whose worker could not be brought back: the parent
         #: answers their reads until a respawn succeeds.
         self._down: Set[int] = set()
@@ -631,19 +625,6 @@ class ShardProcessPool:
             self._count(restarts=1)
             return True
 
-    def respawn(self, shard_index: int) -> None:
-        """Replace a worker that missed a commit the parent made.
-
-        The installed worker is reaped, so a late commit can never
-        surface, and a fresh one is spawned from the parent's new columns
-        under the supervisor's budget (refused: the shard stays down).
-        """
-        handle = self._workers.get(shard_index)
-        if handle is None or self._closed:
-            return
-        self._reap(handle)
-        self.restart_worker(shard_index, expected=handle)
-
     def check_workers(self, restart: bool = True) -> List[int]:
         """Heartbeat sweep: indices of workers found dead.
 
@@ -957,38 +938,33 @@ class ShardProcessPool:
             self._refresh_summaries(max_rank, True, self._served())
 
     # ------------------------------------------------------------------
-    # Update fan-out (staged block patch protocol)
+    # Update fan-out
     # ------------------------------------------------------------------
-    def prepare_replace(
+    def commit_replace(
         self,
         shard_index: int,
         key: Hashable,
         rows: List[Row],
         independent: bool,
-    ) -> int:
-        """Stage ``key``'s block replacement on the owning worker.
+    ) -> bool:
+        """Patch ``key``'s block into the worker's committed columns.
 
-        Returns a ticket.  The worker patches its committed columns with
-        :meth:`~repro.andxor.columns.FlatColumns.replace_block`.
-        """
-        ticket = next(self._tickets)
-        self._request(shard_index, "prepare", (ticket, key, rows, independent))
-        return ticket
-
-    def commit_replace(self, shard_index: int, ticket: int) -> bool:
-        """Swap a staged patch in (called under the parent's version check).
-
-        The shard's cache entries are deliberately *retained*: the version
-        check in :meth:`summaries` / :meth:`layout` already keeps a stale
-        entry from being served, and its table is the baseline the worker
-        ships a row-suffix delta against on the next fetch.
+        Called under the parent's version check, right before the parent
+        swaps in the same patch (:meth:`~repro.andxor.columns.FlatColumns.\
+replace_block`).  The shard's cache entries are deliberately
+        *retained*: the version check in :meth:`summaries` / :meth:`layout`
+        already keeps a stale entry from being served, and its table is the
+        baseline the worker ships a row-suffix delta against on the next
+        fetch.
 
         Returns ``False`` when the commit failed (crash, timeout or lost
-        message): the worker is reaped and the shard marked down before
-        the parent swaps, and the caller then calls :meth:`respawn`.
+        message).  The worker is then reaped, so a late commit can never
+        surface, and the shard marked down before the parent swaps; the
+        caller then respawns it from the parent's new columns with
+        :meth:`restart_worker`.
         """
         try:
-            self._request(shard_index, "commit", ticket)
+            self._request(shard_index, "replace", (key, rows, independent))
         except ProcessPoolError:
             handle = self._workers.get(shard_index)
             if handle is not None:
@@ -997,16 +973,6 @@ class ShardProcessPool:
             return False
         self._count(updates=1)
         return True
-
-    def abort_replace(self, shard_index: int, ticket: int) -> None:
-        """Drop a staged patch whose version check lost the race."""
-        try:
-            self._request(shard_index, "abort", ticket)
-        except ProcessPoolError:
-            # Aborts are best-effort: the caller is already unwinding a
-            # stale update and must see StaleUpdateError, not a transport
-            # failure; a dead worker's staged state died with it anyway.
-            pass
 
     def forget_cached_summaries(self) -> None:
         """Drop the parent-side layout/summary caches for every shard.
@@ -1025,10 +991,6 @@ class ShardProcessPool:
                 key for key in self._summary_cache if key[0] == shard_index
             ]:
                 del self._summary_cache[key]
-
-    def staged_count(self, shard_index: int) -> int:
-        """Number of patches staged but not yet committed on one worker."""
-        return int(self._request(shard_index, "stats")["staged"])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -3,13 +3,13 @@
 One worker process owns one database shard: it opens a warm
 :class:`~repro.session.QuerySession` over the shard's (pickled)
 :class:`~repro.andxor.columns.FlatColumns`, answers layout / summary /
-cache-info requests over its pipe, and participates in the coordinator's
-version-checked update protocol through staged ``prepare`` / ``commit`` /
-``abort`` commands.  A ``prepare`` carries one block, which the worker
-patches into its committed columns with the same
-:meth:`~repro.andxor.columns.FlatColumns.replace_block` the parent applied
-to its copy; the parent's :class:`~repro.models.sharded.ShardedDatabase`
-keeps sole authority over shard versions and the distinct-score registry.
+cache-info requests over its pipe, and commits updates through one
+``replace`` command, sent under the parent's version check.  It carries
+one block, which the worker patches into its committed columns with the
+same :meth:`~repro.andxor.columns.FlatColumns.replace_block` the parent
+applies to its copy; the parent's
+:class:`~repro.models.sharded.ShardedDatabase` keeps sole authority over
+shard versions, columns and the distinct-score registry.
 
 Everything in this module is importable at top level so the ``spawn`` start
 method can pickle the :func:`worker_main` target; the parent side lives in
@@ -100,17 +100,15 @@ def export_prefix_table(
 
 
 class ShardWorkerState:
-    """The worker-side shard: committed columns, session, staged patches."""
+    """The worker-side shard: committed columns and their session."""
 
     def __init__(self, shard_index: int, columns: FlatColumns) -> None:
         self.shard_index = shard_index
         self.columns = columns
         self._session: Optional[QuerySession] = None
-        #: ticket -> patched columns: updates prepared but not committed.
-        self.staged: Dict[int, FlatColumns] = {}
-        #: Monotone id of the worker's committed state.  Bumped atomically
-        #: with the staged swap, so it identifies summary *content* even
-        #: while the parent's version bump is still in flight.
+        #: Monotone id of the worker's committed state.  Bumped with every
+        #: commit, so it identifies summary *content* even while the
+        #: parent's version bump is still in flight.
         self.state_id = 0
         #: max_rank -> (export_id, scores, probabilities) of the last full
         #: table shipped, the baseline for row-suffix delta exports.
@@ -177,31 +175,14 @@ class ShardWorkerState:
             "export_id": export_id,
         }
 
-    def handle_prepare(self, payload: Tuple[int, Any, List[Row], bool]) -> int:
-        ticket, key, rows, independent = payload
-        self.staged[ticket] = self.columns.replace_block(
-            key, rows, independent
-        )
-        return ticket
-
-    def handle_commit(self, ticket: int) -> int:
-        try:
-            columns = self.staged.pop(ticket)
-        except KeyError:
-            raise ProcessPoolError(
-                f"unknown staged patch ticket {ticket} on shard "
-                f"{self.shard_index} (already committed or aborted?)"
-            ) from None
-        self.columns = columns
+    def handle_replace(self, payload: Tuple[Any, List[Row], bool]) -> int:
+        key, rows, independent = payload
+        self.columns = self.columns.replace_block(key, rows, independent)
         self._session = None
         # New committed content: advance the state id the parent pairs
         # with shard versions so merge caches never mix states.
         self.state_id += 1
-        return ticket
-
-    def handle_abort(self, ticket: int) -> int:
-        self.staged.pop(ticket, None)
-        return ticket
+        return self.state_id
 
     def handle_cache_info(self, _payload: Any) -> Any:
         if self._session is None:
@@ -215,7 +196,6 @@ class ShardWorkerState:
             "pid": os.getpid(),
             "shard_index": self.shard_index,
             "tuples": len(self.columns.keys),
-            "staged": len(self.staged),
             "session_built": self._session is not None,
             "backend": get_backend().name,
             "state_id": self.state_id,
@@ -234,9 +214,7 @@ def worker_main(
     handlers = {
         "layout": state.handle_layout,
         "summary": state.handle_summary,
-        "prepare": state.handle_prepare,
-        "commit": state.handle_commit,
-        "abort": state.handle_abort,
+        "replace": state.handle_replace,
         "cache_info": state.handle_cache_info,
         "stats": state.handle_stats,
         "ping": lambda _payload: "pong",

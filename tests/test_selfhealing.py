@@ -31,15 +31,10 @@ from conftest import small_bid, small_tuple_independent
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     DeadlineExceededError,
-    ProcessPoolError,
     WorkerCrashError,
     WorkloadError,
 )
-from repro.models import (
-    BlockIndependentDatabase,
-    ShardedDatabase,
-    TupleIndependentDatabase,
-)
+from repro.models import BlockIndependentDatabase, ShardedDatabase
 from repro.models.sharded import StaleUpdateError
 from repro.query import Query
 from repro.serving import ServingExecutor
@@ -305,41 +300,23 @@ class TestSupervisedPool:
             victim = pool.shard_indices()[0]
             key = sharded.shards()[victim].keys()[0]
             pending = sharded.prepare_update(key, probability=0.999)
-            assert pool.staged_count(victim) == 1
-            # The crash takes the staged patch down with the worker; the
-            # parent commits anyway and respawns the worker from its new
-            # columns.
+            # The worker is dead when the commit reaches it; the parent
+            # commits anyway and respawns the worker from its new columns.
             kill_worker(pool, victim)
             sharded.apply_update(pending)
             assert pool.restart_count() >= 1
-            assert pool.staged_count(victim) == 0
             force_cold_reads(sharded)
-            columns = database.columns
-            oracle = QuerySession(
-                TupleIndependentDatabase(
-                    [
-                        (k, value, score, 0.999 if k == key else p)
-                        for k, value, score, p in zip(
-                            columns.keys,
-                            columns.values,
-                            columns.explicit_scores,
-                            columns.probabilities,
-                        )
-                    ]
-                ).columns
-            )
-            expected = oracle.mean_topk_footrule(K)
+            ((value, score, _),) = _blocks(database)[key]
+            oracle = _oracle(database, {key: [(value, score, 0.999)]})
             # The change must show in the answer, or a lost update would
             # pass unnoticed.
+            expected = oracle.mean_topk_footrule(K)
             assert not math.isclose(before[1], expected[1], abs_tol=1e-6)
-            replayed = coordinator.mean_topk_footrule(K)
-            assert replayed[0] == expected[0]
-            assert math.isclose(replayed[1], expected[1], abs_tol=TOLERANCE)
-            membership = coordinator.top_k_membership(K)
-            for k, probability in oracle.top_k_membership(K).items():
-                assert math.isclose(
-                    membership[k], probability, abs_tol=TOLERANCE
+            for kind in EXACT_MIX:
+                assert_value_parity(
+                    getattr(oracle, kind)(K), getattr(coordinator, kind)(K)
                 )
+            assert_workers_match_parent(sharded)
 
     def test_close_escalates_past_wedged_worker(self):
         database = small_tuple_independent(16, count=10)
@@ -432,19 +409,26 @@ def _blocks(database):
     return blocks
 
 
-def _oracle(database, key=None, alternatives=None):
-    """An unsharded session over ``database``, ``key``'s block replaced."""
-    blocks = _blocks(database)
-    if key is not None:
-        blocks[key] = alternatives
+def _oracle(database, replaced=()):
+    """An unsharded session over ``database``, the ``replaced`` blocks
+    swapped in."""
+    blocks = {**_blocks(database), **dict(replaced)}
     # A tuple-independent database is the BID one with single alternatives.
     return QuerySession(BlockIndependentDatabase(list(blocks.items())).columns)
 
 
-def _content(summary):
-    layout = summary.layout
-    rows = [list(row) for row in summary.prefix_table]
-    return layout.keys, layout.probabilities, rows
+def assert_workers_match_parent(sharded):
+    """Every worker's summary equals the parent-side one to 1e-12."""
+    pool = sharded.process_pool()
+
+    def content(summary):
+        rows = [list(row) for row in summary.prefix_table]
+        return summary.layout.keys, summary.layout.probabilities, rows
+
+    for index in pool.shard_indices():
+        worker, _ = pool.summary_with_token(index, K)
+        parent = sharded.shards()[index].session().partial_rank_summary(K)
+        assert_value_parity(content(parent), content(worker), 1e-12)
 
 
 async def assert_exact(executor, oracle):
@@ -512,7 +496,7 @@ class TestFailover:
                         )
                     else:
                         sharded.update_block(key, halved)
-                    updated = _oracle(database, key, halved)
+                    updated = _oracle(database, {key: halved})
                     membership = updated.top_k_membership(K)
                     assert not math.isclose(
                         membership[key],
@@ -603,7 +587,7 @@ class TestFailover:
     def test_commit_timeout_respawns_worker_from_parent(self):
         database = small_tuple_independent(56, count=12)
         injector = FaultInjector(
-            FaultSchedule([FaultEvent(3, "stall", seconds=30.0)])
+            FaultSchedule([FaultEvent(2, "stall", seconds=30.0)])
         )
         with ShardedDatabase(
             database,
@@ -618,18 +602,16 @@ class TestFailover:
             key = sharded.keys()[0]
             victim = sharded.shard_of(key)
             assert pool._request(victim, "ping") == "pong"  # request 1
-            # Request 2 stages the patch; request 3, the commit, stalls
-            # past the timeout, so the worker's state is unknown.
+            # Request 2, the commit, stalls past the timeout, so the
+            # worker's state is unknown.
             pool._request_timeout = 0.5
             sharded.update_tuple(key, probability=0.999)
             pool._request_timeout = 120.0
             (fired,) = injector.fired
-            assert (fired.op, fired.shard_index) == ("commit", victim)
+            assert (fired.op, fired.shard_index) == ("replace", victim)
             assert pool.restart_count() == 1
-            worker, _ = pool.summary_with_token(victim, K)
-            parent = sharded.shards()[victim].session().partial_rank_summary(K)
-            assert 0.999 in worker.layout.probabilities
-            assert_value_parity(_content(parent), _content(worker), 1e-12)
+            assert 0.999 in sharded.shards()[victim].columns.probabilities
+            assert_workers_match_parent(sharded)
         assert no_repro_workers_alive()
 
 
@@ -643,7 +625,7 @@ class TestFailover:
         with ShardedDatabase(
             database, 3, executor="processes", executor_options=options
         ) as sharded:
-            pool = sharded.process_pool()
+            sharded.process_pool()  # start the workers before the writers
             keys = sharded.keys()
             final = {}
 
@@ -679,11 +661,12 @@ class TestFailover:
             assert len(final) == len(keys)
             assert len(injector.fired_of_kind("kill")) == 4
             blocks = _blocks(database)
-            for key, probability in final.items():
-                value, score, _ = blocks[key][0]
-                blocks[key] = [(value, score, probability)]
-            oracle = QuerySession(
-                BlockIndependentDatabase(list(blocks.items())).columns
+            oracle = _oracle(
+                database,
+                {
+                    key: [(*blocks[key][0][:2], probability)]
+                    for key, probability in final.items()
+                },
             )
             force_cold_reads(sharded)
             coordinator = sharded.coordinator()
@@ -691,15 +674,7 @@ class TestFailover:
                 assert_value_parity(
                     getattr(oracle, kind)(K), getattr(coordinator, kind)(K)
                 )
-            # Every worker holds exactly the parent's committed state.
-            for index in pool.shard_indices():
-                worker, _ = pool.summary_with_token(index, K)
-                parent = sharded.shards()[index].session()
-                assert_value_parity(
-                    _content(parent.partial_rank_summary(K)),
-                    _content(worker),
-                    1e-12,
-                )
+            assert_workers_match_parent(sharded)
 
 
 # ---------------------------------------------------------------------------
