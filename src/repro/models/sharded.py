@@ -135,18 +135,15 @@ class DatabaseShard:
         process answers: always on ``executor="threads"``, and on a
         *failover* read when the worker is down, bypassed by an open
         breaker, or failed this request (recorded with the pool)."""
-        owner = self._owner
-        if owner.executor != "processes":
+        if self._owner.executor != "processes":
             return None
-        pool = None
-        try:
-            pool = owner.process_pool()
-            if pool.serves(self.index):
+        pool = self._owner.process_pool()
+        if pool.serves(self.index):
+            try:
                 return getattr(pool, op)(self.index, *args)
-        except ProcessPoolError:
-            pass
-        if pool is not None:
-            pool.note_failover(self.index)
+            except ProcessPoolError:
+                pass
+        pool.note_failover(self.index)
         return None
 
     def layout(self) -> Any:
