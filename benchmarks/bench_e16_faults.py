@@ -24,6 +24,13 @@ process-backed executor:
     fault-free replay (plus a small absolute slack for process respawns,
     which dominate at smoke sizes).
 
+  Supervision heals those kills within the failing request, so a third
+  replay spends the restart budget instead: one kill under
+  ``max_restarts=0`` takes a shard down for the rest of the run.  Every
+  read of it is then answered from the parent's columns, and the run
+  asserts ``failover >= 1`` on top of the same completion and 1e-9
+  parity bars.
+
 * **E16b -- recovery time to first answer.**  For every injected kill,
   the time from the kill firing to the first answer completed after it,
   read off the injector's execution log and the chaos outcomes'
@@ -107,7 +114,7 @@ def _events(keys):
     )
 
 
-def _run(fault_injector):
+def _run(fault_injector, supervision=SUPERVISION):
     """One chaos replay on a fresh database; returns outcomes + timings."""
     database = _database()
     with ShardedDatabase(
@@ -116,7 +123,7 @@ def _run(fault_injector):
         partitioner="hash",
         executor="processes",
         executor_options={
-            "supervisor": SUPERVISION,
+            "supervisor": supervision,
             "fault_injector": fault_injector,
         },
     ) as sharded:
@@ -157,27 +164,17 @@ def _value_close(expected, actual, tol=TOLERANCE):
     return expected == actual
 
 
-def test_e16_selfhealing_under_faults():
-    counter = FaultInjector(FaultSchedule([]))
-    baseline, base_elapsed, base_metrics = _run(counter)
-    schedule = _fault_schedule(counter.request_count)
-    injector = FaultInjector(schedule)
-    faulted, fault_elapsed, fault_metrics = _run(injector)
-
+def _assert_parity(baseline, faulted):
+    """Completion, update parity and 1e-9 parity of every answered read
+    of ``faulted`` against the fault-free ``baseline``; returns the
+    faulted run's summary and the number of answers compared."""
     base_summary = chaos_summary(baseline)
     fault_summary = chaos_summary(faulted)
 
     # -- 100% completion: no hangs, no untyped failures, ever.
-    assert base_summary["completed"] == base_summary["events"] == EVENT_COUNT
     assert fault_summary["completed"] == fault_summary["events"] == EVENT_COUNT
 
-    # -- The faults actually happened and supervision healed them.
-    kills = injector.fired_of_kind("kill")
-    assert len(kills) == KILLS, f"only {len(kills)} of {KILLS} kills fired"
-    assert fault_metrics.worker_restarts >= 1
-
     # -- State parity precondition: every update applied in both runs.
-    assert base_summary["update_failures"] == 0
     assert fault_summary["update_failures"] == 0
     assert fault_summary["updates_applied"] == base_summary["updates_applied"]
 
@@ -194,6 +191,36 @@ def test_e16_selfhealing_under_faults():
         f"{mismatches}/{compared} answers diverged from the fault-free "
         "baseline"
     )
+    return fault_summary, compared
+
+
+def test_e16_selfhealing_under_faults():
+    counter = FaultInjector(FaultSchedule([]))
+    baseline, base_elapsed, base_metrics = _run(counter)
+    schedule = _fault_schedule(counter.request_count)
+    injector = FaultInjector(schedule)
+    faulted, fault_elapsed, fault_metrics = _run(injector)
+
+    base_summary = chaos_summary(baseline)
+    assert base_summary["completed"] == base_summary["events"] == EVENT_COUNT
+    assert base_summary["update_failures"] == 0
+    fault_summary, compared = _assert_parity(baseline, faulted)
+
+    # -- The faults actually happened and supervision healed them.
+    kills = injector.fired_of_kind("kill")
+    assert len(kills) == KILLS, f"only {len(kills)} of {KILLS} kills fired"
+    assert fault_metrics.worker_restarts >= 1
+
+    # -- A spent restart budget: the killed shard stays down, and its
+    #    reads are answered from the parent's columns, still exactly.
+    spent_injector = FaultInjector(FaultSchedule([FaultEvent(10, "kill")]))
+    spent, spent_elapsed, spent_metrics = _run(
+        spent_injector, SupervisorPolicy(max_restarts=0, jitter=0.0)
+    )
+    spent_summary, spent_compared = _assert_parity(baseline, spent)
+    assert spent_injector.fired_of_kind("kill")
+    assert spent_metrics.worker_restarts == 0
+    assert spent_metrics.failover_served >= 1
 
     # -- Bounded overhead: within 2x of fault-free (+ respawn slack).
     bound = OVERHEAD_FACTOR * base_elapsed + OVERHEAD_SLACK_S
@@ -229,6 +256,18 @@ def test_e16_selfhealing_under_faults():
             fault_elapsed,
             throughput(fault_elapsed),
         ],
+        [
+            "budget spent",
+            spent_summary["events"],
+            spent_summary["completed"],
+            spent_summary["answered"],
+            spent_metrics.failover_served,
+            spent_summary["query_failures"]
+            + spent_summary["update_failures"],
+            spent_metrics.worker_restarts,
+            spent_elapsed,
+            throughput(spent_elapsed),
+        ],
     ]
     report(
         "E16a",
@@ -251,7 +290,8 @@ def test_e16_selfhealing_under_faults():
             f"start_method={resolve_start_method()} "
             f"deadline_exceeded={fault_metrics.deadline_exceeded} "
             f"breaker_open={fault_metrics.breaker_open}; "
-            f"parity: all {compared} answers == baseline @ 1e-9; "
+            f"parity: all {compared} (faulted) and {spent_compared} "
+            "(budget spent) answers == baseline @ 1e-9; "
             f"overhead bound: {OVERHEAD_FACTOR:g}x + {OVERHEAD_SLACK_S:g}s"
         ),
     )

@@ -190,8 +190,8 @@ async def main() -> None:
     # -- fault tolerance: supervised workers + exact failover -----------
     # Process pools are supervised by default: a crashed or wedged
     # worker is respawned from the parent's columns (exponential backoff
-    # + seeded jitter), and the executor adds per-query deadlines
-    # (``deadline_ms=``) and a per-shard circuit breaker.  While a
+    # + seeded jitter) and guarded by a per-shard circuit breaker, and
+    # the executor adds per-query deadlines (``deadline_ms=``).  While a
     # worker cannot answer, its shard's reads fail over to the parent's
     # columns, so every answer stays exact.  A seeded FaultSchedule
     # makes whole failure scenarios replayable from one integer.

@@ -201,7 +201,7 @@ exponential backoff and seeded jitter
 (:class:`~repro.sharding.SupervisorPolicy`), and ``close()`` escalates
 join -> terminate -> kill so shutdown never hangs.  When a worker cannot
 answer -- it failed the request, its restart budget is spent, or the
-executor's per-shard circuit breaker is open -- that shard's reads fail
+pool's per-shard circuit breaker is open -- that shard's reads fail
 over to the parent's columns through the same coordinator and merge, so
 the answer is the exact, current consensus answer of the whole database.
 Updates always commit parent-side; a worker that misses a commit is

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from repro.andxor.columns import FlatColumns, Row
-from repro.exceptions import ModelError, ProcessPoolError
+from repro.exceptions import ModelError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
@@ -133,18 +133,11 @@ class DatabaseShard:
     def _from_worker(self, op: str, *args: Any) -> Any:
         """``op`` answered by the shard's worker, or None when this
         process answers: always on ``executor="threads"``, and on a
-        *failover* read when the worker is down, bypassed by an open
-        breaker, or failed this request (recorded with the pool)."""
+        *failover* read when the worker is down, skipped by its open
+        breaker, or failed this request (counted by the pool)."""
         if self._owner.executor != "processes":
             return None
-        pool = self._owner.process_pool()
-        if pool.serves(self.index):
-            try:
-                return getattr(pool, op)(self.index, *args)
-            except ProcessPoolError:
-                pass
-        pool.note_failover(self.index)
-        return None
+        return self._owner.process_pool().read(self.index, op, *args)
 
     def layout(self) -> Any:
         """The shard's :class:`~repro.sharding.summary.ShardLayout`."""
@@ -279,7 +272,8 @@ class ShardedDatabase:
     executor_options:
         Keyword arguments forwarded to the process pool constructor
         (``start_method``, ``shm``, ``shm_min_bytes``,
-        ``request_timeout``); ignored under ``executor="threads"``.
+        ``request_timeout``, ``supervise``, ``breaker_threshold``, ...);
+        ignored under ``executor="threads"``.
     snapshot_history:
         How many superseded shard versions the coordinator archives for
         version-pinned snapshot readers (:meth:`snapshot`,

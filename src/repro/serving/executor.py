@@ -23,10 +23,10 @@ cross-shard coordinator session:
   batch entries cancelled once no coalesced waiter remains) and exact
   failover.  The parent holds every shard's committed columns, so when a
   shard's worker cannot answer (it failed the request, its restart budget
-  is spent, or its per-shard circuit breaker is open) that shard's reads
-  are answered from those columns, through the same coordinator and
-  merge: the answer is the exact, current consensus answer of the whole
-  database (counted as ``failover_served``).  Updates always commit
+  is spent, or the pool's per-shard circuit breaker is open) that shard's
+  reads are answered from those columns, through the same coordinator
+  and merge: the answer is the exact, current consensus answer of the
+  whole database (counted as ``failover_served``).  Updates always commit
   parent-side; a worker that misses one is respawned from the new
   columns.
 
@@ -43,7 +43,16 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import DeadlineExceededError, SnapshotTooOldError
 from repro.models.sharded import ShardedDatabase, StaleUpdateError
@@ -52,6 +61,7 @@ from repro.query.builder import ConsensusQuery
 from repro.query.planner import DEFAULT_PLANNER
 from repro.query.results import ResultCache, answer_key, result_cache_for
 from repro.serving.metrics import ServingMetrics, ServingMetricsSnapshot
+from repro.sharding.procpool import counting_failovers
 
 _SENTINEL = object()
 
@@ -67,41 +77,6 @@ def required_max_rank(query: ConsensusQuery) -> Optional[int]:
     if query.family == "ranking" and query.semantics == "expected_rank":
         return None
     return query.k
-
-
-class _ShardBreaker:
-    """Circuit breaker for one shard.
-
-    ``threshold`` consecutive failed reads trip it open; while open
-    (within ``cooldown`` seconds of the trip) the shard's reads skip its
-    worker and fail over to the parent's columns.  After the cooldown the
-    breaker *half-opens*: the next read probes the worker again, and its
-    outcome either closes the breaker or re-arms the cooldown.
-    """
-
-    __slots__ = ("consecutive", "opened_at")
-
-    def __init__(self) -> None:
-        self.consecutive = 0
-        self.opened_at: Optional[float] = None
-
-    def is_open(self, now: float, cooldown: float) -> bool:
-        if self.opened_at is None:
-            return False
-        return now - self.opened_at < cooldown
-
-    def record_failure(self, now: float, threshold: int) -> bool:
-        """Count one failure; True when this trip newly opened the breaker."""
-        self.consecutive += 1
-        if self.consecutive >= threshold:
-            newly = self.opened_at is None
-            self.opened_at = now
-            return newly
-        return False
-
-    def record_success(self) -> None:
-        self.consecutive = 0
-        self.opened_at = None
 
 
 class ServingExecutor:
@@ -128,12 +103,6 @@ class ServingExecutor:
         :class:`~repro.exceptions.DeadlineExceededError`; its queued
         batch entry is cancelled once no coalesced waiter remains.
         Overridable per call via ``execute(..., deadline_ms=...)``.
-    breaker_threshold / breaker_cooldown_s:
-        Per-shard circuit breaker (``executor="processes"``): after
-        ``breaker_threshold`` consecutive reads its worker failed, the
-        shard's reads skip the worker for ``breaker_cooldown_s`` seconds
-        and fail over to the parent's columns; then the next read probes
-        the worker (half-open).
     result_cache:
         Serve completed answers from the cross-session
         :class:`~repro.query.ResultCache` (keyed by query fingerprint,
@@ -159,8 +128,6 @@ class ServingExecutor:
         max_batch_size: int = 64,
         warm_shards: bool = True,
         deadline_ms: Optional[float] = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 0.5,
         result_cache: Union[bool, ResultCache] = True,
         fuse_batches: bool = True,
     ) -> None:
@@ -170,8 +137,6 @@ class ServingExecutor:
         self._max_batch_size = max(1, max_batch_size)
         self._warm_shards = warm_shards
         self._deadline_ms = deadline_ms
-        self._breaker_threshold = max(1, int(breaker_threshold))
-        self._breaker_cooldown = max(0.0, breaker_cooldown_s)
         if isinstance(result_cache, ResultCache):
             self._result_cache: Optional[ResultCache] = result_cache
         elif result_cache:
@@ -179,7 +144,6 @@ class ServingExecutor:
         else:
             self._result_cache = None
         self._fuse_batches = fuse_batches
-        self._breakers: Dict[int, _ShardBreaker] = {}
         self._metrics = ServingMetrics()
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -538,49 +502,20 @@ class ServingExecutor:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    # Circuit breakers
+    # Failover and circuit breakers
     # ------------------------------------------------------------------
-    def _record_shard_failure(self, shard_index: int) -> None:
-        breaker = self._breakers.setdefault(shard_index, _ShardBreaker())
-        if breaker.record_failure(time.monotonic(), self._breaker_threshold):
-            self._metrics.breaker_open += 1
-
-    def _settle_failovers(self) -> None:
-        """Count the reads the parent answered, feed the breakers, and
-        hand the pool the shards whose reads skip their worker.
-
-        A read whose worker failed counts against the shard's breaker; a
-        read that skipped the worker because its breaker is open does
-        not, so the breaker half-opens after its cooldown and the next
-        read probes the worker.  Every breaker that is not open closes
-        once its shard read through the worker again.
-        """
-        pool = self._process_pool
-        if pool is None:
-            return
-        failovers = pool.take_failovers()
-        self._metrics.failover_served += len(failovers)
-        for shard_index, failed in failovers.items():
-            if failed:
-                self._record_shard_failure(shard_index)
-        now = time.monotonic()
-        for shard_index, breaker in self._breakers.items():
-            if shard_index not in failovers and not breaker.is_open(
-                now, self._breaker_cooldown
-            ):
-                breaker.record_success()
-        pool.bypass(self._open_breaker_shards(now))
-
-    def _open_breaker_shards(self, now: float) -> FrozenSet[int]:
-        return frozenset(
-            index
-            for index, breaker in self._breakers.items()
-            if breaker.is_open(now, self._breaker_cooldown)
-        )
+    def _counted(self, compute: Callable[[], Any]) -> Any:
+        """``compute()`` on this worker thread, its shard failovers and
+        the breaker trips its reads cause counted into this executor's
+        metrics (not another executor's sharing the pool)."""
+        with counting_failovers(self._metrics):
+            return compute()
 
     def open_breakers(self) -> Tuple[int, ...]:
-        """Shards currently skipped by their circuit breaker, ascending."""
-        return tuple(sorted(self._open_breaker_shards(time.monotonic())))
+        """Shards whose reads currently skip their worker because its
+        circuit breaker is open, ascending (the pool owns the breakers)."""
+        pool = self._process_pool
+        return () if pool is None else pool.open_breakers()
 
     # ------------------------------------------------------------------
     # Dispatcher
@@ -635,7 +570,6 @@ class ServingExecutor:
     ) -> None:
         loop = asyncio.get_running_loop()
         self._metrics.count_batch(len(batch))
-        self._settle_failovers()
         try:
             coordinator = self._database.coordinator()
         except Exception as error:  # route to waiters, keep dispatching
@@ -670,8 +604,6 @@ class ServingExecutor:
             else:
                 if not future.done():
                     future.set_result(result)
-            finally:
-                self._settle_failovers()
 
     async def _fuse_batch(
         self,
@@ -697,20 +629,23 @@ class ServingExecutor:
         for versions, queries in groups.items():
             if len(queries) < 2:
                 continue
-            plans = [
-                DEFAULT_PLANNER.plan_for(query, coordinator, "served")
-                for query in queries
-            ]
 
             def fuse(
-                pinned: Tuple[int, ...] = versions, group: List[Any] = plans
+                pinned: Tuple[int, ...] = versions,
+                group: List[ConsensusQuery] = queries,
             ) -> int:
+                plans = [
+                    DEFAULT_PLANNER.plan_for(query, coordinator, "served")
+                    for query in group
+                ]
                 return DEFAULT_PLANNER.fuse_plans(
-                    coordinator.at(pinned), group
+                    coordinator.at(pinned), plans
                 )
 
             try:
-                fused = await loop.run_in_executor(self._merge_pool, fuse)
+                fused = await loop.run_in_executor(
+                    self._merge_pool, self._counted, fuse
+                )
             except SnapshotTooOldError:
                 continue  # per-query fallback handles aged-out snapshots
             if fused:
@@ -733,20 +668,25 @@ class ServingExecutor:
         stored in the result cache: the aged-out-snapshot fallback answers
         at *newer* state than the key's version token.
         """
-        plan = DEFAULT_PLANNER.plan_for(query, coordinator, "served")
         reader = coordinator.at(versions)
         self._metrics.snapshot_reads += 1
         if tuple(versions) != self._database.versions():
             self._metrics.stale_reads += 1
-        try:
-            answer = await loop.run_in_executor(
-                self._merge_pool, plan.rebound(reader).execute
-            )
-        except SnapshotTooOldError:
-            # The pinned state aged out of the bounded history while
-            # queued; answer at the current versions instead.
-            return await loop.run_in_executor(self._merge_pool, plan.execute)
-        if cache_key is not None:
+
+        def answer_pinned() -> Tuple[QueryAnswer, bool]:
+            # Planning may read shard layouts, so it runs here too.
+            plan = DEFAULT_PLANNER.plan_for(query, coordinator, "served")
+            try:
+                return plan.rebound(reader).execute(), True
+            except SnapshotTooOldError:
+                # The pinned state aged out of the bounded history while
+                # queued; answer at the current versions instead.
+                return plan.execute(), False
+
+        answer, pinned = await loop.run_in_executor(
+            self._merge_pool, self._counted, answer_pinned
+        )
+        if pinned and cache_key is not None:
             self._result_cache.put(cache_key, answer)
         return answer
 
@@ -772,8 +712,11 @@ class ServingExecutor:
             # One prefetch call fans out across the worker processes
             # in parallel and leaves the partials in the pool's
             # version-keyed cache for the merge to pick up.
+            pool = self._process_pool
             await loop.run_in_executor(
-                self._merge_pool, self._process_pool.prefetch, truncations
+                self._merge_pool,
+                self._counted,
+                lambda: pool.prefetch(truncations),
             )
             return
         tasks = []

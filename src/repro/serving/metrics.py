@@ -73,11 +73,12 @@ class ServingMetricsSnapshot:
     stale_reads: int = 0
     #: Queries that missed their ``deadline_ms``.
     deadline_exceeded: int = 0
-    #: Per-shard circuit-breaker open transitions.
+    #: Per-shard circuit-breaker trips caused by this executor's reads
+    #: (the breakers themselves live in the shared process pool).
     breaker_open: int = 0
     #: Shard reads the parent answered from its own columns because the
     #: shard's worker could not (failed, down, or breaker open); counted
-    #: once per shard per query.
+    #: once per shard per query, for this executor's queries only.
     failover_served: int = 0
     #: Requests answered from the cross-session result cache (completed
     #: answers at an unchanged shard-version vector and backend).

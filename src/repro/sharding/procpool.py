@@ -33,9 +33,10 @@ worker that misses a commit is reaped before the parent swaps and
 respawned from the new columns after, so it never runs ahead of the
 parent.  When the restart budget is spent (or ``supervise=False``) the
 shard is *down* and its reads fail over to the parent's columns
-(:meth:`ShardProcessPool.serves`).  Closing the pool is idempotent
-(``join`` -> ``terminate`` -> ``kill`` escalation), and a closed pool can
-be rebuilt by the owning database's
+(:meth:`ShardProcessPool.read`); a per-shard circuit breaker does the
+same for a while after a worker fails several reads in a row.  Closing
+the pool is idempotent (``join`` -> ``terminate`` -> ``kill``
+escalation), and a closed pool can be rebuilt by the owning database's
 :meth:`~repro.models.sharded.ShardedDatabase.process_pool`.
 
 Failure paths are testable deterministically: install a seeded
@@ -50,12 +51,13 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -160,6 +162,28 @@ _IPC_COUNTERS = tuple(
 )
 
 
+#: The calling thread's failover ledger (see :func:`counting_failovers`).
+_reads = threading.local()
+
+
+@contextmanager
+def counting_failovers(metrics: Any) -> Iterator[None]:
+    """Count this thread's failovers inside the block into ``metrics``.
+
+    Each shard whose reads the parent answered counts once into
+    ``metrics.failover_served`` when the block exits, and every breaker
+    trip the block's reads cause counts into ``metrics.breaker_open``.
+    The serving executor wraps each query's execution in it, so two
+    executors sharing one pool each count only their own reads.
+    """
+    _reads.metrics, _reads.failed_over = metrics, set()
+    try:
+        yield
+    finally:
+        metrics.failover_served += len(_reads.failed_over)
+        _reads.metrics = _reads.failed_over = None
+
+
 class _WorkerHandle:
     """One worker process plus its pipe; requests are serialized per worker."""
 
@@ -210,6 +234,12 @@ class ShardProcessPool:
         under the supervisor's restart budget and idempotent requests
         retry transparently; when false, a shard goes down at its
         worker's first crash and its reads fail over to the parent.
+    breaker_threshold / breaker_cooldown_s:
+        Per-shard circuit breaker: after ``breaker_threshold``
+        consecutive failed worker reads, the shard's reads skip its
+        worker for ``breaker_cooldown_s`` seconds and fail over to the
+        parent's columns; then the next read probes the worker
+        (half-open) and either closes the breaker or re-opens it.
     supervisor:
         A :class:`~repro.sharding.supervisor.WorkerSupervisor` or
         :class:`~repro.sharding.supervisor.SupervisorPolicy` overriding
@@ -230,6 +260,8 @@ class ShardProcessPool:
         supervise: bool = True,
         supervisor: Optional[Any] = None,
         fault_injector: Optional[Any] = None,
+        breaker_threshold: int = 5,
+        breaker_cooldown_s: float = 0.5,
     ) -> None:
         if shm not in ("auto", "always", "never"):
             raise ProcessPoolError(
@@ -261,12 +293,12 @@ class ShardProcessPool:
         #: Shards whose worker could not be brought back: the parent
         #: answers their reads until a respawn succeeds.
         self._down: Set[int] = set()
-        #: Shards whose reads skip a live worker (set by the serving
-        #: executor from its open circuit breakers).
-        self._bypassed: FrozenSet[int] = frozenset()
-        #: shard -> whether its worker failed: reads the parent answered
-        #: since the last :meth:`take_failovers`.
-        self._failovers: Dict[int, bool] = {}
+        self._breaker_threshold = max(1, int(breaker_threshold))
+        self._breaker_cooldown = max(0.0, float(breaker_cooldown_s))
+        #: Per-shard circuit breakers: consecutive failed worker reads,
+        #: and when each tripped breaker last (re-)opened.
+        self._failures: Dict[int, int] = {}
+        self._opened: Dict[int, float] = {}
         self._started = False
         self._closed = False
         self._stats_lock = threading.Lock()
@@ -665,13 +697,19 @@ class ShardProcessPool:
 
         A worker failure takes the place of its shard's result instead of
         raising, so one failed worker costs only its own shard's read.
+        Every outcome feeds that shard's circuit breaker.
         """
+
+        metrics = getattr(_reads, "metrics", None)
 
         def one(index: int, op: str, payload: Any) -> Any:
             try:
-                return self._request(index, op, payload)
+                result = self._request(index, op, payload)
             except ProcessPoolError as error:
+                self._record_read(index, True, metrics)
                 return error
+            self._record_read(index, False)
+            return result
 
         if len(commands) <= 1 or self._gather is None:
             return [one(*command) for command in commands]
@@ -683,29 +721,65 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     def serves(self, shard_index: int) -> bool:
         """Whether the shard's worker answers its reads; not while the
-        shard is down or bypassed, when the parent answers them."""
+        shard is down or its breaker is open, when the parent answers
+        them."""
+        if shard_index not in self._workers or shard_index in self._down:
+            return False
+        opened = self._opened.get(shard_index)
         return (
-            shard_index in self._workers
-            and shard_index not in self._down
-            and shard_index not in self._bypassed
+            opened is None
+            or time.monotonic() - opened >= self._breaker_cooldown
         )
 
-    def bypass(self, shards: FrozenSet[int]) -> None:
-        """Answer these shards' reads parent-side, worker or not (the
-        serving executor's open circuit breakers)."""
-        self._bypassed = frozenset(shards)
+    def read(self, shard_index: int, op: str, *args: Any) -> Any:
+        """``op`` (``layout`` or ``summary_with_token``) answered by the
+        shard's worker, or None when the parent must answer it.
 
-    def note_failover(self, shard_index: int) -> None:
-        """Record one read the parent answered for the shard."""
-        with self._stats_lock:
-            self._failovers[shard_index] = shard_index not in self._bypassed
+        That failover happens when the shard is down, its breaker is
+        open, or its worker failed this request; it is counted by an
+        enclosing :func:`counting_failovers` block.
+        """
+        if self.serves(shard_index):
+            try:
+                return getattr(self, op)(shard_index, *args)
+            except ProcessPoolError:
+                pass
+        failed_over = getattr(_reads, "failed_over", None)
+        if failed_over is not None:
+            failed_over.add(shard_index)
+        return None
 
-    def take_failovers(self) -> Dict[int, bool]:
-        """``{shard: worker failed}`` of the reads the parent answered
-        since the last call; ``False`` marks a bypassed shard."""
+    def open_breakers(self) -> Tuple[int, ...]:
+        """Shards whose breaker keeps reads off their worker, ascending."""
+        now = time.monotonic()
+        return tuple(
+            index
+            for index, opened in sorted(self._opened.items())
+            if now - opened < self._breaker_cooldown
+        )
+
+    def _record_read(
+        self, shard_index: int, failed: bool, metrics: Any = None
+    ) -> None:
+        """Feed one worker read's outcome to the shard's breaker.
+
+        ``breaker_threshold`` failures in a row trip it; a failure while
+        it is tripped (open, or half-open after the cooldown) re-opens it
+        at once, and a success closes it.  A trip counts into ``metrics``
+        (the reading thread's serving metrics).
+        """
+        if not failed:
+            self._failures.pop(shard_index, None)
+            self._opened.pop(shard_index, None)
+            return
         with self._stats_lock:
-            failovers, self._failovers = self._failovers, {}
-        return failovers
+            failures = self._failures.get(shard_index, 0) + 1
+            self._failures[shard_index] = failures
+            tripped = shard_index in self._opened
+            if tripped or failures >= self._breaker_threshold:
+                self._opened[shard_index] = time.monotonic()
+                if not tripped and metrics is not None:
+                    metrics.breaker_open += 1
 
     def _served(self) -> List[int]:
         return [index for index in self.shard_indices() if self.serves(index)]

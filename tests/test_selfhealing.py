@@ -456,22 +456,23 @@ class TestFailover:
             database = small_bid(52, blocks=10, max_alternatives=3)
         spent = SupervisorPolicy(max_restarts=0, backoff_base=0.0, jitter=0.0)
 
+        options = {
+            "supervisor": spent,
+            "breaker_threshold": 1,
+            "breaker_cooldown_s": 60.0,
+        }
+
         async def scenario():
             with ShardedDatabase(
-                database,
-                3,
-                executor="processes",
-                executor_options={"supervisor": spent},
+                database, 3, executor="processes", executor_options=options
             ) as sharded:
-                async with ServingExecutor(
-                    sharded, breaker_threshold=1, breaker_cooldown_s=60.0
-                ) as executor:
+                async with ServingExecutor(sharded) as executor:
                     pool = sharded.process_pool()
                     victim = pool.shard_indices()[0]
                     if outage == "breaker":
                         # The worker is healthy: only the breaker keeps
                         # the reads away from it.
-                        executor._record_shard_failure(victim)
+                        pool._record_read(victim, failed=True)
                     else:
                         kill_worker(pool, victim)
                     force_cold_reads(sharded)
@@ -563,24 +564,88 @@ class TestFailover:
 
         run(scenario())
 
-    def test_breaker_closes_once_the_worker_answers_again(self):
+    @pytest.mark.parametrize("probe", ["answers", "fails"])
+    def test_half_open_probe_closes_or_reopens_the_breaker(self, probe):
         database = small_tuple_independent(55, count=12)
+        options = {"breaker_threshold": 3, "breaker_cooldown_s": 60.0}
 
         async def scenario():
-            with ShardedDatabase(database, 2, executor="processes") as sharded:
-                async with ServingExecutor(
-                    sharded, breaker_threshold=1, breaker_cooldown_s=0.05
-                ) as executor:
+            with ShardedDatabase(
+                database, 2, executor="processes", executor_options=options
+            ) as sharded:
+                async with ServingExecutor(sharded) as executor:
                     pool = sharded.process_pool()
                     victim = pool.shard_indices()[0]
-                    executor._record_shard_failure(victim)
+                    for _ in range(3):
+                        pool._record_read(victim, failed=True)
                     assert executor.open_breakers() == (victim,)
-                    await asyncio.sleep(0.1)  # cooldown over: half-open
+                    # Age the trip past its cooldown: the breaker is
+                    # half-open, and the next read probes the worker.
+                    pool._opened[victim] -= 120.0
+                    if probe == "fails":
+                        pool._faults = FaultInjector(
+                            FaultSchedule([FaultEvent(1, "drop", shard=victim)])
+                        )
                     force_cold_reads(sharded)
-                    before = executor.metrics().failover_served
                     await assert_exact(executor, _oracle(database))
-                    assert executor._breakers[victim].opened_at is None
-                    assert executor.metrics().failover_served == before
+                    metrics = executor.metrics()
+                    if probe == "answers":
+                        assert executor.open_breakers() == ()
+                        assert metrics.failover_served == 0
+                    else:
+                        # One failed probe re-opens the breaker at once,
+                        # without another run of threshold failures.
+                        assert pool._faults.fired_of_kind("drop")
+                        assert executor.open_breakers() == (victim,)
+                        assert metrics.failover_served >= 1
+                    assert metrics.breaker_open == 0  # a re-open is no trip
+
+        run(scenario())
+
+    def test_executors_sharing_a_pool_count_their_own_failovers(self):
+        database = small_tuple_independent(59, count=16)
+        query = Query.named("mean_topk_footrule", K)
+        options = {
+            "supervise": False,
+            "breaker_threshold": 1,
+            "breaker_cooldown_s": 60.0,
+        }
+
+        async def scenario():
+            with ShardedDatabase(
+                database,
+                4,
+                partitioner="range",
+                executor="processes",
+                executor_options=options,
+            ) as sharded:
+                async with ServingExecutor(
+                    sharded, result_cache=False
+                ) as first, ServingExecutor(
+                    sharded, result_cache=False
+                ) as second:
+                    pool = sharded.process_pool()
+                    victim = pool.shard_indices()[2]
+                    handle = pool._workers[victim]
+                    handle.process.terminate()
+                    handle.process.join(5.0)
+                    force_cold_reads(sharded)
+                    await first.execute(query)
+                    served = first.metrics().failover_served
+                    assert served >= 1
+                    assert first.metrics().breaker_open == 1
+                    assert second.metrics().failover_served == 0
+                    force_cold_reads(sharded)
+                    answer = await second.execute(query)
+                    assert_value_parity(
+                        _oracle(database).mean_topk_footrule(K), answer.value
+                    )
+                    assert second.metrics().failover_served >= 1
+                    assert second.metrics().breaker_open == 0
+                    assert first.metrics().failover_served == served
+                    # One owner: both executors see the pool's breaker.
+                    assert first.open_breakers() == (victim,)
+                    assert second.open_breakers() == (victim,)
 
         run(scenario())
 

@@ -371,6 +371,7 @@ class TestServedResultCache:
                 )
                 refreshed = await executor.execute(query)
                 assert not refreshed.cached
+                assert not refreshed.stale and not refreshed.degraded
                 assert (await executor.execute(query)).cached
 
         asyncio.run(main())

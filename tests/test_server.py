@@ -545,25 +545,32 @@ class TestFailureSurface:
         assert sum(admissions.values()) == attempts
 
     def test_breaker_open_on_every_shard_still_answers_exactly(self):
-        database, sharded = make_sharded(seed=25)
+        database = random_tuple_independent_database(24, rng=25)
         query = Query.named("top_k_membership", K)
         reference = QuerySession(database.columns).top_k_membership(K)
-        with sharded:
-            executor = ServingExecutor(sharded, breaker_threshold=1)
+        options = {"breaker_threshold": 1, "breaker_cooldown_s": 60.0}
+        with ShardedDatabase(
+            database, 4, executor="processes", executor_options=options
+        ) as sharded:
+            # Spawn the workers before the server thread exists.
+            pool = sharded.process_pool()
+            executor = ServingExecutor(sharded)
             with ServerThread(executor) as thread:
                 client = thread.client()
                 try:
-                    for shard in range(sharded.shard_count):
-                        executor._record_shard_failure(shard)
+                    for shard in pool.shard_indices():
+                        pool._record_read(shard, failed=True)
                     answer = client.query(query)
                     assert set(answer.value) == set(reference)
                     for key, probability in reference.items():
                         assert _close(answer.value[key], probability)
                     health = client.health()
-                    assert health["open_breakers"] == list(
-                        range(sharded.shard_count)
+                    assert health["open_breakers"] == pool.shard_indices()
+                    metrics = client.metrics()
+                    assert metrics["snapshot"]["failover_served"] == len(
+                        pool.shard_indices()
                     )
-                    assert client.metrics()["admissions"] == {"200": 1}
+                    assert metrics["admissions"] == {"200": 1}
                 finally:
                     client.close()
             executor.close()
