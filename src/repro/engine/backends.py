@@ -265,6 +265,16 @@ class Backend:
         """Gather rows of a native matrix (callers must not mutate them)."""
         raise NotImplementedError
 
+    def slice_rows(
+        self, matrix: Any, start: int, stop: Optional[int] = None
+    ) -> Any:
+        """Rows ``start .. stop`` of a native matrix or vector.
+
+        A view on numpy and a list sharing the row objects on the pure
+        backend, so callers must not mutate the result.
+        """
+        return matrix[start:stop]
+
     def index_vector(self, indices: Sequence[int]) -> Sequence[int]:
         """Pre-convert row indices to the backend's native gather form.
 
@@ -1264,6 +1274,13 @@ class NumpyBackend(Backend):
         b_width = min(b.shape[1], out_len)
         if width <= 0 or out_len < 1:
             return _np.zeros((rows, max(out_len, 0)), dtype=_np.float64)
+        single = rows == 1
+        if single:
+            # einsum reduces a one-row batch in another order, with other
+            # rounding.  Doubling it keeps every row's bits independent of
+            # the batch it sits in, which the merge engine's row-suffix
+            # refresh relies on.
+            a, b, rows = _np.concatenate([a, a]), _np.concatenate([b, b]), 2
         # Per-row truncated polynomial product as one batched contraction:
         # out[r, m] = Σ_i a[r, i] · b[r, m - i].  A zero-padded copy of b
         # exposes every shifted window b[r, m - i] through a strided view
@@ -1282,9 +1299,8 @@ class NumpyBackend(Backend):
             strides=(row_stride, col_stride, -col_stride),
             writeable=False,
         )
-        return _np.einsum(
-            "rmi,ri->rm", windows, a[:, :width], optimize=True
-        )
+        out = _np.einsum("rmi,ri->rm", windows, a[:, :width], optimize=True)
+        return out[:1] if single else out
 
     def take_rows(self, matrix: Any, indices: Sequence[int]) -> Any:
         return matrix[_np.asarray(indices, dtype=_np.intp)]

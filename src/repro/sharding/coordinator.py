@@ -22,10 +22,9 @@ Two properties make the coordinator honest under sustained mixed traffic:
 
 * **Incremental merging**: :class:`~repro.sharding.merge.MergeEngine` is
   the one merge path.  It keeps prefix/suffix partial products of the
-  per-shard count-above polynomials on one shared score grid, keyed by
-  per-shard version tokens.  A full merge is O(S) row convolutions and a
-  single-shard update recomputes only the partial-product rows containing
-  that shard.
+  per-shard count-above polynomials on one shared score grid.  A full
+  merge is O(S) row convolutions, and an update re-convolves only the
+  grid rows below the first alternative whose content it changed.
 * **MVCC snapshot reads**: merged artifacts are memoized *per version
   vector* in a small bounded store, and :meth:`at` returns a
   :class:`SnapshotReader` pinned at one vector.  Updates publish a new

@@ -11,31 +11,46 @@ shared score grid:
   score grid** (the merged layout's alternative stream), so cross-shard
   ``prefix_indices`` lookups index a single shared grid;
 * the engine keeps ``prefix[i] = shard_0 ⊛ … ⊛ shard_i`` and
-  ``suffix[i] = shard_i ⊛ … ⊛ shard_{S-1}`` rows, keyed by the per-shard
-  version tokens, and serves shard ``i``'s "all-others" factor as
-  ``prefix[i-1] ⊛ suffix[i+1]`` gathered at the shard's own grid
-  positions;
+  ``suffix[i] = shard_i ⊛ … ⊛ shard_{S-1}`` rows and serves shard ``i``'s
+  "all-others" factor as ``prefix[i-1] ⊛ suffix[i+1]`` gathered at the
+  shard's own grid positions;
 * a full merge costs O(S) row convolutions (≈ ``4·S``) instead of
-  ``S·(S-1)``, and swapping one shard's summary recomputes only the
-  partial-product rows containing that shard plus each shard's final rank
-  rows -- index maps, grid positions, the stacked row order and every
-  untouched prefix/suffix row are reused from cache.
+  ``S·(S-1)``.
+
+An incremental merge recomputes only the **rows** an update reaches.  Row
+``m`` of a shard's count table depends only on the shard's first ``m``
+alternatives, so when the first changed alternative of a shard sits at
+global grid row ``g``, every grid row at or above ``g`` of its aligned
+table -- and of every prefix/suffix product containing it -- is unchanged.
+The engine finds that alternative from content, comparing each shard's
+probabilities with the ones it last merged
+(:func:`~repro.sharding.summary.table_delta_start`, the rule the worker's
+row-suffix IPC delta uses), never from version tokens: a token that moves
+while the content does not (a respawned worker, a rebuilt session)
+recomputes nothing.  It then re-convolves the rows below that point of the
+stale prefix/suffix products, of each shard's all-others rows and of its
+final rank rows, and splices them under the reused rows above.  The
+kernels are row-local, so the spliced result has the same bits as a full
+merge.  A full merge is the same computation with every row stale.
 
 Tuple-independent shards take the batched path (local rows are the shard's
 own prefix table); block-independent shards build one row per alternative
-(own block excluded) and collapse them per key with
-:meth:`~repro.engine.backends.Backend.sum_rows_by_group`, so mixed
-shardings merge on the same grid machinery.
+(own block excluded), keep those rows scaled but ungrouped, and collapse
+them per key with :meth:`~repro.engine.backends.Backend.sum_rows_by_group`
+after each refresh, so mixed shardings merge on the same grid machinery.
+No cached row is ever written into: a refresh replaces rows, because the
+pure backend's gathers share row objects.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.sharding.summary import ShardRankSummary
+from repro.sharding.summary import ShardRankSummary, table_delta_start
 
 
 @dataclass(frozen=True)
@@ -44,12 +59,13 @@ class MergeStatsSnapshot:
 
     ``convolutions`` counts :meth:`~repro.engine.backends.Backend.\
 convolve_rows` calls issued by the engine (the backend keeps its own
-    independent ``kernel_calls`` tally); ``incremental_merges`` reused
-    cached prefix/suffix partials, ``full_merges`` rebuilt the grid state,
-    and ``rebuild_merges`` counts from-scratch merges of a pinned snapshot
-    at a superseded vector (through a throwaway engine, whose own
-    counters are not folded in).  Subtracting two snapshots gives the
-    counters of the interval between them.
+    independent ``kernel_calls`` tally) and ``convolved_rows`` the rows
+    those calls convolved; ``incremental_merges`` reused cached
+    prefix/suffix partials, ``full_merges`` rebuilt the grid state, and
+    ``rebuild_merges`` counts from-scratch merges of a pinned snapshot at a
+    superseded vector (through a throwaway engine, whose own counters are
+    not folded in).  Subtracting two snapshots gives the counters of the
+    interval between them.
     """
 
     merges: int = 0
@@ -57,6 +73,7 @@ convolve_rows` calls issued by the engine (the backend keeps its own
     incremental_merges: int = 0
     rebuild_merges: int = 0
     convolutions: int = 0
+    convolved_rows: int = 0
     partials_reused: int = 0
     layout_patches: int = 0
     layout_rebuilds: int = 0
@@ -79,7 +96,7 @@ class _GridState:
     __slots__ = (
         "backend_name",
         "tokens",
-        "scores",
+        "layouts",
         "grid",
         "index_maps",
         "positions",
@@ -87,11 +104,9 @@ class _GridState:
         "prefix",
         "suffix",
         "others",
-        "others_keys",
-        "finals",
-        "final_keys",
         "locals",
-        "local_keys",
+        "scaled",
+        "finals",
         "order",
         "keys",
     )
@@ -99,7 +114,9 @@ class _GridState:
     def __init__(self, shard_count: int) -> None:
         self.backend_name: str = ""
         self.tokens: Tuple[Any, ...] = ()
-        self.scores: List[List[float]] = []
+        #: Each shard's last merged layout: the content the cached rows
+        #: were computed from.
+        self.layouts: List[Any] = [None] * shard_count
         self.grid: List[float] = []
         self.index_maps: List[Any] = []
         self.positions: List[Any] = []
@@ -107,14 +124,14 @@ class _GridState:
         self.prefix: List[Any] = [None] * shard_count
         self.suffix: List[Any] = [None] * shard_count
         self.others: List[Any] = [None] * shard_count
-        self.others_keys: List[Any] = [None] * shard_count
-        self.finals: List[Any] = [None] * shard_count
-        self.final_keys: List[Any] = [None] * shard_count
         #: Per-shard ``(local_rows, scale_factors, groups)`` -- everything
         #: in the final-rows computation that depends only on the shard's
-        #: own content, cached by version token.
+        #: own content.
         self.locals: List[Any] = [None] * shard_count
-        self.local_keys: List[Any] = [None] * shard_count
+        #: Per-shard scaled rank rows, one per alternative (before the
+        #: per-key grouping of block-independent shards).
+        self.scaled: List[Any] = [None] * shard_count
+        self.finals: List[Any] = [None] * shard_count
         self.order: Any = []
         self.keys: List[Hashable] = []
 
@@ -145,9 +162,13 @@ class MergeEngine:
         return MergeStatsSnapshot(**self.counters)
 
     def clear(self) -> None:
-        """Drop every cached grid state (explicit invalidation)."""
-        self._states.clear()
-        self.layout_base = None
+        """Drop every cached grid state (explicit invalidation).
+
+        Waits for a merge in progress, which updates its state in place.
+        """
+        with self._lock:
+            self._states.clear()
+            self.layout_base = None
 
     # ------------------------------------------------------------------
     # Merge entry point
@@ -164,9 +185,9 @@ class MergeEngine:
         """Merge shard summaries into the global rank rows.
 
         ``tokens`` are per-shard version tokens aligned with ``summaries``;
-        they key every cached partial, so an unchanged token means the
-        shard's cached contribution is reused verbatim.  Returns the
-        native matrix, one row per key of ``keys_order`` (the merged
+        an unchanged token means the shard's content is unchanged, and a
+        changed one makes the engine compare the content itself.  Returns
+        the native matrix, one row per key of ``keys_order`` (the merged
         decreasing-score key order).
         """
         # Readers on several threads share a coordinator's engine, whose
@@ -174,36 +195,52 @@ class MergeEngine:
         with self._lock:
             self.counters["merges"] += 1
             tokens = tuple(tokens)
-            count = len(summaries)
             state = self._states.get(max_rank)
             if state is not None and not self._compatible(
-                state, summaries, tokens, keys_order, backend
+                state, summaries, keys_order, backend
             ):
                 state = None
             if state is None:
                 state = self._build_grid(
-                    summaries, max_rank, grid_scores, keys_order, backend,
-                    count,
+                    summaries, grid_scores, keys_order, backend
                 )
-                self._states[max_rank] = state
+                changes: List[Optional[Tuple[int, int]]] = [(0, 0)] * len(
+                    summaries
+                )
                 self.counters["full_merges"] += 1
             else:
-                self._refresh_chains(
-                    state, summaries, tokens, max_rank, backend
-                )
+                changes = self._changes(state, summaries, tokens)
                 self.counters["incremental_merges"] += 1
+            self._states[max_rank] = state
             self._states.move_to_end(max_rank)
             while len(self._states) > self._state_limit:
                 self._states.popitem(last=False)
-            state.tokens = tokens
-            parts = [
-                self._shard_final(
-                    state, index, summary, tokens, max_rank, backend
+            try:
+                grid_rows = len(state.grid)
+                aligned_from = [
+                    grid_rows if change is None else change[0]
+                    for change in changes
+                ]
+                self._refresh_chains(
+                    state, summaries, aligned_from, max_rank, backend
                 )
-                for index, summary in enumerate(summaries)
-            ]
+                for index, summary in enumerate(summaries):
+                    others_from = min(
+                        aligned_from[:index] + aligned_from[index + 1 :],
+                        default=grid_rows,
+                    )
+                    self._refresh_finals(
+                        state, index, summary, others_from, changes[index],
+                        max_rank, backend,
+                    )
+            except BaseException:
+                # A half-refreshed state would pass for current next time.
+                self._states.pop(max_rank, None)
+                raise
+            state.tokens = tokens
+            state.layouts = [summary.layout for summary in summaries]
             return backend.take_rows(
-                backend.stack_matrices(parts), state.order
+                backend.stack_matrices(state.finals), state.order
             )
 
     # ------------------------------------------------------------------
@@ -213,43 +250,77 @@ class MergeEngine:
         self,
         state: _GridState,
         summaries: Sequence[ShardRankSummary],
-        tokens: Tuple[Any, ...],
         keys_order: List[Hashable],
         backend: Any,
     ) -> bool:
         """Whether the cached state's grid still describes these shards.
 
-        A probability-only update keeps every score and key in place, so
-        the grid, index maps, positions and row order all stay valid; a
-        score or key move (or a shard-count / backend change) forces a
-        full rebuild.  The coordinator shares one key-order list across
-        patched layouts, so the key check is an identity hit.
+        A probability-only update keeps every score, block and key in
+        place, so the grid, index maps, positions and row order all stay
+        valid; a score, block or key move (or a shard-count / backend
+        change) forces a full rebuild.  The coordinator shares one
+        key-order list across patched layouts, so the key check is an
+        identity hit.
         """
         if state.backend_name != backend.name:
             return False
-        if len(state.tokens) != len(tokens):
+        if len(state.layouts) != len(summaries):
             return False
         if state.keys is not keys_order and state.keys != keys_order:
             return False
-        for cached, summary in zip(state.scores, summaries):
-            fresh = summary.layout.scores
-            if fresh is not cached and fresh != cached:
+        for cached, summary in zip(state.layouts, summaries):
+            fresh = summary.layout
+            if fresh is cached:
+                continue
+            if fresh.scores != cached.scores or fresh.blocks != cached.blocks:
                 return False
         return True
+
+    def _changes(
+        self,
+        state: _GridState,
+        summaries: Sequence[ShardRankSummary],
+        tokens: Tuple[Any, ...],
+    ) -> List[Optional[Tuple[int, int]]]:
+        """Per shard, ``(grid_row, row)`` when its content changed since
+        the last merge, else ``None``.
+
+        ``row`` is the shard's first alternative whose probability
+        changed, and ``grid_row`` the first stale row of its aligned
+        table: the grid row below that alternative's.  Tokens only say
+        where to look: a changed token over the same probabilities is no
+        change.
+        """
+        changes: List[Optional[Tuple[int, int]]] = []
+        for index, summary in enumerate(summaries):
+            change = None
+            if tokens[index] != state.tokens[index]:
+                probabilities = summary.layout.probabilities
+                start = table_delta_start(
+                    state.layouts[index].probabilities, probabilities
+                )
+                # Table row ``start`` is the first one to change, so the
+                # changed alternative is ``start - 1``.  (Compatible
+                # layouts have equal lengths, so ``start`` is never None.)
+                if start <= len(probabilities):
+                    row = start - 1
+                    grid_row = int(state.positions[index][row]) + 1
+                    change = (grid_row, row)
+            changes.append(change)
+        return changes
 
     def _build_grid(
         self,
         summaries: Sequence[ShardRankSummary],
-        max_rank: int,
         grid_scores: List[float],
         keys_order: List[Hashable],
         backend: Any,
-        count: int,
     ) -> _GridState:
-        state = _GridState(count)
+        """A state with the grid, index maps, positions and row order set;
+        the refresh of a full merge fills every cached row."""
+        state = _GridState(len(summaries))
         state.backend_name = backend.name
         state.grid = grid_scores
-        state.scores = [summary.layout.scores for summary in summaries]
         state.index_maps = [
             backend.index_vector(summary.prefix_indices(grid_scores))
             for summary in summaries
@@ -259,16 +330,12 @@ class MergeEngine:
         # position (scores are globally distinct).
         state.positions = [
             backend.index_vector(
-                backend.descending_prefix_lengths(grid_scores, scores)
+                backend.descending_prefix_lengths(
+                    grid_scores, summary.layout.scores
+                )
             )
-            for scores in state.scores
+            for summary in summaries
         ]
-        for index, summary in enumerate(summaries):
-            state.aligned[index] = summary.aligned_count_table(
-                grid_scores, state.index_maps[index]
-            )
-        self._chain(state, range(0, count - 1), range(count - 1, 0, -1),
-                    max_rank, backend)
         stacked_keys: List[Hashable] = []
         for summary in summaries:
             stacked_keys.extend(summary.layout.keys)
@@ -283,122 +350,154 @@ class MergeEngine:
         self,
         state: _GridState,
         summaries: Sequence[ShardRankSummary],
-        tokens: Tuple[Any, ...],
+        aligned_from: Sequence[int],
         max_rank: int,
         backend: Any,
     ) -> None:
-        """Re-gather changed shards and recompute only the stale chain rows.
+        """Re-gather the changed shards' aligned rows and re-convolve the
+        stale prefix/suffix rows, from the first stale grid row on.
 
-        ``prefix[i]`` contains shards ``0..i`` and is stale iff ``i ≥``
-        the lowest changed shard; ``suffix[i]`` contains ``i..S-1`` and is
-        stale iff ``i ≤`` the highest changed one.  Everything else is
-        reused from cache.
+        ``aligned_from[i]`` is the first stale grid row of shard ``i``'s
+        aligned table (the grid size when it is unchanged, 0 on a full
+        merge).  ``prefix[j]`` contains shards ``0..j``, so its rows go
+        stale from the least ``aligned_from`` over those shards;
+        ``suffix[j]`` contains ``j..S-1``, so over those.  Every row above
+        is reused.  ``prefix[S-1]`` / ``suffix[0]`` cover all shards and
+        are never consumed, so the chains stop one short of them.
         """
-        changed = [
-            index
-            for index, token in enumerate(tokens)
-            if token != state.tokens[index]
-        ]
-        if not changed:
-            return
-        for index in changed:
-            state.aligned[index] = summaries[index].aligned_count_table(
-                state.grid, state.index_maps[index]
-            )
-            # Re-anchor the identity check so the next merge's compatibility
-            # probe hits on ``is`` instead of an O(n) list compare.
-            state.scores[index] = summaries[index].layout.scores
-        count = len(tokens)
-        low, high = min(changed), max(changed)
-        self._chain(
-            state,
-            range(low, count - 1),
-            range(min(high, count - 1), 0, -1),
-            max_rank,
-            backend,
-        )
-
-    def _chain(
-        self,
-        state: _GridState,
-        prefix_range: Any,
-        suffix_range: Any,
-        max_rank: int,
-        backend: Any,
-    ) -> None:
-        """(Re)compute prefix rows over ``prefix_range`` ascending and
-        suffix rows over ``suffix_range`` descending.
-
-        ``prefix[S-1]`` / ``suffix[0]`` cover all shards and are never
-        consumed, so the ranges stop one short of them.
-        """
-        count = len(state.aligned)
-        for index in prefix_range:
+        count = len(summaries)
+        grid_rows = len(state.grid)
+        for index, start in enumerate(aligned_from):
+            if start < grid_rows:
+                tail = summaries[index].aligned_count_table(
+                    state.grid,
+                    backend.slice_rows(state.index_maps[index], start),
+                )
+                state.aligned[index] = self._splice(
+                    state.aligned[index], start, tail, backend
+                )
+        start = grid_rows
+        for index in range(count - 1):
+            start = min(start, aligned_from[index])
+            if start >= grid_rows:
+                continue
             if index == 0:
                 state.prefix[0] = state.aligned[0]
-            else:
-                state.prefix[index] = self._convolve(
-                    state.prefix[index - 1],
-                    state.aligned[index],
-                    max_rank,
-                    backend,
-                )
-        for index in suffix_range:
+                continue
+            tail = self._convolve(
+                backend.slice_rows(state.prefix[index - 1], start),
+                backend.slice_rows(state.aligned[index], start),
+                max_rank,
+                backend,
+            )
+            state.prefix[index] = self._splice(
+                state.prefix[index], start, tail, backend
+            )
+        start = grid_rows
+        for index in range(count - 1, 0, -1):
+            start = min(start, aligned_from[index])
+            if start >= grid_rows:
+                continue
             if index == count - 1:
                 state.suffix[index] = state.aligned[index]
-            else:
-                state.suffix[index] = self._convolve(
-                    state.aligned[index],
-                    state.suffix[index + 1],
-                    max_rank,
-                    backend,
-                )
+                continue
+            tail = self._convolve(
+                backend.slice_rows(state.aligned[index], start),
+                backend.slice_rows(state.suffix[index + 1], start),
+                max_rank,
+                backend,
+            )
+            state.suffix[index] = self._splice(
+                state.suffix[index], start, tail, backend
+            )
+
+    @staticmethod
+    def _splice(old: Any, start: int, tail: Any, backend: Any) -> Any:
+        """Rows ``0 .. start`` of ``old`` above ``tail``, as a new matrix."""
+        if start == 0:
+            return tail
+        return backend.stack_matrices(
+            [backend.slice_rows(old, 0, start), tail]
+        )
 
     # ------------------------------------------------------------------
     # Per-shard finals
     # ------------------------------------------------------------------
-    def _shard_final(
+    def _refresh_finals(
         self,
         state: _GridState,
         index: int,
         summary: ShardRankSummary,
-        tokens: Tuple[Any, ...],
+        others_from: int,
+        change: Optional[Tuple[int, int]],
         max_rank: int,
         backend: Any,
-    ) -> Any:
-        """Shard ``index``'s final rank rows, reused when nothing moved."""
-        count = len(tokens)
-        others_key = tokens[:index] + tokens[index + 1 :]
-        if state.others_keys[index] != others_key:
-            state.others[index] = self._others_rows(
-                state, index, count, max_rank, backend
+    ) -> None:
+        """Re-convolve shard ``index``'s stale all-others and final rows.
+
+        The all-others rows read the other shards' chains at the shard's
+        grid positions, so they go stale from the first local row whose
+        position reaches ``others_from`` (the least stale grid row over
+        the other shards).  The final rows go stale from there, or from
+        the shard's own changed alternative, whose scale factor moved.
+        """
+        rows = len(summary.layout.probabilities)
+        others_row = (
+            bisect_left(state.positions[index], others_from)
+            if others_from < len(state.grid)
+            else rows
+        )
+        if others_row < rows:
+            state.others[index] = self._splice(
+                state.others[index],
+                others_row,
+                self._others_rows(state, index, others_row, max_rank,
+                                  backend),
+                backend,
             )
-            state.others_keys[index] = others_key
         else:
             self.counters["partials_reused"] += 1
-        final_key = (tokens[index], others_key)
-        if state.final_keys[index] != final_key:
-            if state.local_keys[index] != tokens[index]:
-                state.locals[index] = self._local_parts(summary, backend)
-                state.local_keys[index] = tokens[index]
-            state.finals[index] = self._final_rows(
-                state.locals[index], state.others[index], max_rank, backend
+        final_row = others_row
+        if change is not None:
+            own_row = change[1]
+            # Local row ``r`` holds the alternatives above ``r``, so the
+            # changed alternative's own local row is still valid.
+            state.locals[index] = self._local_parts(
+                summary, state.locals[index], own_row + 1, backend
             )
-            state.final_keys[index] = final_key
-        else:
+            final_row = min(final_row, own_row)
+        if final_row >= rows:
             self.counters["partials_reused"] += 1
-        return state.finals[index]
+            return
+        state.scaled[index] = self._splice(
+            state.scaled[index],
+            final_row,
+            self._scaled_rows(
+                state.locals[index], state.others[index], final_row,
+                max_rank, backend,
+            ),
+            backend,
+        )
+        groups = state.locals[index][2]
+        state.finals[index] = (
+            state.scaled[index]
+            if groups is None
+            else backend.sum_rows_by_group(
+                state.scaled[index], groups[0], groups[1]
+            )
+        )
 
     def _others_rows(
         self,
         state: _GridState,
         index: int,
-        count: int,
+        start: int,
         max_rank: int,
         backend: Any,
     ) -> Any:
-        """``prefix[index-1] ⊛ suffix[index+1]`` at the shard's positions."""
-        positions = state.positions[index]
+        """``prefix[index-1] ⊛ suffix[index+1]`` at the shard's positions,
+        from its local row ``start`` on."""
+        positions = backend.slice_rows(state.positions[index], start)
         left = (
             backend.take_rows(state.prefix[index - 1], positions)
             if index > 0
@@ -406,7 +505,7 @@ class MergeEngine:
         )
         right = (
             backend.take_rows(state.suffix[index + 1], positions)
-            if index < count - 1
+            if index < len(state.suffix) - 1
             else None
         )
         if left is None:
@@ -416,57 +515,69 @@ class MergeEngine:
         return self._convolve(left, right, max_rank, backend)
 
     def _local_parts(
-        self, summary: ShardRankSummary, backend: Any
+        self,
+        summary: ShardRankSummary,
+        previous: Optional[Tuple[Any, Any, Any]],
+        start: int,
+        backend: Any,
     ) -> Tuple[Any, Any, Any]:
-        """The shard-content-only inputs of :meth:`_final_rows`.
+        """The shard-content-only inputs of :meth:`_scaled_rows`.
 
         ``(local_rows, scale_factors, groups)`` where ``groups`` is
         ``None`` for tuple-independent shards and ``(group_vector,
-        group_count)`` for block-independent ones.  Depends only on the
-        shard's own summary, so it is cached per version token and an
-        incremental re-merge rebuilds it for the changed shard alone.
+        group_count)`` for block-independent ones.  Local rows above
+        ``start`` are unchanged since ``previous`` (when there is one): a
+        tuple-independent shard's are a slice of its prefix table anyway,
+        and a block-independent shard's are reused, so only the rows from
+        ``start`` on are rebuilt.
         """
         layout = summary.layout
+        factors = backend.factor_vector(layout.probabilities)
         if layout.independent:
-            local = backend.take_rows(
-                summary.prefix_table, range(len(layout.keys))
+            local = backend.slice_rows(
+                summary.prefix_table, 0, len(layout.keys)
             )
-            factors = backend.factor_vector(layout.probabilities)
             return local, factors, None
         # Block-independent: one row per alternative (own block excluded),
         # scaled by the alternative's probability and summed per key.  Row
         # ``r`` has exactly ``r`` alternatives above it.
-        local = backend.matrix_from_rows(
-            [
-                summary.prefix_polynomial(row, block)
-                for row, block in enumerate(layout.blocks)
-            ]
-        )
-        factors = backend.factor_vector(layout.probabilities)
-        groups = (backend.index_vector(layout.blocks), len(layout.keys))
+        if previous is None:
+            local, start = None, 0
+            groups = (backend.index_vector(layout.blocks), len(layout.keys))
+        else:
+            local, _, groups = previous
+        if start < len(layout.blocks):
+            tail = backend.matrix_from_rows(
+                [
+                    summary.prefix_polynomial(row, layout.blocks[row])
+                    for row in range(start, len(layout.blocks))
+                ]
+            )
+            local = self._splice(local, start, tail, backend)
         return local, factors, groups
 
-    def _final_rows(
+    def _scaled_rows(
         self,
         local_parts: Tuple[Any, Any, Any],
         others_rows: Any,
+        start: int,
         max_rank: int,
         backend: Any,
     ) -> Any:
-        """Local rank rows ⊛ all-others factor, collapsed to per-key rows."""
-        local, factors, groups = local_parts
-        rows = (
-            self._convolve(local, others_rows, max_rank, backend)
-            if others_rows is not None
-            else local
-        )
-        rows = backend.scale_rows(rows, factors)
-        if groups is None:
-            return rows
-        return backend.sum_rows_by_group(rows, groups[0], groups[1])
+        """Local rank rows ⊛ all-others factor, scaled by each
+        alternative's probability, from local row ``start`` on."""
+        local, factors, _ = local_parts
+        rows = backend.slice_rows(local, start)
+        if others_rows is not None:
+            rows = self._convolve(
+                rows, backend.slice_rows(others_rows, start), max_rank,
+                backend,
+            )
+        return backend.scale_rows(rows, backend.slice_rows(factors, start))
 
     def _convolve(
         self, a: Any, b: Any, out_len: int, backend: Any
     ) -> Any:
         self.counters["convolutions"] += 1
+        self.counters["convolved_rows"] += len(a)
         return backend.convolve_rows(a, b, out_len)

@@ -830,32 +830,42 @@ class ShardProcessPool:
         """
         max_rank = max(int(max_rank), 1)
         indices = self._served()
-        failures = self._refresh_summaries(max_rank, use_cache, indices)
+        entries, failures = self._refresh_summaries(
+            max_rank, use_cache, indices
+        )
         if failures:
             raise next(iter(failures.values()))
-        with self._cache_lock:
-            return [
-                self._summary_cache[(index, max_rank)][1] for index in indices
-            ]
+        return [entries[index][1] for index in indices]
 
     def _refresh_summaries(
         self, max_rank: int, use_cache: bool, indices: Sequence[int]
-    ) -> Dict[int, ProcessPoolError]:
+    ) -> Tuple[Dict[int, Tuple[Any, ...]], Dict[int, ProcessPoolError]]:
         """Fetch the stale summaries of ``indices`` in one parallel
-        exchange; returns the worker failures by shard."""
+        exchange.
+
+        Returns the ``(version, summary, state_id, export_id)`` entry of
+        every shard that answered and the worker failures, both by shard.
+        A reply whose shard version moved while it was in flight is
+        returned but not cached: the commit that moved it may have reached
+        the worker first, so the reply may hold the new content, which
+        must not be filed under the version read before the request.
+        """
+        entries: Dict[int, Tuple[Any, ...]] = {}
         wanted: List[Tuple[int, int, Optional[int], Any]] = []
         for index in indices:
             version = self._shard_version(index)
             with self._cache_lock:
                 cached = self._summary_cache.get((index, max_rank))
-            if not use_cache or cached is None or cached[0] != version:
-                if use_cache and cached is not None:
-                    base_id, base_summary = cached[3], cached[1]
-                else:
-                    base_id, base_summary = None, None
-                wanted.append((index, version, base_id, base_summary))
+            if use_cache and cached is not None and cached[0] == version:
+                entries[index] = cached
+                continue
+            if use_cache and cached is not None:
+                base_id, base_summary = cached[3], cached[1]
+            else:
+                base_id, base_summary = None, None
+            wanted.append((index, version, base_id, base_summary))
         if not wanted:
-            return {}
+            return entries, {}
         shm_wanted = self._shm != "never" and get_backend().name == "numpy"
         shm_floor = 0 if self._shm == "always" else self._shm_min_bytes
         fetched = self._request_many(
@@ -874,17 +884,20 @@ class ShardProcessPool:
                     continue
                 self._count(summaries=1)
                 summary = self._decode_summary(exported, base_summary)
-                self._summary_cache[(index, max_rank)] = (
+                entries[index] = (
                     version,
                     summary,
                     int(exported.get("state_id", 0)),
                     exported.get("export_id"),
                 )
+                if self._shard_version(index) != version:
+                    continue
+                self._summary_cache[(index, max_rank)] = entries[index]
                 # The summary ships its layout anyway: keep it warm.
                 existing = self._layout_cache.get(index)
                 if existing is None or existing[0] != version:
                     self._layout_cache[index] = (version, summary.layout)
-        return failures
+        return entries, failures
 
     def summary_with_token(
         self, shard_index: int, max_rank: int
@@ -896,21 +909,21 @@ class ShardProcessPool:
         pairs the parent-side shard version with the worker's committed
         ``state_id`` (shipped in the same reply as the summary, so it
         identifies the summary's *content* even when a fetch races a
-        concurrent commit).  Merge-engine partial products keyed by these
-        tokens therefore never mix shard states.
+        concurrent commit).  The token moves whenever the content does,
+        which is all the merge engine needs: it re-reads a shard's content
+        only when the shard's token moves.
         """
         key = (shard_index, max(int(max_rank), 1))
         with self._cache_lock:
             cached = self._summary_cache.get(key)
         if cached is None or cached[0] != self._shard_version(shard_index):
             others = [i for i in self._served() if i != shard_index]
-            failures = self._refresh_summaries(
+            entries, failures = self._refresh_summaries(
                 key[1], True, [shard_index, *others]
             )
             if shard_index in failures:
                 raise failures[shard_index]
-            with self._cache_lock:
-                cached = self._summary_cache[key]
+            cached = entries[shard_index]
         version, summary, state_id, _ = cached
         return summary, (version, state_id)
 
@@ -963,7 +976,7 @@ class ShardProcessPool:
                     table = suffix
                 else:
                     table = backend.stack_matrices(
-                        [backend.take_rows(old, range(start)), suffix]
+                        [backend.slice_rows(old, 0, start), suffix]
                     )
                 shipped = len(exported["layout"].probabilities) + 1 - start
             self._count(

@@ -151,8 +151,8 @@ class ShardWorkerState:
                 if start >= rows:
                     inner = None
                 else:
-                    suffix = get_backend().take_rows(
-                        summary.prefix_table, range(start, rows)
+                    suffix = get_backend().slice_rows(
+                        summary.prefix_table, start
                     )
                     inner = export_table(suffix, shm_wanted, shm_min_bytes)
                 table = (DELTA_TRANSPORT, retained[0], start, inner)

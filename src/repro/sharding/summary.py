@@ -21,6 +21,8 @@ nothing keeps a per-key dictionary.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.engine import get_backend
@@ -307,9 +309,11 @@ def table_delta_start(
     """
     if len(old_probabilities) != len(new_probabilities):
         return None
-    for index, (old, new) in enumerate(
-        zip(old_probabilities, new_probabilities)
-    ):
-        if old != new:
-            return index + 1
-    return len(new_probabilities) + 1
+    # The index of the first unequal pair, found by C-level iterators.
+    first = next(
+        compress(count(), map(ne, old_probabilities, new_probabilities)),
+        None,
+    )
+    if first is None:
+        return len(new_probabilities) + 1
+    return first + 1

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import small_bid
 from repro import Query, connect
-from repro.engine import numpy_available, use_backend
+from repro.engine import get_backend, numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
 from repro.models import (
     BlockIndependentDatabase,
@@ -35,6 +35,7 @@ from repro.models.sharded import DatabaseShard
 from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.sharding.coordinator import _ShardArchive
+from repro.sharding.merge import MergeEngine
 from repro.workloads.traffic import (
     bursty_traffic,
     generate_traffic,
@@ -215,6 +216,168 @@ class TestIncrementalVsRebuildParity:
                 membership = coordinator.top_k_membership(K)
                 for key, value in reference.top_k_membership(K).items():
                     assert abs(membership[key] - value) < TOLERANCE
+
+
+def _grid_alternatives(data):
+    """``(score, key, slot in its block)`` of every alternative in the
+    merge grid's order (decreasing score)."""
+    if isinstance(data[0][1], list):
+        rows = [
+            (score, key, slot)
+            for key, alternatives in data
+            for slot, (_, score, _) in enumerate(alternatives)
+        ]
+    else:
+        rows = [(score, key, 0) for key, _, score, _ in data]
+    return sorted(rows, reverse=True)
+
+
+def _rescale_alternative(sharded, data, key, slot, factor):
+    """Scale one alternative's probability in ``sharded``; returns the new
+    data."""
+    if isinstance(data[0][1], list):
+        block = [
+            (v, s, p * factor if j == slot else p)
+            for j, (v, s, p) in enumerate(dict(data)[key])
+        ]
+        sharded.update_block(key, block)
+        return [(k, block if k == key else alts) for k, alts in data]
+    probability = next(p for k, _, _, p in data if k == key) * factor
+    sharded.update_tuple(key, probability=probability)
+    return _with_probability(data, key, probability)
+
+
+def _full_merge(coordinator, max_rank):
+    """The coordinator's current shard summaries merged by a throwaway
+    engine: ``({key: row}, rows it convolved)``."""
+    backend = get_backend()
+    layout = coordinator._layout()
+    summaries, tokens = zip(
+        *(shard.summary(max_rank) for shard in coordinator._shards())
+    )
+    engine = MergeEngine()
+    native = engine.merge(
+        summaries, tokens, max_rank, layout.grid_scores, layout.keys_order,
+        backend,
+    )
+    rows = dict(zip(layout.keys_order, backend.matrix_to_lists(native)))
+    return rows, engine.stats().convolved_rows
+
+
+class TestRowSuffixRefresh:
+    """An incremental merge re-convolves only the grid rows at and below
+    the first changed alternative, and equals a full merge."""
+
+    def _merge_delta(self, coordinator):
+        before = coordinator.merge_stats()
+        merged = _matrix_rows(coordinator, K)
+        delta = coordinator.merge_stats() - before
+        assert delta.incremental_merges == 1
+        assert delta.full_merges == 0
+        full, full_rows = _full_merge(coordinator, K)
+        assert_rows_close(full, merged, 1e-12)
+        return delta, full_rows
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_refresh_matches_a_full_merge(
+        self, model, executor, backend_name
+    ):
+        with use_backend(_backend_or_skip(backend_name)):
+            data = _ti_tuples(97, 30) if model == "ti" else _bid_spec(97, 15)
+            grid = _grid_alternatives(data)
+            with ShardedDatabase(
+                _database(data), 3, executor=executor
+            ) as sharded:
+                coordinator = sharded.coordinator()
+                coordinator.rank_matrix(K)
+                pair = {}
+                for alternative in grid[len(grid) // 3 :]:
+                    pair.setdefault(sharded.shard_of(alternative[1]),
+                                    alternative)
+                # The top, middle and bottom grid rows, then two shards
+                # between one pair of merges.
+                steps = [
+                    [grid[0]],
+                    [grid[len(grid) // 2]],
+                    [grid[-1]],
+                    list(pair.values())[:2],
+                ]
+                for step in steps:
+                    for _, key, slot in step:
+                        data = _rescale_alternative(
+                            sharded, data, key, slot, 0.6
+                        )
+                    delta, full_rows = self._merge_delta(coordinator)
+                    assert 0 < delta.convolved_rows < full_rows
+                assert_rows_close(
+                    _unsharded_rows(data), _matrix_rows(coordinator, K)
+                )
+                # A new token over the same content re-convolves nothing.
+                _, key, slot = grid[0]
+                data = _rescale_alternative(sharded, data, key, slot, 1.0)
+                delta, _ = self._merge_delta(coordinator)
+                assert delta.convolved_rows == 0
+                assert delta.convolutions == 0
+                if executor == "processes":
+                    # A respawned worker restarts its state ids; the
+                    # version vector, and with it the memoized matrix,
+                    # stays, so merge past the memo.
+                    pool = sharded.process_pool()
+                    worker = pool._workers[sharded.shard_of(key)].process
+                    worker.terminate()
+                    worker.join(10)
+                    assert pool.restart_worker(sharded.shard_of(key))
+                    tokens = coordinator._engine._states[K].tokens
+                    before = coordinator.merge_stats()
+                    coordinator._merged_rank_matrix(K)
+                    delta = coordinator.merge_stats() - before
+                    assert coordinator._engine._states[K].tokens != tokens
+                    assert delta.incremental_merges == 1
+                    assert delta.convolved_rows == 0
+
+    def test_counts_rows_of_every_convolution(self):
+        sharded = ShardedDatabase(_ti_tuples(5, 48), 4, partitioner="hash")
+        coordinator = sharded.coordinator()
+        coordinator.rank_matrix(K)
+        stats = coordinator.merge_stats()
+        sizes = [len(shard.keys()) for shard in sharded.shards()]
+        assert all(sizes)
+        # A full merge convolves two prefix and two suffix grids, the two
+        # inner shards' all-others rows and every shard's final rows.
+        assert stats.convolutions == 2 + 2 + 2 + 4
+        assert stats.convolved_rows == (
+            4 * sum(sizes) + sizes[1] + sizes[2] + sum(sizes)
+        )
+
+
+class TestMergeEngineLock:
+    def test_clear_waits_for_a_merge(self, monkeypatch):
+        sharded = ShardedDatabase(_ti_tuples(5, 24), 3)
+        coordinator = sharded.coordinator()
+        engine = coordinator._engine
+        merging, resume = threading.Event(), threading.Event()
+        convolve = MergeEngine._convolve
+
+        def paused(self, *args):
+            merging.set()
+            assert resume.wait(10)
+            return convolve(self, *args)
+
+        monkeypatch.setattr(MergeEngine, "_convolve", paused)
+        reader = threading.Thread(target=coordinator.rank_matrix, args=(K,))
+        reader.start()
+        assert merging.wait(10)
+        clearer = threading.Thread(target=engine.clear)
+        clearer.start()
+        clearer.join(0.2)
+        assert clearer.is_alive()
+        resume.set()
+        reader.join(10)
+        clearer.join(10)
+        assert not clearer.is_alive()
+        assert not engine._states
 
 
 class TestConvolutionBudget:

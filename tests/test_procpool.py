@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import threading
 
 import pytest
 
@@ -335,6 +336,52 @@ class TestCacheAndMetrics:
             pool.summaries(K)
             # Exactly one shard (the owner) re-shipped its partials.
             assert pool.stats().summaries == baseline + 1
+
+    def test_summary_fetch_racing_a_commit_is_not_cached(self, monkeypatch):
+        """A fetch reads shard version v, then a commit moves the shard to
+        v+1 before the request reaches the worker.  The reply holds the new
+        content, so it must not be cached under v, and a reader pinned at v
+        still answers from v."""
+        database = small_tuple_independent(8, count=12)
+        replica = ShardedDatabase(database, 2)
+        with ShardedDatabase(database, 2, executor="processes") as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(K)
+            pool = sharded.process_pool()
+            first, second = [
+                key for key in sharded.keys() if sharded.shard_of(key) == 0
+            ][:2]
+            for target in (sharded, replica):
+                target.update_tuple(first, probability=0.3)
+            pinned = sharded.versions()
+            version = pinned[0]
+            fetching, resume = threading.Event(), threading.Event()
+            request_many = pool._request_many
+
+            def paused(commands):
+                fetching.set()
+                assert resume.wait(10)
+                return request_many(commands)
+
+            monkeypatch.setattr(pool, "_request_many", paused)
+            fetched = []
+            reader = threading.Thread(
+                target=lambda: fetched.append(pool.summary_with_token(0, K))
+            )
+            reader.start()
+            assert fetching.wait(10)
+            monkeypatch.setattr(pool, "_request_many", request_many)
+            sharded.update_tuple(second, probability=0.6)
+            resume.set()
+            reader.join(10)
+            summary, _ = fetched[0]
+            layout = summary.layout
+            assert dict(zip(layout.keys, layout.probabilities))[second] == 0.6
+            assert pool.cached_summaries(0, version) == {}
+            assert pool.cached_layout(0, version) is None
+            assert_rank_matrix_parity(
+                replica.coordinator(), coordinator.at(pinned), K
+            )
 
     def test_ipc_snapshot_delta(self):
         first = IpcSnapshot(commands=5, summaries=3, pipe_bytes=100)
