@@ -10,13 +10,21 @@ use on databases with thousands of tuples.
 
 from __future__ import annotations
 
+import math
+import os
+import random
 import time
 
 from _harness import report
 from repro.andxor.rank_probabilities import RankStatistics
+from repro.engine import use_backend
+from repro.models import BlockIndependentDatabase, TupleIndependentDatabase
 from repro.session import QuerySession
 from repro.consensus.topk.footrule import mean_topk_footrule
-from repro.consensus.topk.intersection import approximate_topk_intersection
+from repro.consensus.topk.intersection import (
+    approximate_topk_intersection,
+    mean_topk_intersection,
+)
 from repro.consensus.topk.kendall import approximate_topk_kendall
 from repro.consensus.topk.symmetric_difference import (
     mean_topk_symmetric_difference,
@@ -25,6 +33,10 @@ from repro.consensus.topk.symmetric_difference import (
 from repro.workloads.generators import random_tuple_independent_database
 
 K = 10
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+#: E11c: tuples of the cold TI relation and blocks of the cold BID one.
+COLD_TUPLES = 12000
+COLD_BLOCKS = 40
 
 
 def test_e11_end_to_end_scaling(benchmark):
@@ -160,3 +172,94 @@ def test_e11_session_cold_vs_warm(benchmark):
         return warm_session.mean_topk_footrule(K)
 
     benchmark.pedantic(warm_pipeline, rounds=3, iterations=1)
+
+
+def _cold_rows(seed):
+    """``(key, value, score, probability)`` TI rows with distinct scores,
+    and sensor-shaped BID blocks of 2 or 3 alternatives summing to 1."""
+    rng = random.Random(seed)
+    scores = rng.sample(range(10 * COLD_TUPLES), COLD_TUPLES)
+    rows = [
+        (f"t{index}", f"v{index}", float(score), rng.uniform(0.05, 1.0))
+        for index, score in enumerate(scores)
+    ]
+    sizes = [2 + index % 2 for index in range(COLD_BLOCKS)]
+    block_scores = iter(rng.sample(range(10 * sum(sizes)), sum(sizes)))
+    blocks = []
+    for index, size in enumerate(sizes):
+        weights = [rng.random() + 0.2 for _ in range(size)]
+        alternatives = []
+        for weight in weights:
+            score = float(next(block_scores))
+            alternatives.append((f"r{score:g}", score, weight / sum(weights)))
+        blocks.append((f"sensor{index}", alternatives))
+    return rows, blocks
+
+
+def _cold_rungs(rows, blocks):
+    """Per-rung seconds of one cold pass over both relations, and the
+    ``(answer, expected distance)`` pairs it produced."""
+    timings = dict.fromkeys(
+        ("build", "statistics", "rank matrix", "assignment"), 0.0
+    )
+    answers = []
+    for model, source in (
+        (TupleIndependentDatabase, rows),
+        (BlockIndependentDatabase, blocks),
+    ):
+        start = time.perf_counter()
+        database = model(source)
+        timings["build"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        statistics = RankStatistics(database.columns)
+        timings["statistics"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        statistics.rank_matrix(K)
+        timings["rank matrix"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        answers += [
+            mean_topk_footrule(statistics, K),
+            mean_topk_intersection(statistics, K),
+            mean_topk_symmetric_difference(statistics, K),
+        ]
+        timings["assignment"] += time.perf_counter() - start
+    return timings, answers
+
+
+def test_e11_cold_build_from_rows(benchmark):
+    """E11c: the cold TI + BID path from flat rows, rung by rung."""
+    rows, blocks = _cold_rows(11)
+    rounds = 1 if SMOKE else 5
+    passes = [_cold_rungs(rows, blocks) for _ in range(rounds + 1)][1:]
+    with use_backend("python"):
+        _, reference = _cold_rungs(rows, blocks)
+    for _, answers in passes:
+        for (answer, value), (want, expected) in zip(answers, reference):
+            assert answer == want
+            assert math.isclose(value, expected, rel_tol=0.0, abs_tol=1e-9)
+    rungs = list(passes[0][0])
+    medians = {
+        rung: sorted(timings[rung] for timings, _ in passes)[rounds // 2]
+        for rung in rungs
+    }
+    report(
+        "E11c",
+        f"Cold build-to-answer rungs: TI n={COLD_TUPLES} + BID "
+        f"{COLD_BLOCKS} blocks, k={K} (median ms of {rounds})",
+        ("rung", "ms"),
+        [(rung, 1000.0 * medians[rung]) for rung in rungs]
+        + [("total", 1000.0 * sum(medians.values()))],
+        notes=(
+            "build: both relations from rows; statistics: RankStatistics "
+            "over their columns (score order, tie check); rank matrix: "
+            "rank_matrix(k); assignment: the mean footrule, intersection "
+            "and symmetric-difference answers.  Answers match the pure "
+            "backend's to 1e-9."
+        ),
+    )
+    benchmark.pedantic(
+        lambda: _cold_rungs(rows, blocks), rounds=rounds, iterations=1
+    )

@@ -18,11 +18,22 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative, effective_score
+from repro.engine import get_backend
+from repro.engine.backends import Backend
 from repro.exceptions import ProbabilityError
 
 #: One alternative row: ``(value, explicit score or None, probability)``.
@@ -58,13 +69,49 @@ def check_block(key: Hashable, rows: Sequence[Row]) -> List[float]:
     return probabilities
 
 
+def _float_column(backend: Backend, values: Sequence[Any]) -> Any:
+    """``values`` as a native float column; a value that is not a number
+    raises the error ``float()`` raises for it."""
+    try:
+        return backend.factor_vector(values)
+    except (TypeError, ValueError):
+        for value in values:
+            float(value)
+        raise
+
+
+def _score_column(
+    backend: Backend,
+    values: Sequence[Hashable],
+    explicit_scores: Sequence[Optional[float]],
+) -> Any:
+    """The native effective-score column of ``(value, explicit score)``
+    rows (see :func:`~repro.core.tuples.effective_score`)."""
+    scores = backend.score_vector(explicit_scores)
+    missing = backend.unscored_rows(scores)
+    if missing:  # no explicit score: the value may be the score
+        fallback = backend.score_vector(
+            [effective_score(values[row], explicit_scores[row]) for row in missing]
+        )
+        for row, score in zip(missing, fallback):
+            scores[row] = score
+    return scores
+
+
 class FlatColumns:
     """The columns of a TI or BID relation, one row per alternative.
 
     ``keys`` holds the block keys (non-empty blocks, in insertion order);
     ``blocks[r]`` is the index into ``keys`` of row ``r``, so the rows of
-    one block are contiguous.  ``scores`` are the effective scores (None
-    for a row with neither an explicit nor a numeric value score).
+    one block are contiguous.  ``scores`` are the effective scores (an
+    unscored row, with neither an explicit nor a numeric value score, is
+    None on the pure backend and NaN on numpy).
+
+    The numeric columns -- ``probabilities``, ``scores``, ``blocks`` and
+    the score :attr:`order` -- are native vectors of :attr:`backend` (the
+    backend active when the columns were built): lists on the pure
+    backend, float64 / intp ndarrays on numpy.  Keys, values and explicit
+    scores stay Python lists.
     """
 
     __slots__ = (
@@ -74,6 +121,8 @@ class FlatColumns:
         "scores",
         "probabilities",
         "blocks",
+        "backend",
+        "tie_free",
         "_order",
         "_tree",
         "_block_index",
@@ -84,21 +133,29 @@ class FlatColumns:
         keys: List[Hashable],
         values: List[Hashable],
         explicit_scores: List[Optional[float]],
-        probabilities: List[float],
-        blocks: List[int],
-        scores: Optional[List[Optional[float]]] = None,
-        order: Optional[List[int]] = None,
+        probabilities: Any,
+        blocks: Any,
+        scores: Any = None,
+        order: Any = None,
+        backend: Optional[Backend] = None,
     ) -> None:
+        self.backend: Backend = get_backend() if backend is None else backend
         self.keys = keys
         self.values = values
         self.explicit_scores = explicit_scores
         self.probabilities = probabilities
         self.blocks = blocks
         self.scores = (
-            list(map(effective_score, values, explicit_scores))
+            _score_column(self.backend, values, explicit_scores)
             if scores is None
             else scores
         )
+        #: Whether the rows' own scores are known to be pairwise distinct
+        #: across keys (set by :class:`~repro.andxor.rank_probabilities.\
+        #: RankStatistics` once it checked them; kept by the copies of
+        #: :meth:`gather` and of a :meth:`replace_block` that moves no
+        #: score).
+        self.tie_free = False
         self._order = order
         self._tree: Optional[AndXorTree] = None
         self._block_index: Optional[Dict[Hashable, int]] = None
@@ -107,27 +164,71 @@ class FlatColumns:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_independent(
+        cls,
+        keys: List[Hashable],
+        values: List[Hashable],
+        explicit_scores: List[Optional[float]],
+        probabilities: Sequence[Any],
+    ) -> "FlatColumns":
+        """Columns of a tuple-independent relation (one block per row),
+        its probabilities checked as one array under the tuple rule."""
+        backend = get_backend()
+        native = _float_column(backend, probabilities)
+        for row in backend.rows_outside(native, 0.0, 1.0 + 1e-12):
+            check_tuple_probability(float(probabilities[row]))
+        return cls(
+            keys,
+            values,
+            explicit_scores,
+            native,
+            backend.index_vector(range(len(keys))),
+            backend=backend,
+        )
+
+    @classmethod
     def from_blocks(
         cls, blocks: Iterable[Tuple[Hashable, Sequence[Row]]]
     ) -> "FlatColumns":
-        """Validated columns of a BID relation (empty blocks dropped)."""
+        """Validated columns of a BID relation (empty blocks dropped).
+
+        The rows are read in one pass; the block rule is then checked on
+        the probability column and the per-block totals as arrays, and
+        only an offending block is re-read to raise its error.
+        """
         keys: List[Hashable] = []
         values: List[Hashable] = []
         explicit: List[Optional[float]] = []
-        probabilities: List[float] = []
+        raw: List[float] = []
         block_ids: List[int] = []
         for key, rows in blocks:
-            checked = check_block(key, rows)
             if not rows:
                 continue
             block = len(keys)
             keys.append(key)
-            for (value, score, _), probability in zip(rows, checked):
+            for value, score, probability in rows:
                 values.append(value)
                 explicit.append(score)
-                probabilities.append(probability)
+                raw.append(probability)
                 block_ids.append(block)
-        return cls(keys, values, explicit, probabilities, block_ids)
+        backend = get_backend()
+        probabilities = _float_column(backend, raw)
+        ids = backend.index_vector(block_ids)
+        totals = backend.group_totals(probabilities, ids, len(keys))
+        suspects = backend.rows_outside(probabilities, 0.0, float("inf"))
+        offending = {block_ids[row] for row in suspects}
+        offending.update(
+            backend.rows_outside(totals, float("-inf"), 1.0 + 1e-9)
+        )
+        for block in sorted(offending):
+            rows = range(
+                bisect_left(block_ids, block), bisect_right(block_ids, block)
+            )
+            check_block(keys[block], [(None, None, raw[row]) for row in rows])
+        for row in suspects:  # tolerated rounding below zero: clamp
+            if probabilities[row] < 0.0:
+                probabilities[row] = 0.0
+        return cls(keys, values, explicit, probabilities, ids, backend=backend)
 
     @classmethod
     def from_tree(cls, tree: AndXorTree) -> Optional["FlatColumns"]:
@@ -162,34 +263,38 @@ class FlatColumns:
                 block_ids.append(block)
         if len(set(keys)) != len(keys):
             return None
-        columns = cls(keys, values, explicit, probabilities, block_ids)
+        backend = get_backend()
+        columns = cls(
+            keys,
+            values,
+            explicit,
+            backend.factor_vector(probabilities),
+            backend.index_vector(block_ids),
+            backend=backend,
+        )
         columns._tree = tree
         return columns
 
     def gather(self, blocks: Sequence[int]) -> "FlatColumns":
         """The columns of ``blocks`` only, renumbered in the given order.
 
-        Rows are gathered, never re-validated; the scores are reused.
+        Rows are gathered (one take per column), never re-validated; the
+        scores are reused.
         """
-        rows: List[int] = []
-        block_ids: List[int] = []
-        for position, block in enumerate(blocks):
-            start = bisect_left(self.blocks, block)
-            stop = bisect_right(self.blocks, block, start)
-            rows.extend(range(start, stop))
-            block_ids.extend([position] * (stop - start))
-
-        def take(column: List) -> List:
-            return [column[row] for row in rows]
-
-        return FlatColumns(
+        backend = self.backend
+        rows, block_ids = backend.block_rows(self.blocks, blocks)
+        picked = backend.vector_values(rows)
+        gathered = FlatColumns(
             [self.keys[block] for block in blocks],
-            take(self.values),
-            take(self.explicit_scores),
-            take(self.probabilities),
+            list(map(self.values.__getitem__, picked)),
+            list(map(self.explicit_scores.__getitem__, picked)),
+            backend.take_rows(self.probabilities, rows),
             block_ids,
-            scores=take(self.scores),
+            scores=backend.take_rows(self.scores, rows),
+            backend=backend,
         )
+        gathered.tie_free = self.tie_free
+        return gathered
 
     def replace_block(
         self, key: Hashable, rows: Sequence[Row], independent: bool
@@ -200,14 +305,16 @@ class FlatColumns:
         earlier) is appended as the last block.  Only the new rows are
         validated -- under the tuple-independent rule when
         ``independent``, else the BID block rule.  The other rows are
-        copied (C-speed list slices), never re-validated; the key index,
-        and the score permutation when no score moved, are shared.
+        spliced (one native splice per column), never re-validated; the
+        key index, and the score permutation and checked-distinct state
+        when no score moved, are shared.
         """
         if independent:
             (_, _, probability), = rows
             probabilities = [check_tuple_probability(float(probability))]
         else:
             probabilities = check_block(key, rows)
+        backend = self.backend
         keys = self.keys
         try:
             block = self.block_of(key)
@@ -227,21 +334,34 @@ class FlatColumns:
 
         if not rows:
             keys, block_index = keys[:block] + keys[block + 1 :], None
-            blocks = self.blocks[:start] + [b - 1 for b in self.blocks[stop:]]
+            blocks = backend.splice(self.blocks, start, stop, [], -1)
         elif stop - start == len(rows):
             blocks = self.blocks
         else:
-            blocks = spliced(self.blocks, [block] * len(rows))
-        same_scores = self.scores[start:stop] == scores
+            blocks = backend.splice(
+                self.blocks, start, stop, [block] * len(rows)
+            )
+        same_scores = (
+            backend.vector_values(backend.slice_rows(self.scores, start, stop))
+            == scores
+        )
         patched = FlatColumns(
             keys,
             spliced(self.values, values),
             spliced(self.explicit_scores, explicit),
-            spliced(self.probabilities, probabilities),
+            backend.splice(self.probabilities, start, stop, probabilities),
             blocks,
-            scores=self.scores if same_scores else spliced(self.scores, scores),
+            scores=(
+                self.scores
+                if same_scores
+                else backend.splice(
+                    self.scores, start, stop, backend.score_vector(scores)
+                )
+            ),
             order=self._order if same_scores else None,
+            backend=backend,
         )
+        patched.tie_free = self.tie_free and same_scores
         patched._block_index = block_index
         return patched
 
@@ -254,23 +374,28 @@ class FlatColumns:
         return len(self.keys) == len(self.values)
 
     @property
-    def order(self) -> List[int]:
-        """Row indices by decreasing score (stable: ties keep row order).
+    def order(self) -> Any:
+        """Row indices by decreasing score (stable: ties keep row order),
+        as a native index vector.
 
         Requires every row to be scored; callers must not mutate it.
         """
         if self._order is None:
-            self._order = sorted(
-                range(len(self.scores)),
-                key=self.scores.__getitem__,
-                reverse=True,
-            )
+            self._order = self.backend.descending_order(self.scores)
         return self._order
+
+    def score_list(self) -> List[Optional[float]]:
+        """The effective scores as Python floats, None where unscored."""
+        backend = self.backend
+        scores = backend.vector_values(self.scores)
+        for row in backend.unscored_rows(self.scores):
+            scores[row] = None
+        return scores
 
     def block_of(self, key: Hashable) -> int:
         """Index of ``key``'s block (KeyError for an unknown key)."""
         if self._block_index is None:
-            self._block_index = {key: i for i, key in enumerate(self.keys)}
+            self._block_index = dict(zip(self.keys, range(len(self.keys))))
         return self._block_index[key]
 
     def rows_of(self, key: Hashable) -> range:
@@ -312,7 +437,9 @@ class FlatColumns:
 
     def presence(self, key: Hashable) -> float:
         """Probability that ``key``'s block produces an alternative."""
-        return sum(self.probabilities[row] for row in self.rows_of(key))
+        return sum(
+            self.backend.vector_values(self.probabilities, self.rows_of(key))
+        )
 
     @property
     def tree(self) -> AndXorTree:
@@ -324,12 +451,13 @@ class FlatColumns:
         """
         with _TREE_LOCK:  # one tree object: leaves are matched by identity
             if self._tree is None:
+                probabilities = self.backend.vector_values(self.probabilities)
                 self._tree = AndXorTree(
                     AndNode(
                         XorNode(
                             (
                                 Leaf(self.alternative(row)),
-                                self.probabilities[row],
+                                probabilities[row],
                             )
                             for row in self.rows_of(key)
                         )

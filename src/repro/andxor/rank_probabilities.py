@@ -32,6 +32,7 @@ through the engine's multiply-accumulate kernel.
 from __future__ import annotations
 
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -98,38 +99,49 @@ class RankStatistics:
         self._use_fast_path_flag = use_fast_path
         # One score per row -- per leaf alternative of a flat layout, per
         # distinct alternative of a general tree -- and the rows by
-        # decreasing score (stable, so ties keep row order).
+        # decreasing score (stable, so ties keep row order), as native
+        # vectors of the columns' backend (the active one for a tree).
         self._score_table: Optional[Dict[TupleAlternative, float]] = None
         columns = self._columns
+        own_scores = columns is not None and scoring is None
         if columns is None:
+            backend = get_backend()
             alternatives = self.tree.alternatives()
             row_keys = [alternative.key for alternative in alternatives]
-            row_scores = list(map(self._score_alternative, alternatives))
-            self._score_table = dict(zip(alternatives, row_scores))
-        else:
-            row_keys = [columns.keys[block] for block in columns.blocks]
-            if scoring is None:
-                row_scores = columns.scores
-                if None in row_scores:
-                    # Raises the tree path's TypeError for an unscored row.
-                    columns.alternative(row_scores.index(None)).effective_score()
-            else:
-                row_scores = list(
-                    map(self._score_alternative, columns.row_alternatives())
-                )
-        self._keys: List[Hashable] = (
-            list(dict.fromkeys(row_keys)) if columns is None else columns.keys
-        )
-        self._row_scores: List[float] = row_scores
-        self._order: List[int] = (
-            columns.order
-            if columns is not None and row_scores is columns.scores
-            else sorted(
-                range(len(row_scores)), key=row_scores.__getitem__, reverse=True
+            scores = list(map(self._score_alternative, alternatives))
+            self._score_table = dict(zip(alternatives, scores))
+            self._keys: List[Hashable] = list(dict.fromkeys(row_keys))
+            key_index = dict(zip(self._keys, range(len(self._keys))))
+            row_groups = backend.index_vector(
+                [key_index[key] for key in row_keys]
             )
+            row_scores = backend.score_vector(scores)
+        else:
+            backend = columns.backend
+            self._keys = columns.keys
+            row_groups = columns.blocks
+            if own_scores:
+                row_scores = columns.scores
+                for row in backend.unscored_rows(row_scores):
+                    # Raises the tree path's TypeError for an unscored row.
+                    columns.alternative(row).effective_score()
+            else:
+                row_scores = backend.score_vector(
+                    list(
+                        map(self._score_alternative, columns.row_alternatives())
+                    )
+                )
+        self._backend = backend
+        self._row_scores: Any = row_scores
+        self._order: Any = (
+            columns.order
+            if own_scores
+            else backend.descending_order(row_scores)
         )
-        if validate_scores:
-            self._validate_scores(row_keys)
+        if validate_scores and not (own_scores and columns.tie_free):
+            self._validate_scores(row_groups)
+            if own_scores:
+                columns.tie_free = True
         self._rank_cache: Dict[Tuple[Hashable, int], List[float]] = {}
         self._layout_cache: Optional[
             List[Tuple[Hashable, float, float]]
@@ -162,14 +174,29 @@ class RankStatistics:
         if not self.is_independent:
             return None
         if self._layout_cache is None:
-            columns = self._columns
-            keys, blocks = columns.keys, columns.blocks
-            probabilities, scores = columns.probabilities, self._row_scores
-            self._layout_cache = [
-                (keys[blocks[row]], probabilities[row], scores[row])
-                for row in self._order
-            ]
+            self._layout_cache = list(
+                zip(
+                    self._ordered_keys(),
+                    self._ordered_values(self._columns.probabilities),
+                    self._ordered_values(self._row_scores),
+                )
+            )
         return self._layout_cache
+
+    def _ordered(self, column: Any) -> Any:
+        """A flat layout's native ``column`` in decreasing score order."""
+        return self._backend.take_rows(column, self._order)
+
+    def _ordered_values(self, column: Any) -> List[Any]:
+        """:meth:`_ordered` as a Python list."""
+        return self._backend.vector_values(self._ordered(column))
+
+    def _ordered_keys(self) -> List[Hashable]:
+        """The key of every row of a tuple-independent layout, in
+        decreasing score order."""
+        return list(
+            map(self._keys.__getitem__, self._ordered_values(self._columns.blocks))
+        )
 
     def _score_alternative(self, alternative: TupleAlternative) -> float:
         if self._scoring is None:
@@ -181,7 +208,10 @@ class RankStatistics:
         """Score of every distinct alternative (built on first use)."""
         if self._score_table is None:
             self._score_table = dict(
-                zip(self._columns.row_alternatives(), self._row_scores)
+                zip(
+                    self._columns.row_alternatives(),
+                    self._backend.vector_values(self._row_scores),
+                )
             )
         return self._score_table
 
@@ -211,18 +241,21 @@ class RankStatistics:
         backend = get_backend()
         columns = self._columns
         if self._use_fast_path_flag and columns is not None:
-            order = self._order
-            blocks = [columns.blocks[row] for row in order]
-            probabilities = [columns.probabilities[row] for row in order]
+            # Gathered natively, then handed over in the active backend's
+            # representation (a no-op when the columns were built on it).
+            blocks = backend.index_vector(self._ordered(columns.blocks))
+            probabilities = backend.factor_vector(
+                self._ordered(columns.probabilities)
+            )
             # Equal scores of different keys (allowed only unvalidated)
             # must not count each other as above.
             scores = (
                 None
                 if self._validate_scores_flag
-                else [self._row_scores[row] for row in order]
+                else backend.factor_vector(self._ordered(self._row_scores))
             )
             if columns.independent:
-                keys = [columns.keys[block] for block in blocks]
+                keys = self._ordered_keys()
                 native = backend.rank_probability_matrix(
                     probabilities, max_rank, scores=scores
                 )
@@ -247,25 +280,25 @@ class RankStatistics:
         self._matrix_cache[max_rank] = matrix
         return matrix
 
-    def _validate_scores(self, row_keys: List[Hashable]) -> None:
+    def _validate_scores(self, row_groups: Any) -> None:
         """Reject equal scores on rows of different keys (adjacent in the
-        decreasing-score order)."""
-        scores = self._row_scores
-        for first, second in zip(self._order, self._order[1:]):
-            if (
-                scores[first] == scores[second]
-                and row_keys[first] != row_keys[second]
-            ):
-                if self._columns is None:
-                    alternatives = list(self._scores)
-                    pair = (alternatives[first], alternatives[second])
-                else:
-                    pair = tuple(map(self._columns.alternative, (first, second)))
-                raise ModelError(
-                    f"alternatives {pair[0]!r} and {pair[1]!r} of different "
-                    f"tuples share score {scores[first]}; ranking assumes "
-                    "distinct scores"
-                )
+        decreasing-score order); ``row_groups`` numbers each row's key."""
+        tie = self._backend.first_tie(
+            self._ordered(self._row_scores), self._ordered(row_groups)
+        )
+        if tie is None:
+            return
+        first, second = self._backend.vector_values(self._order, [tie, tie + 1])
+        if self._columns is None:
+            alternatives = list(self._scores)
+            pair = (alternatives[first], alternatives[second])
+        else:
+            pair = tuple(map(self._columns.alternative, (first, second)))
+        raise ModelError(
+            f"alternatives {pair[0]!r} and {pair[1]!r} of different "
+            f"tuples share score {float(self._row_scores[first])}; ranking "
+            "assumes distinct scores"
+        )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -277,12 +310,11 @@ class RankStatistics:
             return self._columns.tree
         return self._given_tree
 
-    def flat_rows(
-        self,
-    ) -> Optional[Tuple[FlatColumns, List[float], List[int]]]:
+    def flat_rows(self) -> Optional[Tuple[FlatColumns, Any, Any]]:
         """``(columns, row scores, decreasing-score row order)`` of a flat
-        (TI / BID) layout under the active scoring; None for a general
-        tree.  Callers must not mutate the lists."""
+        (TI / BID) layout under the active scoring, the last two native
+        vectors of ``columns.backend``; None for a general tree.  Callers
+        must not mutate the vectors."""
         if self._columns is None:
             return None
         return self._columns, self._row_scores, self._order
@@ -328,7 +360,7 @@ class RankStatistics:
     def score_of(self, alternative: TupleAlternative) -> float:
         """The ranking score of an alternative (KeyError when absent)."""
         if self._columns is not None:
-            return self._row_scores[self._columns.row_of(alternative)]
+            return float(self._row_scores[self._columns.row_of(alternative)])
         return self._scores[alternative]
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq as _heapq
 import random as _random
+from bisect import bisect_left as _bisect_left
 from bisect import bisect_right as _bisect_right
 from collections import Counter as _Counter
 from math import isqrt as _isqrt
@@ -289,6 +290,60 @@ class Backend:
         """Pre-convert per-row scale factors for reuse across
         :meth:`scale_rows` calls (same contract as :meth:`index_vector`)."""
         return [float(value) for value in factors]
+
+    # -- flat column kernels ------------------------------------------------
+    # The numeric columns of a TI / BID relation (scores, probabilities,
+    # block ids, the score order) are native vectors: lists on the pure
+    # backend, 1-D ndarrays on numpy (see :class:`repro.andxor.columns.\
+    # FlatColumns`).  Gathers use :meth:`take_rows`, conversions
+    # :meth:`index_vector` / :meth:`factor_vector` / :meth:`vector_values`.
+    def score_vector(self, scores: Sequence[Optional[float]]) -> Any:
+        """A native score column; an unscored row (None) is NaN on numpy."""
+        raise NotImplementedError
+
+    def unscored_rows(self, scores: Any) -> List[int]:
+        """Rows of a native score column that may carry no score (None,
+        or NaN on numpy -- callers re-check those rows)."""
+        raise NotImplementedError
+
+    def descending_order(self, scores: Any) -> Any:
+        """Row indices by decreasing score, stable: ties keep row order."""
+        raise NotImplementedError
+
+    def first_tie(self, scores: Any, groups: Any) -> Optional[int]:
+        """First ``i`` with ``scores[i] == scores[i + 1]`` but
+        ``groups[i] != groups[i + 1]``, else None."""
+        raise NotImplementedError
+
+    def rows_outside(self, values: Any, low: float, high: float) -> List[int]:
+        """Ascending indices of the values not in ``[low, high]`` (NaN
+        counts as outside)."""
+        raise NotImplementedError
+
+    def group_totals(self, values: Any, groups: Any, count: int) -> Any:
+        """``totals[g] = Σ values[r]`` over rows with ``groups[r] == g``,
+        summed in row order, as a native vector of length ``count``."""
+        raise NotImplementedError
+
+    def block_rows(
+        self, blocks: Any, selected: Sequence[int]
+    ) -> Tuple[Any, Any]:
+        """The rows of the ``selected`` blocks of a sorted block column, in
+        the given block order, and each row's position in ``selected``
+        (its new block id), as two native index vectors."""
+        raise NotImplementedError
+
+    def splice(
+        self,
+        vector: Any,
+        start: int,
+        stop: int,
+        replacement: Sequence[Any],
+        tail_offset: int = 0,
+    ) -> Any:
+        """``vector[:start] + replacement + (vector[stop:] + tail_offset)``
+        as a new native vector of ``vector``'s kind."""
+        raise NotImplementedError
 
     def descending_prefix_lengths(
         self,
@@ -738,6 +793,72 @@ class PurePythonBackend(Backend):
                 position += 1
             out.append(position)
         return out
+
+    def score_vector(
+        self, scores: Sequence[Optional[float]]
+    ) -> List[Optional[float]]:
+        return [None if score is None else float(score) for score in scores]
+
+    def unscored_rows(self, scores: Sequence[Optional[float]]) -> List[int]:
+        if None not in scores:
+            return []
+        return [row for row, score in enumerate(scores) if score is None]
+
+    def descending_order(self, scores: Sequence[float]) -> List[int]:
+        return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+
+    def first_tie(
+        self, scores: Sequence[float], groups: Sequence[int]
+    ) -> Optional[int]:
+        for index in range(len(scores) - 1):
+            if (
+                scores[index] == scores[index + 1]
+                and groups[index] != groups[index + 1]
+            ):
+                return index
+        return None
+
+    def rows_outside(
+        self, values: Sequence[float], low: float, high: float
+    ) -> List[int]:
+        return [
+            index
+            for index, value in enumerate(values)
+            if not low <= value <= high
+        ]
+
+    def group_totals(
+        self, values: Sequence[float], groups: Sequence[int], count: int
+    ) -> List[float]:
+        totals = [0.0] * count
+        for value, group in zip(values, groups):
+            totals[group] += value
+        return totals
+
+    def block_rows(
+        self, blocks: Sequence[int], selected: Sequence[int]
+    ) -> Tuple[List[int], List[int]]:
+        rows: List[int] = []
+        block_ids: List[int] = []
+        for position, block in enumerate(selected):
+            start = _bisect_left(blocks, block)
+            stop = _bisect_right(blocks, block, start)
+            rows.extend(range(start, stop))
+            block_ids.extend([position] * (stop - start))
+        return rows, block_ids
+
+    def splice(
+        self,
+        vector: List[Any],
+        start: int,
+        stop: int,
+        replacement: Sequence[Any],
+        tail_offset: int = 0,
+    ) -> List[Any]:
+        tail = vector[stop:]
+        if tail_offset:
+            tail = [value + tail_offset for value in tail]
+        return vector[:start] + list(replacement) + tail
 
     def scale_rows(
         self, matrix: List[List[float]], factors: Sequence[float]
@@ -1306,6 +1427,10 @@ class NumpyBackend(Backend):
         return matrix[_np.asarray(indices, dtype=_np.intp)]
 
     def index_vector(self, indices: Sequence[int]) -> Any:
+        if isinstance(indices, range):
+            return _np.arange(
+                indices.start, indices.stop, indices.step, dtype=_np.intp
+            )
         return _np.asarray(indices, dtype=_np.intp)
 
     def factor_vector(self, factors: Sequence[float]) -> Any:
@@ -1321,6 +1446,59 @@ class NumpyBackend(Backend):
         ascending = -_np.asarray(scores_desc, dtype=_np.float64)
         queries = -_np.asarray(thresholds_desc, dtype=_np.float64)
         return _np.searchsorted(ascending, queries, side="left").tolist()
+
+    def score_vector(self, scores: Sequence[Optional[float]]) -> Any:
+        return _np.asarray(scores, dtype=_np.float64)
+
+    def unscored_rows(self, scores: Any) -> List[int]:
+        return _np.flatnonzero(_np.isnan(scores)).tolist()
+
+    def descending_order(self, scores: Any) -> Any:
+        return _np.argsort(-_np.asarray(scores), kind="stable")
+
+    def first_tie(self, scores: Any, groups: Any) -> Optional[int]:
+        scores = _np.asarray(scores)
+        groups = _np.asarray(groups)
+        hits = _np.flatnonzero(
+            (scores[1:] == scores[:-1]) & (groups[1:] != groups[:-1])
+        )
+        return int(hits[0]) if hits.size else None
+
+    def rows_outside(self, values: Any, low: float, high: float) -> List[int]:
+        values = _np.asarray(values)
+        return _np.flatnonzero(~((values >= low) & (values <= high))).tolist()
+
+    def group_totals(self, values: Any, groups: Any, count: int) -> Any:
+        return _np.bincount(groups, weights=values, minlength=count)
+
+    def block_rows(
+        self, blocks: Any, selected: Sequence[int]
+    ) -> Tuple[Any, Any]:
+        selected = _np.asarray(selected, dtype=_np.intp)
+        starts = _np.searchsorted(blocks, selected, side="left")
+        lengths = _np.searchsorted(blocks, selected, side="right") - starts
+        block_ids = _np.repeat(
+            _np.arange(selected.shape[0], dtype=_np.intp), lengths
+        )
+        # Output row j of position b is starts[b] + (j - first row of b).
+        shift = starts - (_np.cumsum(lengths) - lengths)
+        rows = shift[block_ids] + _np.arange(block_ids.shape[0], dtype=_np.intp)
+        return rows, block_ids
+
+    def splice(
+        self,
+        vector: Any,
+        start: int,
+        stop: int,
+        replacement: Sequence[Any],
+        tail_offset: int = 0,
+    ) -> Any:
+        tail = vector[stop:]
+        if tail_offset:
+            tail = tail + tail_offset
+        return _np.concatenate(
+            (vector[:start], _np.asarray(replacement, dtype=vector.dtype), tail)
+        )
 
     def scale_rows(self, matrix: Any, factors: Sequence[float]) -> Any:
         return matrix * _np.asarray(factors, dtype=_np.float64)[:, None]
@@ -1361,10 +1539,12 @@ class NumpyBackend(Backend):
             return list(range(n))
         # Partitioning each position's row of the transposed view is about
         # twice as fast as partitioning down the columns.
-        if maximize:
-            best = _np.argpartition(table.T, n - count, axis=1)[:, n - count :]
-        else:
-            best = _np.argpartition(table.T, count - 1, axis=1)[:, :count]
+        # The largest values are the smallest of the negated table: on a
+        # table of mostly equal cells (an intersection profit table is
+        # nearly all zeros), partitioning at ``count - 1`` is about ten
+        # times faster than at ``n - count``.
+        rows = -table.T if maximize else table.T
+        best = _np.argpartition(rows, count - 1, axis=1)[:, :count]
         return _np.unique(best).tolist()
 
     def top_indices(self, values: Any, count: int) -> List[int]:

@@ -29,7 +29,13 @@ class RankMatrix:
     """
 
     __slots__ = (
-        "_keys", "_index", "_matrix", "_backend", "_max_rank", "_cumulative"
+        "_keys",
+        "_index",
+        "_scanned",
+        "_matrix",
+        "_backend",
+        "_max_rank",
+        "_cumulative",
     )
 
     def __init__(
@@ -42,17 +48,16 @@ class RankMatrix:
         key_index: Optional[Dict[Hashable, int]] = None,
     ) -> None:
         self._keys: List[Hashable] = list(keys)
-        if key_index is not None:
-            # Caller-supplied position index (already aligned with ``keys``):
-            # producers that emit many matrices over one stable key order
-            # (the sharded coordinator's incremental re-merges) share one
-            # index instead of rebuilding an n-entry dict per matrix.
-            self._index: Dict[Hashable, int] = key_index
-        else:
-            self._index = {
-                key: position for position, key in enumerate(self._keys)
-            }
-        if len(self._index) != len(self._keys):
+        # Caller-supplied position index (already aligned with ``keys``):
+        # producers that emit many matrices over one stable key order (the
+        # sharded coordinator's incremental re-merges) share one index
+        # instead of rebuilding an n-entry dict per matrix.  Otherwise the
+        # index is built lazily (see :meth:`_row_of`).
+        self._index: Optional[Dict[Hashable, int]] = key_index
+        #: Key-list entries compared by lookups made without the index.
+        self._scanned = 0
+        distinct = len(set(self._keys) if key_index is None else key_index)
+        if distinct != len(self._keys):
             raise ValueError("rank matrix keys must be distinct")
         self._matrix = matrix
         self._backend = backend
@@ -84,13 +89,39 @@ class RankMatrix:
     def __len__(self) -> int:
         return len(self._keys)
 
+    def _row_of(self, key: Hashable) -> int:
+        """The row of ``key`` (``KeyError`` when unknown).
+
+        Until the key index exists a lookup scans the key list from the
+        front: the keys an answer names sit near the top of a matrix in
+        score order, so a few lookups need no n-entry dict.  Once the
+        scans have compared as many keys as the matrix holds, the index
+        is built and serves every later lookup.
+        """
+        keys = self._keys
+        if self._index is None and self._scanned < len(keys):
+            try:
+                row = keys.index(key)
+            except ValueError:
+                self._scanned += len(keys)
+                raise KeyError(key) from None
+            self._scanned += row + 1
+            return row
+        if self._index is None:
+            self._index = dict(zip(keys, range(len(keys))))
+        return self._index[key]
+
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
+        try:
+            self._row_of(key)
+        except KeyError:
+            return False
+        return True
 
     def rows_of(self, keys: Sequence[Hashable]) -> List[int]:
         """The matrix rows of ``keys`` (``KeyError`` on an unknown key)."""
         try:
-            return [self._index[key] for key in keys]
+            return [self._row_of(key) for key in keys]
         except KeyError as error:
             raise KeyError(f"unknown tuple key {error.args[0]!r}") from None
 
@@ -105,7 +136,7 @@ class RankMatrix:
     def row(self, key: Hashable) -> List[float]:
         """``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]`` for one tuple key."""
         try:
-            position = self._index[key]
+            position = self._row_of(key)
         except KeyError:
             raise KeyError(f"unknown tuple key {key!r}") from None
         return self._backend.matrix_row(self._matrix, position)
@@ -135,13 +166,8 @@ class RankMatrix:
         """The matrix of running row sums: ``Pr(r(t) <= i)`` per cell."""
         if self._cumulative:
             return self
-        return RankMatrix(
-            self._keys,
-            self._backend.cumulative_rows(self._matrix),
-            self._backend,
-            self._max_rank,
-            cumulative=True,
-            key_index=self._index,
+        return self._derived(
+            self._backend.cumulative_rows(self._matrix), self._max_rank, True
         )
 
     def truncated(self, max_rank: int) -> "RankMatrix":
@@ -160,14 +186,25 @@ class RankMatrix:
                 f"truncation bound must lie in 1..{self._max_rank}, "
                 f"got {max_rank}"
             )
-        return RankMatrix(
-            self._keys,
+        return self._derived(
             self._backend.truncate_columns(self._matrix, max_rank),
-            self._backend,
             max_rank,
-            cumulative=self._cumulative,
-            key_index=self._index,
+            self._cumulative,
         )
+
+    def _derived(
+        self, matrix: Any, max_rank: int, cumulative: bool
+    ) -> "RankMatrix":
+        """A matrix over these (already checked) keys and their index."""
+        derived = RankMatrix.__new__(RankMatrix)
+        derived._keys = self._keys
+        derived._index = self._index
+        derived._scanned = 0
+        derived._matrix = matrix
+        derived._backend = self._backend
+        derived._max_rank = max_rank
+        derived._cumulative = cumulative
+        return derived
 
     def membership_vector(self) -> Any:
         """``Pr(r(t) <= max_rank)`` per row, as a backend-native vector.

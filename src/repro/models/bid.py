@@ -79,9 +79,10 @@ class BlockIndependentDatabase(ProbabilisticRelation):
     def blocks(self) -> Dict[Hashable, List[Tuple[Hashable, float]]]:
         """The (non-empty) blocks as ``key -> [(value, probability), ...]``."""
         columns = self._columns
+        probabilities = columns.backend.vector_values(columns.probabilities)
         return {
             key: [
-                (columns.values[row], columns.probabilities[row])
+                (columns.values[row], probabilities[row])
                 for row in columns.rows_of(key)
             ]
             for key in columns.keys

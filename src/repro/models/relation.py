@@ -119,7 +119,8 @@ class ProbabilisticRelation:
     def expected_size(self) -> float:
         """Expected number of tuples in the random world."""
         if self._columns is not None:
-            return sum(self._columns.probabilities)
+            columns = self._columns
+            return sum(columns.backend.vector_values(columns.probabilities))
         return self._tree.expected_world_size()
 
     def query_session(self) -> QuerySession:

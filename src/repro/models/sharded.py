@@ -354,7 +354,8 @@ class ShardedDatabase:
             return [hash_shard_of(key, self._shard_count) for key in keys]
         if partitioner == "range":
             best: List[Optional[float]] = [None] * len(keys)
-            for score, block in zip(columns.scores, columns.blocks):
+            blocks = columns.backend.vector_values(columns.blocks)
+            for score, block in zip(columns.score_list(), blocks):
                 if score is not None and (
                     best[block] is None or score > best[block]
                 ):
@@ -386,7 +387,8 @@ class ShardedDatabase:
 
     def _check_distinct_scores(self, columns: FlatColumns) -> None:
         self._score_owner: Dict[float, Hashable] = {}
-        for score, block in zip(columns.scores, columns.blocks):
+        blocks = columns.backend.vector_values(columns.blocks)
+        for score, block in zip(columns.score_list(), blocks):
             if score is None:
                 continue
             key = columns.keys[block]
@@ -562,10 +564,12 @@ class ShardedDatabase:
         columns: FlatColumns, key: Hashable
     ) -> Tuple[float, ...]:
         """The numeric scores of ``key``'s block."""
+        scores = columns.backend.vector_values(
+            columns.scores, columns.rows_of(key)
+        )
+        # Unscored rows hold None (pure backend) or NaN (numpy).
         return tuple(
-            score
-            for score in map(columns.scores.__getitem__, columns.rows_of(key))
-            if score is not None
+            score for score in scores if score is not None and score == score
         )
 
     def prepare_update(
@@ -596,7 +600,7 @@ class ShardedDatabase:
         if score is not None and (old_score is None or value == old_score):
             value = new_score
         new_probability = (
-            columns.probabilities[row]
+            float(columns.probabilities[row])
             if probability is None
             else float(probability)
         )

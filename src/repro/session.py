@@ -251,9 +251,18 @@ class QuerySession:
         self._artifact_misses[artifact] = (
             self._artifact_misses.get(artifact, 0) + 1
         )
+        stamp = self._read_stamp()
         value = compute()
-        self._cache[key] = value
+        if self._read_stamp() == stamp:
+            self._cache[key] = value
         return value
+
+    def _read_stamp(self) -> Any:
+        """What a computed artifact depends on beyond this session's own
+        state.  An artifact whose stamp moved while it was computed is
+        returned but not memoized: it may mix states.  A local session
+        reads only its own source, so the stamp never moves."""
+        return None
 
     @property
     def cache_hits(self) -> int:

@@ -547,6 +547,15 @@ class ShardedQuerySession(QuerySession):
         self._sync()
         return super()._memoized(artifact, params, compute)
 
+    def _read_stamp(self) -> Any:
+        # A live read files its artifacts under the vector _sync() bound
+        # the cache to; an update landing before the shard reads finish
+        # would file post-update rows there, where readers pinned at that
+        # vector (which share the entry) would serve them.  Once the
+        # vector moved, the stamp is a fresh object that matches nothing.
+        versions = self._current_versions()
+        return versions if versions == self._versions_seen else object()
+
     def invalidate(self) -> None:
         """Drop every merged artifact, snapshot entry and cached partial."""
         super().invalidate()
@@ -995,6 +1004,11 @@ class SnapshotReader(ShardedQuerySession):
 
     def _sync(self) -> None:
         # A pinned reader never swaps artifact stores.
+        return None
+
+    def _read_stamp(self) -> Any:
+        # Pinned reads resolve every shard at the pinned version (live, or
+        # its archive once superseded), so they never mix states.
         return None
 
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:

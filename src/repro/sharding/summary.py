@@ -61,19 +61,22 @@ class ShardLayout:
                 "block-independent database layout"
             )
         columns, row_scores, order = flat
+        backend = columns.backend
+
+        def ordered(column: Any) -> List[Any]:
+            return backend.vector_values(backend.take_rows(column, order))
+
         self.independent: bool = statistics.is_independent
-        self.scores: List[float] = list(map(row_scores.__getitem__, order))
-        self.probabilities: List[float] = list(
-            map(columns.probabilities.__getitem__, order)
-        )
-        self.blocks: Optional[List[int]] = None
+        self.scores: List[float] = ordered(row_scores)
+        self.probabilities: List[float] = ordered(columns.probabilities)
+        self.blocks: Optional[List[int]] = ordered(columns.blocks)
         if self.independent:
             self.keys: List[Hashable] = list(
-                map(columns.keys.__getitem__, order)
+                map(columns.keys.__getitem__, self.blocks)
             )
+            self.blocks = None
         else:
             self.keys = columns.keys
-            self.blocks = list(map(columns.blocks.__getitem__, order))
 
     def row_keys(self) -> List[Hashable]:
         """The tuple key of every row (decreasing score order)."""

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro import Query, QuerySession, connect
 from repro.andxor.builders import bid_tree, tuple_independent_tree
 from repro.andxor.columns import FlatColumns
+from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.sampling import sample_worlds
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
@@ -360,9 +361,10 @@ class TestPatchedUpdates:
         assert patched.keys == rebuilt.keys
         assert patched.values == rebuilt.values
         assert patched.explicit_scores == rebuilt.explicit_scores
-        assert patched.probabilities == rebuilt.probabilities
-        assert patched.scores == rebuilt.scores
-        assert patched.order == rebuilt.order
+        # The numeric columns are native vectors (lists or ndarrays).
+        assert list(patched.probabilities) == list(rebuilt.probabilities)
+        assert list(patched.scores) == list(rebuilt.scores)
+        assert list(patched.order) == list(rebuilt.order)
         sharded.apply_update(pending)
         expected = connect(TupleIndependentDatabase(rows), result_cache=False)
         served = connect(sharded, result_cache=False)
@@ -380,6 +382,53 @@ class TestPatchedUpdates:
         assert patched.order is order
         assert database.columns.probabilities[3] != 0.5  # original intact
 
+    def test_probability_update_keeps_the_tie_check(self, monkeypatch):
+        """A patch that moves no score keeps the checked-distinct state,
+        so the statistics rebuilt on it skip the tie check."""
+        database = TupleIndependentDatabase(self.rows())
+        RankStatistics(database.columns)
+        assert database.columns.tie_free
+        patched = database.columns.replace_block(
+            "t3", [(3.0, 3.0, 0.5)], independent=True
+        )
+        assert patched.tie_free
+        checks = []
+        monkeypatch.setattr(
+            RankStatistics, "_validate_scores", lambda self, groups: checks.append(1)
+        )
+        RankStatistics(patched)
+        assert not checks
+
+    def test_sharded_probability_update_skips_the_tie_check(self, monkeypatch):
+        sharded = ShardedDatabase(TupleIndependentDatabase(self.rows()), 3)
+        sharded.coordinator().rank_matrix(5)
+        checks = []
+        original = RankStatistics._validate_scores
+
+        def counted(self, groups):
+            checks.append(1)
+            return original(self, groups)
+
+        monkeypatch.setattr(RankStatistics, "_validate_scores", counted)
+        sharded.update_tuple("t7", probability=0.9)
+        sharded.coordinator().rank_matrix(5)
+        assert not checks
+
+    def test_update_creating_a_tie_still_raises(self):
+        database = TupleIndependentDatabase(self.rows())
+        RankStatistics(database.columns)
+        # t4's score is 4.0: moving t3 onto it ties two keys.
+        patched = database.columns.replace_block(
+            "t3", [(3.0, 4.0, 0.5)], independent=True
+        )
+        assert not patched.tie_free
+        with pytest.raises(ModelError, match="share score 4.0"):
+            RankStatistics(patched)
+        sharded = ShardedDatabase(TupleIndependentDatabase(self.rows()), 3)
+        sharded.coordinator().rank_matrix(5)
+        with pytest.raises(ModelError, match="ranking assumes distinct"):
+            sharded.update_tuple("t3", score=4.0)
+
     def test_block_update_patch(self):
         blocks = [
             ("a", [("x", 1.0, 0.3), ("y", 2.0, 0.3)]),
@@ -394,7 +443,7 @@ class TestPatchedUpdates:
         ] + blocks[1:]
         columns = sharded.shards()[0].database.columns
         assert columns.keys == ["a", "b", "c"]
-        assert columns.blocks == [0, 0, 0, 1, 2, 2]
+        assert list(columns.blocks) == [0, 0, 0, 1, 2, 2]
         oracle = QuerySession(bid_oracle_tree(updated))
         served = connect(sharded, result_cache=False)
         for query in queries(2):

@@ -707,6 +707,44 @@ class TestPinnedSnapshotReads:
                 reader.rank_matrix(K)
             assert sharded.versions()[target] == 2
 
+    def test_live_read_racing_an_update_is_not_filed_as_pinned(
+        self, monkeypatch
+    ):
+        """A live read whose shard summary is taken while an update commits
+        must not file its (post-update) result under the version vector it
+        started at: a reader pinned there answers the pre-update state."""
+        data = _ti_tuples(113, 24)
+        with ShardedDatabase(_database(data), 2) as sharded:
+            coordinator = sharded.coordinator()
+            key = max(data, key=lambda row: row[2])[0]  # the top-ranked
+            target = sharded.shard_of(key)
+            pinned = sharded.versions()
+            paused, resume = threading.Event(), threading.Event()
+            original = DatabaseShard.summary
+
+            def summary(shard, max_rank):
+                if shard.index == target and not paused.is_set():
+                    paused.set()
+                    resume.wait(10)
+                return original(shard, max_rank)
+
+            monkeypatch.setattr(DatabaseShard, "summary", summary)
+            reader = threading.Thread(target=coordinator.rank_matrix, args=(K,))
+            reader.start()
+            try:
+                assert paused.wait(10)
+                sharded.update_tuple(key, probability=0.01)
+            finally:
+                resume.set()
+                reader.join()
+            assert_rows_close(
+                _unsharded_rows(data), _matrix_rows(coordinator.at(pinned), K)
+            )
+            assert_rows_close(
+                _unsharded_rows(_with_probability(data, key, 0.01)),
+                _matrix_rows(coordinator, K),
+            )
+
     def test_lazy_session_racing_a_swap_is_not_installed(self, monkeypatch):
         """A shard session built from the outgoing database while an update
         swaps the shard must not become the new version's session."""

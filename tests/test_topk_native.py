@@ -123,6 +123,37 @@ class TestPruningLemma:
                 assert math.isclose(pruned, full, abs_tol=TOLERANCE)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+    @pytest.mark.parametrize("shape", ["zeros", "ties"])
+    def test_candidates_match_a_sort_reference(self, backend, maximize, shape):
+        """On a zero-heavy table (an intersection profit table is nearly
+        all exact zeros) and a tie-heavy one, each column's ``count`` best
+        values among the kept rows are its ``count`` best under a sort."""
+        rng = random.Random(11 + 2 * maximize + (shape == "ties"))
+        n, width, count = 400, 6, 4
+        if shape == "zeros":
+            rows = [
+                [rng.random() if rng.random() < 0.02 else 0.0 for _ in range(width)]
+                for _ in range(n)
+            ]
+        else:
+            rows = [
+                [float(rng.randint(0, 3)) for _ in range(width)]
+                for _ in range(n)
+            ]
+        with use_backend(backend) as active:
+            kept = active.assignment_candidates(
+                active.matrix_from_rows(rows), count, maximize
+            )
+        assert kept == sorted(set(kept))
+        assert set(kept) <= set(range(n))
+        for position in range(width):
+            column = [row[position] for row in rows]
+            reference = sorted(column, reverse=maximize)[:count]
+            best_kept = sorted((column[t] for t in kept), reverse=maximize)
+            assert best_kept[:count] == reference
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_candidates_hold_every_column_best(self, backend):
         """Each column's ``count`` best rows survive, whatever the ties."""
         rng = random.Random(7)
