@@ -242,7 +242,8 @@ class RankStatistics:
         columns = self._columns
         if self._use_fast_path_flag and columns is not None:
             # Gathered natively, then handed over in the active backend's
-            # representation (a no-op when the columns were built on it).
+            # representation (no copy on numpy when the columns are
+            # numpy's; the pure backend copies into lists).
             blocks = backend.index_vector(self._ordered(columns.blocks))
             probabilities = backend.factor_vector(
                 self._ordered(columns.probabilities)

@@ -69,14 +69,15 @@ class ShardLayout:
         self.independent: bool = statistics.is_independent
         self.scores: List[float] = ordered(row_scores)
         self.probabilities: List[float] = ordered(columns.probabilities)
-        self.blocks: Optional[List[int]] = ordered(columns.blocks)
+        blocks = ordered(columns.blocks)
+        self.blocks: Optional[List[int]] = None
         if self.independent:
             self.keys: List[Hashable] = list(
-                map(columns.keys.__getitem__, self.blocks)
+                map(columns.keys.__getitem__, blocks)
             )
-            self.blocks = None
         else:
             self.keys = columns.keys
+            self.blocks = blocks
 
     def row_keys(self) -> List[Hashable]:
         """The tuple key of every row (decreasing score order)."""
