@@ -41,6 +41,9 @@ Row = Tuple[Hashable, Optional[float], float]
 
 _TREE_LOCK = threading.Lock()
 
+#: What converting or adding a malformed probability raises.
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
+
 
 def check_tuple_probability(probability: float) -> float:
     """The tuple-independent probability rule (``0 <= p <= 1``)."""
@@ -67,17 +70,6 @@ def check_block(key: Hashable, rows: Sequence[Row]) -> List[float]:
             f"block {key!r} alternative probabilities sum to {total} > 1"
         )
     return probabilities
-
-
-def _float_column(backend: Backend, values: Sequence[Any]) -> Any:
-    """``values`` as a native float column; a value that is not a number
-    raises the error ``float()`` raises for it."""
-    try:
-        return backend.factor_vector(values)
-    except (TypeError, ValueError):
-        for value in values:
-            float(value)
-        raise
 
 
 def _score_column(
@@ -171,12 +163,22 @@ class FlatColumns:
         explicit_scores: List[Optional[float]],
         probabilities: Sequence[Any],
     ) -> "FlatColumns":
-        """Columns of a tuple-independent relation (one block per row),
-        its probabilities checked as one array under the tuple rule."""
+        """Columns of a tuple-independent relation (one block per row).
+
+        The probability rule is checked on the whole column at once; when
+        a value does not convert or is flagged, the scalar rule re-reads
+        the column in row order, so the first bad row raises its own error.
+        """
         backend = get_backend()
-        native = _float_column(backend, probabilities)
-        for row in backend.rows_outside(native, 0.0, 1.0 + 1e-12):
-            check_tuple_probability(float(probabilities[row]))
+        try:
+            native = backend.factor_vector(probabilities)
+            clean = not backend.rows_outside(native, 0.0, 1.0 + 1e-12)
+        except _CONVERSION_ERRORS:
+            clean = False
+        if not clean:
+            native = backend.factor_vector(
+                [check_tuple_probability(float(p)) for p in probabilities]
+            )
         return cls(
             keys,
             values,
@@ -193,41 +195,47 @@ class FlatColumns:
         """Validated columns of a BID relation (empty blocks dropped).
 
         The rows are read in one pass; the block rule is then checked on
-        the probability column and the per-block totals as arrays, and
-        only an offending block is re-read to raise its error.
+        the probability column and the per-block totals as arrays.  When
+        a value is not a number or anything is flagged, :func:`check_block`
+        re-reads every block in order, so the first bad block raises its
+        own error (and tolerated rounding below zero is clamped).
         """
         keys: List[Hashable] = []
         values: List[Hashable] = []
         explicit: List[Optional[float]] = []
-        raw: List[float] = []
+        raw: List[Any] = []
         block_ids: List[int] = []
+        starts: List[int] = []
         for key, rows in blocks:
             if not rows:
                 continue
             block = len(keys)
             keys.append(key)
+            starts.append(len(raw))
             for value, score, probability in rows:
                 values.append(value)
                 explicit.append(score)
                 raw.append(probability)
                 block_ids.append(block)
         backend = get_backend()
-        probabilities = _float_column(backend, raw)
         ids = backend.index_vector(block_ids)
-        totals = backend.group_totals(probabilities, ids, len(keys))
-        suspects = backend.rows_outside(probabilities, 0.0, float("inf"))
-        offending = {block_ids[row] for row in suspects}
-        offending.update(
-            backend.rows_outside(totals, float("-inf"), 1.0 + 1e-9)
-        )
-        for block in sorted(offending):
-            rows = range(
-                bisect_left(block_ids, block), bisect_right(block_ids, block)
+        try:
+            sum(raw, 0.0)  # the block rule adds the raw values to a float
+            probabilities = backend.factor_vector(raw)
+            totals = backend.group_totals(probabilities, ids, len(keys))
+            clean = not (
+                backend.rows_outside(probabilities, 0.0, float("inf"))
+                or backend.rows_outside(totals, float("-inf"), 1.0 + 1e-9)
             )
-            check_block(keys[block], [(None, None, raw[row]) for row in rows])
-        for row in suspects:  # tolerated rounding below zero: clamp
-            if probabilities[row] < 0.0:
-                probabilities[row] = 0.0
+        except _CONVERSION_ERRORS:
+            clean = False
+        if not clean:
+            bounds = starts + [len(raw)]
+            checked: List[float] = []
+            for block, key in enumerate(keys):
+                rows = raw[bounds[block] : bounds[block + 1]]
+                checked += check_block(key, [(None, None, p) for p in rows])
+            probabilities = backend.factor_vector(checked)
         return cls(keys, values, explicit, probabilities, ids, backend=backend)
 
     @classmethod

@@ -20,6 +20,42 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence
 from repro.engine.backends import Backend
 
 
+class _KeyRows:
+    """The key -> row lookup of a matrix, shared with its derived copies.
+
+    Until the index exists a lookup scans the key list from the front:
+    the keys an answer names sit near the top of a matrix in score order,
+    so a few lookups need no n-entry dict.  Once the scans have compared
+    as many keys as the list holds, the index is built and serves every
+    later lookup.
+    """
+
+    __slots__ = ("keys", "index", "scanned")
+
+    def __init__(
+        self, keys: List[Hashable], index: Optional[Dict[Hashable, int]]
+    ) -> None:
+        self.keys = keys
+        self.index = index
+        #: Key-list entries compared by lookups made without the index.
+        self.scanned = 0
+
+    def row(self, key: Hashable) -> int:
+        """The row of ``key`` (``KeyError`` when unknown)."""
+        keys = self.keys
+        if self.index is None and self.scanned < len(keys):
+            try:
+                row = keys.index(key)
+            except ValueError:
+                self.scanned += len(keys)
+                raise KeyError(key) from None
+            self.scanned += row + 1
+            return row
+        if self.index is None:
+            self.index = dict(zip(keys, range(len(keys))))
+        return self.index[key]
+
+
 class RankMatrix:
     """An immutable ``n_tuples × max_rank`` probability matrix with key index.
 
@@ -29,13 +65,7 @@ class RankMatrix:
     """
 
     __slots__ = (
-        "_keys",
-        "_index",
-        "_scanned",
-        "_matrix",
-        "_backend",
-        "_max_rank",
-        "_cumulative",
+        "_keys", "_rows", "_matrix", "_backend", "_max_rank", "_cumulative"
     )
 
     def __init__(
@@ -52,10 +82,8 @@ class RankMatrix:
         # producers that emit many matrices over one stable key order (the
         # sharded coordinator's incremental re-merges) share one index
         # instead of rebuilding an n-entry dict per matrix.  Otherwise the
-        # index is built lazily (see :meth:`_row_of`).
-        self._index: Optional[Dict[Hashable, int]] = key_index
-        #: Key-list entries compared by lookups made without the index.
-        self._scanned = 0
+        # index is built lazily (see :class:`_KeyRows`).
+        self._rows = _KeyRows(self._keys, key_index)
         distinct = len(set(self._keys) if key_index is None else key_index)
         if distinct != len(self._keys):
             raise ValueError("rank matrix keys must be distinct")
@@ -89,31 +117,9 @@ class RankMatrix:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def _row_of(self, key: Hashable) -> int:
-        """The row of ``key`` (``KeyError`` when unknown).
-
-        Until the key index exists a lookup scans the key list from the
-        front: the keys an answer names sit near the top of a matrix in
-        score order, so a few lookups need no n-entry dict.  Once the
-        scans have compared as many keys as the matrix holds, the index
-        is built and serves every later lookup.
-        """
-        keys = self._keys
-        if self._index is None and self._scanned < len(keys):
-            try:
-                row = keys.index(key)
-            except ValueError:
-                self._scanned += len(keys)
-                raise KeyError(key) from None
-            self._scanned += row + 1
-            return row
-        if self._index is None:
-            self._index = dict(zip(keys, range(len(keys))))
-        return self._index[key]
-
     def __contains__(self, key: Hashable) -> bool:
         try:
-            self._row_of(key)
+            self._rows.row(key)
         except KeyError:
             return False
         return True
@@ -121,7 +127,7 @@ class RankMatrix:
     def rows_of(self, keys: Sequence[Hashable]) -> List[int]:
         """The matrix rows of ``keys`` (``KeyError`` on an unknown key)."""
         try:
-            return [self._row_of(key) for key in keys]
+            return [self._rows.row(key) for key in keys]
         except KeyError as error:
             raise KeyError(f"unknown tuple key {error.args[0]!r}") from None
 
@@ -136,7 +142,7 @@ class RankMatrix:
     def row(self, key: Hashable) -> List[float]:
         """``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]`` for one tuple key."""
         try:
-            position = self._row_of(key)
+            position = self._rows.row(key)
         except KeyError:
             raise KeyError(f"unknown tuple key {key!r}") from None
         return self._backend.matrix_row(self._matrix, position)
@@ -195,11 +201,10 @@ class RankMatrix:
     def _derived(
         self, matrix: Any, max_rank: int, cumulative: bool
     ) -> "RankMatrix":
-        """A matrix over these (already checked) keys and their index."""
+        """A matrix over these (already checked) keys and their lookup."""
         derived = RankMatrix.__new__(RankMatrix)
         derived._keys = self._keys
-        derived._index = self._index
-        derived._scanned = 0
+        derived._rows = self._rows
         derived._matrix = matrix
         derived._backend = self._backend
         derived._max_rank = max_rank
