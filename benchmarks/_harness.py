@@ -7,9 +7,8 @@ here print those tables and persist them under ``benchmarks/results/`` --
 a text rendering plus a machine-readable JSON document that records the
 active compute backend (``repro.engine``) and the host fingerprint
 (cpu count, platform, python version), so BENCH trajectories can tell
-NumPy runs from pure-Python runs and the planner's calibration fitter
-(:mod:`repro.query.calibration`) can reject tables measured on a
-different machine.  Everything can be regenerated with a single
+NumPy runs from pure-Python runs and results from different machines
+apart.  Everything can be regenerated with a single
 ``pytest benchmarks/ --benchmark-only`` run.
 """
 

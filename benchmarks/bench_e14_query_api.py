@@ -28,10 +28,6 @@ session methods directly may not tax the serving hot path.  Two cases:
   ``Connection.execute_many`` (one ``k_max`` sweep + exact column-prefix
   slices).  Bars: >= 1.5x throughput, 1e-9 parity, and ``fused_plans >
   0`` when the same batch rides the serving executor.
-* **E14e -- calibrated cost models.**  Micro-probes fit per-kernel rates,
-  the table round-trips through ``benchmarks/results/calibration.json``,
-  and a planner built over it must report measured (not heuristic) cost
-  estimates and a measured Kendall exact-vs-sampling crossover.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink sizes for the CI smoke leg.  JSON
 results record the active backend and the database seed.
@@ -45,7 +41,7 @@ import random
 import statistics as stats
 import time
 
-from _harness import RESULTS_DIRECTORY, report
+from _harness import report
 from repro.query import DEFAULT_PLANNER, NAMED_KINDS, Query, connect
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
@@ -440,65 +436,3 @@ def test_e14d_fused_batch(benchmark):
         f"{FUSE_THROUGHPUT_BAR:.1f}x"
     )
     benchmark.pedantic(lambda: sweep_fused(), rounds=1, iterations=1)
-
-
-# ---------------------------------------------------------------------------
-# E14e -- calibrated cost models
-# ---------------------------------------------------------------------------
-
-
-def test_e14e_calibrated_planner(benchmark):
-    from repro.query import Planner, load_calibration, micro_calibrate
-
-    table = micro_calibrate()
-    path = os.path.join(RESULTS_DIRECTORY, "calibration.json")
-    os.makedirs(RESULTS_DIRECTORY, exist_ok=True)
-    table.save(path)
-    loaded = load_calibration(path)
-    assert loaded is not None, "persisted calibration rejected on same host"
-
-    planner = Planner(calibration=loaded)
-    session = QuerySession(_database().tree)
-    plan = planner.plan_for(
-        Query.named("mean_topk_footrule", K_CHOICES[0]), session, "local"
-    )
-    rendered = plan.explain()
-    assert plan.cost_source in ("calibrated", "micro-calibrated"), (
-        f"expected measured cost source, got {plan.cost_source!r}"
-    )
-    assert plan.cost_seconds is not None and plan.cost_seconds > 0.0
-    assert "measured" in rendered, rendered
-    limit = planner.kendall_exact_limit
-    note = planner.kendall_limit_note
-    assert (
-        Planner.KENDALL_LIMIT_FLOOR <= limit <= Planner.KENDALL_LIMIT_CEILING
-    ), f"calibrated Kendall limit {limit} outside clamp"
-    assert note is not None and "measured" in note, note
-    report(
-        "E14e",
-        "Calibrated cost models: micro-probed kernel rates drive the "
-        "planner's crossovers",
-        ("kernels", "est. cost (ops)", "est. time (ms)", "kendall limit"),
-        [
-            (
-                len(table),
-                plan.estimated_cost,
-                plan.cost_seconds * 1e3,
-                limit,
-            )
-        ],
-        notes=(
-            f"cost source: {plan.cost_source}; crossover provenance: "
-            f"{note}.  Table persisted to benchmarks/results/"
-            f"calibration.json and reloaded before planning."
-        ),
-    )
-    benchmark.pedantic(
-        lambda: planner.plan_for(
-            Query.named("mean_topk_footrule", K_CHOICES[0]),
-            session,
-            "local",
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -78,10 +78,11 @@ invalidation, re-scoring or backend switch structurally misses.
 ``connection.execute_many(queries)`` fuses a batch wanting the
 rank-matrix artifact at several depths into one ``k_max`` sweep answered
 by exact column-prefix slices (the serving executor fuses its
-micro-batches the same way).  Cost estimates are calibrated: measured
-per-kernel rates (fitted from ``benchmarks/results/`` timings, or
-micro-probed at first use) give ``explain()`` wall-clock estimates and
-set the exact-vs-sampling crossovers from data instead of constants.
+micro-batches the same way).  Routing is deterministic: a plan depends
+only on the query, the target and explicit planner options, and the
+exact-vs-sampling threshold for NP-hard Kendall queries is the
+documented constant ``Planner.KENDALL_LIMIT_DEFAULT`` (6 tuples).
+``explain()`` reports operation-count estimates, never wall-clock ones.
 
 Ten common query shapes have names, the kind strings the serving
 layer's metrics are labelled with: ``Query.named("mean_topk_footrule",
@@ -295,7 +296,7 @@ from repro.consensus import (
     expected_symmetric_difference_to_world,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

@@ -30,16 +30,6 @@ from repro.query.wire import (
     query_from_dict,
     query_to_dict,
 )
-from repro.query.calibration import (
-    KERNELS,
-    CalibrationTable,
-    derive_batch_size,
-    fit_from_results,
-    host_fingerprint,
-    kendall_crossover,
-    load_calibration,
-    micro_calibrate,
-)
 from repro.query.builder import (
     FAMILIES,
     MODES,
@@ -98,14 +88,6 @@ __all__ = [
     "ResultCacheStats",
     "answer_key",
     "result_cache_for",
-    "CalibrationTable",
-    "KERNELS",
-    "host_fingerprint",
-    "micro_calibrate",
-    "fit_from_results",
-    "load_calibration",
-    "kendall_crossover",
-    "derive_batch_size",
     "NAMED_KINDS",
     "FAMILIES",
     "MODES",

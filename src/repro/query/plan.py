@@ -108,13 +108,8 @@ class ExecutionPlan:
     profile:
         The :class:`TargetProfile` of the session.
     estimated_cost / cost_note:
-        Coarse operation-count estimate and its formula.
-    cost_seconds / cost_source:
-        Optional wall-clock estimate of ``estimated_cost`` from a
-        measured :class:`~repro.query.calibration.CalibrationTable`
-        (``cost_source`` is ``"calibrated"`` / ``"micro-calibrated"``),
-        or None / ``"heuristic"`` when only the operation-count model is
-        available.
+        Coarse operation-count estimate and its formula.  The planner
+        makes no wall-clock estimate: operation counts are host-free.
     artifacts:
         Session-cache keys the route consults -- :meth:`explain` reports
         which of them are already warm.
@@ -132,8 +127,6 @@ class ExecutionPlan:
         "profile",
         "estimated_cost",
         "cost_note",
-        "cost_seconds",
-        "cost_source",
         "artifacts",
         "paired",
         "generation",
@@ -154,8 +147,6 @@ class ExecutionPlan:
         artifacts: Tuple[Tuple[str, Tuple[Any, ...]], ...],
         paired: bool,
         runner: PlanRunner,
-        cost_seconds: Optional[float] = None,
-        cost_source: str = "heuristic",
     ) -> None:
         self.query = query
         self.route = route
@@ -164,8 +155,6 @@ class ExecutionPlan:
         self.profile = profile
         self.estimated_cost = estimated_cost
         self.cost_note = cost_note
-        self.cost_seconds = cost_seconds
-        self.cost_source = cost_source
         self.artifacts = artifacts
         self.paired = paired
         self.generation = session.generation
@@ -248,8 +237,8 @@ class ExecutionPlan:
         return ", ".join(rendered)
 
     def explain(self) -> str:
-        """Render the chosen path, the paper result behind it, the cost
-        estimate and the cache/artifact reuse."""
+        """Render the chosen path, the paper result behind it, the
+        operation-count estimate and the cache/artifact reuse."""
         query = self.query
         lines = [
             f"ConsensusQuery(kind={query.kind!r}, family={query.family!r}, "
@@ -260,19 +249,6 @@ class ExecutionPlan:
             f"  route:     {self.route}",
             f"  algorithm: {self.algorithm}",
             f"  est. cost: ~{self.estimated_cost:.3g} ops ({self.cost_note})",
-        ]
-        if self.cost_seconds is not None:
-            lines.append(
-                f"  est. time: ~{self.cost_seconds * 1e3:.3g} ms "
-                f"({self.cost_source}: measured per-op kernel rates "
-                f"for this host/backend)"
-            )
-        else:
-            lines.append(
-                f"  est. time: unavailable ({self.cost_source}: no "
-                f"calibration table for this host; operation counts only)"
-            )
-        lines += [
             f"  artifacts: {self._artifact_lines()}",
             f"  cache:     generation {self._session.generation}, "
             f"{len(getattr(self._session, '_cache', {}))} entries memoized",

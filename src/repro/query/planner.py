@@ -22,6 +22,7 @@ serving dispatch.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, Optional, Tuple
 
 from repro.andxor.nodes import AndNode, Leaf, XorNode
@@ -254,7 +255,11 @@ def layout_of_tree(tree: AndXorTree) -> str:
 # The planner
 # ----------------------------------------------------------------------
 class Planner:
-    """Hardness-aware, calibration-aware execution planner.
+    """Hardness-aware execution planner.
+
+    A route depends only on the query, the target's size, layout and
+    deployment, the active backend and the options below: no planner
+    decision reads a clock, the environment or the working directory.
 
     Parameters
     ----------
@@ -262,147 +267,63 @@ class Planner:
         Databases with at most this many tuples answer NP-hard Kendall
         queries exactly (exhaustive enumeration); larger databases fall
         back to the Monte-Carlo route -- the paper's size threshold between
-        "enumerate" and "estimate".  ``None`` (the default) derives the
-        threshold from measured kernel rates: the calibration table's
-        enumeration cost against its sampling cost (see
-        :func:`~repro.query.calibration.kendall_crossover`), clamped to
-        ``[5, 16]``; an explicit integer always wins.
+        "enumerate" and "estimate".  Defaults to
+        :attr:`KENDALL_LIMIT_DEFAULT`.
     default_samples:
         Monte-Carlo samples drawn when the query sets no epsilon or cap.
     max_samples:
         Sample ceiling for CI-driven sizing (epsilon set, no explicit cap).
     batch_size:
-        Samples per backend kernel call during CI-driven estimation.
-        ``None`` sizes batches from the calibrated per-sample cost
-        (:func:`~repro.query.calibration.derive_batch_size`); the explicit
-        default keeps seeded RNG streams stable across hosts.
-    calibration:
-        An explicit :class:`~repro.query.calibration.CalibrationTable`.
-        When omitted the planner lazily loads the host's persisted table
-        (``REPRO_CALIBRATION`` / ``benchmarks/results/calibration.json``)
-        at the first calibrated decision, running the micro-probes as a
-        fallback when ``micro_calibrate`` is true.
-    micro_calibrate:
-        Whether to time the first-use micro-probes when no persisted
-        calibration matches this host.  Disable to force pure heuristics.
+        Samples per backend kernel call during CI-driven estimation; a
+        fixed size keeps seeded RNG streams identical across hosts.
+
+    Raises :class:`ValueError` when a sample count or the batch size is
+    not a positive integer, or the Kendall limit is not a non-negative
+    one.
     """
 
-    #: Bounds on the auto-resolved Kendall enumeration threshold: always
-    #: enumerate single-digit databases, never cross the exponential wall.
-    KENDALL_LIMIT_FLOOR = 5
-    KENDALL_LIMIT_CEILING = 16
-    #: The heuristic threshold used when no calibration is available.
+    #: The Kendall enumeration threshold.  Enumeration costs
+    #: ``P(n, k) * 2^n`` operations: at n = 6 a Top-3 answer takes
+    #: ~40-70 ms and a Top-5 one ~0.6 s, at n = 7 a Top-3 one ~140-220 ms
+    #: (2-core x86 host, both backends); the sampled route takes 3-40 ms.
+    #: Timed at k = 3, the two routes cross at n = 6-7.
     KENDALL_LIMIT_DEFAULT = 6
-    #: The heuristic Monte-Carlo batch size (samples per kernel call).
+    #: The Monte-Carlo batch size (samples per kernel call).
     BATCH_SIZE_DEFAULT = 2048
 
     def __init__(
         self,
-        kendall_exact_limit: Optional[int] = None,
+        kendall_exact_limit: int = KENDALL_LIMIT_DEFAULT,
         default_samples: int = 4000,
         max_samples: int = 100_000,
-        batch_size: Optional[int] = BATCH_SIZE_DEFAULT,
-        calibration: Any = None,
-        micro_calibrate: bool = True,
+        batch_size: int = BATCH_SIZE_DEFAULT,
     ) -> None:
-        self._explicit_kendall_limit = kendall_exact_limit
+        for name, value, minimum in (
+            ("kendall_exact_limit", kendall_exact_limit, 0),
+            ("default_samples", default_samples, 1),
+            ("max_samples", max_samples, 1),
+            ("batch_size", batch_size, 1),
+        ):
+            if (
+                not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or value < minimum
+            ):
+                raise ValueError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
+        self.kendall_exact_limit = kendall_exact_limit
         self.default_samples = default_samples
         self.max_samples = max_samples
         self.batch_size = batch_size
-        self._calibration = calibration
-        self._calibration_resolved = calibration is not None
-        self._micro_calibrate = micro_calibrate
-        # Backends already micro-probed (or found covered) so a backend
-        # switch tops the table up at most once per backend.
-        self._probed_backends: set = set()
-        # Per-backend resolved decisions: (limit, note-or-None).
-        self._kendall_limits: Dict[str, Tuple[int, Optional[str]]] = {}
 
-    # ------------------------------------------------------------------
-    # Calibration resolution
-    # ------------------------------------------------------------------
-    def calibration_table(self) -> Any:
-        """The planner's calibration table, resolved lazily at first use.
+    def calibration_table(self) -> None:
+        """Always None: routes use the documented constants above.
 
-        Load order: an explicitly passed table, the host's persisted table
-        (environment override / ``benchmarks/results/calibration.json``),
-        then the micro-probes.  A table that lacks rates for the *active*
-        backend (e.g. a numpy-fitted file consulted from the pure backend)
-        is topped up with micro-probes for that backend, at most once per
-        backend.  Resolution failure degrades to None and every decision
-        falls back to the heuristic constants.
+        Kept only because ``perfbench/run.py`` calls it before its timed
+        set-up.
         """
-        if not self._calibration_resolved:
-            self._calibration_resolved = True
-            from repro.query.calibration import load_calibration
-
-            self._calibration = load_calibration()
-        if self._micro_calibrate:
-            from repro.engine import get_backend
-
-            backend = get_backend().name
-            if backend not in self._probed_backends:
-                self._probed_backends.add(backend)
-                if self._calibration is None or not (
-                    self._calibration.has_backend(backend)
-                ):
-                    from repro.query.calibration import (
-                        micro_calibrate as run_probes,
-                    )
-
-                    try:
-                        probes = run_probes()
-                    except Exception:
-                        probes = None
-                    if probes is not None:
-                        if self._calibration is None:
-                            self._calibration = probes
-                        else:
-                            self._calibration.merge(probes)
-        return self._calibration
-
-    @property
-    def kendall_exact_limit(self) -> int:
-        """The exact-vs-sampling crossover for NP-hard Kendall queries.
-
-        Explicit construction values pass through untouched; in auto mode
-        the measured crossover for the active backend is used (resolved
-        once per backend), clamped to
-        ``[KENDALL_LIMIT_FLOOR, KENDALL_LIMIT_CEILING]``.
-        """
-        return self._kendall_decision()[0]
-
-    @property
-    def kendall_limit_note(self) -> Optional[str]:
-        """Human-readable provenance of the Kendall threshold (None when
-        the heuristic default is in effect)."""
-        return self._kendall_decision()[1]
-
-    def _kendall_decision(self) -> Tuple[int, Optional[str]]:
-        if self._explicit_kendall_limit is not None:
-            return self._explicit_kendall_limit, None
-        from repro.engine import get_backend
-
-        backend = get_backend().name
-        resolved = self._kendall_limits.get(backend)
-        if resolved is None:
-            resolved = (self.KENDALL_LIMIT_DEFAULT, None)
-            table = self.calibration_table()
-            if table is not None:
-                from repro.query.calibration import kendall_crossover
-
-                limit, note = kendall_crossover(
-                    table,
-                    backend,
-                    "tuple-independent",
-                    samples=self.default_samples,
-                    fallback=self.KENDALL_LIMIT_DEFAULT,
-                    floor=self.KENDALL_LIMIT_FLOOR,
-                    ceiling=self.KENDALL_LIMIT_CEILING,
-                )
-                resolved = (limit, note)
-            self._kendall_limits[backend] = resolved
-        return resolved
+        return None
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -499,23 +420,9 @@ class Planner:
             "ranking": self._plan_ranking,
             "aggregate": self._plan_aggregate,
         }[query.family]
-        route, algorithm, cost, cost_note, kernel, artifacts, paired, runner = (
-            builder(query, profile)
+        route, algorithm, cost, cost_note, artifacts, paired, runner = builder(
+            query, profile
         )
-        cost_seconds: Optional[float] = None
-        cost_source = "heuristic"
-        table = self.calibration_table()
-        if table is not None and kernel is not None:
-            seconds = table.seconds_for(
-                profile.backend, profile.layout, kernel, profile.n, cost
-            )
-            if seconds is not None:
-                cost_seconds = seconds
-                cost_source = (
-                    "calibrated"
-                    if table.source == "measured"
-                    else "micro-calibrated"
-                )
         return ExecutionPlan(
             query=query,
             session=session,
@@ -528,8 +435,6 @@ class Planner:
             artifacts=artifacts,
             paired=paired,
             runner=runner,
-            cost_seconds=cost_seconds,
-            cost_source=cost_source,
         )
 
     def _plan_topk(self, query: ConsensusQuery, profile: TargetProfile):
@@ -548,7 +453,6 @@ class Planner:
                     "merge)",
                     float(n) * k + float(n) ** 2,
                     "rank sweep n*k + per-size best-world tables n^2",
-                    "size_tables",
                     (
                         ("query:median_topk_symmetric_difference", (k,)),
                     ),
@@ -563,7 +467,6 @@ class Planner:
                 "kernel)",
                 float(n) * k,
                 "one truncated rank-matrix sweep (n x k)",
-                "rank_sweep",
                 (
                     ("rank_matrix", (k,)),
                     ("query:mean_topk_symmetric_difference", (k,)),
@@ -580,7 +483,6 @@ class Planner:
                 "the Upsilon tables)",
                 float(n) * k + float(k) ** 3,
                 "footrule cost matrix n*k + assignment k^3",
-                "footrule_assignment",
                 (
                     ("footrule_statistics", (k,)),
                     ("query:mean_topk_footrule", (k,)),
@@ -597,7 +499,6 @@ class Planner:
                 "approximate_topk_intersection (H_k-factor greedy)",
                 float(n) * k,
                 "rank sweep n*k + greedy selection",
-                "rank_sweep",
                 (
                     ("rank_matrix", (k,)),
                     ("query:approximate_topk_intersection", (k,)),
@@ -612,7 +513,6 @@ class Planner:
             "mean_topk_intersection (Section 5.3 exact kernel)",
             float(n) * k,
             "one truncated rank-matrix sweep (n x k)",
-            "rank_sweep",
             (
                 ("rank_matrix", (k,)),
                 ("query:mean_topk_intersection", (k,)),
@@ -643,20 +543,13 @@ class Planner:
             )
         if mode == "exact":
             cost = min(float(n) ** k * 2.0 ** n, 1e300)
-            threshold = (
-                "feasible only below the size threshold of "
-                f"{self.kendall_exact_limit} tuples"
-            )
-            note = self.kendall_limit_note
-            if note is not None:
-                threshold += f"; {note}"
             return (
                 "exact",
                 "brute_force_mean_topk_kendall (exhaustive candidate x "
-                f"world enumeration; {threshold})",
+                "world enumeration; feasible only below the size "
+                f"threshold of {self.kendall_exact_limit} tuples)",
                 cost,
                 "P(n,k) candidate answers x 2^n possible worlds",
-                "kendall_enumeration",
                 (),
                 True,
                 self._kendall_brute_force_runner(k),
@@ -668,7 +561,6 @@ class Planner:
                 "pairwise preference grid)",
                 float(n) * k + float(pool_size) ** 2,
                 "membership sweep n*k + pivot on a pool^2 preference grid",
-                "pivot_grid",
                 (
                     ("rank_matrix", (k,)),
                     ("query:approximate_topk_kendall", (k, pool)),
@@ -694,7 +586,6 @@ class Planner:
             "(CI-driven sample sizing)",
             float(samples) * n,
             f"<= {samples} sampled worlds x n-leaf batches",
-            "mc_sample",
             (("sampler", ()),),
             True,
             runner,
@@ -749,7 +640,6 @@ class Planner:
             f"{metric}] (CI-driven sample sizing)",
             float(samples) * profile.n,
             f"<= {samples} sampled worlds x n-leaf batches",
-            "mc_sample",
             (("sampler", ()),),
             True,
             runner,
@@ -766,7 +656,6 @@ class Planner:
                     "median world tree DP (exact on and/xor trees)",
                     float(n),
                     "one bottom-up pass over the tree",
-                    "tree_pass",
                     (("query:median_world_symmetric_difference", ()),),
                     True,
                     lambda session, rng: ExecutionResult(
@@ -779,7 +668,6 @@ class Planner:
                 "Theorem 2)",
                 float(n),
                 "one pass over the alternative probabilities",
-                "tree_pass",
                 (("query:mean_world_symmetric_difference", ()),),
                 True,
                 lambda session, rng: ExecutionResult(
@@ -794,7 +682,6 @@ class Planner:
                 "layouts)",
                 float(n) ** 2,
                 "n prefixes x Lemma 1 evaluation",
-                "prefix_scan",
                 (("query:median_world_jaccard", ()),),
                 True,
                 lambda session, rng: ExecutionResult(
@@ -807,7 +694,6 @@ class Planner:
             "guaranteed for tuple-independent layouts)",
             float(n) ** 2,
             "one O(n^2) backend prefix sweep",
-            "prefix_scan",
             (("query:mean_world_jaccard", ()),),
             True,
             lambda session, rng: ExecutionResult(
@@ -822,7 +708,6 @@ class Planner:
             "rank_matrix(k).membership() (Pr(r(t) <= k) per tuple)",
             float(profile.n) * k,
             "one truncated rank-matrix sweep (n x k)",
-            "rank_sweep",
             (("rank_matrix", (k,)), ("top_k_membership", (k,))),
             False,
             lambda session, rng: ExecutionResult(
@@ -838,7 +723,6 @@ class Planner:
             "expected_rank_table (Cormode-style expected ranks)",
             float(profile.n) ** 2,
             "n^2 general / n log n tuple-independent",
-            "prefix_scan",
             (("expected_rank_table", ()),),
             False,
             lambda session, rng: ExecutionResult(
@@ -854,7 +738,6 @@ class Planner:
                 "global_topk baseline (score order)",
                 float(profile.n) * k,
                 "score sort + prefix",
-                "rank_sweep",
                 (("query:global_topk", (k,)),),
                 False,
                 lambda session, rng: ExecutionResult(session.global_topk(k)),
@@ -864,7 +747,6 @@ class Planner:
             "expected_rank_topk baseline",
             float(profile.n) ** 2,
             "expected-rank table + prefix",
-            "prefix_scan",
             (
                 ("expected_rank_table", ()),
                 ("query:expected_rank_topk", (k,)),
@@ -895,7 +777,6 @@ class Planner:
                 "(min-cost-flow rounding)",
                 float(profile.n) ** 2,
                 "expected counts + min-cost flow over n tuples x m groups",
-                "prefix_scan",
                 (),
                 True,
                 runner,
@@ -905,7 +786,6 @@ class Planner:
             "GroupByCountConsensus.mean_answer (expected counts)",
             float(profile.n),
             "one pass over the group probabilities",
-            "tree_pass",
             (),
             False,
             runner,
@@ -957,25 +837,6 @@ class Planner:
     # ------------------------------------------------------------------
     # Monte-Carlo machinery
     # ------------------------------------------------------------------
-    def _resolved_batch_size(self, session: QuerySession) -> int:
-        """The Monte-Carlo batch size: explicit, or calibrated when the
-        planner was built with ``batch_size=None``."""
-        if self.batch_size is not None:
-            return self.batch_size
-        table = self.calibration_table()
-        if table is not None:
-            from repro.engine import get_backend
-            from repro.query.calibration import derive_batch_size
-
-            return derive_batch_size(
-                table,
-                get_backend().name,
-                _layout_kind(session),
-                session.number_of_tuples(),
-                fallback=self.BATCH_SIZE_DEFAULT,
-            )
-        return self.BATCH_SIZE_DEFAULT
-
     def _sample_budget(self, query: ConsensusQuery) -> int:
         if query.sample_cap is not None:
             return query.sample_cap
@@ -1006,7 +867,7 @@ class Planner:
         moments = StreamingMoments()
         epsilon = query.target_epsilon
         cap = self._sample_budget(query)
-        batch = min(self._resolved_batch_size(session), cap)
+        batch = min(self.batch_size, cap)
         drawn = 0
         while drawn < cap:
             count = min(batch, cap - drawn)

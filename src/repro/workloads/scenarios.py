@@ -66,8 +66,8 @@ def sensor_network_scenario(
     """Noisy temperature sensors reporting uncertain readings.
 
     Every sensor surely exists but its reported reading (the score) is
-    uncertain: each sensor has two or three candidate calibrated readings
-    whose probabilities reflect calibration confidence.  This is the
+    uncertain: each sensor has two or three candidate readings whose
+    probabilities reflect the confidence in each.  This is the
     attribute-level uncertainty setting of Section 5.
     """
     rng = _as_rng(rng)
@@ -95,7 +95,7 @@ def sensor_network_scenario(
         name="sensor_network",
         description=(
             f"{sensor_count} temperature sensors with 2-3 candidate "
-            "calibrated readings each (attribute-level uncertainty)"
+            "readings each (attribute-level uncertainty)"
         ),
         database=database,
     )

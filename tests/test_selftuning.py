@@ -1,12 +1,8 @@
-"""The self-tuning planner stack: calibration, result cache, fused plans.
+"""The self-tuning planner stack: result cache, fused plans, fixed routes.
 
-Three cooperating performance layers, each with a correctness contract:
+Two cooperating performance layers, each with a correctness contract,
+over a planner whose routes take no timings:
 
-* **Calibrated cost models** -- micro-probes and benchmark fits produce
-  per-kernel seconds-per-op rates keyed to the host; the planner derives
-  its exact-vs-sampling crossovers from them (clamped), and
-  ``explain()`` reports measured wall-clock estimates.  Stale-host
-  tables must be rejected.
 * **Cross-session result cache** -- completed answers replay only at an
   unchanged version token and backend: any invalidation, re-scoring,
   shard version bump or backend switch must miss.  Cached answers are
@@ -15,26 +11,28 @@ Three cooperating performance layers, each with a correctness contract:
 * **Fused multi-query plans** -- a batch wanting the rank-matrix
   artifact at several depths computes one ``k_max`` sweep; the
   column-prefix slices must equal per-``k`` recomputation exactly.
+* **Deterministic routes** -- a plan depends only on the query, the
+  target and explicit planner options: the same on both backends and
+  from any working directory, whatever calibration file it holds.
+  Invalid options fail at construction.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
-from repro.engine import get_backend, numpy_available, use_backend
+from repro.engine import numpy_available, use_backend
 from repro.models import ShardedDatabase
 from repro.query import (
-    CalibrationTable,
+    NAMED_KINDS,
     Planner,
     Query,
     ResultCache,
     answer_key,
     connect,
-    derive_batch_size,
-    kendall_crossover,
-    micro_calibrate,
     result_cache_for,
 )
 from repro.query.calibration import host_fingerprint
@@ -409,124 +407,110 @@ class TestServedResultCache:
 
 
 # ----------------------------------------------------------------------
-# Calibration
+# Deterministic planning
 # ----------------------------------------------------------------------
 class TestCalibration:
-    def test_micro_calibrate_records_every_kernel_family(self):
-        table = micro_calibrate(sizes=(32,))
-        assert table.source == "micro"
-        backend = get_backend().name
-        for kernel in (
-            "rank_sweep",
-            "mc_sample",
-            "prefix_scan",
-            "footrule_assignment",
-            "size_tables",
-            "tree_pass",
-            "pivot_grid",
-            "kendall_enumeration",
-        ):
-            n = 6 if kernel == "kendall_enumeration" else 32
-            rate = table.rate_for(backend, "tuple-independent", kernel, n)
-            assert rate is not None and rate > 0, kernel
-
-    def test_roundtrip_and_stale_host_rejection(self, tmp_path):
-        table = micro_calibrate(sizes=(32,))
-        path = str(tmp_path / "calibration.json")
-        table.save(path)
-        loaded = CalibrationTable.load(path)
-        assert loaded is not None and len(loaded) == len(table)
-        document = table.to_document()
-        document["host"] = dict(document["host"], cpu_count=-1)
-        assert CalibrationTable.from_document(document) is None
+    """What is left of calibration: the host identity benchmark results
+    are stamped with."""
 
     def test_host_fingerprint_shape(self):
         fingerprint = host_fingerprint()
         assert set(fingerprint) == {"cpu_count", "platform", "python"}
 
-    def test_crossover_is_clamped_and_cites_measurements(self):
-        backend = get_backend().name
-        fast = CalibrationTable(source="micro")
-        fast.record(
-            backend, "tuple-independent", "kendall_enumeration", 6, 1e12, 1e-3
-        )
-        limit, note = kendall_crossover(fast, backend, "tuple-independent")
-        assert limit == Planner.KENDALL_LIMIT_CEILING
-        assert note is not None and "measured" in note
-        slow = CalibrationTable(source="micro")
-        slow.record(
-            backend, "tuple-independent", "kendall_enumeration", 6, 1.0, 10.0
-        )
-        limit, _ = kendall_crossover(slow, backend, "tuple-independent")
-        assert limit == Planner.KENDALL_LIMIT_FLOOR
-        empty = CalibrationTable(source="micro")
-        limit, note = kendall_crossover(
-            empty, backend, "tuple-independent", fallback=6
-        )
-        assert limit == 6 and note is None
 
-    def test_planner_reports_measured_costs(self):
-        table = micro_calibrate(sizes=(32,))
-        planner = Planner(calibration=table)
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        assert plan.cost_source == "micro-calibrated"
-        assert plan.cost_seconds is not None and plan.cost_seconds > 0
-        assert "measured" in plan.explain()
-        floor = Planner.KENDALL_LIMIT_FLOOR
-        ceiling = Planner.KENDALL_LIMIT_CEILING
-        assert floor <= planner.kendall_exact_limit <= ceiling
+def _plant_calibration(directory):
+    """Plant ``benchmarks/results/calibration.json`` in the format version
+    2 planners read: this host's fingerprint, with Kendall enumeration
+    rated 4x faster than the ~2 us/op their probes measured.  A planner
+    that consulted it would enumerate Kendall queries past 6 tuples."""
+    results = directory / "benchmarks" / "results"
+    results.mkdir(parents=True)
+    probes = [
+        {
+            "backend": backend,
+            "layout": "tuple-independent",
+            "kernel": "kendall_enumeration",
+            "bucket": 3,
+            "rates": [0.5e-6],
+        }
+        for backend in BACKENDS
+    ]
+    document = {
+        "experiment": "calibration",
+        "host": host_fingerprint(),
+        "source": "measured",
+        "calibration": probes,
+    }
+    path = results / "calibration.json"
+    path.write_text(json.dumps(document))
+    return path
 
-    def test_planner_tops_up_uncovered_backend(self):
-        # A table fitted on one backend must not leave the other backend
-        # stuck on heuristics: the planner micro-probes the active
-        # backend once and folds the rates into the loaded table.
-        active = get_backend().name
-        other = next(name for name in BACKENDS if name != active) if (
-            len(BACKENDS) > 1
-        ) else None
-        if other is None:
-            pytest.skip("single-backend host")
-        with use_backend(other):
-            foreign = micro_calibrate(sizes=(32,))
-        assert not foreign.has_backend(active)
-        planner = Planner(calibration=foreign)
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        assert plan.cost_source in ("calibrated", "micro-calibrated")
-        assert plan.cost_seconds is not None and plan.cost_seconds > 0
-        assert planner.calibration_table().has_backend(active)
 
-    def test_uncalibrated_planner_stays_heuristic(self):
-        planner = Planner(micro_calibrate=False)
-        assert planner.calibration_table() is None or True  # resolves lazily
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        if plan.cost_source == "heuristic":
-            assert plan.cost_seconds is None
-            assert "operation counts only" in plan.explain()
+class TestDeterministicPlanner:
+    KENDALL_SIZES = (5, 6, 7, 8)
 
-    def test_explicit_kendall_limit_wins(self):
-        planner = Planner(kendall_exact_limit=9, micro_calibrate=False)
-        assert planner.kendall_exact_limit == 9
-        assert planner.kendall_limit_note is None
+    def _routes(self):
+        """``(backend, query) -> (route, algorithm)`` from a fresh planner."""
+        planner = Planner()
+        routes = {}
+        for backend in BACKENDS:
+            with use_backend(backend):
+                session = QuerySession(_database().tree)
+                for kind in NAMED_KINDS:
+                    plan = planner.plan_for(
+                        Query.named(kind, K), session, "local"
+                    )
+                    routes[backend, kind] = (plan.route, plan.algorithm)
+                for n in self.KENDALL_SIZES:
+                    session = QuerySession(_database(n=n).tree)
+                    plan = planner.plan_for(
+                        Query.topk(2).distance("kendall"), session, "local"
+                    )
+                    routes[backend, n] = (plan.route, plan.algorithm)
+        return routes
 
-    def test_derive_batch_size_clamps(self):
-        backend = get_backend().name
-        table = CalibrationTable(source="micro")
-        # Implausibly slow sampling: the floor must hold.
-        table.record(backend, "tuple-independent", "mc_sample", 64, 1.0, 50.0)
-        assert (
-            derive_batch_size(table, backend, "tuple-independent", 64) == 256
+    def test_routes_ignore_directory_environment_and_backend(
+        self, tmp_path, monkeypatch
+    ):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        monkeypatch.delenv("REPRO_CALIBRATION", raising=False)
+        monkeypatch.chdir(plain)
+        baseline = self._routes()
+
+        planted = tmp_path / "planted"
+        planted.mkdir()
+        monkeypatch.setenv(
+            "REPRO_CALIBRATION", str(_plant_calibration(planted))
         )
-        fast = CalibrationTable(source="micro")
-        fast.record(
-            backend, "tuple-independent", "mc_sample", 64, 1e12, 1e-6
-        )
-        assert (
-            derive_batch_size(fast, backend, "tuple-independent", 64) == 16384
-        )
-        empty = CalibrationTable(source="micro")
-        assert (
-            derive_batch_size(empty, backend, "tuple-independent", 64) == 2048
-        )
+        monkeypatch.chdir(planted)
+        assert self._routes() == baseline
+
+        for backend in BACKENDS:
+            for key in list(NAMED_KINDS) + list(self.KENDALL_SIZES):
+                assert baseline[backend, key] == baseline[BACKENDS[0], key]
+        for backend in BACKENDS:
+            assert baseline[backend, 6][0] == "exact"
+            assert baseline[backend, 7][0] == "sample"
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("default_samples", 0),
+            ("max_samples", -1),
+            ("batch_size", 0),
+            ("batch_size", -5),
+            ("batch_size", 2.5),
+            ("kendall_exact_limit", -1),
+        ],
+    )
+    def test_invalid_options_raise_at_construction(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            Planner(**{option: value})
+
+    def test_defaults_are_the_documented_constants(self):
+        planner = Planner()
+        assert planner.kendall_exact_limit == Planner.KENDALL_LIMIT_DEFAULT
+        assert planner.batch_size == Planner.BATCH_SIZE_DEFAULT
+        assert Planner(kendall_exact_limit=0).kendall_exact_limit == 0
+        assert planner.calibration_table() is None
