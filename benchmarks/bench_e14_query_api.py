@@ -2,18 +2,22 @@
 
 The unified API must be free: routing every query through
 ``ConsensusQuery`` -> ``Planner`` -> ``ExecutionPlan`` instead of calling
-session methods directly may not tax the serving hot path.  Two cases:
+the consensus algorithms (and memoized session statistics) directly may
+not tax the serving hot path.  Four cases:
 
 * **E14a -- planner overhead on a realistic query mix.**  The ten named
   kinds at several Top-k sizes run against one long-lived session under
   cache-invalidation churn (the serving regime after updates), once
-  through direct session-method calls and once through the planner
+  through direct calls of the :mod:`repro.consensus` /
+  :mod:`repro.baselines` functions on the session and once through the
+  planner
   (``DEFAULT_PLANNER.run``).  Both sides pay the same artifact
   recomputation every round; plans are built once and reused across
   invalidations, so the difference isolates dispatch.  The acceptance bar
   is **< 5%** overhead.
-* **E14b -- warm micro-dispatch.**  Per-call latency of a fully memoized
-  query served directly vs through a cached plan, reporting the absolute
+* **E14b -- warm micro-dispatch.**  Per-call latency of a memoized
+  statistic, ``session.top_k_membership(k)``, read directly vs as
+  ``Query.membership(k)`` through a cached plan, reporting the absolute
   per-dispatch cost the declarative layer adds (bar: < 50 microseconds --
   a hash lookup, a generation check and one closure call).
 * **E14c -- cross-session result cache under a zipf-popular mix.**  A
@@ -42,6 +46,15 @@ import statistics as stats
 import time
 
 from _harness import report
+from repro.baselines import expected_rank_topk, global_topk
+from repro.consensus import (
+    approximate_topk_intersection,
+    approximate_topk_kendall,
+    mean_topk_footrule,
+    mean_topk_intersection,
+    mean_topk_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.query import DEFAULT_PLANNER, NAMED_KINDS, Query, connect
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
@@ -68,24 +81,25 @@ def _database():
     return random_tuple_independent_database(N, rng=SEED)
 
 
+#: The algorithm each named kind runs, called with ``(session, k)``.
+DIRECT_CALLS = {
+    "mean_topk_symmetric_difference": mean_topk_symmetric_difference,
+    "median_topk_symmetric_difference": median_topk_symmetric_difference,
+    "mean_topk_footrule": mean_topk_footrule,
+    "mean_topk_intersection": mean_topk_intersection,
+    "approximate_topk_intersection": approximate_topk_intersection,
+    "approximate_topk_kendall": approximate_topk_kendall,
+    "top_k_membership": QuerySession.top_k_membership,
+    "global_topk": global_topk,
+    "expected_rank_topk": expected_rank_topk,
+}
+
+
 def _direct_call(session: QuerySession, kind: str, k: int):
-    method = {
-        "mean_topk_symmetric_difference":
-            session.mean_topk_symmetric_difference,
-        "median_topk_symmetric_difference":
-            session.median_topk_symmetric_difference,
-        "mean_topk_footrule": session.mean_topk_footrule,
-        "mean_topk_intersection": session.mean_topk_intersection,
-        "approximate_topk_intersection":
-            session.approximate_topk_intersection,
-        "approximate_topk_kendall": session.approximate_topk_kendall,
-        "top_k_membership": session.top_k_membership,
-        "global_topk": session.global_topk,
-        "expected_rank_topk": session.expected_rank_topk,
-    }.get(kind)
-    if method is None:  # expected_rank_table takes no k
+    function = DIRECT_CALLS.get(kind)
+    if function is None:  # expected_rank_table takes no k
         return session.expected_rank_table()
-    return method(k)
+    return function(session, k)
 
 
 def _sweep_direct(session) -> float:
@@ -127,7 +141,7 @@ def test_e14a_planner_overhead_on_query_mix(benchmark):
     overhead = (planned - direct) / direct
     report(
         "E14a",
-        "Planner dispatch overhead vs direct session calls "
+        "Planner dispatch overhead vs direct algorithm calls "
         "(long-lived sessions under invalidation churn)",
         ("queries", "tuples", "direct (s)", "planner (s)", "overhead"),
         [
@@ -161,9 +175,9 @@ def test_e14b_warm_micro_dispatch(benchmark):
     database = _database()
     session = QuerySession(database.tree)
     k = K_CHOICES[0]
-    query = Query.named("mean_topk_symmetric_difference", k)
-    # Warm everything: artifacts, result memo, plan cache.
-    session.mean_topk_symmetric_difference(k)
+    query = Query.membership(k)
+    # Warm everything: the memoized statistic and the plan cache.
+    session.top_k_membership(k)
     DEFAULT_PLANNER.run(query, session)
 
     def timed(callee) -> float:
@@ -173,8 +187,7 @@ def test_e14b_warm_micro_dispatch(benchmark):
         return (time.perf_counter() - start) / MICRO_CALLS
 
     direct = min(
-        timed(lambda: session.mean_topk_symmetric_difference(k))
-        for _ in range(3)
+        timed(lambda: session.top_k_membership(k)) for _ in range(3)
     )
     planned = min(
         timed(lambda: DEFAULT_PLANNER.run(query, session)) for _ in range(3)
@@ -182,7 +195,7 @@ def test_e14b_warm_micro_dispatch(benchmark):
     added = planned - direct
     report(
         "E14b",
-        "Warm micro-dispatch: memoized result via plan cache vs direct",
+        "Warm micro-dispatch: memoized statistic via plan cache vs direct",
         ("calls", "direct (us)", "planner (us)", "added (us)"),
         [
             (
@@ -193,7 +206,7 @@ def test_e14b_warm_micro_dispatch(benchmark):
             )
         ],
         notes=(
-            "Fully memoized query (hash lookup on both paths); the "
+            "Memoized top_k_membership (hash lookup on both paths); the "
             "declarative layer adds one plan-cache lookup, a generation "
             f"check and a closure call.  Bar: < {MICRO_BAR_SECONDS * 1e6:.0f} "
             "us absolute."

@@ -109,11 +109,11 @@ def test_e7_session_pairwise_matrix(benchmark):
 
         session = QuerySession(database.tree)
         start = time.perf_counter()
-        session.approximate_topk_kendall(k)
+        approximate_topk_kendall(session, k)
         cold = time.perf_counter() - start
 
         start = time.perf_counter()
-        session.approximate_topk_kendall(k)
+        approximate_topk_kendall(session, k)
         warm = time.perf_counter() - start
 
         statistics = RankStatistics(database.tree)
@@ -133,7 +133,8 @@ def test_e7_session_pairwise_matrix(benchmark):
         rows,
         notes=(
             "The cold run batches the candidate-pool preference grid through "
-            "the backend kernel; the warm run serves the memoized answer. "
+            "the backend kernel; the warm run re-runs the pivot on the "
+            "memoized rank matrix and preference grid. "
             "The full-matrix column times the whole n x n grid in one kernel "
             "call."
         ),
@@ -141,5 +142,5 @@ def test_e7_session_pairwise_matrix(benchmark):
 
     database = random_tuple_independent_database(500, rng=13)
     warm = QuerySession(database.tree)
-    warm.approximate_topk_kendall(k)
-    benchmark(lambda: warm.approximate_topk_kendall(k))
+    approximate_topk_kendall(warm, k)
+    benchmark(lambda: approximate_topk_kendall(warm, k))

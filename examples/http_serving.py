@@ -22,6 +22,7 @@ Run with:  PYTHONPATH=src python examples/http_serving.py
 from __future__ import annotations
 
 from repro import Query, QuerySession
+from repro.consensus import mean_topk_footrule
 from repro.exceptions import DeadlineExceededError, ShardUnavailableError
 from repro.models import ShardedDatabase
 from repro.server import ServerThread
@@ -43,7 +44,7 @@ def main() -> None:
 
         # -- one query, loss-free across the wire ----------------------
         answer = client.query(Query.topk(K, "footrule"))
-        reference, _ = QuerySession(database.tree).mean_topk_footrule(K)
+        reference, _ = mean_topk_footrule(QuerySession(database.tree), K)
         tag = "== in-process" if answer.value[0] == reference else "!="
         print(f"GET  mean_topk_footrule(k={K}) over HTTP:")
         print(f"  answer:   {', '.join(answer.value[0])}   [{tag}]")

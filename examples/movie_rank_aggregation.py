@@ -23,8 +23,12 @@ from __future__ import annotations
 
 from repro.andxor.enumeration import enumerate_worlds
 from repro.consensus.topk import (
+    approximate_topk_kendall,
     expected_topk_footrule_distance,
     expected_topk_intersection_distance,
+    mean_topk_footrule,
+    mean_topk_intersection,
+    mean_topk_symmetric_difference,
 )
 from repro.consensus.topk.kendall import expected_topk_kendall_distance
 from repro.session import QuerySession
@@ -58,10 +62,12 @@ def main() -> None:
     # --- consensus answers over the probabilistic database -----------------
     print(f"\nConsensus Top-{K} answers (Section 5):")
     consensus_answers = {
-        "mean, symmetric difference": session.mean_topk_symmetric_difference(K)[0],
-        "mean, intersection metric": session.mean_topk_intersection(K)[0],
-        "mean, Spearman footrule": session.mean_topk_footrule(K)[0],
-        "approx, Kendall tau (pivot)": session.approximate_topk_kendall(K),
+        "mean, symmetric difference": mean_topk_symmetric_difference(
+            session, K
+        )[0],
+        "mean, intersection metric": mean_topk_intersection(session, K)[0],
+        "mean, Spearman footrule": mean_topk_footrule(session, K)[0],
+        "approx, Kendall tau (pivot)": approximate_topk_kendall(session, K),
     }
     for name, answer in consensus_answers.items():
         print(f"  {name:30s}: {', '.join(map(str, answer))}")

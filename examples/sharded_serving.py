@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro import Query, QuerySession
+from repro import Query, QuerySession, consensus
 from repro.models import ShardedDatabase
 from repro.serving import ServingExecutor
 from repro.sharding import FaultInjector, FaultSchedule, SupervisorPolicy
@@ -48,7 +48,7 @@ async def main() -> None:
             "approximate_topk_intersection",
         ):
             answer, distance = await executor.submit(Query.named(kind, K))
-            reference, _ = getattr(unsharded, kind)(K)
+            reference, _ = getattr(consensus, kind)(unsharded, K)
             tag = "== unsharded" if answer == reference else "!= unsharded"
             print(f"  {kind:35s} {', '.join(answer)}   [{tag}]")
 

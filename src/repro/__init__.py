@@ -38,7 +38,7 @@ hash):
 
 ``explain()`` renders the planner's choice without running the query --
 the route, the paper result behind it, a cost estimate, and which memoized
-session artifacts it will reuse:
+session statistics it reads:
 
 >>> print(connection.explain(          # doctest: +SKIP
 ...     Query.topk(k=2).distance("footrule")))
@@ -70,11 +70,12 @@ products (O(shards) convolutions per single-shard change), and
 ``coordinator.at(versions)`` pins an MVCC snapshot reader whose answers
 stay bit-identical while writers publish new shard versions.
 
-The planner self-tunes.  Completed answers land in a bounded
+The planner self-tunes.  Completed answers land in one place, a bounded
 cross-session :class:`~repro.query.ResultCache` keyed by query
-fingerprint, version token and backend -- a repeated query at unchanged
-state replays instantly (``answer.cached``), and any update,
-invalidation, re-scoring or backend switch structurally misses.
+fingerprint, version token and backend, shared by connections and the
+serving executor -- a repeated query at unchanged state replays
+instantly (``answer.cached``), and any update, invalidation, re-scoring
+or backend switch structurally misses.
 ``connection.execute_many(queries)`` fuses a batch wanting the
 rank-matrix artifact at several depths into one ``k_max`` sweep answered
 by exact column-prefix slices (the serving executor fuses its
@@ -112,7 +113,9 @@ The package is organised bottom-up:
   runs on: pluggable array backends, batched rank / pairwise matrices and
   the Monte-Carlo sampling subsystem.
 * :mod:`repro.session` -- the query-session layer sharing memoized
-  statistics artifacts across consensus queries on one database.
+  statistics artifacts across consensus queries on one database (the
+  answers are computed by :mod:`repro.consensus` and
+  :mod:`repro.baselines`, and cached only by the result cache).
 * :mod:`repro.sharding` -- cross-shard statistics merging: per-shard
   partial generating functions convolved into exact global answers.
 * :mod:`repro.serving` -- the asyncio serving front-end (request
@@ -140,11 +143,12 @@ or programmatically:
 Sessions, sampling, sharding
 ----------------------------
 A :class:`~repro.session.QuerySession` memoizes the expensive shared
-artifacts (rank matrix, cumulative view, Top-k membership, pairwise
-preference grid, expected-rank tables, Jaccard prefix scans, the compiled
-Monte-Carlo sampler) with observable hit/miss counters
-(:meth:`~repro.session.QuerySession.cache_info`) and explicit invalidation;
-:func:`repro.connect` holds one warm session per connection, and
+statistics (rank matrix, cumulative view, Top-k membership, footrule
+tables, pairwise preference grid, expected-rank table, the compiled
+Monte-Carlo sampler) -- never answers -- with observable hit/miss
+counters (:meth:`~repro.session.QuerySession.cache_info`) and explicit
+invalidation; :func:`repro.connect` holds one warm session per
+connection, and
 ``QueryAnswer.cache_hits`` reports the reuse each query achieved.
 
 When a query is hard exactly, the planner falls back to
@@ -296,7 +300,7 @@ from repro.consensus import (
     expected_symmetric_difference_to_world,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

@@ -81,8 +81,8 @@ PlanRunner = Callable[[Any, Any], ExecutionResult]
 def _normalize_rng(rng: Any) -> Any:
     """Accept the library-wide rng convention at the plan boundary.
 
-    ``None`` stays ``None`` (deterministic routes keep their memoized
-    path); generators pass through; integer seeds become seeded
+    ``None`` stays ``None`` (deterministic routes need no generator);
+    generators pass through; integer seeds become seeded
     generators, matching every sampling entry point.
     """
     if rng is None:
@@ -111,8 +111,10 @@ class ExecutionPlan:
         Coarse operation-count estimate and its formula.  The planner
         makes no wall-clock estimate: operation counts are host-free.
     artifacts:
-        Session-cache keys the route consults -- :meth:`explain` reports
-        which of them are already warm.
+        Keys of the memoized session statistics the route reads --
+        :meth:`explain` reports which of them are already warm, and
+        :meth:`~repro.query.Planner.fuse_plans` batches the rank-matrix
+        ones.
     paired:
         Whether the raw value is an ``(answer, expected_distance)`` pair.
     runner:
@@ -191,8 +193,10 @@ class ExecutionPlan:
         """Run the plan and return the raw (legacy-shaped) value.
 
         This is the low-overhead dispatch path the serving layer uses: no
-        timing, no answer wrapping -- one closure call into the memoized
-        session machinery.
+        timing, no answer wrapping -- one call of the consensus algorithm
+        on the session, which serves the statistics it reads from its
+        memoized artifacts.  Completed answers are cached by the caller's
+        :class:`~repro.query.results.ResultCache`, not here.
         """
         if rng is not None:
             rng = _normalize_rng(rng)

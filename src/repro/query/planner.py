@@ -22,12 +22,35 @@ serving dispatch.
 
 from __future__ import annotations
 
+import math
 import numbers
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.tree import AndXorTree
+from repro.baselines.ranking import expected_rank_topk, global_topk
+from repro.consensus.jaccard import (
+    mean_world_jaccard_tuple_independent,
+    median_world_jaccard_bid,
+)
+from repro.consensus.set_consensus import (
+    mean_world_symmetric_difference,
+    median_world_symmetric_difference,
+)
+from repro.consensus.topk.footrule import mean_topk_footrule
+from repro.consensus.topk.intersection import (
+    approximate_topk_intersection,
+    mean_topk_intersection,
+)
+from repro.consensus.topk.kendall import (
+    approximate_topk_kendall,
+    brute_force_mean_topk_kendall,
+)
+from repro.consensus.topk.symmetric_difference import (
+    mean_topk_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.exceptions import PlanningError
 from repro.query.builder import ConsensusQuery
 from repro.query.plan import (
@@ -264,10 +287,13 @@ class Planner:
     Parameters
     ----------
     kendall_exact_limit:
-        Databases with at most this many tuples answer NP-hard Kendall
-        queries exactly (exhaustive enumeration); larger databases fall
-        back to the Monte-Carlo route -- the paper's size threshold between
-        "enumerate" and "estimate".  Defaults to
+        Databases with at most this many tuples answer ``auto`` NP-hard
+        Kendall queries exactly (exhaustive enumeration), provided the
+        enumeration also fits :attr:`KENDALL_ENUMERATION_BUDGET`; other
+        queries fall back to the Monte-Carlo route -- the paper's
+        threshold between "enumerate" and "estimate".  The budget caps
+        ``auto`` enumeration at n = 9 whatever this limit is; an explicit
+        ``.exact()`` forces enumeration above both.  Defaults to
         :attr:`KENDALL_LIMIT_DEFAULT`.
     default_samples:
         Monte-Carlo samples drawn when the query sets no epsilon or cap.
@@ -288,6 +314,12 @@ class Planner:
     #: (2-core x86 host, both backends); the sampled route takes 3-40 ms.
     #: Timed at k = 3, the two routes cross at n = 6-7.
     KENDALL_LIMIT_DEFAULT = 6
+    #: The Kendall enumeration budget: an ``auto`` Kendall query routes
+    #: exact only when ``P(n, k) * 2^n`` is at most this many operations
+    #: as well as ``n <= kendall_exact_limit``.  2^13 admits n = 6 up to
+    #: k = 3 (7680 operations, ~60 ms) and samples from k = 4 (23040,
+    #: ~0.2 s); an explicit ``mode="exact"`` ignores it.
+    KENDALL_ENUMERATION_BUDGET = 2**13
     #: The Monte-Carlo batch size (samples per kernel call).
     BATCH_SIZE_DEFAULT = 2048
 
@@ -444,83 +476,53 @@ class Planner:
         if metric == "kendall":
             return self._plan_topk_kendall(query, profile)
         if query.mode == "sample":
-            return self._sample_route(query, profile, self._exact_topk_answer)
-        if metric == "symmetric_difference":
-            if query.statistic == "median":
-                return (
-                    "exact",
-                    "median_topk_symmetric_difference (Theorem 4 size-table "
-                    "merge)",
-                    float(n) * k + float(n) ** 2,
-                    "rank sweep n*k + per-size best-world tables n^2",
-                    (
-                        ("query:median_topk_symmetric_difference", (k,)),
-                    ),
-                    True,
-                    lambda session, rng: ExecutionResult(
-                        session.median_topk_symmetric_difference(k)
-                    ),
-                )
-            return (
-                "exact",
+            return self._sample_route(query, profile)
+        route, algorithm = "exact", _exact_topk_algorithm(query)
+        if metric == "intersection" and query.mode == "approximate":
+            route, algorithm = "approximate", approximate_topk_intersection
+        name, cost, cost_note, artifacts = {
+            mean_topk_symmetric_difference: (
                 "mean_topk_symmetric_difference (Theorem 3 rank-matrix "
                 "kernel)",
                 float(n) * k,
                 "one truncated rank-matrix sweep (n x k)",
-                (
-                    ("rank_matrix", (k,)),
-                    ("query:mean_topk_symmetric_difference", (k,)),
-                ),
-                True,
-                lambda session, rng: ExecutionResult(
-                    session.mean_topk_symmetric_difference(k)
-                ),
-            )
-        if metric == "footrule":
-            return (
-                "exact",
+                (("rank_matrix", (k,)),),
+            ),
+            median_topk_symmetric_difference: (
+                "median_topk_symmetric_difference (Theorem 4 size-table "
+                "merge)",
+                float(n) * k + float(n) ** 2,
+                "rank sweep n*k + per-size best-world tables n^2",
+                (("rank_matrix", (k,)), ("top_k_membership", (k,))),
+            ),
+            mean_topk_footrule: (
                 "mean_topk_footrule (Section 5.4 min-cost assignment over "
                 "the Upsilon tables)",
                 float(n) * k + float(k) ** 3,
                 "footrule cost matrix n*k + assignment k^3",
-                (
-                    ("footrule_statistics", (k,)),
-                    ("query:mean_topk_footrule", (k,)),
-                ),
-                True,
-                lambda session, rng: ExecutionResult(
-                    session.mean_topk_footrule(k)
-                ),
-            )
-        # intersection
-        if query.mode == "approximate":
-            return (
-                "approximate",
+                (("rank_matrix", (k,)), ("footrule_statistics", (k,))),
+            ),
+            approximate_topk_intersection: (
                 "approximate_topk_intersection (H_k-factor greedy)",
                 float(n) * k,
                 "rank sweep n*k + greedy selection",
-                (
-                    ("rank_matrix", (k,)),
-                    ("query:approximate_topk_intersection", (k,)),
-                ),
-                True,
-                lambda session, rng: ExecutionResult(
-                    session.approximate_topk_intersection(k)
-                ),
-            )
+                (("rank_matrix", (k,)),),
+            ),
+            mean_topk_intersection: (
+                "mean_topk_intersection (Section 5.3 exact kernel)",
+                float(n) * k,
+                "one truncated rank-matrix sweep (n x k)",
+                (("rank_matrix", (k,)), ("cumulative_rank_matrix", (k,))),
+            ),
+        }[algorithm]
         return (
-            "exact",
-            "mean_topk_intersection (Section 5.3 exact kernel)",
-            float(n) * k,
-            "one truncated rank-matrix sweep (n x k)",
-            (
-                ("rank_matrix", (k,)),
-                ("query:mean_topk_intersection", (k,)),
-            ),
+            route,
+            name,
+            cost,
+            cost_note,
+            artifacts,
             True,
-            lambda session, rng: ExecutionResult(
-                session.mean_topk_intersection(k)
-            ),
+            lambda session, rng: ExecutionResult(algorithm(session, k)),
         )
 
     def _plan_topk_kendall(
@@ -532,27 +534,32 @@ class Planner:
         pool_size = pool if pool is not None else min(2 * k, n)
 
         def pivot(session: QuerySession, rng: Any) -> Tuple:
-            return session.approximate_topk_kendall(
-                k, candidate_pool_size=pool, rng=rng
+            return approximate_topk_kendall(
+                session, k, candidate_pool_size=pool, rng=rng
             )
 
         mode = query.mode
         if mode == "auto":
-            mode = (
-                "exact" if n <= self.kendall_exact_limit else "sample"
+            exact = (
+                n <= self.kendall_exact_limit
+                and _kendall_enumeration_ops(n, k)
+                <= self.KENDALL_ENUMERATION_BUDGET
             )
+            mode = "exact" if exact else "sample"
         if mode == "exact":
-            cost = min(float(n) ** k * 2.0 ** n, 1e300)
             return (
                 "exact",
                 "brute_force_mean_topk_kendall (exhaustive candidate x "
-                "world enumeration; feasible only below the size "
-                f"threshold of {self.kendall_exact_limit} tuples)",
-                cost,
+                "world enumeration; auto routes here only at most "
+                f"{self.kendall_exact_limit} tuples and "
+                f"{self.KENDALL_ENUMERATION_BUDGET} operations)",
+                float(min(_kendall_enumeration_ops(n, k), 10**300)),
                 "P(n,k) candidate answers x 2^n possible worlds",
                 (),
                 True,
-                self._kendall_brute_force_runner(k),
+                lambda session, rng: ExecutionResult(
+                    brute_force_mean_topk_kendall(session, k)
+                ),
             )
         if mode == "approximate":
             return (
@@ -561,10 +568,7 @@ class Planner:
                 "pairwise preference grid)",
                 float(n) * k + float(pool_size) ** 2,
                 "membership sweep n*k + pivot on a pool^2 preference grid",
-                (
-                    ("rank_matrix", (k,)),
-                    ("query:approximate_topk_kendall", (k, pool)),
-                ),
+                (("rank_matrix", (k,)),),
                 False,
                 lambda session, rng: ExecutionResult(pivot(session, rng)),
             )
@@ -586,49 +590,22 @@ class Planner:
             "(CI-driven sample sizing)",
             float(samples) * n,
             f"<= {samples} sampled worlds x n-leaf batches",
-            (("sampler", ()),),
+            (("rank_matrix", (k,)), ("sampler", ())),
             True,
             runner,
         )
 
-    def _kendall_brute_force_runner(self, k: int):
-        def runner(session: QuerySession, rng: Any) -> ExecutionResult:
-            from repro.consensus.topk.kendall import (
-                brute_force_mean_topk_kendall,
-            )
-
-            return ExecutionResult(brute_force_mean_topk_kendall(session, k))
-
-        return runner
-
-    def _exact_topk_answer(self, query: ConsensusQuery):
-        """The deterministic candidate-answer call for a sampled route."""
-        k = query.k
-        metric = query.metric
-        if metric == "symmetric_difference":
-            if query.statistic == "median":
-                return lambda session: session.median_topk_symmetric_difference(k)[0]
-            return lambda session: session.mean_topk_symmetric_difference(k)[0]
-        if metric == "footrule":
-            return lambda session: session.mean_topk_footrule(k)[0]
-        return lambda session: session.mean_topk_intersection(k)[0]
-
-    def _sample_route(
-        self,
-        query: ConsensusQuery,
-        profile: TargetProfile,
-        candidate_factory,
-    ):
+    def _sample_route(self, query: ConsensusQuery, profile: TargetProfile):
         """Sampled validation route for a PTIME metric: exact candidate
         answer + Monte-Carlo estimate of its expected distance."""
         k = query.k
         metric = query.metric
         samples = self._sample_budget(query)
-        candidate = candidate_factory(query)
+        algorithm = _exact_topk_algorithm(query)
         planner = self
 
         def runner(session: QuerySession, rng: Any) -> ExecutionResult:
-            answer = tuple(candidate(session))
+            answer = tuple(algorithm(session, k)[0])
             estimate = planner._ci_estimate(
                 session, answer, k, metric, query, rng
             )
@@ -640,65 +617,50 @@ class Planner:
             f"{metric}] (CI-driven sample sizing)",
             float(samples) * profile.n,
             f"<= {samples} sampled worlds x n-leaf batches",
-            (("sampler", ()),),
+            (("rank_matrix", (k,)), ("sampler", ())),
             True,
             runner,
         )
 
     def _plan_world(self, query: ConsensusQuery, profile: TargetProfile):
         n = profile.n
-        metric = query.metric
-        statistic = query.statistic
-        if metric == "symmetric_difference":
-            if statistic == "median":
-                return (
-                    "exact",
-                    "median world tree DP (exact on and/xor trees)",
-                    float(n),
-                    "one bottom-up pass over the tree",
-                    (("query:median_world_symmetric_difference", ()),),
-                    True,
-                    lambda session, rng: ExecutionResult(
-                        session.median_world_symmetric_difference()
-                    ),
-                )
-            return (
-                "exact",
+        name, cost, cost_note, algorithm = {
+            ("symmetric_difference", "median"): (
+                "median world tree DP (exact on and/xor trees)",
+                float(n),
+                "one bottom-up pass over the tree",
+                median_world_symmetric_difference,
+            ),
+            ("symmetric_difference", "mean"): (
                 "membership-probability threshold (keep Pr > 1/2, "
                 "Theorem 2)",
                 float(n),
                 "one pass over the alternative probabilities",
-                (("query:mean_world_symmetric_difference", ()),),
-                True,
-                lambda session, rng: ExecutionResult(
-                    session.mean_world_symmetric_difference()
-                ),
-            )
-        # Jaccard
-        if statistic == "median":
-            return (
-                "exact",
+                mean_world_symmetric_difference,
+            ),
+            ("jaccard", "median"): (
                 "per-block representative prefix scan (Section 4.2, BID "
                 "layouts)",
                 float(n) ** 2,
                 "n prefixes x Lemma 1 evaluation",
-                (("query:median_world_jaccard", ()),),
-                True,
-                lambda session, rng: ExecutionResult(
-                    session.median_world_jaccard()
-                ),
-            )
+                median_world_jaccard_bid,
+            ),
+            ("jaccard", "mean"): (
+                "probability-sorted prefix scan (Lemma 2; prefix "
+                "optimality guaranteed for tuple-independent layouts)",
+                float(n) ** 2,
+                "one O(n^2) backend prefix sweep",
+                mean_world_jaccard_tuple_independent,
+            ),
+        }[(query.metric, query.statistic)]
         return (
             "exact",
-            "probability-sorted prefix scan (Lemma 2; prefix optimality "
-            "guaranteed for tuple-independent layouts)",
-            float(n) ** 2,
-            "one O(n^2) backend prefix sweep",
-            (("query:mean_world_jaccard", ()),),
+            name,
+            cost,
+            cost_note,
+            (),
             True,
-            lambda session, rng: ExecutionResult(
-                session.mean_world_jaccard()
-            ),
+            lambda session, rng: ExecutionResult(algorithm(session.tree)),
         )
 
     def _plan_membership(self, query: ConsensusQuery, profile: TargetProfile):
@@ -738,22 +700,19 @@ class Planner:
                 "global_topk baseline (score order)",
                 float(profile.n) * k,
                 "score sort + prefix",
-                (("query:global_topk", (k,)),),
+                (("rank_matrix", (k,)), ("top_k_membership", (k,))),
                 False,
-                lambda session, rng: ExecutionResult(session.global_topk(k)),
+                lambda session, rng: ExecutionResult(global_topk(session, k)),
             )
         return (
             "exact",
             "expected_rank_topk baseline",
             float(profile.n) ** 2,
             "expected-rank table + prefix",
-            (
-                ("expected_rank_table", ()),
-                ("query:expected_rank_topk", (k,)),
-            ),
+            (("expected_rank_table", ()),),
             False,
             lambda session, rng: ExecutionResult(
-                session.expected_rank_topk(k)
+                expected_rank_topk(session, k)
             ),
         )
 
@@ -882,6 +841,23 @@ class Planner:
                 if (high - low) / 2.0 <= epsilon:
                     break
         return moments.estimate()
+
+
+def _exact_topk_algorithm(query: ConsensusQuery) -> Callable[..., Any]:
+    """The exact Top-k algorithm of a PTIME metric (the candidate answer
+    of its sampled route)."""
+    if query.metric == "symmetric_difference":
+        if query.statistic == "median":
+            return median_topk_symmetric_difference
+        return mean_topk_symmetric_difference
+    if query.metric == "footrule":
+        return mean_topk_footrule
+    return mean_topk_intersection
+
+
+def _kendall_enumeration_ops(n: int, k: int) -> int:
+    """``P(n, k) * 2^n``: candidate answers times possible worlds."""
+    return math.perm(n, k) << n
 
 
 #: The process-wide planner instance the convenience APIs use.

@@ -1,6 +1,7 @@
 """The cross-session consensus answer cache.
 
-A :class:`ResultCache` extends the serving executor's in-flight request
+This is the one store of completed answers: sessions memoize only the
+statistics the algorithms read.  A :class:`ResultCache` extends the serving executor's in-flight request
 coalescing to *completed* answers: a query that was already answered
 against unchanged state returns the finished :class:`~repro.query
 .QueryAnswer` without touching the planner, the session caches or the

@@ -18,20 +18,24 @@ recomputing anything.  Cache behaviour is observable through
 :meth:`QuerySession.set_scoring`) drops every artifact when the scores
 change so stale statistics are never served.
 
-All module-level consensus functions accept a session wherever they accept a
-tree or :class:`~repro.andxor.rank_probabilities.RankStatistics`; passing a
-tree simply builds a throwaway session, so the public API stays
-source-compatible.  One session per database shard is the unit the future
-sharded / async serving layers will hold on to.
+The session memoizes statistics, never answers: the consensus algorithms
+are the functions of :mod:`repro.consensus` and :mod:`repro.baselines`, and
+each accepts a session wherever it accepts a tree or
+:class:`~repro.andxor.rank_probabilities.RankStatistics` (passing a tree
+builds a throwaway session).  Completed answers are cached once, by the
+query layer's :class:`~repro.query.results.ResultCache`.
 
 >>> from repro import QuerySession, TupleIndependentDatabase
+>>> from repro.consensus import (
+...     mean_topk_footrule, mean_topk_symmetric_difference,
+... )
 >>> database = TupleIndependentDatabase(
 ...     [("t1", 90, 0.6), ("t2", 80, 1.0), ("t3", 70, 0.5)]
 ... )
 >>> session = QuerySession(database.tree)
->>> session.mean_topk_symmetric_difference(2)[0]  # cold: computes
+>>> mean_topk_symmetric_difference(session, 2)[0]  # cold: computes
 ('t1', 't2')
->>> session.mean_topk_footrule(2)[0]              # warm: reuses rank matrix
+>>> mean_topk_footrule(session, 2)[0]              # warm: reuses rank matrix
 ('t1', 't2')
 >>> session.cache_hits > 0
 True
@@ -45,7 +49,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     List,
     Mapping,
@@ -454,10 +457,15 @@ class QuerySession:
         """Best (maximum) alternative score per tuple key.
 
         The hot consumer is :func:`repro.consensus.topk.common.\
-        order_by_score`; the sharded coordinator overrides this to answer
-        from its merged layout so ordering candidate keys never
-        materializes shard trees.
+        order_by_score`, which orders a handful of answer keys.  Flat
+        columns answer from their score order, where answer keys sit near
+        the top, so no key index is built; the sharded coordinator
+        overrides this to answer from its merged layout so ordering
+        candidate keys never materializes shard trees.
         """
+        columns = self._columns
+        if columns is not None and self._scoring is None:
+            return _best_scores_by_order(columns, keys)
         return {
             key: max(
                 self.score_of(alternative)
@@ -590,188 +598,44 @@ class QuerySession:
 
         return self._memoized("rank_partials", (max_rank,), compute)
 
-    # ------------------------------------------------------------------
-    # Consensus queries (memoized results)
-    # ------------------------------------------------------------------
-    def mean_topk_symmetric_difference(
-        self, k: int
-    ) -> Tuple[Tuple[Hashable, ...], float]:
-        """Theorem 3 mean Top-k answer under ``d_Δ``."""
-
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.symmetric_difference import (
-                mean_topk_symmetric_difference,
-            )
-
-            return mean_topk_symmetric_difference(self, k)
-
-        return self._memoized("query:mean_topk_symmetric_difference", (k,), compute)
-
-    def median_topk_symmetric_difference(
-        self, k: int
-    ) -> Tuple[Tuple[Hashable, ...], float]:
-        """Theorem 4 median Top-k answer under ``d_Δ``."""
-
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.symmetric_difference import (
-                median_topk_symmetric_difference,
-            )
-
-            return median_topk_symmetric_difference(self, k)
-
-        return self._memoized(
-            "query:median_topk_symmetric_difference", (k,), compute
-        )
-
-    def mean_topk_intersection(
-        self, k: int
-    ) -> Tuple[Tuple[Hashable, ...], float]:
-        """Exact mean Top-k answer under the intersection metric."""
-
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.intersection import mean_topk_intersection
-
-            return mean_topk_intersection(self, k)
-
-        return self._memoized("query:mean_topk_intersection", (k,), compute)
-
-    def approximate_topk_intersection(
-        self, k: int
-    ) -> Tuple[Tuple[Hashable, ...], float]:
-        """``Υ_H``-based ``H_k``-approximation under the intersection metric."""
-
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.intersection import (
-                approximate_topk_intersection,
-            )
-
-            return approximate_topk_intersection(self, k)
-
-        return self._memoized(
-            "query:approximate_topk_intersection", (k,), compute
-        )
-
-    def mean_topk_footrule(
-        self, k: int
-    ) -> Tuple[Tuple[Hashable, ...], float]:
-        """Exact mean Top-k answer under the Spearman footrule distance."""
-
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.footrule import mean_topk_footrule
-
-            return mean_topk_footrule(self, k)
-
-        return self._memoized("query:mean_topk_footrule", (k,), compute)
-
-    def approximate_topk_kendall(
-        self,
-        k: int,
-        candidate_pool_size: Optional[int] = None,
-        rng: Any = None,
-    ) -> Tuple[Hashable, ...]:
-        """Pivot-based approximate mean answer under Kendall tau.
-
-        Deterministic calls (``rng is None``) are memoized; randomised calls
-        bypass the cache.
-        """
-        from repro.consensus.topk.kendall import approximate_topk_kendall
-
-        if rng is not None:
-            return approximate_topk_kendall(
-                self, k, candidate_pool_size=candidate_pool_size, rng=rng
-            )
-        return self._memoized(
-            "query:approximate_topk_kendall",
-            (k, candidate_pool_size),
-            lambda: approximate_topk_kendall(
-                self, k, candidate_pool_size=candidate_pool_size
-            ),
-        )
-
-    def mean_world_symmetric_difference(
-        self,
-    ) -> Tuple[FrozenSet[TupleAlternative], float]:
-        """Theorem 2 mean consensus world under symmetric difference."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.set_consensus import (
-                mean_world_symmetric_difference,
-            )
-
-            return mean_world_symmetric_difference(self._tree)
-
-        return self._memoized(
-            "query:mean_world_symmetric_difference", (), compute
-        )
-
-    def median_world_symmetric_difference(
-        self,
-    ) -> Tuple[FrozenSet[TupleAlternative], float]:
-        """Exact median consensus world under symmetric difference."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.set_consensus import (
-                median_world_symmetric_difference,
-            )
-
-            return median_world_symmetric_difference(self._tree)
-
-        return self._memoized(
-            "query:median_world_symmetric_difference", (), compute
-        )
-
-    def mean_world_jaccard(
-        self,
-    ) -> Tuple[FrozenSet[TupleAlternative], float]:
-        """Lemma 2 mean consensus world under the Jaccard distance."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.jaccard import (
-                mean_world_jaccard_tuple_independent,
-            )
-
-            return mean_world_jaccard_tuple_independent(self._tree)
-
-        return self._memoized("query:mean_world_jaccard", (), compute)
-
-    def median_world_jaccard(
-        self,
-    ) -> Tuple[FrozenSet[TupleAlternative], float]:
-        """Median consensus world under the Jaccard distance (BID)."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.jaccard import median_world_jaccard_bid
-
-            return median_world_jaccard_bid(self._tree)
-
-        return self._memoized("query:median_world_jaccard", (), compute)
-
-    def global_topk(self, k: int) -> Tuple[Hashable, ...]:
-        """The Global-Top-k baseline answer."""
-
-        def compute() -> Tuple[Hashable, ...]:
-            from repro.baselines.ranking import global_topk
-
-            return global_topk(self, k)
-
-        return self._memoized("query:global_topk", (k,), compute)
-
-    def expected_rank_topk(self, k: int) -> Tuple[Hashable, ...]:
-        """The expected-rank baseline answer."""
-
-        def compute() -> Tuple[Hashable, ...]:
-            from repro.baselines.ranking import expected_rank_topk
-
-            return expected_rank_topk(self, k)
-
-        return self._memoized("query:expected_rank_topk", (k,), compute)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuerySession({self._source!r}, entries={len(self._cache)}, "
             f"hits={self._hits}, misses={self._misses}, "
             f"generation={self._generation})"
         )
+
+
+def _best_scores_by_order(
+    columns: FlatColumns, keys: Sequence[Hashable]
+) -> Dict[Hashable, float]:
+    """Best score per key, read down the columns' score order.
+
+    The first row of a key in decreasing score order is its best one, so
+    the walk stops once every key was seen; it reads growing chunks of the
+    order.  An unknown key raises ``ValueError``, as the tree path does.
+    """
+    wanted = set(keys)
+    best: Dict[Hashable, float] = {}
+    backend = columns.backend
+    order = columns.order
+    start, size = 0, 2 * len(wanted) + 8
+    while len(best) < len(wanted) and start < len(columns.values):
+        rows = backend.vector_values(
+            backend.slice_rows(order, start, start + size)
+        )
+        blocks = backend.vector_values(columns.blocks, rows)
+        scores = backend.vector_values(columns.scores, rows)
+        for block, score in zip(blocks, scores):
+            key = columns.keys[block]
+            if key in wanted and key not in best:
+                best[key] = score
+        start += size
+        size *= 2
+    for key in keys:
+        if key not in best:
+            raise ValueError(f"unknown tuple key {key!r}")
+    return {key: best[key] for key in keys}
 
 
 def as_session(source: SessionSource) -> QuerySession:

@@ -43,15 +43,14 @@ shards are :class:`~repro.models.sharded.DatabaseShard` objects, which alone
 know whether their state sits in this process or in a worker;
 superseded ones are :class:`_ShardArchive` entries of the snapshot history
 (a reader reads a live shard through a :class:`_PinnedShard`, which falls
-back to the archive when a swap raced the read), and the list-of-sessions
-form wraps each session in a :class:`_StaticShard`.
-The coordinator picks them in one hook, :meth:`ShardedQuerySession._shards`.
+back to the archive when a swap raced the read).  The coordinator picks
+them in one hook, :meth:`ShardedQuerySession._shards`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import (
     Any,
     Dict,
@@ -69,7 +68,7 @@ from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
 from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
 from repro.exceptions import ModelError, SnapshotTooOldError
-from repro.session import QuerySession, as_session
+from repro.session import QuerySession
 from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
 from repro.sharding.summary import ShardRankSummary, shard_layout
 
@@ -114,13 +113,11 @@ class _MergedLayout(NamedTuple):
         probabilities: List[float] = []
         keys: List[Hashable] = []
         shards: List[int] = []
-        key_count = 0
         for fragment, index in zip(fragments, shard_indices):
             scores += fragment.scores
             probabilities += fragment.probabilities
             keys += fragment.row_keys()
             shards += [index] * len(fragment.scores)
-            key_count += len(fragment.keys)
         # Each shard's rows are already sorted, so Timsort merges the
         # concatenated runs in near-linear time.
         order = sorted(
@@ -134,14 +131,6 @@ class _MergedLayout(NamedTuple):
             if key not in key_index:
                 key_index[key] = len(key_rows)
                 key_rows.append(row)
-        if len(key_index) != key_count:
-            counts = Counter(key for f in fragments for key in f.keys)
-            duplicates = sorted(
-                repr(key) for key, count in counts.items() if count > 1
-            )
-            raise ModelError(
-                f"tuple keys {duplicates} appear in more than one shard"
-            )
         if validate_scores:
             for row in range(1, len(grid)):
                 if (
@@ -332,43 +321,15 @@ class _PinnedShard:
         return self._read("summary", max_rank)
 
 
-class _StaticShard:
-    """One shard of a coordinator built over a list of shard sessions."""
-
-    __slots__ = ("index", "_session")
-
-    def __init__(self, index: int, session: QuerySession) -> None:
-        self.index = index
-        self._session = session
-
-    @property
-    def generation(self) -> int:
-        return self._session.generation
-
-    def session(self) -> QuerySession:
-        return self._session
-
-    def layout(self) -> Any:
-        return shard_layout(self._session)
-
-    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
-        return (
-            self._session.partial_rank_summary(max_rank),
-            (self.index, self._session.generation),
-        )
-
-
 class ShardedQuerySession(QuerySession):
     """Coordinator session merging statistics across database shards.
 
     Parameters
     ----------
     shards:
-        Either a :class:`~repro.models.sharded.ShardedDatabase` (the
-        coordinator then follows its shard versions, swapping to a fresh
-        per-vector artifact store whenever a shard is updated) or an
-        iterable of per-shard sources (trees, :class:`RankStatistics` or
-        sessions) with disjoint tuple keys.
+        The :class:`~repro.models.sharded.ShardedDatabase` to merge.  The
+        coordinator follows its shard versions, swapping to a fresh
+        per-vector artifact store whenever a shard is updated.
     validate_scores:
         Require pairwise-distinct scores *across* shards (each shard only
         validates its own); the merge semantics assume the paper's no-ties
@@ -385,20 +346,13 @@ class ShardedQuerySession(QuerySession):
         validate_scores: bool = True,
         snapshot_history: int = 4,
     ) -> None:
-        if hasattr(shards, "sessions") and hasattr(shards, "versions"):
-            self._database: Optional[Any] = shards
-            self._static: Optional[List[_StaticShard]] = None
-        else:
-            if isinstance(shards, (AndXorTree, RankStatistics, QuerySession)):
-                raise TypeError(
-                    "expected a ShardedDatabase or an iterable of shard "
-                    "sources; a single database has nothing to merge"
-                )
-            self._database = None
-            self._static = [
-                _StaticShard(index, as_session(source))
-                for index, source in enumerate(shards)
-            ]
+        if not (hasattr(shards, "sessions") and hasattr(shards, "versions")):
+            raise TypeError(
+                "expected a ShardedDatabase, got "
+                f"{type(shards).__name__}; partition a database with "
+                "ShardedDatabase(database, shard_count)"
+            )
+        self._database: Any = shards
         self._validate_scores = validate_scores
         self._snapshot_history = max(1, int(snapshot_history))
         self._scoring = None
@@ -418,11 +372,7 @@ class ShardedQuerySession(QuerySession):
     # ------------------------------------------------------------------
     def _shards(self) -> List[Any]:
         """The shards to read, each answering ``layout()``, ``summary()``
-        and ``session()``: the database's non-empty shards, or the
-        wrapped static sessions."""
-        if self._database is None:
-            assert self._static is not None
-            return self._static
+        and ``session()``: the database's non-empty shards."""
         return [
             shard for shard in self._database.shards() if not shard.is_empty
         ]
@@ -449,27 +399,17 @@ class ShardedQuerySession(QuerySession):
         return "tuple-independent" if self._layout().independent else "bid"
 
     def _current_versions(self) -> Tuple[Any, ...]:
-        if self._database is not None:
-            shard_versions: Tuple[Any, ...] = tuple(self._database.versions())
-        else:
-            shard_versions = ()
         generations = tuple(shard.generation for shard in self._shards())
-        return (shard_versions, generations)
+        return (tuple(self._database.versions()), generations)
 
     # ------------------------------------------------------------------
     # Version store (MVCC)
     # ------------------------------------------------------------------
     def _store_key(self, versions: Tuple[Any, ...]) -> Any:
-        """Store key of a full version vector.
-
-        Database-backed coordinators key by the shard-version tuple (the
-        public vector that :meth:`at` pins and the executor captures);
-        static coordinators have no shard versions, so the session
-        generations carry the whole signal.
-        """
-        if self._database is not None:
-            return versions[0]
-        return versions
+        """Store key of a full version vector: the shard-version tuple
+        (the public vector that :meth:`at` pins and the executor
+        captures)."""
+        return versions[0]
 
     def _entry(self) -> _VersionEntry:
         return _VersionEntry(self._cache, self._statistics, self._merged_tree)
@@ -582,20 +522,17 @@ class ShardedQuerySession(QuerySession):
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:
         """Result-cache token: the shard-version vector, not a generation.
 
-        Database-backed coordinators answer purely from shard state, so
-        the per-shard version vector (plus the coordinator's own
+        The coordinator answers purely from shard state, so the per-shard
+        version vector (plus the coordinator's own
         generation, which :meth:`invalidate` bumps) is the invalidation
         signal -- a single-shard update changes the vector and naturally
         misses the cache, while unrelated shards' entries stay servable.
         ``versions`` pins the token at an explicit vector (the serving
         executor passes the vector captured at request ingress).
         """
-        if versions is not None:
-            vector: Any = tuple(versions)
-        elif self._database is not None:
-            vector = tuple(self._database.versions())
-        else:
-            vector = self._current_versions()
+        if versions is None:
+            versions = self._database.versions()
+        vector = tuple(versions)
         return ("sharded", self._session_token, self._generation, vector)
 
     # ------------------------------------------------------------------
@@ -702,7 +639,7 @@ class ShardedQuerySession(QuerySession):
                         "sharded sessions require and-rooted shard trees"
                     )
                 children.extend(root.children())
-            self._layout()  # validates key disjointness and score ties
+            self._layout()  # validates cross-shard score ties
             self._merged_tree = AndXorTree(AndNode(children), validate=False)
         return self._merged_tree
 
@@ -957,7 +894,6 @@ class SnapshotReader(ShardedQuerySession):
     ) -> None:
         self._parent = parent
         self._database = parent._database
-        self._static = parent._static
         self._validate_scores = parent._validate_scores
         self._snapshot_history = parent._snapshot_history
         self._scoring = None
@@ -971,23 +907,15 @@ class SnapshotReader(ShardedQuerySession):
         self._history = parent._history
         self._state_lock = parent._state_lock
         self._init_cache_state()
-        if self._database is not None:
-            if versions is None:
-                pinned: Any = tuple(self._database.versions())
-            else:
-                pinned = tuple(versions)
-                if len(pinned) != len(self._database.shards()):
-                    raise ValueError(
-                        f"version vector of length {len(pinned)} does not "
-                        f"match {len(self._database.shards())} shards"
-                    )
+        if versions is None:
+            pinned = tuple(self._database.versions())
         else:
-            if versions is not None:
+            pinned = tuple(versions)
+            if len(pinned) != len(self._database.shards()):
                 raise ValueError(
-                    "a static coordinator has no shard-version vector; "
-                    "call at() without arguments to pin the current state"
+                    f"version vector of length {len(pinned)} does not "
+                    f"match {len(self._database.shards())} shards"
                 )
-            pinned = parent._current_versions()
         self._pinned = pinned
         self._versions_seen = pinned
         entry = parent._entry_for(pinned)
@@ -1021,8 +949,6 @@ class SnapshotReader(ShardedQuerySession):
         return self._parent.version_token(versions)
 
     def _live(self) -> bool:
-        if self._database is None:
-            return self._parent._current_versions() == self._pinned
         return tuple(self._database.versions()) == self._pinned
 
     def invalidate(self) -> None:
@@ -1037,23 +963,13 @@ class SnapshotReader(ShardedQuerySession):
     def _superseded(self) -> bool:
         """Whether any pinned shard version has been replaced since the pin.
 
-        Live pins read through the coordinator's own paths.  Static
-        coordinators keep no history, so their pins must still be live.
+        Live pins read through the coordinator's own paths.
         """
-        live = self._live()
-        if not live and self._database is None:
-            raise SnapshotTooOldError(
-                "static shard sessions keep no history; this pinned "
-                "snapshot predates a session invalidation"
-            )
-        return not live
+        return not self._live()
 
     def _shards(self) -> List[Any]:
         """Archives for the shards updated since the pin; the others are
         read live, each through a :class:`_PinnedShard` check."""
-        if self._database is None:
-            self._superseded()  # raises once the static pin is invalidated
-            return ShardedQuerySession._shards(self)
         shards: List[Any] = []
         for shard in self._database.shards():
             pinned = self._pinned[shard.index]

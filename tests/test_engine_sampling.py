@@ -333,7 +333,7 @@ class TestConvergence:
         samples = 20_000 if backend == "numpy" else 6000
         with use_backend(backend):
             session = QuerySession(database.tree)
-            answer, exact_footrule = session.mean_topk_footrule(k)
+            answer, exact_footrule = mean_topk_footrule(session, k)
             exact_symmetric = expected_topk_symmetric_difference(
                 session, answer, k
             )

@@ -23,6 +23,10 @@ import pytest
 
 from conftest import small_bid
 from repro import Query, connect
+from repro.consensus import (
+    mean_topk_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.engine import get_backend, numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
 from repro.models import (
@@ -209,8 +213,8 @@ class TestIncrementalVsRebuildParity:
                 assert_rows_close(
                     _matrix_rows(reference, K), _matrix_rows(coordinator, K)
                 )
-                mean = coordinator.mean_topk_symmetric_difference(K)
-                mean_ref = reference.mean_topk_symmetric_difference(K)
+                mean = mean_topk_symmetric_difference(coordinator, K)
+                mean_ref = mean_topk_symmetric_difference(reference, K)
                 assert mean[0] == mean_ref[0]
                 assert abs(mean[1] - mean_ref[1]) < TOLERANCE
                 membership = coordinator.top_k_membership(K)
@@ -575,8 +579,8 @@ class TestPinnedSnapshotReads:
                     assert reader.score_of(alternative) == expected.score_of(
                         alternative
                     )
-            answer, distance = reader.median_topk_symmetric_difference(K)
-            reference = expected.median_topk_symmetric_difference(K)
+            answer, distance = median_topk_symmetric_difference(reader, K)
+            reference = median_topk_symmetric_difference(expected, K)
             assert answer == reference[0]
             assert abs(distance - reference[1]) < TOLERANCE
 

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import small_bid, small_tuple_independent
 from repro import connect
+from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     ModelError,
@@ -65,13 +66,13 @@ def assert_rank_matrix_parity(reference_session, session, max_rank=None):
 
 
 def assert_consensus_parity(reference_session, session, k):
-    mean_ref = reference_session.mean_topk_symmetric_difference(k)
-    mean_got = session.mean_topk_symmetric_difference(k)
+    mean_ref = mean_topk_symmetric_difference(reference_session, k)
+    mean_got = mean_topk_symmetric_difference(session, k)
     assert mean_got[0] == mean_ref[0]
     assert math.isclose(mean_got[1], mean_ref[1], abs_tol=TOLERANCE)
 
-    foot_ref = reference_session.mean_topk_footrule(k)
-    foot_got = session.mean_topk_footrule(k)
+    foot_ref = mean_topk_footrule(reference_session, k)
+    foot_got = mean_topk_footrule(session, k)
     assert foot_got[0] == foot_ref[0]
     assert math.isclose(foot_got[1], foot_ref[1], abs_tol=TOLERANCE)
 

@@ -3,12 +3,12 @@
 Three promises, all exercised here:
 
 * **Parity** -- every query expressible through the new API returns
-  1e-9-identical answers to the session methods, on both array backends,
-  against a local session and a 4-shard sharded database.
+  1e-9-identical answers to the consensus functions, on both array
+  backends, against a local session and a 4-shard sharded database.
 * **Planner routing** -- PTIME distances get exact kernels, NP-hard
-  distances get Monte-Carlo above the size threshold (exhaustive
-  enumeration below it), and ``explain()`` names the paper result behind
-  each choice.
+  distances get Monte-Carlo above the size and enumeration thresholds
+  (exhaustive enumeration below them), and ``explain()`` names the paper
+  result behind each choice.
 * **Facade** -- ``connect()`` resolves every deployment (local, sharded,
   served) to one Connection type with identical answers.
 """
@@ -21,6 +21,15 @@ import math
 import pytest
 
 from tests.conftest import small_bid, small_tuple_independent
+from repro.baselines import expected_rank_topk, global_topk
+from repro.consensus import (
+    approximate_topk_intersection,
+    approximate_topk_kendall,
+    mean_topk_footrule,
+    mean_topk_intersection,
+    mean_topk_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.consensus.jaccard import (
     mean_world_jaccard_tuple_independent,
     median_world_jaccard_bid,
@@ -181,19 +190,19 @@ def _session_answer(session: QuerySession, kind: str, k: int):
     """The session-method call path for one named kind."""
     method = {
         "mean_topk_symmetric_difference":
-            lambda: session.mean_topk_symmetric_difference(k),
+            lambda: mean_topk_symmetric_difference(session, k),
         "median_topk_symmetric_difference":
-            lambda: session.median_topk_symmetric_difference(k),
-        "mean_topk_footrule": lambda: session.mean_topk_footrule(k),
-        "mean_topk_intersection": lambda: session.mean_topk_intersection(k),
+            lambda: median_topk_symmetric_difference(session, k),
+        "mean_topk_footrule": lambda: mean_topk_footrule(session, k),
+        "mean_topk_intersection": lambda: mean_topk_intersection(session, k),
         "approximate_topk_intersection":
-            lambda: session.approximate_topk_intersection(k),
+            lambda: approximate_topk_intersection(session, k),
         "approximate_topk_kendall":
-            lambda: session.approximate_topk_kendall(k),
+            lambda: approximate_topk_kendall(session, k),
         "top_k_membership": lambda: session.top_k_membership(k),
         "expected_rank_table": lambda: session.expected_rank_table(),
-        "global_topk": lambda: session.global_topk(k),
-        "expected_rank_topk": lambda: session.expected_rank_topk(k),
+        "global_topk": lambda: global_topk(session, k),
+        "expected_rank_topk": lambda: expected_rank_topk(session, k),
     }[kind]
     return method()
 
@@ -299,13 +308,13 @@ class TestPlannerRouting:
     def test_plan_cache_is_per_planner_instance(self):
         # Differently-configured planners sharing a session must not
         # serve each other's routes out of the session-local plan cache.
-        database = random_tuple_independent_database(20, rng=5)
+        database = random_tuple_independent_database(5, rng=5)
         session = QuerySession(database.tree)
         query = Query.topk(k=3).distance("kendall")
-        exact_everywhere = Planner(kendall_exact_limit=100)
-        assert exact_everywhere.plan_for(query, session).route == "exact"
-        assert DEFAULT_PLANNER.plan_for(query, session).route == "sample"
-        assert exact_everywhere.plan_for(query, session).route == "exact"
+        sample_everywhere = Planner(kendall_exact_limit=0)
+        assert sample_everywhere.plan_for(query, session).route == "sample"
+        assert DEFAULT_PLANNER.plan_for(query, session).route == "exact"
+        assert sample_everywhere.plan_for(query, session).route == "sample"
 
     def test_explain_names_the_paper_result(self):
         database = random_tuple_independent_database(20, rng=5)
@@ -382,7 +391,7 @@ class TestSampledRoutes:
         answer = connect(database.tree).execute(
             Query.topk(k=3).distance("kendall").sampled(4000), rng=7
         )
-        assert answer.value[0] == session.approximate_topk_kendall(3)
+        assert answer.value[0] == approximate_topk_kendall(session, 3)
         assert answer.estimate is not None
         assert answer.estimate.samples == 4000
         exact = expected_topk_kendall_distance(
@@ -407,7 +416,7 @@ class TestSampledRoutes:
     def test_ptime_metric_sampled_mode_validates_exact_answer(self):
         database = random_tuple_independent_database(14, rng=11)
         session = QuerySession(database.tree)
-        exact_answer, exact_value = session.mean_topk_footrule(3)
+        exact_answer, exact_value = mean_topk_footrule(session, 3)
         answer = connect(database.tree).execute(
             Query.topk(k=3).distance("footrule").sampled(8000), rng=5
         )
@@ -462,7 +471,7 @@ class TestConnect:
         conn = connect(database, shards=SHARDS)
         assert conn.deployment == "sharded"
         assert conn.session.shard_count > 1
-        expected = QuerySession(database.tree).mean_topk_footrule(K)
+        expected = mean_topk_footrule(QuerySession(database.tree), K)
         assert _close(conn.execute(Query.topk(k=K).distance("footrule")).value,
                       expected)
 
@@ -494,7 +503,7 @@ class TestConnect:
         database = random_tuple_independent_database(12, rng=8)
         sharded = ShardedDatabase(database, 2)
         oracle = QuerySession(database.tree)
-        expected = oracle.mean_topk_symmetric_difference(K)
+        expected = mean_topk_symmetric_difference(oracle, K)
 
         async def scenario():
             async with ServingExecutor(sharded) as executor:
@@ -542,7 +551,7 @@ class TestConnect:
         database = random_tuple_independent_database(12, rng=8)
         session = QuerySession(database.tree)
         answer = session.execute(Query.topk(k=K))
-        assert answer.value == session.mean_topk_symmetric_difference(K)
+        assert answer.value == mean_topk_symmetric_difference(session, K)
         assert "Theorem 3" in session.explain(Query.topk(k=K))
 
     def test_resolve_session_served_deployment(self):

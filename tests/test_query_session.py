@@ -2,8 +2,8 @@
 
 The session layer promises three things, all exercised here:
 
-* **Parity** -- warm-cache results bitwise-match direct module-level calls
-  on fresh statistics, across both array backends (1e-9 tolerance).
+* **Parity** -- consensus answers read off a warm session bitwise-match
+  those on fresh statistics, across both array backends (1e-9 tolerance).
 * **Cache behaviour** -- a warm session answers a second consensus query
   (different distance, same tree) without recomputing the rank matrix,
   observable through the session's hit/miss counters.
@@ -13,6 +13,7 @@ The session layer promises three things, all exercised here:
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import pytest
@@ -33,6 +34,9 @@ from repro.consensus.topk.symmetric_difference import (
 )
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import ConsensusError
+from repro.models import ShardedDatabase
+from repro.query import NAMED_KINDS, Query, connect
+from repro.serving import ServingExecutor
 from repro.session import QuerySession, as_session
 from repro.workloads.generators import random_tuple_independent_database
 
@@ -61,30 +65,30 @@ def test_warm_session_matches_direct_calls(backend, seed):
         # exact same objects/values.
         for _ in range(2):
             assert_answers_close(
-                session.mean_topk_symmetric_difference(K),
+                mean_topk_symmetric_difference(session, K),
                 mean_topk_symmetric_difference(database.tree, K),
             )
             assert_answers_close(
-                session.median_topk_symmetric_difference(K),
+                median_topk_symmetric_difference(session, K),
                 median_topk_symmetric_difference(database.tree, K),
             )
             assert_answers_close(
-                session.mean_topk_intersection(K),
+                mean_topk_intersection(session, K),
                 mean_topk_intersection(database.tree, K),
             )
             assert_answers_close(
-                session.mean_topk_footrule(K),
+                mean_topk_footrule(session, K),
                 mean_topk_footrule(database.tree, K),
             )
-            assert session.approximate_topk_kendall(
-                K
+            assert approximate_topk_kendall(
+                session, K
             ) == approximate_topk_kendall(database.tree, K)
-            assert session.global_topk(K) == global_topk(database.tree, K)
-            assert session.expected_rank_topk(K) == expected_rank_topk(
+            assert global_topk(session, K) == global_topk(database.tree, K)
+            assert expected_rank_topk(session, K) == expected_rank_topk(
                 database.tree, K
             )
             assert_answers_close(
-                session.mean_world_jaccard(),
+                mean_world_jaccard_tuple_independent(session.tree),
                 mean_world_jaccard_tuple_independent(database.tree),
             )
         assert session.cache_hits > 0
@@ -98,15 +102,15 @@ def test_warm_session_matches_direct_calls_bid(backend, seed):
         session = QuerySession(database.tree)
         for _ in range(2):
             assert_answers_close(
-                session.mean_topk_symmetric_difference(2),
+                mean_topk_symmetric_difference(session, 2),
                 mean_topk_symmetric_difference(database.tree, 2),
             )
             assert_answers_close(
-                session.mean_topk_footrule(2),
+                mean_topk_footrule(session, 2),
                 mean_topk_footrule(database.tree, 2),
             )
-            assert session.approximate_topk_kendall(
-                2
+            assert approximate_topk_kendall(
+                session, 2
             ) == approximate_topk_kendall(database.tree, 2)
 
 
@@ -212,25 +216,15 @@ def test_jaccard_kernel_matches_generating_function(backend, seed):
 def test_second_distance_reuses_rank_matrix():
     database = random_tuple_independent_database(50, rng=11)
     session = QuerySession(database.tree)
-    session.mean_topk_symmetric_difference(5)
+    mean_topk_symmetric_difference(session, 5)
     info = session.cache_info()
     assert info["artifacts"]["rank_matrix"]["misses"] == 1
-    session.mean_topk_footrule(5)  # different distance, same tree
-    session.mean_topk_intersection(5)
+    mean_topk_footrule(session, 5)  # different distance, same tree
+    mean_topk_intersection(session, 5)
     info = session.cache_info()
     assert info["artifacts"]["rank_matrix"]["misses"] == 1
     assert info["artifacts"]["rank_matrix"]["hits"] >= 1
     assert session.cache_hits > 0
-
-
-def test_repeated_query_served_from_cache():
-    database = small_tuple_independent(7, count=6)
-    session = QuerySession(database.tree)
-    first = session.mean_topk_footrule(K)
-    hits_before = session.cache_hits
-    second = session.mean_topk_footrule(K)
-    assert second == first
-    assert session.cache_hits == hits_before + 1
 
 
 def test_as_session_reuses_statistics_session():
@@ -259,12 +253,109 @@ def test_validation_errors():
 
 
 # ----------------------------------------------------------------------
+# One answer cache: the session memoizes statistics, ResultCache answers
+# ----------------------------------------------------------------------
+ANSWER_METHODS = (
+    "mean_topk_symmetric_difference",
+    "median_topk_symmetric_difference",
+    "mean_topk_intersection",
+    "approximate_topk_intersection",
+    "mean_topk_footrule",
+    "approximate_topk_kendall",
+    "mean_world_symmetric_difference",
+    "median_world_symmetric_difference",
+    "mean_world_jaccard",
+    "median_world_jaccard",
+    "global_topk",
+    "expected_rank_topk",
+)
+
+
+def _answer_artifacts(info):
+    return [name for name in info.artifacts if name.startswith("query:")]
+
+
+def test_session_has_no_answer_methods():
+    for name in ANSWER_METHODS:
+        assert not hasattr(QuerySession, name), name
+
+
+def test_named_kinds_memoize_only_statistics():
+    database = small_tuple_independent(7, count=6)
+    connection = connect(database, result_cache=False)
+    for kind in NAMED_KINDS:
+        answer = connection.execute(Query.named(kind, K))
+        assert not answer.cached
+    info = connection.cache_info()
+    assert "rank_matrix" in info.artifacts
+    assert _answer_artifacts(info) == []
+
+
+def test_served_named_kinds_memoize_only_statistics():
+    database = small_tuple_independent(7, count=6)
+
+    async def main():
+        async with ServingExecutor(ShardedDatabase(database, 2)) as executor:
+            for kind in NAMED_KINDS:
+                await executor.execute(Query.named(kind, K))
+            return executor.database
+
+    sharded = asyncio.run(main())
+    assert _answer_artifacts(sharded.cache_info()) == []
+    # Served reads run on pinned snapshot readers, which count their own
+    # hits and misses but memoize into the coordinator's per-version store.
+    memoized = {
+        name
+        for entry in sharded.coordinator()._store.values()
+        for name, _ in entry.cache
+    }
+    assert "rank_matrix" in memoized
+    assert [name for name in memoized if name.startswith("query:")] == []
+
+
+def test_repeated_query_is_served_by_the_result_cache():
+    database = small_tuple_independent(7, count=6)
+    connection = connect(database)
+    query = Query.named("mean_topk_footrule", K)
+    first = connection.execute(query)
+    misses = connection.cache_info().misses
+    second = connection.execute(query)
+    assert not first.cached and second.cached
+    assert second.value == first.value
+    # The replay never reached the session.
+    assert connection.cache_info().misses == misses
+    assert _answer_artifacts(connection.cache_info()) == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ordering_answer_keys_builds_no_key_index(backend):
+    with use_backend(backend):
+        database = random_tuple_independent_database(2000, rng=5)
+        connection = connect(database, result_cache=False)
+        answer = connection.execute(Query.topk(10))
+        assert connection.session._columns._block_index is None
+        assert answer.answer == mean_topk_symmetric_difference(
+            database.tree, 10
+        )[0]
+        # Read down the score order, best scores equal the tree's.
+        for database in (database, small_bid(5, blocks=6)):
+            flat = QuerySession(database.columns)
+            tree = QuerySession(database.tree)
+            keys = flat.keys()
+            for picked in (keys[:3], keys[-2:][::-1], keys, keys[5:6] * 2):
+                assert flat.best_scores(picked) == tree.best_scores(picked)
+            for session in (flat, tree):
+                with pytest.raises(ValueError):
+                    session.best_scores([keys[0], "no-such-key"])
+
+
+# ----------------------------------------------------------------------
 # Invalidation
 # ----------------------------------------------------------------------
 def test_invalidation_recomputes_instead_of_serving_stale():
     database = small_tuple_independent(10, count=6)
     session = QuerySession(database.tree)
-    original_answer, _ = session.mean_topk_symmetric_difference(K)
+    original_answer, _ = mean_topk_symmetric_difference(session, K)
     entries = session.cache_info()["entries"]
     assert entries > 0
 
@@ -273,7 +364,7 @@ def test_invalidation_recomputes_instead_of_serving_stale():
     session.set_scoring(lambda alternative: -alternative.effective_score())
     assert session.cache_info()["entries"] == 0
     assert session.generation == 1
-    reversed_answer, _ = session.mean_topk_symmetric_difference(K)
+    reversed_answer, _ = mean_topk_symmetric_difference(session, K)
 
     # An independent session built with the same scoring agrees, so the
     # recomputation used the new scores rather than stale artifacts.
@@ -281,11 +372,11 @@ def test_invalidation_recomputes_instead_of_serving_stale():
         database.tree,
         scoring=lambda alternative: -alternative.effective_score(),
     )
-    assert reversed_answer == oracle.mean_topk_symmetric_difference(K)[0]
+    assert reversed_answer == mean_topk_symmetric_difference(oracle, K)[0]
 
     # Restoring the original scoring restores the original answer.
     session.set_scoring(None)
-    assert session.mean_topk_symmetric_difference(K)[0] == original_answer
+    assert mean_topk_symmetric_difference(session, K)[0] == original_answer
     assert session.generation == 2
 
 
@@ -330,9 +421,9 @@ def test_invalidation_preserves_adopted_statistics_settings():
         scoring=lambda alternative: -alternative.effective_score(),
     )
     session = QuerySession(statistics)
-    before = session.mean_topk_symmetric_difference(2)
+    before = mean_topk_symmetric_difference(session, 2)
     session.invalidate()
-    after = session.mean_topk_symmetric_difference(2)
+    after = mean_topk_symmetric_difference(session, 2)
     assert after == before  # same (flipped) scoring survives the rebuild
 
 

@@ -28,6 +28,8 @@ import time
 import pytest
 
 from conftest import small_bid, small_tuple_independent
+from repro import consensus
+from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     DeadlineExceededError,
@@ -229,14 +231,14 @@ class TestSupervisedPool:
         ) as sharded:
             pool = sharded.process_pool()
             coordinator = sharded.coordinator()
-            before = coordinator.mean_topk_symmetric_difference(K)
+            before = mean_topk_symmetric_difference(coordinator, K)
             victim = pool.shard_indices()[0]
             kill_worker(pool, victim)
             # The next summary fetch hits the dead worker, restarts it and
             # retries transparently; the merged answer stays exact.
             force_cold_reads(sharded)
-            after = coordinator.mean_topk_symmetric_difference(K)
-            reference = unsharded.mean_topk_symmetric_difference(K)
+            after = mean_topk_symmetric_difference(coordinator, K)
+            reference = mean_topk_symmetric_difference(unsharded, K)
             assert after[0] == before[0] == reference[0]
             assert math.isclose(after[1], reference[1], abs_tol=TOLERANCE)
             assert pool.restart_count() == 1
@@ -296,7 +298,7 @@ class TestSupervisedPool:
         ) as sharded:
             pool = sharded.process_pool()
             coordinator = sharded.coordinator()
-            before = coordinator.mean_topk_footrule(K)
+            before = mean_topk_footrule(coordinator, K)
             victim = pool.shard_indices()[0]
             key = sharded.shards()[victim].keys()[0]
             pending = sharded.prepare_update(key, probability=0.999)
@@ -310,11 +312,11 @@ class TestSupervisedPool:
             oracle = _oracle(database, {key: [(value, score, 0.999)]})
             # The change must show in the answer, or a lost update would
             # pass unnoticed.
-            expected = oracle.mean_topk_footrule(K)
+            expected = mean_topk_footrule(oracle, K)
             assert not math.isclose(before[1], expected[1], abs_tol=1e-6)
             for kind in EXACT_MIX:
                 assert_value_parity(
-                    getattr(oracle, kind)(K), getattr(coordinator, kind)(K)
+                    _exact(oracle, kind), _exact(coordinator, kind)
                 )
             assert_workers_match_parent(sharded)
 
@@ -417,6 +419,14 @@ def _oracle(database, replaced=()):
     return QuerySession(BlockIndependentDatabase(list(blocks.items())).columns)
 
 
+def _exact(session, kind):
+    """The ``EXACT_MIX`` answer of ``kind`` at ``K``, read off ``session``:
+    the consensus algorithm, or the memoized membership statistic."""
+    if kind == "top_k_membership":
+        return session.top_k_membership(K)
+    return getattr(consensus, kind)(session, K)
+
+
 def assert_workers_match_parent(sharded):
     """Every worker's summary equals the parent-side one to 1e-12."""
     pool = sharded.process_pool()
@@ -435,7 +445,7 @@ async def assert_exact(executor, oracle):
     """Every exact query kind answers like the unsharded oracle."""
     for kind in EXACT_MIX:
         answer = await executor.execute(Query.named(kind, K))
-        assert_value_parity(getattr(oracle, kind)(K), answer.value)
+        assert_value_parity(_exact(oracle, kind), answer.value)
 
 
 class TestFailover:
@@ -535,7 +545,7 @@ class TestFailover:
                         Query.named("mean_topk_footrule", K)
                     )
                     assert_value_parity(
-                        oracle.mean_topk_footrule(K), answer.value
+                        mean_topk_footrule(oracle, K), answer.value
                     )
                     # The three healthy shards still shipped their own
                     # summaries; only the dead one was computed here.
@@ -638,7 +648,7 @@ class TestFailover:
                     force_cold_reads(sharded)
                     answer = await second.execute(query)
                     assert_value_parity(
-                        _oracle(database).mean_topk_footrule(K), answer.value
+                        mean_topk_footrule(_oracle(database), K), answer.value
                     )
                     assert second.metrics().failover_served >= 1
                     assert second.metrics().breaker_open == 0
@@ -737,7 +747,7 @@ class TestFailover:
             coordinator = sharded.coordinator()
             for kind in EXACT_MIX:
                 assert_value_parity(
-                    getattr(oracle, kind)(K), getattr(coordinator, kind)(K)
+                    _exact(oracle, kind), _exact(coordinator, kind)
                 )
             assert_workers_match_parent(sharded)
 

@@ -508,9 +508,22 @@ class TestDeterministicPlanner:
         with pytest.raises(ValueError, match=option):
             Planner(**{option: value})
 
+    def test_kendall_auto_route_is_bounded_by_operation_count(self):
+        # P(6, k) * 2^6 operations: 1920 and 7680 fit the 2^13 budget,
+        # 23040 and 46080 do not, although n = 6 is within the size limit.
+        session = QuerySession(_database(n=6).tree)
+        planner = Planner()
+        for k, route in ((2, "exact"), (3, "exact"), (4, "sample"),
+                         (5, "sample")):
+            query = Query.topk(k).distance("kendall")
+            assert planner.plan_for(query, session, "local").route == route
+            forced = planner.plan_for(query.exact(), session, "local")
+            assert forced.route == "exact"
+
     def test_defaults_are_the_documented_constants(self):
         planner = Planner()
         assert planner.kendall_exact_limit == Planner.KENDALL_LIMIT_DEFAULT
+        assert Planner.KENDALL_ENUMERATION_BUDGET == 2**13
         assert planner.batch_size == Planner.BATCH_SIZE_DEFAULT
         assert Planner(kendall_exact_limit=0).kendall_exact_limit == 0
         assert planner.calibration_table() is None

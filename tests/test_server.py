@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.consensus import mean_topk_footrule
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
     ConsensusError,
@@ -326,7 +327,7 @@ class TestEndpoints:
         database, _sharded, _thread, client = server
         oracle = QuerySession(database.tree)
         answer = client.query(Query.named("mean_topk_footrule", K))
-        assert _close(answer.value, oracle.mean_topk_footrule(K))
+        assert _close(answer.value, mean_topk_footrule(oracle, K))
         assert answer.deployment == "served"
         assert isinstance(answer.plan, PlanSummary)
 

@@ -15,6 +15,16 @@ import math
 import pytest
 
 from conftest import small_bid, small_tuple_independent
+from repro.baselines import expected_rank_topk, global_topk
+from repro.consensus import (
+    approximate_topk_kendall,
+    mean_topk_footrule,
+    mean_topk_intersection,
+    mean_topk_symmetric_difference,
+    mean_world_jaccard_tuple_independent,
+    mean_world_symmetric_difference,
+    median_topk_symmetric_difference,
+)
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import ModelError
 from repro.models import (
@@ -52,23 +62,23 @@ def assert_rank_matrix_parity(unsharded, coordinator, max_rank=None):
 
 
 def assert_consensus_parity(unsharded, coordinator, k):
-    mean_ref = unsharded.mean_topk_symmetric_difference(k)
-    mean_merged = coordinator.mean_topk_symmetric_difference(k)
+    mean_ref = mean_topk_symmetric_difference(unsharded, k)
+    mean_merged = mean_topk_symmetric_difference(coordinator, k)
     assert mean_merged[0] == mean_ref[0]
     assert math.isclose(mean_merged[1], mean_ref[1], abs_tol=TOLERANCE)
 
-    median_ref = unsharded.median_topk_symmetric_difference(k)
-    median_merged = coordinator.median_topk_symmetric_difference(k)
+    median_ref = median_topk_symmetric_difference(unsharded, k)
+    median_merged = median_topk_symmetric_difference(coordinator, k)
     assert median_merged[0] == median_ref[0]
     assert math.isclose(median_merged[1], median_ref[1], abs_tol=TOLERANCE)
 
-    foot_ref = unsharded.mean_topk_footrule(k)
-    foot_merged = coordinator.mean_topk_footrule(k)
+    foot_ref = mean_topk_footrule(unsharded, k)
+    foot_merged = mean_topk_footrule(coordinator, k)
     assert foot_merged[0] == foot_ref[0]
     assert math.isclose(foot_merged[1], foot_ref[1], abs_tol=TOLERANCE)
 
-    inter_ref = unsharded.mean_topk_intersection(k)
-    inter_merged = coordinator.mean_topk_intersection(k)
+    inter_ref = mean_topk_intersection(unsharded, k)
+    inter_merged = mean_topk_intersection(coordinator, k)
     # Assignment optima can tie; the expected distances must agree exactly.
     assert math.isclose(inter_merged[1], inter_ref[1], abs_tol=TOLERANCE)
 
@@ -141,9 +151,9 @@ class TestTupleIndependentParity:
                         reference.value(first, second)
                         - merged.value(first, second)
                     ) < TOLERANCE
-            assert coordinator.approximate_topk_kendall(
-                K
-            ) == unsharded.approximate_topk_kendall(K)
+            assert approximate_topk_kendall(
+                coordinator, K
+            ) == approximate_topk_kendall(unsharded, K)
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_expected_ranks_and_baselines(self, backend_name):
@@ -157,10 +167,10 @@ class TestTupleIndependentParity:
             assert set(reference) == set(merged)
             for key, expected in reference.items():
                 assert abs(merged[key] - expected) < TOLERANCE
-            assert coordinator.expected_rank_topk(
-                K
-            ) == unsharded.expected_rank_topk(K)
-            assert coordinator.global_topk(K) == unsharded.global_topk(K)
+            assert expected_rank_topk(
+                coordinator, K
+            ) == expected_rank_topk(unsharded, K)
+            assert global_topk(coordinator, K) == global_topk(unsharded, K)
 
 
 class TestBlockIndependentParity:
@@ -303,7 +313,7 @@ class TestShardedDatabase:
         database = random_tuple_independent_database(12, rng=31)
         sharded = ShardedDatabase(database, 4, partitioner="hash")
         coordinator = sharded.coordinator()
-        coordinator.mean_topk_symmetric_difference(3)
+        mean_topk_symmetric_difference(coordinator, 3)
         victims = []
         sharded.subscribe(lambda index, key: victims.append((index, key)))
         target = sharded.keys()[0]
@@ -463,8 +473,8 @@ class TestShardedDatabase:
         baseline = sharded.cache_info()
         assert isinstance(baseline, CacheInfo)
         coordinator = sharded.coordinator()
-        coordinator.mean_topk_symmetric_difference(3)
-        coordinator.mean_topk_footrule(3)
+        mean_topk_symmetric_difference(coordinator, 3)
+        mean_topk_footrule(coordinator, 3)
         rolled = sharded.cache_info()
         assert rolled.misses > 0
         assert rolled.requests == rolled.hits + rolled.misses
@@ -480,86 +490,66 @@ class TestShardedDatabase:
         sharded = ShardedDatabase(database, 3)
         session = as_session(sharded)
         assert session is sharded.coordinator()
-        from repro.consensus.topk.symmetric_difference import (
-            mean_topk_symmetric_difference,
-        )
-
         module_level = mean_topk_symmetric_difference(sharded, 3)
-        assert module_level == session.mean_topk_symmetric_difference(3)
+        assert module_level == mean_topk_symmetric_difference(session, 3)
 
 
-class TestCoordinatorFromStaticSources:
-    def test_sessions_and_trees_merge(self):
-        left = TupleIndependentDatabase(
-            [("a", 9.0, 0.5), ("b", 7.0, 0.8)]
+class TestCoordinatorConstruction:
+    def test_shards_merge_in_score_order(self):
+        rows = [
+            ("a", 9.0, 0.5),
+            ("b", 7.0, 0.8),
+            ("c", 8.0, 0.4),
+            ("d", 6.0, 1.0),
+        ]
+        sharded = ShardedDatabase(
+            rows, 2, partitioner=lambda key: 0 if key in ("a", "b") else 1
         )
-        right = TupleIndependentDatabase(
-            [("c", 8.0, 0.4), ("d", 6.0, 1.0)]
-        )
-        coordinator = ShardedQuerySession([left.tree, QuerySession(right.tree)])
-        oracle = QuerySession(
-            TupleIndependentDatabase(
-                [
-                    ("a", 9.0, 0.5),
-                    ("b", 7.0, 0.8),
-                    ("c", 8.0, 0.4),
-                    ("d", 6.0, 1.0),
-                ]
-            ).tree
-        )
+        coordinator = sharded.coordinator()
+        oracle = QuerySession(TupleIndependentDatabase(rows).tree)
         assert coordinator.keys() == ["a", "c", "b", "d"]
         assert_rank_matrix_parity(oracle, coordinator)
         assert_consensus_parity(oracle, coordinator, 2)
 
-    def test_duplicate_keys_rejected(self):
-        left = TupleIndependentDatabase([("a", 9.0, 0.5)])
-        right = TupleIndependentDatabase([("a", 8.0, 0.4)])
-        with pytest.raises(ModelError):
-            ShardedQuerySession([left.tree, right.tree]).keys()
-
-    def test_cross_shard_tie_rejected(self):
-        left = TupleIndependentDatabase([("a", 9.0, 0.5)])
-        right = TupleIndependentDatabase([("b", 9.0, 0.4)])
-        with pytest.raises(ModelError):
-            ShardedQuerySession([left.tree, right.tree]).rank_matrix()
-
-    def test_rank_matrix_validates_duplicate_keys_directly(self):
-        # The merge itself must fail loudly on invalid shardings, not just
-        # the layout-touching accessors.
-        left = TupleIndependentDatabase([("a", 9.0, 0.5), ("b", 7.0, 0.3)])
-        right = TupleIndependentDatabase([("a", 8.0, 0.4)])
-        with pytest.raises(ModelError):
-            ShardedQuerySession([left.tree, right.tree]).rank_matrix(2)
-
-    def test_single_source_rejected(self):
+    def test_non_database_sources_rejected(self):
         database = small_tuple_independent(2, count=4)
         with pytest.raises(TypeError):
             ShardedQuerySession(database.tree)
+        with pytest.raises(TypeError):
+            ShardedQuerySession([database.tree, QuerySession(database.tree)])
 
     def test_shard_session_invalidation_propagates(self):
-        left = QuerySession(
-            TupleIndependentDatabase([("a", 9.0, 0.5), ("b", 7.0, 0.8)]).tree
+        sharded = ShardedDatabase(
+            [("a", 9.0, 0.5), ("b", 7.0, 0.8), ("c", 8.0, 0.4)],
+            2,
+            partitioner=lambda key: 0 if key in ("a", "b") else 1,
         )
-        right = QuerySession(
-            TupleIndependentDatabase([("c", 8.0, 0.4)]).tree
-        )
-        coordinator = ShardedQuerySession([left, right])
+        coordinator = sharded.coordinator()
         coordinator.rank_matrix()
         entries_before = coordinator.cache_info().entries
         assert entries_before > 0
-        left.invalidate()
+        sharded.sessions()[0].invalidate()
         coordinator.rank_matrix()
         assert coordinator.generation == 1
 
     def test_set_scoring_rejected(self):
-        coordinator = ShardedQuerySession(
-            [
-                TupleIndependentDatabase([("a", 9.0, 0.5)]).tree,
-                TupleIndependentDatabase([("b", 8.0, 0.4)]).tree,
-            ]
-        )
+        coordinator = ShardedDatabase(
+            [("a", 9.0, 0.5), ("b", 8.0, 0.4)], 2
+        ).coordinator()
         with pytest.raises(ValueError):
             coordinator.set_scoring(lambda alternative: 0.0)
+
+    def test_cross_shard_tie_rejected(self):
+        # Each shard holds one row, so only the coordinator's merge sees
+        # that the two shards tie on score.
+        sharded = ShardedDatabase(
+            [("a", 9.0, 0.5), ("b", 9.0, 0.4)],
+            2,
+            partitioner=lambda key: 0 if key == "a" else 1,
+            validate_scores=False,
+        )
+        with pytest.raises(ModelError, match="of different shards share"):
+            ShardedQuerySession(sharded).rank_matrix()
 
 
 class TestMergedTreeFallbacks:
@@ -583,11 +573,11 @@ class TestMergedTreeFallbacks:
         database = small_tuple_independent(6, count=5)
         unsharded = QuerySession(database.tree)
         coordinator = ShardedDatabase(database, 2).coordinator()
-        assert coordinator.mean_world_symmetric_difference() == (
-            unsharded.mean_world_symmetric_difference()
+        assert mean_world_symmetric_difference(coordinator.tree) == (
+            mean_world_symmetric_difference(unsharded.tree)
         )
-        assert coordinator.mean_world_jaccard() == (
-            unsharded.mean_world_jaccard()
+        assert mean_world_jaccard_tuple_independent(coordinator.tree) == (
+            mean_world_jaccard_tuple_independent(unsharded.tree)
         )
 
     def test_sampler_runs_on_merged_tree(self):
