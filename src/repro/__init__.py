@@ -246,9 +246,8 @@ The ``repro`` console script (``[project.scripts]``; also
 protocol from a terminal -- ``repro serve --scenario movie_ratings
 --shards 4``, then ``repro query mean_topk_footrule -k 5``,
 ``repro explain``, ``repro top`` (live qps/latency/admissions deltas) and
-``repro health``.  It renders through ``typer``/``rich`` when they are
-importable and falls back to ``argparse`` + plain tables otherwise
-(``REPRO_CLI_PLAIN=1`` forces the fallback).
+``repro health``.  It needs only the standard library: ``argparse``
+commands and plain-text tables.
 """
 
 from repro.core.tuples import TupleAlternative

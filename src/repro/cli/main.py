@@ -7,12 +7,9 @@ the planner's explain() for a query, ``top`` renders a per-kind
 latency/throughput table from two ``/metrics`` scrapes, and ``health``
 reports liveness and breaker state.
 
-Dependency policy (SNIPPETS Snippet 3 idiom): ``rich`` renders the
-tables when it is importable and ``typer`` drives the command parsing
-when *it* is importable -- but both are strictly optional.  The base
-image carries neither, so the argparse + plain-text path is the one the
-test suite exercises end to end; the rich/typer paths degrade to it on
-any import failure.  ``REPRO_CLI_PLAIN=1`` forces the plain path.
+Dependency policy: standard library only.  ``argparse`` parses the
+commands and tables render as aligned plain text, so the client runs
+wherever the package does.
 """
 
 from __future__ import annotations
@@ -20,10 +17,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ReproError
 
@@ -32,42 +28,17 @@ EXIT_ERROR = 1
 
 
 # ----------------------------------------------------------------------
-# Rendering (rich when importable, plain text otherwise)
+# Rendering
 # ----------------------------------------------------------------------
-def _use_rich() -> bool:
-    if os.environ.get("REPRO_CLI_PLAIN"):
-        return False
-    try:
-        import rich.console  # noqa: F401
-        import rich.table  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
 def render_table(
     title: str,
     headers: Sequence[str],
     rows: Sequence[Sequence[Any]],
     out: Any = None,
 ) -> None:
-    """One table, rich when available, aligned plain text otherwise."""
+    """One table as aligned plain text."""
     out = out if out is not None else sys.stdout
     cells = [[str(cell) for cell in row] for row in rows]
-    if _use_rich():
-        try:
-            from rich.console import Console
-            from rich.table import Table
-
-            table = Table(title=title)
-            for header in headers:
-                table.add_column(header)
-            for row in cells:
-                table.add_row(*row)
-            Console(file=out).print(table)
-            return
-        except Exception:
-            pass  # fall through to plain text
     widths = [
         max(len(str(header)), *(len(row[i]) for row in cells))
         if cells
@@ -111,7 +82,7 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Subcommand cores (shared by the argparse and typer front ends)
+# Subcommand cores
 # ----------------------------------------------------------------------
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.models import ShardedDatabase
@@ -368,9 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argparse_main(argv: List[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The ``repro`` console-script entry point."""
+    args = build_parser().parse_args(
+        list(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.handler(args)
     except ReproError as error:
@@ -379,157 +352,6 @@ def _argparse_main(argv: List[str]) -> int:
     except ConnectionError as error:
         print(f"connection error: {error}", file=sys.stderr)
         return EXIT_ERROR
-
-
-# ----------------------------------------------------------------------
-# typer front end (optional; falls back to argparse on any failure)
-# ----------------------------------------------------------------------
-def _typer_main(argv: List[str]) -> int:
-    """Drive the same subcommand cores through a typer application.
-
-    Built lazily and only when ``typer`` imports; any wiring failure
-    falls back to argparse in :func:`main`.  The typer surface is a thin
-    veneer: every command immediately re-enters the shared ``cmd_*``
-    functions with an argparse-style namespace, so behaviour is
-    identical on both front ends.
-    """
-    import typer
-
-    app = typer.Typer(
-        name="repro",
-        help="Client and server for the repro consensus front door.",
-        add_completion=False,
-    )
-
-    def _namespace(**values: Any) -> argparse.Namespace:
-        return argparse.Namespace(**values)
-
-    @app.command()
-    def serve(
-        scenario: str = "movie_ratings",
-        scale: float = 1.0,
-        shards: int = 4,
-        executor: str = "threads",
-        host: str = "127.0.0.1",
-        port: int = 8765,
-        max_inflight: int = 64,
-        deadline_ms: Optional[float] = None,
-        seed: int = 11,
-        runtime_s: Optional[float] = None,
-        address_file: Optional[str] = None,
-    ) -> None:
-        raise SystemExit(
-            cmd_serve(
-                _namespace(
-                    scenario=scenario,
-                    scale=scale,
-                    shards=shards,
-                    executor=executor,
-                    host=host,
-                    port=port,
-                    max_inflight=max_inflight,
-                    deadline_ms=deadline_ms,
-                    seed=seed,
-                    runtime_s=runtime_s,
-                    address_file=address_file,
-                )
-            )
-        )
-
-    @app.command()
-    def query(
-        kind: str,
-        k: Optional[int] = None,
-        param: List[str] = [],  # noqa: B006 - typer reads the default
-        deadline_ms: Optional[float] = None,
-        json_output: bool = False,
-        host: str = "127.0.0.1",
-        port: int = 8765,
-        timeout: float = 30.0,
-    ) -> None:
-        raise SystemExit(
-            cmd_query(
-                _namespace(
-                    kind=kind,
-                    k=k,
-                    param=list(param),
-                    deadline_ms=deadline_ms,
-                    json=json_output,
-                    host=host,
-                    port=port,
-                    timeout=timeout,
-                )
-            )
-        )
-
-    @app.command()
-    def explain(
-        kind: Optional[str] = None,
-        k: Optional[int] = None,
-        fingerprint: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 8765,
-        timeout: float = 30.0,
-    ) -> None:
-        raise SystemExit(
-            cmd_explain(
-                _namespace(
-                    kind=kind,
-                    k=k,
-                    fingerprint=fingerprint,
-                    host=host,
-                    port=port,
-                    timeout=timeout,
-                )
-            )
-        )
-
-    @app.command()
-    def top(
-        interval: float = 1.0,
-        host: str = "127.0.0.1",
-        port: int = 8765,
-        timeout: float = 30.0,
-    ) -> None:
-        raise SystemExit(
-            cmd_top(
-                _namespace(
-                    interval=interval, host=host, port=port, timeout=timeout
-                )
-            )
-        )
-
-    @app.command()
-    def health(
-        host: str = "127.0.0.1", port: int = 8765, timeout: float = 30.0
-    ) -> None:
-        raise SystemExit(
-            cmd_health(_namespace(host=host, port=port, timeout=timeout))
-        )
-
-    try:
-        app(args=argv, prog_name="repro")
-    except SystemExit as exit_:
-        code = exit_.code
-        return int(code) if isinstance(code, int) else EXIT_OK
-    return EXIT_OK
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """The ``repro`` console-script entry point."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if not os.environ.get("REPRO_CLI_PLAIN"):
-        try:
-            import typer  # noqa: F401
-        except Exception:
-            pass
-        else:
-            try:
-                return _typer_main(arguments)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return EXIT_ERROR
-    return _argparse_main(arguments)
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.andxor.enumeration import enumerate_worlds
 from repro.andxor.sampling import sample_worlds
@@ -30,33 +30,18 @@ from repro.consensus.topk.common import (
     as_session,
     validate_k,
 )
-from repro.consensus.topk.footrule import expected_topk_footrule_distance
-from repro.consensus.topk.intersection import expected_topk_intersection_distance
-from repro.consensus.topk.symmetric_difference import (
-    expected_topk_symmetric_difference,
-)
-from repro.core.topk_distances import (
-    topk_footrule_distance,
-    topk_intersection_distance,
-    topk_kendall_distance,
-    topk_symmetric_difference,
-)
 from repro.exceptions import ConsensusError
 
-#: The Top-k metrics of Section 5.1, keyed by the names used throughout the
-#: library and the benchmark harness.
-TOPK_METRICS: Dict[str, Callable] = {
-    "symmetric_difference": topk_symmetric_difference,
-    "intersection": topk_intersection_distance,
-    "footrule": topk_footrule_distance,
-    "kendall": topk_kendall_distance,
-}
 
-_CLOSED_FORMS: Dict[str, Callable] = {
-    "symmetric_difference": expected_topk_symmetric_difference,
-    "intersection": expected_topk_intersection_distance,
-    "footrule": expected_topk_footrule_distance,
-}
+def __getattr__(name: str) -> Any:
+    # TOPK_METRICS (metric name -> reference distance, the Top-k metrics of
+    # Section 5.1) is read from repro.metrics on first use: the registry
+    # imports this package, so this module cannot import it at load.
+    if name == "TOPK_METRICS":
+        from repro.metrics import TOPK
+
+        return {metric: record.reference for metric, record in TOPK.items()}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +60,6 @@ class AnswerEvaluation:
                 f"{sorted(self.distances)}"
             )
         return self.distances[metric]
-
-
-def _pairwise_distance(metric: str, k: int) -> Callable:
-    base = TOPK_METRICS[metric]
-    if metric == "kendall":
-        return lambda a, b: base(a, b)
-    return lambda a, b: base(a, b, k=k)
 
 
 def evaluate_topk_answer(
@@ -106,23 +84,25 @@ def evaluate_topk_answer(
     k:
         The answer size.
     metrics:
-        Which metrics to evaluate (keys of :data:`TOPK_METRICS`).
+        Which metrics to evaluate (names of :data:`repro.metrics.TOPK`).
     method:
         ``"closed_form"`` (exact, not available for ``"kendall"``),
         ``"enumerate"`` (exact, exponential) or ``"sample"`` (Monte-Carlo).
     """
+    from repro.metrics import TOPK  # lazy: the registry imports this package
+
     session = as_session(source)
     validate_k(session, k)
     answer = tuple(answer)
-    unknown = [m for m in metrics if m not in TOPK_METRICS]
+    unknown = [m for m in metrics if m not in TOPK]
     if unknown:
         raise ConsensusError(
-            f"unknown metrics {unknown}; available: {sorted(TOPK_METRICS)}"
+            f"unknown metrics {unknown}; available: {sorted(TOPK)}"
         )
     distances: Dict[str, float] = {}
     if method == "closed_form":
         for metric in metrics:
-            closed_form = _CLOSED_FORMS.get(metric)
+            closed_form = TOPK[metric].closed_form
             if closed_form is None:
                 raise ConsensusError(
                     f"no closed form is available for metric {metric!r}; "
@@ -132,17 +112,18 @@ def evaluate_topk_answer(
     elif method == "enumerate":
         distribution = enumerate_worlds(session.tree, limit=enumeration_limit)
         for metric in metrics:
-            distance = _pairwise_distance(metric, k)
             distances[metric] = distribution.expectation(
-                lambda world, d=distance: d(answer, world.top_k(k))
+                lambda world, d=TOPK[metric].reference: d(
+                    answer, world.top_k(k), k=k
+                )
             )
     elif method == "sample":
         rng = rng or random.Random(0)
         worlds = sample_worlds(session.tree, samples, rng)
         for metric in metrics:
-            distance = _pairwise_distance(metric, k)
+            distance = TOPK[metric].reference
             distances[metric] = sum(
-                distance(answer, world.top_k(k)) for world in worlds
+                distance(answer, world.top_k(k), k=k) for world in worlds
             ) / len(worlds)
     else:
         raise ConsensusError(

@@ -29,7 +29,6 @@ from itertools import permutations
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.andxor.enumeration import enumerate_worlds
-from repro.andxor.sampling import sample_worlds
 from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
@@ -40,7 +39,7 @@ from repro.consensus.topk.common import (
 )
 from repro.consensus.topk.footrule import mean_topk_footrule
 from repro.core.topk_distances import topk_kendall_distance
-from repro.exceptions import ConsensusError, EnumerationLimitError
+from repro.exceptions import EnumerationLimitError
 from repro.rankagg.pivot import pivot_aggregation
 
 
@@ -57,23 +56,22 @@ def expected_topk_kendall_distance(
 
     ``method`` selects exact evaluation by possible-world enumeration
     (``"enumerate"``, exponential, for small databases) or Monte-Carlo
-    estimation (``"sample"``).
+    estimation (``"sample"``), as in
+    :func:`~repro.consensus.evaluation.evaluate_topk_answer`.
     """
-    session = as_session(source)
-    validate_k(session, k)
-    answer = tuple(answer)
-    if method == "enumerate":
-        distribution = enumerate_worlds(session.tree, limit=enumeration_limit)
-        return distribution.expectation(
-            lambda world: topk_kendall_distance(answer, world.top_k(k))
-        )
-    if method == "sample":
-        rng = rng or random.Random(0)
-        worlds = sample_worlds(session.tree, samples, rng)
-        return sum(
-            topk_kendall_distance(answer, world.top_k(k)) for world in worlds
-        ) / len(worlds)
-    raise ConsensusError(f"unknown evaluation method {method!r}")
+    # Lazy: the evaluation module imports this package.
+    from repro.consensus.evaluation import evaluate_topk_answer
+
+    return evaluate_topk_answer(
+        source,
+        answer,
+        k,
+        metrics=("kendall",),
+        method=method,
+        samples=samples,
+        rng=rng,
+        enumeration_limit=enumeration_limit,
+    ).distance("kendall")
 
 
 def footrule_topk_for_kendall(

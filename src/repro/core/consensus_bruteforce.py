@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from typing import (
+    Any,
     Callable,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -26,12 +26,6 @@ from repro.core.distances import (
     jaccard_distance,
     squared_euclidean_distance,
     symmetric_difference_distance,
-)
-from repro.core.topk_distances import (
-    topk_footrule_distance,
-    topk_intersection_distance,
-    topk_kendall_distance,
-    topk_symmetric_difference,
 )
 from repro.core.tuples import TupleAlternative
 from repro.core.worlds import PossibleWorld, WorldDistribution
@@ -149,24 +143,16 @@ def brute_force_mean_world_jaccard(
 # ----------------------------------------------------------------------
 # Top-k consensus answers (Section 5)
 # ----------------------------------------------------------------------
-_TOPK_DISTANCES: Dict[str, Callable[..., float]] = {
-    "symmetric_difference": topk_symmetric_difference,
-    "intersection": topk_intersection_distance,
-    "footrule": topk_footrule_distance,
-    "kendall": topk_kendall_distance,
-}
+def _topk_metric(name: str) -> Any:
+    """The :mod:`repro.metrics` record of a Top-k distance name."""
+    from repro.metrics import TOPK  # lazy: core sits below consensus
 
-
-def _topk_distance_function(name: str, k: int) -> Callable:
-    if name not in _TOPK_DISTANCES:
+    if name not in TOPK:
         raise ConsensusError(
             f"unknown Top-k distance {name!r}; "
-            f"expected one of {sorted(_TOPK_DISTANCES)}"
+            f"expected one of {sorted(TOPK)}"
         )
-    base = _TOPK_DISTANCES[name]
-    if name == "kendall":
-        return lambda a, b: base(a, b)
-    return lambda a, b: base(a, b, k=k)
+    return TOPK[name]
 
 
 def enumerate_topk_candidates(
@@ -203,14 +189,15 @@ def brute_force_mean_topk(
     """Mean Top-k answer by enumerating every candidate list of length ``k``."""
     if candidate_items is None:
         candidate_items = distribution.tuple_keys()
-    ordered = distance != "symmetric_difference"
-    candidates = enumerate_topk_candidates(candidate_items, k, ordered, limit)
-    distance_function = _topk_distance_function(distance, k)
+    metric = _topk_metric(distance)
+    candidates = enumerate_topk_candidates(
+        candidate_items, k, metric.ordered, limit
+    )
     return best_candidate(
         candidates,
         distribution,
         answer_of=lambda world: world.top_k(k),
-        distance=distance_function,
+        distance=lambda a, b: metric.reference(a, b, k=k),
     )
 
 
@@ -220,15 +207,15 @@ def brute_force_median_topk(
     distance: str = "symmetric_difference",
 ) -> Tuple[Tuple[Hashable, ...], float]:
     """Median Top-k answer: best among the Top-k answers of possible worlds."""
+    metric = _topk_metric(distance)
     candidates = sorted(
         {world.top_k(k) for world in distribution.worlds}, key=repr
     )
-    distance_function = _topk_distance_function(distance, k)
     return best_candidate(
         candidates,
         distribution,
         answer_of=lambda world: world.top_k(k),
-        distance=distance_function,
+        distance=lambda a, b: metric.reference(a, b, k=k),
     )
 
 

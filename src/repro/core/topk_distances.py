@@ -126,7 +126,7 @@ def topk_footrule_distance(
 
 
 def topk_kendall_distance(
-    first: TopKAnswer, second: TopKAnswer
+    first: TopKAnswer, second: TopKAnswer, k: int | None = None
 ) -> float:
     """Kendall tau distance between two Top-k lists.
 
@@ -142,6 +142,9 @@ def topk_kendall_distance(
        second list -- each list necessarily places its own member above the
        other's.
     4. Pairs missing from one list entirely contribute 0.
+
+    ``k`` is accepted so that every Top-k distance is called the same way;
+    ``K^(0)`` depends only on the two lists.
     """
     _validate(first)
     _validate(second)

@@ -45,6 +45,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -61,16 +62,30 @@ except ImportError:  # pragma: no cover - exercised on NumPy-free installs
 RandomSource = Union[random.Random, int, None]
 ScoreFunction = Callable[[Any], float]
 
-#: The metrics understood by the batched Top-k distance estimators.
-TOPK_METRICS = (
-    "symmetric_difference",
-    "footrule",
-    "intersection",
-    "kendall",
-)
-
 _ENV_SEED = "REPRO_SEED"
 _default_rng: Optional[random.Random] = None
+
+
+def _topk_metric(metric: str) -> Any:
+    """The :mod:`repro.metrics` record of a Top-k metric name."""
+    from repro.metrics import TOPK  # lazy: engine sits below consensus
+
+    record = TOPK.get(metric)
+    if record is None:
+        raise ValueError(
+            f"unknown metric {metric!r}; expected one of {tuple(TOPK)}"
+        )
+    return record
+
+
+def __getattr__(name: str) -> Any:
+    # TOPK_METRICS is read from the registry on first use, because the
+    # registry imports repro.consensus, which imports this module.
+    if name == "TOPK_METRICS":
+        from repro.metrics import TOPK
+
+        return tuple(TOPK)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -563,131 +578,127 @@ class WorldBatch:
         """Per-sample Top-k distance of ``answer`` against each world.
 
         ``metric`` is one of :data:`TOPK_METRICS`.  The NumPy backend runs
-        the fully vectorized formulas; the pure backend evaluates the
-        reference distances of :mod:`repro.core.topk_distances` per sample,
+        the metric's vectorised estimator; the pure backend evaluates its
+        reference distance (:mod:`repro.core.topk_distances`) per sample,
         so the two paths are mutually parity-testable.
         """
-        if metric not in TOPK_METRICS:
-            raise ValueError(
-                f"unknown metric {metric!r}; expected one of {TOPK_METRICS}"
-            )
+        record = _topk_metric(metric)
         self._layout.require_topk_scores()
         positions = self._layout.candidate_positions(answer, k)
         if _np is not None and isinstance(self._presence, _np.ndarray):
-            return self._distances_vectorized(positions, k, metric)
-        return self._distances_reference(answer, k, metric)
-
-    def _distances_reference(
-        self, answer: Sequence[Hashable], k: int, metric: str
-    ) -> List[float]:
-        from repro.core import topk_distances as reference
-
+            view = _sample_view(self._presence, positions, k)
+            return record.estimator(view, k).astype(float).tolist()
         candidate = tuple(answer)
-        answers = self.topk_answers(k)
-        if metric == "symmetric_difference":
-            return [
-                reference.topk_symmetric_difference(candidate, world, k=k)
-                for world in answers
-            ]
-        if metric == "footrule":
-            return [
-                reference.topk_footrule_distance(candidate, world, k=k)
-                for world in answers
-            ]
-        if metric == "intersection":
-            return [
-                reference.topk_intersection_distance(candidate, world, k=k)
-                for world in answers
-            ]
         return [
-            reference.topk_kendall_distance(candidate, world)
-            for world in answers
+            record.reference(candidate, world, k=k)
+            for world in self.topk_answers(k)
         ]
 
-    def _distances_vectorized(
-        self, positions: List[int], k: int, metric: str
-    ) -> List[float]:
-        presence = self._presence
-        ranks = _np.cumsum(presence, axis=1, dtype=_np.int32)
-        sizes = ranks[:, -1] if ranks.shape[1] else _np.zeros(
-            self._samples, dtype=_np.int32
-        )
-        in_topk = presence & (ranks <= k)
-        world_len = _np.minimum(sizes, k)  # |τ_pw| per sample
-        candidate = _np.asarray(positions, dtype=_np.int32)
-        matched = in_topk & (candidate > 0)
-        intersection = matched.sum(axis=1)
 
-        if metric == "symmetric_difference":
-            distances = (
-                (k - intersection) + (world_len - intersection)
-            ) / (2.0 * k)
-            return distances.tolist()
+# ----------------------------------------------------------------------
+# Vectorised Top-k estimators (NumPy presence matrices)
+# ----------------------------------------------------------------------
+class SampleView(NamedTuple):
+    """The arrays of one batch that every vectorised estimator reads."""
 
-        if metric == "footrule":
-            # Matched items pay |i - j|; candidate items outside the world
-            # Top-k pay (k+1) - i; world Top-k items outside the candidate
-            # pay (k+1) - j (missing elements sit at location ℓ = k + 1).
-            both = _np.where(matched, _np.abs(ranks - candidate), 0).sum(axis=1)
-            matched_positions = _np.where(
-                matched, (k + 1) - candidate, 0
-            ).sum(axis=1)
-            candidate_only = k * (k + 1) / 2.0 - matched_positions
-            extra = in_topk & (candidate == 0)
-            world_only = _np.where(extra, (k + 1) - ranks, 0).sum(axis=1)
-            return (both + candidate_only + world_only).astype(float).tolist()
+    ranks: Any  # running count of present leaves along each row
+    in_topk: Any
+    candidate: Any  # per leaf: 1-based position in the answer, 0 = absent
+    matched: Any  # in the sample's Top-k and in the candidate answer
+    intersection: Any
+    world_len: Any  # |τ_pw| per sample
 
-        if metric == "intersection":
-            # d_I = (1/k) Σ_i |Δ_i| / (2i); a matched item with positions
-            # (i1, i2) joins both prefixes from i = max(i1, i2) on, so its
-            # harmonic contribution telescopes to H_k - H_{max-1}.
-            harmonic = _np.concatenate(
-                ([0.0], _np.cumsum(1.0 / _np.arange(1, k + 1)))
-            )
-            latest = _np.clip(_np.maximum(ranks, candidate), 1, k)
-            common = _np.where(
-                matched, harmonic[k] - harmonic[latest - 1], 0.0
-            ).sum(axis=1)
-            base = k / 2.0 + 0.5 * (
-                world_len + world_len * (harmonic[k] - harmonic[world_len])
-            )
-            return ((base - common) / k).tolist()
 
-        # Kendall K^(0): inversions among matched pairs, plus the forced
-        # disagreements involving items present in only one of the lists.
-        world_rank = _np.zeros((self._samples, k), dtype=_np.int32)
-        rows, columns = _np.nonzero(matched)
-        _np.add.at(
-            world_rank,
-            (rows, candidate[columns] - 1),
-            ranks[rows, columns],
-        )
-        present = world_rank > 0
-        upper = _np.triu(_np.ones((k, k), dtype=bool), 1)
-        first = world_rank[:, :, None]
-        second = world_rank[:, None, :]
-        both_present = present[:, :, None] & present[:, None, :]
-        # Case 1: both items in both lists, ordered oppositely.
-        inversions = ((both_present & (first > second))[:, upper]).sum(axis=1)
-        # Case 2a: both in the candidate, only the later one in the world's
-        # Top-k (the world necessarily ranks its member above the missing one).
-        half_candidate = (
-            (~present[:, :, None] & present[:, None, :])[:, upper]
-        ).sum(axis=1)
-        # Case 2b: both in the world's Top-k, only one in the candidate.
-        outside = _np.zeros((self._samples, k), dtype=_np.int32)
-        extra = in_topk & (candidate == 0)
-        rows, columns = _np.nonzero(extra)
-        _np.add.at(outside, (rows, ranks[rows, columns] - 1), 1)
-        outside_before = _np.cumsum(outside, axis=1)
-        gathered = _np.take_along_axis(
-            outside_before, _np.clip(world_rank, 1, k) - 1, axis=1
-        )
-        half_world = _np.where(present, gathered, 0).sum(axis=1)
-        # Case 3: items appearing in exactly one list each.
-        cross = (k - intersection) * (world_len - intersection)
-        total = inversions + half_candidate + half_world + cross
-        return total.astype(float).tolist()
+def _sample_view(presence: Any, positions: List[int], k: int) -> SampleView:
+    ranks = _np.cumsum(presence, axis=1, dtype=_np.int32)
+    sizes = ranks[:, -1] if ranks.shape[1] else _np.zeros(
+        presence.shape[0], dtype=_np.int32
+    )
+    in_topk = presence & (ranks <= k)
+    world_len = _np.minimum(sizes, k)
+    candidate = _np.asarray(positions, dtype=_np.int32)
+    matched = in_topk & (candidate > 0)
+    intersection = matched.sum(axis=1)
+    return SampleView(
+        ranks, in_topk, candidate, matched, intersection, world_len
+    )
+
+
+def symmetric_difference_kernel(view: SampleView, k: int) -> Any:
+    _, _, _, _, intersection, world_len = view
+    return ((k - intersection) + (world_len - intersection)) / (2.0 * k)
+
+
+def footrule_kernel(view: SampleView, k: int) -> Any:
+    ranks, in_topk, candidate, matched, _, _ = view
+    # Matched items pay |i - j|; candidate items outside the world
+    # Top-k pay (k+1) - i; world Top-k items outside the candidate
+    # pay (k+1) - j (missing elements sit at location ℓ = k + 1).
+    both = _np.where(matched, _np.abs(ranks - candidate), 0).sum(axis=1)
+    matched_positions = _np.where(
+        matched, (k + 1) - candidate, 0
+    ).sum(axis=1)
+    candidate_only = k * (k + 1) / 2.0 - matched_positions
+    extra = in_topk & (candidate == 0)
+    world_only = _np.where(extra, (k + 1) - ranks, 0).sum(axis=1)
+    return both + candidate_only + world_only
+
+
+def intersection_kernel(view: SampleView, k: int) -> Any:
+    ranks, _, candidate, matched, _, world_len = view
+    # d_I = (1/k) Σ_i |Δ_i| / (2i); a matched item with positions
+    # (i1, i2) joins both prefixes from i = max(i1, i2) on, so its
+    # harmonic contribution telescopes to H_k - H_{max-1}.
+    harmonic = _np.concatenate(
+        ([0.0], _np.cumsum(1.0 / _np.arange(1, k + 1)))
+    )
+    latest = _np.clip(_np.maximum(ranks, candidate), 1, k)
+    common = _np.where(
+        matched, harmonic[k] - harmonic[latest - 1], 0.0
+    ).sum(axis=1)
+    base = k / 2.0 + 0.5 * (
+        world_len + world_len * (harmonic[k] - harmonic[world_len])
+    )
+    return (base - common) / k
+
+
+def kendall_kernel(view: SampleView, k: int) -> Any:
+    ranks, in_topk, candidate, matched, intersection, world_len = view
+    samples = len(ranks)
+    # Kendall K^(0): inversions among matched pairs, plus the forced
+    # disagreements involving items present in only one of the lists.
+    world_rank = _np.zeros((samples, k), dtype=_np.int32)
+    rows, columns = _np.nonzero(matched)
+    _np.add.at(
+        world_rank,
+        (rows, candidate[columns] - 1),
+        ranks[rows, columns],
+    )
+    present = world_rank > 0
+    upper = _np.triu(_np.ones((k, k), dtype=bool), 1)
+    first = world_rank[:, :, None]
+    second = world_rank[:, None, :]
+    both_present = present[:, :, None] & present[:, None, :]
+    # Case 1: both items in both lists, ordered oppositely.
+    inversions = ((both_present & (first > second))[:, upper]).sum(axis=1)
+    # Case 2a: both in the candidate, only the later one in the world's
+    # Top-k (the world necessarily ranks its member above the missing one).
+    half_candidate = (
+        (~present[:, :, None] & present[:, None, :])[:, upper]
+    ).sum(axis=1)
+    # Case 2b: both in the world's Top-k, only one in the candidate.
+    outside = _np.zeros((samples, k), dtype=_np.int32)
+    extra = in_topk & (candidate == 0)
+    rows, columns = _np.nonzero(extra)
+    _np.add.at(outside, (rows, ranks[rows, columns] - 1), 1)
+    outside_before = _np.cumsum(outside, axis=1)
+    gathered = _np.take_along_axis(
+        outside_before, _np.clip(world_rank, 1, k) - 1, axis=1
+    )
+    half_world = _np.where(present, gathered, 0).sum(axis=1)
+    # Case 3: items appearing in exactly one list each.
+    cross = (k - intersection) * (world_len - intersection)
+    return inversions + half_candidate + half_world + cross
 
 
 # ----------------------------------------------------------------------
@@ -796,10 +807,7 @@ class MonteCarloSampler:
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
-        if metric not in TOPK_METRICS:
-            raise ValueError(
-                f"unknown metric {metric!r}; expected one of {TOPK_METRICS}"
-            )
+        _topk_metric(metric)  # validate eagerly
         answer = tuple(answer)
         self._layout.candidate_positions(answer, k)  # validate eagerly
         generator = self._resolve(rng)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ConsensusError
+from repro.metrics import TOPK, WORLD
 
 #: Query families (what object is being asked for).
 FAMILIES = (
@@ -37,10 +38,10 @@ FAMILIES = (
 )
 
 #: Distance metrics valid for Top-k queries (Section 5).
-TOPK_DISTANCES = ("symmetric_difference", "footrule", "intersection", "kendall")
+TOPK_DISTANCES = tuple(TOPK)
 
 #: Distance metrics valid for world (set-consensus) queries (Section 4).
-WORLD_DISTANCES = ("symmetric_difference", "jaccard")
+WORLD_DISTANCES = tuple(WORLD)
 
 #: Consensus statistics (mean minimizes expected distance; median picks the
 #: best *possible* answer).
@@ -52,13 +53,6 @@ MODES = ("auto", "exact", "approximate", "sample")
 
 #: Baseline ranking semantics for the ``ranking`` family.
 RANKING_SEMANTICS = ("global", "expected_rank")
-
-#: Metrics that admit a mean/median beyond the symmetric difference.
-_MEDIAN_TOPK_DISTANCES = ("symmetric_difference",)
-
-#: Metrics with a dedicated approximation algorithm (H_k greedy for the
-#: intersection metric, pivot aggregation for Kendall tau).
-_APPROXIMABLE_TOPK_DISTANCES = ("intersection", "kendall")
 
 
 #: The named query kinds.  Each name denotes one query shape
@@ -210,22 +204,18 @@ class ConsensusQuery:
                     f"unknown Top-k distance {self.metric!r}; expected one "
                     f"of {TOPK_DISTANCES}"
                 )
-            if (
-                self.statistic == "median"
-                and self.metric not in _MEDIAN_TOPK_DISTANCES
-            ):
+            record = TOPK[self.metric]
+            if self.statistic == "median" and record.median is None:
                 raise ConsensusError(
                     f"median Top-k answers are only implemented for "
-                    f"{_MEDIAN_TOPK_DISTANCES} (got {self.metric!r})"
+                    f"{tuple(n for n, m in TOPK.items() if m.median)} "
+                    f"(got {self.metric!r})"
                 )
-            if (
-                self.mode == "approximate"
-                and self.metric not in _APPROXIMABLE_TOPK_DISTANCES
-            ):
+            if self.mode == "approximate" and record.approximation is None:
                 raise ConsensusError(
                     f"no approximation algorithm exists for the "
                     f"{self.metric!r} metric (approximations: "
-                    f"{_APPROXIMABLE_TOPK_DISTANCES})"
+                    f"{tuple(n for n, m in TOPK.items() if m.approximation)})"
                 )
         elif self.family == "world":
             if self.metric not in WORLD_DISTANCES:

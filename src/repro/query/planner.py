@@ -3,14 +3,18 @@
 The paper's central contribution is a taxonomy: every consensus query /
 distance-function pair comes with an exact PTIME algorithm, an
 approximation with a guarantee, or an NP-hardness result that forces
-Monte-Carlo estimation.  :class:`Planner` encodes that taxonomy as data
-(:data:`HARDNESS_MAP`), inspects the execution target (model layout,
-database size, sharding, active backend) and picks the execution path:
+Monte-Carlo estimation.  That taxonomy is declared once, one record per
+distance, in :mod:`repro.metrics`; :data:`HARDNESS_MAP` is derived from
+it plus the entries of the metric-free families.  :class:`Planner` reads
+the records, inspects the execution target (model layout, database size,
+sharding, active backend) and picks the execution path:
 
 * **exact** -- the PTIME kernel (or, for NP-hard distances on tiny
   databases, exhaustive enumeration);
 * **approximate** -- the paper's approximation algorithm (``H_k`` greedy
-  for the intersection metric, pivot aggregation for Kendall tau);
+  for the intersection metric, pivot aggregation for Kendall tau), or an
+  exact algorithm run on a layout its optimality proof does not cover
+  (Lemma 2's prefix scan outside tuple-independent data);
 * **sample** -- the batched :class:`~repro.engine.MonteCarloSampler` with
   confidence-interval-driven sample sizing, the fallback the hardness
   results prescribe.
@@ -22,7 +26,6 @@ serving dispatch.
 
 from __future__ import annotations
 
-import math
 import numbers
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -30,29 +33,9 @@ from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.tree import AndXorTree
 from repro.baselines.ranking import expected_rank_topk, global_topk
-from repro.consensus.jaccard import (
-    mean_world_jaccard_tuple_independent,
-    median_world_jaccard_bid,
-)
-from repro.consensus.set_consensus import (
-    mean_world_symmetric_difference,
-    median_world_symmetric_difference,
-)
-from repro.consensus.topk.footrule import mean_topk_footrule
-from repro.consensus.topk.intersection import (
-    approximate_topk_intersection,
-    mean_topk_intersection,
-)
-from repro.consensus.topk.kendall import (
-    approximate_topk_kendall,
-    brute_force_mean_topk_kendall,
-)
-from repro.consensus.topk.symmetric_difference import (
-    mean_topk_symmetric_difference,
-    median_topk_symmetric_difference,
-)
 from repro.exceptions import PlanningError
-from repro.query.builder import ConsensusQuery
+from repro.metrics import METRICS, TOPK, WORLD, Algorithm
+from repro.query.builder import STATISTICS, ConsensusQuery
 from repro.query.plan import (
     ExecutionPlan,
     ExecutionResult,
@@ -66,64 +49,15 @@ from repro.session import QuerySession
 # The paper's hardness map
 # ----------------------------------------------------------------------
 #: ``(family, metric, statistic) -> HardnessEntry``.  ``explain()`` surfaces
-#: these entries, naming the paper result behind every route choice.
+#: these entries, naming the paper result behind every route choice.  The
+#: metric rows are the claims of :mod:`repro.metrics`.
 HARDNESS_MAP: Dict[Tuple[str, Optional[str], str], HardnessEntry] = {
-    ("topk", "symmetric_difference", "mean"): HardnessEntry(
-        "ptime",
-        "Theorem 3",
-        "the mean Top-k answer under d_Delta is the k tuples with the "
-        "largest Pr(r(t) <= k), one rank-matrix sweep",
-    ),
-    ("topk", "symmetric_difference", "median"): HardnessEntry(
-        "ptime",
-        "Theorem 4",
-        "the median Top-k answer under d_Delta is recovered exactly from "
-        "per-size best-world tables",
-    ),
-    ("topk", "footrule", "mean"): HardnessEntry(
-        "ptime",
-        "Section 5.4",
-        "the mean Top-k answer under Spearman footrule reduces to one "
-        "min-cost assignment over the Upsilon tables",
-    ),
-    ("topk", "intersection", "mean"): HardnessEntry(
-        "ptime",
-        "Section 5.3",
-        "exact mean answer under the intersection metric; an H_k-factor "
-        "greedy approximation is also available",
-    ),
-    ("topk", "kendall", "mean"): HardnessEntry(
-        "np-hard",
-        "Section 5.5",
-        "exact mean answers under Kendall tau are NP-hard (Kemeny rank "
-        "aggregation embeds); the paper prescribes the footrule "
-        "2-approximation, pivot aggregation, or Monte-Carlo estimation",
-    ),
-    ("world", "symmetric_difference", "mean"): HardnessEntry(
-        "ptime",
-        "Theorem 2",
-        "the mean world under d_Delta keeps every alternative with "
-        "membership probability > 1/2",
-    ),
-    ("world", "symmetric_difference", "median"): HardnessEntry(
-        "ptime",
-        "Corollary 1 / Section 4.1",
-        "exact tree DP on and/xor trees; NP-hard under arbitrary "
-        "correlations (MAX-2-SAT reduction)",
-    ),
-    ("world", "jaccard", "mean"): HardnessEntry(
-        "ptime",
-        "Lemma 2",
-        "the mean world under Jaccard is a prefix of the tuples sorted by "
-        "decreasing probability (prefix structure optimal for "
-        "tuple-independent layouts)",
-    ),
-    ("world", "jaccard", "median"): HardnessEntry(
-        "ptime",
-        "Section 4.2",
-        "the median world under Jaccard scans prefixes of per-block "
-        "highest-probability representatives (BID layouts)",
-    ),
+    **{
+        (m.family, m.name, statistic): m.exact(statistic).hardness
+        for m in METRICS
+        for statistic in STATISTICS
+        if m.exact(statistic) is not None
+    },
     ("membership", None, "mean"): HardnessEntry(
         "ptime",
         "Section 3",
@@ -471,150 +405,59 @@ class Planner:
 
     def _plan_topk(self, query: ConsensusQuery, profile: TargetProfile):
         k = query.k
-        n = profile.n
-        metric = query.metric
-        if metric == "kendall":
-            return self._plan_topk_kendall(query, profile)
-        if query.mode == "sample":
-            return self._sample_route(query, profile)
-        route, algorithm = "exact", _exact_topk_algorithm(query)
-        if metric == "intersection" and query.mode == "approximate":
-            route, algorithm = "approximate", approximate_topk_intersection
-        name, cost, cost_note, artifacts = {
-            mean_topk_symmetric_difference: (
-                "mean_topk_symmetric_difference (Theorem 3 rank-matrix "
-                "kernel)",
-                float(n) * k,
-                "one truncated rank-matrix sweep (n x k)",
-                (("rank_matrix", (k,)),),
-            ),
-            median_topk_symmetric_difference: (
-                "median_topk_symmetric_difference (Theorem 4 size-table "
-                "merge)",
-                float(n) * k + float(n) ** 2,
-                "rank sweep n*k + per-size best-world tables n^2",
-                (("rank_matrix", (k,)), ("top_k_membership", (k,))),
-            ),
-            mean_topk_footrule: (
-                "mean_topk_footrule (Section 5.4 min-cost assignment over "
-                "the Upsilon tables)",
-                float(n) * k + float(k) ** 3,
-                "footrule cost matrix n*k + assignment k^3",
-                (("rank_matrix", (k,)), ("footrule_statistics", (k,))),
-            ),
-            approximate_topk_intersection: (
-                "approximate_topk_intersection (H_k-factor greedy)",
-                float(n) * k,
-                "rank sweep n*k + greedy selection",
-                (("rank_matrix", (k,)),),
-            ),
-            mean_topk_intersection: (
-                "mean_topk_intersection (Section 5.3 exact kernel)",
-                float(n) * k,
-                "one truncated rank-matrix sweep (n x k)",
-                (("rank_matrix", (k,)), ("cumulative_rank_matrix", (k,))),
-            ),
-        }[algorithm]
-        return (
-            route,
-            name,
-            cost,
-            cost_note,
-            artifacts,
-            True,
-            lambda session, rng: ExecutionResult(algorithm(session, k)),
-        )
-
-    def _plan_topk_kendall(
-        self, query: ConsensusQuery, profile: TargetProfile
-    ):
-        k = query.k
-        n = profile.n
+        metric = TOPK[query.metric]
+        exact = metric.exact(query.statistic)
+        # An NP-hard distance gets the paper's fallback: enumeration on
+        # tiny inputs, else pivoting on the pairwise preference grid.
+        pivot = exact.hardness.complexity == "np-hard"
         pool = query.param("candidate_pool_size")
-        pool_size = pool if pool is not None else min(2 * k, n)
 
-        def pivot(session: QuerySession, rng: Any) -> Tuple:
-            return approximate_topk_kendall(
-                session, k, candidate_pool_size=pool, rng=rng
-            )
+        def approximate(session: QuerySession, rng: Any) -> Any:
+            if pivot:
+                return metric.approximation.function(
+                    session, k, candidate_pool_size=pool, rng=rng
+                )
+            return metric.approximation.function(session, k)
 
         mode = query.mode
-        if mode == "auto":
-            exact = (
-                n <= self.kendall_exact_limit
-                and _kendall_enumeration_ops(n, k)
+        if pivot and mode == "auto":
+            enumerable = (
+                profile.n <= self.kendall_exact_limit
+                and exact.cost(profile.n, query)
                 <= self.KENDALL_ENUMERATION_BUDGET
             )
-            mode = "exact" if exact else "sample"
-        if mode == "exact":
-            return (
-                "exact",
-                "brute_force_mean_topk_kendall (exhaustive candidate x "
-                "world enumeration; auto routes here only at most "
-                f"{self.kendall_exact_limit} tuples and "
-                f"{self.KENDALL_ENUMERATION_BUDGET} operations)",
-                float(min(_kendall_enumeration_ops(n, k), 10**300)),
-                "P(n,k) candidate answers x 2^n possible worlds",
-                (),
-                True,
-                lambda session, rng: ExecutionResult(
-                    brute_force_mean_topk_kendall(session, k)
-                ),
-            )
+            mode = "exact" if enumerable else "sample"
         if mode == "approximate":
-            return (
-                "approximate",
-                "approximate_topk_kendall (KwikSort pivoting on the "
-                "pairwise preference grid)",
-                float(n) * k + float(pool_size) ** 2,
-                "membership sweep n*k + pivot on a pool^2 preference grid",
-                (("rank_matrix", (k,)),),
-                False,
-                lambda session, rng: ExecutionResult(pivot(session, rng)),
+            return self._route(
+                metric.approximation, query, profile, approximate
             )
-        # sample: pivot candidate + CI-driven Monte-Carlo estimate of its
-        # expected Kendall distance (the hardness fallback).
+        if mode != "sample":
+            return self._route(
+                exact,
+                query,
+                profile,
+                lambda session, rng: exact.function(session, k),
+            )
+        # Monte-Carlo: a candidate answer + a CI-driven estimate of its
+        # expected distance.
         samples = self._sample_budget(query)
         planner = self
 
         def runner(session: QuerySession, rng: Any) -> ExecutionResult:
-            answer = tuple(pivot(session, None))
+            if pivot:
+                answer = tuple(approximate(session, None))
+            else:
+                answer = tuple(exact.function(session, k)[0])
             estimate = planner._ci_estimate(
-                session, answer, k, "kendall", query, rng
+                session, answer, k, metric.name, query, rng
             )
             return ExecutionResult((answer, estimate.mean), estimate)
 
         return (
             "sample",
-            "pivot candidate + MonteCarloSampler estimate of E[d_K] "
-            "(CI-driven sample sizing)",
-            float(samples) * n,
-            f"<= {samples} sampled worlds x n-leaf batches",
-            (("rank_matrix", (k,)), ("sampler", ())),
-            True,
-            runner,
-        )
-
-    def _sample_route(self, query: ConsensusQuery, profile: TargetProfile):
-        """Sampled validation route for a PTIME metric: exact candidate
-        answer + Monte-Carlo estimate of its expected distance."""
-        k = query.k
-        metric = query.metric
-        samples = self._sample_budget(query)
-        algorithm = _exact_topk_algorithm(query)
-        planner = self
-
-        def runner(session: QuerySession, rng: Any) -> ExecutionResult:
-            answer = tuple(algorithm(session, k)[0])
-            estimate = planner._ci_estimate(
-                session, answer, k, metric, query, rng
-            )
-            return ExecutionResult((answer, estimate.mean), estimate)
-
-        return (
-            "sample",
-            f"exact candidate + MonteCarloSampler estimate of E[d_"
-            f"{metric}] (CI-driven sample sizing)",
+            f"{'pivot' if pivot else 'exact'} candidate + MonteCarloSampler "
+            f"estimate of E[d_{metric.symbol or metric.name}] (CI-driven "
+            "sample sizing)",
             float(samples) * profile.n,
             f"<= {samples} sampled worlds x n-leaf batches",
             (("rank_matrix", (k,)), ("sampler", ())),
@@ -623,44 +466,48 @@ class Planner:
         )
 
     def _plan_world(self, query: ConsensusQuery, profile: TargetProfile):
-        n = profile.n
-        name, cost, cost_note, algorithm = {
-            ("symmetric_difference", "median"): (
-                "median world tree DP (exact on and/xor trees)",
-                float(n),
-                "one bottom-up pass over the tree",
-                median_world_symmetric_difference,
-            ),
-            ("symmetric_difference", "mean"): (
-                "membership-probability threshold (keep Pr > 1/2, "
-                "Theorem 2)",
-                float(n),
-                "one pass over the alternative probabilities",
-                mean_world_symmetric_difference,
-            ),
-            ("jaccard", "median"): (
-                "per-block representative prefix scan (Section 4.2, BID "
-                "layouts)",
-                float(n) ** 2,
-                "n prefixes x Lemma 1 evaluation",
-                median_world_jaccard_bid,
-            ),
-            ("jaccard", "mean"): (
-                "probability-sorted prefix scan (Lemma 2; prefix "
-                "optimality guaranteed for tuple-independent layouts)",
-                float(n) ** 2,
-                "one O(n^2) backend prefix sweep",
-                mean_world_jaccard_tuple_independent,
-            ),
-        }[(query.metric, query.statistic)]
+        exact = WORLD[query.metric].exact(query.statistic)
+        return self._route(
+            exact,
+            query,
+            profile,
+            lambda session, rng: exact.function(session.tree),
+        )
+
+    def _route(
+        self,
+        algorithm: Algorithm,
+        query: ConsensusQuery,
+        profile: TargetProfile,
+        call: Callable[[QuerySession, Any], Any],
+    ):
+        """The route running ``call``: ``exact`` for a statistic's exact
+        algorithm on a layout its optimality proof covers, ``approximate``
+        otherwise (an explicit ``.exact()`` then fails)."""
+        route = "exact" if algorithm.hardness else "approximate"
+        text = algorithm.text.format(
+            limit=self.kendall_exact_limit,
+            budget=self.KENDALL_ENUMERATION_BUDGET,
+        )
+        if profile.layout not in algorithm.layouts:
+            coverage = (
+                f"{algorithm.hardness.paper}'s optimality covers "
+                f"{' / '.join(algorithm.layouts)} data only"
+            )
+            if query.mode == "exact":
+                raise PlanningError(
+                    f"no exact algorithm for {query.kind} on a "
+                    f"{profile.layout} layout: {coverage}"
+                )
+            route, text = "approximate", f"{text}; not exact here: {coverage}"
         return (
-            "exact",
-            name,
-            cost,
-            cost_note,
-            (),
-            True,
-            lambda session, rng: ExecutionResult(algorithm(session.tree)),
+            route,
+            text,
+            algorithm.cost(profile.n, query),
+            algorithm.cost_note,
+            tuple((name, (query.k,)) for name in algorithm.artifacts),
+            algorithm.paired,
+            lambda session, rng: ExecutionResult(call(session, rng)),
         )
 
     def _plan_membership(self, query: ConsensusQuery, profile: TargetProfile):
@@ -841,23 +688,6 @@ class Planner:
                 if (high - low) / 2.0 <= epsilon:
                     break
         return moments.estimate()
-
-
-def _exact_topk_algorithm(query: ConsensusQuery) -> Callable[..., Any]:
-    """The exact Top-k algorithm of a PTIME metric (the candidate answer
-    of its sampled route)."""
-    if query.metric == "symmetric_difference":
-        if query.statistic == "median":
-            return median_topk_symmetric_difference
-        return mean_topk_symmetric_difference
-    if query.metric == "footrule":
-        return mean_topk_footrule
-    return mean_topk_intersection
-
-
-def _kendall_enumeration_ops(n: int, k: int) -> int:
-    """``P(n, k) * 2^n``: candidate answers times possible worlds."""
-    return math.perm(n, k) << n
 
 
 #: The process-wide planner instance the convenience APIs use.

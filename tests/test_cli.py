@@ -1,6 +1,6 @@
-"""The ``repro`` CLI: argparse fallback, rich rendering, typer wiring."""
+"""The ``repro`` CLI: argparse parsing and plain-text rendering."""
 
-import os
+import io
 import sys
 import threading
 import time
@@ -32,7 +32,7 @@ def endpoint(thread):
 
 
 # ----------------------------------------------------------------------
-# argparse fallback (the live path in the base image: no typer, no rich)
+# argparse commands
 # ----------------------------------------------------------------------
 class TestArgparseCli:
     def test_parser_builds_and_rejects_garbage(self):
@@ -83,6 +83,14 @@ class TestArgparseCli:
         assert code == EXIT_OK
         assert "answer" in capsys.readouterr().out
 
+    def test_param_without_equals_is_clean_error(self, server, capsys):
+        code = main(
+            ["query", "mean_topk_footrule", "-k", str(K), "--param", "weight"]
+            + endpoint(server)
+        )
+        assert code == EXIT_ERROR
+        assert "--param wants name=value" in capsys.readouterr().err
+
     def test_query_bad_kind_is_clean_error(self, server, capsys):
         code = main(["query", "no_such_kind"] + endpoint(server))
         assert code == EXIT_ERROR
@@ -125,6 +133,69 @@ class TestArgparseCli:
         )
         assert code == EXIT_ERROR
         assert "connection error" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# plain-text tables
+# ----------------------------------------------------------------------
+class TestPlainRendering:
+    def test_render_table_aligns_columns(self):
+        out = io.StringIO()
+        render_table("demo", ["name", "n"], [["a", 1], ["bbbbbb", 22]], out=out)
+        assert out.getvalue().splitlines() == [
+            "demo",
+            "name    n ",
+            "------  --",
+            "a       1 ",
+            "bbbbbb  22",
+        ]
+
+    def test_render_table_without_rows_prints_headers(self):
+        out = io.StringIO()
+        render_table("empty", ["kind", "qps"], [], out=out)
+        assert out.getvalue().splitlines() == ["empty", "kind  qps", "----  ---"]
+
+    def test_health_prints_field_value_header(self, server, capsys):
+        assert main(["health"] + endpoint(server)) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"health @ {server.host}:{server.port}"
+        assert lines[1].split() == ["field", "value"]
+        assert set(lines[2].replace(" ", "")) == {"-"}
+
+    def test_installed_rich_and_typer_are_ignored(
+        self, server, capsys, monkeypatch
+    ):
+        used = []
+
+        def record(name):
+            def constructor(*args, **kwargs):
+                used.append(name)
+                raise RuntimeError(f"the CLI must not use {name}")
+
+            return constructor
+
+        rich = types.ModuleType("rich")
+        rich_console = types.ModuleType("rich.console")
+        rich_console.Console = record("rich.console.Console")
+        rich_table = types.ModuleType("rich.table")
+        rich_table.Table = record("rich.table.Table")
+        rich.console, rich.table = rich_console, rich_table
+        typer = types.ModuleType("typer")
+        typer.Typer = record("typer.Typer")
+        for name, module in (
+            ("rich", rich),
+            ("rich.console", rich_console),
+            ("rich.table", rich_table),
+            ("typer", typer),
+        ):
+            monkeypatch.setitem(sys.modules, name, module)
+        assert main(["health"] + endpoint(server)) == EXIT_OK
+        assert main(
+            ["query", "global_topk", "-k", str(K)] + endpoint(server)
+        ) == EXIT_OK
+        output = capsys.readouterr().out
+        assert "status" in output and "answer" in output
+        assert used == []
 
 
 # ----------------------------------------------------------------------
@@ -177,199 +248,3 @@ class TestServeCommand:
         assert code == EXIT_OK
         worker.join(timeout=30.0)
         assert not worker.is_alive()
-
-
-# ----------------------------------------------------------------------
-# rich-present path: tables render through rich when it imports
-# ----------------------------------------------------------------------
-class _FakeRichTable:
-    instances = []
-
-    def __init__(self, title=None):
-        self.title = title
-        self.columns = []
-        self.rows = []
-        _FakeRichTable.instances.append(self)
-
-    def add_column(self, header):
-        self.columns.append(header)
-
-    def add_row(self, *cells):
-        self.rows.append(cells)
-
-
-class _FakeRichConsole:
-    def __init__(self, file=None):
-        self.file = file
-
-    def print(self, table):
-        print(
-            f"[rich] {table.title}: {len(table.rows)} rows x "
-            f"{len(table.columns)} cols",
-            file=self.file,
-        )
-
-
-@pytest.fixture()
-def fake_rich(monkeypatch):
-    rich = types.ModuleType("rich")
-    console_module = types.ModuleType("rich.console")
-    console_module.Console = _FakeRichConsole
-    table_module = types.ModuleType("rich.table")
-    table_module.Table = _FakeRichTable
-    rich.console = console_module
-    rich.table = table_module
-    monkeypatch.setitem(sys.modules, "rich", rich)
-    monkeypatch.setitem(sys.modules, "rich.console", console_module)
-    monkeypatch.setitem(sys.modules, "rich.table", table_module)
-    monkeypatch.delenv("REPRO_CLI_PLAIN", raising=False)
-    _FakeRichTable.instances.clear()
-    yield rich
-
-
-class TestRichRendering:
-    def test_render_table_uses_rich_when_importable(self, fake_rich, capsys):
-        render_table("demo", ["a", "b"], [[1, 2], [3, 4]])
-        assert "[rich] demo: 2 rows x 2 cols" in capsys.readouterr().out
-
-    def test_health_renders_rich_table(self, fake_rich, server, capsys):
-        assert main(["health"] + endpoint(server)) == EXIT_OK
-        assert "[rich]" in capsys.readouterr().out
-        assert any(
-            table.columns == ["field", "value"]
-            for table in _FakeRichTable.instances
-        )
-
-    def test_plain_env_forces_fallback(self, fake_rich, server, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CLI_PLAIN", "1")
-        assert main(["health"] + endpoint(server)) == EXIT_OK
-        assert "[rich]" not in capsys.readouterr().out
-
-    def test_broken_rich_falls_back_to_plain(self, server, capsys, monkeypatch):
-        broken = types.ModuleType("rich.table")
-
-        class _Exploding:
-            def __init__(self, *args, **kwargs):
-                raise RuntimeError("rich broke")
-
-        broken.Table = _Exploding
-        rich = types.ModuleType("rich")
-        console_module = types.ModuleType("rich.console")
-        console_module.Console = _FakeRichConsole
-        monkeypatch.setitem(sys.modules, "rich", rich)
-        monkeypatch.setitem(sys.modules, "rich.console", console_module)
-        monkeypatch.setitem(sys.modules, "rich.table", broken)
-        assert main(["health"] + endpoint(server)) == EXIT_OK
-        output = capsys.readouterr().out
-        assert "status" in output  # plain table still rendered
-
-
-# ----------------------------------------------------------------------
-# typer-present path: commands wire through a typer-like application
-# ----------------------------------------------------------------------
-class _FakeTyperApp:
-    """A minimal stand-in honouring the slice of typer the CLI uses:
-    ``Typer(...)``, ``@app.command()`` and ``app(args=..., prog_name=...)``
-    with ``--option value`` parsing against the command's defaults."""
-
-    def __init__(self, **kwargs):
-        self.commands = {}
-
-    def command(self, *args, **kwargs):
-        def register(function):
-            self.commands[function.__name__] = function
-            return function
-
-        return register
-
-    def __call__(self, args=None, prog_name=None, **kwargs):
-        args = list(args or [])
-        if not args or args[0] not in self.commands:
-            raise SystemExit(2)
-        function = self.commands[args[0]]
-        positional = []
-        options = {}
-        rest = args[1:]
-        index = 0
-        while index < len(rest):
-            token = rest[index]
-            if token.startswith("--"):
-                name = token[2:].replace("-", "_")
-                options[name] = rest[index + 1]
-                index += 2
-            else:
-                positional.append(token)
-                index += 1
-        import inspect
-
-        signature = inspect.signature(function)
-        bound = {}
-        parameters = list(signature.parameters.values())
-        for value, parameter in zip(positional, parameters):
-            bound[parameter.name] = value
-        for name, value in options.items():
-            parameter = signature.parameters[name]
-            default = parameter.default
-            if isinstance(default, bool):
-                bound[name] = value in ("1", "true", "True")
-            elif isinstance(default, int):
-                bound[name] = int(value)
-            elif isinstance(default, float):
-                bound[name] = float(value)
-            elif default is None:
-                # Optional[...] parameters: mimic typer's annotation-based
-                # coercion with a numeric-first heuristic.
-                for caster in (int, float):
-                    try:
-                        bound[name] = caster(value)
-                        break
-                    except ValueError:
-                        continue
-                else:
-                    bound[name] = value
-            else:
-                bound[name] = value
-        function(**bound)
-
-
-@pytest.fixture()
-def fake_typer(monkeypatch):
-    typer = types.ModuleType("typer")
-    typer.Typer = _FakeTyperApp
-    monkeypatch.setitem(sys.modules, "typer", typer)
-    monkeypatch.delenv("REPRO_CLI_PLAIN", raising=False)
-    yield typer
-
-
-class TestTyperWiring:
-    def test_health_routes_through_typer_app(self, fake_typer, server, capsys):
-        code = main(
-            ["health", "--host", server.host, "--port", str(server.port)]
-        )
-        assert code == EXIT_OK
-        assert "status" in capsys.readouterr().out
-
-    def test_query_routes_through_typer_app(self, fake_typer, server, capsys):
-        code = main(
-            [
-                "query",
-                "global_topk",
-                "--k",
-                str(K),
-                "--host",
-                server.host,
-                "--port",
-                str(server.port),
-            ]
-        )
-        assert code == EXIT_OK
-        assert "answer" in capsys.readouterr().out
-
-    def test_plain_env_skips_typer(self, fake_typer, server, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CLI_PLAIN", "1")
-        # The fake typer app would explode on argparse-style "-k"; forcing
-        # the plain path must route around it entirely.
-        code = main(
-            ["query", "global_topk", "-k", str(K)] + endpoint(server)
-        )
-        assert code == EXIT_OK

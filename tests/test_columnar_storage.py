@@ -242,6 +242,17 @@ class TestLazyTree:
             connection.execute(query)
         assert database.columns._tree is None
 
+    def test_median_topk_leaves_ti_tree_unbuilt(self):
+        database = TupleIndependentDatabase(
+            [
+                (f"t{i}", f"v{i}", float(i), 0.05 + 0.9 * i / 2000)
+                for i in range(2000)
+            ]
+        )
+        connection = connect(database, result_cache=False)
+        connection.execute(Query.topk(10).median())
+        assert connection.session._columns._tree is None
+
     def test_reads_leave_bid_tree_unbuilt(self):
         database = BlockIndependentDatabase(
             [

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from repro.andxor.enumeration import enumerate_worlds
 from repro.consensus.evaluation import (
     TOPK_METRICS,
     AnswerEvaluation,
     compare_topk_answers,
     evaluate_topk_answer,
 )
+from repro.engine import sampling
+from repro.metrics import METRICS, TOPK, WORLD
+from repro.query import HARDNESS_MAP, TOPK_DISTANCES, WORLD_DISTANCES
 from repro.consensus.topk.footrule import expected_topk_footrule_distance
 from repro.consensus.topk.intersection import (
     expected_topk_intersection_distance,
@@ -29,16 +36,31 @@ from tests.conftest import small_bid, small_tuple_independent
 class TestEvaluateTopKAnswer:
     @pytest.mark.parametrize("seed,k", [(1, 2), (2, 3), (3, 2)])
     def test_closed_form_matches_enumeration(self, seed, k):
+        """Every registry record's closed form against the expectation of
+        its reference distance over the enumerated worlds."""
         tree = small_bid(seed, blocks=4, exhaustive=True).tree
         answer = tuple(tree.keys()[:k])
-        closed = evaluate_topk_answer(tree, answer, k, method="closed_form")
-        enumerated = evaluate_topk_answer(tree, answer, k, method="enumerate")
-        for metric in ("symmetric_difference", "intersection", "footrule"):
-            assert math.isclose(
-                closed.distance(metric),
-                enumerated.distance(metric),
-                abs_tol=1e-9,
-            )
+        world = frozenset(tree.alternatives()[:k])
+        distribution = enumerate_worlds(tree)
+        closed_forms = [m.name for m in TOPK.values() if m.closed_form]
+        closed = evaluate_topk_answer(
+            tree, answer, k, metrics=closed_forms, method="closed_form"
+        )
+        enumerated = evaluate_topk_answer(
+            tree, answer, k, metrics=closed_forms, method="enumerate"
+        )
+        for metric in METRICS:
+            if metric.closed_form is None:
+                continue
+            if metric.family == "topk":
+                expected = closed.distance(metric.name)
+                actual = enumerated.distance(metric.name)
+            else:
+                expected = metric.closed_form(tree, world)
+                actual = distribution.expectation(
+                    lambda w, d=metric.reference: d(world, w.alternatives)
+                )
+            assert math.isclose(expected, actual, abs_tol=1e-9), metric.name
 
     def test_sampling_approximates_closed_form(self):
         tree = small_tuple_independent(5, count=6).tree
@@ -75,9 +97,47 @@ class TestEvaluateTopKAnswer:
             result.distance("not_evaluated")
 
     def test_metric_registry_complete(self):
-        assert set(TOPK_METRICS) == {
+        assert set(TOPK) == {
             "symmetric_difference", "intersection", "footrule", "kendall",
         }
+        assert set(WORLD) == {"symmetric_difference", "jaccard"}
+        # The per-module names are reads of the registry.
+        assert set(TOPK_METRICS) == set(sampling.TOPK_METRICS) == set(TOPK)
+        assert TOPK_DISTANCES == tuple(TOPK)
+        assert WORLD_DISTANCES == tuple(WORLD)
+        for metric in METRICS:
+            for statistic in ("mean", "median"):
+                exact = metric.exact(statistic)
+                key = (metric.family, metric.name, statistic)
+                assert HARDNESS_MAP.get(key) == (exact and exact.hardness)
+
+    def test_registry_readers_import_first_in_a_fresh_interpreter(self):
+        """The registry imports repro.consensus; no module that reads it
+        may form an import cycle, whichever is imported first."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        for module in (
+            "repro.metrics",
+            "repro.engine.sampling",
+            "repro.core.consensus_bruteforce",
+            "repro.consensus.evaluation",
+            "repro.query.builder",
+        ):
+            result = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    f"import {module}; from repro.metrics import TOPK; "
+                    "from repro.engine.sampling import TOPK_METRICS; "
+                    "assert TOPK_METRICS == tuple(TOPK)",
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, (module, result.stderr)
 
 
 class TestCompareTopKAnswers:

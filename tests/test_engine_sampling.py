@@ -61,7 +61,8 @@ from repro.engine import (
     resolve_rng,
     use_backend,
 )
-from repro.engine.sampling import StreamingMoments, TOPK_METRICS
+from repro.engine.sampling import StreamingMoments
+from repro.metrics import TOPK
 from repro.session import QuerySession
 from tests.conftest import small_bid, small_tuple_independent, small_xtuple
 
@@ -253,8 +254,8 @@ class TestEstimatorParity:
     distances evaluated per sample on the *same* presence matrix."""
 
     @requires_numpy
-    @pytest.mark.parametrize("metric", TOPK_METRICS)
-    def test_vectorized_matches_reference(self, metric):
+    @pytest.mark.parametrize("record", TOPK.values(), ids=TOPK)
+    def test_vectorized_matches_reference(self, record):
         import numpy
 
         for seed, tree in enumerate(_trees(), start=40):
@@ -281,11 +282,11 @@ class TestEstimatorParity:
             numpy_batch = WorldBatch(
                 layout, numpy.array(rows, dtype=bool), NumpyBackend(), 400
             )
-            reference = pure_batch.topk_distances(answer, k, metric)
-            vectorized = numpy_batch.topk_distances(answer, k, metric)
+            reference = pure_batch.topk_distances(answer, k, record.name)
+            vectorized = numpy_batch.topk_distances(answer, k, record.name)
             assert len(reference) == len(vectorized) == 400
             for r, v in zip(reference, vectorized):
-                assert math.isclose(r, v, abs_tol=1e-9), (metric, seed)
+                assert math.isclose(r, v, abs_tol=1e-9), (record.name, seed)
 
     def test_reference_distances_match_direct_evaluation(self):
         """The pure path's per-sample answers feed the core distances."""

@@ -17,7 +17,7 @@ import pickle
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.andxor.columns import (
@@ -195,6 +195,9 @@ def _reference_ti(rows):
             )
         seen.add(item[0])
         check_tuple_probability(float(item[-1]))
+    for item in rows:  # the build converts the score column last
+        if len(item) == 4 and item[2] is not None:
+            float(item[2])  # an explicit score must be numeric
 
 
 def _reference_blocks(blocks):
@@ -278,6 +281,7 @@ class TestFlatColumnParity:
 
     @settings(max_examples=80, deadline=None)
     @given(rows=ti_rows())
+    @example(rows=[("k0", "tied", "no score", 0.0), ("k1", "no score", 0.0)])
     def test_tuple_independent_build_error_is_the_row_rule(self, rows):
         _assert_build_matches_reference(
             lambda: TupleIndependentDatabase(rows), lambda: _reference_ti(rows)

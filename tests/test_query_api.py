@@ -329,6 +329,46 @@ class TestPlannerRouting:
         mean_world = conn.explain(Query.set_consensus())
         assert "Theorem 2" in mean_world
 
+    def test_mean_world_jaccard_is_exact_only_on_tuple_independent(self):
+        """Lemma 2's prefix optimality fails on BID: this two-block
+        database has a better mean world than every probability-sorted
+        prefix, so the prefix scan is labelled ``approximate`` there."""
+        from repro.andxor.enumeration import enumerate_worlds
+        from repro.core.consensus_bruteforce import (
+            brute_force_mean_world_jaccard,
+        )
+        from repro.models import BlockIndependentDatabase
+
+        database = BlockIndependentDatabase(
+            [
+                (
+                    "b0",
+                    [
+                        ("v00", 973, 0.26412),
+                        ("v01", 200, 0.24814),
+                        ("v02", 153, 0.13515),
+                    ],
+                ),
+                ("b1", [("v10", 757, 0.46062), ("v11", 309, 0.27473)]),
+            ]
+        )
+        conn = connect(database, result_cache=False)
+        plan = conn.plan(Query.jaccard())
+        assert plan.route == "approximate"
+        assert "tuple-independent data only" in plan.explain()
+        world, value = conn.execute(Query.jaccard()).value
+        assert {a.value for a in world} == {"v10"}
+        best_world, best = brute_force_mean_world_jaccard(
+            enumerate_worlds(database.tree)
+        )
+        assert {a.value for a in best_world} == {"v00", "v10"}
+        assert best < value - 1e-3
+        with pytest.raises(PlanningError, match="Lemma 2"):
+            conn.plan(Query.jaccard().exact())
+        ti = connect(small_tuple_independent(3, count=6))
+        assert ti.plan(Query.jaccard().exact()).route == "exact"
+        assert ti.plan(Query.jaccard()).route == "exact"
+
     def test_explain_reports_artifact_reuse(self):
         database = random_tuple_independent_database(12, rng=5)
         conn = connect(database)
