@@ -36,6 +36,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -166,12 +167,11 @@ class RankStatistics:
         )
 
     @property
-    def _fast_layout(self) -> Optional[List[Tuple[Hashable, float, float]]]:
-        """The ``(key, probability, score)`` triples of a tuple-independent
-        layout by decreasing score (built on first use), else None; read by
-        the linear-time consensus routines, preferences and expected
-        ranks."""
-        if not self.is_independent:
+    def _rows(self) -> Optional[List[Tuple[Hashable, float, float]]]:
+        """``(key, probability, score)`` per row of a flat (TI / BID) layout
+        by decreasing score (built on first use); None for a general tree
+        or with the fast path off."""
+        if not self._use_fast_path_flag or self._columns is None:
             return None
         if self._layout_cache is None:
             self._layout_cache = list(
@@ -192,8 +192,8 @@ class RankStatistics:
         return self._backend.vector_values(self._ordered(column))
 
     def _ordered_keys(self) -> List[Hashable]:
-        """The key of every row of a tuple-independent layout, in
-        decreasing score order."""
+        """The key of every row of a flat layout, in decreasing score
+        order."""
         return list(
             map(self._keys.__getitem__, self._ordered_values(self._columns.blocks))
         )
@@ -346,9 +346,9 @@ class RankStatistics:
         to switch to specialised linear-time routines (e.g. the median Top-k
         answer); callers must not mutate the returned list.
         """
-        if self._fast_layout is None:
+        if not self.is_independent:
             return None
-        return list(self._fast_layout)
+        return list(self._rows)
 
     def keys(self) -> List[Hashable]:
         """The tuple keys, in first-appearance order."""
@@ -489,11 +489,11 @@ class RankStatistics:
 
         Because the preference probability of a pair does not depend on the
         other tuples, a sub-grid over a candidate pool is exactly the
-        restriction of the full matrix.  For tuple-independent databases the
-        whole grid is one backend kernel call
-        (:meth:`~repro.engine.backends.Backend.pairwise_preference_matrix`);
-        the general and/xor layout assembles the grid from the closed-form
-        pairwise joint probabilities.  Matrices are cached per key subset.
+        restriction of the full matrix.  A flat (TI / BID) layout takes the
+        closed form :func:`_flat_preference_matrix` over its rows, as the
+        sharded coordinator does over its merged rows; the general layout
+        and the ``use_fast_path=False`` oracle call
+        :meth:`pairwise_preference` per pair.  Cached per key subset.
         """
         cache_key: Optional[Tuple[Hashable, ...]] = (
             None if keys is None else tuple(keys)
@@ -501,33 +501,19 @@ class RankStatistics:
         cached = self._preference_cache.get(cache_key)
         if cached is not None:
             return cached
-        backend = get_backend()
         matrix_keys = list(self.keys() if keys is None else keys)
-        if self._fast_layout is not None:
-            layout = {
-                key: (probability, score)
-                for key, probability, score in self._fast_layout
-            }
-            missing = [key for key in matrix_keys if key not in layout]
-            if missing:
-                raise ModelError(
-                    f"unknown tuple keys {sorted(map(repr, missing))}"
-                )
-            native = backend.pairwise_preference_matrix(
-                [layout[key][0] for key in matrix_keys],
-                [layout[key][1] for key in matrix_keys],
-            )
+        rows = self._rows
+        if rows is not None:
+            matrix = _flat_preference_matrix(rows, matrix_keys)
         else:
-            native = backend.matrix_from_rows(
-                [
-                    [
-                        self.pairwise_preference(first, second)
-                        for second in matrix_keys
-                    ]
-                    for first in matrix_keys
-                ]
+            backend = get_backend()
+            grid = [
+                [self.pairwise_preference(first, second) for second in matrix_keys]
+                for first in matrix_keys
+            ]
+            matrix = PairwisePreferenceMatrix(
+                matrix_keys, backend.matrix_from_rows(grid), backend
             )
-        matrix = PairwisePreferenceMatrix(matrix_keys, native, backend)
         self._preference_cache[cache_key] = matrix
         return matrix
 
@@ -578,35 +564,112 @@ class RankStatistics:
         return 1.0 + higher_and_present + absent_size
 
     def expected_rank_table(self) -> Dict[Hashable, float]:
-        """Expected rank of every tuple key.
+        """Expected rank of every tuple key (cached).
 
-        On tuple-independent databases the whole table is assembled from
-        prefix sums of the score-sorted probabilities in ``O(n log n)``
-        (``E[rank(t_i)] = 1 + p_i S_i + (1 - p_i)(T - p_i)`` with ``S_i`` the
-        probability mass of higher-scored tuples and ``T`` the total mass)
-        instead of ``n²`` scalar joint-probability lookups; results are
-        cached.
+        A flat (TI / BID) layout takes the one-pass closed form
+        :func:`_flat_expected_ranks` over its rows, as the sharded
+        coordinator does over its merged rows; the general layout and the
+        ``use_fast_path=False`` oracle call :meth:`expected_rank` per key.
         """
-        if self._expected_rank_cache is not None:
-            return dict(self._expected_rank_cache)
-        if self._fast_layout is not None:
-            probabilities = [p for _, p, _ in self._fast_layout]
-            total = sum(probabilities)
-            table: Dict[Hashable, float] = {}
-            higher_mass = 0.0
-            for (key, probability, _), p in zip(
-                self._fast_layout, probabilities
-            ):
-                table[key] = (
-                    1.0
-                    + probability * higher_mass
-                    + (1.0 - probability) * (total - probability)
-                )
-                higher_mass += p
-        else:
-            table = {key: self.expected_rank(key) for key in self.keys()}
-        self._expected_rank_cache = table
-        return dict(table)
+        if self._expected_rank_cache is None:
+            rows = self._rows
+            self._expected_rank_cache = (
+                _flat_expected_ranks(rows)
+                if rows is not None
+                else {key: self.expected_rank(key) for key in self.keys()}
+            )
+        return dict(self._expected_rank_cache)
+
+
+# ----------------------------------------------------------------------
+# Closed forms over flat rows (TI / BID, local or merged across shards)
+# ----------------------------------------------------------------------
+def _flat_expected_ranks(
+    rows: Iterable[Tuple[Hashable, float, float]]
+) -> Dict[Hashable, float]:
+    """Cormode-style expected rank of every key of a flat relation.
+
+    ``rows`` are ``(key, probability, score)`` triples, one per alternative,
+    by decreasing score; distinct keys (TI tuples, BID blocks) are
+    independent, so ``E[r(t)] = 1 + Σ_{a∈t} p_a·H_a + (1 − q_t)(Q − q_t)``
+    with ``H_a`` the mass of other keys' rows strictly above ``a``, ``q_t``
+    the key's mass and ``Q`` the total (an absent key ranks ``|pw| + 1``).
+    "Mass above" is a running sum closed at the end of each group of equal
+    scores, so tied rows (possible only unvalidated) never count each
+    other.  Keys come in first-appearance order.
+    """
+    own: Dict[Hashable, float] = {}
+    higher: Dict[Hashable, float] = {}
+    above = 0.0
+    tied: List[Tuple[Hashable, float]] = []
+    tied_score = None
+    for key, probability, score in rows:
+        if score != tied_score:
+            for seen, mass in tied:
+                own[seen] = own.get(seen, 0.0) + mass
+                above += mass
+            tied = []
+            tied_score = score
+        higher[key] = higher.get(key, 0.0) + probability * (
+            above - own.get(key, 0.0)
+        )
+        tied.append((key, probability))
+    for seen, mass in tied:
+        own[seen] = own.get(seen, 0.0) + mass
+        above += mass
+    return {
+        key: 1.0 + value + (1.0 - own[key]) * (above - own[key])
+        for key, value in higher.items()
+    }
+
+
+def _flat_preference_matrix(
+    rows: Iterable[Tuple[Hashable, float, float]], keys: List[Hashable]
+) -> PairwisePreferenceMatrix:
+    """``Pr(r(t_i) < r(t_j))`` over ``keys`` of a flat relation.
+
+    ``rows`` are ``(key, probability, score)`` triples, in any order, that
+    include every row of ``keys`` (other keys' rows are skipped).  Distinct
+    keys are independent, so cell ``(i, j)`` is
+    ``Σ_{a∈t_i} p_a·(1 − mass of t_j strictly above a)``.  When every key
+    holds one row (tuple-independent) the grid is the backend's
+    :meth:`~repro.engine.backends.Backend.pairwise_preference_matrix`
+    kernel; otherwise the sum runs over both keys' alternatives.
+    """
+    alternatives: Dict[Hashable, List[Tuple[float, float]]] = {
+        key: [] for key in keys
+    }
+    for key, probability, score in rows:
+        own = alternatives.get(key)
+        if own is not None:
+            own.append((probability, score))
+    missing = [key for key, own in alternatives.items() if not own]
+    if missing:
+        raise ModelError(f"unknown tuple keys {sorted(map(repr, missing))}")
+    backend = get_backend()
+    if all(len(own) == 1 for own in alternatives.values()):
+        native = backend.pairwise_preference_matrix(
+            [alternatives[key][0][0] for key in keys],
+            [alternatives[key][0][1] for key in keys],
+        )
+    else:
+
+        def cell(first: Hashable, second: Hashable) -> float:
+            value = 0.0
+            if first != second:
+                rivals = alternatives[second]
+                for p, s in alternatives[first]:
+                    above = 0.0
+                    for q, t in rivals:
+                        if t > s:
+                            above += q
+                    value += p * (1.0 - above)
+            return value
+
+        native = backend.matrix_from_rows(
+            [[cell(first, second) for second in keys] for first in keys]
+        )
+    return PairwisePreferenceMatrix(keys, native, backend)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.andxor.enumeration import enumerate_worlds
-from repro.andxor.sampling import sample_worlds
 from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
@@ -31,6 +30,9 @@ from repro.consensus.topk.common import (
     validate_k,
 )
 from repro.exceptions import ConsensusError
+
+#: Worlds drawn per batch by the ``"sample"`` method.
+_SAMPLE_BATCH = 4096
 
 
 def __getattr__(name: str) -> Any:
@@ -118,13 +120,17 @@ def evaluate_topk_answer(
                 )
             )
     elif method == "sample":
+        # One batch stream, every metric scored against the same worlds.
         rng = rng or random.Random(0)
-        worlds = sample_worlds(session.tree, samples, rng)
-        for metric in metrics:
-            distance = TOPK[metric].reference
-            distances[metric] = sum(
-                distance(answer, world.top_k(k), k=k) for world in worlds
-            ) / len(worlds)
+        sampler = session.sampler()
+        totals = dict.fromkeys(metrics, 0.0)
+        for start in range(0, samples, _SAMPLE_BATCH):
+            batch = sampler.sample_batch(
+                min(_SAMPLE_BATCH, samples - start), rng=rng
+            )
+            for metric in metrics:
+                totals[metric] += sum(batch.topk_distances(answer, k, metric))
+        distances = {metric: totals[metric] / samples for metric in metrics}
     else:
         raise ConsensusError(
             f"unknown evaluation method {method!r}; expected 'closed_form', "

@@ -33,17 +33,6 @@ def as_session(source: TreeOrStatistics) -> QuerySession:
         ) from None
 
 
-def as_rank_statistics(source: TreeOrStatistics) -> RankStatistics:
-    """Coerce a tree, session or statistics cache into rank statistics.
-
-    Passing an existing :class:`~repro.andxor.rank_probabilities.RankStatistics`
-    or :class:`~repro.session.QuerySession` avoids recomputing rank
-    distributions when several consensus answers are requested for the same
-    database.
-    """
-    return as_session(source).statistics
-
-
 def validate_k(source: TreeOrStatistics, k: int) -> int:
     """Validate the requested answer size against the database size."""
     if k <= 0:

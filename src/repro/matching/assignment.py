@@ -20,21 +20,31 @@ malformed input) and is parity-tested against the Hungarian solver in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, List, Sequence, Tuple
 
 from repro.engine import get_backend
 from repro.exceptions import MatchingError
 from repro.matching import hungarian as _hungarian
 
-try:  # SciPy is an optional accelerator, never a hard dependency.
-    from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
-except ImportError:  # pragma: no cover - exercised on SciPy-free installs
-    _linear_sum_assignment = None
+
+@lru_cache(maxsize=None)
+def _scipy_solver() -> Any:
+    """SciPy's ``linear_sum_assignment``, or None when SciPy is missing.
+
+    Imported on first use, not at module load: ``scipy.optimize`` takes
+    longer to import than the rest of the package together.
+    """
+    try:  # SciPy is an optional accelerator, never a hard dependency.
+        from scipy.optimize import linear_sum_assignment
+    except ImportError:  # pragma: no cover - exercised on SciPy-free installs
+        return None
+    return linear_sum_assignment
 
 
 def scipy_solver_available() -> bool:
     """True when ``scipy.optimize.linear_sum_assignment`` is importable."""
-    return _linear_sum_assignment is not None
+    return _scipy_solver() is not None
 
 
 def _validate(cost: Sequence[Sequence[float]]) -> Tuple[int, int]:
@@ -64,8 +74,9 @@ def minimize_cost_assignment(
     rows, _ = _validate(cost)
     if rows == 0:
         return [], 0.0
-    if _linear_sum_assignment is not None and get_backend().name == "numpy":
-        row_indices, column_indices = _linear_sum_assignment(cost)
+    solver = _scipy_solver() if get_backend().name == "numpy" else None
+    if solver is not None:
+        row_indices, column_indices = solver(cost)
         assignment: List[int] = [-1] * rows
         total = 0.0
         for row, column in zip(row_indices, column_indices):

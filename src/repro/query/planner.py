@@ -531,7 +531,7 @@ class Planner:
             "exact",
             "expected_rank_table (Cormode-style expected ranks)",
             float(profile.n) ** 2,
-            "n^2 general / n log n tuple-independent",
+            "n^2 general / n log n TI or BID",
             (("expected_rank_table", ()),),
             False,
             lambda session, rng: ExecutionResult(

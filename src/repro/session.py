@@ -561,8 +561,9 @@ class QuerySession:
 
         Returns a :class:`repro.engine.MonteCarloSampler` whose flattened
         tree layout is computed once and reused by every warm batch; the
-        sampler inherits the session's active scoring and is dropped (like
-        every artifact) by :meth:`invalidate` / :meth:`set_scoring`.
+        sampler inherits the session's scoring function, if one is set (the
+        leaves' effective scores otherwise), and is dropped (like every
+        artifact) by :meth:`invalidate` / :meth:`set_scoring`.
         Randomness is controlled per call (``rng=`` / integer seeds) or by
         the ``REPRO_SEED`` environment variable, never memoized.
         """
@@ -570,9 +571,9 @@ class QuerySession:
         def compute() -> Any:
             from repro.engine.sampling import MonteCarloSampler
 
-            return MonteCarloSampler(
-                self._tree, score_of=self.statistics.score_of
-            )
+            scoring = self._scoring
+            score_of = None if scoring is None else self.statistics.score_of
+            return MonteCarloSampler(self._tree, score_of=score_of)
 
         return self._memoized("sampler", (), compute)
 

@@ -16,7 +16,10 @@ Every consensus algorithm of :mod:`repro.consensus` then runs unchanged at
 the coordinator -- the Top-k answers under the symmetric-difference,
 intersection, footrule and (via the merged pairwise grid) Kendall metrics
 are computed from merged statistics and are semantically identical to a
-single unsharded session over the same data.
+single unsharded session over the same data.  The expected-rank table and
+the pairwise-preference grid need no merge: they are the flat closed forms
+of :mod:`repro.andxor.rank_probabilities`, the ones a local TI / BID session
+uses, read over the merged score-ordered rows.
 
 Two properties make the coordinator honest under sustained mixed traffic:
 
@@ -55,6 +58,7 @@ from typing import (
     Any,
     Dict,
     Hashable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -63,7 +67,11 @@ from typing import (
 )
 
 from repro.andxor.nodes import AndNode
-from repro.andxor.rank_probabilities import RankStatistics
+from repro.andxor.rank_probabilities import (
+    RankStatistics,
+    _flat_expected_ranks,
+    _flat_preference_matrix,
+)
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
 from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
@@ -169,20 +177,27 @@ class _MergedLayout(NamedTuple):
             raise ModelError(f"unknown tuple key {key!r}")
         return self.key_rows[position]
 
-    def alternatives(self) -> Dict[Hashable, List[Tuple[float, float]]]:
-        """Per key, its ``(score, probability)`` rows by decreasing score.
+    def rows(self) -> Iterator[Tuple[Hashable, float, float]]:
+        """``(key, probability, score)`` per row, by decreasing score: the
+        rows the flat closed forms of
+        :mod:`repro.andxor.rank_probabilities` read."""
+        return zip(self.row_keys, self.row_probabilities, self.grid_scores)
 
-        Built on demand for the merged preference grid of a
-        block-independent layout, its one per-key reader.
-        """
-        grouped: Dict[Hashable, List[Tuple[float, float]]] = {
-            key: [] for key in self.keys_order
-        }
-        for key, score, probability in zip(
-            self.row_keys, self.grid_scores, self.row_probabilities
-        ):
-            grouped[key].append((score, probability))
-        return grouped
+    def rows_of(
+        self, keys: Sequence[Hashable]
+    ) -> Iterator[Tuple[Hashable, float, float]]:
+        """Rows including every row of ``keys``: on a tuple-independent
+        layout just their one row each (unknown keys skipped), so a small
+        candidate pool reads no other row; all rows otherwise."""
+        if not self.independent:
+            return self.rows()
+        index = self.key_index
+        found = [self.key_rows[index[key]] for key in keys if key in index]
+        return zip(
+            map(self.row_keys.__getitem__, found),
+            map(self.row_probabilities.__getitem__, found),
+            map(self.grid_scores.__getitem__, found),
+        )
 
 
 def _patched_layout(
@@ -217,22 +232,6 @@ def _patched_layout(
         ):
             probabilities[row] = probability
     return previous._replace(row_probabilities=probabilities)
-
-
-class _VersionEntry:
-    """Memoized merged artifacts of one version vector."""
-
-    __slots__ = ("cache", "statistics", "merged_tree")
-
-    def __init__(
-        self,
-        cache: Dict[Any, Any],
-        statistics: Optional[RankStatistics],
-        merged_tree: Optional[AndXorTree],
-    ) -> None:
-        self.cache = cache
-        self.statistics = statistics
-        self.merged_tree = merged_tree
 
 
 class _ShardArchive:
@@ -358,11 +357,10 @@ class ShardedQuerySession(QuerySession):
         self._scoring = None
         self._adopted = False
         self._use_fast_path = True
-        self._statistics: Optional[RankStatistics] = None
-        self._merged_tree: Optional[AndXorTree] = None
         self._versions_seen: Optional[Tuple[Any, ...]] = None
         self._engine = MergeEngine()
-        self._store: "OrderedDict[Any, _VersionEntry]" = OrderedDict()
+        # Version vector -> that vector's artifact cache dict.
+        self._store: "OrderedDict[Any, Dict[Any, Any]]" = OrderedDict()
         self._history: Dict[int, "OrderedDict[int, _ShardArchive]"] = {}
         self._state_lock = threading.Lock()
         self._init_cache_state()
@@ -411,9 +409,6 @@ class ShardedQuerySession(QuerySession):
         captures)."""
         return versions[0]
 
-    def _entry(self) -> _VersionEntry:
-        return _VersionEntry(self._cache, self._statistics, self._merged_tree)
-
     def _sync(self) -> None:
         """Swap artifact stores when any shard changed since the last merge.
 
@@ -428,7 +423,7 @@ class ShardedQuerySession(QuerySession):
         if self._versions_seen is None:
             self._versions_seen = versions
             with self._state_lock:
-                self._store[self._store_key(versions)] = self._entry()
+                self._store[self._store_key(versions)] = self._cache
                 self._trim_store_locked()
         elif versions != self._versions_seen:
             self._swap_to(versions)
@@ -437,23 +432,15 @@ class ShardedQuerySession(QuerySession):
         old_key = self._store_key(self._versions_seen)
         new_key = self._store_key(versions)
         with self._state_lock:
-            current = self._store.get(old_key)
-            if current is not None and current.cache is self._cache:
-                # Write the lazily-built singletons back so readers pinned
-                # at the outgoing vector reuse them.
-                current.statistics = self._statistics
-                current.merged_tree = self._merged_tree
-            entry = self._store.get(new_key) if new_key != old_key else None
-            if entry is None:
+            cache = self._store.get(new_key) if new_key != old_key else None
+            if cache is None:
                 # Same shard versions but a shard session was invalidated
                 # in place (new_key == old_key), or a vector never seen:
                 # either way the artifacts must be rebuilt.
-                entry = _VersionEntry({}, None, None)
-            self._store[new_key] = entry
+                cache = {}
+            self._store[new_key] = cache
             self._store.move_to_end(new_key)
-            self._cache = entry.cache
-            self._statistics = entry.statistics
-            self._merged_tree = entry.merged_tree
+            self._cache = cache
             self._trim_store_locked()
         self._versions_seen = versions
         # Version swaps keep the legacy invalidation contract observable:
@@ -463,8 +450,7 @@ class ShardedQuerySession(QuerySession):
     def _trim_store_locked(self) -> None:
         while len(self._store) > self._snapshot_history:
             key = next(iter(self._store))
-            entry = self._store[key]
-            if entry.cache is self._cache:
+            if self._store[key] is self._cache:
                 if len(self._store) == 1:
                     break
                 self._store.move_to_end(key)
@@ -472,16 +458,13 @@ class ShardedQuerySession(QuerySession):
             del self._store[key]
             self._engine.counters["snapshot_evictions"] += 1
 
-    def _entry_for(self, pinned: Any) -> _VersionEntry:
-        """Get-or-create the artifact entry of one pinned vector."""
+    def _cache_for(self, pinned: Any) -> Dict[Any, Any]:
+        """Get-or-create the artifact cache of one pinned vector."""
         with self._state_lock:
-            entry = self._store.get(pinned)
-            if entry is None:
-                entry = _VersionEntry({}, None, None)
-                self._store[pinned] = entry
+            cache = self._store.setdefault(pinned, {})
             self._store.move_to_end(pinned)
             self._trim_store_locked()
-            return entry
+            return cache
 
     def _memoized(self, artifact, params, compute):
         self._sync()
@@ -499,14 +482,13 @@ class ShardedQuerySession(QuerySession):
     def invalidate(self) -> None:
         """Drop every merged artifact, snapshot entry and cached partial."""
         super().invalidate()
-        self._merged_tree = None
         self._engine.clear()
         with self._state_lock:
             self._store.clear()
             self._history.clear()
             if self._versions_seen is not None:
                 self._store[self._store_key(self._versions_seen)] = (
-                    self._entry()
+                    self._cache
                 )
 
     def set_scoring(self, scoring) -> None:
@@ -622,37 +604,39 @@ class ShardedQuerySession(QuerySession):
     # ------------------------------------------------------------------
     @property
     def _tree(self) -> AndXorTree:
-        """Merged and/xor tree, built lazily from the shard trees.
+        """Merged and/xor tree, a memoized artifact of the vector.
 
         Only the consensus routes that genuinely need a tree (set-level
         consensus worlds, the BID median dynamic program, world sampling)
         touch this; the rank/pairwise statistics never do.  The shard
         root children are reused, so construction is index building only.
         """
-        self._sync()  # a shard update must not serve a stale merged tree
-        if self._merged_tree is None:
-            children = []
-            for shard in self._shards():
-                root = shard.session().tree.root
-                if not isinstance(root, AndNode):
-                    raise ModelError(
-                        "sharded sessions require and-rooted shard trees"
-                    )
-                children.extend(root.children())
-            self._layout()  # validates cross-shard score ties
-            self._merged_tree = AndXorTree(AndNode(children), validate=False)
-        return self._merged_tree
+        return self._memoized("merged_tree", (), self._merge_trees)
+
+    def _merge_trees(self) -> AndXorTree:
+        children = []
+        for shard in self._shards():
+            root = shard.session().tree.root
+            if not isinstance(root, AndNode):
+                raise ModelError(
+                    "sharded sessions require and-rooted shard trees"
+                )
+            children.extend(root.children())
+        self._layout()  # validates cross-shard score ties
+        return AndXorTree(AndNode(children), validate=False)
 
     @property
     def statistics(self) -> RankStatistics:
-        """Global fallback statistics over the merged tree (kept fresh).
-
-        Only the tree-level fallbacks (e.g. :meth:`sampler`) use this; the
-        sync guard mirrors :attr:`_tree` so a shard update can never serve
-        stale global statistics either.
-        """
-        self._sync()
-        return QuerySession.statistics.fget(self)  # type: ignore[attr-defined]
+        """Global statistics over the merged tree, a memoized artifact of
+        the vector.  No query route reads them: they serve direct callers
+        that want a tree-level :class:`RankStatistics`."""
+        return self._memoized(
+            "statistics",
+            (),
+            lambda: RankStatistics(
+                self._tree, validate_scores=self._validate_scores
+            ),
+        )
 
     def keys(self) -> List[Hashable]:
         return list(self._layout().keys_order)
@@ -704,9 +688,7 @@ class ShardedQuerySession(QuerySession):
         layout = self._layout()
         if not layout.independent:
             return None
-        return list(
-            zip(layout.row_keys, layout.row_probabilities, layout.grid_scores)
-        )
+        return list(layout.rows())
 
     # ------------------------------------------------------------------
     # Merged statistics artifacts
@@ -782,88 +764,30 @@ class ShardedQuerySession(QuerySession):
     def preference_matrix(
         self, keys: Optional[Sequence[Hashable]] = None
     ) -> PairwisePreferenceMatrix:
-        """The merged ``Pr(r(t_i) < r(t_j))`` grid.
-
-        Distinct keys are independent both across shards and within a
-        tuple-independent / BID shard, so every cell has the closed form
-        ``Σ_{a ∈ alts(t_i)} p_a (1 - Pr(t_j present above score(a)))`` --
-        one backend kernel for all-independent shardings.
-        """
-        params = (None,) if keys is None else (tuple(keys),)
+        """The merged ``Pr(r(t_i) < r(t_j))`` grid: the flat closed form
+        over the merged rows (distinct keys are independent across shards
+        as within a TI / BID shard)."""
 
         def compute() -> PairwisePreferenceMatrix:
             layout = self._layout()
-            backend = get_backend()
-            matrix_keys = list(
-                layout.keys_order if keys is None else keys
+            matrix_keys = list(layout.keys_order if keys is None else keys)
+            return _flat_preference_matrix(
+                layout.rows_of(matrix_keys), matrix_keys
             )
-            missing = [
-                key for key in matrix_keys if key not in layout.key_index
-            ]
-            if missing:
-                raise ModelError(
-                    f"unknown tuple keys {sorted(map(repr, missing))}"
-                )
-            if layout.independent:
-                rows = [layout.best_row(key) for key in matrix_keys]
-                native = backend.pairwise_preference_matrix(
-                    [layout.row_probabilities[row] for row in rows],
-                    [layout.grid_scores[row] for row in rows],
-                )
-            else:
-                alternatives = layout.alternatives()
-                rows = []
-                for first in matrix_keys:
-                    row = []
-                    for second in matrix_keys:
-                        if first == second:
-                            row.append(0.0)
-                            continue
-                        value = 0.0
-                        for score, probability in alternatives[first]:
-                            above = sum(
-                                p
-                                for s, p in alternatives[second]
-                                if s > score
-                            )
-                            value += probability * (1.0 - above)
-                        row.append(value)
-                    rows.append(row)
-                native = backend.matrix_from_rows(rows)
-            return PairwisePreferenceMatrix(matrix_keys, native, backend)
 
+        params = (None,) if keys is None else (tuple(keys),)
         return self._memoized("preference_matrix", params, compute)
 
     def expected_rank_table(self) -> Dict[Hashable, float]:
-        """Merged Cormode-style expected ranks (closed form, one row pass).
-
-        ``E[r(t)] = 1 + Σ_a p_a·(mass above a − own mass above a)
-        + (1 − p_t)·(total mass − p_t)``: the rows come in decreasing
-        score order, so "mass above" is a running sum.
-        """
-
-        def compute() -> Dict[Hashable, float]:
-            layout = self._layout()
-            running = 0.0
-            own: Dict[Hashable, float] = {}
-            higher: Dict[Hashable, float] = {}
-            for key, probability in zip(
-                layout.row_keys, layout.row_probabilities
-            ):
-                seen = own.get(key, 0.0)
-                higher[key] = higher.get(key, 0.0) + probability * (
-                    running - seen
-                )
-                own[key] = seen + probability
-                running += probability
-            return {
-                key: 1.0
-                + higher[key]
-                + (1.0 - own[key]) * (running - own[key])
-                for key in layout.keys_order
-            }
-
-        return dict(self._memoized("expected_rank_table", (), compute))
+        """Merged Cormode-style expected ranks: the flat closed form over
+        the merged rows."""
+        return dict(
+            self._memoized(
+                "expected_rank_table",
+                (),
+                lambda: _flat_expected_ranks(self._layout().rows()),
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -899,8 +823,6 @@ class SnapshotReader(ShardedQuerySession):
         self._scoring = None
         self._adopted = False
         self._use_fast_path = True
-        self._merged_tree = None
-        self._statistics = None
         # Shared MVCC state: one store, one history, one engine.
         self._engine = parent._engine
         self._store = parent._store
@@ -918,10 +840,7 @@ class SnapshotReader(ShardedQuerySession):
                 )
         self._pinned = pinned
         self._versions_seen = pinned
-        entry = parent._entry_for(pinned)
-        self._cache = entry.cache
-        self._statistics = entry.statistics
-        self._merged_tree = entry.merged_tree
+        self._cache = parent._cache_for(pinned)
         self._engine.counters["snapshot_reads"] += 1
 
     # -- pinned-version plumbing ---------------------------------------
@@ -954,7 +873,6 @@ class SnapshotReader(ShardedQuerySession):
     def invalidate(self) -> None:
         # Drop only this reader's (possibly shared) artifact entry.
         QuerySession.invalidate(self)
-        self._merged_tree = None
 
     def at(self, versions: Optional[Sequence[int]] = None) -> "SnapshotReader":
         return self._parent.at(versions)

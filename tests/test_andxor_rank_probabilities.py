@@ -16,6 +16,7 @@ from repro.andxor.rank_probabilities import (
     rank_position_probabilities,
 )
 from repro.exceptions import ModelError
+from repro.models import BlockIndependentDatabase, TupleIndependentDatabase
 from tests.conftest import small_bid, small_tuple_independent, small_xtuple
 
 
@@ -102,8 +103,8 @@ class TestFastPath:
         tree = small_tuple_independent(seed, count=6).tree
         fast = RankStatistics(tree, use_fast_path=True)
         slow = RankStatistics(tree, use_fast_path=False)
-        assert fast._fast_layout is not None
-        assert slow._fast_layout is None
+        assert fast.independent_tuple_layout() is not None
+        assert slow.independent_tuple_layout() is None
         for key in tree.keys():
             for max_rank in (1, 3, 6):
                 a = fast.rank_position_probabilities(key, max_rank=max_rank)
@@ -116,7 +117,7 @@ class TestFastPath:
         tree = small_bid(1, blocks=3, max_alternatives=3).tree
         statistics = RankStatistics(tree)
         if any(len(tree.alternatives_of(key)) > 1 for key in tree.keys()):
-            assert statistics._fast_layout is None
+            assert statistics.independent_tuple_layout() is None
 
     def test_fast_path_unknown_key(self):
         tree = small_tuple_independent(1, count=3).tree
@@ -128,7 +129,7 @@ class TestFastPath:
         tree = small_tuple_independent(7, count=6).tree
         distribution = enumerate_worlds(tree)
         statistics = RankStatistics(tree)
-        assert statistics._fast_layout is not None
+        assert statistics.independent_tuple_layout() is not None
         for key in tree.keys():
             positions = statistics.rank_position_probabilities(key)
             for index, probability in enumerate(positions):
@@ -227,3 +228,43 @@ class TestExpectedRank:
         table = statistics.expected_rank_table()
         assert set(table) == set(statistics.keys())
         assert all(value >= 1.0 for value in table.values())
+
+    @pytest.mark.parametrize(
+        "database",
+        [
+            TupleIndependentDatabase(
+                [("a", "x", 5.0, 0.5), ("b", "y", 5.0, 0.6), ("c", "z", 3.0, 0.7)]
+            ),
+            BlockIndependentDatabase(
+                [
+                    ("a", [("a1", 5.0, 0.3), ("a2", 5.0, 0.4)]),
+                    ("b", [("b1", 5.0, 0.5), ("b2", 2.0, 0.2)]),
+                    ("c", [("c1", 3.0, 0.6)]),
+                ]
+            ),
+        ],
+    )
+    def test_unvalidated_ties_are_not_above(self, database):
+        # Equal scores of different tuples (allowed only unvalidated) never
+        # outrank each other, so the closed forms must not count a tied row
+        # as "above" -- the tree oracle's strict comparison.
+        fast = RankStatistics(database.columns, validate_scores=False)
+        oracle = RankStatistics(
+            database.tree, validate_scores=False, use_fast_path=False
+        )
+        table = fast.expected_rank_table()
+        reference = oracle.expected_rank_table()
+        assert table.keys() == reference.keys()
+        grid = fast.preference_matrix()
+        reference_grid = oracle.preference_matrix()
+        for key, value in reference.items():
+            assert math.isclose(table[key], value, abs_tol=1e-9)
+            for other in reference:
+                assert math.isclose(
+                    grid.value(key, other),
+                    reference_grid.value(key, other),
+                    abs_tol=1e-9,
+                )
+        if isinstance(database, TupleIndependentDatabase):
+            # 1 + (1 - 0.6)(1.8 - 0.6): a, tied with b, is never above it.
+            assert math.isclose(table["b"], 1.48, abs_tol=1e-9)

@@ -267,7 +267,11 @@ class TestLazyTree:
             ]
         )
         connection = connect(database, result_cache=False)
-        for query in BENCHMARK_READS:
+        for query in BENCHMARK_READS + (
+            Query.named("expected_rank_table"),
+            Query.named("expected_rank_topk", 3),
+            Query.named("approximate_topk_kendall", 3),
+        ):
             connection.execute(query)
         statistics = connection.session.statistics
         for key in statistics.keys():

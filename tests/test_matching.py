@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,26 @@ class TestBackendAwareDispatch:
         from repro.matching import scipy_solver_available
 
         assert scipy_solver_available()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """``import repro`` must not pay for ``scipy.optimize``; the
+        solver is imported on the first numpy-backend solve."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; "
+                "assert 'scipy.optimize' not in sys.modules, 'loaded'",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestBipartite:

@@ -306,8 +306,8 @@ def test_served_named_kinds_memoize_only_statistics():
     # hits and misses but memoize into the coordinator's per-version store.
     memoized = {
         name
-        for entry in sharded.coordinator()._store.values()
-        for name, _ in entry.cache
+        for cache in sharded.coordinator()._store.values()
+        for name, _ in cache
     }
     assert "rank_matrix" in memoized
     assert [name for name in memoized if name.startswith("query:")] == []

@@ -15,6 +15,8 @@ import math
 import pytest
 
 from conftest import small_bid, small_tuple_independent
+from repro.andxor.enumeration import enumerate_worlds
+from repro.andxor.rank_probabilities import RankStatistics
 from repro.baselines import expected_rank_topk, global_topk
 from repro.consensus import (
     approximate_topk_kendall,
@@ -89,6 +91,49 @@ def assert_consensus_parity(unsharded, coordinator, k):
         assert abs(membership_merged[key] - expected) < TOLERANCE
 
 
+def brute_force_flat_statistics(tree):
+    """Expected ranks and ``Pr(r(t_i) < r(t_j))`` by world enumeration."""
+    keys = tree.keys()
+    expected = dict.fromkeys(keys, 0.0)
+    preference = dict.fromkeys(
+        ((first, second) for first in keys for second in keys), 0.0
+    )
+    for world, probability in enumerate_worlds(tree):
+        ranked = sorted(world, key=lambda a: -a.effective_score())
+        rank = {a.key: position for position, a in enumerate(ranked, 1)}
+        for first in keys:
+            position = rank.get(first)
+            expected[first] += probability * (position or len(ranked) + 1)
+            if position is None:
+                continue
+            for second in keys:
+                if rank.get(second, math.inf) > position:
+                    preference[first, second] += probability
+    return expected, preference
+
+
+def assert_flat_statistics_parity(database):
+    """The closed-form expected ranks and preference grid, unsharded and
+    on a 4-shard coordinator, equal the ``use_fast_path=False`` tree
+    oracle and the brute force over every world."""
+    tree = database.tree
+    expected, preference = brute_force_flat_statistics(tree)
+    for source in (
+        QuerySession(tree),
+        ShardedDatabase(database, 4).coordinator(),
+        RankStatistics(tree, use_fast_path=False),
+    ):
+        table = source.expected_rank_table()
+        grid = source.preference_matrix()
+        assert set(table) == set(expected)
+        for first, value in expected.items():
+            assert abs(table[first] - value) < TOLERANCE
+            for second in expected:
+                assert abs(
+                    grid.value(first, second) - preference[first, second]
+                ) < TOLERANCE
+
+
 class TestTupleIndependentParity:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("shard_count", [1, 2, 4, 8])
@@ -141,16 +186,9 @@ class TestTupleIndependentParity:
         _backend_or_skip(backend_name)
         with use_backend(backend_name):
             database = random_tuple_independent_database(14, rng=23)
+            assert_flat_statistics_parity(database)
             unsharded = QuerySession(database.tree)
             coordinator = ShardedDatabase(database, 4).coordinator()
-            reference = unsharded.preference_matrix()
-            merged = coordinator.preference_matrix()
-            for first in reference.keys():
-                for second in reference.keys():
-                    assert abs(
-                        reference.value(first, second)
-                        - merged.value(first, second)
-                    ) < TOLERANCE
             assert approximate_topk_kendall(
                 coordinator, K
             ) == approximate_topk_kendall(unsharded, K)
@@ -204,21 +242,10 @@ class TestBlockIndependentParity:
     def test_bid_pairwise_and_expected_ranks(self, backend_name):
         _backend_or_skip(backend_name)
         with use_backend(backend_name):
-            database = small_bid(5, blocks=6)
-            unsharded = QuerySession(database.tree)
-            coordinator = ShardedDatabase(database, 3).coordinator()
-            reference = unsharded.preference_matrix()
-            merged = coordinator.preference_matrix()
-            for first in reference.keys():
-                for second in reference.keys():
-                    assert abs(
-                        reference.value(first, second)
-                        - merged.value(first, second)
-                    ) < TOLERANCE
-            expected = unsharded.expected_rank_table()
-            actual = coordinator.expected_rank_table()
-            for key in expected:
-                assert abs(actual[key] - expected[key]) < TOLERANCE
+            assert_flat_statistics_parity(small_bid(5, blocks=6))
+            assert_flat_statistics_parity(
+                small_bid(9, blocks=5, exhaustive=True)
+            )
 
 
 class TestShardSummary:
