@@ -11,7 +11,12 @@ equivalent :class:`~repro.andxor.tree.AndXorTree` is built lazily, with the
 builders' leaf order, only for the general, world-level and sampling paths.
 
 A :class:`FlatColumns` is immutable by contract: :meth:`replace_block`
-returns a patched copy that shares every unchanged column.
+returns a patched copy that shares every unchanged column.  Because the
+union of independent blocks is again a flat relation, the columns of a
+sharded database's shards merge into one :class:`FlatColumns`
+(:meth:`FlatColumns.merge`, blocks numbered by decreasing best score),
+which :meth:`FlatColumns.with_probabilities` patches after a
+probability-only update.
 """
 
 from __future__ import annotations
@@ -88,6 +93,21 @@ def _score_column(
         for row, score in zip(missing, fallback):
             scores[row] = score
     return scores
+
+
+def first_score_tie(
+    backend: Backend, scores: Any, groups: Any, order: Any
+) -> Optional[Tuple[int, int]]:
+    """The first two rows, adjacent in ``order`` (rows by decreasing
+    score), that share a score but not a group (a block or key), else
+    None."""
+    tie = backend.first_tie(
+        backend.take_rows(scores, order), backend.take_rows(groups, order)
+    )
+    if tie is None:
+        return None
+    first, second = backend.vector_values(order, [tie, tie + 1])
+    return first, second
 
 
 class FlatColumns:
@@ -283,17 +303,73 @@ class FlatColumns:
         columns._tree = tree
         return columns
 
+    @classmethod
+    def merge(
+        cls, parts: Sequence["FlatColumns"]
+    ) -> Tuple["FlatColumns", Any]:
+        """One relation holding the blocks of every part, never re-validated.
+
+        The parts (e.g. a sharded database's shards) hold distinct keys and
+        share one backend.  The merged blocks are numbered by decreasing
+        best score, so :attr:`keys` is the score-ordered key list; a block
+        keeps its part's rows.  Also returns, per merged row, its row in
+        the parts' concatenation: a change of the parts' probabilities
+        alone is :meth:`with_probabilities` over those rows of their
+        concatenated probability columns.  The merged :attr:`order` is the
+        concatenation's, renumbered; rows of different keys that tie on
+        score keep their concatenation order.
+        """
+        if not parts:
+            return cls.from_independent([], [], [], []), []
+        backend = parts[0].backend
+        keys: List[Hashable] = []
+        values: List[Hashable] = []
+        explicit: List[Optional[float]] = []
+        block_ids: List[int] = []
+        for part in parts:
+            offset = len(keys)
+            block_ids += [
+                block + offset for block in backend.vector_values(part.blocks)
+            ]
+            keys += part.keys
+            values += part.values
+            explicit += part.explicit_scores
+        concatenated = cls(
+            keys,
+            values,
+            explicit,
+            backend.concatenate([part.probabilities for part in parts]),
+            backend.index_vector(block_ids),
+            scores=backend.concatenate([part.scores for part in parts]),
+            backend=backend,
+        )
+        order = concatenated.order
+        by_score = backend.vector_values(
+            backend.take_rows(concatenated.blocks, order)
+        )
+        merged, rows = concatenated._gathered(list(dict.fromkeys(by_score)))
+        # The concatenation's score order, renumbered to the merged rows,
+        # so the merged columns are never sorted again.
+        merged._order = backend.take_rows(
+            backend.inverse_permutation(rows), order
+        )
+        return merged, rows
+
     def gather(self, blocks: Sequence[int]) -> "FlatColumns":
         """The columns of ``blocks`` only, renumbered in the given order.
 
         Rows are gathered (one take per column), never re-validated; the
         scores are reused.
         """
+        return self._gathered(blocks)[0]
+
+    def _gathered(self, blocks: Sequence[int]) -> Tuple["FlatColumns", Any]:
+        """:meth:`gather`, plus the source row of every gathered row."""
         backend = self.backend
         rows, block_ids = backend.block_rows(self.blocks, blocks)
         picked = backend.vector_values(rows)
         gathered = FlatColumns(
-            [self.keys[block] for block in blocks],
+            list(map(self.keys.__getitem__, blocks)),
             list(map(self.values.__getitem__, picked)),
             list(map(self.explicit_scores.__getitem__, picked)),
             backend.take_rows(self.probabilities, rows),
@@ -302,7 +378,27 @@ class FlatColumns:
             backend=backend,
         )
         gathered.tie_free = self.tie_free
-        return gathered
+        return gathered, rows
+
+    def with_probabilities(self, probabilities: Any) -> "FlatColumns":
+        """A copy with another probability column, never re-validated.
+
+        Shares every other column, the score order, the key index and the
+        checked-distinct state with these columns.
+        """
+        patched = FlatColumns(
+            self.keys,
+            self.values,
+            self.explicit_scores,
+            probabilities,
+            self.blocks,
+            scores=self.scores,
+            order=self.order,
+            backend=self.backend,
+        )
+        patched.tie_free = self.tie_free
+        patched._block_index = self.key_index
+        return patched
 
     def replace_block(
         self, key: Hashable, rows: Sequence[Row], independent: bool
@@ -400,11 +496,30 @@ class FlatColumns:
             scores[row] = None
         return scores
 
-    def block_of(self, key: Hashable) -> int:
-        """Index of ``key``'s block (KeyError for an unknown key)."""
+    @property
+    def key_index(self) -> Dict[Hashable, int]:
+        """Key -> index of its block, built once; callers must not mutate
+        it."""
         if self._block_index is None:
             self._block_index = dict(zip(self.keys, range(len(self.keys))))
-        return self._block_index[key]
+        return self._block_index
+
+    def block_of(self, key: Hashable) -> int:
+        """Index of ``key``'s block (KeyError for an unknown key)."""
+        return self.key_index[key]
+
+    def same_rows(self, other: "FlatColumns") -> bool:
+        """Whether ``other`` differs from these columns at most in its
+        probabilities: it shares their key list, block and score columns
+        (as :meth:`replace_block` shares them when no score moved) and
+        holds equal values."""
+        return (
+            other.keys is self.keys
+            and other.blocks is self.blocks
+            and other.scores is self.scores
+            and other.values == self.values
+            and other.explicit_scores == self.explicit_scores
+        )
 
     def rows_of(self, key: Hashable) -> range:
         """The (contiguous) rows of ``key``'s block; empty when unknown."""
@@ -412,6 +527,8 @@ class FlatColumns:
             block = self.block_of(key)
         except KeyError:
             return range(0)
+        if self.independent:  # row r is block r
+            return range(block, block + 1)
         start = bisect_left(self.blocks, block)
         return range(start, bisect_right(self.blocks, block, start))
 
@@ -459,19 +576,19 @@ class FlatColumns:
         """
         with _TREE_LOCK:  # one tree object: leaves are matched by identity
             if self._tree is None:
-                probabilities = self.backend.vector_values(self.probabilities)
+                backend = self.backend
+                keys = self.keys
+                blocks: List[List[Tuple[Leaf, float]]] = [[] for _ in keys]
+                for block, value, score, probability in zip(
+                    backend.vector_values(self.blocks),
+                    self.values,
+                    self.explicit_scores,
+                    backend.vector_values(self.probabilities),
+                ):
+                    leaf = Leaf(TupleAlternative(keys[block], value, score))
+                    blocks[block].append((leaf, probability))
                 self._tree = AndXorTree(
-                    AndNode(
-                        XorNode(
-                            (
-                                Leaf(self.alternative(row)),
-                                probabilities[row],
-                            )
-                            for row in self.rows_of(key)
-                        )
-                        for key in self.keys
-                    ),
-                    validate=False,
+                    AndNode(map(XorNode, blocks)), validate=False
                 )
         return self._tree
 

@@ -31,6 +31,7 @@ through the engine's multiply-accumulate kernel.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -44,7 +45,7 @@ from typing import (
     Union,
 )
 
-from repro.andxor.columns import FlatColumns
+from repro.andxor.columns import FlatColumns, first_score_tie
 from repro.andxor.generating import (
     conditional_univariate_generating_function,
 )
@@ -183,6 +184,33 @@ class RankStatistics:
             )
         return self._layout_cache
 
+    def _rows_of(
+        self, keys: Sequence[Hashable]
+    ) -> Optional[List[Tuple[Hashable, float, float]]]:
+        """:attr:`_rows` restricted to the rows of ``keys`` (unknown keys
+        have none), in the same order, found through the columns' key
+        index, so a small candidate pool reads no other row."""
+        columns = self._columns
+        if not self._use_fast_path_flag or columns is None:
+            return None
+        row_keys: List[Hashable] = []
+        rows: List[int] = []
+        for key in dict.fromkeys(keys):
+            own = columns.rows_of(key)
+            row_keys += [key] * len(own)
+            rows += own
+        values = self._backend.vector_values
+        # Stable, as the score order is: the closed forms add in row order.
+        return sorted(
+            zip(
+                row_keys,
+                values(columns.probabilities, rows),
+                values(self._row_scores, rows),
+            ),
+            key=itemgetter(2),
+            reverse=True,
+        )
+
     def _ordered(self, column: Any) -> Any:
         """A flat layout's native ``column`` in decreasing score order."""
         return self._backend.take_rows(column, self._order)
@@ -284,12 +312,12 @@ class RankStatistics:
     def _validate_scores(self, row_groups: Any) -> None:
         """Reject equal scores on rows of different keys (adjacent in the
         decreasing-score order); ``row_groups`` numbers each row's key."""
-        tie = self._backend.first_tie(
-            self._ordered(self._row_scores), self._ordered(row_groups)
+        tie = first_score_tie(
+            self._backend, self._row_scores, row_groups, self._order
         )
         if tie is None:
             return
-        first, second = self._backend.vector_values(self._order, [tie, tie + 1])
+        first, second = tie
         if self._columns is None:
             alternatives = list(self._scores)
             pair = (alternatives[first], alternatives[second])
@@ -490,8 +518,8 @@ class RankStatistics:
         Because the preference probability of a pair does not depend on the
         other tuples, a sub-grid over a candidate pool is exactly the
         restriction of the full matrix.  A flat (TI / BID) layout takes the
-        closed form :func:`_flat_preference_matrix` over its rows, as the
-        sharded coordinator does over its merged rows; the general layout
+        closed form :func:`_flat_preference_matrix` over its rows (only
+        the pool's rows for a key subset); the general layout
         and the ``use_fast_path=False`` oracle call
         :meth:`pairwise_preference` per pair.  Cached per key subset.
         """
@@ -502,7 +530,7 @@ class RankStatistics:
         if cached is not None:
             return cached
         matrix_keys = list(self.keys() if keys is None else keys)
-        rows = self._rows
+        rows = self._rows if keys is None else self._rows_of(matrix_keys)
         if rows is not None:
             matrix = _flat_preference_matrix(rows, matrix_keys)
         else:
@@ -567,8 +595,8 @@ class RankStatistics:
         """Expected rank of every tuple key (cached).
 
         A flat (TI / BID) layout takes the one-pass closed form
-        :func:`_flat_expected_ranks` over its rows, as the sharded
-        coordinator does over its merged rows; the general layout and the
+        :func:`_flat_expected_ranks` over its rows (the sharded
+        coordinator's are its merged columns); the general layout and the
         ``use_fast_path=False`` oracle call :meth:`expected_rank` per key.
         """
         if self._expected_rank_cache is None:

@@ -20,6 +20,14 @@ class ModelError(ReproError):
     """
 
 
+class UnknownKeyError(ModelError, ValueError):
+    """Raised when a tuple key is not in the database.
+
+    Also a ``ValueError``: the maximum over an unknown key's (empty)
+    alternatives, the tree path's lookup, raises one.
+    """
+
+
 class KeyConstraintError(ModelError):
     """Raised when two alternatives of the same tuple could co-exist.
 

@@ -42,7 +42,6 @@ from repro.exceptions import ModelError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
-from repro.sharding.summary import shard_layout
 
 SourceDatabase = Union[TupleIndependentDatabase, BlockIndependentDatabase]
 Partitioner = Union[str, Callable[[Hashable], int]]
@@ -69,7 +68,7 @@ def build_shard_database(
 class DatabaseShard:
     """One shard: its columns, its version and a lazy query session.
 
-    The coordinator reads every live shard through :meth:`layout`,
+    The coordinator reads every live shard through :attr:`columns`,
     :meth:`summary` and :meth:`session`; this class alone knows whether the
     shard's statistics live in this process (``executor="threads"``: the
     session's memoized artifacts) or in a worker process
@@ -138,13 +137,6 @@ class DatabaseShard:
         if self._owner.executor != "processes":
             return None
         return self._owner.process_pool().read(self.index, op, *args)
-
-    def layout(self) -> Any:
-        """The shard's :class:`~repro.sharding.summary.ShardLayout`."""
-        layout = self._from_worker("layout")
-        if layout is not None:
-            return layout
-        return shard_layout(self.session())
 
     def summary(self, max_rank: int) -> Tuple[Any, Any]:
         """``(summary, token)``: the truncated rank summary and a token
@@ -717,6 +709,19 @@ class ShardedDatabase:
         if missed and self._pool is not None:
             self._pool.restart_worker(pending.shard_index)
         self._notify(pending.shard_index, pending.key)
+
+    def install_from_committed(
+        self, index: int, install: Callable[[FlatColumns], None]
+    ) -> None:
+        """Call ``install`` with shard ``index``'s committed columns, under
+        the update lock.
+
+        A process pool respawns a worker this way: an update that already
+        committed on the dead worker cannot swap the columns between the
+        read and the install, leaving the new worker behind the parent.
+        """
+        with self._apply_lock:
+            install(self._shards[index].columns)
 
     def _archive_current(self, shard: DatabaseShard) -> None:
         """Hand the shard's outgoing state to the coordinator's history."""

@@ -63,6 +63,7 @@ from repro.andxor.rank_probabilities import RankStatistics, ScoringFunction
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
 from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
+from repro.exceptions import UnknownKeyError
 
 SessionSource = Union[AndXorTree, FlatColumns, RankStatistics, "QuerySession"]
 
@@ -173,8 +174,9 @@ class QuerySession:
     """
 
     #: The tree or flat columns the session reads (None on the sharded
-    #: coordinator, which merges shard sessions instead).
+    #: coordinator, whose :attr:`_columns` merges its shards' columns).
     _source: Union[AndXorTree, FlatColumns, None] = None
+    _statistics: Optional[RankStatistics] = None
 
     def __init__(
         self,
@@ -194,7 +196,7 @@ class QuerySession:
                     "tree instead"
                 )
             self._source = source._given_tree or source._columns
-            self._statistics: Optional[RankStatistics] = source
+            self._statistics = source
             self._adopted = True
             # Adopt the statistics object's construction settings so that
             # invalidate() rebuilds an equivalent object (same scoring,
@@ -360,13 +362,13 @@ class QuerySession:
 
     @property
     def _tree(self) -> AndXorTree:
-        if isinstance(self._source, FlatColumns):
-            return self._source.tree
-        return self._source
+        columns = self._columns
+        return self._source if columns is None else columns.tree
 
     @property
     def _columns(self) -> Optional[FlatColumns]:
-        """The flat columns the session was built on, else None."""
+        """The flat columns the session reads, else None (overridden by
+        the sharded coordinator, which merges its shards' columns)."""
         source = self._source
         return source if isinstance(source, FlatColumns) else None
 
@@ -414,27 +416,30 @@ class QuerySession:
 
     @property
     def statistics(self) -> RankStatistics:
-        """The rank statistics the session is built on (lazily created)."""
-        if self._statistics is None:
-            columns = self._columns
-            self._statistics = RankStatistics(
+        """The rank statistics the session is built on (lazily created,
+        and created again when :attr:`_columns` returns other columns)."""
+        columns = self._columns
+        statistics = self._statistics
+        if statistics is None or (
+            columns is not None and statistics._columns is not columns
+        ):
+            statistics = RankStatistics(
                 self._tree if columns is None else columns,
                 validate_scores=self._validate_scores,
                 use_fast_path=self._use_fast_path,
                 scoring=self._scoring,
             )
-        return self._statistics
+            self._statistics = statistics
+        return statistics
 
     def keys(self) -> List[Hashable]:
         """The tuple keys of the database."""
         return self.statistics.keys()
 
     def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
-        """The alternatives of one tuple key.
-
-        Overridden by the sharded coordinator to serve the owning shard's
-        alternatives without materializing a merged tree.
-        """
+        """The alternatives of one tuple key (read off the columns of a
+        flat relation, the sharded coordinator's merged ones included, so
+        no tree is built)."""
         columns = self._columns
         if columns is not None:
             return columns.alternatives_of(key)
@@ -458,10 +463,9 @@ class QuerySession:
 
         The hot consumer is :func:`repro.consensus.topk.common.\
         order_by_score`, which orders a handful of answer keys.  Flat
-        columns answer from their score order, where answer keys sit near
-        the top, so no key index is built; the sharded coordinator
-        overrides this to answer from its merged layout so ordering
-        candidate keys never materializes shard trees.
+        columns (the sharded coordinator's merged ones too) answer from
+        their score order, where answer keys sit near the top, so neither
+        a key index nor a tree is built.
         """
         columns = self._columns
         if columns is not None and self._scoring is None:
@@ -542,7 +546,7 @@ class QuerySession:
             self._memoized(
                 "expected_rank_table",
                 (),
-                self.statistics.expected_rank_table,
+                lambda: self.statistics.expected_rank_table(),
             )
         )
 
@@ -614,7 +618,8 @@ def _best_scores_by_order(
 
     The first row of a key in decreasing score order is its best one, so
     the walk stops once every key was seen; it reads growing chunks of the
-    order.  An unknown key raises ``ValueError``, as the tree path does.
+    order.  An unknown key raises :class:`~repro.exceptions.UnknownKeyError`,
+    a ``ValueError`` as on the tree path.
     """
     wanted = set(keys)
     best: Dict[Hashable, float] = {}
@@ -635,7 +640,7 @@ def _best_scores_by_order(
         size *= 2
     for key in keys:
         if key not in best:
-            raise ValueError(f"unknown tuple key {key!r}")
+            raise UnknownKeyError(f"unknown tuple key {key!r}")
     return {key: best[key] for key in keys}
 
 

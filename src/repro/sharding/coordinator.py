@@ -1,8 +1,18 @@
 """The cross-shard coordinator session.
 
 :class:`ShardedQuerySession` is a :class:`~repro.session.QuerySession`
-drop-in built over the per-shard sessions of a partitioned database.  It
-never materializes a global tree for statistics: the rank generating
+over one merged relation: TI and BID relations are an and of independent
+xor blocks, so the union of the shards' blocks is again one flat relation.
+The coordinator merges the shards' committed
+:class:`~repro.andxor.columns.FlatColumns` into one set of columns per
+version vector (:meth:`~repro.andxor.columns.FlatColumns.merge`, without
+opening a shard session), and the inherited session code answers every
+read from them: keys, scores, alternatives, the expected-rank table and
+the pairwise-preference grid (the flat closed forms of
+:mod:`repro.andxor.rank_probabilities`), and, through the columns' lazily
+built tree, the world-level, aggregate and sampling routes.
+
+Only the rank matrix is merged from shard summaries.  The rank generating
 function of independent shards factorizes, so the coordinator recovers the
 exact global ``Pr(r(t) = i)`` matrix by convolving each tuple's *local*
 rank polynomial (its own shard, own block excluded) with the other shards'
@@ -10,16 +20,9 @@ count-above-threshold partials (:class:`~repro.sharding.summary.\
 ShardRankSummary`).  The whole merge is a handful of batched backend
 kernels (row gathers + row-aligned truncated convolutions);
 block-independent shards contribute one row per alternative, collapsed
-per tuple.
-
-Every consensus algorithm of :mod:`repro.consensus` then runs unchanged at
-the coordinator -- the Top-k answers under the symmetric-difference,
-intersection, footrule and (via the merged pairwise grid) Kendall metrics
-are computed from merged statistics and are semantically identical to a
-single unsharded session over the same data.  The expected-rank table and
-the pairwise-preference grid need no merge: they are the flat closed forms
-of :mod:`repro.andxor.rank_probabilities`, the ones a local TI / BID session
-uses, read over the merged score-ordered rows.
+per tuple.  Every consensus algorithm of :mod:`repro.consensus` then runs
+unchanged at the coordinator, with answers identical to a single
+unsharded session over the same data.
 
 Two properties make the coordinator honest under sustained mixed traffic:
 
@@ -27,7 +30,9 @@ Two properties make the coordinator honest under sustained mixed traffic:
   the one merge path.  It keeps prefix/suffix partial products of the
   per-shard count-above polynomials on one shared score grid.  A full
   merge is O(S) row convolutions, and an update re-convolves only the
-  grid rows below the first alternative whose content it changed.
+  grid rows below the first alternative whose content it changed.  A
+  probability-only update patches the merged columns' probability column
+  and shares everything else with them.
 * **MVCC snapshot reads**: merged artifacts are memoized *per version
   vector* in a small bounded store, and :meth:`at` returns a
   :class:`SnapshotReader` pinned at one vector.  Updates publish a new
@@ -39,11 +44,11 @@ Two properties make the coordinator honest under sustained mixed traffic:
   reads never touch the live engine's cached partials.
 
 Every shard is read through one interface, whatever holds its state:
-``layout()`` (its :class:`~repro.sharding.summary.ShardLayout`),
+``columns`` (its committed :class:`~repro.andxor.columns.FlatColumns`),
 ``summary(max_rank)`` (its truncated summary plus a content token for the
-merge engine) and ``session()`` (only for the tree-level fallbacks).  Live
-shards are :class:`~repro.models.sharded.DatabaseShard` objects, which alone
-know whether their state sits in this process or in a worker;
+merge engine) and ``session()`` (only for the single-shard shortcut).
+Live shards are :class:`~repro.models.sharded.DatabaseShard` objects,
+which alone know whether their state sits in this process or in a worker;
 superseded ones are :class:`_ShardArchive` entries of the snapshot history
 (a reader reads a live shard through a :class:`_PinnedShard`, which falls
 back to the archive when a swap raced the read).  The coordinator picks
@@ -54,184 +59,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.andxor.nodes import AndNode
-from repro.andxor.rank_probabilities import (
-    RankStatistics,
-    _flat_expected_ranks,
-    _flat_preference_matrix,
-)
-from repro.andxor.tree import AndXorTree
-from repro.core.tuples import TupleAlternative
-from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
+from repro.andxor.columns import FlatColumns, first_score_tie
+from repro.engine import RankMatrix, get_backend
 from repro.exceptions import ModelError, SnapshotTooOldError
 from repro.session import QuerySession
 from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
 from repro.sharding.summary import ShardRankSummary, shard_layout
-
-
-class _MergedLayout(NamedTuple):
-    """The merged rows of every shard, as columns, plus one key index.
-
-    Row ``r`` is the database's ``r``-th alternative by decreasing score:
-    ``grid_scores[r]`` (the merge engine's shared score grid),
-    ``row_keys[r]``, ``row_probabilities[r]`` and ``row_shards[r]`` (the
-    owning shard's index).  ``keys_order`` lists the keys by decreasing
-    best score (first appearance in the rows), ``key_index`` maps each key
-    to its position there -- the index every merged :class:`RankMatrix`
-    reuses -- and ``key_rows[i]`` is the row of key ``i``'s best
-    alternative.  ``shard_rows[j]`` holds the global rows of shard
-    fragment ``j``'s rows: the scatter positions of a probability patch.
-
-    A probability-only update changes ``row_probabilities`` alone; the
-    patched layout (``_replace``) shares every other column with the
-    layout it patches.
-    """
-
-    independent: bool
-    grid_scores: List[float]
-    row_keys: List[Hashable]
-    row_probabilities: List[float]
-    row_shards: List[int]
-    keys_order: List[Hashable]
-    key_index: Dict[Hashable, int]
-    key_rows: List[int]
-    shard_rows: List[List[int]]
-
-    @classmethod
-    def build(
-        cls,
-        fragments: Sequence[Any],
-        shard_indices: Sequence[int],
-        validate_scores: bool,
-    ) -> "_MergedLayout":
-        """Merge shard layouts into one decreasing-score row stream."""
-        scores: List[float] = []
-        probabilities: List[float] = []
-        keys: List[Hashable] = []
-        shards: List[int] = []
-        for fragment, index in zip(fragments, shard_indices):
-            scores += fragment.scores
-            probabilities += fragment.probabilities
-            keys += fragment.row_keys()
-            shards += [index] * len(fragment.scores)
-        # Each shard's rows are already sorted, so Timsort merges the
-        # concatenated runs in near-linear time.
-        order = sorted(
-            range(len(scores)), key=scores.__getitem__, reverse=True
-        )
-        grid = list(map(scores.__getitem__, order))
-        row_keys = list(map(keys.__getitem__, order))
-        key_index: Dict[Hashable, int] = {}
-        key_rows: List[int] = []
-        for row, key in enumerate(row_keys):
-            if key not in key_index:
-                key_index[key] = len(key_rows)
-                key_rows.append(row)
-        if validate_scores:
-            for row in range(1, len(grid)):
-                if (
-                    grid[row] == grid[row - 1]
-                    and row_keys[row] != row_keys[row - 1]
-                ):
-                    raise ModelError(
-                        f"tuples {row_keys[row - 1]!r} and {row_keys[row]!r} "
-                        f"of different shards share score {grid[row]}; "
-                        "ranking assumes distinct scores"
-                    )
-        # The inverse permutation: the global row of every source row.
-        global_row = sorted(range(len(order)), key=order.__getitem__)
-        shard_rows: List[List[int]] = []
-        offset = 0
-        for fragment in fragments:
-            end = offset + len(fragment.scores)
-            shard_rows.append(global_row[offset:end])
-            offset = end
-        return cls(
-            all(fragment.independent for fragment in fragments),
-            grid,
-            row_keys,
-            list(map(probabilities.__getitem__, order)),
-            list(map(shards.__getitem__, order)),
-            list(key_index),
-            key_index,
-            key_rows,
-            shard_rows,
-        )
-
-    def best_row(self, key: Hashable) -> int:
-        """The row of ``key``'s best alternative."""
-        position = self.key_index.get(key)
-        if position is None:
-            raise ModelError(f"unknown tuple key {key!r}")
-        return self.key_rows[position]
-
-    def rows(self) -> Iterator[Tuple[Hashable, float, float]]:
-        """``(key, probability, score)`` per row, by decreasing score: the
-        rows the flat closed forms of
-        :mod:`repro.andxor.rank_probabilities` read."""
-        return zip(self.row_keys, self.row_probabilities, self.grid_scores)
-
-    def rows_of(
-        self, keys: Sequence[Hashable]
-    ) -> Iterator[Tuple[Hashable, float, float]]:
-        """Rows including every row of ``keys``: on a tuple-independent
-        layout just their one row each (unknown keys skipped), so a small
-        candidate pool reads no other row; all rows otherwise."""
-        if not self.independent:
-            return self.rows()
-        index = self.key_index
-        found = [self.key_rows[index[key]] for key in keys if key in index]
-        return zip(
-            map(self.row_keys.__getitem__, found),
-            map(self.row_probabilities.__getitem__, found),
-            map(self.grid_scores.__getitem__, found),
-        )
-
-
-def _patched_layout(
-    base: Optional[Tuple[List[Any], _MergedLayout]], fragments: List[Any]
-) -> Optional[_MergedLayout]:
-    """Patch the shared base layout when no score or key moved.
-
-    ``base`` is a ``(fragments, layout)`` pair: the shard layouts a merged
-    layout was built or patched from.  A probability-only update keeps
-    every score (hence the grid, the row order and the key index) in
-    place, so the new layout is the base with the changed shards'
-    probabilities scattered into a copy of the probability column, at
-    scatter positions computed once per score layout.  Returns ``None``
-    whenever a full rebuild is required.
-    """
-    if base is None or len(fragments) != len(base[0]):
-        return None
-    cached, previous = base
-    changed: List[int] = []
-    for position, (fragment, old) in enumerate(zip(fragments, cached)):
-        if fragment is old:
-            continue
-        if not fragment.same_rows(old):
-            return None
-        changed.append(position)
-    if not changed:
-        return previous
-    probabilities = list(previous.row_probabilities)
-    for position in changed:
-        for row, probability in zip(
-            previous.shard_rows[position], fragments[position].probabilities
-        ):
-            probabilities[row] = probability
-    return previous._replace(row_probabilities=probabilities)
 
 
 class _ShardArchive:
@@ -243,7 +79,7 @@ class _ShardArchive:
     adopts whatever the live shard already built at that version
     (:meth:`~repro.models.sharded.DatabaseShard.warm_state`); anything
     missing is computed lazily from the archived columns.  Answers the
-    coordinator through the same ``layout()`` / ``summary()`` /
+    coordinator through the same ``columns`` / ``summary()`` /
     ``session()`` interface as a live shard.
     """
 
@@ -276,10 +112,7 @@ class _ShardArchive:
     def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
         cached = self._summaries.get(max_rank)
         if cached is None:
-            if self._session is not None or self._layout is None:
-                cached = self.session().partial_rank_summary(max_rank)
-            else:
-                cached = ShardRankSummary.from_layout(self._layout, max_rank)
+            cached = ShardRankSummary.from_layout(self.layout(), max_rank)
             self._summaries[max_rank] = cached
         return cached, ("archive", self.index, self.version)
 
@@ -302,26 +135,27 @@ class _PinnedShard:
         self._version = version
         self._coordinator = coordinator
 
-    def _read(self, name: str, *args: Any) -> Any:
-        result = getattr(self._shard, name)(*args)
+    def _read(self, read: Callable[[Any], Any]) -> Any:
+        result = read(self._shard)
         archive = self._coordinator._archived(self.index, self._version)
         if archive is None and self._shard.version == self._version:
             return result
         archive = self._coordinator._archive_lookup(self.index, self._version)
-        return getattr(archive, name)(*args)
+        return read(archive)
+
+    @property
+    def columns(self) -> FlatColumns:
+        return self._read(attrgetter("columns"))
 
     def session(self) -> Optional[QuerySession]:
-        return self._read("session")
-
-    def layout(self) -> Any:
-        return self._read("layout")
+        return self._read(methodcaller("session"))
 
     def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
-        return self._read("summary", max_rank)
+        return self._read(methodcaller("summary", max_rank))
 
 
 class ShardedQuerySession(QuerySession):
-    """Coordinator session merging statistics across database shards.
+    """A session over the merged relation of a database's shards.
 
     Parameters
     ----------
@@ -369,7 +203,7 @@ class ShardedQuerySession(QuerySession):
     # Shard plumbing
     # ------------------------------------------------------------------
     def _shards(self) -> List[Any]:
-        """The shards to read, each answering ``layout()``, ``summary()``
+        """The shards to read, each answering ``columns``, ``summary()``
         and ``session()``: the database's non-empty shards."""
         return [
             shard for shard in self._database.shards() if not shard.is_empty
@@ -384,17 +218,6 @@ class ShardedQuerySession(QuerySession):
     def deployment(self) -> str:
         """Deployment kind for the query planner."""
         return "sharded"
-
-    def layout_kind(self) -> str:
-        """Model layout, read off the merged layout (never a merged tree).
-
-        The merged ``independent`` flag ANDs every shard: a BID shard that
-        happens to hold only single-alternative blocks is
-        tuple-independent on its own, the database is not.
-        """
-        if not self._shards():
-            return "general"
-        return "tuple-independent" if self._layout().independent else "bid"
 
     def _current_versions(self) -> Tuple[Any, ...]:
         generations = tuple(shard.generation for shard in self._shards())
@@ -565,133 +388,57 @@ class ShardedQuerySession(QuerySession):
         return archive
 
     # ------------------------------------------------------------------
-    # Merged layout
+    # The merged relation
     # ------------------------------------------------------------------
-    def _layout(self) -> _MergedLayout:
-        return self._memoized("merged_layout", (), self._build_layout)
+    @property
+    def _columns(self) -> FlatColumns:
+        """The merged columns of every shard, a memoized artifact of the
+        vector; the inherited session code reads them."""
+        return self._memoized("merged_columns", (), self._merge_columns)
 
-    def _build_layout(self) -> _MergedLayout:
-        """Patch the shared base layout, or rebuild it when a score moved.
+    def _merge_columns(self) -> FlatColumns:
+        """Patch the shared base's probabilities, or merge anew when a
+        score, key or value moved.
 
         The patch base is the engine's ``layout_base``: one coordinator's
         engine is shared by every reader, so each live read publishes its
-        ``(fragments, layout)`` pair for the next one, and a
-        probability-only update costs one copy of the probability column
-        whichever reader meets it first.
+        ``(shard columns, source rows, merged columns)`` triple for the
+        next one, and a probability-only update costs one gather of the
+        shards' probability columns whichever reader meets it first.
         """
-        shards = self._shards()
-        fragments = [shard.layout() for shard in shards]
-        layout = _patched_layout(self._engine.layout_base, fragments)
-        if layout is not None:
+        parts = [shard.columns for shard in self._shards()]
+        base = self._engine.layout_base
+        if (
+            parts
+            and base is not None
+            and len(parts) == len(base[0])
+            and all(
+                new is old or old.same_rows(new)
+                for new, old in zip(parts, base[0])
+            )
+        ):
+            _, rows, columns = base
+            backend = columns.backend
+            probabilities = [part.probabilities for part in parts]
+            columns = columns.with_probabilities(
+                backend.take_rows(backend.concatenate(probabilities), rows)
+            )
             self._engine.counters["layout_patches"] += 1
         else:
-            layout = _MergedLayout.build(
-                fragments,
-                [shard.index for shard in shards],
-                self._validate_scores,
-            )
+            columns, rows = FlatColumns.merge(parts)
+            if self._validate_scores:
+                _check_cross_shard_ties(columns)
             self._engine.counters["layout_rebuilds"] += 1
         if not self._superseded():
             # A superseded reader only reads the base, as it merges through
             # a throwaway engine: publishing its older rows would make the
             # next live read patch them back.
             with self._state_lock:
-                self._engine.layout_base = (fragments, layout)
-        return layout
+                self._engine.layout_base = (parts, rows, columns)
+        return columns
 
     # ------------------------------------------------------------------
-    # Database accessors (merged, no global statistics object)
-    # ------------------------------------------------------------------
-    @property
-    def _tree(self) -> AndXorTree:
-        """Merged and/xor tree, a memoized artifact of the vector.
-
-        Only the consensus routes that genuinely need a tree (set-level
-        consensus worlds, the BID median dynamic program, world sampling)
-        touch this; the rank/pairwise statistics never do.  The shard
-        root children are reused, so construction is index building only.
-        """
-        return self._memoized("merged_tree", (), self._merge_trees)
-
-    def _merge_trees(self) -> AndXorTree:
-        children = []
-        for shard in self._shards():
-            root = shard.session().tree.root
-            if not isinstance(root, AndNode):
-                raise ModelError(
-                    "sharded sessions require and-rooted shard trees"
-                )
-            children.extend(root.children())
-        self._layout()  # validates cross-shard score ties
-        return AndXorTree(AndNode(children), validate=False)
-
-    @property
-    def statistics(self) -> RankStatistics:
-        """Global statistics over the merged tree, a memoized artifact of
-        the vector.  No query route reads them: they serve direct callers
-        that want a tree-level :class:`RankStatistics`."""
-        return self._memoized(
-            "statistics",
-            (),
-            lambda: RankStatistics(
-                self._tree, validate_scores=self._validate_scores
-            ),
-        )
-
-    def keys(self) -> List[Hashable]:
-        return list(self._layout().keys_order)
-
-    def number_of_tuples(self) -> int:
-        return len(self._layout().keys_order)
-
-    def _session_of(self, key: Hashable) -> QuerySession:
-        """The session of the shard owning ``key``, at this session's vector.
-
-        The merged layout records owners by shard *index*: pinned readers
-        share it, so the owner must resolve through :meth:`_shards` -- the
-        live shard while it is at the pinned version, its archive after.
-        """
-        layout = self._layout()
-        index = layout.row_shards[layout.best_row(key)]
-        for shard in self._shards():
-            if shard.index == index:
-                return shard.session()
-        raise ModelError(f"shard {index} owning {key!r} is gone")
-
-    def score_of(self, alternative: TupleAlternative) -> float:
-        return self._session_of(alternative.key).score_of(alternative)
-
-    def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
-        return self._session_of(key).alternatives_of(key)
-
-    def best_scores(
-        self, keys: Sequence[Hashable]
-    ) -> Dict[Hashable, float]:
-        """Best alternative scores, straight off the merged layout.
-
-        Overrides the session default so ordering candidate keys (the
-        symmetric-difference presentation order, every query's answer
-        assembly) never resolves shard sessions -- essential on the
-        process-pool path, a cheap win in-process too.
-        """
-        layout = self._layout()
-        missing = [key for key in keys if key not in layout.key_index]
-        if missing:
-            raise ModelError(
-                f"unknown tuple keys {sorted(map(repr, missing))}"
-            )
-        return {key: layout.grid_scores[layout.best_row(key)] for key in keys}
-
-    def independent_tuple_layout(
-        self,
-    ) -> Optional[List[Tuple[Hashable, float, float]]]:
-        layout = self._layout()
-        if not layout.independent:
-            return None
-        return list(layout.rows())
-
-    # ------------------------------------------------------------------
-    # Merged statistics artifacts
+    # The merged rank matrix
     # ------------------------------------------------------------------
     def rank_matrix(self, max_rank: Optional[int] = None) -> RankMatrix:
         """The exact global rank matrix, merged by convolving shard partials."""
@@ -705,10 +452,10 @@ class ShardedQuerySession(QuerySession):
 
     def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:
         backend = get_backend()
-        # The layout carries the cross-shard validation (duplicate keys,
-        # tied scores); building it first means a direct rank_matrix()
-        # call fails as loudly as every other merged artifact.
-        layout = self._layout()
+        # The merge carries the cross-shard validation (tied scores);
+        # building it first means a direct rank_matrix() call fails as
+        # loudly as every other read.
+        columns = self._columns
         shards: List[Any] = []
         summaries: List[ShardRankSummary] = []
         tokens: List[Any] = []
@@ -733,18 +480,19 @@ class ShardedQuerySession(QuerySession):
             summaries,
             tokens,
             max_rank,
-            layout.grid_scores,
-            layout.keys_order,
+            columns.backend.take_rows(columns.scores, columns.order),
+            columns.keys,
             backend,
         )
-        # Patched layouts share one key index, so every re-merged matrix
-        # reuses it instead of rebuilding an n-entry dict.
+        # Patched columns share one key list and key index, so every
+        # re-merged matrix reuses them instead of rebuilding an n-entry
+        # dict.
         return RankMatrix(
-            layout.keys_order,
+            columns.keys,
             native,
             backend,
             max_rank,
-            key_index=layout.key_index,
+            key_index=columns.key_index,
         )
 
     def _superseded(self) -> bool:
@@ -760,34 +508,6 @@ class ShardedQuerySession(QuerySession):
         self._engine.counters["merges"] += 1
         self._engine.counters["rebuild_merges"] += 1
         return MergeEngine()
-
-    def preference_matrix(
-        self, keys: Optional[Sequence[Hashable]] = None
-    ) -> PairwisePreferenceMatrix:
-        """The merged ``Pr(r(t_i) < r(t_j))`` grid: the flat closed form
-        over the merged rows (distinct keys are independent across shards
-        as within a TI / BID shard)."""
-
-        def compute() -> PairwisePreferenceMatrix:
-            layout = self._layout()
-            matrix_keys = list(layout.keys_order if keys is None else keys)
-            return _flat_preference_matrix(
-                layout.rows_of(matrix_keys), matrix_keys
-            )
-
-        params = (None,) if keys is None else (tuple(keys),)
-        return self._memoized("preference_matrix", params, compute)
-
-    def expected_rank_table(self) -> Dict[Hashable, float]:
-        """Merged Cormode-style expected ranks: the flat closed form over
-        the merged rows."""
-        return dict(
-            self._memoized(
-                "expected_rank_table",
-                (),
-                lambda: _flat_expected_ranks(self._layout().rows()),
-            )
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -807,7 +527,7 @@ class SnapshotReader(ShardedQuerySession):
     through the parent's incremental engine; once any pinned shard version
     is superseded the reader resolves archived shard states and merges
     through a throwaway engine, so stale reads never thrash the live
-    partial products.  The merged layout works the same way: every reader
+    partial products.  The merged columns work the same way: every reader
     patches the parent's one shared patch base, and only a live reader
     publishes its result back.  Readers never mutate shard state; writers
     never wait for readers.
@@ -904,3 +624,19 @@ class SnapshotReader(ShardedQuerySession):
             f"SnapshotReader(pinned={self._pinned!r}, "
             f"entries={len(self._cache)}, live={self._live()})"
         )
+
+
+def _check_cross_shard_ties(columns: FlatColumns) -> None:
+    """Reject equal scores on rows of different keys of merged columns
+    (each shard validated only its own rows), then mark them checked."""
+    tie = first_score_tie(
+        columns.backend, columns.scores, columns.blocks, columns.order
+    )
+    if tie is not None:
+        first, second = map(columns.alternative, tie)
+        raise ModelError(
+            f"tuples {first.key!r} and {second.key!r} of different shards "
+            f"share score {float(columns.scores[tie[0]])}; ranking assumes "
+            "distinct scores"
+        )
+    columns.tie_free = True

@@ -8,7 +8,8 @@ coordinator's only merge path, instead keeps partial products on one
 shared score grid:
 
 * every shard's count table is gathered once onto the **global descending
-  score grid** (the merged layout's alternative stream), so cross-shard
+  score grid** (the scores of the coordinator's merged columns, in score
+  order), so cross-shard
   ``prefix_indices`` lookups index a single shared grid;
 * the engine keeps ``prefix[i] = shard_0 ⊛ … ⊛ shard_i`` and
   ``suffix[i] = shard_i ⊛ … ⊛ shard_{S-1}`` rows and serves shard ``i``'s
@@ -117,7 +118,7 @@ class _GridState:
         #: Each shard's last merged layout: the content the cached rows
         #: were computed from.
         self.layouts: List[Any] = [None] * shard_count
-        self.grid: List[float] = []
+        self.grid: Sequence[float] = []
         self.index_maps: List[Any] = []
         self.positions: List[Any] = []
         self.aligned: List[Any] = [None] * shard_count
@@ -150,9 +151,11 @@ class MergeEngine:
         self._states: "OrderedDict[int, _GridState]" = OrderedDict()
         self._state_limit = max(1, state_limit)
         self._lock = threading.Lock()
-        #: The coordinator's merged-layout patch base: a ``(shard
-        #: fragments, merged layout)`` pair, replaced as one unit.
-        self.layout_base: Optional[Tuple[List[Any], Any]] = None
+        #: The coordinator's merged-columns patch base: a ``(shard
+        #: columns, source rows, merged columns)`` triple (see
+        #: :meth:`~repro.andxor.columns.FlatColumns.merge`), replaced as
+        #: one unit.
+        self.layout_base: Optional[Tuple[List[Any], Any, Any]] = None
         self.counters: Dict[str, int] = {
             field.name: 0 for field in fields(MergeStatsSnapshot)
         }
@@ -178,7 +181,7 @@ class MergeEngine:
         summaries: Sequence[ShardRankSummary],
         tokens: Sequence[Any],
         max_rank: int,
-        grid_scores: List[float],
+        grid_scores: Sequence[float],
         keys_order: List[Hashable],
         backend: Any,
     ) -> Any:
@@ -259,7 +262,7 @@ class MergeEngine:
         place, so the grid, index maps, positions and row order all stay
         valid; a score, block or key move (or a shard-count / backend
         change) forces a full rebuild.  The coordinator shares one
-        key-order list across patched layouts, so the key check is an
+        key list across patched merged columns, so the key check is an
         identity hit.
         """
         if state.backend_name != backend.name:
@@ -312,7 +315,7 @@ class MergeEngine:
     def _build_grid(
         self,
         summaries: Sequence[ShardRankSummary],
-        grid_scores: List[float],
+        grid_scores: Sequence[float],
         keys_order: List[Hashable],
         backend: Any,
     ) -> _GridState:

@@ -8,8 +8,8 @@ real processes: each worker (:mod:`repro.sharding.procworker`) owns one
 shard's columns plus a warm :class:`~repro.session.QuerySession`, and the
 coordinator exchanges only compact partials with it:
 
-* :class:`~repro.sharding.summary.ShardLayout` fragments and truncated
-  :class:`~repro.sharding.summary.ShardRankSummary` tables, fetched in
+* truncated :class:`~repro.sharding.summary.ShardRankSummary` tables
+  (each with its :class:`~repro.sharding.summary.ShardLayout`), fetched in
   parallel across workers (threads blocked on pipes release the GIL, so
   worker processes compute concurrently);
 * a shared-memory fast path (``multiprocessing.shared_memory``) for the
@@ -93,7 +93,7 @@ _REMOTE_EXCEPTIONS = (
 #: Ops a supervised pool transparently retries on a respawned worker:
 #: the idempotent reads.  ``replace`` is absent (see ``commit_replace``),
 #: and the test hooks (``exit-now``, ``stall``) must never self-heal.
-_RETRYABLE_OPS = frozenset({"layout", "summary", "cache_info", "stats", "ping"})
+_RETRYABLE_OPS = frozenset({"summary", "cache_info", "stats", "ping"})
 
 #: Cap on restart-and-retry cycles within one request (the supervisor's
 #: own per-worker budget is the real limiter; this bounds pathological
@@ -122,13 +122,12 @@ class IpcSnapshot:
     """Counters of the parent <-> worker exchanges at one instant.
 
     ``pipe_bytes`` / ``shm_bytes`` count the dense prefix-table payloads
-    (8 bytes per coefficient); command envelopes and layouts are tallied
-    in ``commands`` / ``layouts`` without a byte estimate.
+    (8 bytes per coefficient); command envelopes are tallied in
+    ``commands`` without a byte estimate.
     """
 
     commands: int = 0
     summaries: int = 0
-    layouts: int = 0
     pipe_messages: int = 0
     shm_messages: int = 0
     pipe_bytes: int = 0
@@ -643,15 +642,13 @@ class ShardProcessPool:
             if backoff > 0.0:
                 time.sleep(backoff)
             self._reap(handle)
-            # Under the database's update lock: an update that already
-            # committed on the dead worker cannot swap the parent's columns
-            # between this read and the install, leaving the new worker
-            # behind the parent.
-            with self._database._apply_lock:
-                shard = self._database.shards()[shard_index]
+
+            def install(columns: FlatColumns) -> None:
                 self._workers[shard_index] = self._spawn_worker(
-                    shard_index, shard.columns
+                    shard_index, columns
                 )
+
+            self._database.install_from_committed(shard_index, install)
             self._drop_shard_cache(shard_index)
             self._down.discard(shard_index)
             self._count(restarts=1)
@@ -732,8 +729,8 @@ class ShardProcessPool:
         )
 
     def read(self, shard_index: int, op: str, *args: Any) -> Any:
-        """``op`` (``layout`` or ``summary_with_token``) answered by the
-        shard's worker, or None when the parent must answer it.
+        """``op`` (``summary_with_token``) answered by the shard's worker,
+        or None when the parent must answer it.
 
         That failover happens when the shard is down, its breaker is
         open, or its worker failed this request; it is counted by an
@@ -789,34 +786,6 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     def _shard_version(self, shard_index: int) -> int:
         return self._database.shards()[shard_index].version
-
-    def layout(self, shard_index: int) -> ShardLayout:
-        """One shard's warm layout; a miss fetches every stale served
-        shard's, and raises only this shard's worker failure."""
-        version = self._shard_version(shard_index)
-        with self._cache_lock:
-            cached = self._layout_cache.get(shard_index)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        wanted = [(shard_index, version)]
-        for index in self._served():
-            version = self._shard_version(index)
-            with self._cache_lock:
-                cached = self._layout_cache.get(index)
-            stale = cached is None or cached[0] != version
-            if stale and index != shard_index:
-                wanted.append((index, version))
-        fetched = self._request_many(
-            [(index, "layout", None) for index, _ in wanted]
-        )
-        with self._cache_lock:
-            for (index, version), layout in zip(wanted, fetched):
-                if not isinstance(layout, ProcessPoolError):
-                    self._count(layouts=1)
-                    self._layout_cache[index] = (version, layout)
-        if isinstance(fetched[0], ProcessPoolError):
-            raise fetched[0]
-        return fetched[0]
 
     def summaries(
         self, max_rank: int, use_cache: bool = True
@@ -1039,10 +1008,9 @@ class ShardProcessPool:
         Called under the parent's version check, right before the parent
         swaps in the same patch (:meth:`~repro.andxor.columns.FlatColumns.\
 replace_block`).  The shard's cache entries are deliberately
-        *retained*: the version check in :meth:`summaries` / :meth:`layout`
-        already keeps a stale entry from being served, and its table is the
-        baseline the worker ships a row-suffix delta against on the next
-        fetch.
+        *retained*: the version check in :meth:`summaries` already keeps a
+        stale entry from being served, and its table is the baseline the
+        worker ships a row-suffix delta against on the next fetch.
 
         Returns ``False`` when the commit failed (crash, timeout or lost
         message).  The worker is then reaped, so a late commit can never

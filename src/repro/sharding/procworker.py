@@ -2,7 +2,7 @@
 
 One worker process owns one database shard: it opens a warm
 :class:`~repro.session.QuerySession` over the shard's (pickled)
-:class:`~repro.andxor.columns.FlatColumns`, answers layout / summary /
+:class:`~repro.andxor.columns.FlatColumns`, answers summary /
 cache-info requests over its pipe, and commits updates through one
 ``replace`` command, sent under the parent's version check.  It carries
 one block, which the worker patches into its committed columns with the
@@ -32,7 +32,7 @@ from repro.andxor.columns import FlatColumns, Row
 from repro.engine import get_backend, set_backend
 from repro.exceptions import ProcessPoolError
 from repro.session import QuerySession
-from repro.sharding.summary import shard_layout, table_delta_start
+from repro.sharding.summary import table_delta_start
 
 #: Transport tags for the prefix-table payload of a summary reply.
 PIPE_TRANSPORT = "pipe"
@@ -121,9 +121,6 @@ class ShardWorkerState:
         return self._session
 
     # -- command handlers ----------------------------------------------
-    def handle_layout(self, _payload: Any) -> Any:
-        return shard_layout(self.session())
-
     def handle_summary(
         self, payload: Tuple[int, bool, int, Optional[int]]
     ) -> Any:
@@ -212,7 +209,6 @@ def worker_main(
     set_backend(backend_name)
     state = ShardWorkerState(shard_index, columns)
     handlers = {
-        "layout": state.handle_layout,
         "summary": state.handle_summary,
         "replace": state.handle_replace,
         "cache_info": state.handle_cache_info,

@@ -14,9 +14,10 @@ prefix for block-independent shards.
 The ``max_rank``-independent part is a :class:`ShardLayout`: a handful of
 columns gathered off the shard's flat (TI / BID) columns in decreasing
 score order (:func:`shard_layout`, memoized as a session artifact and
-therefore dropped on invalidation).  Summaries at several truncations, the
-merge engine and the coordinator's merged layout all read those columns;
-nothing keeps a per-key dictionary.
+therefore dropped on invalidation).  Summaries at several truncations and
+the merge engine read those columns; nothing keeps a per-key dictionary.
+(The coordinator's merged relation is built from the shards' own
+:class:`~repro.andxor.columns.FlatColumns`, not from these layouts.)
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class ShardLayout:
     """The truncation-independent columns of one shard.
 
     One instance per shard session generation, shared by every
-    :class:`ShardRankSummary` over that shard and by the coordinator's
-    merged layout.  Gathered straight off the shard's
+    :class:`ShardRankSummary` over that shard and by the merge engine.
+    Gathered straight off the shard's
     :class:`~repro.andxor.columns.FlatColumns` through their
     decreasing-score permutation (``flat_rows()``) -- never off a tree.
     Row ``r`` of the three row columns is the shard's ``r``-th alternative
@@ -84,16 +85,6 @@ class ShardLayout:
         if self.blocks is None:
             return self.keys
         return list(map(self.keys.__getitem__, self.blocks))
-
-    def same_rows(self, other: "ShardLayout") -> bool:
-        """Whether ``other`` has these keys, scores and blocks -- so the
-        two differ at most in probabilities (a probability-only update)."""
-        return (
-            self.independent == other.independent
-            and self.scores == other.scores
-            and self.keys == other.keys
-            and self.blocks == other.blocks
-        )
 
 
 def shard_layout(session: Any) -> ShardLayout:

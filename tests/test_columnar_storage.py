@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Query, QuerySession, connect
+from repro import Query, QuerySession, connect, use_backend
 from repro.andxor.builders import bid_tree, tuple_independent_tree
 from repro.andxor.columns import FlatColumns
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.sampling import sample_worlds
 from repro.andxor.tree import AndXorTree
 from repro.core.tuples import TupleAlternative
+from repro.engine import numpy_available
 from repro.exceptions import (
     KeyConstraintError,
     ModelError,
@@ -40,6 +41,7 @@ from repro.query.results import ResultCache
 from repro.serving import ServingExecutor
 
 TOLERANCE = 1e-9
+BACKEND_NAMES = ["python", "numpy"] if numpy_available() else ["python"]
 
 #: The four exact reads of the benchmark's churn and cold_query workloads.
 BENCHMARK_READS = (
@@ -290,6 +292,100 @@ class TestLazyTree:
         assert sharded.executor == "threads"
         for shard in sharded.shards():
             assert shard.database.columns._tree is None
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("model", ["ti", "bid"])
+    def test_merged_reads_leave_shard_trees_unbuilt(
+        self, model, executor, backend_name
+    ):
+        """World, aggregate, expected-rank, Kendall and sampled reads on a
+        sharded database read the merged relation: live, and through a
+        reader pinned at a superseded vector, no shard's columns build a
+        tree, and every exact answer is the unsharded one."""
+        if model == "ti":
+            data = [
+                (f"t{i}", f"v{i}", float(i), 0.1 + 0.8 * i / 24)
+                for i in range(24)
+            ]
+
+            def build(data):
+                return TupleIndependentDatabase(data)
+
+            def updated(sharded, data, index):
+                key, value, score, probability = data[index]
+                sharded.update_tuple(key, probability=1.0 - probability)
+                return (
+                    data[:index]
+                    + [(key, value, score, 1.0 - probability)]
+                    + data[index + 1 :]
+                )
+
+        else:
+            # Exhaustive blocks whose values name the groups, in one group
+            # order, so the group-by-count aggregate applies.
+            data = [
+                (
+                    f"b{block}",
+                    [
+                        (f"g{j}", 10.0 * block + j, weight / 6.0)
+                        for j, weight in enumerate(
+                            [1 + block % 3, 3 - block % 3, 2]
+                        )
+                    ],
+                )
+                for block in range(8)
+            ]
+
+            def build(data):
+                return BlockIndependentDatabase(data)
+
+            def updated(sharded, data, index):
+                key, rows = data[index]
+                rows = [
+                    (value, score, p)
+                    for (value, score, _), (_, _, p) in zip(rows, rows[::-1])
+                ]
+                sharded.update_block(key, rows)
+                return data[:index] + [(key, rows)] + data[index + 1 :]
+
+        exact = [
+            Query.world("symmetric_difference"),
+            Query.world("symmetric_difference").median(),
+            Query.world("jaccard"),
+            Query.world("jaccard").median(),
+            Query.named("expected_rank_table"),
+            Query.named("approximate_topk_kendall", 3),
+        ] + ([Query.aggregate()] if model == "bid" else [])
+        sampled = Query.topk(3, "footrule").sampled(64)
+        with use_backend(backend_name):
+            with ShardedDatabase(build(data), 4, executor=executor) as sharded:
+                columns = [shard.columns for shard in sharded.shards()]
+                coordinator = sharded.coordinator()
+                pinned, pinned_data = sharded.versions(), data
+                connect(coordinator.at(pinned), result_cache=False).execute(
+                    exact[0]
+                )
+                for index in (0, 3, 6):
+                    data = updated(sharded, data, index)
+                columns += [shard.columns for shard in sharded.shards()]
+                reader = coordinator.at(pinned)
+                assert reader.pinned_versions != sharded.versions()
+                # Re-read the superseded shards from their archives.
+                reader.invalidate()
+                for session, state in (
+                    (sharded, data),
+                    (reader, pinned_data),
+                ):
+                    connection = connect(session, result_cache=False)
+                    oracle = connect(build(state), result_cache=False)
+                    for query in exact:
+                        assert same(
+                            oracle.execute(query).value,
+                            connection.execute(query).value,
+                        ), query
+                    connection.execute(sampled)
+                assert all(part._tree is None for part in columns)
 
 
 class TestSessionLifetime:

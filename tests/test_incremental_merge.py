@@ -255,16 +255,16 @@ def _full_merge(coordinator, max_rank):
     """The coordinator's current shard summaries merged by a throwaway
     engine: ``({key: row}, rows it convolved)``."""
     backend = get_backend()
-    layout = coordinator._layout()
+    columns = coordinator._columns
+    grid = columns.backend.vector_values(columns.scores, columns.order)
     summaries, tokens = zip(
         *(shard.summary(max_rank) for shard in coordinator._shards())
     )
     engine = MergeEngine()
     native = engine.merge(
-        summaries, tokens, max_rank, layout.grid_scores, layout.keys_order,
-        backend,
+        summaries, tokens, max_rank, grid, columns.keys, backend
     )
-    rows = dict(zip(layout.keys_order, backend.matrix_to_lists(native)))
+    rows = dict(zip(columns.keys, backend.matrix_to_lists(native)))
     return rows, engine.stats().convolved_rows
 
 

@@ -578,6 +578,57 @@ class TestCoordinatorConstruction:
         with pytest.raises(ModelError, match="of different shards share"):
             ShardedQuerySession(sharded).rank_matrix()
 
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_merged_score_order_is_a_stable_sort(self, backend_name):
+        # The merge renumbers the concatenation's order instead of
+        # sorting the merged scores again.
+        with use_backend(_backend_or_skip(backend_name)):
+            for database in (
+                random_bid_database(12, rng=5),
+                random_tuple_independent_database(20, rng=5),
+            ):
+                columns = ShardedDatabase(database, 3).coordinator()._columns
+                backend = columns.backend
+                assert backend.vector_values(columns.order) == (
+                    backend.vector_values(
+                        backend.descending_order(columns.scores)
+                    )
+                )
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_empty_database_merges_again(self, backend_name):
+        # The second merge meets the empty patch base the first published.
+        with use_backend(_backend_or_skip(backend_name)):
+            coordinator = ShardedDatabase([], 2).coordinator()
+            assert coordinator._merge_columns().keys == []
+            assert coordinator._merge_columns().keys == []
+            assert coordinator.keys() == []
+
+    def test_expected_ranks_filed_under_the_vector_they_read(self):
+        # An update landing after the merged columns were read but before
+        # the expected-rank table is memoized must not file the old
+        # vector's table under the new one, which pinned readers share.
+        rows = [("a", 3.0, 0.5), ("b", 2.0, 0.5), ("c", 1.0, 0.5)]
+        sharded = ShardedDatabase(rows, 2)
+        coordinator = sharded.coordinator()
+        coordinator.keys()
+        memoized = coordinator._memoized
+
+        def update_first(artifact, params, compute):
+            if artifact == "expected_rank_table":
+                sharded.update_tuple("c", probability=0.9)
+            return memoized(artifact, params, compute)
+
+        coordinator._memoized = update_first
+        coordinator.expected_rank_table()
+        del coordinator._memoized
+        expected = QuerySession(
+            TupleIndependentDatabase(rows[:2] + [("c", 1.0, 0.9)]).tree
+        ).expected_rank_table()
+        reader = coordinator.at(sharded.versions())
+        filed = reader._cache[("expected_rank_table", ())]
+        assert filed == pytest.approx(expected, abs=TOLERANCE)
+
 
 class TestMergedTreeFallbacks:
     def test_tree_and_statistics_track_updates(self):
