@@ -17,7 +17,7 @@ import time
 
 from _harness import report
 from repro.andxor.rank_probabilities import RankStatistics
-from repro.engine import use_backend
+from repro.engine import get_backend, use_backend
 from repro.models import BlockIndependentDatabase, TupleIndependentDatabase
 from repro.session import QuerySession
 from repro.consensus.topk.footrule import mean_topk_footrule
@@ -263,4 +263,101 @@ def test_e11_cold_build_from_rows(benchmark):
     )
     benchmark.pedantic(
         lambda: _cold_rungs(rows, blocks), rounds=rounds, iterations=1
+    )
+
+
+def _support_legs(rows):
+    """Per-step seconds of one pass over each ``(name, rows)`` TI relation:
+    the rank kernel alone, the footrule statistics and the assignment
+    answers over a fresh statistics object, with each matrix's support and
+    the answers."""
+    legs = []
+    for name, source in rows:
+        statistics = RankStatistics(TupleIndependentDatabase(source).columns)
+        probabilities = [
+            probability
+            for _, probability, _ in statistics.independent_tuple_layout()
+        ]
+        start = time.perf_counter()
+        get_backend().rank_probability_matrix(probabilities, K)
+        kernel = time.perf_counter() - start
+
+        session = statistics.session()
+        support = session.rank_matrix(K).support
+        start = time.perf_counter()
+        session.footrule_statistics(K)
+        footrule = time.perf_counter() - start
+
+        start = time.perf_counter()
+        answers = [
+            mean_topk_footrule(statistics, K),
+            mean_topk_intersection(statistics, K),
+        ]
+        assignment = time.perf_counter() - start
+        legs.append((name, support, kernel, footrule, assignment, answers))
+    return legs
+
+
+def test_e11_rank_matrix_support(benchmark):
+    """E11d: rank matrices that stop at their support, against one with no
+    zero tail.
+
+    The perfbench-shaped relation (probabilities uniform in [0.05, 1])
+    turns all-zero after a few hundred rows in score order; the
+    full-support one (probabilities in [1e-4, 1e-3]) never does, so it
+    measures what the early stop costs when it cannot fire.
+    """
+    rng = random.Random(29)
+    scores = rng.sample(range(10 * COLD_TUPLES), COLD_TUPLES)
+    shapes = (("perfbench-shaped", 0.05, 1.0), ("full support", 1e-4, 1e-3))
+    relations = [
+        (
+            name,
+            [
+                (f"t{index}", f"v{index}", float(score), rng.uniform(low, high))
+                for index, score in enumerate(scores)
+            ],
+        )
+        for name, low, high in shapes
+    ]
+    rounds = 1 if SMOKE else 5
+    passes = [_support_legs(relations) for _ in range(rounds + 1)][1:]
+    with use_backend("python"):
+        reference = _support_legs(relations)
+    for legs in passes:
+        (_, short, *_), (_, full, *_) = legs
+        assert short < COLD_TUPLES == full
+        for leg, want in zip(legs, reference):
+            for (answer, value), (expected, target) in zip(leg[5], want[5]):
+                assert answer == expected
+                assert math.isclose(value, target, rel_tol=0.0, abs_tol=1e-9)
+    table = []
+    for index, (name, *_rest) in enumerate(reference):
+        support = passes[0][index][1]
+        medians = [
+            sorted(legs[index][column] for legs in passes)[rounds // 2]
+            for column in (2, 3, 4)
+        ]
+        table.append(
+            (name, COLD_TUPLES, support)
+            + tuple(1000.0 * median for median in medians)
+        )
+    report(
+        "E11d",
+        f"Rank matrices stop at their support: TI n={COLD_TUPLES}, k={K} "
+        f"(median ms of {rounds})",
+        ("relation", "tuples", "support", "kernel ms", "footrule stats ms",
+         "assignment ms"),
+        table,
+        notes=(
+            "kernel: rank_probability_matrix over the score-ordered "
+            "probabilities; footrule stats: FootruleStatistics over the "
+            "memoized matrix; assignment: the mean footrule and "
+            "intersection answers.  The support is the row count past "
+            "which every row is exactly 0.0.  Answers match the pure "
+            "backend's to 1e-9."
+        ),
+    )
+    benchmark.pedantic(
+        lambda: _support_legs(relations), rounds=rounds, iterations=1
     )

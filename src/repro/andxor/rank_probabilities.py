@@ -284,10 +284,12 @@ class RankStatistics:
                 else backend.factor_vector(self._ordered(self._row_scores))
             )
             if columns.independent:
+                # Rows in score order: one reduction finds the zero tail.
                 keys = self._ordered_keys()
                 native = backend.rank_probability_matrix(
                     probabilities, max_rank, scores=scores
                 )
+                support = None
             else:
                 keys = self.keys()
                 native = backend.sum_rows_by_group(
@@ -297,6 +299,7 @@ class RankStatistics:
                     blocks,
                     len(keys),
                 )
+                support = len(keys)
         else:
             keys = self.keys()
             native = backend.matrix_from_rows(
@@ -305,7 +308,10 @@ class RankStatistics:
                     for key in keys
                 ]
             )
-        matrix = RankMatrix(keys, native, backend, max_rank)
+            support = len(keys)
+        # The keys are distinct (proved by the columns or the tree) and
+        # the lists above are fresh, so the matrix takes them unchecked.
+        matrix = RankMatrix._checked(keys, native, backend, max_rank, support)
         self._matrix_cache[max_rank] = matrix
         return matrix
 

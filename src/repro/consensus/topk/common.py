@@ -90,30 +90,66 @@ def validate_answer(
 def top_keys(matrix: RankMatrix, values: Any, count: int) -> List[Hashable]:
     """The ``count`` keys with the largest ``values``, ties by ``repr(key)``.
 
-    ``values`` is a backend-native vector aligned with ``matrix``'s rows.
-    The result equals sorting every key by ``(-value, repr(key))`` and
-    keeping the first ``count``, but only the survivors of
+    ``values`` is a backend-native vector aligned with ``matrix``'s rows
+    and zero past its :attr:`~repro.engine.RankMatrix.support` (a
+    nonnegative weighting of each row, such as
+    :meth:`~repro.engine.RankMatrix.membership_vector`).  The result
+    equals sorting every key by ``(-value, repr(key))`` and keeping the
+    first ``count``, but only the survivors of
     :meth:`~repro.engine.backends.Backend.top_indices` (every value tied
     with the ``count``-th largest included) are converted and sorted.
+    They are sought among the live rows first: when the ``count``-th
+    largest live value is positive, no zero row can be among them;
+    otherwise every row is searched.
     """
     backend = matrix.backend
-    rows = backend.top_indices(values, count)
-    scored = sorted(
-        zip(backend.vector_values(values, rows), matrix.keys_at(rows)),
-        key=lambda item: (-item[0], repr(item[1])),
-    )
+    scored: List[Tuple[float, Hashable]] = []
+    if 0 < count and matrix.support < len(matrix):
+        live = backend.slice_rows(values, 0, matrix.support)
+        scored = _scored(matrix, values, backend.top_indices(live, count))
+        if len(scored) < count or scored[count - 1][0] <= 0.0:
+            scored = []
+    if not scored:
+        scored = _scored(matrix, values, backend.top_indices(values, count))
     return [key for _, key in scored[:count]]
 
 
+def _scored(
+    matrix: RankMatrix, values: Any, rows: List[int]
+) -> List[Tuple[float, Hashable]]:
+    """``(value, key)`` of ``rows``, by decreasing value, ties by
+    ``repr(key)``."""
+    return sorted(
+        zip(matrix.backend.vector_values(values, rows), matrix.keys_at(rows)),
+        key=lambda item: (-item[0], repr(item[1])),
+    )
+
+
 def assignment_table(
-    matrix: RankMatrix, table: Any, maximize: bool
+    matrix: RankMatrix, table: Any, tail: List[float], maximize: bool
 ) -> Tuple[List[int], List[List[float]]]:
-    """The candidate rows of a native ``n × k`` table aligned with
-    ``matrix`` (:meth:`~repro.engine.backends.Backend.assignment_candidates`)
-    and the ``k × len(rows)`` position-major table over them: assignment
-    column ``c`` is matrix row ``rows[c]``."""
+    """The candidate rows of an assignment table and the ``k × len(rows)``
+    position-major table over them: assignment column ``c`` is matrix row
+    ``rows[c]``.
+
+    ``table`` is a native ``support × k`` table over ``matrix``'s live
+    rows (:attr:`~repro.engine.RankMatrix.live`), and ``tail`` the row
+    every zero row of ``matrix`` takes in it.  The candidates
+    (:meth:`~repro.engine.backends.Backend.assignment_candidates`) come
+    from the live rows alone when each position's ``k`` best strictly beat
+    ``tail`` -- a row with mass always does, so that holds once ``k`` rows
+    carry mass -- and there are more than ``k²`` live rows; otherwise
+    from the table padded to every row, as if no row were left out.
+    """
     backend = matrix.backend
-    rows = backend.assignment_candidates(table, matrix.max_rank, maximize)
+    k = matrix.max_rank
+    rows = None
+    if matrix.support < len(matrix):
+        rows = backend.assignment_candidates(table, k, maximize, tail)
+        if rows is None:
+            table = backend.extend_rows(table, len(matrix), tail)
+    if rows is None:
+        rows = backend.assignment_candidates(table, k, maximize)
     pruned = backend.transpose(backend.take_rows(table, rows))
     return rows, backend.matrix_to_lists(pruned)
 

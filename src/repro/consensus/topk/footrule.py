@@ -41,7 +41,7 @@ distance, different answer.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.consensus.topk.common import (
     TopKAnswer,
@@ -61,13 +61,24 @@ class FootruleStatistics:
 
     Instances are memoized per ``k`` on the query session
     (:meth:`repro.session.QuerySession.footrule_statistics`), so evaluating
-    several candidate answers reuses the same Υ tables.  The whole
-    ``n × k`` cost table ``f(t, i)`` is produced by one backend kernel
+    several candidate answers reuses the same Υ tables.  The cost table
+    ``f(t, i)`` is produced by one backend kernel
     (:meth:`~repro.engine.backends.Backend.footrule_cost_matrix`: a matrix
     product of the truncated rank matrix against the ``k × k`` ``|i-j|``
     grid plus two rank-one updates) instead of the per-entry Υ3 loop.
     Υ1, Υ2 and the cost table stay backend-native; the per-key accessors
     look one row up on demand.
+
+    **Zero tail.**  The tables cover only the rank matrix's live rows
+    (:attr:`~repro.engine.RankMatrix.support`).  Every later row is zero,
+    so its entries have a closed form: ``Υ1 = Υ2 = 0`` and
+    ``f(t, i) = -i``.  A row with mass is strictly cheaper at every
+    position: with ``P_j = Pr(r(t) = j)``,
+    ``f(t, i) + i = Σ_j P_j (|i-j| + i + j - 2k - 2)
+    = Σ_j P_j (2 max(i, j) - 2k - 2) < 0``, as ``max(i, j) <= k``.  So
+    once ``k`` rows carry mass the cheapest ``k`` of every position lie
+    among the live rows, and the mean answer prunes over them alone
+    (:func:`~repro.consensus.topk.common.assignment_table`).
     """
 
     def __init__(self, source: TreeOrStatistics, k: int) -> None:
@@ -77,13 +88,15 @@ class FootruleStatistics:
         self._k = validate_k(session, k)
         self._matrix = rank_matrix_view(session, k)
         backend = self._matrix.backend
-        native = self._matrix.native
-        # Υ1 and Υ2 for all tuples as two native vectors.
-        self._upsilon1 = backend.row_sums(native)
+        live = self._matrix.live
+        # Υ1 and Υ2 of the live rows as two native vectors.
+        self._upsilon1 = backend.row_sums(live)
         self._upsilon2 = backend.matvec(
-            native, [float(i) for i in range(1, k + 1)]
+            live, [float(i) for i in range(1, k + 1)]
         )
-        self._cost = backend.footrule_cost_matrix(native, k)
+        self._cost = backend.footrule_cost_matrix(live, k)
+        #: ``f(t, i) = -i``: the cost row of every row past the support.
+        self._tail = [-float(i) for i in range(1, k + 1)]
 
     @property
     def k(self) -> int:
@@ -98,9 +111,16 @@ class FootruleStatistics:
         """
         return self._matrix.keys()
 
+    def _live_row(self, key: Hashable) -> Optional[int]:
+        """The table row of ``key``, or None past the support."""
+        (row,) = self._matrix.rows_of([key])
+        return row if row < self._matrix.support else None
+
     def _vector_entry(self, vector: Any, key: Hashable) -> float:
-        backend = self._matrix.backend
-        return backend.vector_values(vector, self._matrix.rows_of([key]))[0]
+        row = self._live_row(key)
+        if row is None:
+            return 0.0
+        return self._matrix.backend.vector_values(vector, [row])[0]
 
     def upsilon1(self, key: Hashable) -> float:
         """``Υ1(t) = Pr(r(t) <= k)``."""
@@ -139,7 +159,9 @@ class FootruleStatistics:
             raise ConsensusError(
                 f"position must lie in 1..{self._k}, got {position}"
             )
-        (row,) = self._matrix.rows_of([key])
+        row = self._live_row(key)
+        if row is None:
+            return self._tail[position - 1]
         return self._matrix.backend.matrix_cell(self._cost, row, position - 1)
 
     def cost_rows(self) -> List[List[float]]:
@@ -152,7 +174,8 @@ class FootruleStatistics:
         solves the pruned table instead.
         """
         backend = self._matrix.backend
-        return backend.matrix_to_lists(backend.transpose(self._cost))
+        cost = backend.extend_rows(self._cost, len(self._matrix), self._tail)
+        return backend.matrix_to_lists(backend.transpose(cost))
 
 
 def expected_topk_footrule_distance(
@@ -184,7 +207,9 @@ def mean_topk_footrule(
     session = as_session(source)
     footrule = session.footrule_statistics(k)
     matrix = footrule._matrix
-    rows, table = assignment_table(matrix, footrule._cost, maximize=False)
+    rows, table = assignment_table(
+        matrix, footrule._cost, footrule._tail, maximize=False
+    )
     assignment, _ = minimize_cost_assignment(table)
     answer = tuple(matrix.keys_at([rows[column] for column in assignment]))
     return answer, expected_topk_footrule_distance(session, answer, k)

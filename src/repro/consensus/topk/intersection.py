@@ -88,10 +88,13 @@ def mean_topk_intersection(
     """
     session = as_session(source)
     cumulative = rank_matrix_view(session, k, cumulative=True)
+    # A zero row earns nothing anywhere.
     profit = cumulative.backend.intersection_profit_matrix(
-        cumulative.native, k
+        cumulative.live, k
     )
-    rows, table = assignment_table(cumulative, profit, maximize=True)
+    rows, table = assignment_table(
+        cumulative, profit, [0.0] * k, maximize=True
+    )
     assignment, _ = maximize_profit_assignment(table)
     answer = tuple(cumulative.keys_at([rows[column] for column in assignment]))
     return answer, expected_topk_intersection_distance(session, answer, k)
@@ -107,6 +110,6 @@ def approximate_topk_intersection(
     """
     session = as_session(source)
     matrix = rank_matrix_view(session, k)
-    values = matrix.backend.matvec(matrix.native, upsilon_h_weights(k))
+    values = matrix.weighted_vector(upsilon_h_weights(k))
     answer = tuple(top_keys(matrix, values, k))
     return answer, expected_topk_intersection_distance(session, answer, k)

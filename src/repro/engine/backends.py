@@ -160,6 +160,14 @@ class Backend:
         ``scores`` (the rows' scores, decreasing) are given, only when its
         score is strictly greater -- equal-score rows never count each
         other, matching the and/xor tree's strict comparison.
+
+        **Zero tail.**  The prefix sweep stops at its first all-``0.0`` row
+        (see :meth:`prefix_count_polynomials`), and every later row of the
+        result is exactly ``0.0``: zero times anything stays zero.  In
+        score order the live rows are a short head once enough mass lies
+        above (about 800 of 12000 rows at ``max_rank = 10`` with
+        probabilities uniform in ``[0.05, 1]``); :meth:`row_support` finds
+        where that head ends.
         """
         raise NotImplementedError
 
@@ -248,6 +256,12 @@ class Backend:
         database shard exports so a coordinator can recover exact global
         rank probabilities by convolving shard partials
         (:meth:`convolve_rows`).  Row 0 is the unit polynomial.
+
+        The sweep stops at the first row that is all ``0.0`` in its own
+        arithmetic (from ``max_rank`` certain events above, or from
+        underflow once the mass above is large) and leaves every later
+        row exactly ``0.0`` without computing it; no tolerance is
+        involved.  A sweep with no zero row costs what a full sweep costs.
         """
         raise NotImplementedError
 
@@ -275,6 +289,18 @@ class Backend:
         backend, so callers must not mutate the result.
         """
         return matrix[start:stop]
+
+    def row_support(self, matrix: Any) -> int:
+        """The row count past which every row of a native matrix is
+        exactly ``0.0``: one more than the index of its last nonzero row
+        (0 when every row is zero)."""
+        raise NotImplementedError
+
+    def extend_rows(self, native: Any, count: int, fill: Any) -> Any:
+        """A native vector or matrix padded to ``count`` rows with copies
+        of ``fill`` (a number for a vector, a row for a matrix); ``native``
+        itself when it already has ``count`` rows."""
+        raise NotImplementedError
 
     def index_vector(self, indices: Sequence[int]) -> Sequence[int]:
         """Pre-convert row indices to the backend's native gather form.
@@ -417,8 +443,12 @@ class Backend:
         raise NotImplementedError
 
     def assignment_candidates(
-        self, table: Any, count: int, maximize: bool = False
-    ) -> List[int]:
+        self,
+        table: Any,
+        count: int,
+        maximize: bool = False,
+        tail: Optional[Sequence[float]] = None,
+    ) -> Optional[List[int]]:
         """Rows of an assignment table that some optimum is confined to.
 
         ``table`` is a native ``n × w`` table with one row per tuple and one
@@ -430,6 +460,13 @@ class Backend:
         may be broken either way.  With ``count = w`` some optimal
         assignment of the ``w`` positions uses only these rows (the
         pruning lemma in :mod:`repro.consensus.topk.footrule`).
+
+        ``tail`` declares ``table`` the head of a longer table whose other
+        rows all equal ``tail``.  The head's candidates are the longer
+        table's when every column's ``count``-th best head value strictly
+        beats ``tail``'s; otherwise (and when ``n <= count * w``, where the
+        longer table would be pruned) the result is ``None`` and the
+        caller must pass the whole table.
         """
         raise NotImplementedError
 
@@ -644,12 +681,12 @@ class PurePythonBackend(Backend):
     ) -> List[List[float]]:
         count = len(probabilities)
         if blocks is None and scores is None:
-            table = self._prefix_products(probabilities, max_rank)
+            table, _ = self._prefix_products(probabilities, max_rank)
         else:
             blocks = range(count) if blocks is None else blocks
             times = range(count) if scores is None else _tie_starts(scores)
             sizes = _Counter(blocks)
-            prefix = self._prefix_products(
+            prefix, _ = self._prefix_products(
                 [
                     0.0 if sizes[block] > 1 else probability
                     for probability, block in zip(probabilities, blocks)
@@ -754,20 +791,26 @@ class PurePythonBackend(Backend):
     def prefix_count_polynomials(
         self, probabilities: Sequence[float], out_len: int
     ) -> List[List[float]]:
-        return self._prefix_products(probabilities, out_len)
+        return self._prefix_products(probabilities, out_len)[0]
 
     def _prefix_products(
         self, probabilities: Sequence[float], out_len: int
-    ) -> List[List[float]]:
+    ) -> Tuple[List[List[float]], int]:
+        """The prefix-product rows and how many lead the zero tail."""
+        count = len(probabilities)
         if out_len < 1:
-            return [[] for _ in range(len(probabilities) + 1)]
+            return [[] for _ in range(count + 1)], 0
         coefficients = [0.0] * out_len
         coefficients[0] = 1.0
         rows: List[List[float]] = [list(coefficients)]
         for probability in probabilities:
             _bernoulli_step(coefficients, probability)
+            if not any(coefficients):
+                break
             rows.append(list(coefficients))
-        return rows
+        live = len(rows)
+        rows.extend([0.0] * out_len for _ in range(count + 1 - live))
+        return rows, live
 
     def convolve_rows(
         self,
@@ -789,6 +832,20 @@ class PurePythonBackend(Backend):
         self, matrix: List[List[float]], indices: Sequence[int]
     ) -> List[List[float]]:
         return [matrix[index] for index in indices]
+
+    def row_support(self, matrix: List[List[float]]) -> int:
+        support = len(matrix)
+        while support and not any(matrix[support - 1]):
+            support -= 1
+        return support
+
+    def extend_rows(self, native: List[Any], count: int, fill: Any) -> List[Any]:
+        extra = count - len(native)
+        if not extra:
+            return native
+        if isinstance(fill, (int, float)):
+            return list(native) + [fill] * extra
+        return list(native) + [list(fill) for _ in range(extra)]
 
     def descending_prefix_lengths(
         self,
@@ -953,17 +1010,26 @@ class PurePythonBackend(Backend):
         return rows
 
     def assignment_candidates(
-        self, table: List[List[float]], count: int, maximize: bool = False
-    ) -> List[int]:
+        self,
+        table: List[List[float]],
+        count: int,
+        maximize: bool = False,
+        tail: Optional[Sequence[float]] = None,
+    ) -> Optional[List[int]]:
         n = len(table)
-        width = len(table[0]) if table else 0
+        width = len(table[0]) if table else len(tail or ())
         if n <= count * width:
-            return list(range(n))
+            return None if tail is not None else list(range(n))
         pick = _heapq.nlargest if maximize else _heapq.nsmallest
         chosen = set()
         for position in range(width):
             column = [row[position] for row in table]
-            chosen.update(pick(count, range(n), key=column.__getitem__))
+            best = pick(count, range(n), key=column.__getitem__)
+            if tail is not None:
+                last, limit = column[best[-1]], tail[position]
+                if not (last > limit if maximize else last < limit):
+                    return None
+            chosen.update(best)
         return sorted(chosen)
 
     def top_indices(self, values: Sequence[float], count: int) -> List[int]:
@@ -1074,6 +1140,55 @@ def _is_float_compatible(values: Sequence[Number]) -> bool:
             continue
         return False
     return True
+
+
+#: Below ``exp(_LOG_TINY)`` (half the smallest subnormal double) a value
+#: rounds to ``0.0``.
+_LOG_TINY = -745.2
+
+
+def _zero_row_guess(values: Any, out_len: int) -> int:
+    """Where the prefix sweep over ``values`` probably turns all-zero.
+
+    Writing ``L_m = Σ_{i<m} log(1 - p_i)`` and ``S_m = Σ_{i<m} p_i/(1-p_i)``,
+    coefficient ``j`` of row ``m`` is ``exp(L_m) · e_j(odds) <=
+    exp(L_m) · S_m^j`` (Maclaurin), so once ``L_m + (out_len - 1) ·
+    log max(S_m, 1)`` drops below :data:`_LOG_TINY` every coefficient of
+    row ``m`` rounds to zero; while ``L_m`` stays above it, coefficient 0
+    does not.  Certain rows (``p = 1``) only shift the coefficients up --
+    they are left out of ``L`` and ``S`` -- and ``out_len`` of them zero a
+    row exactly.  Rounding in the subnormal range can keep a row alive a
+    little longer, so this is a guess: the sweep checks the row it ends
+    on.  The bound is read in windows that double from 1024 rows, so a
+    guess within the first rows reads only those.  Returns
+    ``len(values)`` when no zero row is foreseen.
+    """
+    count = values.shape[0]
+    with _np.errstate(divide="ignore"):
+        logs = _np.log1p(-values)
+    if logs.sum() >= _LOG_TINY:
+        return count
+    certain = _np.flatnonzero(values >= 1.0)
+    if certain.shape[0] >= out_len:
+        count = int(certain[out_len - 1]) + 1
+    start, width, log_total, odds_total = 0, 1024, 0.0, 0.0
+    while start < count:
+        stop = min(start + width, count)
+        uncertain = values[start:stop] < 1.0
+        window = _np.where(uncertain, values[start:stop], 0.0)
+        running_logs = log_total + _np.cumsum(
+            _np.where(uncertain, logs[start:stop], 0.0)
+        )
+        running_odds = odds_total + _np.cumsum(window / (1.0 - window))
+        bound = running_logs + (out_len - 1) * _np.log(
+            _np.maximum(running_odds, 1.0)
+        )
+        below = _np.flatnonzero(bound < _LOG_TINY)
+        if below.shape[0]:
+            return start + int(below[0]) + 1
+        log_total, odds_total = running_logs[-1], running_odds[-1]
+        start, width = stop, 2 * width
+    return count
 
 
 class NumpyBackend(Backend):
@@ -1237,8 +1352,12 @@ class NumpyBackend(Backend):
         values = _np.asarray(probabilities, dtype=_np.float64)
         count = values.shape[0]
         if blocks is None and scores is None:
-            table = self._prefix_products(values, max_rank)[:-1]
-            return values[:, None] * table
+            table, live = self._prefix_products(values, max_rank)
+            if live > count:
+                return values[:, None] * table[:-1]
+            out = _np.zeros((count, max(max_rank, 0)))
+            _np.multiply(values[:live, None], table[:live], out=out[:live])
+            return out
         ids = _np.arange(count) if blocks is None else _np.asarray(blocks)
         times = _np.asarray(
             range(count) if scores is None else _tie_starts(scores),
@@ -1250,7 +1369,7 @@ class NumpyBackend(Backend):
         shared = sizes[inverse] > 1
         table = self._prefix_products(
             _np.where(shared, 0.0, values), max_rank
-        )[times]
+        )[0][times]
         # The rows of every multi-row block, grouped by block, in row order.
         members = _np.flatnonzero(shared)
         members = members[_np.argsort(inverse[members], kind="stable")]
@@ -1357,25 +1476,59 @@ class NumpyBackend(Backend):
     ) -> Any:
         return self._prefix_products(
             _np.asarray(probabilities, dtype=_np.float64), out_len
-        )
+        )[0]
 
-    def _prefix_products(self, values: Any, out_len: int) -> Any:
-        """The prefix-product rows as a chunked sweep.
+    def _prefix_products(self, values: Any, out_len: int) -> Tuple[Any, int]:
+        """The prefix-product rows and how many lead the zero tail.
+
+        The sweep runs in segments.  The first ends at
+        :func:`_zero_row_guess`'s estimate of the first all-zero row (the
+        whole input when it foresees none); while a segment ends on a
+        nonzero row, the next continues from that row, each twice as long
+        as the one before.  Once a segment ends on a zero row, the rows
+        past its last nonzero row are left ``0.0``.
+        """
+        count = values.shape[0]
+        if out_len < 1:
+            return _np.zeros((count + 1, 0)), 0
+        unit = _np.zeros(out_len)
+        unit[0] = 1.0
+        stop = _zero_row_guess(values, out_len)
+        segment = self._sweep(values[:stop], unit)
+        if stop == count:
+            rows = segment
+        else:
+            rows = _np.zeros((count + 1, out_len))
+            rows[: stop + 1] = segment
+        start, grow = 0, 64
+        while rows[stop].any():
+            if stop == count:
+                return rows, count + 1
+            start, stop = stop, min(count, stop + grow)
+            grow *= 2
+            rows[start : stop + 1] = self._sweep(
+                values[start:stop], rows[start]
+            )
+        return rows, start + self.row_support(rows[start:stop])
+
+    @staticmethod
+    def _sweep(values: Any, first: Any) -> Any:
+        """The rows ``first · Π_{j<m} (1 - p_j + p_j x)`` for
+        ``m = 0..n``, truncated at ``len(first)``, as a chunked sweep.
 
         The rows are cut into about ``√n`` chunks of ``√n`` that advance
         in lockstep, one vectorised step per position across all chunks.
         A first pass multiplies out each chunk's total, one sequential
-        pass convolves the totals into each chunk's offset (the product of
-        every earlier chunk), and a second pass advances every chunk from
-        its offset, writing the rows.  As in a per-row sweep, every term
-        is a sum of nonnegative products.
+        pass convolves the totals into each chunk's offset (``first``
+        times the product of every earlier chunk), and a second pass
+        advances every chunk from its offset, writing the rows.  As in a
+        per-row sweep, every term is a sum of nonnegative products.
         """
         count = values.shape[0]
+        out_len = first.shape[0]
         size = max(_isqrt(count), 1)
         chunks = max(-(-count // size), 1)
-        rows = _np.zeros((chunks * size + 1, max(out_len, 0)))
-        if out_len < 1:
-            return rows[: count + 1]
+        rows = _np.zeros((chunks * size + 1, out_len))
         padded = _np.zeros(chunks * size)
         padded[:count] = values
         # grid[j, c] is the probability of row c·size + j (0 past the end).
@@ -1387,7 +1540,7 @@ class NumpyBackend(Backend):
             totals *= 1.0 - probability
             totals[:, 1:] += shifted
         offsets = rows[:-1:size]  # the first row of every chunk
-        offsets[0, 0] = 1.0
+        offsets[0] = first
         for chunk in range(chunks - 1):
             offsets[chunk + 1] = _np.convolve(
                 offsets[chunk], totals[chunk]
@@ -1444,6 +1597,29 @@ class NumpyBackend(Backend):
 
     def take_rows(self, matrix: Any, indices: Sequence[int]) -> Any:
         return matrix[_np.asarray(indices, dtype=_np.intp)]
+
+    def row_support(self, matrix: Any) -> int:
+        # Bisect for the first row of the zero tail: rows from ``stop`` on
+        # are known zero, and each probe reads one contiguous block.
+        start, stop = 0, matrix.shape[0]
+        if stop and matrix[stop - 1].any():
+            return stop
+        while start < stop:
+            middle = (start + stop) // 2
+            if matrix[middle:stop].any():
+                start = middle + 1
+            else:
+                stop = middle
+        return stop
+
+    def extend_rows(self, native: Any, count: int, fill: Any) -> Any:
+        length = native.shape[0]
+        if length == count:
+            return native
+        out = _np.empty((count,) + native.shape[1:])
+        out[:length] = native
+        out[length:] = fill
+        return out
 
     def index_vector(self, indices: Sequence[int]) -> Any:
         if isinstance(indices, range):
@@ -1564,11 +1740,15 @@ class NumpyBackend(Backend):
         return cumulative @ grid
 
     def assignment_candidates(
-        self, table: Any, count: int, maximize: bool = False
-    ) -> List[int]:
+        self,
+        table: Any,
+        count: int,
+        maximize: bool = False,
+        tail: Optional[Sequence[float]] = None,
+    ) -> Optional[List[int]]:
         n, width = table.shape
         if n <= count * width:
-            return list(range(n))
+            return None if tail is not None else list(range(n))
         # Partitioning each position's row of the transposed view is about
         # twice as fast as partitioning down the columns.
         # The largest values are the smallest of the negated table: on a
@@ -1577,6 +1757,12 @@ class NumpyBackend(Backend):
         # times faster than at ``n - count``.
         rows = -table.T if maximize else table.T
         best = _np.argpartition(rows, count - 1, axis=1)[:, :count]
+        if tail is not None:
+            # Partitioning leaves each position's count-th best at count - 1.
+            last = rows[_np.arange(width), best[:, count - 1]]
+            limit = _np.asarray(tail, dtype=_np.float64)
+            if not (last < (-limit if maximize else limit)).all():
+                return None
         return _np.unique(best).tolist()
 
     def top_indices(self, values: Any, count: int) -> List[int]:

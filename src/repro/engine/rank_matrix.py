@@ -5,12 +5,23 @@ rank-position probabilities ``Pr(r(t) = i)`` (or, after
 :meth:`RankMatrix.cumulative`, ``Pr(r(t) <= i)``) together with a key index.
 The matrix is produced in a single backend sweep and stays in the backend's
 native array layout.  The consensus hot paths read it natively: they hand
-:attr:`RankMatrix.native` (and the native vectors of
+:attr:`RankMatrix.live` (and the native vectors of
 :meth:`RankMatrix.membership_vector`) to backend kernels and convert to keys
 only for the handful of rows an answer picks (:meth:`RankMatrix.keys_at`,
 :meth:`RankMatrix.rows_of`).  The per-key views -- :meth:`RankMatrix.to_dict`,
 :meth:`RankMatrix.membership`, :meth:`RankMatrix.weighted_sums` -- build
 Python dicts over every key and serve callers that want them.
+
+**Support.**  Every matrix declares its :attr:`RankMatrix.support`: the row
+count past which every row is exactly ``0.0``, in the matrix's own row
+order.  A tuple-independent matrix in score order has a long zero tail:
+once the chance that fewer than ``max_rank`` of the tuples above are
+present rounds to ``0.0``, no later tuple can reach the Top-``max_rank``.
+Only its first ``support`` rows -- :attr:`RankMatrix.live` -- carry mass.
+The cumulative and truncated copies, the membership and weighted-sum
+vectors and the column totals are computed over the live rows and padded
+with the tail's closed form (zero); the Top-k consumers in
+:mod:`repro.consensus.topk` read only the live rows too.
 """
 
 from __future__ import annotations
@@ -62,10 +73,28 @@ class RankMatrix:
     Rows are aligned with :meth:`keys`; column ``i - 1`` holds the
     probabilities for rank position ``i``.  Instances are produced by
     :meth:`repro.andxor.rank_probabilities.RankStatistics.rank_matrix`.
+
+    :attr:`support` is the row count past which every row is exactly
+    ``0.0`` -- declared by the producer or found by one
+    :meth:`~repro.engine.backends.Backend.row_support` reduction, and
+    inherited by every derived copy.  A matrix keeps its first ``support``
+    rows (:attr:`live`); the views that read only those and fill the rest
+    from the zero tail are :meth:`cumulative` and :meth:`truncated` (whose
+    copies hold only live rows), :meth:`row`, :meth:`membership_vector`,
+    :meth:`membership`, :meth:`weighted_vector`, :meth:`weighted_sums` and
+    :meth:`column_totals`.  :attr:`native` is the whole matrix, padded
+    with the zero rows on first use by a derived copy.
     """
 
     __slots__ = (
-        "_keys", "_rows", "_matrix", "_backend", "_max_rank", "_cumulative"
+        "_keys",
+        "_rows",
+        "_live",
+        "_matrix",
+        "_backend",
+        "_max_rank",
+        "_cumulative",
+        "_support",
     )
 
     def __init__(
@@ -77,20 +106,62 @@ class RankMatrix:
         cumulative: bool = False,
         key_index: Optional[Dict[Hashable, int]] = None,
     ) -> None:
-        self._keys: List[Hashable] = list(keys)
+        keys = list(keys)
         # Caller-supplied position index (already aligned with ``keys``):
         # producers that emit many matrices over one stable key order (the
         # sharded coordinator's incremental re-merges) share one index
         # instead of rebuilding an n-entry dict per matrix.  Otherwise the
         # index is built lazily (see :class:`_KeyRows`).
-        self._rows = _KeyRows(self._keys, key_index)
-        distinct = len(set(self._keys) if key_index is None else key_index)
-        if distinct != len(self._keys):
+        distinct = len(set(keys) if key_index is None else key_index)
+        if distinct != len(keys):
             raise ValueError("rank matrix keys must be distinct")
+        self._assign(
+            keys, _KeyRows(keys, key_index), matrix, backend, max_rank,
+            cumulative, None,
+        )
+
+    @classmethod
+    def _checked(
+        cls,
+        keys: List[Hashable],
+        matrix: Any,
+        backend: Backend,
+        max_rank: int,
+        support: Optional[int] = None,
+    ) -> "RankMatrix":
+        """A matrix over a fresh list of keys its producer already proved
+        distinct: no copy and no check."""
+        checked = cls.__new__(cls)
+        checked._assign(
+            keys, _KeyRows(keys, None), matrix, backend, max_rank, False,
+            support,
+        )
+        return checked
+
+    def _assign(
+        self,
+        keys: List[Hashable],
+        rows: _KeyRows,
+        matrix: Any,
+        backend: Backend,
+        max_rank: int,
+        cumulative: bool,
+        support: Optional[int],
+    ) -> None:
+        if support is None:
+            support = backend.row_support(matrix)
+        self._keys = keys
+        self._rows = rows
         self._matrix = matrix
         self._backend = backend
         self._max_rank = max_rank
         self._cumulative = cumulative
+        self._support = support
+        self._live = (
+            matrix
+            if support == len(keys)
+            else backend.slice_rows(matrix, 0, support)
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -107,8 +178,36 @@ class RankMatrix:
 
     @property
     def native(self) -> Any:
-        """The backend-native matrix (callers must not mutate it)."""
+        """The backend-native ``n × max_rank`` matrix (callers must not
+        mutate it)."""
+        if self._matrix is None:
+            # A benign race: concurrent readers pad equal copies.
+            self._matrix = self._padded(self._live, [0.0] * self._max_rank)
         return self._matrix
+
+    @property
+    def support(self) -> int:
+        """The row count past which every row is exactly ``0.0``."""
+        return self._support
+
+    @property
+    def live(self) -> Any:
+        """The first :attr:`support` rows of :attr:`native` (callers must
+        not mutate them)."""
+        return self._live
+
+    def _padded(self, live: Any, fill: Any) -> Any:
+        """A native table computed over the live rows, padded to every
+        row with ``fill`` -- the value every zero row takes."""
+        return self._backend.extend_rows(live, len(self._keys), fill)
+
+    def _per_key(self, live_values: Any) -> Dict[Hashable, float]:
+        """A per-key dict of one native value per live row, 0.0 past."""
+        values = dict.fromkeys(self._keys, 0.0)
+        values.update(
+            zip(self._keys, self._backend.vector_values(live_values))
+        )
+        return values
 
     def keys(self) -> List[Hashable]:
         """The tuple keys, aligned with the matrix rows."""
@@ -145,7 +244,9 @@ class RankMatrix:
             position = self._rows.row(key)
         except KeyError:
             raise KeyError(f"unknown tuple key {key!r}") from None
-        return self._backend.matrix_row(self._matrix, position)
+        if position >= self._support:
+            return [0.0] * self._max_rank
+        return self._backend.matrix_row(self._live, position)
 
     def column(self, position: int) -> List[float]:
         """Per-key probabilities of one rank position (1-based)."""
@@ -153,11 +254,11 @@ class RankMatrix:
             raise ValueError(
                 f"position must lie in 1..{self._max_rank}, got {position}"
             )
-        return self._backend.matrix_column(self._matrix, position - 1)
+        return self._backend.matrix_column(self.native, position - 1)
 
     def to_dict(self) -> Dict[Hashable, List[float]]:
         """The matrix as a per-key dictionary of row lists."""
-        rows = self._backend.matrix_to_lists(self._matrix)
+        rows = self._backend.matrix_to_lists(self.native)
         return dict(zip(self._keys, rows))
 
     # ------------------------------------------------------------------
@@ -173,7 +274,7 @@ class RankMatrix:
         if self._cumulative:
             return self
         return self._derived(
-            self._backend.cumulative_rows(self._matrix), self._max_rank, True
+            self._backend.cumulative_rows(self._live), self._max_rank, True
         )
 
     def truncated(self, max_rank: int) -> "RankMatrix":
@@ -193,22 +294,25 @@ class RankMatrix:
                 f"got {max_rank}"
             )
         return self._derived(
-            self._backend.truncate_columns(self._matrix, max_rank),
+            self._backend.truncate_columns(self._live, max_rank),
             max_rank,
             self._cumulative,
         )
 
     def _derived(
-        self, matrix: Any, max_rank: int, cumulative: bool
+        self, live: Any, max_rank: int, cumulative: bool
     ) -> "RankMatrix":
-        """A matrix over these (already checked) keys and their lookup."""
+        """A matrix over these (already checked) keys, their lookup and
+        this matrix's support, from its live rows."""
         derived = RankMatrix.__new__(RankMatrix)
         derived._keys = self._keys
         derived._rows = self._rows
-        derived._matrix = matrix
+        derived._matrix = live if self._support == len(self._keys) else None
         derived._backend = self._backend
         derived._max_rank = max_rank
         derived._cumulative = cumulative
+        derived._support = self._support
+        derived._live = live
         return derived
 
     def membership_vector(self) -> Any:
@@ -217,38 +321,49 @@ class RankMatrix:
         Row sums on a density matrix, the last column on a cumulative one --
         both views answer the same question.
         """
+        return self._padded(self._membership_live(), 0.0)
+
+    def _membership_live(self) -> Any:
         if self._cumulative:
             unit = [0.0] * self._max_rank
             if unit:
                 unit[-1] = 1.0
-            return self._backend.matvec(self._matrix, unit)
-        return self._backend.row_sums(self._matrix)
+            return self._backend.matvec(self._live, unit)
+        return self._backend.row_sums(self._live)
 
     def membership(self) -> Dict[Hashable, float]:
         """``Pr(r(t) <= max_rank)`` per key (see :meth:`membership_vector`)."""
-        values = self._backend.vector_values(self.membership_vector())
-        return dict(zip(self._keys, values))
+        return self._per_key(self._membership_live())
 
     def column_totals(self) -> List[float]:
         """``Σ_t`` of every column (e.g. ``Σ_t Pr(r(t) <= i)``)."""
-        return self._backend.column_sums(self._matrix)
+        if not self._support:
+            return [0.0] * self._max_rank
+        return self._backend.column_sums(self._live)
+
+    def _weighted_live(self, weights: Sequence[float]) -> Any:
+        if len(weights) != self._max_rank:
+            raise ValueError(
+                f"expected {self._max_rank} weights, got {len(weights)}"
+            )
+        return self._backend.matvec(self._live, weights)
+
+    def weighted_vector(self, weights: Sequence[float]) -> Any:
+        """``Σ_i weights[i-1] * matrix[t][i-1]`` per row, as a native
+        vector."""
+        return self._padded(self._weighted_live(weights), 0.0)
 
     def weighted_sums(self, weights: Sequence[float]) -> Dict[Hashable, float]:
         """``Σ_i weights[i-1] * matrix[t][i-1]`` per key.
 
         This evaluates a parameterized ranking function ``Υ_ω`` for every
-        tuple in one matrix-vector product.
+        tuple in one matrix-vector product over the live rows.
         """
-        if len(weights) != self._max_rank:
-            raise ValueError(
-                f"expected {self._max_rank} weights, got {len(weights)}"
-            )
-        backend = self._backend
-        values = backend.vector_values(backend.matvec(self._matrix, weights))
-        return dict(zip(self._keys, values))
+        return self._per_key(self._weighted_live(weights))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RankMatrix(n_tuples={len(self._keys)}, "
-            f"max_rank={self._max_rank}, backend={self._backend.name!r})"
+            f"max_rank={self._max_rank}, support={self._support}, "
+            f"backend={self._backend.name!r})"
         )
