@@ -137,9 +137,10 @@ def assignment_table(
     every zero row of ``matrix`` takes in it.  The candidates
     (:meth:`~repro.engine.backends.Backend.assignment_candidates`) come
     from the live rows alone when each position's ``k`` best strictly beat
-    ``tail`` -- a row with mass always does, so that holds once ``k`` rows
-    carry mass -- and there are more than ``k²`` live rows; otherwise
-    from the table padded to every row, as if no row were left out.
+    ``tail`` -- a row with mass does unless rounding ties it, so that
+    holds once ``k`` rows carry mass -- and there are more than ``k²``
+    live rows; otherwise from the table padded to every row, as if no row
+    were left out.
     """
     backend = matrix.backend
     k = matrix.max_rank
