@@ -23,8 +23,12 @@ Six cases over the scaled movie-ratings scenario (tuple-independent,
   timing anything, and records the host core count and the multiprocessing
   start method -- on starved hosts (< 4 cores) the numbers are reported
   but the speedup bar is not enforced.
-* **E13e -- IPC transport microbench.**  Cold per-shard summary exchange
-  with the dense prefix tables forced over pipe-pickle vs shared memory.
+* **E13e -- summary-exchange microbench.**  The process pool's summary
+  exchange over the workers' pipes, 4 shards: a cold full exchange (every
+  shard re-ships its whole prefix table) and the exchange after each of a
+  run of zipf-popularity updates (the updated shard ships a row-suffix
+  delta).  Reports the exchange time and the bytes the parent actually
+  received per summary reply, envelope included.
 * **E13f -- incremental vs full re-merge under update-heavy traffic.**
   A zipf-popularity 40%-update stream against a 4-shard process-backed
   database: after each single-shard update the incremental engine re-merges
@@ -489,55 +493,70 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_e13e_ipc_transport_microbench(benchmark):
+def test_e13e_summary_exchange_microbench(benchmark):
     database = _database()
+    keys = database.tree.keys()
     start_method = resolve_start_method()
     rounds = 3 if SMOKE else 10
-    rows = []
-    for transport in ("never", "always"):
-        if transport == "always" and get_backend().name != "numpy":
-            continue  # shared memory ships numpy tables only
-        sharded = ShardedDatabase(
-            database,
-            4,
-            partitioner="hash",
-            executor="processes",
-            executor_options={"shm": transport},
+    updates = [
+        event
+        for event in update_heavy_traffic(
+            keys, 8 * rounds, rng=SEED, k_choices=(K,)
         )
-        try:
-            pool = sharded.process_pool()
-            pool.summaries(K)  # workers compute + memoize their sweeps
-            start = time.perf_counter()
-            for _ in range(rounds):
-                # use_cache=False forces a full exchange each round, so
-                # this times transport (pickle vs one memcpy), not compute.
-                pool.summaries(K, use_cache=False)
-            elapsed = (time.perf_counter() - start) / rounds
-            stats = pool.stats()
-            label = "pipe-pickle" if transport == "never" else "shared-memory"
+        if event.is_update
+    ][:rounds]
+    sharded = ShardedDatabase(
+        database, 4, partitioner="hash", executor="processes"
+    )
+    try:
+        pool = sharded.process_pool()
+        pool.summaries(K)  # workers compute + memoize their sweeps
+        rows = []
+        for leg in ("cold full exchange", "post-update exchange"):
+            elapsed, replies, received, deltas = 0.0, 0, 0, 0
+            for index in range(rounds):
+                if leg == "cold full exchange":
+                    # Every shard re-ships its whole table: transport, not
+                    # compute (the workers' sweeps stay memoized).
+                    pool.forget_cached_summaries()
+                else:
+                    event = updates[index % len(updates)]
+                    sharded.update_tuple(
+                        event.key, probability=event.probability
+                    )
+                before = pool.stats()
+                start = time.perf_counter()
+                pool.summaries(K)
+                elapsed += time.perf_counter() - start
+                exchanged = pool.stats() - before
+                replies += exchanged.summaries
+                received += exchanged.pipe_bytes
+                deltas += exchanged.summary_deltas
             rows.append(
                 (
-                    label,
-                    elapsed * 1000.0,
-                    stats.total_bytes,
-                    stats.pipe_messages,
-                    stats.shm_messages,
+                    leg,
+                    elapsed / rounds * 1000.0,
+                    replies / rounds,
+                    received / max(replies, 1),
+                    deltas,
                 )
             )
-        finally:
-            sharded.close()
+    finally:
+        sharded.close()
     report(
         "E13e",
-        f"Summary exchange transport, 4 shards, n = "
-        f"{len(database.tree.keys())}, k = {K}",
-        ("transport", "exchange (ms)", "bytes shipped", "pipe msgs",
-         "shm msgs"),
+        f"Summary exchange over the workers' pipes, 4 shards, n = "
+        f"{len(keys)}, k = {K}",
+        ("exchange", "ms", "replies", "bytes per reply", "deltas"),
         rows,
         notes=(
             f"seed={SEED}, backend={get_backend().name}, "
-            f"start_method={start_method}.  Each exchange re-ships every "
-            "shard's (n_s+1) x k prefix table; shared memory replaces the "
-            "pickle round-trip with one memcpy per table."
+            f"start_method={start_method}, rounds={rounds}.  A reply is "
+            "the worker's state id and its prefix table rows (all of "
+            "them cold; the rows below the first changed one after an "
+            "update), one pickled message; bytes are as received by the "
+            "parent.  The post-update exchange includes the updated "
+            "worker's re-sweep."
         ),
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -123,8 +123,8 @@ async def main() -> None:
 
     # -- process-backed shards: the same API, no GIL -------------------
     # executor="processes" moves every shard (database + warm session)
-    # into its own worker process; the coordinator only exchanges compact
-    # summaries (shared memory for large numpy prefix tables).  Prefer it
+    # into its own worker process; the coordinator only receives the
+    # shards' prefix tables over the workers' pipes.  Prefer it
     # for large shards (n >= 10^4) on the numpy backend, where per-shard
     # kernels dominate and threads serialize on the GIL; answers are
     # identical either way.  The `with` block releases the workers.
@@ -144,9 +144,8 @@ async def main() -> None:
         if snapshot.ipc is not None:
             print(
                 f"IPC: {snapshot.ipc.summaries} summaries exchanged, "
-                f"{snapshot.ipc.total_bytes} bytes shipped "
-                f"({snapshot.ipc.shm_messages} via shared memory, "
-                f"{snapshot.ipc.pipe_messages} via pipe)"
+                f"{snapshot.ipc.pipe_bytes} bytes received in "
+                f"{snapshot.ipc.pipe_messages} worker replies"
             )
         # Serving reads are pinned to the shard-version vector captured
         # at request ingress (MVCC), so a concurrent update can never

@@ -189,9 +189,9 @@ Shards default to thread-backed execution.  Passing
 ``ShardedDatabase(database, 4, executor="processes")`` moves every shard
 -- database and warm session -- into its own worker process
 (:class:`~repro.sharding.ShardProcessPool`): per-shard kernels run
-outside the GIL and only compact rank summaries cross the process
-boundary, over pipes or a ``multiprocessing.shared_memory`` fast path
-for large numpy prefix tables.  Coordinator, serving executor and the
+outside the GIL and only the shards' prefix tables cross the process
+boundary, pickled over each worker's pipe (a row-suffix delta after an
+update).  Coordinator, serving executor and the
 update protocol work unchanged (same 1e-9 parity; stale updates raise
 the same :class:`~repro.exceptions.StaleUpdateError`).  Prefer process
 execution for large shards (n >= 10^4) on the numpy backend, where

@@ -513,7 +513,7 @@ class FlatColumns:
         probabilities: it shares their key list, block and score columns
         (as :meth:`replace_block` shares them when no score moved) and
         holds equal values."""
-        return (
+        return other is self or (
             other.keys is self.keys
             and other.blocks is self.blocks
             and other.scores is self.scores

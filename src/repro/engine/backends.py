@@ -30,7 +30,10 @@ import random as _random
 from bisect import bisect_left as _bisect_left
 from bisect import bisect_right as _bisect_right
 from collections import Counter as _Counter
+from itertools import compress as _compress
+from itertools import count as _count
 from math import isqrt as _isqrt
+from operator import ne as _ne
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # NumPy is an optional accelerator, never a hard dependency.
@@ -339,6 +342,11 @@ class Backend:
     def first_tie(self, scores: Any, groups: Any) -> Optional[int]:
         """First ``i`` with ``scores[i] == scores[i + 1]`` but
         ``groups[i] != groups[i + 1]``, else None."""
+        raise NotImplementedError
+
+    def first_difference(self, a: Any, b: Any) -> int:
+        """The first index at which two native vectors of one length
+        differ, or their length when they are equal."""
         raise NotImplementedError
 
     def rows_outside(self, values: Any, low: float, high: float) -> List[int]:
@@ -884,6 +892,12 @@ class PurePythonBackend(Backend):
             ):
                 return index
         return None
+
+    def first_difference(
+        self, a: Sequence[float], b: Sequence[float]
+    ) -> int:
+        # The index of the first unequal pair, found by C-level iterators.
+        return next(_compress(_count(), map(_ne, a, b)), len(a))
 
     def rows_outside(
         self, values: Sequence[float], low: float, high: float
@@ -1658,6 +1672,10 @@ class NumpyBackend(Backend):
             (scores[1:] == scores[:-1]) & (groups[1:] != groups[:-1])
         )
         return int(hits[0]) if hits.size else None
+
+    def first_difference(self, a: Any, b: Any) -> int:
+        hits = _np.flatnonzero(_np.asarray(a) != _np.asarray(b))
+        return int(hits[0]) if hits.size else len(a)
 
     def rows_outside(self, values: Any, low: float, high: float) -> List[int]:
         values = _np.asarray(values)

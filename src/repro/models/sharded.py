@@ -69,13 +69,14 @@ class DatabaseShard:
     """One shard: its columns, its version and a lazy query session.
 
     The coordinator reads every live shard through :attr:`columns`,
-    :meth:`summary` and :meth:`session`; this class alone knows whether the
-    shard's statistics live in this process (``executor="threads"``: the
-    session's memoized artifacts) or in a worker process
-    (``executor="processes"``: the pool's version-keyed cache, which is
-    also the baseline the worker ships row-suffix deltas against).  The
-    columns are held parent-side on both executors and are authoritative:
-    when the worker cannot answer, the read fails over to them.
+    :meth:`summary` and :meth:`session`; this class alone knows whether a
+    summary's prefix table is swept in this process (``executor="threads"``,
+    and block-independent shards on either executor: the session's
+    memoized artifacts) or shipped by a worker process (tuple-independent
+    shards under ``executor="processes"``: the pool's cache, which is also
+    the baseline the worker ships row-suffix deltas against).  Either way
+    the summary reads the columns held here, which are authoritative: when
+    the worker cannot answer, the read fails over to them.
     """
 
     __slots__ = ("index", "columns", "_session", "version", "_owner")
@@ -138,38 +139,28 @@ class DatabaseShard:
             return None
         return self._owner.process_pool().read(self.index, op, *args)
 
-    def summary(self, max_rank: int) -> Tuple[Any, Any]:
-        """``(summary, token)``: the truncated rank summary and a token
-        that repeats only when the summary content does.
+    def summary(self, max_rank: int) -> Any:
+        """The truncated rank summary over the shard's columns.
 
-        In-process the token is ``(version, session generation)``,
-        re-checked after the build so a concurrent swap cannot mislabel
-        it; from a worker it is ``(version, worker state id)``, and a
-        cache miss fetches every stale shard in one parallel exchange.
+        A tuple-independent shard's worker ships its prefix table (a cache
+        miss fetches every stale shard in one parallel exchange); a
+        block-independent summary needs nothing but the columns, so it is
+        never asked of a worker.
         """
-        remote = self._from_worker("summary_with_token", max_rank)
-        if remote is not None:
-            return remote
-        for _ in range(8):
-            version = self.version
-            session = self.session()
-            summary = session.partial_rank_summary(max_rank)
-            if self.version == version and self._session is session:
-                break
-        return summary, (version, session.generation)
+        if self._owner.independent:
+            remote = self._from_worker("summary", max_rank)
+            if remote is not None:
+                return remote
+        return self.session().partial_rank_summary(max_rank)
 
-    def warm_state(self) -> Tuple[Optional[QuerySession], Any, Dict[int, Any]]:
-        """``(session, layout, {max_rank: summary})`` already built at the
-        current version, for the coordinator's archive; no I/O, no builds.
+    def warm_state(self) -> Tuple[Optional[QuerySession], Dict[int, Any]]:
+        """``(session, {max_rank: summary})`` already built over the
+        current columns, for the coordinator's archive; no I/O, no builds.
         """
         pool = self._owner._pool
         if pool is None or pool.closed:
-            return self._session, None, {}
-        return (
-            self._session,
-            pool.cached_layout(self.index, self.version),
-            pool.cached_summaries(self.index, self.version),
-        )
+            return self._session, {}
+        return self._session, pool.cached_summaries(self.index, self.columns)
 
     def _replace(self, columns: FlatColumns) -> None:
         self.columns = columns
@@ -263,9 +254,9 @@ class ShardedDatabase:
         numpy backend.
     executor_options:
         Keyword arguments forwarded to the process pool constructor
-        (``start_method``, ``shm``, ``shm_min_bytes``,
-        ``request_timeout``, ``supervise``, ``breaker_threshold``, ...);
-        ignored under ``executor="threads"``.
+        (``start_method``, ``request_timeout``, ``supervise``,
+        ``supervisor``, ``fault_injector``, ``breaker_threshold``,
+        ``breaker_cooldown_s``); ignored under ``executor="threads"``.
     snapshot_history:
         How many superseded shard versions the coordinator archives for
         version-pinned snapshot readers (:meth:`snapshot`,
@@ -405,6 +396,11 @@ class ShardedDatabase:
     @property
     def partitioner(self) -> str:
         return self._partitioner_name
+
+    @property
+    def independent(self) -> bool:
+        """Whether the source is tuple-independent (else BID)."""
+        return self._independent
 
     @property
     def executor(self) -> str:
@@ -666,10 +662,11 @@ class ShardedDatabase:
         the caller should re-prepare and retry.
 
         Under ``executor="processes"`` the worker commits first and the
-        parent swaps second, which the ``(version, state id)`` summary
-        tokens rely on.  When the worker misses the commit (it crashed,
-        timed out or lost the message) the parent swaps anyway and the
-        worker is respawned from the new columns.
+        parent swaps second; the pool pairs the worker's new state id with
+        the new columns, so a summary it ships is only ever read with the
+        columns it was computed from.  When the worker misses the commit
+        (it crashed, timed out or lost the message) the parent swaps
+        anyway and the worker is respawned from the new columns.
         """
         with self._apply_lock:
             shard = self._shards[pending.shard_index]
@@ -703,6 +700,7 @@ class ShardedDatabase:
                     pending.key,
                     pending.rows,
                     self._independent,
+                    pending.columns,
                 )
             )
             shard._replace(pending.columns)

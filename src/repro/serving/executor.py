@@ -172,8 +172,8 @@ class ServingExecutor:
         """A snapshot of the executor's counters and latency quantiles.
 
         Under ``executor="processes"`` the snapshot's ``ipc`` field carries
-        the worker pool's transport counters (summaries exchanged, bytes
-        shipped over pipes vs shared memory).  The ``merge`` field carries
+        the worker pool's transport counters (summaries exchanged, replies
+        and the bytes received over the workers' pipes).  The ``merge`` field carries
         the coordinator's merge-engine counters (full vs incremental
         re-merges, convolutions, reused partial products) once a
         coordinator exists.

@@ -97,8 +97,7 @@ class ServingMetricsSnapshot:
     queries_by_kind: Tuple[Tuple[str, int], ...] = ()
     #: Transport counters of the process-backed shard pool
     #: (:class:`repro.sharding.procpool.IpcSnapshot`: summaries exchanged,
-    #: pipe vs shared-memory messages and bytes); ``None`` under
-    #: ``executor="threads"``.
+    #: replies and bytes received); ``None`` under ``executor="threads"``.
     ipc: Optional[Any] = None
     #: Coordinator merge-engine counters
     #: (:class:`repro.sharding.merge.MergeStatsSnapshot`: full vs
@@ -135,7 +134,9 @@ class ServingMetricsSnapshot:
     def from_dict(data: Dict[str, Any]) -> "ServingMetricsSnapshot":
         """Rebuild a snapshot from :meth:`to_dict` output.
 
-        The nested transport/merge documents come back as real
+        Accepts exactly the keys :meth:`to_dict` emits (a missing or an
+        unknown key raises ``TypeError``).  The nested transport/merge
+        documents come back as real
         :class:`~repro.sharding.procpool.IpcSnapshot` /
         :class:`~repro.sharding.merge.MergeStatsSnapshot` instances, so
         delta arithmetic keeps working on decoded snapshots.
@@ -154,10 +155,10 @@ class ServingMetricsSnapshot:
             from repro.sharding.merge import MergeStatsSnapshot
 
             kwargs["merge"] = MergeStatsSnapshot(**merge)
-        known = {f.name for f in fields(ServingMetricsSnapshot)}
-        return ServingMetricsSnapshot(
-            **{k: v for k, v in kwargs.items() if k in known}
-        )
+        missing = {f.name for f in fields(ServingMetricsSnapshot)} - set(data)
+        if missing:
+            raise TypeError(f"metrics document lacks {sorted(missing)}")
+        return ServingMetricsSnapshot(**kwargs)
 
     def __sub__(
         self, other: "ServingMetricsSnapshot"

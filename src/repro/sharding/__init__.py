@@ -9,7 +9,7 @@ distributions.  This package exploits that factorization:
 * :class:`~repro.sharding.summary.ShardRankSummary` -- the partial
   (truncated) univariate generating functions one shard exports: for every
   score threshold, the distribution of the number of present tuples above
-  it, plus the per-alternative local layout.  Built and memoized per shard
+  it, read off the shard's own flat columns.  Built and memoized per shard
   via :meth:`repro.session.QuerySession.partial_rank_summary`.
 * :class:`~repro.sharding.coordinator.ShardedQuerySession` -- a
   :class:`~repro.session.QuerySession` drop-in whose statistics artifacts

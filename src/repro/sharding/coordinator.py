@@ -45,8 +45,8 @@ Two properties make the coordinator honest under sustained mixed traffic:
 
 Every shard is read through one interface, whatever holds its state:
 ``columns`` (its committed :class:`~repro.andxor.columns.FlatColumns`),
-``summary(max_rank)`` (its truncated summary plus a content token for the
-merge engine) and ``session()`` (only for the single-shard shortcut).
+``summary(max_rank)`` (its truncated summary, which reads those columns)
+and ``session()`` (only for the single-shard shortcut).
 Live shards are :class:`~repro.models.sharded.DatabaseShard` objects,
 which alone know whether their state sits in this process or in a worker;
 superseded ones are :class:`_ShardArchive` entries of the snapshot history
@@ -67,7 +67,7 @@ from repro.engine import RankMatrix, get_backend
 from repro.exceptions import ModelError, SnapshotTooOldError
 from repro.session import QuerySession
 from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
-from repro.sharding.summary import ShardRankSummary, shard_layout
+from repro.sharding.summary import ShardRankSummary
 
 
 class _ShardArchive:
@@ -77,8 +77,9 @@ class _ShardArchive:
     shard's columns, so readers pinned at the outgoing version can still
     resolve it.  It holds a reference to those (immutable) columns and
     adopts whatever the live shard already built at that version
-    (:meth:`~repro.models.sharded.DatabaseShard.warm_state`); anything
-    missing is computed lazily from the archived columns.  Answers the
+    (:meth:`~repro.models.sharded.DatabaseShard.warm_state`); a missing
+    summary comes from the archived session, opened over the archived
+    columns when cold.  Answers the
     coordinator through the same ``columns`` / ``summary()`` /
     ``session()`` interface as a live shard.
     """
@@ -88,7 +89,6 @@ class _ShardArchive:
         "version",
         "columns",
         "_session",
-        "_layout",
         "_summaries",
     )
 
@@ -96,7 +96,7 @@ class _ShardArchive:
         self.index = shard.index
         self.version = shard.version
         self.columns = shard.columns
-        self._session, self._layout, self._summaries = shard.warm_state()
+        self._session, self._summaries = shard.warm_state()
 
     def session(self) -> Optional[QuerySession]:
         """The archived shard session (opened over the columns when cold)."""
@@ -104,17 +104,11 @@ class _ShardArchive:
             self._session = QuerySession(self.columns)
         return self._session
 
-    def layout(self) -> Optional[Any]:
-        if self._layout is None and self.columns.values:
-            self._layout = shard_layout(self.session())
-        return self._layout
-
-    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
+    def summary(self, max_rank: int) -> ShardRankSummary:
         cached = self._summaries.get(max_rank)
         if cached is None:
-            cached = ShardRankSummary.from_layout(self.layout(), max_rank)
-            self._summaries[max_rank] = cached
-        return cached, ("archive", self.index, self.version)
+            return self.session().partial_rank_summary(max_rank)
+        return cached
 
 
 class _PinnedShard:
@@ -150,7 +144,7 @@ class _PinnedShard:
     def session(self) -> Optional[QuerySession]:
         return self._read(methodcaller("session"))
 
-    def summary(self, max_rank: int) -> Tuple[ShardRankSummary, Any]:
+    def summary(self, max_rank: int) -> ShardRankSummary:
         return self._read(methodcaller("summary", max_rank))
 
 
@@ -412,10 +406,7 @@ class ShardedQuerySession(QuerySession):
             parts
             and base is not None
             and len(parts) == len(base[0])
-            and all(
-                new is old or old.same_rows(new)
-                for new, old in zip(parts, base[0])
-            )
+            and all(old.same_rows(new) for new, old in zip(parts, base[0]))
         ):
             _, rows, columns = base
             backend = columns.backend
@@ -458,13 +449,11 @@ class ShardedQuerySession(QuerySession):
         columns = self._columns
         shards: List[Any] = []
         summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
         for shard in self._shards():
-            summary, token = shard.summary(max_rank)
+            summary = shard.summary(max_rank)
             if summary.number_of_tuples() > 0:
                 shards.append(shard)
                 summaries.append(summary)
-                tokens.append(token)
         if not summaries:
             return RankMatrix([], backend.matrix_from_rows([]), backend, max_rank)
         if (
@@ -478,7 +467,6 @@ class ShardedQuerySession(QuerySession):
             return shards[0].session().rank_matrix(max_rank)
         native = self._merge_engine().merge(
             summaries,
-            tokens,
             max_rank,
             columns.backend.take_rows(columns.scores, columns.order),
             columns.keys,

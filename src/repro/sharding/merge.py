@@ -23,12 +23,13 @@ An incremental merge recomputes only the **rows** an update reaches.  Row
 alternatives, so when the first changed alternative of a shard sits at
 global grid row ``g``, every grid row at or above ``g`` of its aligned
 table -- and of every prefix/suffix product containing it -- is unchanged.
-The engine finds that alternative from content, comparing each shard's
-probabilities with the ones it last merged
-(:func:`~repro.sharding.summary.table_delta_start`, the rule the worker's
-row-suffix IPC delta uses), never from version tokens: a token that moves
-while the content does not (a respawned worker, a rebuilt session)
-recomputes nothing.  It then re-convolves the rows below that point of the
+The engine finds that alternative from content: a shard whose summary
+reads the columns it last merged is unchanged, and otherwise its
+score-ordered probabilities are compared with the ones it last merged
+(:meth:`~repro.sharding.summary.ShardRankSummary.first_change`, the rule
+the worker's row-suffix IPC delta uses).  New columns with the same
+content (a rebuilt session, a probability rewritten to its old value)
+recompute nothing.  It then re-convolves the rows below that point of the
 stale prefix/suffix products, of each shard's all-others rows and of its
 final rank rows, and splices them under the reused rows above.  The
 kernels are row-local, so the spliced result has the same bits as a full
@@ -51,7 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.sharding.summary import ShardRankSummary, table_delta_start
+from repro.sharding.summary import ShardRankSummary
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class _GridState:
 
     __slots__ = (
         "backend_name",
-        "tokens",
-        "layouts",
+        "summaries",
         "grid",
         "index_maps",
         "positions",
@@ -114,10 +114,9 @@ class _GridState:
 
     def __init__(self, shard_count: int) -> None:
         self.backend_name: str = ""
-        self.tokens: Tuple[Any, ...] = ()
-        #: Each shard's last merged layout: the content the cached rows
+        #: Each shard's last merged summary: the content the cached rows
         #: were computed from.
-        self.layouts: List[Any] = [None] * shard_count
+        self.summaries: List[Any] = [None] * shard_count
         self.grid: Sequence[float] = []
         self.index_maps: List[Any] = []
         self.positions: List[Any] = []
@@ -179,25 +178,21 @@ class MergeEngine:
     def merge(
         self,
         summaries: Sequence[ShardRankSummary],
-        tokens: Sequence[Any],
         max_rank: int,
-        grid_scores: Sequence[float],
+        grid_scores: Any,
         keys_order: List[Hashable],
         backend: Any,
     ) -> Any:
         """Merge shard summaries into the global rank rows.
 
-        ``tokens`` are per-shard version tokens aligned with ``summaries``;
-        an unchanged token means the shard's content is unchanged, and a
-        changed one makes the engine compare the content itself.  Returns
-        the native matrix, one row per key of ``keys_order`` (the merged
-        decreasing-score key order).
+        ``grid_scores`` are the merged columns' scores in decreasing
+        order.  Returns the native matrix, one row per key of
+        ``keys_order`` (the merged decreasing-score key order).
         """
         # Readers on several threads share a coordinator's engine, whose
         # cached partials are updated in place: merges take turns.
         with self._lock:
             self.counters["merges"] += 1
-            tokens = tuple(tokens)
             state = self._states.get(max_rank)
             if state is not None and not self._compatible(
                 state, summaries, keys_order, backend
@@ -212,7 +207,7 @@ class MergeEngine:
                 )
                 self.counters["full_merges"] += 1
             else:
-                changes = self._changes(state, summaries, tokens)
+                changes = self._changes(state, summaries)
                 self.counters["incremental_merges"] += 1
             self._states[max_rank] = state
             self._states.move_to_end(max_rank)
@@ -240,8 +235,7 @@ class MergeEngine:
                 # A half-refreshed state would pass for current next time.
                 self._states.pop(max_rank, None)
                 raise
-            state.tokens = tokens
-            state.layouts = [summary.layout for summary in summaries]
+            state.summaries = list(summaries)
             return backend.take_rows(
                 backend.stack_matrices(state.finals), state.order
             )
@@ -263,50 +257,40 @@ class MergeEngine:
         valid; a score, block or key move (or a shard-count / backend
         change) forces a full rebuild.  The coordinator shares one
         key list across patched merged columns, so the key check is an
-        identity hit.
+        identity hit, and :meth:`~repro.andxor.columns.FlatColumns.\
+same_rows` reads the shards' shared key, block and score columns.
         """
         if state.backend_name != backend.name:
             return False
-        if len(state.layouts) != len(summaries):
+        if len(state.summaries) != len(summaries):
             return False
         if state.keys is not keys_order and state.keys != keys_order:
             return False
-        for cached, summary in zip(state.layouts, summaries):
-            fresh = summary.layout
-            if fresh is cached:
-                continue
-            if fresh.scores != cached.scores or fresh.blocks != cached.blocks:
-                return False
-        return True
+        return all(
+            cached.columns.same_rows(summary.columns)
+            for cached, summary in zip(state.summaries, summaries)
+        )
 
     def _changes(
         self,
         state: _GridState,
         summaries: Sequence[ShardRankSummary],
-        tokens: Tuple[Any, ...],
     ) -> List[Optional[Tuple[int, int]]]:
         """Per shard, ``(grid_row, row)`` when its content changed since
         the last merge, else ``None``.
 
         ``row`` is the shard's first alternative whose probability
         changed, and ``grid_row`` the first stale row of its aligned
-        table: the grid row below that alternative's.  Tokens only say
-        where to look: a changed token over the same probabilities is no
-        change.
+        table: the grid row below that alternative's.  Summaries over the
+        columns last merged are unchanged without a look.
         """
         changes: List[Optional[Tuple[int, int]]] = []
         for index, summary in enumerate(summaries):
+            previous = state.summaries[index]
             change = None
-            if tokens[index] != state.tokens[index]:
-                probabilities = summary.layout.probabilities
-                start = table_delta_start(
-                    state.layouts[index].probabilities, probabilities
-                )
-                # Table row ``start`` is the first one to change, so the
-                # changed alternative is ``start - 1``.  (Compatible
-                # layouts have equal lengths, so ``start`` is never None.)
-                if start <= len(probabilities):
-                    row = start - 1
+            if summary.columns is not previous.columns:
+                row = summary.first_change(previous)
+                if row < len(summary.probabilities):
                     grid_row = int(state.positions[index][row]) + 1
                     change = (grid_row, row)
             changes.append(change)
@@ -315,7 +299,7 @@ class MergeEngine:
     def _build_grid(
         self,
         summaries: Sequence[ShardRankSummary],
-        grid_scores: Sequence[float],
+        grid_scores: Any,
         keys_order: List[Hashable],
         backend: Any,
     ) -> _GridState:
@@ -333,15 +317,13 @@ class MergeEngine:
         # position (scores are globally distinct).
         state.positions = [
             backend.index_vector(
-                backend.descending_prefix_lengths(
-                    grid_scores, summary.layout.scores
-                )
+                backend.descending_prefix_lengths(grid_scores, summary.scores)
             )
             for summary in summaries
         ]
         stacked_keys: List[Hashable] = []
         for summary in summaries:
-            stacked_keys.extend(summary.layout.keys)
+            stacked_keys.extend(summary.keys)
         position_of = {key: row for row, key in enumerate(stacked_keys)}
         state.order = backend.index_vector(
             [position_of[key] for key in keys_order]
@@ -444,7 +426,7 @@ class MergeEngine:
         the other shards).  The final rows go stale from there, or from
         the shard's own changed alternative, whose scale factor moved.
         """
-        rows = len(summary.layout.probabilities)
+        rows = len(summary.probabilities)
         others_row = (
             bisect_left(state.positions[index], others_from)
             if others_from < len(state.grid)
@@ -534,27 +516,22 @@ class MergeEngine:
         and a block-independent shard's are reused, so only the rows from
         ``start`` on are rebuilt.
         """
-        layout = summary.layout
-        factors = backend.factor_vector(layout.probabilities)
-        if layout.independent:
-            local = backend.slice_rows(
-                summary.prefix_table, 0, len(layout.keys)
-            )
+        factors = summary.probabilities
+        rows = len(factors)
+        if summary.is_independent:
+            local = backend.slice_rows(summary.prefix_table, 0, rows)
             return local, factors, None
         # Block-independent: one row per alternative (own block excluded),
         # scaled by the alternative's probability and summed per key.  Row
         # ``r`` has exactly ``r`` alternatives above it.
         if previous is None:
             local, start = None, 0
-            groups = (backend.index_vector(layout.blocks), len(layout.keys))
+            groups = (summary.blocks, len(summary.keys))
         else:
             local, _, groups = previous
-        if start < len(layout.blocks):
+        if start < rows:
             tail = backend.matrix_from_rows(
-                [
-                    summary.prefix_polynomial(row, layout.blocks[row])
-                    for row in range(start, len(layout.blocks))
-                ]
+                [summary.local_polynomial(row) for row in range(start, rows)]
             )
             local = self._splice(local, start, tail, backend)
         return local, factors, groups

@@ -1,27 +1,32 @@
 """Process-backed shard execution: the parent-side worker pool.
 
-The per-shard kernels behind every merged statistic -- layout extraction
-and the ``(n_s + 1) × k`` prefix polynomial sweep -- are dense array work
-that one interpreter serializes behind the GIL no matter how many shard
-*threads* structure it.  :class:`ShardProcessPool` moves that work into
-real processes: each worker (:mod:`repro.sharding.procworker`) owns one
-shard's columns plus a warm :class:`~repro.session.QuerySession`, and the
-coordinator exchanges only compact partials with it:
+The per-shard kernel behind the merged rank matrix -- the ``(n_s + 1) × k``
+prefix polynomial sweep of a tuple-independent shard -- is dense array
+work that one interpreter serializes behind the GIL no matter how many
+shard *threads* structure it.  :class:`ShardProcessPool` moves that work
+into real processes: each worker (:mod:`repro.sharding.procworker`) owns
+one shard's columns plus a warm :class:`~repro.session.QuerySession`, and
+the coordinator exchanges only prefix tables and block patches with it:
 
-* truncated :class:`~repro.sharding.summary.ShardRankSummary` tables
-  (each with its :class:`~repro.sharding.summary.ShardLayout`), fetched in
-  parallel across workers (threads blocked on pipes release the GIL, so
-  worker processes compute concurrently);
-* a shared-memory fast path (``multiprocessing.shared_memory``) for the
-  dense numpy prefix tables, so large partials cross the process boundary
-  as one memcpy instead of a pickle round-trip;
-* block patches committed on the worker inside the version-checked
+* a summary reply carries the worker's prefix table (all of it, or the
+  row suffix an update changed) and the worker's state id, one pickled
+  message over the worker's pipe; replies are fetched in parallel across
+  workers (threads blocked on pipes release the GIL, so worker processes
+  compute concurrently).  The parent builds the
+  :class:`~repro.sharding.summary.ShardRankSummary` over its own committed
+  columns of that state;
+* block patches are committed on the worker inside the version-checked
   update swap of :meth:`repro.models.sharded.ShardedDatabase.apply_update`
   (the parent stays the sole authority over shard versions and columns).
 
-Summaries and layouts are cached parent-side keyed by the owning shard's
-version, so after one shard's update only that shard's partials are
-re-fetched -- the exact analogue of the warm in-process shard sessions.
+A shipped table is paired only with the parent's columns of the worker
+state that computed it.  The parent records which columns each worker
+state holds when it spawns the worker and when a commit returns; a reply
+from any other state (a commit raced the fetch) is neither paired nor
+cached, and the read is answered from the columns it read.  Summaries are
+cached parent-side per shard columns, so after one shard's update only
+that shard's table is re-fetched -- the exact analogue of the warm
+in-process shard sessions.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
 **supervised**: the pool respawns the dead worker from the parent's
@@ -48,11 +53,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import count
 from typing import (
     Any,
     Dict,
@@ -69,13 +76,8 @@ from repro.andxor.columns import FlatColumns, Row
 from repro.engine import get_backend
 from repro.exceptions import ProcessPoolError, WorkerCrashError
 from repro.session import CacheInfo
-from repro.sharding.procworker import (
-    DELTA_TRANSPORT,
-    PIPE_TRANSPORT,
-    SHM_TRANSPORT,
-    worker_main,
-)
-from repro.sharding.summary import ShardLayout, ShardRankSummary
+from repro.sharding.procworker import worker_main
+from repro.sharding.summary import ShardRankSummary
 from repro.sharding.supervisor import SupervisorPolicy, WorkerSupervisor
 
 #: Environment variable pinning the multiprocessing start method
@@ -121,28 +123,24 @@ def resolve_start_method(explicit: Optional[str] = None) -> str:
 class IpcSnapshot:
     """Counters of the parent <-> worker exchanges at one instant.
 
-    ``pipe_bytes`` / ``shm_bytes`` count the dense prefix-table payloads
-    (8 bytes per coefficient); command envelopes are tallied in
-    ``commands`` without a byte estimate.
+    ``pipe_messages`` counts the worker replies the parent received and
+    ``pipe_bytes`` their size as received: each reply is one pickled
+    message, so the bytes include every envelope.  ``summaries`` counts
+    the summary replies among them, ``summary_deltas`` those that shipped
+    a row-suffix delta (``delta_rows`` rows shipped, ``delta_rows_saved``
+    rows the parent already held).
     """
 
     commands: int = 0
     summaries: int = 0
     pipe_messages: int = 0
-    shm_messages: int = 0
     pipe_bytes: int = 0
-    shm_bytes: int = 0
     updates: int = 0
     summary_deltas: int = 0
     delta_rows: int = 0
     delta_rows_saved: int = 0
     restarts: int = 0
     workers: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        """Prefix-table bytes shipped over both transports."""
-        return self.pipe_bytes + self.shm_bytes
 
     def __sub__(self, other: "IpcSnapshot") -> "IpcSnapshot":
         """Delta between two snapshots (workers kept from ``self``)."""
@@ -195,16 +193,6 @@ class _WorkerHandle:
         self.lock = threading.Lock()
 
 
-def _table_cells(table: Any) -> int:
-    shape = getattr(table, "shape", None)
-    if shape is not None:
-        cells = 1
-        for extent in shape:
-            cells *= extent
-        return cells
-    return sum(len(row) for row in table)
-
-
 class ShardProcessPool:
     """Worker processes owning the shards of one partitioned database.
 
@@ -218,11 +206,6 @@ class ShardProcessPool:
         ``spawn`` / ``fork`` / ``forkserver``; defaults to the
         ``REPRO_PROC_START_METHOD`` environment variable, then the
         platform default.
-    shm:
-        ``"auto"`` ships prefix tables of at least ``shm_min_bytes``
-        through shared memory (numpy backend only), ``"always"`` forces
-        shared memory for every table, ``"never"`` always pickles over
-        the pipe.
     request_timeout:
         Seconds to wait on one worker reply before giving up (worker
         death is detected much earlier via liveness polling).  On a
@@ -253,8 +236,6 @@ class ShardProcessPool:
         self,
         database: Any,
         start_method: Optional[str] = None,
-        shm: str = "auto",
-        shm_min_bytes: int = 1 << 15,
         request_timeout: float = 120.0,
         supervise: bool = True,
         supervisor: Optional[Any] = None,
@@ -262,14 +243,8 @@ class ShardProcessPool:
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 0.5,
     ) -> None:
-        if shm not in ("auto", "always", "never"):
-            raise ProcessPoolError(
-                f"shm must be 'auto', 'always' or 'never', got {shm!r}"
-            )
         self._database = database
         self._start_method = resolve_start_method(start_method)
-        self._shm = shm
-        self._shm_min_bytes = int(shm_min_bytes)
         self._request_timeout = float(request_timeout)
         if not supervise:
             self._supervisor: Optional[WorkerSupervisor] = None
@@ -302,16 +277,19 @@ class ShardProcessPool:
         self._closed = False
         self._stats_lock = threading.Lock()
         self._stats: Dict[str, int] = dict.fromkeys(_IPC_COUNTERS, 0)
-        # version-keyed warm partials: only an updated shard re-fetches.
-        # Entries outlive a commit: a stale entry never serves (the version
-        # check forces a re-fetch) but its table is the baseline the worker
-        # ships a row-suffix delta against.
         self._cache_lock = threading.Lock()
-        self._layout_cache: Dict[int, Tuple[int, ShardLayout]] = {}
-        #: (shard, max_rank) -> (version, summary, state_id, export_id).
+        #: Worker state ids, never reused within the pool.
+        self._state_ids = count()
+        #: shard -> (state id, columns): the worker's committed state and
+        #: the parent's columns of it.
+        self._committed: Dict[int, Tuple[int, FlatColumns]] = {}
+        #: (shard, max_rank) -> (columns, summary, state id).  Only an
+        #: updated shard re-fetches.  Entries outlive a commit: a stale
+        #: entry never serves (its columns are not the shard's) but its
+        #: table is the baseline the worker ships a row-suffix delta
+        #: against.
         self._summary_cache: Dict[
-            Tuple[int, int],
-            Tuple[int, ShardRankSummary, int, Optional[int]],
+            Tuple[int, int], Tuple[FlatColumns, ShardRankSummary, int]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -389,6 +367,7 @@ class ShardProcessPool:
             self._start_method
         )
         parent_end, child_end = context.Pipe()
+        state_id = next(self._state_ids)
         process = context.Process(
             target=worker_main,
             args=(
@@ -396,12 +375,15 @@ class ShardProcessPool:
                 shard_index,
                 get_backend().name,
                 columns,
+                state_id,
             ),
             daemon=True,
             name=f"repro-shard-{shard_index}",
         )
         process.start()
         child_end.close()
+        with self._cache_lock:
+            self._committed[shard_index] = (state_id, columns)
         return _WorkerHandle(shard_index, process, parent_end)
 
     def close(self, join_timeout: float = 5.0) -> None:
@@ -429,7 +411,6 @@ class ShardProcessPool:
             self._gather.shutdown(wait=True)
             self._gather = None
         with self._cache_lock:
-            self._layout_cache.clear()
             self._summary_cache.clear()
 
     def __enter__(self) -> "ShardProcessPool":
@@ -529,10 +510,12 @@ class ShardProcessPool:
                         error.transient = True
                         error.worker_hang = True
                         raise error
-                return handle.connection.recv()
+                reply = handle.connection.recv_bytes()
             except (EOFError, OSError):
                 # Also a pipe closed under us by a concurrent reap.
                 raise self._crash(handle, op) from None
+        self._count(pipe_messages=1, pipe_bytes=len(reply))
+        return pickle.loads(reply)
 
     def _inject_fault(
         self, handle: _WorkerHandle, shard_index: int, op: str
@@ -610,9 +593,9 @@ class ShardProcessPool:
         then down and its reads fail over to the parent.  Applies the
         supervisor's exponential backoff + jitter before spawning, bumps
         the ``restarts`` IPC counter, and drops only this shard's
-        parent-side layout/summary cache entries -- the other shards'
-        version-keyed partials stay warm, so recovery costs one shard
-        re-export, not a pool rebuild.
+        parent-side summary cache entries -- the other shards' cached
+        summaries stay warm, so recovery costs one shard re-export, not a
+        pool rebuild.
 
         ``expected`` guards concurrent restarts: pass the handle that was
         observed dead and the restart is skipped (reported successful) if
@@ -729,8 +712,8 @@ class ShardProcessPool:
         )
 
     def read(self, shard_index: int, op: str, *args: Any) -> Any:
-        """``op`` (``summary_with_token``) answered by the shard's worker,
-        or None when the parent must answer it.
+        """``op`` (``summary``) answered by the shard's worker, or None
+        when the parent must answer it.
 
         That failover happens when the shard is down, its breaker is
         open, or its worker failed this request; it is counted by an
@@ -784,214 +767,135 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     # Partial exchange
     # ------------------------------------------------------------------
-    def _shard_version(self, shard_index: int) -> int:
-        return self._database.shards()[shard_index].version
-
-    def summaries(
-        self, max_rank: int, use_cache: bool = True
-    ) -> List[ShardRankSummary]:
+    def summaries(self, max_rank: int) -> List[ShardRankSummary]:
         """The served shards' truncated summaries, fetched in parallel.
 
-        Cached parent-side per (shard, version, truncation): after one
-        shard's update, only that shard ships fresh partials.  Pass
-        ``use_cache=False`` to force a full exchange (transport
-        benchmarking).  Raises the first worker failure.
+        Cached parent-side per (shard columns, truncation): after one
+        shard's update, only that shard ships a fresh table.  Raises the
+        first worker failure.
         """
-        max_rank = max(int(max_rank), 1)
         indices = self._served()
-        entries, failures = self._refresh_summaries(
-            max_rank, use_cache, indices
-        )
+        summaries, failures = self._fetch(max(int(max_rank), 1), indices)
         if failures:
             raise next(iter(failures.values()))
-        return [entries[index][1] for index in indices]
+        return [summaries[index] for index in indices]
 
-    def _refresh_summaries(
-        self, max_rank: int, use_cache: bool, indices: Sequence[int]
-    ) -> Tuple[Dict[int, Tuple[Any, ...]], Dict[int, ProcessPoolError]]:
-        """Fetch the stale summaries of ``indices`` in one parallel
-        exchange.
+    def summary(self, shard_index: int, max_rank: int) -> ShardRankSummary:
+        """One shard's summary over its current columns, warm-cached.
 
-        Returns the ``(version, summary, state_id, export_id)`` entry of
-        every shard that answered and the worker failures, both by shard.
-        A reply whose shard version moved while it was in flight is
-        returned but not cached: the commit that moved it may have reached
-        the worker first, so the reply may hold the new content, which
-        must not be filed under the version read before the request.
+        A miss fetches every stale served shard's table in one parallel
+        exchange and raises only this shard's worker failure.
         """
-        entries: Dict[int, Tuple[Any, ...]] = {}
-        wanted: List[Tuple[int, int, Optional[int], Any]] = []
+        others = [index for index in self._served() if index != shard_index]
+        summaries, failures = self._fetch(
+            max(int(max_rank), 1), [shard_index, *others]
+        )
+        if shard_index in failures:
+            raise failures[shard_index]
+        return summaries[shard_index]
+
+    def _fetch(
+        self, max_rank: int, indices: Sequence[int]
+    ) -> Tuple[Dict[int, ShardRankSummary], Dict[int, ProcessPoolError]]:
+        """The summaries of ``indices`` over their current columns, the
+        stale ones fetched in one parallel exchange, and the worker
+        failures, both by shard.
+
+        Each read takes the shard's columns and the worker state id paired
+        with them before its request.  A reply from that state is paired
+        with those columns and cached; a reply from any other state (a
+        commit moved the worker, or was in flight, around the request) is
+        neither: the read is answered from the columns it took, its table
+        swept here.
+        """
+        shards = self._database.shards()
+        summaries: Dict[int, ShardRankSummary] = {}
+        wanted: List[Tuple[int, FlatColumns, Optional[int], Any]] = []
+        commands: List[Tuple[int, str, Any]] = []
         for index in indices:
-            version = self._shard_version(index)
+            columns = shards[index].columns
             with self._cache_lock:
                 cached = self._summary_cache.get((index, max_rank))
-            if use_cache and cached is not None and cached[0] == version:
-                entries[index] = cached
+                state_id, paired = self._committed[index]
+            if cached is not None and cached[0] is columns:
+                summaries[index] = cached[1]
                 continue
-            if use_cache and cached is not None:
-                base_id, base_summary = cached[3], cached[1]
-            else:
-                base_id, base_summary = None, None
-            wanted.append((index, version, base_id, base_summary))
+            expected = state_id if paired is columns else None
+            wanted.append((index, columns, expected, cached))
+            base = None if cached is None else cached[2]
+            commands.append((index, "summary", (max_rank, base)))
         if not wanted:
-            return entries, {}
-        shm_wanted = self._shm != "never" and get_backend().name == "numpy"
-        shm_floor = 0 if self._shm == "always" else self._shm_min_bytes
-        fetched = self._request_many(
-            [
-                (index, "summary", (max_rank, shm_wanted, shm_floor, base_id))
-                for index, _, base_id, _ in wanted
-            ]
-        )
+            return summaries, {}
+        replies = self._request_many(commands)
         failures: Dict[int, ProcessPoolError] = {}
-        with self._cache_lock:
-            for (index, version, _, base_summary), exported in zip(
-                wanted, fetched
-            ):
-                if isinstance(exported, ProcessPoolError):
-                    failures[index] = exported
-                    continue
-                self._count(summaries=1)
-                summary = self._decode_summary(exported, base_summary)
-                entries[index] = (
-                    version,
-                    summary,
-                    int(exported.get("state_id", 0)),
-                    exported.get("export_id"),
+        for (index, columns, expected, base), reply in zip(wanted, replies):
+            if isinstance(reply, ProcessPoolError):
+                failures[index] = reply
+                continue
+            self._count(summaries=1)
+            state_id, start, rows = reply
+            layout = (columns, columns.scores, columns.order)
+            if state_id != expected:
+                summaries[index] = ShardRankSummary.from_layout(
+                    layout, max_rank
                 )
-                if self._shard_version(index) != version:
-                    continue
-                self._summary_cache[(index, max_rank)] = entries[index]
-                # The summary ships its layout anyway: keep it warm.
-                existing = self._layout_cache.get(index)
-                if existing is None or existing[0] != version:
-                    self._layout_cache[index] = (version, summary.layout)
-        return entries, failures
-
-    def summary_with_token(
-        self, shard_index: int, max_rank: int
-    ) -> Tuple[ShardRankSummary, Tuple[int, int]]:
-        """One shard's ``(summary, token)``, warm-cached.
-
-        A miss fetches every stale served shard's summary in one parallel
-        exchange and raises only this shard's worker failure.  The token
-        pairs the parent-side shard version with the worker's committed
-        ``state_id`` (shipped in the same reply as the summary, so it
-        identifies the summary's *content* even when a fetch races a
-        concurrent commit).  The token moves whenever the content does,
-        which is all the merge engine needs: it re-reads a shard's content
-        only when the shard's token moves.
-        """
-        key = (shard_index, max(int(max_rank), 1))
-        with self._cache_lock:
-            cached = self._summary_cache.get(key)
-        if cached is None or cached[0] != self._shard_version(shard_index):
-            others = [i for i in self._served() if i != shard_index]
-            entries, failures = self._refresh_summaries(
-                key[1], True, [shard_index, *others]
+                continue
+            summary = ShardRankSummary.from_layout(
+                layout, max_rank, self._splice(start, rows, base)
             )
-            if shard_index in failures:
-                raise failures[shard_index]
-            cached = entries[shard_index]
-        version, summary, state_id, _ = cached
-        return summary, (version, state_id)
+            summaries[index] = summary
+            with self._cache_lock:
+                self._summary_cache[(index, max_rank)] = (
+                    columns, summary, state_id
+                )
+        return summaries, failures
 
-    def cached_layout(
-        self, shard_index: int, version: int
-    ) -> Optional[ShardLayout]:
-        """The warm layout of one shard at ``version``, if cached (no I/O)."""
-        with self._cache_lock:
-            entry = self._layout_cache.get(shard_index)
-            if entry is None or entry[0] != version:
-                return None
-            return entry[1]
+    def _splice(self, start: int, rows: Any, base: Any) -> Any:
+        """A shipped table: ``rows`` from row ``start`` on, under the rows
+        above ``start`` of the ``base`` entry's table (a delta)."""
+        if start == 0:
+            return rows
+        table = base[1].prefix_table
+        shipped = 0 if rows is None else len(rows)
+        self._count(
+            summary_deltas=1, delta_rows=shipped, delta_rows_saved=start
+        )
+        if rows is None:
+            return table
+        backend = get_backend()
+        return backend.stack_matrices(
+            [backend.slice_rows(table, 0, start), rows]
+        )
 
     def cached_summaries(
-        self, shard_index: int, version: int
+        self, shard_index: int, columns: FlatColumns
     ) -> Dict[int, ShardRankSummary]:
-        """Warm ``max_rank -> summary`` entries of one shard at ``version``.
+        """Warm ``max_rank -> summary`` entries of one shard over
+        ``columns``.
 
         No I/O.  Used by the coordinator to freeze a shard's outgoing state
         into its snapshot history right before an update commits; entries
-        cached at an older version (the shard was updated again with no
+        cached over older columns (the shard was updated again with no
         read in between) are left out.
         """
         with self._cache_lock:
             return {
                 key[1]: value[1]
                 for key, value in self._summary_cache.items()
-                if key[0] == shard_index and value[0] == version
+                if key[0] == shard_index and value[0] is columns
             }
-
-    def _decode_summary(
-        self, exported: Dict[str, Any], base_summary: Any = None
-    ) -> ShardRankSummary:
-        transport = exported["table"]
-        if transport is not None and transport[0] == DELTA_TRANSPORT:
-            _, _base_id, start, inner = transport
-            if base_summary is None or base_summary.prefix_table is None:
-                raise ProcessPoolError(
-                    "worker shipped a summary delta without a parent-side "
-                    "base table"
-                )
-            backend = get_backend()
-            old = base_summary.prefix_table
-            if inner is None:
-                table = old
-                shipped = 0
-            else:
-                suffix = self._decode_table(inner)
-                if start == 0:
-                    table = suffix
-                else:
-                    table = backend.stack_matrices(
-                        [backend.slice_rows(old, 0, start), suffix]
-                    )
-                shipped = len(exported["layout"].probabilities) + 1 - start
-            self._count(
-                summary_deltas=1,
-                delta_rows=shipped,
-                delta_rows_saved=start,
-            )
-        else:
-            table = self._decode_table(transport)
-        return ShardRankSummary.from_layout(
-            exported["layout"], exported["max_rank"], table
-        )
-
-    def _decode_table(self, transport: Optional[Tuple[Any, ...]]) -> Any:
-        if transport is None:
-            return None
-        if transport[0] == PIPE_TRANSPORT:
-            table = transport[1]
-            self._count(
-                pipe_messages=1, pipe_bytes=8 * _table_cells(table)
-            )
-            return table
-        assert transport[0] == SHM_TRANSPORT
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        _, name, shape = transport
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            table = np.ndarray(
-                shape, dtype=np.float64, buffer=segment.buf
-            ).copy()
-        finally:
-            segment.close()
-            segment.unlink()
-        self._count(shm_messages=1, shm_bytes=table.nbytes)
-        return table
 
     def prefetch(self, truncations: Sequence[int]) -> None:
         """Warm the parent-side summary cache for a batch's truncations.
 
         Advisory: a failed worker is left for the read itself to fail
-        over.
+        over.  Block-independent summaries read only the parent's columns,
+        so a BID pool prefetches nothing.
         """
+        if not self._database.independent:
+            return
         for max_rank in sorted({max(int(rank), 1) for rank in truncations}):
-            self._refresh_summaries(max_rank, True, self._served())
+            self._fetch(max_rank, self._served())
 
     # ------------------------------------------------------------------
     # Update fan-out
@@ -1002,14 +906,16 @@ class ShardProcessPool:
         key: Hashable,
         rows: List[Row],
         independent: bool,
+        columns: FlatColumns,
     ) -> bool:
         """Patch ``key``'s block into the worker's committed columns.
 
         Called under the parent's version check, right before the parent
-        swaps in the same patch (:meth:`~repro.andxor.columns.FlatColumns.\
-replace_block`).  The shard's cache entries are deliberately
-        *retained*: the version check in :meth:`summaries` already keeps a
-        stale entry from being served, and its table is the baseline the
+        swaps in the same patch, ``columns`` (:meth:`~repro.andxor.\
+columns.FlatColumns.replace_block`); the worker's new state id is paired
+        with them when the commit returns.  The shard's cache entries are
+        deliberately *retained*: a stale entry is never served (its
+        columns are not the shard's), and its table is the baseline the
         worker ships a row-suffix delta against on the next fetch.
 
         Returns ``False`` when the commit failed (crash, timeout or lost
@@ -1018,19 +924,24 @@ replace_block`).  The shard's cache entries are deliberately
         caller then respawns it from the parent's new columns with
         :meth:`restart_worker`.
         """
+        state_id = next(self._state_ids)
         try:
-            self._request(shard_index, "replace", (key, rows, independent))
+            self._request(
+                shard_index, "replace", (key, rows, independent, state_id)
+            )
         except ProcessPoolError:
             handle = self._workers.get(shard_index)
             if handle is not None:
                 self._reap(handle)
             self._down.add(shard_index)
             return False
+        with self._cache_lock:
+            self._committed[shard_index] = (state_id, columns)
         self._count(updates=1)
         return True
 
     def forget_cached_summaries(self) -> None:
-        """Drop the parent-side layout/summary caches for every shard.
+        """Drop the parent-side summary cache for every shard.
 
         Workers keep their memoized state, so the next fetch pays the full
         transport cost but no recompute -- this is the "cold coordinator,
@@ -1041,7 +952,6 @@ replace_block`).  The shard's cache entries are deliberately
 
     def _drop_shard_cache(self, shard_index: int) -> None:
         with self._cache_lock:
-            self._layout_cache.pop(shard_index, None)
             for key in [
                 key for key in self._summary_cache if key[0] == shard_index
             ]:
@@ -1072,6 +982,5 @@ replace_block`).  The shard's cache entries are deliberately
         )
         return (
             f"ShardProcessPool(workers={len(self._workers)}, "
-            f"start_method={self._start_method!r}, shm={self._shm!r}, "
-            f"{state})"
+            f"start_method={self._start_method!r}, {state})"
         )

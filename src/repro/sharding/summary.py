@@ -11,87 +11,23 @@ tuple-independent shards (:meth:`~repro.engine.backends.Backend.\
 prefix_count_polynomials`), one memoized Bernoulli product per requested
 prefix for block-independent shards.
 
-The ``max_rank``-independent part is a :class:`ShardLayout`: a handful of
-columns gathered off the shard's flat (TI / BID) columns in decreasing
-score order (:func:`shard_layout`, memoized as a session artifact and
-therefore dropped on invalidation).  Summaries at several truncations and
-the merge engine read those columns; nothing keeps a per-key dictionary.
-(The coordinator's merged relation is built from the shards' own
-:class:`~repro.andxor.columns.FlatColumns`, not from these layouts.)
+A summary reads the shard's own flat columns and nothing else: the
+``(columns, row scores, score order)`` triple of
+:meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows` (on the
+process path, the parent's committed columns of the shard under their own
+scores).  It gathers the score-ordered vectors it needs -- scores,
+probabilities, block ids and row keys -- in the active backend's native
+form, each on first use.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
+from functools import cached_property
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.andxor.columns import FlatColumns
 from repro.engine import get_backend
 from repro.exceptions import ModelError
-
-
-class ShardLayout:
-    """The truncation-independent columns of one shard.
-
-    One instance per shard session generation, shared by every
-    :class:`ShardRankSummary` over that shard and by the merge engine.
-    Gathered straight off the shard's
-    :class:`~repro.andxor.columns.FlatColumns` through their
-    decreasing-score permutation (``flat_rows()``) -- never off a tree.
-    Row ``r`` of the three row columns is the shard's ``r``-th alternative
-    by decreasing score:
-
-    ``scores`` / ``probabilities``
-        the alternative's score and probability;
-    ``blocks``
-        (block-independent shards only; ``None`` otherwise) the index into
-        ``keys`` of the alternative's block.
-
-    ``keys`` lists the tuple keys: per row for tuple-independent shards
-    (one alternative per key), in block order for block-independent ones.
-    """
-
-    __slots__ = ("independent", "keys", "scores", "probabilities", "blocks")
-
-    def __init__(self, session: Any) -> None:
-        statistics = session.statistics
-        flat = statistics.flat_rows()
-        if flat is None:
-            raise ModelError(
-                "shard summaries require a tuple-independent or "
-                "block-independent database layout"
-            )
-        columns, row_scores, order = flat
-        backend = columns.backend
-
-        def ordered(column: Any) -> List[Any]:
-            return backend.vector_values(backend.take_rows(column, order))
-
-        self.independent: bool = statistics.is_independent
-        self.scores: List[float] = ordered(row_scores)
-        self.probabilities: List[float] = ordered(columns.probabilities)
-        blocks = ordered(columns.blocks)
-        self.blocks: Optional[List[int]] = None
-        if self.independent:
-            self.keys: List[Hashable] = list(
-                map(columns.keys.__getitem__, blocks)
-            )
-        else:
-            self.keys = columns.keys
-            self.blocks = blocks
-
-    def row_keys(self) -> List[Hashable]:
-        """The tuple key of every row (decreasing score order)."""
-        if self.blocks is None:
-            return self.keys
-        return list(map(self.keys.__getitem__, self.blocks))
-
-
-def shard_layout(session: Any) -> ShardLayout:
-    """The session's memoized :class:`ShardLayout` (one per generation)."""
-    return session._memoized(
-        "shard_layout", (), lambda: ShardLayout(session)
-    )
 
 
 class ShardRankSummary:
@@ -110,50 +46,97 @@ class ShardRankSummary:
     """
 
     def __init__(self, session: Any, max_rank: int) -> None:
-        self._max_rank = max(int(max_rank), 1)
-        self._backend = get_backend()
-        self._layout = shard_layout(session)
-        self._prefix_table: Any = None
-        self._block_polynomials: Dict[Tuple[int, Any], List[float]] = {}
+        layout = session.statistics.flat_rows()
+        if layout is None:
+            raise ModelError(
+                "shard summaries require a tuple-independent or "
+                "block-independent database layout"
+            )
+        self._bind(layout, max_rank, None)
 
     @classmethod
     def from_layout(
         cls,
-        layout: ShardLayout,
+        layout: Tuple[FlatColumns, Any, Any],
         max_rank: int,
         prefix_table: Any = None,
     ) -> "ShardRankSummary":
-        """Rebuild a summary from exported state, without a session.
+        """A summary over a ``(columns, row scores, score order)`` triple,
+        without a session.
 
-        Used by the process-backed execution layer: a shard worker ships
-        its (picklable) :class:`ShardLayout` plus, for tuple-independent
-        shards, the dense prefix polynomial table (over a pipe or a
-        shared-memory segment); the coordinator reconstructs an equivalent
-        summary against the parent's active backend.  A missing
-        ``prefix_table`` is recomputed lazily from the layout's
+        The process-backed pool pairs the parent's committed columns (under
+        their own scores: a shard is never re-scored) with the dense
+        prefix table a shard worker shipped for them.  A missing
+        ``prefix_table`` is recomputed lazily from the columns'
         probabilities -- identical coefficients, just without reusing the
         worker's sweep.
         """
         self = cls.__new__(cls)
+        self._bind(layout, max_rank, prefix_table)
+        return self
+
+    def _bind(
+        self,
+        layout: Tuple[FlatColumns, Any, Any],
+        max_rank: int,
+        prefix_table: Any,
+    ) -> None:
+        self.columns, self._row_scores, self._order = layout
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
-        self._layout = layout
         self._prefix_table = prefix_table
-        self._block_polynomials = {}
-        return self
+        self._block_polynomials: Dict[Tuple[int, Any], List[float]] = {}
+
+    # ------------------------------------------------------------------
+    # Score-ordered columns (row ``r`` is the shard's ``r``-th alternative
+    # by decreasing score), gathered on first use
+    # ------------------------------------------------------------------
+    def _ordered(self, column: Any) -> Any:
+        return self.columns.backend.take_rows(column, self._order)
+
+    @cached_property
+    def scores(self) -> Any:
+        """Every row's score, a native vector of the active backend."""
+        return self._backend.factor_vector(self._ordered(self._row_scores))
+
+    @cached_property
+    def probabilities(self) -> Any:
+        """Every row's probability, a native vector of the active
+        backend."""
+        return self._backend.factor_vector(
+            self._ordered(self.columns.probabilities)
+        )
+
+    @cached_property
+    def blocks(self) -> Any:
+        """Every row's block (its index into the columns' keys), a native
+        index vector of the active backend."""
+        return self._backend.index_vector(self._ordered(self.columns.blocks))
+
+    @cached_property
+    def keys(self) -> List[Hashable]:
+        """The keys of the summary's rank rows: one per row in score order
+        for tuple-independent shards, the columns' block keys otherwise."""
+        keys = self.columns.keys
+        if not self.is_independent:
+            return keys
+        blocks = self._backend.vector_values(self.blocks)
+        return list(map(keys.__getitem__, blocks))
+
+    @cached_property
+    def _row_lists(self) -> Tuple[List[float], List[int]]:
+        """Probabilities and blocks as lists, for the per-prefix loops of
+        block-independent shards."""
+        values = self._backend.vector_values
+        return values(self.probabilities), values(self.blocks)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def layout(self) -> ShardLayout:
-        """The shared truncation-independent shard layout."""
-        return self._layout
-
-    @property
     def is_independent(self) -> bool:
         """True for tuple-independent shards (dense prefix table)."""
-        return self._layout.independent
+        return self.columns.independent
 
     @property
     def max_rank(self) -> int:
@@ -161,12 +144,27 @@ class ShardRankSummary:
         return self._max_rank
 
     def number_of_tuples(self) -> int:
-        return len(self._layout.keys)
+        return len(self.columns.keys)
+
+    def first_change(self, previous: "ShardRankSummary") -> int:
+        """The first row whose probability differs from ``previous``, a
+        summary over the same rows
+        (:meth:`~repro.andxor.columns.FlatColumns.same_rows`); the row
+        count when none does.
+
+        Row ``m`` of a prefix table depends only on the first ``m``
+        probabilities, so rows ``0 ..`` this index of both summaries'
+        tables are equal.  The merge engine and the worker's row-suffix
+        delta export both read it.
+        """
+        return self._backend.first_difference(
+            previous.probabilities, self.probabilities
+        )
 
     # ------------------------------------------------------------------
     # Partial generating functions
     # ------------------------------------------------------------------
-    def prefix_indices(self, thresholds_desc: List[float]) -> List[int]:
+    def prefix_indices(self, thresholds_desc: Any) -> List[int]:
         """Per threshold of a decreasing sequence, the number of shard
         alternatives scoring strictly above it.
 
@@ -174,7 +172,7 @@ class ShardRankSummary:
         coordinator calls this with the merged score grid.
         """
         return self._backend.descending_prefix_lengths(
-            self._layout.scores, thresholds_desc
+            self.scores, thresholds_desc
         )
 
     @property
@@ -185,14 +183,14 @@ class ShardRankSummary:
         (score-sorted) tuples; only defined for independent shards, where
         it is produced by one backend sweep.
         """
-        if not self._layout.independent:
+        if not self.is_independent:
             raise ModelError(
                 "the dense prefix table exists only for tuple-independent "
                 "shards; use count_above() on block-independent shards"
             )
         if self._prefix_table is None:
             self._prefix_table = self._backend.prefix_count_polynomials(
-                self._layout.probabilities, self._max_rank
+                self.probabilities, self._max_rank
             )
         return self._prefix_table
 
@@ -209,15 +207,15 @@ class ShardRankSummary:
         mutually exclusive with it.  A tuple-independent block is a single
         row, never above itself, so the exclusion is a no-op there.
         """
-        layout = self._layout
-        if layout.independent:
+        if self.is_independent:
             return self._backend.matrix_row(self.prefix_table, prefix)
         cache_key = (prefix, excluded_block)
         cached = self._block_polynomials.get(cache_key)
         if cached is None:
+            probabilities, blocks = self._row_lists
             masses: Dict[int, float] = {}
             for probability, block in zip(
-                layout.probabilities[:prefix], layout.blocks[:prefix]
+                probabilities[:prefix], blocks[:prefix]
             ):
                 if block != excluded_block:
                     masses[block] = masses.get(block, 0.0) + probability
@@ -230,6 +228,11 @@ class ShardRankSummary:
             )
             self._block_polynomials[cache_key] = cached
         return cached
+
+    def local_polynomial(self, row: int) -> List[float]:
+        """The local rank polynomial of one row: the count distribution of
+        the rows above it, its own block left out."""
+        return self.prefix_polynomial(row, self._row_lists[1][row])
 
     def count_above(self, threshold: float) -> List[float]:
         """Coefficients of the count-above-``threshold`` distribution.
@@ -250,19 +253,19 @@ class ShardRankSummary:
         products, densified once so the incremental merge engine can gather
         grid-aligned rows with one backend call per shard.
         """
-        if self._layout.independent:
+        if self.is_independent:
             return self.prefix_table
         if getattr(self, "_dense_table", None) is None:
             self._dense_table = self._backend.matrix_from_rows(
                 [
                     self.prefix_polynomial(prefix)
-                    for prefix in range(len(self._layout.scores) + 1)
+                    for prefix in range(len(self.columns.values) + 1)
                 ]
             )
         return self._dense_table
 
     def aligned_count_table(
-        self, grid_scores_desc: List[float], indices: Optional[List[int]] = None
+        self, grid_scores_desc: Any, indices: Optional[Any] = None
     ) -> Any:
         """Rows of :meth:`count_table` aligned with a shared score grid.
 
@@ -277,9 +280,9 @@ class ShardRankSummary:
         return self._backend.take_rows(self.count_table(), indices)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "independent" if self._layout.independent else "block"
+        kind = "independent" if self.is_independent else "block"
         return (
-            f"ShardRankSummary({len(self._layout.keys)} tuples, "
+            f"ShardRankSummary({self.number_of_tuples()} tuples, "
             f"kind={kind!r}, max_rank={self._max_rank})"
         )
 
@@ -288,27 +291,3 @@ def _pad(coefficients: List[float], length: int) -> List[float]:
     if len(coefficients) >= length:
         return coefficients[:length]
     return coefficients + [0.0] * (length - len(coefficients))
-
-
-def table_delta_start(
-    old_probabilities: List[float], new_probabilities: List[float]
-) -> Optional[int]:
-    """First prefix-table row invalidated by a probability change.
-
-    Row ``m`` of a prefix count-polynomial table depends only on the first
-    ``m`` probabilities, so when two same-score layouts differ first at
-    probability index ``d``, rows ``0 .. d`` are identical and only rows
-    ``d + 1 ..`` need to cross the process boundary.  Returns ``None``
-    when the lists differ in length (no usable delta) and
-    ``len + 1`` (an empty suffix) when nothing changed.
-    """
-    if len(old_probabilities) != len(new_probabilities):
-        return None
-    # The index of the first unequal pair, found by C-level iterators.
-    first = next(
-        compress(count(), map(ne, old_probabilities, new_probabilities)),
-        None,
-    )
-    if first is None:
-        return len(new_probabilities) + 1
-    return first + 1

@@ -257,13 +257,9 @@ def _full_merge(coordinator, max_rank):
     backend = get_backend()
     columns = coordinator._columns
     grid = columns.backend.vector_values(columns.scores, columns.order)
-    summaries, tokens = zip(
-        *(shard.summary(max_rank) for shard in coordinator._shards())
-    )
+    summaries = [shard.summary(max_rank) for shard in coordinator._shards()]
     engine = MergeEngine()
-    native = engine.merge(
-        summaries, tokens, max_rank, grid, columns.keys, backend
-    )
+    native = engine.merge(summaries, max_rank, grid, columns.keys, backend)
     rows = dict(zip(columns.keys, backend.matrix_to_lists(native)))
     return rows, engine.stats().convolved_rows
 
@@ -318,26 +314,29 @@ class TestRowSuffixRefresh:
                 assert_rows_close(
                     _unsharded_rows(data), _matrix_rows(coordinator, K)
                 )
-                # A new token over the same content re-convolves nothing.
+                # New columns with the same content re-convolve nothing.
                 _, key, slot = grid[0]
                 data = _rescale_alternative(sharded, data, key, slot, 1.0)
                 delta, _ = self._merge_delta(coordinator)
                 assert delta.convolved_rows == 0
                 assert delta.convolutions == 0
                 if executor == "processes":
-                    # A respawned worker restarts its state ids; the
-                    # version vector, and with it the memoized matrix,
-                    # stays, so merge past the memo.
+                    # A respawned worker ships a new summary over the same
+                    # columns; the version vector, and with it the
+                    # memoized matrix, stays, so merge past the memo.
                     pool = sharded.process_pool()
                     worker = pool._workers[sharded.shard_of(key)].process
                     worker.terminate()
                     worker.join(10)
                     assert pool.restart_worker(sharded.shard_of(key))
-                    tokens = coordinator._engine._states[K].tokens
+                    merged = coordinator._engine._states[K].summaries
                     before = coordinator.merge_stats()
                     coordinator._merged_rank_matrix(K)
                     delta = coordinator.merge_stats() - before
-                    assert coordinator._engine._states[K].tokens != tokens
+                    # BID summaries read only the parent's columns.
+                    assert (
+                        coordinator._engine._states[K].summaries != merged
+                    ) == (model == "ti")
                     assert delta.incremental_merges == 1
                     assert delta.convolved_rows == 0
 
@@ -851,7 +850,7 @@ class TestBoundedSnapshotHistory:
 
 class TestArchivedShardReads:
     """An invalidated reader pinned at a superseded vector re-reads every
-    updated shard from its archive (session, layout, summary)."""
+    updated shard from its archive (session, summary)."""
 
     @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
     @pytest.mark.parametrize("executor", ["threads", "processes"])
@@ -860,7 +859,7 @@ class TestArchivedShardReads:
         self, model, executor, warm, monkeypatch
     ):
         reached = {}
-        for name in ("session", "layout", "summary"):
+        for name in ("session", "summary"):
             original = getattr(_ShardArchive, name)
 
             def spy(archive, *args, _original=original, _name=name):
@@ -890,7 +889,6 @@ class TestArchivedShardReads:
                 for a, b in zip(expected[key], live[key])
             )
         assert reached.get("summary", 0) >= 2
-        assert reached.get("layout", 0) >= 2
         if not warm or executor == "threads":
             assert reached.get("session", 0) >= 2
 

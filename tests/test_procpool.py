@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import math
 import threading
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -162,33 +163,6 @@ class TestProcessPoolParity:
             with pytest.raises(ModelError):
                 coordinator.best_scores(["nope"])
 
-    def test_shared_memory_transport_matches_pipe(self):
-        _backend_or_skip("numpy")
-        with use_backend("numpy"):
-            database = random_tuple_independent_database(40, rng=7)
-            reference = QuerySession(database.tree).rank_matrix(K)
-            for shm in ("always", "never"):
-                with ShardedDatabase(
-                    database,
-                    2,
-                    executor="processes",
-                    executor_options={"shm": shm},
-                ) as sharded:
-                    merged = sharded.coordinator().rank_matrix(K)
-                    for key in reference.keys():
-                        for expected, actual in zip(
-                            reference.row(key), merged.row(key)
-                        ):
-                            assert abs(expected - actual) < TOLERANCE
-                    stats = sharded.process_pool().stats()
-                    if shm == "always":
-                        assert stats.shm_messages > 0
-                        assert stats.pipe_messages == 0
-                    else:
-                        assert stats.shm_messages == 0
-                        assert stats.pipe_messages > 0
-                    assert stats.total_bytes > 0
-
 
 class TestUpdateProtocol:
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -218,16 +192,21 @@ class TestUpdateProtocol:
             with pytest.raises(StaleUpdateError):
                 sharded.apply_update(second)
             # The loser never reached the worker: a fresh merge reflects
-            # the winner's probability 0.3.
-            summaries = pool.summaries(K, use_cache=False)
+            # the winner's probability 0.3, and the worker's table is the
+            # one the parent sweeps over its (winner) columns.
+            pool.forget_cached_summaries()
+            summaries = pool.summaries(K)
             probabilities = {
                 k: p
                 for summary in summaries
-                for k, p in zip(
-                    summary.layout.keys, summary.layout.probabilities
-                )
+                for k, p in zip(summary.keys, summary.probabilities)
             }
             assert abs(probabilities[key] - 0.3) < TOLERANCE
+            for index, summary in zip(pool.shard_indices(), summaries):
+                parent = sharded.shards()[index].session()
+                swept = parent.partial_rank_summary(K).prefix_table
+                for shipped, row in zip(summary.prefix_table, swept):
+                    assert list(shipped) == list(row)
 
     def test_retry_after_stale_succeeds(self):
         database = small_tuple_independent(9, count=10)
@@ -340,9 +319,10 @@ class TestCacheAndMetrics:
 
     def test_summary_fetch_racing_a_commit_is_not_cached(self, monkeypatch):
         """A fetch reads shard version v, then a commit moves the shard to
-        v+1 before the request reaches the worker.  The reply holds the new
-        content, so it must not be cached under v, and a reader pinned at v
-        still answers from v."""
+        v+1 before the request reaches the worker.  The reply comes from
+        the new state, so it is neither paired with v's columns nor
+        cached: the read answers from v, and a reader pinned at v still
+        answers from v."""
         database = small_tuple_independent(8, count=12)
         replica = ShardedDatabase(database, 2)
         with ShardedDatabase(database, 2, executor="processes") as sharded:
@@ -355,7 +335,7 @@ class TestCacheAndMetrics:
             for target in (sharded, replica):
                 target.update_tuple(first, probability=0.3)
             pinned = sharded.versions()
-            version = pinned[0]
+            read = sharded.shards()[0].columns
             fetching, resume = threading.Event(), threading.Event()
             request_many = pool._request_many
 
@@ -367,7 +347,7 @@ class TestCacheAndMetrics:
             monkeypatch.setattr(pool, "_request_many", paused)
             fetched = []
             reader = threading.Thread(
-                target=lambda: fetched.append(pool.summary_with_token(0, K))
+                target=lambda: fetched.append(pool.summary(0, K))
             )
             reader.start()
             assert fetching.wait(10)
@@ -375,14 +355,38 @@ class TestCacheAndMetrics:
             sharded.update_tuple(second, probability=0.6)
             resume.set()
             reader.join(10)
-            summary, _ = fetched[0]
-            layout = summary.layout
-            assert dict(zip(layout.keys, layout.probabilities))[second] == 0.6
-            assert pool.cached_summaries(0, version) == {}
-            assert pool.cached_layout(0, version) is None
+            summary = fetched[0]
+            assert summary.columns is read
+            probabilities = dict(zip(summary.keys, summary.probabilities))
+            assert probabilities[first] == 0.3
+            assert probabilities[second] != 0.6
+            assert pool.cached_summaries(0, read) == {}
             assert_rank_matrix_parity(
                 replica.coordinator(), coordinator.at(pinned), K
             )
+
+    def test_pipe_bytes_count_every_reply_as_received(self, monkeypatch):
+        received = []
+        recv_bytes = Connection.recv_bytes
+
+        def counted(connection, *args):
+            data = recv_bytes(connection, *args)
+            received.append(len(data))
+            return data
+
+        database = small_tuple_independent(8, count=12)
+        with ShardedDatabase(database, 2, executor="processes") as sharded:
+            pool = sharded.process_pool()
+            before = pool.stats()
+            monkeypatch.setattr(Connection, "recv_bytes", counted)
+            pool.summaries(K)
+            sharded.update_tuple(sharded.keys()[0], probability=0.4)
+            pool.summaries(K)
+            pool.cache_info()
+            monkeypatch.setattr(Connection, "recv_bytes", recv_bytes)
+            delta = pool.stats() - before
+        assert delta.pipe_messages == len(received) == 6
+        assert delta.pipe_bytes == sum(received)
 
     def test_ipc_snapshot_delta(self):
         first = IpcSnapshot(commands=5, summaries=3, pipe_bytes=100)
@@ -390,7 +394,71 @@ class TestCacheAndMetrics:
         delta = second - first
         assert delta.commands == 4
         assert delta.summaries == 1
-        assert delta.total_bytes == 60
+        assert delta.pipe_bytes == 60
+
+
+class TestSummaryPairing:
+    """A shipped prefix table is paired only with the parent's columns of
+    the worker state that computed it."""
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("commit", ["before_request", "after_reply"])
+    def test_commit_racing_a_read_never_mixes_states(
+        self, backend_name, commit, monkeypatch
+    ):
+        """A commit lands inside a coordinator read's summary exchange:
+        after the read took its columns but before its requests reach the
+        workers, or after their replies but before the parent pairs them.
+        The merged rank matrix is the pre-update or the post-update one,
+        never a mix of the two."""
+        with use_backend(_backend_or_skip(backend_name)):
+            database = random_tuple_independent_database(48, rng=21)
+            unsharded = ShardedDatabase(database, 1)
+            with ShardedDatabase(
+                database, 4, executor="processes"
+            ) as sharded:
+                coordinator = sharded.coordinator()
+                coordinator.rank_matrix(K)
+                pool = sharded.process_pool()
+                owned = [
+                    key for key in sharded.keys() if sharded.shard_of(key) == 0
+                ]
+                scores = coordinator.best_scores(owned)
+                first, second = sorted(owned, key=scores.get, reverse=True)[:2]
+                # The read below finds shard 0 stale and fetches its table.
+                for target in (sharded, unsharded):
+                    target.update_tuple(first, probability=0.3)
+                pre = _rows(unsharded.coordinator().rank_matrix(K))
+                unsharded.update_tuple(second, probability=0.95)
+                post = _rows(unsharded.coordinator().rank_matrix(K))
+                request_many = pool._request_many
+
+                def racing(commands):
+                    monkeypatch.setattr(pool, "_request_many", request_many)
+                    if commit == "before_request":
+                        sharded.update_tuple(second, probability=0.95)
+                        return request_many(commands)
+                    replies = request_many(commands)
+                    sharded.update_tuple(second, probability=0.95)
+                    return replies
+
+                monkeypatch.setattr(pool, "_request_many", racing)
+                merged = _rows(coordinator.rank_matrix(K))
+                assert pool._request_many == request_many  # it raced
+                assert _close(merged, pre) or _close(merged, post)
+                assert _close(_rows(coordinator.rank_matrix(K)), post)
+
+
+def _rows(matrix):
+    return {key: matrix.row(key) for key in matrix.keys()}
+
+
+def _close(rows, reference):
+    return rows.keys() == reference.keys() and all(
+        abs(a - b) < TOLERANCE
+        for key in rows
+        for a, b in zip(rows[key], reference[key])
+    )
 
 
 class TestServingIntegration:
@@ -468,16 +536,6 @@ class TestLifecycleAndConfig:
         assert resolve_start_method() in (
             "fork", "spawn", "forkserver"
         )
-
-    def test_shm_mode_is_validated(self):
-        database = small_tuple_independent(1, count=4)
-        with pytest.raises(ProcessPoolError, match="shm"):
-            ShardedDatabase(
-                database,
-                2,
-                executor="processes",
-                executor_options={"shm": "sometimes"},
-            ).process_pool()
 
     def test_empty_shards_get_no_workers(self):
         database = small_tuple_independent(4, count=4)

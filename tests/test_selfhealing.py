@@ -433,10 +433,10 @@ def assert_workers_match_parent(sharded):
 
     def content(summary):
         rows = [list(row) for row in summary.prefix_table]
-        return summary.layout.keys, summary.layout.probabilities, rows
+        return summary.keys, list(summary.probabilities), rows
 
     for index in pool.shard_indices():
-        worker, _ = pool.summary_with_token(index, K)
+        worker = pool.summary(index, K)
         parent = sharded.shards()[index].session().partial_rank_summary(K)
         assert_value_parity(content(parent), content(worker), 1e-12)
 
@@ -487,10 +487,13 @@ class TestFailover:
                         kill_worker(pool, victim)
                     force_cold_reads(sharded)
                     await assert_exact(executor, _oracle(database))
-                    assert executor.metrics().failover_served >= 1
+                    # BID summaries never reach a worker, so only a TI read
+                    # fails over and notices a dead one.
+                    if layout == "ti":
+                        assert executor.metrics().failover_served >= 1
                     if outage == "breaker":
                         assert victim in executor.open_breakers()
-                    else:
+                    elif layout == "ti":
                         assert not pool.serves(victim)
                     key = next(
                         k

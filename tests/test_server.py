@@ -265,7 +265,7 @@ class TestMetricsSnapshotDict:
     def test_roundtrip_through_json(self):
         snapshot = self._snapshot(
             ipc=IpcSnapshot(
-                commands=9, shm_bytes=4096, restarts=2, workers=4
+                commands=9, pipe_bytes=4096, restarts=2, workers=4
             ),
             merge=MergeStatsSnapshot(merges=3, incremental_merges=2),
         )
@@ -275,6 +275,14 @@ class TestMetricsSnapshotDict:
         assert isinstance(decoded.ipc, IpcSnapshot)
         assert isinstance(decoded.merge, MergeStatsSnapshot)
         assert decoded.worker_restarts == 2
+
+    def test_decoding_takes_exactly_the_emitted_keys(self):
+        document = self._snapshot(ipc=IpcSnapshot(commands=2)).to_dict()
+        with pytest.raises(TypeError):
+            ServingMetricsSnapshot.from_dict({**document, "extra": 1})
+        del document["fused_plans"]
+        with pytest.raises(TypeError):
+            ServingMetricsSnapshot.from_dict(document)
 
     def test_roundtrip_without_nested_snapshots(self):
         snapshot = self._snapshot()
