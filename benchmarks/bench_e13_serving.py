@@ -552,11 +552,11 @@ def test_e13e_summary_exchange_microbench(benchmark):
         notes=(
             f"seed={SEED}, backend={get_backend().name}, "
             f"start_method={start_method}, rounds={rounds}.  A reply is "
-            "the worker's state id and its prefix table rows (all of "
-            "them cold; the rows below the first changed one after an "
-            "update), one pickled message; bytes are as received by the "
-            "parent.  The post-update exchange includes the updated "
-            "worker's re-sweep."
+            "the worker's state id and its prefix table's live rows (all "
+            "of them cold; the rows below the first changed one after an "
+            "update), never the zero tail past the table's support, one "
+            "pickled message; bytes are as received by the parent.  The "
+            "post-update exchange includes the updated worker's re-sweep."
         ),
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

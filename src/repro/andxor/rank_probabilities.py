@@ -284,12 +284,12 @@ class RankStatistics:
                 else backend.factor_vector(self._ordered(self._row_scores))
             )
             if columns.independent:
-                # Rows in score order: one reduction finds the zero tail.
+                # Rows in score order: the sweep knows where the zero tail
+                # starts.
                 keys = self._ordered_keys()
-                native = backend.rank_probability_matrix(
-                    probabilities, max_rank, scores=scores
+                native, support = backend.rank_probability_matrix(
+                    probabilities, max_rank, scores=scores, with_support=True
                 )
-                support = None
             else:
                 keys = self.keys()
                 native = backend.sum_rows_by_group(

@@ -138,6 +138,8 @@ class Backend:
         max_rank: int,
         blocks: Optional[Sequence[int]] = None,
         scores: Optional[Sequence[float]] = None,
+        *,
+        with_support: bool = False,
     ) -> Any:
         """Rank distributions of the rows of a TI or BID relation.
 
@@ -169,8 +171,12 @@ class Backend:
         result is exactly ``0.0``: zero times anything stays zero.  In
         score order the live rows are a short head once enough mass lies
         above (about 800 of 12000 rows at ``max_rank = 10`` with
-        probabilities uniform in ``[0.05, 1]``); :meth:`row_support` finds
-        where that head ends.
+        probabilities uniform in ``[0.05, 1]``).  ``with_support=True``
+        returns ``(matrix, support)``, where ``support`` is the row count
+        past which every row is exactly ``0.0``: on the tuple-independent
+        path without ``scores`` it is read off where the sweep stopped,
+        checking only the live rows, and otherwise found by
+        :meth:`row_support`.
         """
         raise NotImplementedError
 
@@ -248,7 +254,11 @@ class Backend:
 
     # -- shard-merge kernels -------------------------------------------------
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        *,
+        with_support: bool = False,
     ) -> Any:
         """Truncated prefix products ``Π_{i<m} (1 - p_i + p_i x)``.
 
@@ -265,6 +275,9 @@ class Backend:
         underflow once the mass above is large) and leaves every later
         row exactly ``0.0`` without computing it; no tolerance is
         involved.  A sweep with no zero row costs what a full sweep costs.
+        ``with_support=True`` returns ``(table, support)``: ``support`` is
+        the number of rows before that first zero row (``n + 1`` when
+        there is none), known from the sweep without a second pass.
         """
         raise NotImplementedError
 
@@ -419,6 +432,14 @@ class Backend:
         ``result[groups[r]] += matrix[r]`` for every row ``r``.  The merge
         engine uses this to collapse per-alternative rank contributions of
         a block-independent shard into per-key rows.
+        """
+        raise NotImplementedError
+
+    def scatter_rows(self, matrix: Any, rows: Sequence[int], count: int) -> Any:
+        """A ``count``-row native matrix whose row ``rows[r]`` is row ``r``
+        of ``matrix`` and whose other rows are ``0.0``; ``rows`` are
+        distinct.  The merge engine places each shard's live rank rows at
+        their keys' rows of the merged matrix with it.
         """
         raise NotImplementedError
 
@@ -686,10 +707,14 @@ class PurePythonBackend(Backend):
         max_rank: int,
         blocks: Optional[Sequence[int]] = None,
         scores: Optional[Sequence[float]] = None,
-    ) -> List[List[float]]:
+        *,
+        with_support: bool = False,
+    ) -> Any:
         count = len(probabilities)
+        live = count
         if blocks is None and scores is None:
-            table, _ = self._prefix_products(probabilities, max_rank)
+            table, live = self._prefix_products(probabilities, max_rank)
+            live = min(live, count)
         else:
             blocks = range(count) if blocks is None else blocks
             times = range(count) if scores is None else _tie_starts(scores)
@@ -717,10 +742,13 @@ class PurePythonBackend(Backend):
                         cursor += 1
                     if blocks[row] != block:
                         _bernoulli_step(table[row], mass)
-        return [
+        matrix = [
             [probability * c for c in row]
             for probability, row in zip(probabilities, table)
         ]
+        if not with_support:
+            return matrix
+        return matrix, self.row_support(matrix[:live])
 
     def pairwise_preference_matrix(
         self, probabilities: Sequence[float], scores: Sequence[float]
@@ -797,9 +825,14 @@ class PurePythonBackend(Backend):
         return rows
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
-    ) -> List[List[float]]:
-        return self._prefix_products(probabilities, out_len)[0]
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        *,
+        with_support: bool = False,
+    ) -> Any:
+        table, live = self._prefix_products(probabilities, out_len)
+        return (table, live) if with_support else table
 
     def _prefix_products(
         self, probabilities: Sequence[float], out_len: int
@@ -978,6 +1011,15 @@ class PurePythonBackend(Backend):
             target = out[group]
             for index, value in enumerate(row):
                 target[index] += value
+        return out
+
+    def scatter_rows(
+        self, matrix: List[List[float]], rows: Sequence[int], count: int
+    ) -> List[List[float]]:
+        width = len(matrix[0]) if matrix else 0
+        out = [[0.0] * width for _ in range(count)]
+        for row, target in zip(matrix, rows):
+            out[target] = list(row)
         return out
 
     def footrule_cost_matrix(
@@ -1362,16 +1404,23 @@ class NumpyBackend(Backend):
         max_rank: int,
         blocks: Optional[Sequence[int]] = None,
         scores: Optional[Sequence[float]] = None,
+        *,
+        with_support: bool = False,
     ) -> Any:
         values = _np.asarray(probabilities, dtype=_np.float64)
         count = values.shape[0]
         if blocks is None and scores is None:
             table, live = self._prefix_products(values, max_rank)
             if live > count:
-                return values[:, None] * table[:-1]
-            out = _np.zeros((count, max(max_rank, 0)))
-            _np.multiply(values[:live, None], table[:live], out=out[:live])
-            return out
+                out, live = values[:, None] * table[:-1], count
+            else:
+                out = _np.zeros((count, max(max_rank, 0)))
+                _np.multiply(
+                    values[:live, None], table[:live], out=out[:live]
+                )
+            if not with_support:
+                return out
+            return out, self.row_support(out[:live])
         ids = _np.arange(count) if blocks is None else _np.asarray(blocks)
         times = _np.asarray(
             range(count) if scores is None else _tie_starts(scores),
@@ -1403,7 +1452,8 @@ class NumpyBackend(Backend):
                 + later[:, :-1] * mass[:, None]
             )
             later[:, 0] *= 1.0 - mass
-        return values[:, None] * table
+        out = values[:, None] * table
+        return (out, self.row_support(out)) if with_support else out
 
     def pairwise_preference_matrix(
         self, probabilities: Sequence[float], scores: Sequence[float]
@@ -1486,11 +1536,16 @@ class NumpyBackend(Backend):
         return presence
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        *,
+        with_support: bool = False,
     ) -> Any:
-        return self._prefix_products(
+        table, live = self._prefix_products(
             _np.asarray(probabilities, dtype=_np.float64), out_len
-        )[0]
+        )
+        return (table, live) if with_support else table
 
     def _prefix_products(self, values: Any, out_len: int) -> Tuple[Any, int]:
         """The prefix-product rows and how many lead the zero tail.
@@ -1738,6 +1793,11 @@ class NumpyBackend(Backend):
         matrix = _np.asarray(matrix, dtype=_np.float64)
         out = _np.zeros((group_count, matrix.shape[1]), dtype=_np.float64)
         _np.add.at(out, _np.asarray(groups, dtype=_np.intp), matrix)
+        return out
+
+    def scatter_rows(self, matrix: Any, rows: Sequence[int], count: int) -> Any:
+        out = _np.zeros((count, matrix.shape[1]), dtype=_np.float64)
+        out[_np.asarray(rows, dtype=_np.intp)] = matrix
         return out
 
     def footrule_cost_matrix(self, matrix: Any, k: int) -> Any:

@@ -465,22 +465,24 @@ class ShardedQuerySession(QuerySession):
             # path the shard session lives in a worker, so the merge below
             # runs from the shipped summary instead.)
             return shards[0].session().rank_matrix(max_rank)
-        native = self._merge_engine().merge(
+        live = self._merge_engine().merge(
             summaries,
             max_rank,
             columns.backend.take_rows(columns.scores, columns.order),
             columns.keys,
             backend,
         )
-        # Patched columns share one key list and key index, so every
-        # re-merged matrix reuses them instead of rebuilding an n-entry
-        # dict.
+        # The engine hands over the merged live rows only, so their count
+        # is the declared support.  Patched columns share one key list and
+        # key index, so every re-merged matrix reuses them instead of
+        # rebuilding an n-entry dict.
         return RankMatrix(
             columns.keys,
-            native,
+            live,
             backend,
             max_rank,
             key_index=columns.key_index,
+            support=len(live),
         )
 
     def _superseded(self) -> bool:

@@ -18,6 +18,19 @@ shared score grid:
 * a full merge costs O(S) row convolutions (≈ ``4·S``) instead of
   ``S·(S-1)``.
 
+Every partial is **support-bounded**.  It holds only its live rows: the
+rows before its support, past which every row is exactly ``0.0``.  A row
+of a product past either factor's support is a sum of ``0.0 × finite``
+terms, so it is exactly ``0.0`` too, and no tolerance is involved.  A
+convolution therefore runs only over the rows from its first stale row
+to the lesser of its factors' supports.  The product's support is read
+from the rows just convolved, and the zero tail is never computed,
+copied or gathered.  A shard's count table is cut at its own support
+(:meth:`~repro.sharding.summary.ShardRankSummary.count_table`), and the
+merged result is handed over as its live rows, whose count is the merged
+support.  On 6000 tuples over 4 shards with ``max_rank = 10`` the merged
+support is about 750 rows.
+
 An incremental merge recomputes only the **rows** an update reaches.  Row
 ``m`` of a shard's count table depends only on the shard's first ``m``
 alternatives, so when the first changed alternative of a shard sits at
@@ -29,17 +42,21 @@ score-ordered probabilities are compared with the ones it last merged
 (:meth:`~repro.sharding.summary.ShardRankSummary.first_change`, the rule
 the worker's row-suffix IPC delta uses).  New columns with the same
 content (a rebuilt session, a probability rewritten to its old value)
-recompute nothing.  It then re-convolves the rows below that point of the
-stale prefix/suffix products, of each shard's all-others rows and of its
-final rank rows, and splices them under the reused rows above.  The
-kernels are row-local, so the spliced result has the same bits as a full
-merge.  A full merge is the same computation with every row stale.
+recompute nothing.  It then re-convolves the rows of the stale
+prefix/suffix products, of each shard's all-others rows and of its final
+rank rows from the first stale row to the factors' support, and splices
+them under the reused rows above.  An update below every factor's
+support convolves nothing.  The kernels are row-local, so the spliced
+result has the same bits as a full merge.  A full merge is the same
+computation with every row stale.
 
 Tuple-independent shards take the batched path (local rows are the shard's
 own prefix table); block-independent shards build one row per alternative
 (own block excluded), keep those rows scaled but ungrouped, and collapse
 them per key with :meth:`~repro.engine.backends.Backend.sum_rows_by_group`
 after each refresh, so mixed shardings merge on the same grid machinery.
+Every shard's final rows are then placed at their keys' merged rows
+(:meth:`~repro.engine.backends.Backend.scatter_rows`).
 No cached row is ever written into: a refresh replaces rows, because the
 pure backend's gathers share row objects.
 """
@@ -52,7 +69,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.sharding.summary import ShardRankSummary
+from repro.sharding.summary import ShardRankSummary, splice_live_rows
 
 
 @dataclass(frozen=True)
@@ -93,7 +110,11 @@ convolve_rows` calls issued by the engine (the backend keeps its own
 
 
 class _GridState:
-    """Cached partial products for one truncation (``max_rank``)."""
+    """Cached partial products for one truncation (``max_rank``).
+
+    Every cached partial holds only its live rows: the rows before its
+    support, past which each row is exactly ``0.0``.
+    """
 
     __slots__ = (
         "backend_name",
@@ -101,6 +122,7 @@ class _GridState:
         "grid",
         "index_maps",
         "positions",
+        "targets",
         "aligned",
         "prefix",
         "suffix",
@@ -108,7 +130,6 @@ class _GridState:
         "locals",
         "scaled",
         "finals",
-        "order",
         "keys",
     )
 
@@ -120,6 +141,8 @@ class _GridState:
         self.grid: Sequence[float] = []
         self.index_maps: List[Any] = []
         self.positions: List[Any] = []
+        #: Per shard, the merged row of each of its final rows' keys.
+        self.targets: List[Any] = []
         self.aligned: List[Any] = [None] * shard_count
         self.prefix: List[Any] = [None] * shard_count
         self.suffix: List[Any] = [None] * shard_count
@@ -132,7 +155,6 @@ class _GridState:
         #: per-key grouping of block-independent shards).
         self.scaled: List[Any] = [None] * shard_count
         self.finals: List[Any] = [None] * shard_count
-        self.order: Any = []
         self.keys: List[Hashable] = []
 
 
@@ -186,8 +208,10 @@ class MergeEngine:
         """Merge shard summaries into the global rank rows.
 
         ``grid_scores`` are the merged columns' scores in decreasing
-        order.  Returns the native matrix, one row per key of
-        ``keys_order`` (the merged decreasing-score key order).
+        order.  Returns the merged matrix's live rows: one row per key of
+        ``keys_order`` (the merged decreasing-score key order) up to the
+        merged support, past which every row is exactly ``0.0``.  The row
+        count of the result is that support.
         """
         # Readers on several threads share a coordinator's engine, whose
         # cached partials are updated in place: merges take turns.
@@ -236,9 +260,7 @@ class MergeEngine:
                 self._states.pop(max_rank, None)
                 raise
             state.summaries = list(summaries)
-            return backend.take_rows(
-                backend.stack_matrices(state.finals), state.order
-            )
+            return self._assemble(state, len(keys_order), max_rank, backend)
 
     # ------------------------------------------------------------------
     # Grid state construction / refresh
@@ -253,7 +275,7 @@ class MergeEngine:
         """Whether the cached state's grid still describes these shards.
 
         A probability-only update keeps every score, block and key in
-        place, so the grid, index maps, positions and row order all stay
+        place, so the grid, index maps, positions and row targets all stay
         valid; a score, block or key move (or a shard-count / backend
         change) forces a full rebuild.  The coordinator shares one
         key list across patched merged columns, so the key check is an
@@ -303,8 +325,8 @@ same_rows` reads the shards' shared key, block and score columns.
         keys_order: List[Hashable],
         backend: Any,
     ) -> _GridState:
-        """A state with the grid, index maps, positions and row order set;
-        the refresh of a full merge fills every cached row."""
+        """A state with the grid, index maps, positions and row targets
+        set; the refresh of a full merge fills every cached row."""
         state = _GridState(len(summaries))
         state.backend_name = backend.name
         state.grid = grid_scores
@@ -321,13 +343,11 @@ same_rows` reads the shards' shared key, block and score columns.
             )
             for summary in summaries
         ]
-        stacked_keys: List[Hashable] = []
-        for summary in summaries:
-            stacked_keys.extend(summary.keys)
-        position_of = {key: row for row, key in enumerate(stacked_keys)}
-        state.order = backend.index_vector(
-            [position_of[key] for key in keys_order]
-        )
+        row_of = {key: row for row, key in enumerate(keys_order)}
+        state.targets = [
+            backend.index_vector([row_of[key] for key in summary.keys])
+            for summary in summaries
+        ]
         state.keys = keys_order
         return state
 
@@ -340,7 +360,8 @@ same_rows` reads the shards' shared key, block and score columns.
         backend: Any,
     ) -> None:
         """Re-gather the changed shards' aligned rows and re-convolve the
-        stale prefix/suffix rows, from the first stale grid row on.
+        stale prefix/suffix rows, from the first stale grid row to the
+        factors' support.
 
         ``aligned_from[i]`` is the first stale grid row of shard ``i``'s
         aligned table (the grid size when it is unchanged, 0 on a full
@@ -354,56 +375,80 @@ same_rows` reads the shards' shared key, block and score columns.
         grid_rows = len(state.grid)
         for index, start in enumerate(aligned_from):
             if start < grid_rows:
-                tail = summaries[index].aligned_count_table(
-                    state.grid,
-                    backend.slice_rows(state.index_maps[index], start),
-                )
+                summary = summaries[index]
+                index_map = state.index_maps[index]
+                # Grid rows whose threshold lies past the table's live
+                # rows are zero; the index map never decreases.
+                stop = bisect_left(index_map, len(summary.count_table()))
+                tail = None
+                if start < stop:
+                    tail = summary.aligned_count_table(
+                        state.grid, backend.slice_rows(index_map, start, stop)
+                    )
                 state.aligned[index] = self._splice(
-                    state.aligned[index], start, tail, backend
+                    state.aligned[index], start, tail, max_rank, backend
                 )
         start = grid_rows
         for index in range(count - 1):
             start = min(start, aligned_from[index])
             if start >= grid_rows:
                 continue
-            if index == 0:
-                state.prefix[0] = state.aligned[0]
-                continue
-            tail = self._convolve(
-                backend.slice_rows(state.prefix[index - 1], start),
-                backend.slice_rows(state.aligned[index], start),
-                max_rank,
-                backend,
-            )
-            state.prefix[index] = self._splice(
-                state.prefix[index], start, tail, backend
+            state.prefix[index] = (
+                state.aligned[0]
+                if index == 0
+                else self._product(
+                    state.prefix[index], start, state.prefix[index - 1],
+                    state.aligned[index], max_rank, backend,
+                )
             )
         start = grid_rows
         for index in range(count - 1, 0, -1):
             start = min(start, aligned_from[index])
             if start >= grid_rows:
                 continue
-            if index == count - 1:
-                state.suffix[index] = state.aligned[index]
-                continue
+            state.suffix[index] = (
+                state.aligned[index]
+                if index == count - 1
+                else self._product(
+                    state.suffix[index], start, state.aligned[index],
+                    state.suffix[index + 1], max_rank, backend,
+                )
+            )
+
+    def _product(
+        self,
+        old: Any,
+        start: int,
+        left: Any,
+        right: Any,
+        max_rank: int,
+        backend: Any,
+    ) -> Any:
+        """``old``'s rows above ``start`` over ``left ⊛ right`` from
+        ``start`` on.  A row past either factor's support is a sum of
+        ``0.0 × finite`` terms, exactly ``0.0``, so only the rows up to
+        the lesser support are convolved."""
+        stop = min(len(left), len(right))
+        tail = None
+        if start < stop:
             tail = self._convolve(
-                backend.slice_rows(state.aligned[index], start),
-                backend.slice_rows(state.suffix[index + 1], start),
+                backend.slice_rows(left, start, stop),
+                backend.slice_rows(right, start, stop),
                 max_rank,
                 backend,
             )
-            state.suffix[index] = self._splice(
-                state.suffix[index], start, tail, backend
-            )
+        return self._splice(old, start, tail, max_rank, backend)
 
     @staticmethod
-    def _splice(old: Any, start: int, tail: Any, backend: Any) -> Any:
-        """Rows ``0 .. start`` of ``old`` above ``tail``, as a new matrix."""
-        if start == 0:
-            return tail
-        return backend.stack_matrices(
-            [backend.slice_rows(old, 0, start), tail]
-        )
+    def _splice(
+        old: Any, start: int, tail: Any, width: int, backend: Any
+    ) -> Any:
+        """The live rows of ``old``'s rows above ``start`` over the rows
+        just computed from ``start`` on (``None`` when none is live).  The
+        new support is read from those rows alone."""
+        if tail is not None:
+            tail = backend.slice_rows(tail, 0, backend.row_support(tail))
+        return splice_live_rows(backend, old, start, tail, width)
 
     # ------------------------------------------------------------------
     # Per-shard finals
@@ -433,12 +478,8 @@ same_rows` reads the shards' shared key, block and score columns.
             else rows
         )
         if others_row < rows:
-            state.others[index] = self._splice(
-                state.others[index],
-                others_row,
-                self._others_rows(state, index, others_row, max_rank,
-                                  backend),
-                backend,
+            state.others[index] = self._others_rows(
+                state, index, others_row, max_rank, backend
             )
         else:
             self.counters["partials_reused"] += 1
@@ -448,27 +489,21 @@ same_rows` reads the shards' shared key, block and score columns.
             # Local row ``r`` holds the alternatives above ``r``, so the
             # changed alternative's own local row is still valid.
             state.locals[index] = self._local_parts(
-                summary, state.locals[index], own_row + 1, backend
+                summary, state.locals[index], own_row + 1, max_rank, backend
             )
             final_row = min(final_row, own_row)
         if final_row >= rows:
             self.counters["partials_reused"] += 1
             return
-        state.scaled[index] = self._splice(
-            state.scaled[index],
-            final_row,
-            self._scaled_rows(
-                state.locals[index], state.others[index], final_row,
-                max_rank, backend,
-            ),
-            backend,
-        )
+        scaled = self._scaled_rows(state, index, final_row, max_rank, backend)
+        state.scaled[index] = scaled
         groups = state.locals[index][2]
         state.finals[index] = (
-            state.scaled[index]
-            if groups is None
+            scaled
+            if groups is None or not len(scaled)
             else backend.sum_rows_by_group(
-                state.scaled[index], groups[0], groups[1]
+                scaled, backend.slice_rows(groups[0], 0, len(scaled)),
+                groups[1],
             )
         )
 
@@ -481,29 +516,36 @@ same_rows` reads the shards' shared key, block and score columns.
         backend: Any,
     ) -> Any:
         """``prefix[index-1] ⊛ suffix[index+1]`` at the shard's positions,
-        from its local row ``start`` on."""
-        positions = backend.slice_rows(state.positions[index], start)
-        left = (
-            backend.take_rows(state.prefix[index - 1], positions)
-            if index > 0
-            else None
-        )
-        right = (
-            backend.take_rows(state.suffix[index + 1], positions)
-            if index < len(state.suffix) - 1
-            else None
-        )
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return self._convolve(left, right, max_rank, backend)
+        from its local row ``start`` to the positions the chains' support
+        reaches; ``None`` for a lone shard, which has no others."""
+        factors = []
+        if index > 0:
+            factors.append(state.prefix[index - 1])
+        if index < len(state.aligned) - 1:
+            factors.append(state.suffix[index + 1])
+        if not factors:
+            return None
+        positions = state.positions[index]
+        stop = bisect_left(positions, min(len(factor) for factor in factors))
+        tail = None
+        if start < stop:
+            at = backend.slice_rows(positions, start, stop)
+            gathered = [backend.take_rows(factor, at) for factor in factors]
+            tail = (
+                gathered[0]
+                if len(gathered) == 1
+                else self._convolve(gathered[0], gathered[1], max_rank,
+                                    backend)
+            )
+        return self._splice(state.others[index], start, tail, max_rank,
+                            backend)
 
     def _local_parts(
         self,
         summary: ShardRankSummary,
         previous: Optional[Tuple[Any, Any, Any]],
         start: int,
+        max_rank: int,
         backend: Any,
     ) -> Tuple[Any, Any, Any]:
         """The shard-content-only inputs of :meth:`_scaled_rows`.
@@ -512,9 +554,9 @@ same_rows` reads the shards' shared key, block and score columns.
         ``None`` for tuple-independent shards and ``(group_vector,
         group_count)`` for block-independent ones.  Local rows above
         ``start`` are unchanged since ``previous`` (when there is one): a
-        tuple-independent shard's are a slice of its prefix table anyway,
-        and a block-independent shard's are reused, so only the rows from
-        ``start`` on are rebuilt.
+        tuple-independent shard's are a slice of its prefix table's live
+        rows anyway, and a block-independent shard's are reused, so only
+        the rows from ``start`` on are rebuilt.
         """
         factors = summary.probabilities
         rows = len(factors)
@@ -533,27 +575,69 @@ same_rows` reads the shards' shared key, block and score columns.
             tail = backend.matrix_from_rows(
                 [summary.local_polynomial(row) for row in range(start, rows)]
             )
-            local = self._splice(local, start, tail, backend)
+            local = self._splice(local, start, tail, max_rank, backend)
         return local, factors, groups
 
     def _scaled_rows(
         self,
-        local_parts: Tuple[Any, Any, Any],
-        others_rows: Any,
+        state: _GridState,
+        index: int,
         start: int,
         max_rank: int,
         backend: Any,
     ) -> Any:
         """Local rank rows ⊛ all-others factor, scaled by each
-        alternative's probability, from local row ``start`` on."""
-        local, factors, _ = local_parts
-        rows = backend.slice_rows(local, start)
-        if others_rows is not None:
-            rows = self._convolve(
-                rows, backend.slice_rows(others_rows, start), max_rank,
-                backend,
+        alternative's probability, from local row ``start`` to the lesser
+        of the two factors' support."""
+        local, factors, _ = state.locals[index]
+        others = state.others[index]
+        stop = len(local) if others is None else min(len(local), len(others))
+        tail = None
+        if start < stop:
+            tail = backend.slice_rows(local, start, stop)
+            if others is not None:
+                tail = self._convolve(
+                    tail, backend.slice_rows(others, start, stop), max_rank,
+                    backend,
+                )
+            tail = backend.scale_rows(
+                tail, backend.slice_rows(factors, start, stop)
             )
-        return backend.scale_rows(rows, backend.slice_rows(factors, start))
+        return self._splice(state.scaled[index], start, tail, max_rank,
+                            backend)
+
+    def _assemble(
+        self, state: _GridState, rows: int, max_rank: int, backend: Any
+    ) -> Any:
+        """The merged matrix's live rows: every shard's final rows placed
+        at their keys' merged rows, up to the last row any of them reaches
+        and cut at the support read from those rows.
+
+        A tuple-independent shard's final rows run in score order, so its
+        last live row reaches furthest; a block-independent shard's are
+        per key, in the shard's key order, so they may reach every row.
+        """
+        parts, targets, reach = [], [], 0
+        for summary, finals, shard_targets in zip(
+            state.summaries, state.finals, state.targets
+        ):
+            live = len(finals)
+            if not live:
+                continue
+            parts.append(finals)
+            targets.append(backend.slice_rows(shard_targets, 0, live))
+            reach = max(
+                reach,
+                int(shard_targets[live - 1]) + 1
+                if summary.is_independent
+                else rows,
+            )
+        if not parts:
+            return splice_live_rows(backend, None, 0, None, max_rank)
+        merged = backend.scatter_rows(
+            backend.stack_matrices(parts), backend.concatenate(targets), reach
+        )
+        return backend.slice_rows(merged, 0, backend.row_support(merged))
 
     def _convolve(
         self, a: Any, b: Any, out_len: int, backend: Any

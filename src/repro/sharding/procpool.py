@@ -8,8 +8,9 @@ into real processes: each worker (:mod:`repro.sharding.procworker`) owns
 one shard's columns plus a warm :class:`~repro.session.QuerySession`, and
 the coordinator exchanges only prefix tables and block patches with it:
 
-* a summary reply carries the worker's prefix table (all of it, or the
-  row suffix an update changed) and the worker's state id, one pickled
+* a summary reply carries the live rows of the worker's prefix table
+  (all of them, or the row suffix an update changed; never the zero
+  tail past the table's support) and the worker's state id, one pickled
   message over the worker's pipe; replies are fetched in parallel across
   workers (threads blocked on pipes release the GIL, so worker processes
   compute concurrently).  The parent builds the
@@ -77,7 +78,7 @@ from repro.engine import get_backend
 from repro.exceptions import ProcessPoolError, WorkerCrashError
 from repro.session import CacheInfo
 from repro.sharding.procworker import worker_main
-from repro.sharding.summary import ShardRankSummary
+from repro.sharding.summary import ShardRankSummary, splice_live_rows
 from repro.sharding.supervisor import SupervisorPolicy, WorkerSupervisor
 
 #: Environment variable pinning the multiprocessing start method
@@ -128,7 +129,9 @@ class IpcSnapshot:
     message, so the bytes include every envelope.  ``summaries`` counts
     the summary replies among them, ``summary_deltas`` those that shipped
     a row-suffix delta (``delta_rows`` rows shipped, ``delta_rows_saved``
-    rows the parent already held).
+    live rows above the change that the parent already held and reused).
+    A table travels only up to its support, so its zero tail counts in
+    neither: it is never shipped, and the parent holds none of it.
     """
 
     commands: int = 0
@@ -841,7 +844,7 @@ class ShardProcessPool:
                 )
                 continue
             summary = ShardRankSummary.from_layout(
-                layout, max_rank, self._splice(start, rows, base)
+                layout, max_rank, self._splice(start, rows, base, max_rank)
             )
             summaries[index] = summary
             with self._cache_lock:
@@ -850,22 +853,26 @@ class ShardProcessPool:
                 )
         return summaries, failures
 
-    def _splice(self, start: int, rows: Any, base: Any) -> Any:
-        """A shipped table: ``rows`` from row ``start`` on, under the rows
-        above ``start`` of the ``base`` entry's table (a delta)."""
+    def _splice(
+        self, start: int, rows: Any, base: Any, max_rank: int
+    ) -> Any:
+        """A shipped table's live rows: ``rows`` from row ``start`` on,
+        under the rows above ``start`` of the ``base`` entry's table (a
+        delta).  ``rows`` is ``None`` when nothing changed; the table then
+        is the base's.  Rows past either table's end are zero, so they
+        are neither shipped nor padded here."""
         if start == 0:
             return rows
         table = base[1].prefix_table
         shipped = 0 if rows is None else len(rows)
         self._count(
-            summary_deltas=1, delta_rows=shipped, delta_rows_saved=start
+            summary_deltas=1,
+            delta_rows=shipped,
+            delta_rows_saved=min(start, len(table)),
         )
         if rows is None:
             return table
-        backend = get_backend()
-        return backend.stack_matrices(
-            [backend.slice_rows(table, 0, start), rows]
-        )
+        return splice_live_rows(get_backend(), table, start, rows, max_rank)
 
     def cached_summaries(
         self, shard_index: int, columns: FlatColumns

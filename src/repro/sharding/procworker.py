@@ -19,11 +19,14 @@ Wire protocol: the parent sends ``(op, payload)`` tuples and receives
 ``("ok", value)`` or ``("error", (exception_type_name, message))``, each
 reply one pickled message (``send_bytes``), so the parent counts the
 bytes it actually received.  A summary reply is ``(state id, start,
-rows)``: the worker's committed state id and the rows of its
+rows)``: the worker's committed state id and the live rows of its
 tuple-independent prefix table from ``start`` on (all of them, or a
 row-suffix delta against the table of its previous committed columns the
-parent already holds).  Nothing else of the shard travels back: the
-parent reads its own copy of the columns.
+parent already holds; ``None`` when no row changed).  Only rows before
+the table's support travel: every row past the last one shipped is
+``0.0``, and the parent treats it so without materialising it.  Nothing
+else of the shard travels back: the parent reads its own copy of the
+columns.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class ShardWorkerState:
         # Row m of the prefix table depends only on the first m
         # probabilities, so a probability change reaches the parent as the
         # row suffix below the first changed row, spliced onto the table
-        # it already holds for ``base``.
+        # it already holds for ``base``.  The suffix holds live rows only:
+        # it is empty when the change lies past the table's support.
         start = summary.first_change(shipped[1]) + 1
         if start > len(summary.probabilities):
             return self.state_id, start, None  # nothing changed

@@ -11,6 +11,17 @@ tuple-independent shards (:meth:`~repro.engine.backends.Backend.\
 prefix_count_polynomials`), one memoized Bernoulli product per requested
 prefix for block-independent shards.
 
+A summary holds only the table's **live rows**: the rows before its
+support, past which every row is exactly ``0.0`` (once ``max_rank``
+certain tuples, or enough mass to underflow, lie above a threshold, no
+tuple below it can reach the Top-``max_rank``).  The sweep reports where
+it stopped, so the support costs no pass of its own.  The table's length
+is its support, and every reader treats the rows past its end as zero
+without materialising them: :meth:`ShardRankSummary.prefix_polynomial`
+and :meth:`ShardRankSummary.aligned_count_table` return zero rows there,
+a shard worker ships only the live rows, and the merge engine convolves
+nothing past them.
+
 A summary reads the shard's own flat columns and nothing else: the
 ``(columns, row scores, score order)`` triple of
 :meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows` (on the
@@ -22,6 +33,7 @@ form, each on first use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -65,11 +77,11 @@ class ShardRankSummary:
         without a session.
 
         The process-backed pool pairs the parent's committed columns (under
-        their own scores: a shard is never re-scored) with the dense
-        prefix table a shard worker shipped for them.  A missing
-        ``prefix_table`` is recomputed lazily from the columns'
-        probabilities -- identical coefficients, just without reusing the
-        worker's sweep.
+        their own scores: a shard is never re-scored) with the live rows
+        of the prefix table a shard worker shipped for them (see
+        :attr:`prefix_table`).  A missing ``prefix_table`` is recomputed
+        lazily from the columns' probabilities -- identical coefficients,
+        just without reusing the worker's sweep.
         """
         self = cls.__new__(cls)
         self._bind(layout, max_rank, prefix_table)
@@ -177,11 +189,14 @@ class ShardRankSummary:
 
     @property
     def prefix_table(self) -> Any:
-        """The native ``(n_s + 1) × max_rank`` prefix polynomial table.
+        """The live rows of the native ``(n_s + 1) × max_rank`` prefix
+        polynomial table.
 
         Row ``m`` holds the count distribution of the first ``m``
-        (score-sorted) tuples; only defined for independent shards, where
-        it is produced by one backend sweep.
+        (score-sorted) tuples; the table stops at the sweep's first
+        all-zero row, and every row past its end is exactly ``0.0``.  Only
+        defined for independent shards, where it is produced by one
+        backend sweep.
         """
         if not self.is_independent:
             raise ModelError(
@@ -189,9 +204,10 @@ class ShardRankSummary:
                 "shards; use count_above() on block-independent shards"
             )
         if self._prefix_table is None:
-            self._prefix_table = self._backend.prefix_count_polynomials(
-                self.probabilities, self._max_rank
+            table, live = self._backend.prefix_count_polynomials(
+                self.probabilities, self._max_rank, with_support=True
             )
+            self._prefix_table = self._backend.slice_rows(table, 0, live)
         return self._prefix_table
 
     def prefix_polynomial(
@@ -208,7 +224,10 @@ class ShardRankSummary:
         row, never above itself, so the exclusion is a no-op there.
         """
         if self.is_independent:
-            return self._backend.matrix_row(self.prefix_table, prefix)
+            table = self.prefix_table
+            if prefix >= len(table):
+                return [0.0] * self._max_rank
+            return self._backend.matrix_row(table, prefix)
         cache_key = (prefix, excluded_block)
         cached = self._block_polynomials.get(cache_key)
         if cached is None:
@@ -245,22 +264,27 @@ class ShardRankSummary:
         return self.prefix_polynomial(self.prefix_indices([threshold])[0])
 
     def count_table(self) -> Any:
-        """The native ``(n_s + 1) × max_rank`` count-above table, both kinds.
+        """The live rows of the native ``(n_s + 1) × max_rank`` count-above
+        table, both kinds; every row past its end is exactly ``0.0``.
 
         Row ``m`` is :meth:`prefix_polynomial` for prefix ``m``.  For
         tuple-independent shards this is exactly :attr:`prefix_table`; for
         block-independent shards the rows are the memoized Bernoulli
         products, densified once so the incremental merge engine can gather
-        grid-aligned rows with one backend call per shard.
+        grid-aligned rows with one backend call per shard, and cut at
+        their :meth:`~repro.engine.backends.Backend.row_support`.
         """
         if self.is_independent:
             return self.prefix_table
         if getattr(self, "_dense_table", None) is None:
-            self._dense_table = self._backend.matrix_from_rows(
+            table = self._backend.matrix_from_rows(
                 [
                     self.prefix_polynomial(prefix)
                     for prefix in range(len(self.columns.values) + 1)
                 ]
+            )
+            self._dense_table = self._backend.slice_rows(
+                table, 0, self._backend.row_support(table)
             )
         return self._dense_table
 
@@ -271,13 +295,24 @@ class ShardRankSummary:
 
         ``grid_scores_desc`` is the coordinator's merged decreasing score
         grid; row ``g`` of the result is this shard's count-above
-        distribution at threshold ``grid_scores_desc[g]``.  Pass cached
-        ``indices`` (from :meth:`prefix_indices`) to skip the sweep when
-        the grid and the shard's scores are both unchanged.
+        distribution at threshold ``grid_scores_desc[g]``, a zero row where
+        the threshold lies past the table's live rows.  Pass cached
+        ``indices`` (from :meth:`prefix_indices`, or a slice of them) to
+        skip the sweep when the grid and the shard's scores are both
+        unchanged.
         """
         if indices is None:
             indices = self.prefix_indices(grid_scores_desc)
-        return self._backend.take_rows(self.count_table(), indices)
+        table = self.count_table()
+        # Indices never decrease along a decreasing grid, so the rows that
+        # read live table rows lead.
+        live = bisect_left(indices, len(table))
+        rows = self._backend.take_rows(
+            table, self._backend.slice_rows(indices, 0, live)
+        )
+        return self._backend.extend_rows(
+            rows, len(indices), [0.0] * self._max_rank
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "independent" if self.is_independent else "block"
@@ -285,6 +320,31 @@ class ShardRankSummary:
             f"ShardRankSummary({self.number_of_tuples()} tuples, "
             f"kind={kind!r}, max_rank={self._max_rank})"
         )
+
+
+def splice_live_rows(
+    backend: Any, head: Any, start: int, tail: Any, width: int
+) -> Any:
+    """The live rows of a table whose rows ``0 .. start`` are ``head``'s
+    and whose rows from ``start`` on are ``tail``'s.
+
+    ``head`` and ``tail`` hold live rows: every row past either one's end
+    is ``0.0``.  An empty ``tail`` (or ``None``) cuts ``head`` at
+    ``start``, and a ``head`` shorter than ``start`` is padded with zero
+    rows only when ``tail`` follows it.
+    """
+    if tail is None or not len(tail):
+        if head is None:
+            return backend.slice_rows(
+                backend.matrix_from_rows([[0.0] * width]), 0, 0
+            )
+        return backend.slice_rows(head, 0, min(start, len(head)))
+    if start == 0:
+        return tail
+    above = backend.extend_rows(
+        backend.slice_rows(head, 0, start), start, [0.0] * width
+    )
+    return backend.stack_matrices([above, tail])
 
 
 def _pad(coefficients: List[float], length: int) -> List[float]:

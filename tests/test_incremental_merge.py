@@ -407,6 +407,38 @@ class TestConvolutionBudget:
         )
         assert delta.partials_reused >= 1
 
+    def test_update_below_every_support_convolves_nothing(self):
+        """Rows past a factor's support are exactly zero and never
+        convolved: an update below every shard's support re-merges
+        incrementally without a single convolved row."""
+        rng = random.Random(17)
+        data = [
+            (f"t{i + 1}", float(i), float(1000 - i),
+             1.0 if i < 40 else round(rng.uniform(0.05, 0.95), 3))
+            for i in range(80)
+        ]
+        sharded = ShardedDatabase(_database(data), 4, partitioner="hash")
+        coordinator = sharded.coordinator()
+        coordinator.rank_matrix(K)
+        tables = [
+            len(shard.session().partial_rank_summary(K).prefix_table)
+            for shard in sharded.shards()
+        ]
+        sizes = [len(shard.keys()) for shard in sharded.shards()]
+        assert all(table < size for table, size in zip(tables, sizes))
+        before = coordinator.merge_stats()
+        key, probability = data[-1][0], 0.5
+        sharded.update_tuple(key, probability=probability)
+        rows = _matrix_rows(coordinator, K)
+        delta = coordinator.merge_stats() - before
+        assert delta.incremental_merges == 1
+        assert delta.full_merges == 0
+        assert delta.convolutions == 0
+        assert delta.convolved_rows == 0
+        assert_rows_close(
+            rows, _unsharded_rows(_with_probability(data, key, probability))
+        )
+
     def test_layout_patch_on_probability_update(self):
         sharded = ShardedDatabase(_ti_tuples(11, 30), 4)
         coordinator = sharded.coordinator()

@@ -364,19 +364,27 @@ def _assert_same(got, want) -> None:
         assert got == want
 
 
+def patch_supports_dense(monkeypatch) -> None:
+    """Make every support read report every row live: the ``row_support``
+    reduction and the live row count the prefix sweep reports."""
+    for name in BACKENDS:
+        with use_backend(name) as backend:
+            kind = type(backend)
+            sweep = kind._prefix_products
+
+            def every_row(self, values, out_len, sweep=sweep):
+                rows, _ = sweep(self, values, out_len)
+                return rows, len(rows)
+
+            monkeypatch.setattr(kind, "row_support", lambda self, matrix: len(matrix))
+            monkeypatch.setattr(kind, "_prefix_products", every_row)
+
+
 @pytest.fixture
 def dense(monkeypatch):
     """Declare every row of every rank matrix live: the consumers then read
     whole tables, as before supports existed."""
-
-    def patch():
-        for name in BACKENDS:
-            with use_backend(name) as backend:
-                monkeypatch.setattr(
-                    type(backend), "row_support", lambda self, matrix: len(matrix)
-                )
-
-    return patch
+    return lambda: patch_supports_dense(monkeypatch)
 
 
 def sessions(database):
