@@ -23,9 +23,10 @@ rows before its support, past which every row is exactly ``0.0``.  A row
 of a product past either factor's support is a sum of ``0.0 × finite``
 terms, so it is exactly ``0.0`` too, and no tolerance is involved.  A
 convolution therefore runs only over the rows from its first stale row
-to the lesser of its factors' supports.  The product's support is read
-from the rows just convolved, and the zero tail is never computed,
-copied or gathered.  A shard's count table is cut at its own support
+to the lesser of its factors' supports, and no row past that bound is
+computed, copied or gathered.  The product's own support, which may end
+sooner, is read from the rows just convolved, never from a scan of a
+whole matrix.  A shard's count table is cut at its own support
 (:meth:`~repro.sharding.summary.ShardRankSummary.count_table`), and the
 merged result is handed over as its live rows, whose count is the merged
 support.  On 6000 tuples over 4 shards with ``max_rank = 10`` the merged
