@@ -245,7 +245,7 @@ def test_processes_merge_matches_dense_and_unsharded(
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_zero_tails_are_neither_shipped_nor_convolved(backend_name):
+def test_workers_ship_only_live_rows(backend_name):
     """A shard table with a zero tail travels and merges as its live rows:
     the merged matrix declares a support below its row count, and every
     worker's table stops before the shard's row count."""
