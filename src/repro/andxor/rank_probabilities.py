@@ -283,13 +283,20 @@ class RankStatistics:
                 if self._validate_scores_flag
                 else backend.factor_vector(self._ordered(self._row_scores))
             )
-            if columns.independent:
+            if columns.independent and scores is None:
                 # Rows in score order: the sweep knows where the zero tail
                 # starts.
                 keys = self._ordered_keys()
                 native, support = backend.rank_probability_matrix(
-                    probabilities, max_rank, scores=scores, with_support=True
+                    probabilities, max_rank, with_support=True
                 )
+            elif columns.independent:
+                # Rows in score order: one reduction finds the zero tail.
+                keys = self._ordered_keys()
+                native = backend.rank_probability_matrix(
+                    probabilities, max_rank, scores=scores
+                )
+                support = None
             else:
                 keys = self.keys()
                 native = backend.sum_rows_by_group(

@@ -171,12 +171,12 @@ class Backend:
         result is exactly ``0.0``: zero times anything stays zero.  In
         score order the live rows are a short head once enough mass lies
         above (about 800 of 12000 rows at ``max_rank = 10`` with
-        probabilities uniform in ``[0.05, 1]``).  ``with_support=True``
-        returns ``(matrix, support)``, where ``support`` is the row count
-        past which every row is exactly ``0.0``: on the tuple-independent
-        path without ``scores`` it is read off where the sweep stopped,
-        checking only the live rows, and otherwise found by
-        :meth:`row_support`.
+        probabilities uniform in ``[0.05, 1]``).  On the tuple-independent
+        path without ``scores``, ``with_support=True`` returns
+        ``(matrix, support)``, where ``support`` is the row count past
+        which every row is exactly ``0.0``, found by :meth:`row_support`
+        over only the rows before where the sweep stopped; with
+        ``blocks`` or ``scores`` it raises :class:`ValueError`.
         """
         raise NotImplementedError
 
@@ -254,12 +254,8 @@ class Backend:
 
     # -- shard-merge kernels -------------------------------------------------
     def prefix_count_polynomials(
-        self,
-        probabilities: Sequence[float],
-        out_len: int,
-        *,
-        with_support: bool = False,
-    ) -> Any:
+        self, probabilities: Sequence[float], out_len: int
+    ) -> Tuple[Any, int]:
         """Truncated prefix products ``Π_{i<m} (1 - p_i + p_i x)``.
 
         ``probabilities`` lists independent presence probabilities in
@@ -275,9 +271,9 @@ class Backend:
         underflow once the mass above is large) and leaves every later
         row exactly ``0.0`` without computing it; no tolerance is
         involved.  A sweep with no zero row costs what a full sweep costs.
-        ``with_support=True`` returns ``(table, support)``: ``support`` is
-        the number of rows before that first zero row (``n + 1`` when
-        there is none), known from the sweep without a second pass.
+        Returns ``(table, support)``: ``support`` is the number of rows
+        before that first zero row (``n + 1`` when there is none), known
+        from the sweep without a second pass.
         """
         raise NotImplementedError
 
@@ -710,11 +706,13 @@ class PurePythonBackend(Backend):
         *,
         with_support: bool = False,
     ) -> Any:
+        if with_support and (blocks is not None or scores is not None):
+            raise ValueError(
+                "with_support needs tuple-independent rows without scores"
+            )
         count = len(probabilities)
-        live = count
         if blocks is None and scores is None:
             table, live = self._prefix_products(probabilities, max_rank)
-            live = min(live, count)
         else:
             blocks = range(count) if blocks is None else blocks
             times = range(count) if scores is None else _tie_starts(scores)
@@ -825,14 +823,9 @@ class PurePythonBackend(Backend):
         return rows
 
     def prefix_count_polynomials(
-        self,
-        probabilities: Sequence[float],
-        out_len: int,
-        *,
-        with_support: bool = False,
-    ) -> Any:
-        table, live = self._prefix_products(probabilities, out_len)
-        return (table, live) if with_support else table
+        self, probabilities: Sequence[float], out_len: int
+    ) -> Tuple[List[List[float]], int]:
+        return self._prefix_products(probabilities, out_len)
 
     def _prefix_products(
         self, probabilities: Sequence[float], out_len: int
@@ -1407,12 +1400,16 @@ class NumpyBackend(Backend):
         *,
         with_support: bool = False,
     ) -> Any:
+        if with_support and (blocks is not None or scores is not None):
+            raise ValueError(
+                "with_support needs tuple-independent rows without scores"
+            )
         values = _np.asarray(probabilities, dtype=_np.float64)
         count = values.shape[0]
         if blocks is None and scores is None:
             table, live = self._prefix_products(values, max_rank)
             if live > count:
-                out, live = values[:, None] * table[:-1], count
+                out = values[:, None] * table[:-1]
             else:
                 out = _np.zeros((count, max(max_rank, 0)))
                 _np.multiply(
@@ -1452,8 +1449,7 @@ class NumpyBackend(Backend):
                 + later[:, :-1] * mass[:, None]
             )
             later[:, 0] *= 1.0 - mass
-        out = values[:, None] * table
-        return (out, self.row_support(out)) if with_support else out
+        return values[:, None] * table
 
     def pairwise_preference_matrix(
         self, probabilities: Sequence[float], scores: Sequence[float]
@@ -1536,16 +1532,11 @@ class NumpyBackend(Backend):
         return presence
 
     def prefix_count_polynomials(
-        self,
-        probabilities: Sequence[float],
-        out_len: int,
-        *,
-        with_support: bool = False,
-    ) -> Any:
-        table, live = self._prefix_products(
+        self, probabilities: Sequence[float], out_len: int
+    ) -> Tuple[Any, int]:
+        return self._prefix_products(
             _np.asarray(probabilities, dtype=_np.float64), out_len
         )
-        return (table, live) if with_support else table
 
     def _prefix_products(self, values: Any, out_len: int) -> Tuple[Any, int]:
         """The prefix-product rows and how many lead the zero tail.

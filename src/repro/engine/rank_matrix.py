@@ -75,20 +75,21 @@ class RankMatrix:
     :meth:`repro.andxor.rank_probabilities.RankStatistics.rank_matrix`.
 
     :attr:`support` is the row count past which every row is exactly
-    ``0.0`` -- declared by the producer or found by one
+    ``0.0`` -- declared by the local tuple-independent sweep, which knows
+    where it stopped, or found by one
     :meth:`~repro.engine.backends.Backend.row_support` reduction, and
-    inherited by every derived copy.  A producer that declares it may hand
-    over only the first ``support`` rows: the local tuple-independent sweep
-    declares where it stopped, and the sharded coordinator declares the
-    merged support and passes only the merged live rows.  A matrix keeps
-    its first ``support`` rows (:attr:`live`); the views that read only
-    those and fill the rest from the zero tail are :meth:`cumulative` and
+    inherited by every derived copy.  ``matrix`` may hold fewer rows than
+    there are keys, and the rows it lacks are zero: the sharded
+    coordinator hands over only the merged live rows, whose last row is
+    nonzero, so the reduction stops at that row.  A matrix keeps its
+    first ``support`` rows (:attr:`live`); the views that read only those
+    and fill the rest from the zero tail are :meth:`cumulative` and
     :meth:`truncated` (whose copies hold only live rows), :meth:`row`,
     :meth:`membership_vector`, :meth:`membership`,
     :meth:`weighted_vector`, :meth:`weighted_sums` and
     :meth:`column_totals`.  :attr:`native` is the whole matrix, padded
-    with the zero rows on first use by a matrix that holds only its live
-    rows.
+    with the zero rows on first use by a matrix that holds fewer rows
+    than keys.
     """
 
     __slots__ = (
@@ -110,22 +111,19 @@ class RankMatrix:
         max_rank: int,
         cumulative: bool = False,
         key_index: Optional[Dict[Hashable, int]] = None,
-        support: Optional[int] = None,
     ) -> None:
         keys = list(keys)
         # Caller-supplied position index (already aligned with ``keys``):
         # producers that emit many matrices over one stable key order (the
         # sharded coordinator's incremental re-merges) share one index
         # instead of rebuilding an n-entry dict per matrix.  Otherwise the
-        # index is built lazily (see :class:`_KeyRows`).  A declared
-        # ``support`` is taken as given, and ``matrix`` may then hold only
-        # the rows before it.
+        # index is built lazily (see :class:`_KeyRows`).
         distinct = len(set(keys) if key_index is None else key_index)
         if distinct != len(keys):
             raise ValueError("rank matrix keys must be distinct")
         self._assign(
             keys, _KeyRows(keys, key_index), matrix, backend, max_rank,
-            cumulative, support,
+            cumulative, None,
         )
 
     @classmethod
@@ -161,7 +159,7 @@ class RankMatrix:
         held = len(matrix)
         self._keys = keys
         self._rows = rows
-        # Only the live rows handed over: padded on first use of native.
+        # Fewer rows than keys handed over: padded on first use of native.
         self._matrix = matrix if held == len(keys) else None
         self._backend = backend
         self._max_rank = max_rank

@@ -472,17 +472,16 @@ class ShardedQuerySession(QuerySession):
             columns.keys,
             backend,
         )
-        # The engine hands over the merged live rows only, so their count
-        # is the declared support.  Patched columns share one key list and
-        # key index, so every re-merged matrix reuses them instead of
-        # rebuilding an n-entry dict.
+        # The engine hands over the merged live rows only; the matrix
+        # treats the rows past them as zero.  Patched columns share one key
+        # list and key index, so every re-merged matrix reuses them instead
+        # of rebuilding an n-entry dict.
         return RankMatrix(
             columns.keys,
             live,
             backend,
             max_rank,
             key_index=columns.key_index,
-            support=len(live),
         )
 
     def _superseded(self) -> bool:

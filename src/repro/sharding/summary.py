@@ -205,7 +205,7 @@ class ShardRankSummary:
             )
         if self._prefix_table is None:
             table, live = self._backend.prefix_count_polynomials(
-                self.probabilities, self._max_rank, with_support=True
+                self.probabilities, self._max_rank
             )
             self._prefix_table = self._backend.slice_rows(table, 0, live)
         return self._prefix_table

@@ -383,7 +383,7 @@ class TestChunkedSweep:
         for max_rank in (1, 4, count + 3):
             expected = per_row_sweep(probabilities, max_rank)
             prefix = backend.matrix_to_lists(
-                backend.prefix_count_polynomials(probabilities, max_rank)
+                backend.prefix_count_polynomials(probabilities, max_rank)[0]
             )
             ranks = backend.matrix_to_lists(
                 backend.rank_probability_matrix(probabilities, max_rank)

@@ -202,17 +202,27 @@ def test_ti_kernel_matches_per_row_sweep(backend_name, count, k, shape, ties, se
             assert support == k
         if shape == "tiny":
             assert support == count
+        if ties:
+            with pytest.raises(ValueError):
+                backend.rank_probability_matrix(
+                    probabilities, k, scores=scores, with_support=True
+                )
+        else:
+            again, declared = backend.rank_probability_matrix(
+                probabilities, k, with_support=True
+            )
+            assert declared == support
+            assert backend.matrix_to_lists(again) == backend.matrix_to_lists(
+                native
+            )
 
-        prefix = backend.prefix_count_polynomials(probabilities, k)
+        prefix, live = backend.prefix_count_polynomials(probabilities, k)
         assert_close_rows(
             backend.matrix_to_lists(prefix), reference_prefix(probabilities, k)
         )
-        rows, live = backend._prefix_products(
-            backend.factor_vector(probabilities), k
-        )
         # The sweep stops where its rows turn zero, and leaves no nonzero
         # row past that point.
-        assert live == assert_zero_tail(backend, rows)
+        assert live == assert_zero_tail(backend, prefix)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
