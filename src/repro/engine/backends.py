@@ -254,7 +254,10 @@ class Backend:
 
     # -- shard-merge kernels -------------------------------------------------
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Optional[Tuple[Any, int]] = None,
     ) -> Tuple[Any, int]:
         """Truncated prefix products ``Π_{i<m} (1 - p_i + p_i x)``.
 
@@ -269,11 +272,29 @@ class Backend:
         The sweep stops at the first row that is all ``0.0`` in its own
         arithmetic (from ``max_rank`` certain events above, or from
         underflow once the mass above is large) and leaves every later
-        row exactly ``0.0`` without computing it; no tolerance is
-        involved.  A sweep with no zero row costs what a full sweep costs.
-        Returns ``(table, support)``: ``support`` is the number of rows
-        before that first zero row (``n + 1`` when there is none), known
-        from the sweep without a second pass.
+        row exactly ``0.0``; no tolerance is involved.  A sweep with no
+        zero row costs what a full sweep costs.  Returns ``(table,
+        support)``: ``support`` is the number of rows before that first
+        zero row (``n + 1`` when there is none), known from the sweep
+        without a second pass.
+
+        **Prefix-deterministic.**  Row ``m``'s bits depend only on the
+        first ``m`` probabilities (and ``n``, ``out_len``), never on where
+        a sweep started or stopped.  The pure backend steps row by row.
+        The numpy backend cuts the rows on a fixed grid of chunks whose
+        size is a function of ``n`` alone: each grid-line row is the
+        previous grid-line row convolved with its chunk's product, and
+        the rows inside a chunk step from the chunk's grid-line row.
+
+        ``base = (rows, changed)`` re-sweeps after a probability-only
+        update: ``rows`` are the live rows this method returned for
+        probabilities that agree with these before index ``changed``, for
+        the same ``n`` and ``out_len``.  Rows ``0 ..`` ``changed`` are
+        unchanged, so the rows up to the last grid line at or before
+        ``changed`` (``changed`` itself on the pure backend) are reused
+        and the sweep runs from there; a change at or past the old
+        support sweeps nothing.  The result equals a sweep without
+        ``base`` bit for bit.
         """
         raise NotImplementedError
 
@@ -586,6 +607,20 @@ def _bernoulli_step(coefficients: List[float], probability: float) -> None:
         previous = current
 
 
+def _extend_prefix_rows(
+    rows: List[List[float]], probabilities: Sequence[float]
+) -> None:
+    """Append ``rows[-1] · Π_{j<m} (1 - p_j + p_j x)`` for ``m = 1, 2,
+    ...`` to ``rows``, one row per probability, up to the first row that
+    is all zero (left out)."""
+    coefficients = list(rows[-1])
+    for probability in probabilities:
+        _bernoulli_step(coefficients, probability)
+        if not any(coefficients):
+            break
+        rows.append(list(coefficients))
+
+
 def _tie_starts(scores: Sequence[float]) -> List[int]:
     """Per row of a decreasing score list, the first row of equal score."""
     starts: List[int] = []
@@ -823,9 +858,18 @@ class PurePythonBackend(Backend):
         return rows
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Optional[Tuple[List[List[float]], int]] = None,
     ) -> Tuple[List[List[float]], int]:
-        return self._prefix_products(probabilities, out_len)
+        if base is None or out_len < 1:
+            return self._prefix_products(probabilities, out_len)
+        above, changed = base
+        rows = list(above[: changed + 1])
+        if changed < len(above):
+            _extend_prefix_rows(rows, probabilities[changed:])
+        return self._zero_padded(rows, len(probabilities), out_len)
 
     def _prefix_products(
         self, probabilities: Sequence[float], out_len: int
@@ -834,14 +878,14 @@ class PurePythonBackend(Backend):
         count = len(probabilities)
         if out_len < 1:
             return [[] for _ in range(count + 1)], 0
-        coefficients = [0.0] * out_len
-        coefficients[0] = 1.0
-        rows: List[List[float]] = [list(coefficients)]
-        for probability in probabilities:
-            _bernoulli_step(coefficients, probability)
-            if not any(coefficients):
-                break
-            rows.append(list(coefficients))
+        rows = [[1.0] + [0.0] * (out_len - 1)]
+        _extend_prefix_rows(rows, probabilities)
+        return self._zero_padded(rows, count, out_len)
+
+    @staticmethod
+    def _zero_padded(
+        rows: List[List[float]], count: int, out_len: int
+    ) -> Tuple[List[List[float]], int]:
         live = len(rows)
         rows.extend([0.0] * out_len for _ in range(count + 1 - live))
         return rows, live
@@ -1240,6 +1284,44 @@ def _zero_row_guess(values: Any, out_len: int) -> int:
     return count
 
 
+def _grid_size(count: int) -> int:
+    """Rows per chunk of the prefix sweep's grid over a ``count``-row
+    relation.
+
+    A sweep costs a few vectorised calls per row of a chunk and one
+    convolution per chunk.  Small tables take ``√count`` rows (at least
+    2), as many chunks as rows per chunk.  From 256 rows on, sixteen rows
+    suit the live heads of a few hundred rows that sweeps in score order
+    usually end on, and long tables without a zero row need larger
+    chunks, so the size grows as ``√count / 4`` past 4096 rows.
+    """
+    root = _isqrt(count)
+    return max(2, min(16, root), root // 4)
+
+
+def _first_zero_row(rows: Any, size: int) -> Optional[int]:
+    """The index of the first all-zero row of a swept segment whose grid
+    lines lie every ``size`` rows from its first row; ``None`` when it
+    has none.
+
+    A row stepped from a zero row is zero, so inside a chunk the rows
+    after a zero row are zero, and only the grid-line rows and every
+    chunk's last row are read before the one chunk that turns zero.
+    """
+    last = rows.shape[0] - 1
+    lines = _np.arange(0, last + 1, size)
+    probes = _np.stack([lines, _np.minimum(lines + size - 1, last)], 1)
+    dead = _np.flatnonzero(~rows[probes.ravel()].any(axis=1))
+    if not dead.shape[0]:
+        return None
+    chunk, end = divmod(int(dead[0]), 2)
+    line = int(lines[chunk])
+    if not end:
+        return line
+    inside = ~rows[line + 1 : int(probes[chunk, 1]) + 1].any(axis=1)
+    return line + 1 + int(inside.argmax())
+
+
 class NumpyBackend(Backend):
     """Vectorized float64 kernels on top of NumPy.
 
@@ -1532,87 +1614,115 @@ class NumpyBackend(Backend):
         return presence
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Optional[Tuple[Any, int]] = None,
     ) -> Tuple[Any, int]:
-        return self._prefix_products(
-            _np.asarray(probabilities, dtype=_np.float64), out_len
-        )
+        values = _np.asarray(probabilities, dtype=_np.float64)
+        if base is None or out_len < 1:
+            return self._prefix_products(values, out_len)
+        above, changed = base
+        count, live = values.shape[0], len(above)
+        size = _grid_size(count)
+        rows = _np.zeros((count + size + 1, out_len))
+        if changed >= live:
+            rows[:live] = above
+            return rows[: count + 1], live
+        start = changed // size * size
+        rows[: start + 1] = above[: start + 1]
+        # The new support is most likely near the old one: the first
+        # segment ends a chunk past it, which costs less than a second
+        # segment when the support moves down a few rows.
+        return self._sweep_segments(values, rows, start, live + size, size)
 
     def _prefix_products(self, values: Any, out_len: int) -> Tuple[Any, int]:
         """The prefix-product rows and how many lead the zero tail.
 
-        The sweep runs in segments.  The first ends at
-        :func:`_zero_row_guess`'s estimate of the first all-zero row (the
-        whole input when it foresees none); while a segment ends on a
-        nonzero row, the next continues from that row, each twice as long
-        as the one before.  Once a segment ends on a zero row, the rows
-        past its last nonzero row are left ``0.0``.
+        The first segment of the sweep ends at the first grid line at or
+        past :func:`_zero_row_guess`'s estimate of the first all-zero row.
         """
         count = values.shape[0]
         if out_len < 1:
             return _np.zeros((count + 1, 0)), 0
-        unit = _np.zeros(out_len)
-        unit[0] = 1.0
-        stop = _zero_row_guess(values, out_len)
-        segment = self._sweep(values[:stop], unit)
-        if stop == count:
-            rows = segment
-        else:
-            rows = _np.zeros((count + 1, out_len))
-            rows[: stop + 1] = segment
-        start, grow = 0, 64
-        while rows[stop].any():
-            if stop == count:
-                return rows, count + 1
-            start, stop = stop, min(count, stop + grow)
-            grow *= 2
-            rows[start : stop + 1] = self._sweep(
-                values[start:stop], rows[start]
-            )
-        return rows, start + self.row_support(rows[start:stop])
+        size = _grid_size(count)
+        rows = _np.zeros((count + size + 1, out_len))
+        rows[0, 0] = 1.0
+        return self._sweep_segments(
+            values, rows, 0, _zero_row_guess(values, out_len), size
+        )
 
-    @staticmethod
-    def _sweep(values: Any, first: Any) -> Any:
-        """The rows ``first · Π_{j<m} (1 - p_j + p_j x)`` for
-        ``m = 0..n``, truncated at ``len(first)``, as a chunked sweep.
+    def _sweep_segments(
+        self, values: Any, rows: Any, start: int, stop: int, size: int
+    ) -> Tuple[Any, int]:
+        """Sweep ``rows`` (the table over ``values``, ``size`` rows of
+        headroom past its end) from grid-line row ``start``, which is set
+        and live, and return ``(table, support)``.
 
-        The rows are cut into about ``√n`` chunks of ``√n`` that advance
-        in lockstep, one vectorised step per position across all chunks.
-        A first pass multiplies out each chunk's total, one sequential
-        pass convolves the totals into each chunk's offset (``first``
-        times the product of every earlier chunk), and a second pass
-        advances every chunk from its offset, writing the rows.  As in a
-        per-row sweep, every term is a sum of nonnegative products.
+        The sweep runs in segments between grid lines (the last may end
+        on the table's last row): the first ends at the first grid line at
+        or past row ``stop``, and while no row of a segment is zero, the
+        next continues from its last row, each twice as long as the one
+        before.  Once a segment holds a zero row, every
+        row from it on is set to ``0.0``.
         """
         count = values.shape[0]
-        out_len = first.shape[0]
-        size = max(_isqrt(count), 1)
-        chunks = max(-(-count // size), 1)
-        rows = _np.zeros((chunks * size + 1, out_len))
+        stop = max(start + size, -(-stop // size) * size)
+        grow = 4 * size
+        while True:
+            stop = min(stop, count)
+            segment = rows[start : stop + 1]
+            self._sweep(values[start:stop], rows[start:], size)
+            zero = _first_zero_row(segment, size)
+            if zero is not None:
+                segment[zero:] = 0.0
+                return rows[: count + 1], start + zero
+            if stop == count:
+                return rows[: count + 1], count + 1
+            start, stop, grow = stop, stop + grow, 2 * grow
+
+    @staticmethod
+    def _sweep(values: Any, rows: Any, size: int) -> None:
+        """Fill ``rows[1 : n + 1]`` with ``rows[0] · Π_{j<m} (1 - p_j +
+        p_j x)`` for ``m = 1..n``, truncated at the row width, as a
+        chunked sweep on a grid of ``size`` rows (``rows`` may be written
+        up to row ``n + size - 1``).
+
+        Grid-line rows come from a sequential chain: a first pass
+        multiplies out each full chunk's product, advancing all chunks in
+        lockstep (one vectorised step per position), and each grid-line
+        row is the one before convolved with the chunk's product.  A
+        second lockstep pass advances the rows inside every chunk from its
+        own grid-line row.  No row is written twice, and every term is a
+        sum of nonnegative products, as in a per-row sweep.
+        """
+        count = values.shape[0]
+        if not count:
+            return
+        out_len = rows.shape[1]
+        chunks, full = -(-count // size), count // size
         padded = _np.zeros(chunks * size)
         padded[:count] = values
         # grid[j, c] is the probability of row c·size + j (0 past the end).
         grid = padded.reshape(chunks, size).T[:, :, None]
-        totals = _np.zeros((chunks, min(size + 1, out_len)))
-        totals[:, 0] = 1.0
-        for probability in grid:
-            shifted = totals[:, :-1] * probability
-            totals *= 1.0 - probability
-            totals[:, 1:] += shifted
-        offsets = rows[:-1:size]  # the first row of every chunk
-        offsets[0] = first
-        for chunk in range(chunks - 1):
-            offsets[chunk + 1] = _np.convolve(
-                offsets[chunk], totals[chunk]
-            )[:out_len]
-        for position, probability in enumerate(grid):
-            current = rows[position:-1:size]
-            following = rows[position + 1 :: size]
-            # Read before writing: one-row chunks make the two views overlap.
-            shifted = current[:, :-1] * probability
-            _np.multiply(current, 1.0 - probability, out=following)
+        complement = 1.0 - grid
+        if full:
+            totals = _np.zeros((full, min(size + 1, out_len)))
+            totals[:, 0] = 1.0
+            for position in range(size):
+                shifted = totals[:, :-1] * grid[position, :full]
+                totals *= complement[position, :full]
+                totals[:, 1:] += shifted
+            for chunk, total in enumerate(totals):
+                rows[(chunk + 1) * size] = _np.convolve(
+                    rows[chunk * size], total
+                )[:out_len]
+        for position in range(min(size - 1, count)):
+            current = rows[position : chunks * size : size]
+            following = rows[position + 1 : chunks * size : size]
+            shifted = current[:, :-1] * grid[position]
+            _np.multiply(current, complement[position], out=following)
             following[:, 1:] += shifted
-        return rows[: count + 1]
 
     def convolve_rows(self, a: Any, b: Any, out_len: int) -> Any:
         self.count_kernel("convolve_rows")
@@ -1627,13 +1737,6 @@ class NumpyBackend(Backend):
         b_width = min(b.shape[1], out_len)
         if width <= 0 or out_len < 1:
             return _np.zeros((rows, max(out_len, 0)), dtype=_np.float64)
-        single = rows == 1
-        if single:
-            # einsum reduces a one-row batch in another order, with other
-            # rounding.  Doubling it keeps every row's bits independent of
-            # the batch it sits in, which the merge engine's row-suffix
-            # refresh relies on.
-            a, b, rows = _np.concatenate([a, a]), _np.concatenate([b, b]), 2
         # Per-row truncated polynomial product as one batched contraction:
         # out[r, m] = Σ_i a[r, i] · b[r, m - i].  A zero-padded copy of b
         # exposes every shifted window b[r, m - i] through a strided view
@@ -1652,8 +1755,11 @@ class NumpyBackend(Backend):
             strides=(row_stride, col_stride, -col_stride),
             writeable=False,
         )
-        out = _np.einsum("rmi,ri->rm", windows, a[:, :width], optimize=True)
-        return out[:1] if single else out
+        # Without ``optimize`` einsum neither searches a contraction path
+        # on every call nor reorders a one-row batch, so every row's bits
+        # are independent of the batch it sits in, which the merge
+        # engine's row-suffix refresh relies on.
+        return _np.einsum("rmi,ri->rm", windows, a[:, :width])
 
     def take_rows(self, matrix: Any, indices: Sequence[int]) -> Any:
         return matrix[_np.asarray(indices, dtype=_np.intp)]

@@ -43,11 +43,15 @@ score-ordered probabilities are compared with the ones it last merged
 (:meth:`~repro.sharding.summary.ShardRankSummary.first_change`, the rule
 the worker's row-suffix IPC delta uses).  New columns with the same
 content (a rebuilt session, a probability rewritten to its old value)
-recompute nothing.  It then re-convolves the rows of the stale
-prefix/suffix products, of each shard's all-others rows and of its final
-rank rows from the first stale row to the factors' support, and splices
-them under the reused rows above.  An update below every factor's
-support convolves nothing.  The kernels are row-local, so the spliced
+recompute nothing.  A changed shard's summary is seeded from the one last
+merged, so its own prefix table re-sweeps only from the sweep's grid
+line at or before that alternative's row
+(:meth:`~repro.sharding.summary.ShardRankSummary.seed_prefix_table`).
+The engine then re-convolves the rows of the stale prefix/suffix
+products, of each shard's all-others rows and of its final rank rows
+from the first stale row to the factors' support, and splices them
+under the reused rows above.  An update below every factor's support
+convolves nothing.  The kernels are row-local, so the spliced
 result has the same bits as a full merge.  A full merge is the same
 computation with every row stale.
 
@@ -305,14 +309,18 @@ same_rows` reads the shards' shared key, block and score columns.
         ``row`` is the shard's first alternative whose probability
         changed, and ``grid_row`` the first stale row of its aligned
         table: the grid row below that alternative's.  Summaries over the
-        columns last merged are unchanged without a look.
+        columns last merged are unchanged without a look; any other one
+        is seeded from the summary last merged, so its table re-sweeps
+        only the rows below ``row``
+        (:meth:`~repro.sharding.summary.ShardRankSummary.\
+seed_prefix_table`).
         """
         changes: List[Optional[Tuple[int, int]]] = []
         for index, summary in enumerate(summaries):
             previous = state.summaries[index]
             change = None
             if summary.columns is not previous.columns:
-                row = summary.first_change(previous)
+                row = summary.seed_prefix_table(previous)
                 if row < len(summary.probabilities):
                     grid_row = int(state.positions[index][row]) + 1
                     change = (grid_row, row)

@@ -27,6 +27,15 @@ the table's support travel: every row past the last one shipped is
 ``0.0``, and the parent treats it so without materialising it.  Nothing
 else of the shard travels back: the parent reads its own copy of the
 columns.
+
+The worker also sweeps only what changed: after a probability-only
+update, the new summary is seeded from the one last shipped
+(:meth:`~repro.sharding.summary.ShardRankSummary.seed_prefix_table`), so
+its table reuses the rows up to the sweep's last grid line at or before
+the first changed row and re-sweeps the rest.  The sweep is
+prefix-deterministic, so the seeded table -- and a delta cut from it --
+has the bits of a cold sweep of the new columns, the table the parent
+sweeps itself when a reply cannot be paired.
 """
 
 from __future__ import annotations
@@ -70,21 +79,24 @@ class ShardWorkerState:
     ) -> Tuple[int, int, Any]:
         max_rank, base = payload
         summary = self.session().partial_rank_summary(max_rank)
-        table = summary.prefix_table
         shipped = self._shipped.get(max_rank)
+        same_rows = shipped is not None and shipped[1].columns.same_rows(
+            summary.columns
+        )
+        if same_rows:
+            # A probability-only update: the sweep re-runs only the rows
+            # below the first changed row of the table shipped last.
+            changed = summary.seed_prefix_table(shipped[1])
+        table = summary.prefix_table
         self._shipped[max_rank] = (self.state_id, summary)
-        if (
-            shipped is None
-            or shipped[0] != base
-            or not shipped[1].columns.same_rows(summary.columns)
-        ):
+        if not same_rows or shipped[0] != base:
             return self.state_id, 0, table
         # Row m of the prefix table depends only on the first m
         # probabilities, so a probability change reaches the parent as the
         # row suffix below the first changed row, spliced onto the table
         # it already holds for ``base``.  The suffix holds live rows only:
         # it is empty when the change lies past the table's support.
-        start = summary.first_change(shipped[1]) + 1
+        start = changed + 1
         if start > len(summary.probabilities):
             return self.state_id, start, None  # nothing changed
         return self.state_id, start, get_backend().slice_rows(table, start)

@@ -22,6 +22,19 @@ and :meth:`ShardRankSummary.aligned_count_table` return zero rows there,
 a shard worker ships only the live rows, and the merge engine convolves
 nothing past them.
 
+A probability-only update re-sweeps only the **stale row suffix**.  Row
+``m`` of the table depends only on the first ``m`` probabilities, and the
+backend sweep is prefix-deterministic: the numpy sweep cuts its rows on a
+fixed grid whose chunk size depends on the row count alone, so no row's
+bits depend on where a sweep started.  :meth:`ShardRankSummary.\
+seed_prefix_table` hands a new summary the live rows of the previous
+summary over the same rows with the first changed row; its table then
+reuses those rows up to the last grid line at or before that row and
+sweeps from there (nothing when the change lies at or past the old
+support).  The seeded table equals a cold sweep bit for bit.  The merge
+engine seeds a changed shard's summary from the one it last merged, and a
+shard worker from the one it last shipped.
+
 A summary reads the shard's own flat columns and nothing else: the
 ``(columns, row scores, score order)`` triple of
 :meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows` (on the
@@ -97,6 +110,9 @@ class ShardRankSummary:
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
         self._prefix_table = prefix_table
+        #: ``(previous live rows, first changed row)`` for the sweep of a
+        #: table seeded by :meth:`seed_prefix_table`, until it is read.
+        self._seed: Optional[Tuple[Any, int]] = None
         self._block_polynomials: Dict[Tuple[int, Any], List[float]] = {}
 
     # ------------------------------------------------------------------
@@ -205,10 +221,29 @@ class ShardRankSummary:
             )
         if self._prefix_table is None:
             table, live = self._backend.prefix_count_polynomials(
-                self.probabilities, self._max_rank
+                self.probabilities, self._max_rank, self._seed
             )
             self._prefix_table = self._backend.slice_rows(table, 0, live)
+            self._seed = None
         return self._prefix_table
+
+    def seed_prefix_table(self, previous: "ShardRankSummary") -> int:
+        """Seed :attr:`prefix_table` from ``previous``'s table and return
+        :meth:`first_change`.
+
+        ``previous`` is a summary over the same rows
+        (:meth:`~repro.andxor.columns.FlatColumns.same_rows`) and the same
+        ``max_rank``; its table is read here.  The first read of this
+        summary's table reuses ``previous``'s rows above the first changed
+        row and re-sweeps only the rest (see
+        :meth:`~repro.engine.backends.Backend.prefix_count_polynomials`),
+        and it equals a cold sweep bit for bit.  A table already read, or
+        a block-independent summary, is left as it is.
+        """
+        changed = self.first_change(previous)
+        if self.is_independent and self._prefix_table is None:
+            self._seed = (previous.prefix_table, changed)
+        return changed
 
     def prefix_polynomial(
         self, prefix: int, excluded_block: Optional[int] = None

@@ -367,10 +367,15 @@ def per_row_sweep(probabilities, out_len):
 
 
 class TestChunkedSweep:
-    # Chunks hold isqrt(n) rows: sizes around perfect squares put the last
-    # chunk one short, exactly full and one row into a new chunk.
+    # The numpy sweep's grid lines lie every _grid_size(n) rows: isqrt(n)
+    # (at least 2) below 256 rows, 16 from there.  The sizes put the
+    # table's last row one short of a grid line (1, 23, 271), on one (2,
+    # 4, 8, 16, 24, 48, 49, 255, 256, 272) and one past one (3, 17, 50,
+    # 101, 257, 273); 4 rows make exactly two chunks.
     @pytest.mark.parametrize(
-        "count", [0, 1, 2, 3, 8, 15, 16, 17, 23, 48, 49, 50, 70, 101]
+        "count",
+        [0, 1, 2, 3, 4, 8, 16, 17, 23, 24, 48, 49, 50, 101, 255, 256, 257,
+         271, 272, 273],
     )
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_matches_per_row_sweep(self, count, backend_name):
@@ -402,6 +407,56 @@ class TestChunkedSweep:
         assert backend.matrix_to_lists(
             backend.rank_probability_matrix([0.5, 0.25], 0)
         ) == [[], []]
+
+
+class TestConvolveRows:
+    @staticmethod
+    def rows(rng, count, width):
+        return [[rng.random() for _ in range(width)] for _ in range(count)]
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scalar_convolve(self, backend_name, seed):
+        backend = backend_named(backend_name)
+        rng = random.Random(700 + seed)
+        count = rng.randint(1, 30)
+        a = self.rows(rng, count, rng.randint(1, 12))
+        b = self.rows(rng, count, rng.randint(1, 12))
+        for out_len in (1, 4, 10, 25):
+            got = backend.matrix_to_lists(
+                backend.convolve_rows(
+                    backend.matrix_from_rows(a),
+                    backend.matrix_from_rows(b),
+                    out_len,
+                )
+            )
+            assert len(got) == count
+            for row, row_a, row_b in zip(got, a, b):
+                assert_close_lists(
+                    row, pure.convolve(row_a, row_b, out_len), 1e-12
+                )
+
+    @needs_numpy
+    @pytest.mark.parametrize("width", [1, 4, 10, 12])
+    def test_row_bits_independent_of_batch(self, width):
+        """The merge engine re-convolves a row suffix and splices it under
+        rows convolved in a larger batch, so each row's bits must not
+        depend on the batch it sits in."""
+        backend = forced_numpy_backend()
+        rng = random.Random(width)
+        count, out_len = 1500, 10
+        a = backend.matrix_from_rows(self.rows(rng, count, width))
+        b = backend.matrix_from_rows(self.rows(rng, count, 12))
+        whole = backend.matrix_to_lists(backend.convolve_rows(a, b, out_len))
+        for start in (0, 1, 733, count - 2):
+            for size in (1, 2):
+                part = backend.convolve_rows(
+                    a[start : start + size], b[start : start + size], out_len
+                )
+                assert (
+                    backend.matrix_to_lists(part)
+                    == whole[start : start + size]
+                )
 
 
 # ----------------------------------------------------------------------
