@@ -1663,8 +1663,8 @@ class NumpyBackend(Backend):
         on the table's last row): the first ends at the first grid line at
         or past row ``stop``, and while no row of a segment is zero, the
         next continues from its last row, each twice as long as the one
-        before.  Once a segment holds a zero row, every
-        row from it on is set to ``0.0``.
+        before.  Once a segment holds a zero row, every row from it on is
+        set to ``0.0``.
         """
         count = values.shape[0]
         stop = max(start + size, -(-stop // size) * size)

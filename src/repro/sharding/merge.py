@@ -40,13 +40,12 @@ table -- and of every prefix/suffix product containing it -- is unchanged.
 The engine finds that alternative from content: a shard whose summary
 reads the columns it last merged is unchanged, and otherwise its
 score-ordered probabilities are compared with the ones it last merged
-(:meth:`~repro.sharding.summary.ShardRankSummary.first_change`, the rule
-the worker's row-suffix IPC delta uses).  New columns with the same
+(:meth:`~repro.sharding.summary.ShardRankSummary.seed_prefix_table`, the
+rule the worker's row-suffix IPC delta uses).  New columns with the same
 content (a rebuilt session, a probability rewritten to its old value)
-recompute nothing.  A changed shard's summary is seeded from the one last
-merged, so its own prefix table re-sweeps only from the sweep's grid
-line at or before that alternative's row
-(:meth:`~repro.sharding.summary.ShardRankSummary.seed_prefix_table`).
+recompute nothing.  The same call seeds a changed shard's summary from
+the one last merged, so its own prefix table re-sweeps only from the
+sweep's grid line at or before that alternative's row.
 The engine then re-convolves the rows of the stale prefix/suffix
 products, of each shard's all-others rows and of its final rank rows
 from the first stale row to the factors' support, and splices them

@@ -174,21 +174,6 @@ class ShardRankSummary:
     def number_of_tuples(self) -> int:
         return len(self.columns.keys)
 
-    def first_change(self, previous: "ShardRankSummary") -> int:
-        """The first row whose probability differs from ``previous``, a
-        summary over the same rows
-        (:meth:`~repro.andxor.columns.FlatColumns.same_rows`); the row
-        count when none does.
-
-        Row ``m`` of a prefix table depends only on the first ``m``
-        probabilities, so rows ``0 ..`` this index of both summaries'
-        tables are equal.  The merge engine and the worker's row-suffix
-        delta export both read it.
-        """
-        return self._backend.first_difference(
-            previous.probabilities, self.probabilities
-        )
-
     # ------------------------------------------------------------------
     # Partial generating functions
     # ------------------------------------------------------------------
@@ -229,18 +214,24 @@ class ShardRankSummary:
 
     def seed_prefix_table(self, previous: "ShardRankSummary") -> int:
         """Seed :attr:`prefix_table` from ``previous``'s table and return
-        :meth:`first_change`.
+        the first row whose probability differs from ``previous``'s (the
+        row count when none does).
 
         ``previous`` is a summary over the same rows
         (:meth:`~repro.andxor.columns.FlatColumns.same_rows`) and the same
-        ``max_rank``; its table is read here.  The first read of this
-        summary's table reuses ``previous``'s rows above the first changed
-        row and re-sweeps only the rest (see
+        ``max_rank``; its table is read here.  Row ``m`` of a prefix table
+        depends only on the first ``m`` probabilities, so rows ``0 ..``
+        the returned index of both tables are equal: the merge engine's
+        stale rows and the worker's row-suffix delta start below it.  The
+        first read of this summary's table reuses ``previous``'s rows
+        above it and re-sweeps only the rest (see
         :meth:`~repro.engine.backends.Backend.prefix_count_polynomials`),
         and it equals a cold sweep bit for bit.  A table already read, or
         a block-independent summary, is left as it is.
         """
-        changed = self.first_change(previous)
+        changed = self._backend.first_difference(
+            previous.probabilities, self.probabilities
+        )
         if self.is_independent and self._prefix_table is None:
             self._seed = (previous.prefix_table, changed)
         return changed
