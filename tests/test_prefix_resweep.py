@@ -65,7 +65,9 @@ def draw(shape: str, rng: random.Random) -> float:
     return rng.choice([0.0, 1.0, 1.0, rng.uniform(0.05, 1.0)])
 
 
-def positions(live: int, count: int, size: int, rng: random.Random) -> List[int]:
+def positions(
+    live: int, count: int, size: int, rng: random.Random
+) -> List[int]:
     """Changed rows above, at and past the support, and next to grid
     lines."""
     line = rng.randrange(0, count, size)
@@ -114,7 +116,9 @@ def test_support_grows_and_shrinks(backend_name):
     with use_backend(backend_name) as backend:
         table, live = backend.prefix_count_polynomials(probabilities, k)
         assert live == 331  # the fourth certain row zeroes row 331
-        steps = [(90, 0.5, 471), (250, 1.0, 331), (20, 1.0, 251), (200, 0.0, 331)]
+        steps = [
+            (90, 0.5, 471), (250, 1.0, 331), (20, 1.0, 251), (200, 0.0, 331)
+        ]
         for row, probability, support in steps:
             probabilities = list(probabilities)
             probabilities[row] = probability
@@ -231,7 +235,9 @@ def test_threads_merge_seeds_cold_equal_tables(backend_name, monkeypatch):
             seeded.append(base is not None)
             return kernel(self, values, out_len, base)
 
-        monkeypatch.setattr(type(backend), "prefix_count_polynomials", recorded)
+        monkeypatch.setattr(
+            type(backend), "prefix_count_polynomials", recorded
+        )
         sharded = ShardedDatabase(
             TupleIndependentDatabase(_rows(probabilities)), 2
         )
