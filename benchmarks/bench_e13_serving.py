@@ -224,8 +224,8 @@ def test_e13c_merge_overhead_microbench(benchmark):
         sharded = ShardedDatabase(database, shard_count, partitioner="hash")
         coordinator = sharded.coordinator()
         start = time.perf_counter()
-        for session in sharded.sessions():
-            session.partial_rank_summary(K)
+        for shard in sharded.shards():
+            shard.summary(K)
         summaries_seconds = time.perf_counter() - start
         start = time.perf_counter()
         coordinator.rank_matrix(K)
@@ -408,8 +408,8 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 f"convolutions; O(S) budget is {conv_budget}"
             )
             # Full re-merge baseline on the very same update: cold
-            # coordinator (summaries re-shipped, layout rebuilt, grid
-            # merged from scratch) against warm worker-side shard state.
+            # coordinator (summaries re-shipped, grid merged from
+            # scratch) against warm worker-side shard state.
             full.invalidate()
             pool.forget_cached_summaries()
             full_before = full.merge_stats()

@@ -87,21 +87,16 @@ async def main() -> None:
             f"p95 {snapshot.latency_p95 * 1000:.2f} ms"
         )
 
-        # -- per-shard cache stats + roll-up ---------------------------
-        print("\nPer-shard session caches:")
+        # -- shards (row views of one store) + cache roll-up -----------
+        print("\nShards:")
         for shard in sharded.shards():
-            session = shard.session()
-            if session is None:
-                continue
-            info = session.cache_info()
             print(
                 f"  shard {shard.index}: {len(shard.keys()):2d} tuples, "
-                f"version {shard.version}, "
-                f"{info.hits} hits / {info.misses} misses"
+                f"version {shard.version}"
             )
         rollup = sharded.cache_info()
         print(
-            f"Roll-up (shards + coordinator): {rollup.hits} hits / "
+            f"Coordinator cache: {rollup.hits} hits / "
             f"{rollup.misses} misses across {rollup.entries} entries "
             f"(hit rate {rollup.hit_rate:.0%}, backend: {rollup.backend})"
         )

@@ -57,7 +57,7 @@ count aggregates (``Query.aggregate()``).
 
 Scaling out is a parameter, not an API change: ``repro.connect(db,
 shards=4)`` partitions the database and answers every query from exact
-cross-shard merged statistics, and ``repro.connect(executor)`` wraps the
+cross-shard statistics, and ``repro.connect(executor)`` wraps the
 asyncio serving front-end (use ``await connection.execute_async(query)``
 inside its event loop to get coalescing and micro-batching):
 
@@ -163,11 +163,13 @@ the ``REPRO_SEED`` environment variable.
 
 To serve heavy concurrent traffic, partition a database into shards
 (:class:`~repro.models.sharded.ShardedDatabase`; hash or score-range
-partitioning, BID blocks kept intact).  Each shard holds its own session;
-the coordinator (:class:`~repro.sharding.ShardedQuerySession`) recovers
-*exact* global statistics by convolving the shards' truncated partial rank
-generating functions, so every consensus query runs unchanged on merged
-statistics (1e-9 parity with an unsharded session).  The asyncio
+partitioning, BID blocks kept intact).  The database holds its rows once,
+in one score-ordered store, and a shard is a row view of it; the
+coordinator (:class:`~repro.sharding.ShardedQuerySession`) is a session
+over that store that recovers the *exact* global rank matrix by
+convolving the shards' truncated partial rank generating functions, so
+every consensus query runs unchanged (1e-9 parity with an unsharded
+session).  The asyncio
 front-end (:class:`~repro.serving.ServingExecutor`) adds request
 coalescing, micro-batching, per-shard worker pools and graceful cache
 invalidation fan-out on updates; traffic mixes come from
@@ -186,9 +188,11 @@ declarative query objects the executor consumes:
 ('t1', 't2')
 
 Shards default to thread-backed execution.  Passing
-``ShardedDatabase(database, 4, executor="processes")`` moves every shard
--- database and warm session -- into its own worker process
-(:class:`~repro.sharding.ShardProcessPool`): per-shard kernels run
+``ShardedDatabase(database, 4, executor="processes")`` gives every shard
+of a tuple-independent database a worker process holding a copy of its
+rows and a warm session (:class:`~repro.sharding.ShardProcessPool`; a
+block-independent database's summaries are built in the parent, so it
+spawns none): per-shard kernels run
 outside the GIL and only the shards' prefix tables cross the process
 boundary, pickled over each worker's pipe (a row-suffix delta after an
 update).  Coordinator, serving executor and the
@@ -199,18 +203,18 @@ shard-local compute dominates the summary-exchange cost; use the
 database as a context manager (or call ``close()``) to release workers.
 
 Serving is self-healing, and a failure never changes an answer.  The
-parent holds every shard's committed columns, so a worker is never the
-only copy of its shard.  Process pools are supervised by default: a
-crashed or wedged worker is restarted from the parent's columns with
+parent's store holds every shard's committed rows, so a worker is never
+the only copy of its shard.  Process pools are supervised by default: a
+crashed or wedged worker is restarted from the parent's store with
 exponential backoff and seeded jitter
 (:class:`~repro.sharding.SupervisorPolicy`), and ``close()`` escalates
 join -> terminate -> kill so shutdown never hangs.  When a worker cannot
 answer -- it failed the request, its restart budget is spent, or the
 pool's per-shard circuit breaker is open -- that shard's reads fail
-over to the parent's columns through the same coordinator and merge, so
+over to the parent's store through the same coordinator and merge, so
 the answer is the exact, current consensus answer of the whole database.
 Updates always commit parent-side; a worker that misses a commit is
-respawned from the new columns.  The executor adds per-query deadlines
+respawned from the new store.  The executor adds per-query deadlines
 (``execute(query, deadline_ms=...)`` raising
 :class:`~repro.exceptions.DeadlineExceededError`).  Failure scenarios
 are replayable: a seeded :class:`~repro.sharding.FaultSchedule` of

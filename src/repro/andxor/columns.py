@@ -11,12 +11,12 @@ equivalent :class:`~repro.andxor.tree.AndXorTree` is built lazily, with the
 builders' leaf order, only for the general, world-level and sampling paths.
 
 A :class:`FlatColumns` is immutable by contract: :meth:`replace_block`
-returns a patched copy that shares every unchanged column.  Because the
-union of independent blocks is again a flat relation, the columns of a
-sharded database's shards merge into one :class:`FlatColumns`
-(:meth:`FlatColumns.merge`, blocks numbered by decreasing best score),
-which :meth:`FlatColumns.with_probabilities` patches after a
-probability-only update.
+returns a patched copy that shares every unchanged column, and a patch
+that changes probabilities only shares all but the probability column
+(:meth:`same_rows` is then an identity check).  Because the union of
+independent blocks is again a flat relation, a sharded database keeps all
+of its shards' rows in one such store, its blocks numbered by decreasing
+best score (:meth:`by_best_score`); a shard is a view of its rows.
 """
 
 from __future__ import annotations
@@ -303,68 +303,12 @@ class FlatColumns:
         columns._tree = tree
         return columns
 
-    @classmethod
-    def merge(
-        cls, parts: Sequence["FlatColumns"]
-    ) -> Tuple["FlatColumns", Any]:
-        """One relation holding the blocks of every part, never re-validated.
-
-        The parts (e.g. a sharded database's shards) hold distinct keys and
-        share one backend.  The merged blocks are numbered by decreasing
-        best score, so :attr:`keys` is the score-ordered key list; a block
-        keeps its part's rows.  Also returns, per merged row, its row in
-        the parts' concatenation: a change of the parts' probabilities
-        alone is :meth:`with_probabilities` over those rows of their
-        concatenated probability columns.  The merged :attr:`order` is the
-        concatenation's, renumbered; rows of different keys that tie on
-        score keep their concatenation order.
-        """
-        if not parts:
-            return cls.from_independent([], [], [], []), []
-        backend = parts[0].backend
-        keys: List[Hashable] = []
-        values: List[Hashable] = []
-        explicit: List[Optional[float]] = []
-        block_ids: List[int] = []
-        for part in parts:
-            offset = len(keys)
-            block_ids += [
-                block + offset for block in backend.vector_values(part.blocks)
-            ]
-            keys += part.keys
-            values += part.values
-            explicit += part.explicit_scores
-        concatenated = cls(
-            keys,
-            values,
-            explicit,
-            backend.concatenate([part.probabilities for part in parts]),
-            backend.index_vector(block_ids),
-            scores=backend.concatenate([part.scores for part in parts]),
-            backend=backend,
-        )
-        order = concatenated.order
-        by_score = backend.vector_values(
-            backend.take_rows(concatenated.blocks, order)
-        )
-        merged, rows = concatenated._gathered(list(dict.fromkeys(by_score)))
-        # The concatenation's score order, renumbered to the merged rows,
-        # so the merged columns are never sorted again.
-        merged._order = backend.take_rows(
-            backend.inverse_permutation(rows), order
-        )
-        return merged, rows
-
     def gather(self, blocks: Sequence[int]) -> "FlatColumns":
         """The columns of ``blocks`` only, renumbered in the given order.
 
         Rows are gathered (one take per column), never re-validated; the
-        scores are reused.
+        scores and the checked-distinct state are reused.
         """
-        return self._gathered(blocks)[0]
-
-    def _gathered(self, blocks: Sequence[int]) -> Tuple["FlatColumns", Any]:
-        """:meth:`gather`, plus the source row of every gathered row."""
         backend = self.backend
         rows, block_ids = backend.block_rows(self.blocks, blocks)
         picked = backend.vector_values(rows)
@@ -378,27 +322,24 @@ class FlatColumns:
             backend=backend,
         )
         gathered.tie_free = self.tie_free
-        return gathered, rows
+        return gathered
 
-    def with_probabilities(self, probabilities: Any) -> "FlatColumns":
-        """A copy with another probability column, never re-validated.
+    def by_best_score(self) -> "FlatColumns":
+        """These columns with their blocks numbered by decreasing best
+        score (a block keeps its rows' order; blocks whose best rows tie
+        keep theirs), so :attr:`keys` is the score-ordered key list.
 
-        Shares every other column, the score order, the key index and the
-        checked-distinct state with these columns.
+        Returns ``self`` when the blocks already are, or when a row is
+        unscored (there is no score order to follow).
         """
-        patched = FlatColumns(
-            self.keys,
-            self.values,
-            self.explicit_scores,
-            probabilities,
-            self.blocks,
-            scores=self.scores,
-            order=self.order,
-            backend=self.backend,
-        )
-        patched.tie_free = self.tie_free
-        patched._block_index = self.key_index
-        return patched
+        backend = self.backend
+        if backend.unscored_rows(self.scores):
+            return self
+        by_score = backend.take_rows(self.blocks, self.order)
+        blocks = list(dict.fromkeys(backend.vector_values(by_score)))
+        if blocks == list(range(len(blocks))):
+            return self
+        return self.gather(blocks)
 
     def replace_block(
         self, key: Hashable, rows: Sequence[Row], independent: bool
@@ -409,9 +350,10 @@ class FlatColumns:
         earlier) is appended as the last block.  Only the new rows are
         validated -- under the tuple-independent rule when
         ``independent``, else the BID block rule.  The other rows are
-        spliced (one native splice per column), never re-validated; the
-        key index, and the score permutation and checked-distinct state
-        when no score moved, are shared.
+        spliced (one native splice per column), never re-validated.  The
+        key index is shared, and so are the value, score and block
+        columns, the score permutation and the checked-distinct state when
+        the new rows only change probabilities.
         """
         if independent:
             (_, _, probability), = rows
@@ -434,6 +376,8 @@ class FlatColumns:
         scores = list(map(effective_score, values, explicit))
 
         def spliced(column: List, replacement: List) -> List:
+            if column[start:stop] == replacement:
+                return column
             return column[:start] + replacement + column[stop:]
 
         if not rows:
@@ -510,15 +454,15 @@ class FlatColumns:
 
     def same_rows(self, other: "FlatColumns") -> bool:
         """Whether ``other`` differs from these columns at most in its
-        probabilities: it shares their key list, block and score columns
-        (as :meth:`replace_block` shares them when no score moved) and
-        holds equal values."""
+        probabilities: it shares their key list and their value, score and
+        block columns, as :meth:`replace_block` shares them when the new
+        rows only change probabilities."""
         return other is self or (
             other.keys is self.keys
             and other.blocks is self.blocks
             and other.scores is self.scores
-            and other.values == self.values
-            and other.explicit_scores == self.explicit_scores
+            and other.values is self.values
+            and other.explicit_scores is self.explicit_scores
         )
 
     def rows_of(self, key: Hashable) -> range:

@@ -609,7 +609,7 @@ class RankStatistics:
 
         A flat (TI / BID) layout takes the one-pass closed form
         :func:`_flat_expected_ranks` over its rows (the sharded
-        coordinator's are its merged columns); the general layout and the
+        coordinator's are its database's store); the general layout and the
         ``use_fast_path=False`` oracle call :meth:`expected_rank` per key.
         """
         if self._expected_rank_cache is None:

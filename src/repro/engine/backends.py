@@ -397,11 +397,6 @@ class Backend:
         (its new block id), as two native index vectors."""
         raise NotImplementedError
 
-    def inverse_permutation(self, permutation: Any) -> Any:
-        """The native index vector ``inverse`` with
-        ``inverse[permutation[i]] == i``."""
-        raise NotImplementedError
-
     def splice(
         self,
         vector: Any,
@@ -1013,12 +1008,6 @@ class PurePythonBackend(Backend):
 
     def concatenate(self, vectors: Sequence[List[Any]]) -> List[Any]:
         return [value for vector in vectors for value in vector]
-
-    def inverse_permutation(self, permutation: Sequence[int]) -> List[int]:
-        inverse = [0] * len(permutation)
-        for position, index in enumerate(permutation):
-            inverse[index] = position
-        return inverse
 
     def scale_rows(
         self, matrix: List[List[float]], factors: Sequence[float]
@@ -1872,11 +1861,6 @@ class NumpyBackend(Backend):
 
     def concatenate(self, vectors: Sequence[Any]) -> Any:
         return _np.concatenate(vectors)
-
-    def inverse_permutation(self, permutation: Any) -> Any:
-        inverse = _np.empty(len(permutation), dtype=_np.intp)
-        inverse[permutation] = _np.arange(len(permutation), dtype=_np.intp)
-        return inverse
 
     def scale_rows(self, matrix: Any, factors: Sequence[float]) -> Any:
         return matrix * _np.asarray(factors, dtype=_np.float64)[:, None]

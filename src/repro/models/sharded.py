@@ -3,27 +3,33 @@
 :class:`ShardedDatabase` splits a tuple-independent or block-independent
 (BID) database into ``shard_count`` shards -- by stable key hash, by score
 range or by a callable -- with BID blocks always kept intact inside one
-shard.  Because distinct keys are independent in both models, each shard is
-itself a valid database of the same model.  A shard's whole state is one
-immutable :class:`~repro.andxor.columns.FlatColumns` (the rows of its
-blocks) plus a version; its :class:`~repro.session.QuerySession` is opened
-over those columns on first read.  Exact global answers are recovered by
-the :class:`~repro.sharding.ShardedQuerySession` coordinator, which
-convolves the shards' partial rank generating functions.  No shard tree is
-built unless a world-level or sampling route asks for one.
+shard.  Both models are an and of independent xor blocks (Section 3.1 of
+the paper), so their rank generating function factorizes over blocks and
+a shard needs no copy of its rows: the database holds **one store**, an
+immutable :class:`~repro.andxor.columns.FlatColumns` of every row with its
+blocks numbered by decreasing best score, and a shard is its index, its
+version and a **row view** of the store -- the store's score order
+restricted to the shard's keys through the fixed key-to-shard map.
 
-Shards are the unit of cache invalidation: :meth:`ShardedDatabase.\
-update_tuple` / :meth:`ShardedDatabase.update_block` replace only the
-owning shard's columns -- a copy with one block patched through
-:meth:`~repro.andxor.columns.FlatColumns.replace_block`, on either
-executor -- bump its version and notify subscribers (the serving layer's
-invalidation fan-out); the other shards' memoized statistics stay warm.
+The database publishes its state as one ``(versions, store, views)``
+tuple.  An update is one :meth:`~repro.andxor.columns.FlatColumns.\
+replace_block` on the store (re-gathered by best score only when a score
+or key moves; a probability-only patch shares every other column and the
+views), which bumps the owning shard's version and notifies subscribers
+(the serving layer's invalidation fan-out).  The superseded state joins a
+bounded history, so a reader pinned at an older version vector resolves
+that vector's immutable store once.  Exact global answers come from the
+:class:`~repro.sharding.ShardedQuerySession` coordinator, a session over
+the store whose rank matrix convolves the shards' partial rank generating
+functions (:meth:`DatabaseShard.summary`, memoised per shard version).  No
+tree is built unless a world-level or sampling route asks for the store's.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
+from collections import OrderedDict
 from typing import (
     Any,
     Callable,
@@ -38,15 +44,17 @@ from typing import (
 )
 
 from repro.andxor.columns import FlatColumns, Row
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, SnapshotTooOldError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
-from repro.session import CacheInfo, QuerySession
+from repro.session import CacheInfo
+from repro.sharding.summary import ShardRankSummary
 
 SourceDatabase = Union[TupleIndependentDatabase, BlockIndependentDatabase]
 Partitioner = Union[str, Callable[[Hashable], int]]
-#: ``(shard index, base version, columns)`` a prepared update starts from.
-_ShardState = Tuple[int, int, FlatColumns]
+#: The published ``(per-shard versions, store, per-shard row views)``: a
+#: view holds the shard's store rows in decreasing score order.
+State = Tuple[Tuple[int, ...], FlatColumns, List[Any]]
 
 
 def hash_shard_of(key: Hashable, shard_count: int) -> int:
@@ -66,36 +74,59 @@ def build_shard_database(
 
 
 class DatabaseShard:
-    """One shard: its columns, its version and a lazy query session.
+    """One shard: its index, its version and a row view of the store.
 
-    The coordinator reads every live shard through :attr:`columns`,
-    :meth:`summary` and :meth:`session`; this class alone knows whether a
-    summary's prefix table is swept in this process (``executor="threads"``,
-    and block-independent shards on either executor: the session's
-    memoized artifacts) or shipped by a worker process (tuple-independent
-    shards under ``executor="processes"``: the pool's cache, which is also
-    the baseline the worker ships row-suffix deltas against).  Either way
-    the summary reads the columns held here, which are authoritative: when
-    the worker cannot answer, the read fails over to them.
+    The coordinator reads a shard through :meth:`summary` only, at the
+    state it pinned.  This class alone knows whether a summary's prefix
+    table is swept in this process (``executor="threads"``, and
+    block-independent shards on either executor) or shipped by a worker
+    process (tuple-independent shards under ``executor="processes"``: the
+    pool's cache, which is also the baseline the worker ships row-suffix
+    deltas against).  Either way the summary reads the parent's store,
+    which is authoritative: when the worker cannot answer, the read fails
+    over to it.
     """
 
-    __slots__ = ("index", "columns", "_session", "version", "_owner")
+    __slots__ = ("index", "_owner", "_summaries")
 
-    def __init__(
-        self, owner: "ShardedDatabase", index: int, columns: FlatColumns
-    ) -> None:
+    def __init__(self, owner: "ShardedDatabase", index: int) -> None:
         self._owner = owner
         self.index = index
-        self.columns = columns
-        self._session: Optional[QuerySession] = None
-        self.version = 0
+        #: ``(version, max_rank) -> summary`` swept in this process.
+        self._summaries: Dict[Tuple[int, int], ShardRankSummary] = {}
+
+    @property
+    def version(self) -> int:
+        """The shard's version, bumped by every update of one of its keys."""
+        return self._owner.state()[0][self.index]
 
     @property
     def is_empty(self) -> bool:
-        return not self.columns.values
+        return not len(self._owner.state()[2][self.index])
+
+    def _blocks(self, state: State) -> List[int]:
+        """The shard's store blocks at ``state``, in the store's order."""
+        _, store, views = state
+        backend = store.backend
+        rows = backend.take_rows(store.blocks, views[self.index])
+        return sorted(set(backend.vector_values(rows)))
 
     def keys(self) -> List[Hashable]:
-        return list(self.columns.keys)
+        """The shard's keys with rows, in the store's (best score) order."""
+        state = self._owner.state()
+        return list(map(state[1].keys.__getitem__, self._blocks(state)))
+
+    def committed(self) -> Tuple[int, FlatColumns]:
+        """The shard's live ``(version, columns)``: its blocks gathered
+        from the store, in the store's order, read from one published
+        state.  A worker process is spawned from these."""
+        state = self._owner.state()
+        return state[0][self.index], state[1].gather(self._blocks(state))
+
+    @property
+    def columns(self) -> FlatColumns:
+        """The shard's live rows gathered into columns of their own."""
+        return self.committed()[1]
 
     @property
     def database(self) -> Optional[SourceDatabase]:
@@ -108,70 +139,47 @@ class DatabaseShard:
             owner._model, owner.name, self.index, columns
         )
 
-    def session(self) -> Optional[QuerySession]:
-        """The shard's lazily created, version-tracked query session."""
-        columns = self.columns
-        if not columns.values:
-            return None
-        session = self._session
-        if session is None:
-            session = QuerySession(columns)
-            # Install it only if no update swapped the columns meanwhile: a
-            # lazy open racing a swap must not revive the outgoing state.
-            with self._owner._apply_lock:
-                if self.columns is columns:
-                    if self._session is None:
-                        self._session = session
-                    session = self._session
-        return session
-
-    @property
-    def generation(self) -> int:
-        """Generation of the in-process session (0 until it is built)."""
-        return 0 if self._session is None else self._session.generation
-
-    def _from_worker(self, op: str, *args: Any) -> Any:
-        """``op`` answered by the shard's worker, or None when this
-        process answers: always on ``executor="threads"``, and on a
-        *failover* read when the worker is down, skipped by its open
-        breaker, or failed this request (counted by the pool)."""
-        if self._owner.executor != "processes":
-            return None
-        return self._owner.process_pool().read(self.index, op, *args)
-
-    def summary(self, max_rank: int) -> Any:
-        """The truncated rank summary over the shard's columns.
+    def summary(
+        self, max_rank: int, state: Optional[State] = None
+    ) -> ShardRankSummary:
+        """The truncated rank summary of the shard at ``state`` (default:
+        the live one), over the store's rows of the shard.
 
         A tuple-independent shard's worker ships its prefix table (a cache
         miss fetches every stale shard in one parallel exchange); a
-        block-independent summary needs nothing but the columns, so it is
-        never asked of a worker.
+        block-independent summary needs nothing but the store, so it is
+        never asked of a worker.  Summaries swept here are memoised per
+        (shard version, ``max_rank``).
         """
-        if self._owner.independent:
-            remote = self._from_worker("summary", max_rank)
+        owner = self._owner
+        if state is None:
+            state = owner.state()
+        if owner.independent and owner.executor == "processes":
+            remote = owner.process_pool().read(
+                self.index, "summary", max_rank, state
+            )
             if remote is not None:
                 return remote
-        return self.session().partial_rank_summary(max_rank)
+        versions, store, views = state
+        key = (versions[self.index], max_rank)
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary = ShardRankSummary.from_layout(
+                (store, store.scores, views[self.index]), max_rank
+            )
+            self._summaries[key] = summary
+        return summary
 
-    def warm_state(self) -> Tuple[Optional[QuerySession], Dict[int, Any]]:
-        """``(session, {max_rank: summary})`` already built over the
-        current columns, for the coordinator's archive; no I/O, no builds.
-        """
-        pool = self._owner._pool
-        if pool is None or pool.closed:
-            return self._session, {}
-        return self._session, pool.cached_summaries(self.index, self.columns)
-
-    def _replace(self, columns: FlatColumns) -> None:
-        self.columns = columns
-        self._session = None
-        self.version += 1
+    def _forget_before(self, version: int) -> None:
+        """Drop the memoised summaries of versions before ``version``."""
+        self._summaries = {
+            key: summary
+            for key, summary in self._summaries.items()
+            if key[0] >= version
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DatabaseShard(index={self.index}, "
-            f"tuples={len(self.columns.keys)}, version={self.version})"
-        )
+        return f"DatabaseShard(index={self.index}, version={self.version})"
 
 
 class StaleUpdateError(ModelError):
@@ -183,13 +191,15 @@ class StaleUpdateError(ModelError):
 
 
 class PendingUpdate:
-    """A prepared shard replacement, not yet applied.
+    """A prepared block replacement, not yet applied.
 
-    Preparation patches a copy of the shard's columns -- one block
-    replaced, safe to run on a shard worker thread; :meth:`ShardedDatabase.\
-apply_update` is then a version-bumping pointer swap that the serving
-    executor serializes against queries.  This split is what makes the
-    serving layer's invalidation graceful.
+    Preparation validates the block's new rows and patches them into a
+    copy of the store -- safe to run on a shard worker thread;
+    :meth:`ShardedDatabase.apply_update` then publishes that copy with the
+    shard's version bumped, a pointer swap that the serving executor
+    serializes against queries (re-patching the live store instead when
+    another shard's update was published in between).  This split is what
+    makes the serving layer's invalidation graceful.
     """
 
     __slots__ = (
@@ -197,6 +207,7 @@ apply_update` is then a version-bumping pointer swap that the serving
         "key",
         "rows",
         "base_version",
+        "base",
         "columns",
         "removed_scores",
         "added_scores",
@@ -208,6 +219,7 @@ apply_update` is then a version-bumping pointer swap that the serving
         key: Hashable,
         rows: List[Row],
         base_version: int,
+        base: FlatColumns,
         columns: FlatColumns,
         removed_scores: Tuple[float, ...] = (),
         added_scores: Tuple[float, ...] = (),
@@ -218,6 +230,8 @@ apply_update` is then a version-bumping pointer swap that the serving
         # (executor="processes") when the update is applied.
         self.rows = rows
         self.base_version = base_version
+        #: The store the update was prepared on, and its patched copy.
+        self.base = base
         self.columns = columns
         # Distinct-score registry delta, applied (and re-validated) only by
         # apply_update: an abandoned prepared update must leave the
@@ -243,24 +257,27 @@ class ShardedDatabase:
         blocks sorted by best score, i.e. score-range partitioning) or a
         callable mapping a tuple key to a shard index.
     validate_scores:
-        Require globally distinct scores across shards (checked lazily by
-        the coordinator, eagerly on score updates).
+        Require globally distinct scores (checked at construction and on
+        every update; the store is then marked tie-free, so the
+        coordinator never searches it for ties again).
     executor:
-        ``"threads"`` (default) keeps every shard session in-process;
-        ``"processes"`` moves each non-empty shard into its own worker
-        process (:class:`~repro.sharding.procpool.ShardProcessPool`),
-        escaping the GIL for the per-shard kernels.  Answers are identical
-        either way; prefer processes for large shards (n >= 10^4) on the
-        numpy backend.
+        ``"threads"`` (default) sweeps every shard summary in-process;
+        ``"processes"`` moves each non-empty shard of a tuple-independent
+        database into its own worker process
+        (:class:`~repro.sharding.procpool.ShardProcessPool`), escaping the
+        GIL for the per-shard kernels.  A block-independent database's
+        summaries are built in-process either way, so it spawns no
+        worker.  Answers are identical either way; prefer processes for
+        large shards (n >= 10^4) on the numpy backend.
     executor_options:
         Keyword arguments forwarded to the process pool constructor
         (``start_method``, ``request_timeout``, ``supervise``,
         ``supervisor``, ``fault_injector``, ``breaker_threshold``,
         ``breaker_cooldown_s``); ignored under ``executor="threads"``.
     snapshot_history:
-        How many superseded shard versions the coordinator archives for
-        version-pinned snapshot readers (:meth:`snapshot`,
-        ``coordinator().at(...)``); older pins raise
+        How many superseded version vectors (each with its store) the
+        database keeps for version-pinned snapshot readers
+        (:meth:`snapshot`, ``coordinator().at(...)``); older pins raise
         :class:`~repro.exceptions.SnapshotTooOldError`.
     """
 
@@ -309,19 +326,22 @@ class ShardedDatabase:
         self._subscribers: List[Callable[[int, Hashable], None]] = []
         self._coordinator: Optional[Any] = None
         columns = database.columns
-        assignments = self._assign(columns, partitioner)
         self._shard_of: Dict[Hashable, int] = dict(
-            zip(columns.keys, assignments)
+            zip(columns.keys, self._assign(columns, partitioner))
         )
-        per_shard: List[List[int]] = [[] for _ in range(shard_count)]
-        for block, shard_index in enumerate(assignments):
-            per_shard[shard_index].append(block)
         self._shards: List[DatabaseShard] = [
-            DatabaseShard(self, index, columns.gather(blocks))
-            for index, blocks in enumerate(per_shard)
+            DatabaseShard(self, index) for index in range(shard_count)
         ]
+        store = columns.by_best_score()
         if validate_scores:
-            self._check_distinct_scores(columns)
+            self._check_distinct_scores(store)
+            store.tie_free = True
+        #: The published state; replaced as one unit under _apply_lock.
+        self._state: State = (
+            (0,) * shard_count, store, self._views(store)
+        )
+        #: Superseded version vector -> its state, oldest first.
+        self._history: "OrderedDict[Tuple[int, ...], State]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -367,6 +387,20 @@ class ShardedDatabase:
                 f"0..{self._shard_count - 1}"
             )
         return index
+
+    def _views(self, store: FlatColumns) -> List[Any]:
+        """Every shard's rows of ``store``, in the store's score order
+        (row order while a row is unscored)."""
+        backend = store.backend
+        owners = [self._shard_of[key] for key in store.keys]
+        blocks = backend.vector_values(store.blocks)
+        rows: Iterable[int] = range(len(blocks))
+        if not backend.unscored_rows(store.scores):
+            rows = backend.vector_values(store.order)
+        views: List[List[int]] = [[] for _ in self._shards]
+        for row in rows:
+            views[owners[blocks[row]]].append(row)
+        return [backend.index_vector(view) for view in views]
 
     def _check_distinct_scores(self, columns: FlatColumns) -> None:
         self._score_owner: Dict[float, Hashable] = {}
@@ -453,25 +487,43 @@ class ShardedDatabase:
     def __len__(self) -> int:
         return len(self._shard_of)
 
-    def sessions(self) -> List[QuerySession]:
-        """The query sessions of every non-empty shard."""
-        out = []
-        for shard in self._shards:
-            session = shard.session()
-            if session is not None:
-                out.append(session)
-        return out
-
     def versions(self) -> Tuple[int, ...]:
         """Per-shard version counters (bumped by every update)."""
-        return tuple(shard.version for shard in self._shards)
+        return self._state[0]
+
+    def state(self) -> State:
+        """The live ``(versions, store, views)``, published as one unit."""
+        return self._state
+
+    def state_at(self, versions: Sequence[int]) -> State:
+        """The state published at one version vector: the live one, or a
+        superseded one still in the bounded history.
+
+        Raises :class:`~repro.exceptions.SnapshotTooOldError` once the
+        vector has left the history.
+        """
+        versions = tuple(versions)
+        state = self._state
+        if state[0] == versions:
+            return state
+        with self._apply_lock:
+            state = self._history.get(versions)
+            if state is None and self._state[0] == versions:
+                state = self._state
+        if state is None:
+            raise SnapshotTooOldError(
+                f"version vector {versions} is no longer in the snapshot "
+                f"history (depth {self._snapshot_history}); re-pin at the "
+                "current vector"
+            )
+        return state
 
     def coordinator(self) -> Any:
         """The cross-shard :class:`~repro.sharding.ShardedQuerySession`.
 
-        Created once and cached; the coordinator follows shard versions, so
-        it stays valid across updates (its merged artifacts are dropped and
-        rebuilt lazily).
+        Created once and cached; the coordinator follows the published
+        state, so it stays valid across updates (its artifacts are filed
+        per version vector and rebuilt lazily).
         """
         if self._coordinator is None:
             from repro.sharding.coordinator import ShardedQuerySession
@@ -489,27 +541,20 @@ class ShardedDatabase:
         The returned :class:`DatabaseSnapshot` resolves version-pinned
         reader sessions via ``coordinator().at(versions)``: queries through
         it answer exactly as the database did at pin time, unaffected by
-        concurrent updates, until the vector leaves the coordinator's
-        bounded snapshot history.
+        concurrent updates, until the vector leaves the bounded snapshot
+        history.
         """
         return DatabaseSnapshot(self, self.versions())
 
     def cache_info(self) -> CacheInfo:
-        """Cache counters rolled up across every shard session.
+        """Cache counters of the coordinator and the worker sessions.
 
-        A read-only snapshot: shards whose session was never created are
-        reported as zero without materializing their database or tree.
-        The coordinator's own merged-artifact counters are included when a
-        coordinator exists; per-shard figures are available via
-        ``shard.session().cache_info()``.
+        A read-only snapshot: nothing is built.  Worker sessions' counters
+        travel back as picklable :class:`~repro.session.CacheInfo` and add
+        into the coordinator's.
         """
         info = CacheInfo()
-        for shard in self._shards:
-            if shard._session is not None:
-                info = info + shard._session.cache_info()
         if self._pool is not None and not self._pool.closed:
-            # Remote roll-up: worker sessions' counters travel back as
-            # picklable CacheInfo and add into the same total.
             info = info + self._pool.cache_info()
         if self._coordinator is not None:
             info = info + self._coordinator.cache_info()
@@ -533,20 +578,6 @@ class ShardedDatabase:
         for callback in self._subscribers:
             callback(shard_index, key)
 
-    def _shard_state(self, key: Hashable) -> _ShardState:
-        """The state a prepared update of ``key`` starts from.
-
-        Optimistic lock: the version is stamped BEFORE the columns are
-        read.  DatabaseShard._replace rebinds the columns before bumping
-        the version, so a concurrent apply between the reads can only make
-        the stamp stale (caught by apply_update), never silently drop the
-        other update's changes.
-        """
-        shard_index = self.shard_of(key)
-        shard = self._shards[shard_index]
-        base_version = shard.version
-        return shard_index, base_version, shard.columns
-
     @staticmethod
     def _block_scores(
         columns: FlatColumns, key: Hashable
@@ -566,34 +597,38 @@ class ShardedDatabase:
         probability: Optional[float] = None,
         score: Optional[float] = None,
     ) -> PendingUpdate:
-        """Build (but do not apply) a tuple update for ``key``'s shard.
+        """Build (but do not apply) a tuple update for ``key``.
 
         Only tuple-independent databases support in-place
         probability/score updates; use :meth:`prepare_block_update` for
         BID blocks.
         """
-        state = self._shard_state(key)
+        shard_index = self.shard_of(key)
         if not self._independent:
             raise ModelError(
                 f"tuple {key!r} belongs to a BID block; use "
                 "update_block() to replace its alternatives"
             )
-        columns = state[2]
-        row = columns.rows_of(key)[0]
-        value = columns.values[row]
-        old_score = columns.explicit_scores[row]
+        versions, store, _ = self._state
+        row = store.rows_of(key)[0]
+        value = store.values[row]
+        old_score = store.explicit_scores[row]
         new_score = old_score if score is None else float(score)
         # A score update also moves the value when the value doubles as
         # the score (the common generator layout).
         if score is not None and (old_score is None or value == old_score):
             value = new_score
         new_probability = (
-            float(columns.probabilities[row])
+            float(store.probabilities[row])
             if probability is None
             else float(probability)
         )
         return self._stage_pending(
-            state, key, [(value, new_score, new_probability)]
+            shard_index,
+            versions[shard_index],
+            store,
+            key,
+            [(value, new_score, new_probability)],
         )
 
     def prepare_block_update(
@@ -606,7 +641,8 @@ class ShardedDatabase:
         An empty replacement drops the block; a later replacement of the
         same key brings it back.
         """
-        state = self._shard_state(key)
+        shard_index = self.shard_of(key)
+        versions, store, _ = self._state
         rows = [
             (value, None if score is None else float(score), float(probability))
             for value, score, probability in alternatives
@@ -616,29 +652,43 @@ class ShardedDatabase:
                 f"tuple {key!r} is tuple-independent; a replacement "
                 "block must hold exactly one alternative"
             )
-        return self._stage_pending(state, key, rows)
+        return self._stage_pending(
+            shard_index, versions[shard_index], store, key, rows
+        )
 
     def _stage_pending(
-        self, state: _ShardState, key: Hashable, rows: List[Row]
+        self,
+        shard_index: int,
+        base_version: int,
+        store: FlatColumns,
+        key: Hashable,
+        rows: List[Row],
     ) -> PendingUpdate:
-        """Patch ``key``'s block into a copy of the shard's columns.
-
-        The same on both executors; under ``executor="processes"``,
-        :meth:`apply_update` also sends the rows to the owning worker.
-        """
-        shard_index, base_version, columns = state
-        patched = columns.replace_block(key, rows, self._independent)
+        """Patch ``key``'s block into a copy of ``store``, the store the
+        shard's ``base_version`` was read from (one published state)."""
+        patched = self._patched(store, key, rows)
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
         if self._validate_scores:
-            removed = self._block_scores(columns, key)
+            removed = self._block_scores(store, key)
             added = self._block_scores(patched, key)
             if added == removed:
                 removed = added = ()
             self._check_score_free(key, added)
         return PendingUpdate(
-            shard_index, key, rows, base_version, patched, removed, added
+            shard_index, key, rows, base_version, store, patched, removed,
+            added,
         )
+
+    def _patched(
+        self, store: FlatColumns, key: Hashable, rows: List[Row]
+    ) -> FlatColumns:
+        """``store`` with ``key``'s block replaced by ``rows``, its blocks
+        renumbered by best score when a score, key or block moved."""
+        patched = store.replace_block(key, rows, self._independent)
+        if not patched.same_rows(store):
+            patched = patched.by_best_score()
+        return patched
 
     def _check_score_free(
         self, key: Hashable, scores: Tuple[float, ...]
@@ -655,25 +705,29 @@ class ShardedDatabase:
                 )
 
     def apply_update(self, pending: PendingUpdate) -> None:
-        """Swap prepared shard columns in and fan the invalidation out.
+        """Publish the patched store and fan the invalidation out.
 
         Raises :class:`StaleUpdateError` when the shard's version changed
         after the update was prepared (a concurrent update won the race);
-        the caller should re-prepare and retry.
+        the caller should re-prepare and retry.  An update of another
+        shard published since is kept: the block is patched into the live
+        store instead.  The outgoing state joins the snapshot history.
 
         Under ``executor="processes"`` the worker commits first and the
-        parent swaps second; the pool pairs the worker's new state id with
-        the new columns, so a summary it ships is only ever read with the
-        columns it was computed from.  When the worker misses the commit
-        (it crashed, timed out or lost the message) the parent swaps
-        anyway and the worker is respawned from the new columns.
+        parent publishes second; the pool pairs the worker's new state id
+        with the shard's new version, so a summary it ships is only ever
+        read with the rows it was computed from.  When the worker misses
+        the commit (it crashed, timed out or lost the message) the parent
+        publishes anyway and the worker is respawned from the new store.
         """
+        index = pending.shard_index
         with self._apply_lock:
-            shard = self._shards[pending.shard_index]
-            if shard.version != pending.base_version:
+            state = self._state
+            versions, store, views = state
+            if versions[index] != pending.base_version:
                 raise StaleUpdateError(
-                    f"shard {pending.shard_index} moved from version "
-                    f"{pending.base_version} to {shard.version} since the "
+                    f"shard {index} moved from version "
+                    f"{pending.base_version} to {versions[index]} since the "
                     "update was prepared; re-prepare and retry"
                 )
             # Re-validate and apply the distinct-score delta only now, so an
@@ -689,42 +743,46 @@ class ShardedDatabase:
                         del self._score_owner[score]
                 for score in pending.added_scores:
                     self._score_owner[score] = pending.key
-            # Archive the outgoing shard state while it is still live, so
-            # readers pinned at the current vector keep resolving it after
-            # the swap publishes the new one.
-            self._archive_current(shard)
+            patched = pending.columns
+            if store is not pending.base:
+                patched = self._patched(store, pending.key, pending.rows)
+            if self._validate_scores:
+                patched.tie_free = True  # the registry holds every score
+            version = versions[index] + 1
             missed = (
                 self._executor == "processes"
+                and self._independent
                 and not self.process_pool().commit_replace(
-                    pending.shard_index,
-                    pending.key,
-                    pending.rows,
-                    self._independent,
-                    pending.columns,
+                    index, pending.key, pending.rows, version
                 )
             )
-            shard._replace(pending.columns)
+            self._history[versions] = state
+            while len(self._history) > self._snapshot_history:
+                self._history.popitem(last=False)
+            self._state = (
+                versions[:index] + (version,) + versions[index + 1 :],
+                patched,
+                views if patched.same_rows(store) else self._views(patched),
+            )
+            self._shards[index]._forget_before(
+                version - self._snapshot_history
+            )
         if missed and self._pool is not None:
-            self._pool.restart_worker(pending.shard_index)
-        self._notify(pending.shard_index, pending.key)
+            self._pool.restart_worker(index)
+        self._notify(index, pending.key)
 
     def install_from_committed(
-        self, index: int, install: Callable[[FlatColumns], None]
+        self, index: int, install: Callable[[int, FlatColumns], None]
     ) -> None:
-        """Call ``install`` with shard ``index``'s committed columns, under
-        the update lock.
+        """Call ``install`` with shard ``index``'s committed ``(version,
+        columns)``, under the update lock.
 
         A process pool respawns a worker this way: an update that already
-        committed on the dead worker cannot swap the columns between the
-        read and the install, leaving the new worker behind the parent.
+        committed on the dead worker cannot publish between the read and
+        the install, leaving the new worker behind the parent.
         """
         with self._apply_lock:
-            install(self._shards[index].columns)
-
-    def _archive_current(self, shard: DatabaseShard) -> None:
-        """Hand the shard's outgoing state to the coordinator's history."""
-        if self._coordinator is not None:
-            self._coordinator._archive_shard(shard)
+            install(*self._shards[index].committed())
 
     def update_tuple(
         self,
@@ -734,9 +792,9 @@ class ShardedDatabase:
     ) -> None:
         """Update one independent tuple's probability and/or score.
 
-        Replaces only the owning shard (its columns with one row patched),
-        bumps its version (invalidating the coordinator's merged artifacts
-        lazily) and notifies subscribers.
+        Patches the store's row, bumps the owning shard's version (the
+        coordinator's artifacts of the new vector are built lazily) and
+        notifies subscribers.
         """
         self.apply_update(self.prepare_update(key, probability, score))
 
@@ -749,9 +807,9 @@ class ShardedDatabase:
         self.apply_update(self.prepare_block_update(key, alternatives))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(shard.columns.keys) for shard in self._shards]
+        sizes = [len(view) for view in self._state[2]]
         return (
-            f"ShardedDatabase({self._name!r}, shards={sizes}, "
+            f"ShardedDatabase({self._name!r}, rows per shard={sizes}, "
             f"partitioner={self._partitioner_name!r})"
         )
 
@@ -759,10 +817,10 @@ class ShardedDatabase:
 class DatabaseSnapshot:
     """A pinned shard-version vector over a :class:`ShardedDatabase`.
 
-    Snapshot handles are cheap (they record only the vector); the actual
-    MVCC machinery lives in the coordinator's bounded per-vector artifact
-    store and per-shard archive history.  Use :meth:`session` for a
-    reader that answers exactly as the database did at pin time.
+    Snapshot handles are cheap (they record only the vector); the store
+    pinned at the vector stays in the database's bounded snapshot history
+    after updates supersede it.  Use :meth:`session` for a reader that
+    answers exactly as the database did at pin time.
     """
 
     __slots__ = ("_database", "_versions")
@@ -787,8 +845,8 @@ class DatabaseSnapshot:
         """A version-pinned reader session (a coordinator drop-in).
 
         Raises :class:`~repro.exceptions.SnapshotTooOldError` (lazily, at
-        query time) once the pinned vector leaves the coordinator's
-        bounded snapshot history.
+        query time) once the pinned vector leaves the bounded snapshot
+        history.
         """
         return self._database.coordinator().at(self._versions)
 

@@ -11,24 +11,23 @@ cross-shard coordinator session:
   first pre-warms the per-shard partial summaries *concurrently* on the
   per-shard worker pool, then answers every request on the coordinator
   worker, so batch members share the freshly merged artifacts.
-* **Graceful invalidation fan-out** -- updates replace only the owning
-  shard on that shard's worker (a column patch, off the event loop and
-  off the query path), then the version-bumping swap is serialized with
-  queries on the coordinator worker; the coordinator notices the version
+* **Graceful invalidation fan-out** -- an update patches the owning
+  shard's block into a copy of the database's store on that shard's
+  worker (off the event loop and off the query path), then publishes it
+  with the shard's version bumped; the coordinator notices the version
   change lazily and re-merges from the unchanged shards' warm summaries.
 * **Instrumentation** -- per-request latency quantiles, batch sizes,
   coalescing and invalidation counters (:meth:`ServingExecutor.metrics`).
 * **Self-healing** -- per-query deadlines (``deadline_ms`` ->
   :class:`~repro.exceptions.DeadlineExceededError`, with abandoned
   batch entries cancelled once no coalesced waiter remains) and exact
-  failover.  The parent holds every shard's committed columns, so when a
-  shard's worker cannot answer (it failed the request, its restart budget
-  is spent, or the pool's per-shard circuit breaker is open) that shard's
-  reads are answered from those columns, through the same coordinator
+  failover.  The parent's store holds every shard's committed rows, so
+  when a shard's worker cannot answer (it failed the request, its restart
+  budget is spent, or the pool's per-shard circuit breaker is open) that
+  shard's reads are answered from the store, through the same coordinator
   and merge: the answer is the exact, current consensus answer of the
   whole database (counted as ``failover_served``).  Updates always commit
-  parent-side; a worker that misses one is respawned from the new
-  columns.
+  parent-side; a worker that misses one is respawned from the new store.
 
 >>> async def main():
 ...     async with ServingExecutor(database) as executor:
@@ -708,29 +707,25 @@ class ServingExecutor:
         )
         if not truncations:
             return
-        if self._process_pool is not None and not self._process_pool.closed:
+        pool = self._process_pool
+        if pool is not None and not pool.closed and pool.worker_count():
             # One prefetch call fans out across the worker processes
             # in parallel and leaves the partials in the pool's
             # version-keyed cache for the merge to pick up.
-            pool = self._process_pool
             await loop.run_in_executor(
                 self._merge_pool,
                 self._counted,
                 lambda: pool.prefetch(truncations),
             )
             return
-        tasks = []
-        for shard in self._database.shards():
-            session = shard.session()
-            if session is None:
-                continue
-            pool = self._shard_pools[shard.index]
-            for rank in truncations:
-                tasks.append(
-                    loop.run_in_executor(
-                        pool, session.partial_rank_summary, rank
-                    )
-                )
+        tasks = [
+            loop.run_in_executor(
+                self._shard_pools[shard.index], shard.summary, rank
+            )
+            for shard in self._database.shards()
+            if not shard.is_empty
+            for rank in truncations
+        ]
         if tasks:
             # Summary failures are not fatal here: the merge recomputes
             # them (and reports errors) on the query path.

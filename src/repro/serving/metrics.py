@@ -69,7 +69,7 @@ class ServingMetricsSnapshot:
     #: Reads answered on a version-pinned snapshot reader (MVCC path).
     snapshot_reads: int = 0
     #: Snapshot-pinned reads whose pinned vector was already superseded
-    #: when the batch ran (the read resolved archived shard state).
+    #: when the batch ran (the read resolved a store from the history).
     stale_reads: int = 0
     #: Queries that missed their ``deadline_ms``.
     deadline_exceeded: int = 0

@@ -104,8 +104,9 @@ class ArtifactCounters:
 class CacheInfo:
     """Stable snapshot of a session's cache counters.
 
-    Returned by :meth:`QuerySession.cache_info` (and, aggregated across
-    shards, by :meth:`repro.models.sharded.ShardedDatabase.cache_info`).
+    Returned by :meth:`QuerySession.cache_info` (and, rolled up with a
+    sharded database's worker sessions, by
+    :meth:`repro.models.sharded.ShardedDatabase.cache_info`).
     Field access is the API; ``info["hits"]``-style mapping access is kept
     for source compatibility with the pre-dataclass dictionary form.
     """
@@ -174,7 +175,7 @@ class QuerySession:
     """
 
     #: The tree or flat columns the session reads (None on the sharded
-    #: coordinator, whose :attr:`_columns` merges its shards' columns).
+    #: coordinator, whose :attr:`_columns` is its database's store).
     _source: Union[AndXorTree, FlatColumns, None] = None
     _statistics: Optional[RankStatistics] = None
 
@@ -368,7 +369,7 @@ class QuerySession:
     @property
     def _columns(self) -> Optional[FlatColumns]:
         """The flat columns the session reads, else None (overridden by
-        the sharded coordinator, which merges its shards' columns)."""
+        the sharded coordinator, which reads its database's store)."""
         source = self._source
         return source if isinstance(source, FlatColumns) else None
 
@@ -438,8 +439,8 @@ class QuerySession:
 
     def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
         """The alternatives of one tuple key (read off the columns of a
-        flat relation, the sharded coordinator's merged ones included, so
-        no tree is built)."""
+        flat relation, the sharded coordinator's store included, so no
+        tree is built)."""
         columns = self._columns
         if columns is not None:
             return columns.alternatives_of(key)
@@ -463,7 +464,7 @@ class QuerySession:
 
         The hot consumer is :func:`repro.consensus.topk.common.\
         order_by_score`, which orders a handful of answer keys.  Flat
-        columns (the sharded coordinator's merged ones too) answer from
+        columns (the sharded coordinator's store too) answer from
         their score order, where answer keys sit near the top, so neither
         a key index nor a tree is built.
         """

@@ -9,8 +9,9 @@ distributions.  This package exploits that factorization:
 * :class:`~repro.sharding.summary.ShardRankSummary` -- the partial
   (truncated) univariate generating functions one shard exports: for every
   score threshold, the distribution of the number of present tuples above
-  it, read off the shard's own flat columns.  Built and memoized per shard
-  via :meth:`repro.session.QuerySession.partial_rank_summary`.
+  it, read off the shard's row view of its database's one store
+  (memoised per shard version by
+  :meth:`repro.models.sharded.DatabaseShard.summary`).
 * :class:`~repro.sharding.coordinator.ShardedQuerySession` -- a
   :class:`~repro.session.QuerySession` drop-in whose statistics artifacts
   (rank matrix, Top-k membership, pairwise preference grid, expected ranks)
@@ -21,8 +22,8 @@ distributions.  This package exploits that factorization:
 * :class:`~repro.sharding.procpool.ShardProcessPool` -- the process-backed
   execution of the same protocol: one worker process per shard, supervised
   by :class:`~repro.sharding.supervisor.WorkerSupervisor` (crashed or
-  wedged workers restart with backoff from the parent's columns, which
-  answer a shard's reads while its worker cannot), with a deterministic
+  wedged workers restart with backoff from the parent's store, which
+  answers a shard's reads while its worker cannot), with a deterministic
   fault-injection harness in :mod:`repro.sharding.faults` for chaos
   testing.
 """

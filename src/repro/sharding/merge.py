@@ -8,9 +8,8 @@ coordinator's only merge path, instead keeps partial products on one
 shared score grid:
 
 * every shard's count table is gathered once onto the **global descending
-  score grid** (the scores of the coordinator's merged columns, in score
-  order), so cross-shard
-  ``prefix_indices`` lookups index a single shared grid;
+  score grid** (the scores of the database's one store, in score order),
+  so cross-shard ``prefix_indices`` lookups index a single shared grid;
 * the engine keeps ``prefix[i] = shard_0 ⊛ … ⊛ shard_i`` and
   ``suffix[i] = shard_i ⊛ … ⊛ shard_{S-1}`` rows and serves shard ``i``'s
   "all-others" factor as ``prefix[i-1] ⊛ suffix[i+1]`` gathered at the
@@ -38,12 +37,13 @@ alternatives, so when the first changed alternative of a shard sits at
 global grid row ``g``, every grid row at or above ``g`` of its aligned
 table -- and of every prefix/suffix product containing it -- is unchanged.
 The engine finds that alternative from content: a shard whose summary
-reads the columns it last merged is unchanged, and otherwise its
-score-ordered probabilities are compared with the ones it last merged
+is the one it last merged (summaries are memoised per shard version) is
+unchanged, and otherwise its score-ordered probabilities are compared
+with the ones it last merged
 (:meth:`~repro.sharding.summary.ShardRankSummary.seed_prefix_table`, the
-rule the worker's row-suffix IPC delta uses).  New columns with the same
-content (a rebuilt session, a probability rewritten to its old value)
-recompute nothing.  The same call seeds a changed shard's summary from
+rule the worker's row-suffix IPC delta uses).  A new summary with the
+same content (a refetched one, a probability rewritten to its old value)
+recomputes nothing.  The same call seeds a changed shard's summary from
 the one last merged, so its own prefix table re-sweeps only from the
 sweep's grid line at or before that alternative's row.
 The engine then re-convolves the rows of the stale prefix/suffix
@@ -71,7 +71,7 @@ import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sharding.summary import ShardRankSummary, splice_live_rows
 
@@ -98,8 +98,6 @@ convolve_rows` calls issued by the engine (the backend keeps its own
     convolutions: int = 0
     convolved_rows: int = 0
     partials_reused: int = 0
-    layout_patches: int = 0
-    layout_rebuilds: int = 0
     snapshot_reads: int = 0
     snapshot_evictions: int = 0
 
@@ -134,7 +132,7 @@ class _GridState:
         "locals",
         "scaled",
         "finals",
-        "keys",
+        "store",
     )
 
     def __init__(self, shard_count: int) -> None:
@@ -159,7 +157,9 @@ class _GridState:
         #: per-key grouping of block-independent shards).
         self.scaled: List[Any] = [None] * shard_count
         self.finals: List[Any] = [None] * shard_count
-        self.keys: List[Hashable] = []
+        #: The store whose score order the grid is; its key list orders
+        #: the merged rows.
+        self.store: Any = None
 
 
 class MergeEngine:
@@ -176,11 +176,6 @@ class MergeEngine:
         self._states: "OrderedDict[int, _GridState]" = OrderedDict()
         self._state_limit = max(1, state_limit)
         self._lock = threading.Lock()
-        #: The coordinator's merged-columns patch base: a ``(shard
-        #: columns, source rows, merged columns)`` triple (see
-        #: :meth:`~repro.andxor.columns.FlatColumns.merge`), replaced as
-        #: one unit.
-        self.layout_base: Optional[Tuple[List[Any], Any, Any]] = None
         self.counters: Dict[str, int] = {
             field.name: 0 for field in fields(MergeStatsSnapshot)
         }
@@ -196,7 +191,6 @@ class MergeEngine:
         """
         with self._lock:
             self._states.clear()
-            self.layout_base = None
 
     # ------------------------------------------------------------------
     # Merge entry point
@@ -205,17 +199,16 @@ class MergeEngine:
         self,
         summaries: Sequence[ShardRankSummary],
         max_rank: int,
-        grid_scores: Any,
-        keys_order: List[Hashable],
+        store: Any,
         backend: Any,
     ) -> Any:
         """Merge shard summaries into the global rank rows.
 
-        ``grid_scores`` are the merged columns' scores in decreasing
-        order.  Returns the merged matrix's live rows: one row per key of
-        ``keys_order`` (the merged decreasing-score key order) up to the
-        merged support, past which every row is exactly ``0.0``.  The row
-        count of the result is that support.
+        ``store`` is the database's store the summaries view; the grid is
+        its scores in decreasing order.  Returns the merged matrix's live
+        rows: one row per key of the store (in its decreasing-score key
+        order) up to the merged support, past which every row is exactly
+        ``0.0``.  The row count of the result is that support.
         """
         # Readers on several threads share a coordinator's engine, whose
         # cached partials are updated in place: merges take turns.
@@ -223,13 +216,11 @@ class MergeEngine:
             self.counters["merges"] += 1
             state = self._states.get(max_rank)
             if state is not None and not self._compatible(
-                state, summaries, keys_order, backend
+                state, summaries, store, backend
             ):
                 state = None
             if state is None:
-                state = self._build_grid(
-                    summaries, grid_scores, keys_order, backend
-                )
+                state = self._build_grid(summaries, store, backend)
                 changes: List[Optional[Tuple[int, int]]] = [(0, 0)] * len(
                     summaries
                 )
@@ -264,7 +255,7 @@ class MergeEngine:
                 self._states.pop(max_rank, None)
                 raise
             state.summaries = list(summaries)
-            return self._assemble(state, len(keys_order), max_rank, backend)
+            return self._assemble(state, len(store.keys), max_rank, backend)
 
     # ------------------------------------------------------------------
     # Grid state construction / refresh
@@ -273,28 +264,23 @@ class MergeEngine:
         self,
         state: _GridState,
         summaries: Sequence[ShardRankSummary],
-        keys_order: List[Hashable],
+        store: Any,
         backend: Any,
     ) -> bool:
         """Whether the cached state's grid still describes these shards.
 
         A probability-only update keeps every score, block and key in
         place, so the grid, index maps, positions and row targets all stay
-        valid; a score, block or key move (or a shard-count / backend
-        change) forces a full rebuild.  The coordinator shares one
-        key list across patched merged columns, so the key check is an
-        identity hit, and :meth:`~repro.andxor.columns.FlatColumns.\
-same_rows` reads the shards' shared key, block and score columns.
+        valid; a score, block or key move (or a backend change) forces a
+        full rebuild.  The store's probability patch shares every other
+        column with the store the grid was built from, so
+        :meth:`~repro.andxor.columns.FlatColumns.same_rows` is an identity
+        check.
         """
-        if state.backend_name != backend.name:
-            return False
-        if len(state.summaries) != len(summaries):
-            return False
-        if state.keys is not keys_order and state.keys != keys_order:
-            return False
-        return all(
-            cached.columns.same_rows(summary.columns)
-            for cached, summary in zip(state.summaries, summaries)
+        return (
+            state.backend_name == backend.name
+            and len(state.summaries) == len(summaries)
+            and state.store.same_rows(store)
         )
 
     def _changes(
@@ -307,10 +293,9 @@ same_rows` reads the shards' shared key, block and score columns.
 
         ``row`` is the shard's first alternative whose probability
         changed, and ``grid_row`` the first stale row of its aligned
-        table: the grid row below that alternative's.  Summaries over the
-        columns last merged are unchanged without a look; any other one
-        is seeded from the summary last merged, so its table re-sweeps
-        only the rows below ``row``
+        table: the grid row below that alternative's.  The summary last
+        merged is unchanged without a look; any other one is seeded from
+        it, so its table re-sweeps only the rows below ``row``
         (:meth:`~repro.sharding.summary.ShardRankSummary.\
 seed_prefix_table`).
         """
@@ -318,7 +303,7 @@ seed_prefix_table`).
         for index, summary in enumerate(summaries):
             previous = state.summaries[index]
             change = None
-            if summary.columns is not previous.columns:
+            if summary is not previous:
                 row = summary.seed_prefix_table(previous)
                 if row < len(summary.probabilities):
                     grid_row = int(state.positions[index][row]) + 1
@@ -329,17 +314,17 @@ seed_prefix_table`).
     def _build_grid(
         self,
         summaries: Sequence[ShardRankSummary],
-        grid_scores: Any,
-        keys_order: List[Hashable],
+        store: Any,
         backend: Any,
     ) -> _GridState:
         """A state with the grid, index maps, positions and row targets
         set; the refresh of a full merge fills every cached row."""
         state = _GridState(len(summaries))
         state.backend_name = backend.name
-        state.grid = grid_scores
+        state.store = store
+        grid = state.grid = store.backend.take_rows(store.scores, store.order)
         state.index_maps = [
-            backend.index_vector(summary.prefix_indices(grid_scores))
+            backend.index_vector(summary.prefix_indices(grid))
             for summary in summaries
         ]
         # A shard's own scores are a subsequence of the grid, so "grid
@@ -347,16 +332,16 @@ seed_prefix_table`).
         # position (scores are globally distinct).
         state.positions = [
             backend.index_vector(
-                backend.descending_prefix_lengths(grid_scores, summary.scores)
+                backend.descending_prefix_lengths(grid, summary.scores)
             )
             for summary in summaries
         ]
-        row_of = {key: row for row, key in enumerate(keys_order)}
+        # The merged matrix's rows are the store's keys, in order.
+        row_of = store.key_index
         state.targets = [
             backend.index_vector([row_of[key] for key in summary.keys])
             for summary in summaries
         ]
-        state.keys = keys_order
         return state
 
     def _refresh_chains(

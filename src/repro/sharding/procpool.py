@@ -5,8 +5,9 @@ prefix polynomial sweep of a tuple-independent shard -- is dense array
 work that one interpreter serializes behind the GIL no matter how many
 shard *threads* structure it.  :class:`ShardProcessPool` moves that work
 into real processes: each worker (:mod:`repro.sharding.procworker`) owns
-one shard's columns plus a warm :class:`~repro.session.QuerySession`, and
-the coordinator exchanges only prefix tables and block patches with it:
+a copy of one tuple-independent shard's rows plus a warm
+:class:`~repro.session.QuerySession`, and the coordinator exchanges only
+prefix tables and block patches with it:
 
 * a summary reply carries the live rows of the worker's prefix table
   (all of them, or the row suffix an update changed; never the zero
@@ -14,31 +15,32 @@ the coordinator exchanges only prefix tables and block patches with it:
   message over the worker's pipe; replies are fetched in parallel across
   workers (threads blocked on pipes release the GIL, so worker processes
   compute concurrently).  The parent builds the
-  :class:`~repro.sharding.summary.ShardRankSummary` over its own committed
-  columns of that state;
+  :class:`~repro.sharding.summary.ShardRankSummary` over its own store's
+  view of the shard at the version that state holds;
 * block patches are committed on the worker inside the version-checked
-  update swap of :meth:`repro.models.sharded.ShardedDatabase.apply_update`
-  (the parent stays the sole authority over shard versions and columns).
+  update of :meth:`repro.models.sharded.ShardedDatabase.apply_update`
+  (the parent stays the sole authority over shard versions and rows).
 
-A shipped table is paired only with the parent's columns of the worker
-state that computed it.  The parent records which columns each worker
-state holds when it spawns the worker and when a commit returns; a reply
-from any other state (a commit raced the fetch) is neither paired nor
-cached, and the read is answered from the columns it read.  Summaries are
-cached parent-side per shard columns, so after one shard's update only
-that shard's table is re-fetched -- the exact analogue of the warm
-in-process shard sessions.
+A shipped table is paired only with the shard version of the worker state
+that computed it.  The parent records which version each worker state
+holds when it spawns the worker and when a commit returns; a read at any
+other version (a commit raced the fetch, or the reader is pinned at a
+superseded vector) is answered from the parent's store, its table swept
+here, and is not cached.  Summaries are cached parent-side per shard
+version, so after one shard's update only that shard's table is
+re-fetched.  A block-independent database's summaries never ask a worker,
+so its pool spawns none.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
 **supervised**: the pool respawns the dead worker from the parent's
-committed columns under a
+committed rows under a
 :class:`~repro.sharding.supervisor.WorkerSupervisor` budget (exponential
 backoff + jitter), transparently retries idempotent requests on the fresh
 worker, and drops only the dead shard's parent-side cache entries.  A
-worker that misses a commit is reaped before the parent swaps and
-respawned from the new columns after, so it never runs ahead of the
+worker that misses a commit is reaped before the parent publishes and
+respawned from the new store after, so it never runs ahead of the
 parent.  When the restart budget is spent (or ``supervise=False``) the
-shard is *down* and its reads fail over to the parent's columns
+shard is *down* and its reads fail over to the parent's store
 (:meth:`ShardProcessPool.read`); a per-shard circuit breaker does the
 same for a while after a worker fails several reads in a row.  Closing
 the pool is idempotent (``join`` -> ``terminate`` -> ``kill``
@@ -203,8 +205,9 @@ class ShardProcessPool:
     ----------
     database:
         The owning :class:`~repro.models.sharded.ShardedDatabase`; one
-        worker is spawned per shard that owns a key, seeded with that
-        shard's committed columns and the parent's active backend.
+        worker is spawned per shard that owns a key of a
+        tuple-independent database, seeded with that shard's committed
+        rows and the parent's active backend.
     start_method:
         ``spawn`` / ``fork`` / ``forkserver``; defaults to the
         ``REPRO_PROC_START_METHOD`` environment variable, then the
@@ -223,7 +226,7 @@ class ShardProcessPool:
         Per-shard circuit breaker: after ``breaker_threshold``
         consecutive failed worker reads, the shard's reads skip its
         worker for ``breaker_cooldown_s`` seconds and fail over to the
-        parent's columns; then the next read probes the worker
+        parent's store; then the next read probes the worker
         (half-open) and either closes the breaker or re-opens it.
     supervisor:
         A :class:`~repro.sharding.supervisor.WorkerSupervisor` or
@@ -283,16 +286,16 @@ class ShardProcessPool:
         self._cache_lock = threading.Lock()
         #: Worker state ids, never reused within the pool.
         self._state_ids = count()
-        #: shard -> (state id, columns): the worker's committed state and
-        #: the parent's columns of it.
-        self._committed: Dict[int, Tuple[int, FlatColumns]] = {}
-        #: (shard, max_rank) -> (columns, summary, state id).  Only an
+        #: shard -> (state id, version): the worker's committed state and
+        #: the shard version it holds.
+        self._committed: Dict[int, Tuple[int, int]] = {}
+        #: (shard, max_rank) -> (version, summary, state id).  Only an
         #: updated shard re-fetches.  Entries outlive a commit: a stale
-        #: entry never serves (its columns are not the shard's) but its
+        #: entry never serves (its version is not the one read) but its
         #: table is the baseline the worker ships a row-suffix delta
         #: against.
         self._summary_cache: Dict[
-            Tuple[int, int], Tuple[FlatColumns, ShardRankSummary, int]
+            Tuple[int, int], Tuple[int, ShardRankSummary, int]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -332,7 +335,8 @@ class ShardProcessPool:
         return sorted(self._workers)
 
     def start(self) -> "ShardProcessPool":
-        """Spawn one worker per shard that owns a key (idempotent)."""
+        """Spawn one worker per shard that owns a key of a
+        tuple-independent database (idempotent)."""
         if self._closed:
             raise ProcessPoolError(
                 "process pool already closed; request a fresh pool from "
@@ -341,16 +345,14 @@ class ShardProcessPool:
         if self._started:
             return self
         self._context = multiprocessing.get_context(self._start_method)
-        # Not just the shards with rows: a shard whose blocks were all
-        # emptied still needs a worker to stage their refill on.
         database = self._database
         owners = {database.shard_of(key) for key in database.keys()}
         try:
             for shard in database.shards():
-                if shard.index not in owners:
+                if shard.index not in owners or not database.independent:
                     continue
                 self._workers[shard.index] = self._spawn_worker(
-                    shard.index, shard.columns
+                    shard.index, *shard.committed()
                 )
                 self._restart_locks[shard.index] = threading.Lock()
         except BaseException:
@@ -364,7 +366,7 @@ class ShardProcessPool:
         return self
 
     def _spawn_worker(
-        self, shard_index: int, columns: FlatColumns
+        self, shard_index: int, version: int, columns: FlatColumns
     ) -> _WorkerHandle:
         context = self._context or multiprocessing.get_context(
             self._start_method
@@ -386,7 +388,7 @@ class ShardProcessPool:
         process.start()
         child_end.close()
         with self._cache_lock:
-            self._committed[shard_index] = (state_id, columns)
+            self._committed[shard_index] = (state_id, version)
         return _WorkerHandle(shard_index, process, parent_end)
 
     def close(self, join_timeout: float = 5.0) -> None:
@@ -587,7 +589,7 @@ class ShardProcessPool:
     def restart_worker(
         self, shard_index: int, expected: Optional[_WorkerHandle] = None
     ) -> bool:
-        """Respawn one shard's worker from the parent's committed columns.
+        """Respawn one shard's worker from the parent's committed rows.
 
         Returns ``True`` when a live worker is installed for the shard
         (whether this call respawned it or a concurrent one already had),
@@ -629,9 +631,9 @@ class ShardProcessPool:
                 time.sleep(backoff)
             self._reap(handle)
 
-            def install(columns: FlatColumns) -> None:
+            def install(version: int, columns: FlatColumns) -> None:
                 self._workers[shard_index] = self._spawn_worker(
-                    shard_index, columns
+                    shard_index, version, columns
                 )
 
             self._database.install_from_committed(shard_index, install)
@@ -771,73 +773,85 @@ class ShardProcessPool:
     # Partial exchange
     # ------------------------------------------------------------------
     def summaries(self, max_rank: int) -> List[ShardRankSummary]:
-        """The served shards' truncated summaries, fetched in parallel.
+        """The served shards' truncated summaries at the live state,
+        fetched in parallel.
 
-        Cached parent-side per (shard columns, truncation): after one
+        Cached parent-side per (shard version, truncation): after one
         shard's update, only that shard ships a fresh table.  Raises the
         first worker failure.
         """
         indices = self._served()
-        summaries, failures = self._fetch(max(int(max_rank), 1), indices)
+        summaries, failures = self._fetch(
+            max(int(max_rank), 1), indices, self._database.state()
+        )
         if failures:
             raise next(iter(failures.values()))
         return [summaries[index] for index in indices]
 
-    def summary(self, shard_index: int, max_rank: int) -> ShardRankSummary:
-        """One shard's summary over its current columns, warm-cached.
+    def summary(
+        self, shard_index: int, max_rank: int, state: Any = None
+    ) -> ShardRankSummary:
+        """One shard's summary at ``state`` (default: the live one),
+        warm-cached.
 
         A miss fetches every stale served shard's table in one parallel
         exchange and raises only this shard's worker failure.
         """
+        if state is None:
+            state = self._database.state()
         others = [index for index in self._served() if index != shard_index]
         summaries, failures = self._fetch(
-            max(int(max_rank), 1), [shard_index, *others]
+            max(int(max_rank), 1), [shard_index, *others], state
         )
         if shard_index in failures:
             raise failures[shard_index]
         return summaries[shard_index]
 
     def _fetch(
-        self, max_rank: int, indices: Sequence[int]
+        self, max_rank: int, indices: Sequence[int], state: Any
     ) -> Tuple[Dict[int, ShardRankSummary], Dict[int, ProcessPoolError]]:
-        """The summaries of ``indices`` over their current columns, the
-        stale ones fetched in one parallel exchange, and the worker
-        failures, both by shard.
+        """The summaries of ``indices`` at ``state`` (a published
+        ``(versions, store, views)``), the stale ones fetched in one
+        parallel exchange, and the worker failures, both by shard.
 
-        Each read takes the shard's columns and the worker state id paired
-        with them before its request.  A reply from that state is paired
-        with those columns and cached; a reply from any other state (a
-        commit moved the worker, or was in flight, around the request) is
-        neither: the read is answered from the columns it took, its table
-        swept here.
+        A shard whose worker holds the shard version read is asked for
+        its table, with the worker state id paired with that version
+        taken before the request.  A reply from that state is paired with
+        the store's view of the shard and cached; a reply from any other
+        state (a commit moved the worker around the request) is not.  A
+        version no worker state holds -- a commit in flight, or a reader
+        pinned at a superseded vector -- is answered from the store alone,
+        its table swept here, without asking the worker.
         """
-        shards = self._database.shards()
+        versions, store, views = state
         summaries: Dict[int, ShardRankSummary] = {}
-        wanted: List[Tuple[int, FlatColumns, Optional[int], Any]] = []
+        wanted: List[Tuple[int, Any, int, Any]] = []
         commands: List[Tuple[int, str, Any]] = []
         for index in indices:
-            columns = shards[index].columns
+            layout = (store, store.scores, views[index])
             with self._cache_lock:
                 cached = self._summary_cache.get((index, max_rank))
-                state_id, paired = self._committed[index]
-            if cached is not None and cached[0] is columns:
+                state_id, committed = self._committed[index]
+            if cached is not None and cached[0] == versions[index]:
                 summaries[index] = cached[1]
-                continue
-            expected = state_id if paired is columns else None
-            wanted.append((index, columns, expected, cached))
-            base = None if cached is None else cached[2]
-            commands.append((index, "summary", (max_rank, base)))
+            elif committed != versions[index]:
+                summaries[index] = ShardRankSummary.from_layout(
+                    layout, max_rank
+                )
+            else:
+                wanted.append((index, layout, state_id, cached))
+                base = None if cached is None else cached[2]
+                commands.append((index, "summary", (max_rank, base)))
         if not wanted:
             return summaries, {}
         replies = self._request_many(commands)
         failures: Dict[int, ProcessPoolError] = {}
-        for (index, columns, expected, base), reply in zip(wanted, replies):
+        for (index, layout, expected, base), reply in zip(wanted, replies):
             if isinstance(reply, ProcessPoolError):
                 failures[index] = reply
                 continue
             self._count(summaries=1)
             state_id, start, rows = reply
-            layout = (columns, columns.scores, columns.order)
             if state_id != expected:
                 summaries[index] = ShardRankSummary.from_layout(
                     layout, max_rank
@@ -849,7 +863,7 @@ class ShardProcessPool:
             summaries[index] = summary
             with self._cache_lock:
                 self._summary_cache[(index, max_rank)] = (
-                    columns, summary, state_id
+                    versions[index], summary, state_id
                 )
         return summaries, failures
 
@@ -874,35 +888,19 @@ class ShardProcessPool:
             return table
         return splice_live_rows(get_backend(), table, start, rows, max_rank)
 
-    def cached_summaries(
-        self, shard_index: int, columns: FlatColumns
-    ) -> Dict[int, ShardRankSummary]:
-        """Warm ``max_rank -> summary`` entries of one shard over
-        ``columns``.
-
-        No I/O.  Used by the coordinator to freeze a shard's outgoing state
-        into its snapshot history right before an update commits; entries
-        cached over older columns (the shard was updated again with no
-        read in between) are left out.
-        """
-        with self._cache_lock:
-            return {
-                key[1]: value[1]
-                for key, value in self._summary_cache.items()
-                if key[0] == shard_index and value[0] is columns
-            }
-
     def prefetch(self, truncations: Sequence[int]) -> None:
         """Warm the parent-side summary cache for a batch's truncations.
 
         Advisory: a failed worker is left for the read itself to fail
-        over.  Block-independent summaries read only the parent's columns,
-        so a BID pool prefetches nothing.
+        over.  A pool without workers (a block-independent database's)
+        prefetches nothing.
         """
-        if not self._database.independent:
+        served = self._served()
+        if not served:
             return
+        state = self._database.state()
         for max_rank in sorted({max(int(rank), 1) for rank in truncations}):
-            self._fetch(max_rank, self._served())
+            self._fetch(max_rank, served, state)
 
     # ------------------------------------------------------------------
     # Update fan-out
@@ -912,30 +910,27 @@ class ShardProcessPool:
         shard_index: int,
         key: Hashable,
         rows: List[Row],
-        independent: bool,
-        columns: FlatColumns,
+        version: int,
     ) -> bool:
-        """Patch ``key``'s block into the worker's committed columns.
+        """Patch ``key``'s block into the worker's committed rows.
 
         Called under the parent's version check, right before the parent
-        swaps in the same patch, ``columns`` (:meth:`~repro.andxor.\
-columns.FlatColumns.replace_block`); the worker's new state id is paired
-        with them when the commit returns.  The shard's cache entries are
-        deliberately *retained*: a stale entry is never served (its
-        columns are not the shard's), and its table is the baseline the
-        worker ships a row-suffix delta against on the next fetch.
+        publishes the same patch as the shard's ``version``; the worker's
+        new state id is paired with that version when the commit returns.
+        The shard's cache entries are deliberately *retained*: a stale
+        entry is never served (its version is not the one read), and its
+        table is the baseline the worker ships a row-suffix delta against
+        on the next fetch.
 
         Returns ``False`` when the commit failed (crash, timeout or lost
         message).  The worker is then reaped, so a late commit can never
-        surface, and the shard marked down before the parent swaps; the
-        caller then respawns it from the parent's new columns with
+        surface, and the shard marked down before the parent publishes;
+        the caller then respawns it from the parent's new store with
         :meth:`restart_worker`.
         """
         state_id = next(self._state_ids)
         try:
-            self._request(
-                shard_index, "replace", (key, rows, independent, state_id)
-            )
+            self._request(shard_index, "replace", (key, rows, state_id))
         except ProcessPoolError:
             handle = self._workers.get(shard_index)
             if handle is not None:
@@ -943,7 +938,7 @@ columns.FlatColumns.replace_block`); the worker's new state id is paired
             self._down.add(shard_index)
             return False
         with self._cache_lock:
-            self._committed[shard_index] = (state_id, columns)
+            self._committed[shard_index] = (state_id, version)
         self._count(updates=1)
         return True
 

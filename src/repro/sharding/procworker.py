@@ -1,15 +1,16 @@
 """Shard worker process entrypoint.
 
-One worker process owns one database shard: it opens a warm
-:class:`~repro.session.QuerySession` over the shard's (pickled)
-:class:`~repro.andxor.columns.FlatColumns`, answers summary /
-cache-info requests over its pipe, and commits updates through one
-``replace`` command, sent under the parent's version check.  It carries
-one block, which the worker patches into its committed columns with the
-same :meth:`~repro.andxor.columns.FlatColumns.replace_block` the parent
-applies to its copy; the parent's
-:class:`~repro.models.sharded.ShardedDatabase` keeps sole authority over
-shard versions, columns and the distinct-score registry.
+One worker process owns one shard of a tuple-independent database: it
+opens a warm :class:`~repro.session.QuerySession` over the shard's
+(pickled) :class:`~repro.andxor.columns.FlatColumns`, gathered from the
+parent's store, answers summary / cache-info requests over its pipe, and
+commits updates through one ``replace`` command, sent under the parent's
+version check.  It carries one tuple, which the worker patches into its
+committed columns with the same
+:meth:`~repro.andxor.columns.FlatColumns.replace_block` the parent applies
+to its store; the parent's :class:`~repro.models.sharded.ShardedDatabase`
+keeps sole authority over shard versions, rows and the distinct-score
+registry.
 
 Everything in this module is importable at top level so the ``spawn`` start
 method can pickle the :func:`worker_main` target; the parent side lives in
@@ -25,8 +26,7 @@ row-suffix delta against the table of its previous committed columns the
 parent already holds; ``None`` when no row changed).  Only rows before
 the table's support travel: every row past the last one shipped is
 ``0.0``, and the parent treats it so without materialising it.  Nothing
-else of the shard travels back: the parent reads its own copy of the
-columns.
+else of the shard travels back: the parent reads its own store.
 
 The worker also sweeps only what changed: after a probability-only
 update, the new summary is seeded from the one last shipped
@@ -101,11 +101,9 @@ class ShardWorkerState:
             return self.state_id, start, None  # nothing changed
         return self.state_id, start, get_backend().slice_rows(table, start)
 
-    def handle_replace(
-        self, payload: Tuple[Any, List[Row], bool, int]
-    ) -> int:
-        key, rows, independent, state_id = payload
-        self.columns = self.columns.replace_block(key, rows, independent)
+    def handle_replace(self, payload: Tuple[Any, List[Row], int]) -> int:
+        key, rows, state_id = payload
+        self.columns = self.columns.replace_block(key, rows, True)
         self._session = None
         self.state_id = state_id
         return state_id

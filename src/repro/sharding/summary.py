@@ -35,20 +35,23 @@ support).  The seeded table equals a cold sweep bit for bit.  The merge
 engine seeds a changed shard's summary from the one it last merged, and a
 shard worker from the one it last shipped.
 
-A summary reads the shard's own flat columns and nothing else: the
-``(columns, row scores, score order)`` triple of
-:meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows` (on the
-process path, the parent's committed columns of the shard under their own
-scores).  It gathers the score-ordered vectors it needs -- scores,
-probabilities, block ids and row keys -- in the active backend's native
-form, each on first use.
+A summary reads one flat relation and the rows it covers: the ``(columns,
+row scores, rows in decreasing score order)`` triple of
+:meth:`ShardRankSummary.from_layout`.  A sharded database's shard is a
+view of the database's one store -- its rows, in the store's score
+order -- so a shard summary reads the store through that view, and an
+unsharded session's summary reads every row of its own columns
+(:meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows`).  It
+gathers the score-ordered vectors it needs -- scores, probabilities, block
+ids (renumbered over the view's own blocks) and row keys -- in the active
+backend's native form, each on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.andxor.columns import FlatColumns
 from repro.engine import get_backend
@@ -86,15 +89,17 @@ class ShardRankSummary:
         max_rank: int,
         prefix_table: Any = None,
     ) -> "ShardRankSummary":
-        """A summary over a ``(columns, row scores, score order)`` triple,
-        without a session.
+        """A summary over a ``(columns, row scores, rows)`` triple, without
+        a session.
 
-        The process-backed pool pairs the parent's committed columns (under
-        their own scores: a shard is never re-scored) with the live rows
-        of the prefix table a shard worker shipped for them (see
-        :attr:`prefix_table`).  A missing ``prefix_table`` is recomputed
-        lazily from the columns' probabilities -- identical coefficients,
-        just without reusing the worker's sweep.
+        ``rows`` are the rows summarised, in decreasing score order: a
+        shard's view of its database's store, whose own scores rank it (a
+        shard is never re-scored).  The process-backed pool pairs such a
+        layout with the live rows of the prefix table a shard worker
+        shipped for it (see :attr:`prefix_table`).  A missing
+        ``prefix_table`` is recomputed lazily from the rows'
+        probabilities -- identical coefficients, just without reusing the
+        worker's sweep.
         """
         self = cls.__new__(cls)
         self._bind(layout, max_rank, prefix_table)
@@ -137,19 +142,33 @@ class ShardRankSummary:
 
     @cached_property
     def blocks(self) -> Any:
-        """Every row's block (its index into the columns' keys), a native
-        index vector of the active backend."""
-        return self._backend.index_vector(self._ordered(self.columns.blocks))
+        """Every row's block, a native index vector of the active backend.
+
+        Blocks are numbered over the summarised rows alone, in the order
+        their rows first appear: :attr:`keys` names each of a
+        block-independent summary's blocks.
+        """
+        return self._backend.index_vector(self._numbered[0])
 
     @cached_property
     def keys(self) -> List[Hashable]:
         """The keys of the summary's rank rows: one per row in score order
-        for tuple-independent shards, the columns' block keys otherwise."""
-        keys = self.columns.keys
-        if not self.is_independent:
-            return keys
-        blocks = self._backend.vector_values(self.blocks)
-        return list(map(keys.__getitem__, blocks))
+        for tuple-independent shards, one per block of :attr:`blocks`
+        otherwise."""
+        return self._numbered[1]
+
+    @cached_property
+    def _numbered(self) -> Tuple[Sequence[int], List[Hashable]]:
+        """The rows' local block numbers and the key of each row (TI) or
+        of each local block (BID)."""
+        columns = self.columns
+        blocks = columns.backend.vector_values(self._ordered(columns.blocks))
+        keys = columns.keys
+        if self.is_independent:  # one row per block
+            return range(len(blocks)), list(map(keys.__getitem__, blocks))
+        local: Dict[int, int] = {}
+        numbers = [local.setdefault(block, len(local)) for block in blocks]
+        return numbers, list(map(keys.__getitem__, local))
 
     @cached_property
     def _row_lists(self) -> Tuple[List[float], List[int]]:
@@ -172,7 +191,7 @@ class ShardRankSummary:
         return self._max_rank
 
     def number_of_tuples(self) -> int:
-        return len(self.columns.keys)
+        return len(self.keys)
 
     # ------------------------------------------------------------------
     # Partial generating functions
@@ -306,7 +325,7 @@ class ShardRankSummary:
             table = self._backend.matrix_from_rows(
                 [
                     self.prefix_polynomial(prefix)
-                    for prefix in range(len(self.columns.values) + 1)
+                    for prefix in range(len(self.probabilities) + 1)
                 ]
             )
             self._dense_table = self._backend.slice_rows(

@@ -90,3 +90,14 @@ def small_xtuple(
 def rng() -> random.Random:
     """A seeded random generator for tests that need one."""
     return random.Random(12345)
+
+
+def parent_summary(sharded, index: int, max_rank: int):
+    """Shard ``index``'s summary swept in this process from the live
+    store, whichever executor the database runs on."""
+    from repro.sharding.summary import ShardRankSummary
+
+    _, store, views = sharded.state()
+    return ShardRankSummary.from_layout(
+        (store, store.scores, views[index]), max_rank
+    )

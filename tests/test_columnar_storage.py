@@ -296,13 +296,13 @@ class TestLazyTree:
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     @pytest.mark.parametrize("executor", ["threads", "processes"])
     @pytest.mark.parametrize("model", ["ti", "bid"])
-    def test_merged_reads_leave_shard_trees_unbuilt(
+    def test_merged_reads_read_the_one_store(
         self, model, executor, backend_name
     ):
         """World, aggregate, expected-rank, Kendall and sampled reads on a
-        sharded database read the merged relation: live, and through a
-        reader pinned at a superseded vector, no shard's columns build a
-        tree, and every exact answer is the unsharded one."""
+        sharded database read its one store: live, and through a reader
+        pinned at a superseded vector, which reads that vector's store
+        from the history.  Every exact answer is the unsharded one."""
         if model == "ti":
             data = [
                 (f"t{i}", f"v{i}", float(i), 0.1 + 0.8 * i / 24)
@@ -360,18 +360,17 @@ class TestLazyTree:
         sampled = Query.topk(3, "footrule").sampled(64)
         with use_backend(backend_name):
             with ShardedDatabase(build(data), 4, executor=executor) as sharded:
-                columns = [shard.columns for shard in sharded.shards()]
                 coordinator = sharded.coordinator()
                 pinned, pinned_data = sharded.versions(), data
+                pinned_store = sharded.state()[1]
                 connect(coordinator.at(pinned), result_cache=False).execute(
                     exact[0]
                 )
                 for index in (0, 3, 6):
                     data = updated(sharded, data, index)
-                columns += [shard.columns for shard in sharded.shards()]
                 reader = coordinator.at(pinned)
                 assert reader.pinned_versions != sharded.versions()
-                # Re-read the superseded shards from their archives.
+                # Re-resolve the superseded store from the history.
                 reader.invalidate()
                 for session, state in (
                     (sharded, data),
@@ -385,7 +384,8 @@ class TestLazyTree:
                             connection.execute(query).value,
                         ), query
                     connection.execute(sampled)
-                assert all(part._tree is None for part in columns)
+                assert reader._columns is pinned_store
+                assert coordinator._columns is sharded.state()[1]
 
 
 class TestSessionLifetime:
@@ -464,9 +464,9 @@ class TestPatchedUpdates:
             ("t7", moved, moved, 0.9) if row[0] == "t7" else row
             for row in self.rows()
         ]
-        shard = pending.shard_index
+        # The patch is the whole store, blocks in best-score order.
         rebuilt = TupleIndependentDatabase(
-            [row for row in rows if sharded.shard_of(row[0]) == shard]
+            sorted(rows, key=lambda row: row[2], reverse=True)
         ).columns
         patched = pending.columns
         assert patched.keys == rebuilt.keys
@@ -483,6 +483,30 @@ class TestPatchedUpdates:
             assert same(
                 expected.execute(query).value, served.execute(query).value
             )
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_one_store(self, executor, monkeypatch):
+        """The database holds its rows once: a probability update builds
+        one patched store and the read that follows builds no columns at
+        all, reading that store itself."""
+        with ShardedDatabase(
+            TupleIndependentDatabase(self.rows()), 4, executor=executor
+        ) as sharded:
+            coordinator = sharded.coordinator()
+            coordinator.rank_matrix(10)
+            built = []
+            original = FlatColumns.__init__
+
+            def counted(columns, *args, **kwargs):
+                built.append(1)
+                original(columns, *args, **kwargs)
+
+            monkeypatch.setattr(FlatColumns, "__init__", counted)
+            sharded.update_tuple("t7", probability=0.9)
+            coordinator.rank_matrix(10)
+            monkeypatch.undo()
+            assert len(built) == 1
+            assert coordinator._columns is sharded.state()[1]
 
     def test_patch_keeps_score_order_when_scores_unchanged(self):
         database = TupleIndependentDatabase(self.rows())
@@ -552,10 +576,16 @@ class TestPatchedUpdates:
         updated = [
             ("a", [("x", 1.5, 0.1), ("u", 6.0, 0.2), ("t", 7.0, 0.3)])
         ] + blocks[1:]
+        # The shard's rows come out of the store in best-score order.
         columns = sharded.shards()[0].database.columns
-        assert columns.keys == ["a", "b", "c"]
-        assert list(columns.blocks) == [0, 0, 0, 1, 2, 2]
-        oracle = QuerySession(bid_oracle_tree(updated))
+        assert columns.keys == ["a", "c", "b"]
+        assert list(columns.blocks) == [0, 0, 0, 1, 1, 2]
+        # Top-2 intersection ties between {a, b} and {a, c}; a tie goes to
+        # the first key, and a sharded database lists its keys in the
+        # store's order, whatever its shard count.
+        oracle = QuerySession(
+            bid_oracle_tree([updated[0], updated[2], updated[1]])
+        )
         served = connect(sharded, result_cache=False)
         for query in queries(2):
             assert same(

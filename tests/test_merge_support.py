@@ -281,7 +281,7 @@ def test_short_table_readers_return_zero_rows_past_its_end(backend_name, model):
     )
     with use_backend(backend_name) as backend:
         sharded = ShardedDatabase(database_of(model, data), 1)
-        summary = sharded.shards()[0].session().partial_rank_summary(k)
+        summary = sharded.shards()[0].summary(k)
         table = backend.matrix_to_lists(summary.count_table())
         prefixes = len(summary.probabilities) + 1
         assert len(table) < prefixes

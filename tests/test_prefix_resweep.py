@@ -250,10 +250,7 @@ def test_threads_merge_seeds_cold_equal_tables(backend_name, monkeypatch):
             assert seeded == [True]
             assert_tables_are_cold(
                 backend,
-                [
-                    shard.session().partial_rank_summary(K)
-                    for shard in sharded.shards()
-                ],
+                [shard.summary(K) for shard in sharded.shards()],
             )
 
 

@@ -23,7 +23,7 @@ from multiprocessing.connection import Connection
 
 import pytest
 
-from conftest import small_bid, small_tuple_independent
+from conftest import parent_summary, small_bid, small_tuple_independent
 from repro import connect
 from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.engine import numpy_available, use_backend
@@ -145,7 +145,8 @@ class TestProcessPoolParity:
             partitioner=lambda key: 0 if key in ("c", "d") else 1,
             executor=executor,
         ) as sharded:
-            assert sharded.shards()[0].keys() == ["c", "d"]
+            # A shard's keys follow the store's best-score order.
+            assert sharded.shards()[0].keys() == ["d", "c"]
             assert sharded.coordinator().layout_kind() == "bid"
             assert "layout=bid" in connect(sharded).explain(query)
 
@@ -162,6 +163,32 @@ class TestProcessPoolParity:
                 assert scores[key] == expected
             with pytest.raises(ModelError):
                 coordinator.best_scores(["nope"])
+
+
+class TestBidRunsNoWorkers:
+    """A block-independent database's summaries are built from the
+    parent's store, so on ``executor="processes"`` it spawns no worker and
+    commits no update to one, and still answers exactly."""
+
+    def test_reads_and_updates_spawn_no_worker(self):
+        database = small_bid(61, blocks=12)
+        spec = {
+            key: [(value, value, p) for value, p in alternatives]
+            for key, alternatives in database.blocks().items()
+        }
+        with ShardedDatabase(database, 4, executor="processes") as sharded:
+            pool = sharded.process_pool()
+            for key in list(spec)[:6]:
+                spec[key] = [(v, s, p * 0.5) for v, s, p in spec[key]]
+                sharded.update_block(key, spec[key])
+                oracle = QuerySession(
+                    BlockIndependentDatabase(list(spec.items())).columns
+                )
+                assert_rank_matrix_parity(oracle, sharded.coordinator(), K)
+                assert_consensus_parity(oracle, sharded.coordinator(), K)
+            assert pool.worker_count() == 0
+            assert pool.stats().updates == 0
+            assert sharded.process_pool() is pool
 
 
 class TestUpdateProtocol:
@@ -203,8 +230,7 @@ class TestUpdateProtocol:
             }
             assert abs(probabilities[key] - 0.3) < TOLERANCE
             for index, summary in zip(pool.shard_indices(), summaries):
-                parent = sharded.shards()[index].session()
-                swept = parent.partial_rank_summary(K).prefix_table
+                swept = parent_summary(sharded, index, K).prefix_table
                 for shipped, row in zip(summary.prefix_table, swept):
                     assert list(shipped) == list(row)
 
@@ -320,9 +346,9 @@ class TestCacheAndMetrics:
     def test_summary_fetch_racing_a_commit_is_not_cached(self, monkeypatch):
         """A fetch reads shard version v, then a commit moves the shard to
         v+1 before the request reaches the worker.  The reply comes from
-        the new state, so it is neither paired with v's columns nor
-        cached: the read answers from v, and a reader pinned at v still
-        answers from v."""
+        the new state, so it is neither paired with v's rows nor cached:
+        the read answers from v, and a reader pinned at v still answers
+        from v."""
         database = small_tuple_independent(8, count=12)
         replica = ShardedDatabase(database, 2)
         with ShardedDatabase(database, 2, executor="processes") as sharded:
@@ -335,7 +361,7 @@ class TestCacheAndMetrics:
             for target in (sharded, replica):
                 target.update_tuple(first, probability=0.3)
             pinned = sharded.versions()
-            read = sharded.shards()[0].columns
+            read = sharded.state()[1]
             fetching, resume = threading.Event(), threading.Event()
             request_many = pool._request_many
 
@@ -360,7 +386,8 @@ class TestCacheAndMetrics:
             probabilities = dict(zip(summary.keys, summary.probabilities))
             assert probabilities[first] == 0.3
             assert probabilities[second] != 0.6
-            assert pool.cached_summaries(0, read) == {}
+            cached = pool._summary_cache.get((0, K))
+            assert cached is None or cached[0] != pinned[0]
             assert_rank_matrix_parity(
                 replica.coordinator(), coordinator.at(pinned), K
             )

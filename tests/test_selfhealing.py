@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from conftest import small_bid, small_tuple_independent
+from conftest import parent_summary, small_bid, small_tuple_independent
 from repro import consensus
 from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.engine import numpy_available, use_backend
@@ -437,7 +437,7 @@ def assert_workers_match_parent(sharded):
 
     for index in pool.shard_indices():
         worker = pool.summary(index, K)
-        parent = sharded.shards()[index].session().partial_rank_summary(K)
+        parent = parent_summary(sharded, index, K)
         assert_value_parity(content(parent), content(worker), 1e-12)
 
 
@@ -478,22 +478,28 @@ class TestFailover:
             ) as sharded:
                 async with ServingExecutor(sharded) as executor:
                     pool = sharded.process_pool()
-                    victim = pool.shard_indices()[0]
-                    if outage == "breaker":
+                    if layout == "bid":
+                        # BID summaries never reach a worker, so the pool
+                        # spawns none and there is no worker to lose.
+                        assert pool.worker_count() == 0
+                        victim = sharded.shard_of(sharded.keys()[0])
+                    elif outage == "breaker":
                         # The worker is healthy: only the breaker keeps
                         # the reads away from it.
+                        victim = pool.shard_indices()[0]
                         pool._record_read(victim, failed=True)
                     else:
+                        victim = pool.shard_indices()[0]
                         kill_worker(pool, victim)
                     force_cold_reads(sharded)
                     await assert_exact(executor, _oracle(database))
-                    # BID summaries never reach a worker, so only a TI read
-                    # fails over and notices a dead one.
                     if layout == "ti":
                         assert executor.metrics().failover_served >= 1
-                    if outage == "breaker":
+                    if layout == "bid":
+                        assert pool.worker_count() == 0
+                    elif outage == "breaker":
                         assert victim in executor.open_breakers()
-                    elif layout == "ti":
+                    else:
                         assert not pool.serves(victim)
                     key = next(
                         k

@@ -297,10 +297,8 @@ class TestShardedDatabase:
         sharded = ShardedDatabase(database, 4, partitioner="range")
         layouts = []
         for shard in sharded.shards():
-            session = shard.session()
-            layout = session.independent_tuple_layout()
-            layouts.append((max(s for _, _, s in layout),
-                            min(s for _, _, s in layout)))
+            scores = shard.columns.score_list()
+            layouts.append((max(scores), min(scores)))
         # Shard i's whole score range sits above shard i+1's.
         for (_, low), (high, _) in zip(layouts, layouts[1:]):
             assert low > high
@@ -346,8 +344,8 @@ class TestShardedDatabase:
         target = sharded.keys()[0]
         owner = sharded.shard_of(target)
         versions_before = sharded.versions()
-        sessions_before = {
-            shard.index: shard.session() for shard in sharded.shards()
+        summaries_before = {
+            shard.index: shard.summary(3) for shard in sharded.shards()
         }
         sharded.update_tuple(target, probability=0.011)
         assert victims == [(owner, target)]
@@ -357,11 +355,11 @@ class TestShardedDatabase:
         ):
             assert after == before + (1 if index == owner else 0)
         for shard in sharded.shards():
-            session = shard.session()
+            summary = shard.summary(3)
             if shard.index == owner:
-                assert session is not sessions_before[shard.index]
+                assert summary is not summaries_before[shard.index]
             else:
-                assert session is sessions_before[shard.index]
+                assert summary is summaries_before[shard.index]
 
     def test_update_parity_with_rebuilt_oracle(self):
         database = random_tuple_independent_database(10, rng=12)
@@ -487,12 +485,12 @@ class TestShardedDatabase:
                 assert_consensus_parity(oracle, coordinator, 3)
 
     def test_cache_info_is_read_only(self):
-        # A cold counters snapshot must not materialize shard databases.
+        # A cold counters snapshot must not build shard summaries.
         database = random_tuple_independent_database(12, rng=14)
         sharded = ShardedDatabase(database, 3)
         info = sharded.cache_info()
         assert info == CacheInfo()
-        assert all(shard._session is None for shard in sharded.shards())
+        assert all(not shard._summaries for shard in sharded.shards())
 
     def test_cache_info_rollup(self):
         database = random_tuple_independent_database(12, rng=14)
@@ -505,12 +503,10 @@ class TestShardedDatabase:
         rolled = sharded.cache_info()
         assert rolled.misses > 0
         assert rolled.requests == rolled.hits + rolled.misses
-        per_session = [
-            session.cache_info() for session in sharded.sessions()
-        ] + [coordinator.cache_info()]
-        assert rolled.hits == sum(info.hits for info in per_session)
-        assert rolled.misses == sum(info.misses for info in per_session)
-        assert "rank_partials" in rolled.artifacts
+        # Shards hold no sessions: on threads the coordinator's counters
+        # are the whole roll-up.
+        assert rolled == coordinator.cache_info()
+        assert "rank_matrix" in rolled.artifacts
 
     def test_as_session_coerces_sharded_database(self):
         database = random_tuple_independent_database(9, rng=16)
@@ -545,20 +541,6 @@ class TestCoordinatorConstruction:
         with pytest.raises(TypeError):
             ShardedQuerySession([database.tree, QuerySession(database.tree)])
 
-    def test_shard_session_invalidation_propagates(self):
-        sharded = ShardedDatabase(
-            [("a", 9.0, 0.5), ("b", 7.0, 0.8), ("c", 8.0, 0.4)],
-            2,
-            partitioner=lambda key: 0 if key in ("a", "b") else 1,
-        )
-        coordinator = sharded.coordinator()
-        coordinator.rank_matrix()
-        entries_before = coordinator.cache_info().entries
-        assert entries_before > 0
-        sharded.sessions()[0].invalidate()
-        coordinator.rank_matrix()
-        assert coordinator.generation == 1
-
     def test_set_scoring_rejected(self):
         coordinator = ShardedDatabase(
             [("a", 9.0, 0.5), ("b", 8.0, 0.4)], 2
@@ -567,21 +549,45 @@ class TestCoordinatorConstruction:
             coordinator.set_scoring(lambda alternative: 0.0)
 
     def test_cross_shard_tie_rejected(self):
-        # Each shard holds one row, so only the coordinator's merge sees
-        # that the two shards tie on score.
+        # Each shard holds one row; the store holds both, and its own tie
+        # check rejects them.
         sharded = ShardedDatabase(
             [("a", 9.0, 0.5), ("b", 9.0, 0.4)],
             2,
             partitioner=lambda key: 0 if key == "a" else 1,
             validate_scores=False,
         )
-        with pytest.raises(ModelError, match="of different shards share"):
+        assert not sharded.state()[1].tie_free
+        with pytest.raises(ModelError, match="of different tuples share"):
             ShardedQuerySession(sharded).rank_matrix()
 
+    def test_validated_store_skips_the_tie_search(self, monkeypatch):
+        # The database checked every score, so the coordinator never
+        # searches its store for ties, not even after a score update.
+        sharded = ShardedDatabase(
+            [("a", 9.0, 0.5), ("b", 8.0, 0.4), ("c", 7.0, 0.3)], 2
+        )
+        assert sharded.state()[1].tie_free
+        searches = []
+        original = RankStatistics._validate_scores
+
+        def counted(self, groups):
+            searches.append(1)
+            return original(self, groups)
+
+        monkeypatch.setattr(RankStatistics, "_validate_scores", counted)
+        coordinator = sharded.coordinator()
+        coordinator.rank_matrix()
+        sharded.update_tuple("c", score=10.0)
+        assert sharded.state()[1].tie_free
+        assert coordinator.keys()[0] == "c"
+        coordinator.rank_matrix()
+        assert not searches
+
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_merged_score_order_is_a_stable_sort(self, backend_name):
-        # The merge renumbers the concatenation's order instead of
-        # sorting the merged scores again.
+    def test_store_score_order_is_a_stable_sort(self, backend_name):
+        # The store's blocks are numbered by best score, and its score
+        # order is a stable sort of its rows.
         with use_backend(_backend_or_skip(backend_name)):
             for database in (
                 random_bid_database(12, rng=5),
@@ -594,14 +600,19 @@ class TestCoordinatorConstruction:
                         backend.descending_order(columns.scores)
                     )
                 )
+                ordered = backend.vector_values(
+                    backend.take_rows(columns.blocks, columns.order)
+                )
+                assert list(dict.fromkeys(ordered)) == sorted(set(ordered))
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_empty_database_merges_again(self, backend_name):
-        # The second merge meets the empty patch base the first published.
+    def test_empty_database_reads_again(self, backend_name):
         with use_backend(_backend_or_skip(backend_name)):
             coordinator = ShardedDatabase([], 2).coordinator()
-            assert coordinator._merge_columns().keys == []
-            assert coordinator._merge_columns().keys == []
+            assert coordinator._columns.keys == []
+            assert coordinator.rank_matrix(2).keys() == []
+            coordinator.invalidate()
+            assert coordinator.rank_matrix(2).keys() == []
             assert coordinator.keys() == []
 
     def test_expected_ranks_filed_under_the_vector_they_read(self):
