@@ -325,14 +325,13 @@ class ShardedDatabase:
         self._independent = isinstance(database, TupleIndependentDatabase)
         self._subscribers: List[Callable[[int, Hashable], None]] = []
         self._coordinator: Optional[Any] = None
-        columns = database.columns
+        store = database.columns.by_best_score()
         self._shard_of: Dict[Hashable, int] = dict(
-            zip(columns.keys, self._assign(columns, partitioner))
+            zip(store.keys, self._assign(store, partitioner))
         )
         self._shards: List[DatabaseShard] = [
             DatabaseShard(self, index) for index in range(shard_count)
         ]
-        store = columns.by_best_score()
         if validate_scores:
             self._check_distinct_scores(store)
             store.tie_free = True
@@ -347,34 +346,27 @@ class ShardedDatabase:
     # Partitioning
     # ------------------------------------------------------------------
     def _assign(
-        self, columns: FlatColumns, partitioner: Partitioner
+        self, store: FlatColumns, partitioner: Partitioner
     ) -> List[int]:
-        """The shard index of every block."""
-        keys = columns.keys
+        """The shard index of every block of ``store``."""
+        keys = store.keys
         if callable(partitioner):
             return [self._checked_index(partitioner(key)) for key in keys]
         if partitioner == "hash":
             return [hash_shard_of(key, self._shard_count) for key in keys]
         if partitioner == "range":
-            best: List[Optional[float]] = [None] * len(keys)
-            blocks = columns.backend.vector_values(columns.blocks)
-            for score, block in zip(columns.score_list(), blocks):
-                if score is not None and (
-                    best[block] is None or score > best[block]
-                ):
-                    best[block] = score
-            for key, score in zip(keys, best):
-                if score is None:
-                    raise ModelError(
-                        f"block {key!r} has no numeric score; range "
-                        "partitioning requires scored tuples"
-                    )
-            order = sorted(range(len(keys)), key=lambda block: -best[block])
-            assignments = [0] * len(keys)
+            for row in store.backend.unscored_rows(store.scores):
+                key = store.alternative(row).key
+                raise ModelError(
+                    f"block {key!r} has an unscored row; range "
+                    "partitioning requires scored tuples"
+                )
+            # The store's blocks are numbered by decreasing best score.
             chunk = -(-len(keys) // self._shard_count) if keys else 1
-            for rank, block in enumerate(order):
-                assignments[block] = min(rank // chunk, self._shard_count - 1)
-            return assignments
+            return [
+                min(block // chunk, self._shard_count - 1)
+                for block in range(len(keys))
+            ]
         raise ModelError(
             f"unknown partitioner {partitioner!r}; expected 'hash', "
             "'range' or a callable"
@@ -508,8 +500,6 @@ class ShardedDatabase:
             return state
         with self._apply_lock:
             state = self._history.get(versions)
-            if state is None and self._state[0] == versions:
-                state = self._state
         if state is None:
             raise SnapshotTooOldError(
                 f"version vector {versions} is no longer in the snapshot "
