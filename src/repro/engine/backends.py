@@ -338,9 +338,9 @@ class Backend:
     def index_vector(self, indices: Sequence[int]) -> Sequence[int]:
         """Pre-convert row indices to the backend's native gather form.
 
-        Callers that reuse one index list across many :meth:`take_rows` /
-        :meth:`sum_rows_by_group` calls (the merge engine's grid positions
-        live across every incremental re-merge) convert it once through
+        Callers that reuse one index list across many :meth:`take_rows`
+        calls (the merge engine's grid positions live across every
+        incremental re-merge) convert it once through
         this hook instead of paying a python-list conversion per call.
         """
         return list(indices)
@@ -441,9 +441,9 @@ class Backend:
     ) -> Any:
         """Sum rows of a native matrix into ``group_count`` output rows.
 
-        ``result[groups[r]] += matrix[r]`` for every row ``r``.  The merge
-        engine uses this to collapse per-alternative rank contributions of
-        a block-independent shard into per-key rows.
+        ``result[groups[r]] += matrix[r]`` for every row ``r``.  The
+        block-independent rank matrix collapses its per-alternative rows
+        into per-key rows with it.
         """
         raise NotImplementedError
 

@@ -20,9 +20,11 @@ views), which bumps the owning shard's version and notifies subscribers
 bounded history, so a reader pinned at an older version vector resolves
 that vector's immutable store once.  Exact global answers come from the
 :class:`~repro.sharding.ShardedQuerySession` coordinator, a session over
-the store whose rank matrix convolves the shards' partial rank generating
-functions (:meth:`DatabaseShard.summary`, memoised per shard version).  No
-tree is built unless a world-level or sampling route asks for the store's.
+the store.  A tuple-independent database's rank matrix convolves the
+shards' partial rank generating functions (:meth:`DatabaseShard.summary`,
+memoised per shard version); a block-independent database's is the
+store's own.  No tree is built unless a world-level or sampling route asks
+for the store's.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ def build_shard_database(
     """Wrap one shard's columns in the source's model (no copy, no checks).
 
     The model follows the source, not the shard's contents: a BID shard
-    whose blocks all hold one alternative is still a BID database.
+    whose blocks all hold one alternative is still a BID database.  No
+    code under ``src`` calls it; ``perfbench/layers.py`` wraps it by name
+    in its ``models.build`` span.
     """
     return model.from_columns(columns, name=f"{name}/shard{index}")
 
@@ -76,15 +80,15 @@ def build_shard_database(
 class DatabaseShard:
     """One shard: its index, its version and a row view of the store.
 
-    The coordinator reads a shard through :meth:`summary` only, at the
-    state it pinned.  This class alone knows whether a summary's prefix
-    table is swept in this process (``executor="threads"``, and
-    block-independent shards on either executor) or shipped by a worker
-    process (tuple-independent shards under ``executor="processes"``: the
-    pool's cache, which is also the baseline the worker ships row-suffix
-    deltas against).  Either way the summary reads the parent's store,
-    which is authoritative: when the worker cannot answer, the read fails
-    over to it.
+    The coordinator of a tuple-independent database reads a shard through
+    :meth:`summary` only, at the state it pinned.  This class alone knows
+    whether a summary's prefix table is swept in this process
+    (``executor="threads"``) or shipped by a worker process
+    (``executor="processes"``: the pool's cache, which is also the
+    baseline the worker ships row-suffix deltas against).  Either way the
+    summary reads the parent's store, which is authoritative: when the
+    worker cannot answer, the read fails over to it.  A block-independent
+    database's coordinator reads no shard summary.
     """
 
     __slots__ = ("index", "_owner", "_summaries")
@@ -128,33 +132,22 @@ class DatabaseShard:
         """The shard's live rows gathered into columns of their own."""
         return self.committed()[1]
 
-    @property
-    def database(self) -> Optional[SourceDatabase]:
-        """The shard's columns in the source's model (None when empty)."""
-        columns = self.columns
-        if not columns.values:
-            return None
-        owner = self._owner
-        return build_shard_database(
-            owner._model, owner.name, self.index, columns
-        )
-
     def summary(
         self, max_rank: int, state: Optional[State] = None
     ) -> ShardRankSummary:
         """The truncated rank summary of the shard at ``state`` (default:
         the live one), over the store's rows of the shard.
 
-        A tuple-independent shard's worker ships its prefix table (a cache
-        miss fetches every stale shard in one parallel exchange); a
-        block-independent summary needs nothing but the store, so it is
-        never asked of a worker.  Summaries swept here are memoised per
-        (shard version, ``max_rank``).
+        Under ``executor="processes"`` the shard's worker ships its prefix
+        table (a cache miss fetches every stale shard in one parallel
+        exchange).  Summaries swept here are memoised per (shard version,
+        ``max_rank``).  Summaries exist for tuple-independent layouts
+        only (:class:`~repro.sharding.summary.ShardRankSummary`).
         """
         owner = self._owner
         if state is None:
             state = owner.state()
-        if owner.independent and owner.executor == "processes":
+        if owner.executor == "processes":
             remote = owner.process_pool().read(
                 self.index, "summary", max_rank, state
             )
@@ -266,9 +259,9 @@ class ShardedDatabase:
         database into its own worker process
         (:class:`~repro.sharding.procpool.ShardProcessPool`), escaping the
         GIL for the per-shard kernels.  A block-independent database's
-        summaries are built in-process either way, so it spawns no
-        worker.  Answers are identical either way; prefer processes for
-        large shards (n >= 10^4) on the numpy backend.
+        rank matrix is read off its store, so it spawns no worker.
+        Answers are identical either way; prefer processes for large
+        shards (n >= 10^4) on the numpy backend.
     executor_options:
         Keyword arguments forwarded to the process pool constructor
         (``start_method``, ``request_timeout``, ``supervise``,
@@ -321,7 +314,6 @@ class ShardedDatabase:
             partitioner if isinstance(partitioner, str) else "custom"
         )
         self._name = name or getattr(source, "name", "sharded")
-        self._model = type(database)
         self._independent = isinstance(database, TupleIndependentDatabase)
         self._subscribers: List[Callable[[int, Hashable], None]] = []
         self._coordinator: Optional[Any] = None

@@ -590,9 +590,10 @@ class QuerySession:
         distributions, truncated at ``max_rank`` coefficients) that a
         sharded coordinator convolves with other shards' summaries to
         recover exact global rank probabilities without a global session.
-        Only defined for tuple-independent and block-independent (BID)
-        layouts -- the models whose rank generating function factorizes
-        across independent shards.
+        Only defined for tuple-independent layouts: a block-independent
+        (BID) layout or a general tree raises
+        :class:`~repro.exceptions.ModelError` (a sharded BID database's
+        coordinator reads its rank matrix off its one store instead).
         """
         if max_rank is None:
             max_rank = self.number_of_tuples()

@@ -7,18 +7,19 @@ counts, so its distribution is the convolution of per-shard count
 distributions.  This package exploits that factorization:
 
 * :class:`~repro.sharding.summary.ShardRankSummary` -- the partial
-  (truncated) univariate generating functions one shard exports: for every
-  score threshold, the distribution of the number of present tuples above
-  it, read off the shard's row view of its database's one store
-  (memoised per shard version by
+  (truncated) univariate generating functions one tuple-independent shard
+  exports: for every score threshold, the distribution of the number of
+  present tuples above it, read off the shard's row view of its database's
+  one store (memoised per shard version by
   :meth:`repro.models.sharded.DatabaseShard.summary`).
 * :class:`~repro.sharding.coordinator.ShardedQuerySession` -- a
-  :class:`~repro.session.QuerySession` drop-in whose statistics artifacts
-  (rank matrix, Top-k membership, pairwise preference grid, expected ranks)
-  are recovered *exactly* by convolving shard partials through the engine
-  backend (:meth:`~repro.engine.backends.Backend.convolve_rows`), so every
-  consensus algorithm runs unchanged at the coordinator without ever
-  building a global session.
+  :class:`~repro.session.QuerySession` over the database's one store.  A
+  tuple-independent database's rank matrix is recovered *exactly* by
+  convolving shard partials through the engine backend
+  (:meth:`~repro.engine.backends.Backend.convolve_rows`); a
+  block-independent database spawns no worker, so its rank matrix is the
+  store's own.  Every consensus algorithm runs unchanged at the
+  coordinator.
 * :class:`~repro.sharding.procpool.ShardProcessPool` -- the process-backed
   execution of the same protocol: one worker process per shard, supervised
   by :class:`~repro.sharding.supervisor.WorkerSupervisor` (crashed or

@@ -13,19 +13,21 @@ lazily built tree, the world-level, aggregate and sampling routes.  The
 store's own tie check (skipped once the database marked it tie-free)
 guards the paper's no-ties ranking.
 
-Only the rank matrix is merged from shard summaries.  The rank generating
-function of independent shards factorizes, so the coordinator recovers the
-exact global ``Pr(r(t) = i)`` matrix by convolving each tuple's *local*
-rank polynomial (its own shard, own block excluded) with the other shards'
-count-above-threshold partials (:class:`~repro.sharding.summary.\
-ShardRankSummary`, one per shard view, memoised per shard version).  The
-whole merge is a handful of batched backend kernels (row gathers +
-row-aligned truncated convolutions); block-independent shards contribute
-one row per alternative, collapsed per tuple.  A database with a single
-non-empty shard on threads needs no merge: the inherited rank matrix of
-the store is that shard's.  Every consensus algorithm of
-:mod:`repro.consensus` then runs unchanged at the coordinator, with
-answers identical to a single unsharded session over the same data.
+Only a tuple-independent database's rank matrix is merged from shard
+summaries.  The rank generating function of independent shards
+factorizes, so the coordinator recovers the exact global
+``Pr(r(t) = i)`` matrix by convolving each tuple's *local* rank
+polynomial (its own shard) with the other shards' count-above-threshold
+partials (:class:`~repro.sharding.summary.ShardRankSummary`, one per
+shard view, memoised per shard version, swept by a worker process under
+``executor="processes"``).  The whole merge is a handful of batched
+backend kernels (row gathers + row-aligned truncated convolutions).  A
+block-independent database spawns no worker, so its summaries would be
+computed here from the same store: the coordinator reads the store's own
+rank matrix instead, as it does for a single non-empty shard on threads.
+Every consensus algorithm of :mod:`repro.consensus` then runs unchanged
+at the coordinator, with answers identical to a single unsharded session
+over the same data.
 
 Two properties make the coordinator honest under sustained mixed traffic:
 
@@ -266,13 +268,14 @@ class ShardedQuerySession(QuerySession):
             for shard, view in zip(self._database.shards(), views)
             if len(view)
         ]
-        if (
-            len(shards) == 1
-            and getattr(self._database, "executor", "threads") == "threads"
+        if not self._database.independent or (
+            len(shards) == 1 and self._database.executor == "threads"
         ):
-            # A single shard needs no merging: its rank matrix is the
-            # store's.  (On the pool path the shard's sweep lives in a
-            # worker, so the merge below runs from the shipped summary.)
+            # The store's rank matrix is the global one.  A
+            # block-independent database and a single shard on threads
+            # need no merging; on the pool path a tuple-independent
+            # shard's sweep lives in a worker, so the merge below runs
+            # from the shipped summaries.
             return statistics.rank_matrix(max_rank)
         summaries = [shard.summary(max_rank, state) for shard in shards]
         if not summaries:

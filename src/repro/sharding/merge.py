@@ -26,7 +26,7 @@ to the lesser of its factors' supports, and no row past that bound is
 computed, copied or gathered.  The product's own support, which may end
 sooner, is read from the rows just convolved, never from a scan of a
 whole matrix.  A shard's count table is cut at its own support
-(:meth:`~repro.sharding.summary.ShardRankSummary.count_table`), and the
+(:attr:`~repro.sharding.summary.ShardRankSummary.prefix_table`), and the
 merged result is handed over as its live rows, whose count is the merged
 support.  On 6000 tuples over 4 shards with ``max_rank = 10`` the merged
 support is about 750 rows.
@@ -54,11 +54,9 @@ convolves nothing.  The kernels are row-local, so the spliced
 result has the same bits as a full merge.  A full merge is the same
 computation with every row stale.
 
-Tuple-independent shards take the batched path (local rows are the shard's
-own prefix table); block-independent shards build one row per alternative
-(own block excluded), keep those rows scaled but ungrouped, and collapse
-them per key with :meth:`~repro.engine.backends.Backend.sum_rows_by_group`
-after each refresh, so mixed shardings merge on the same grid machinery.
+Shards are tuple-independent: a shard's local rank rows are its own
+prefix table, one row per tuple.  (A sharded block-independent database
+reads its rank matrix off its one store instead, so it never merges.)
 Every shard's final rows are then placed at their keys' merged rows
 (:meth:`~repro.engine.backends.Backend.scatter_rows`).
 No cached row is ever written into: a refresh replaces rows, because the
@@ -130,7 +128,6 @@ class _GridState:
         "suffix",
         "others",
         "locals",
-        "scaled",
         "finals",
         "store",
     )
@@ -149,13 +146,11 @@ class _GridState:
         self.prefix: List[Any] = [None] * shard_count
         self.suffix: List[Any] = [None] * shard_count
         self.others: List[Any] = [None] * shard_count
-        #: Per-shard ``(local_rows, scale_factors, groups)`` -- everything
-        #: in the final-rows computation that depends only on the shard's
-        #: own content.
+        #: Per-shard ``(local_rows, scale_factors)`` -- everything in the
+        #: final-rows computation that depends only on the shard's own
+        #: content.
         self.locals: List[Any] = [None] * shard_count
-        #: Per-shard scaled rank rows, one per alternative (before the
-        #: per-key grouping of block-independent shards).
-        self.scaled: List[Any] = [None] * shard_count
+        #: Per-shard scaled rank rows, one per tuple.
         self.finals: List[Any] = [None] * shard_count
         #: The store whose score order the grid is; its key list orders
         #: the merged rows.
@@ -255,7 +250,7 @@ class MergeEngine:
                 self._states.pop(max_rank, None)
                 raise
             state.summaries = list(summaries)
-            return self._assemble(state, len(store.keys), max_rank, backend)
+            return self._assemble(state, max_rank, backend)
 
     # ------------------------------------------------------------------
     # Grid state construction / refresh
@@ -372,7 +367,7 @@ seed_prefix_table`).
                 index_map = state.index_maps[index]
                 # Grid rows whose threshold lies past the table's live
                 # rows are zero; the index map never decreases.
-                stop = bisect_left(index_map, len(summary.count_table()))
+                stop = bisect_left(index_map, len(summary.prefix_table))
                 tail = None
                 if start < stop:
                     tail = summary.aligned_count_table(
@@ -462,7 +457,7 @@ seed_prefix_table`).
         grid positions, so they go stale from the first local row whose
         position reaches ``others_from`` (the least stale grid row over
         the other shards).  The final rows go stale from there, or from
-        the shard's own changed alternative, whose scale factor moved.
+        the shard's own changed tuple, whose scale factor moved.
         """
         rows = len(summary.probabilities)
         others_row = (
@@ -478,26 +473,13 @@ seed_prefix_table`).
             self.counters["partials_reused"] += 1
         final_row = others_row
         if change is not None:
-            own_row = change[1]
-            # Local row ``r`` holds the alternatives above ``r``, so the
-            # changed alternative's own local row is still valid.
-            state.locals[index] = self._local_parts(
-                summary, state.locals[index], own_row + 1, max_rank, backend
-            )
-            final_row = min(final_row, own_row)
+            state.locals[index] = self._local_parts(summary, backend)
+            final_row = min(final_row, change[1])
         if final_row >= rows:
             self.counters["partials_reused"] += 1
             return
-        scaled = self._scaled_rows(state, index, final_row, max_rank, backend)
-        state.scaled[index] = scaled
-        groups = state.locals[index][2]
-        state.finals[index] = (
-            scaled
-            if groups is None or not len(scaled)
-            else backend.sum_rows_by_group(
-                scaled, backend.slice_rows(groups[0], 0, len(scaled)),
-                groups[1],
-            )
+        state.finals[index] = self._scaled_rows(
+            state, index, final_row, max_rank, backend
         )
 
     def _others_rows(
@@ -533,43 +515,18 @@ seed_prefix_table`).
         return self._splice(state.others[index], start, tail, max_rank,
                             backend)
 
+    @staticmethod
     def _local_parts(
-        self,
-        summary: ShardRankSummary,
-        previous: Optional[Tuple[Any, Any, Any]],
-        start: int,
-        max_rank: int,
-        backend: Any,
-    ) -> Tuple[Any, Any, Any]:
-        """The shard-content-only inputs of :meth:`_scaled_rows`.
-
-        ``(local_rows, scale_factors, groups)`` where ``groups`` is
-        ``None`` for tuple-independent shards and ``(group_vector,
-        group_count)`` for block-independent ones.  Local rows above
-        ``start`` are unchanged since ``previous`` (when there is one): a
-        tuple-independent shard's are a slice of its prefix table's live
-        rows anyway, and a block-independent shard's are reused, so only
-        the rows from ``start`` on are rebuilt.
-        """
+        summary: ShardRankSummary, backend: Any
+    ) -> Tuple[Any, Any]:
+        """The shard-content-only inputs of :meth:`_scaled_rows`:
+        ``(local_rows, scale_factors)``.  Local row ``r`` is the count
+        distribution of the ``r`` tuples above tuple ``r`` -- row ``r`` of
+        the shard's prefix table -- and its factor is tuple ``r``'s
+        probability."""
         factors = summary.probabilities
-        rows = len(factors)
-        if summary.is_independent:
-            local = backend.slice_rows(summary.prefix_table, 0, rows)
-            return local, factors, None
-        # Block-independent: one row per alternative (own block excluded),
-        # scaled by the alternative's probability and summed per key.  Row
-        # ``r`` has exactly ``r`` alternatives above it.
-        if previous is None:
-            local, start = None, 0
-            groups = (summary.blocks, len(summary.keys))
-        else:
-            local, _, groups = previous
-        if start < rows:
-            tail = backend.matrix_from_rows(
-                [summary.local_polynomial(row) for row in range(start, rows)]
-            )
-            local = self._splice(local, start, tail, max_rank, backend)
-        return local, factors, groups
+        local = backend.slice_rows(summary.prefix_table, 0, len(factors))
+        return local, factors
 
     def _scaled_rows(
         self,
@@ -580,9 +537,9 @@ seed_prefix_table`).
         backend: Any,
     ) -> Any:
         """Local rank rows ⊛ all-others factor, scaled by each
-        alternative's probability, from local row ``start`` to the lesser
+        tuple's probability, from local row ``start`` to the lesser
         of the two factors' support."""
-        local, factors, _ = state.locals[index]
+        local, factors = state.locals[index]
         others = state.others[index]
         stop = len(local) if others is None else min(len(local), len(others))
         tail = None
@@ -596,35 +553,27 @@ seed_prefix_table`).
             tail = backend.scale_rows(
                 tail, backend.slice_rows(factors, start, stop)
             )
-        return self._splice(state.scaled[index], start, tail, max_rank,
+        return self._splice(state.finals[index], start, tail, max_rank,
                             backend)
 
     def _assemble(
-        self, state: _GridState, rows: int, max_rank: int, backend: Any
+        self, state: _GridState, max_rank: int, backend: Any
     ) -> Any:
         """The merged matrix's live rows: every shard's final rows placed
         at their keys' merged rows, up to the last row any of them reaches
         and cut at the support read from those rows.
 
-        A tuple-independent shard's final rows run in score order, so its
-        last live row reaches furthest; a block-independent shard's are
-        per key, in the shard's key order, so they may reach every row.
+        A shard's final rows run in score order, so its last live row
+        reaches furthest.
         """
         parts, targets, reach = [], [], 0
-        for summary, finals, shard_targets in zip(
-            state.summaries, state.finals, state.targets
-        ):
+        for finals, shard_targets in zip(state.finals, state.targets):
             live = len(finals)
             if not live:
                 continue
             parts.append(finals)
             targets.append(backend.slice_rows(shard_targets, 0, live))
-            reach = max(
-                reach,
-                int(shard_targets[live - 1]) + 1
-                if summary.is_independent
-                else rows,
-            )
+            reach = max(reach, int(shard_targets[live - 1]) + 1)
         if not parts:
             return splice_live_rows(backend, None, 0, None, max_rank)
         merged = backend.scatter_rows(

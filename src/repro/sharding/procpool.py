@@ -28,8 +28,9 @@ other version (a commit raced the fetch, or the reader is pinned at a
 superseded vector) is answered from the parent's store, its table swept
 here, and is not cached.  Summaries are cached parent-side per shard
 version, so after one shard's update only that shard's table is
-re-fetched.  A block-independent database's summaries never ask a worker,
-so its pool spawns none.
+re-fetched.  A block-independent database's coordinator reads its rank
+matrix off the parent's store and asks no worker, so its pool spawns
+none.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
 **supervised**: the pool respawns the dead worker from the parent's

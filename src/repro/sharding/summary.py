@@ -4,12 +4,14 @@ A shard's contribution to any global rank statistic is fully captured by its
 *count-above-threshold* distributions: for a threshold ``θ``, the univariate
 generating function of the number of present tuples in the shard whose
 realized score exceeds ``θ``.  Because scores are distinct, only the
-``n_s + 1`` prefixes of the shard's score-sorted alternative list yield
+``n_s + 1`` prefixes of the shard's score-sorted tuple list yield
 different distributions, so the whole summary is a truncated
-``(n_s + 1) × max_rank`` polynomial table -- one backend sweep for
-tuple-independent shards (:meth:`~repro.engine.backends.Backend.\
-prefix_count_polynomials`), one memoized Bernoulli product per requested
-prefix for block-independent shards.
+``(n_s + 1) × max_rank`` polynomial table, one backend sweep
+(:meth:`~repro.engine.backends.Backend.prefix_count_polynomials`).
+Summaries exist for tuple-independent layouts only: a sharded
+block-independent database reads its rank matrix off its one store
+(:class:`~repro.sharding.coordinator.ShardedQuerySession`), so nothing
+merges per-shard block-independent partials.
 
 A summary holds only the table's **live rows**: the rows before its
 support, past which every row is exactly ``0.0`` (once ``max_rank``
@@ -42,16 +44,15 @@ view of the database's one store -- its rows, in the store's score
 order -- so a shard summary reads the store through that view, and an
 unsharded session's summary reads every row of its own columns
 (:meth:`~repro.andxor.rank_probabilities.RankStatistics.flat_rows`).  It
-gathers the score-ordered vectors it needs -- scores, probabilities, block
-ids (renumbered over the view's own blocks) and row keys -- in the active
-backend's native form, each on first use.
+gathers the score-ordered vectors it needs -- scores, probabilities and
+row keys -- in the active backend's native form, each on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.andxor.columns import FlatColumns
 from repro.engine import get_backend
@@ -59,13 +60,13 @@ from repro.exceptions import ModelError
 
 
 class ShardRankSummary:
-    """Truncated rank-polynomial summary of one database shard.
+    """Truncated rank-polynomial summary of one tuple-independent shard.
 
     Parameters
     ----------
     session:
         The shard's :class:`~repro.session.QuerySession` (tuple-independent
-        or block-independent layout; anything else raises
+        layout; a block-independent layout or a general tree raises
         :class:`~repro.exceptions.ModelError`).
     max_rank:
         Number of coefficients kept per partial polynomial.  Convolving
@@ -74,13 +75,7 @@ class ShardRankSummary:
     """
 
     def __init__(self, session: Any, max_rank: int) -> None:
-        layout = session.statistics.flat_rows()
-        if layout is None:
-            raise ModelError(
-                "shard summaries require a tuple-independent or "
-                "block-independent database layout"
-            )
-        self._bind(layout, max_rank, None)
+        self._bind(session.statistics.flat_rows(), max_rank, None)
 
     @classmethod
     def from_layout(
@@ -107,10 +102,16 @@ class ShardRankSummary:
 
     def _bind(
         self,
-        layout: Tuple[FlatColumns, Any, Any],
+        layout: Optional[Tuple[FlatColumns, Any, Any]],
         max_rank: int,
         prefix_table: Any,
     ) -> None:
+        if layout is None or not layout[0].independent:
+            raise ModelError(
+                "shard summaries require a tuple-independent database "
+                "layout; a block-independent database's rank matrix is "
+                "read off its store"
+            )
         self.columns, self._row_scores, self._order = layout
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
@@ -118,11 +119,10 @@ class ShardRankSummary:
         #: ``(previous live rows, first changed row)`` for the sweep of a
         #: table seeded by :meth:`seed_prefix_table`, until it is read.
         self._seed: Optional[Tuple[Any, int]] = None
-        self._block_polynomials: Dict[Tuple[int, Any], List[float]] = {}
 
     # ------------------------------------------------------------------
-    # Score-ordered columns (row ``r`` is the shard's ``r``-th alternative
-    # by decreasing score), gathered on first use
+    # Score-ordered columns (row ``r`` is the shard's ``r``-th tuple by
+    # decreasing score), gathered on first use
     # ------------------------------------------------------------------
     def _ordered(self, column: Any) -> Any:
         return self.columns.backend.take_rows(column, self._order)
@@ -141,50 +141,16 @@ class ShardRankSummary:
         )
 
     @cached_property
-    def blocks(self) -> Any:
-        """Every row's block, a native index vector of the active backend.
-
-        Blocks are numbered over the summarised rows alone, in the order
-        their rows first appear: :attr:`keys` names each of a
-        block-independent summary's blocks.
-        """
-        return self._backend.index_vector(self._numbered[0])
-
-    @cached_property
     def keys(self) -> List[Hashable]:
-        """The keys of the summary's rank rows: one per row in score order
-        for tuple-independent shards, one per block of :attr:`blocks`
-        otherwise."""
-        return self._numbered[1]
-
-    @cached_property
-    def _numbered(self) -> Tuple[Sequence[int], List[Hashable]]:
-        """The rows' local block numbers and the key of each row (TI) or
-        of each local block (BID)."""
+        """The keys of the summary's rank rows, one per row in score
+        order."""
         columns = self.columns
         blocks = columns.backend.vector_values(self._ordered(columns.blocks))
-        keys = columns.keys
-        if self.is_independent:  # one row per block
-            return range(len(blocks)), list(map(keys.__getitem__, blocks))
-        local: Dict[int, int] = {}
-        numbers = [local.setdefault(block, len(local)) for block in blocks]
-        return numbers, list(map(keys.__getitem__, local))
-
-    @cached_property
-    def _row_lists(self) -> Tuple[List[float], List[int]]:
-        """Probabilities and blocks as lists, for the per-prefix loops of
-        block-independent shards."""
-        values = self._backend.vector_values
-        return values(self.probabilities), values(self.blocks)
+        return list(map(columns.keys.__getitem__, blocks))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def is_independent(self) -> bool:
-        """True for tuple-independent shards (dense prefix table)."""
-        return self.columns.independent
-
     @property
     def max_rank(self) -> int:
         """Number of coefficients kept per partial polynomial."""
@@ -198,7 +164,7 @@ class ShardRankSummary:
     # ------------------------------------------------------------------
     def prefix_indices(self, thresholds_desc: Any) -> List[int]:
         """Per threshold of a decreasing sequence, the number of shard
-        alternatives scoring strictly above it.
+        tuples scoring strictly above it.
 
         One backend sweep (two-pointer merge / vectorized bisect) -- the
         coordinator calls this with the merged score grid.
@@ -214,15 +180,9 @@ class ShardRankSummary:
 
         Row ``m`` holds the count distribution of the first ``m``
         (score-sorted) tuples; the table stops at the sweep's first
-        all-zero row, and every row past its end is exactly ``0.0``.  Only
-        defined for independent shards, where it is produced by one
-        backend sweep.
+        all-zero row, and every row past its end is exactly ``0.0``.  It
+        is produced by one backend sweep.
         """
-        if not self.is_independent:
-            raise ModelError(
-                "the dense prefix table exists only for tuple-independent "
-                "shards; use count_above() on block-independent shards"
-            )
         if self._prefix_table is None:
             table, live = self._backend.prefix_count_polynomials(
                 self.probabilities, self._max_rank, self._seed
@@ -245,58 +205,28 @@ class ShardRankSummary:
         first read of this summary's table reuses ``previous``'s rows
         above it and re-sweeps only the rest (see
         :meth:`~repro.engine.backends.Backend.prefix_count_polynomials`),
-        and it equals a cold sweep bit for bit.  A table already read, or
-        a block-independent summary, is left as it is.
+        and it equals a cold sweep bit for bit.  A table already read is
+        left as it is.
         """
         changed = self._backend.first_difference(
             previous.probabilities, self.probabilities
         )
-        if self.is_independent and self._prefix_table is None:
+        if self._prefix_table is None:
             self._seed = (previous.prefix_table, changed)
         return changed
 
-    def prefix_polynomial(
-        self, prefix: int, excluded_block: Optional[int] = None
-    ) -> List[float]:
-        """Count distribution of the first ``prefix`` alternatives.
+    def prefix_polynomial(self, prefix: int) -> List[float]:
+        """Count distribution of the first ``prefix`` tuples: row
+        ``prefix`` of :attr:`prefix_table`, a zero row past its end.
 
         The prefix-indexed form of :meth:`count_above`: two thresholds with
         the same prefix index have identical distributions, so callers that
-        already hold prefix indices (the dense :meth:`count_table`) skip
-        the lookup.  ``excluded_block`` leaves one block out -- the merge's
-        local rank polynomial of a row, whose own block's alternatives are
-        mutually exclusive with it.  A tuple-independent block is a single
-        row, never above itself, so the exclusion is a no-op there.
+        already hold prefix indices skip the lookup.
         """
-        if self.is_independent:
-            table = self.prefix_table
-            if prefix >= len(table):
-                return [0.0] * self._max_rank
-            return self._backend.matrix_row(table, prefix)
-        cache_key = (prefix, excluded_block)
-        cached = self._block_polynomials.get(cache_key)
-        if cached is None:
-            probabilities, blocks = self._row_lists
-            masses: Dict[int, float] = {}
-            for probability, block in zip(
-                probabilities[:prefix], blocks[:prefix]
-            ):
-                if block != excluded_block:
-                    masses[block] = masses.get(block, 0.0) + probability
-            cached = _pad(
-                self._backend.bernoulli_product(
-                    [mass for mass in masses.values() if mass > 0.0],
-                    self._max_rank,
-                ),
-                self._max_rank,
-            )
-            self._block_polynomials[cache_key] = cached
-        return cached
-
-    def local_polynomial(self, row: int) -> List[float]:
-        """The local rank polynomial of one row: the count distribution of
-        the rows above it, its own block left out."""
-        return self.prefix_polynomial(row, self._row_lists[1][row])
+        table = self.prefix_table
+        if prefix >= len(table):
+            return [0.0] * self._max_rank
+        return self._backend.matrix_row(table, prefix)
 
     def count_above(self, threshold: float) -> List[float]:
         """Coefficients of the count-above-``threshold`` distribution.
@@ -308,35 +238,10 @@ class ShardRankSummary:
         """
         return self.prefix_polynomial(self.prefix_indices([threshold])[0])
 
-    def count_table(self) -> Any:
-        """The live rows of the native ``(n_s + 1) × max_rank`` count-above
-        table, both kinds; every row past its end is exactly ``0.0``.
-
-        Row ``m`` is :meth:`prefix_polynomial` for prefix ``m``.  For
-        tuple-independent shards this is exactly :attr:`prefix_table`; for
-        block-independent shards the rows are the memoized Bernoulli
-        products, densified once so the incremental merge engine can gather
-        grid-aligned rows with one backend call per shard, and cut at
-        their :meth:`~repro.engine.backends.Backend.row_support`.
-        """
-        if self.is_independent:
-            return self.prefix_table
-        if getattr(self, "_dense_table", None) is None:
-            table = self._backend.matrix_from_rows(
-                [
-                    self.prefix_polynomial(prefix)
-                    for prefix in range(len(self.probabilities) + 1)
-                ]
-            )
-            self._dense_table = self._backend.slice_rows(
-                table, 0, self._backend.row_support(table)
-            )
-        return self._dense_table
-
     def aligned_count_table(
         self, grid_scores_desc: Any, indices: Optional[Any] = None
     ) -> Any:
-        """Rows of :meth:`count_table` aligned with a shared score grid.
+        """Rows of :attr:`prefix_table` aligned with a shared score grid.
 
         ``grid_scores_desc`` is the coordinator's merged decreasing score
         grid; row ``g`` of the result is this shard's count-above
@@ -348,7 +253,7 @@ class ShardRankSummary:
         """
         if indices is None:
             indices = self.prefix_indices(grid_scores_desc)
-        table = self.count_table()
+        table = self.prefix_table
         # Indices never decrease along a decreasing grid, so the rows that
         # read live table rows lead.
         live = bisect_left(indices, len(table))
@@ -360,10 +265,9 @@ class ShardRankSummary:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "independent" if self.is_independent else "block"
         return (
             f"ShardRankSummary({self.number_of_tuples()} tuples, "
-            f"kind={kind!r}, max_rank={self._max_rank})"
+            f"max_rank={self._max_rank})"
         )
 
 
@@ -391,8 +295,3 @@ def splice_live_rows(
     )
     return backend.stack_matrices([above, tail])
 
-
-def _pad(coefficients: List[float], length: int) -> List[float]:
-    if len(coefficients) >= length:
-        return coefficients[:length]
-    return coefficients + [0.0] * (length - len(coefficients))

@@ -290,8 +290,7 @@ class TestLazyTree:
             sharded.update_tuple(rows[index * 7][0], probability=0.5)
             connection.execute(query)
         assert sharded.executor == "threads"
-        for shard in sharded.shards():
-            assert shard.database.columns._tree is None
+        assert sharded.state()[1]._tree is None
 
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     @pytest.mark.parametrize("executor", ["threads", "processes"])
@@ -577,7 +576,7 @@ class TestPatchedUpdates:
             ("a", [("x", 1.5, 0.1), ("u", 6.0, 0.2), ("t", 7.0, 0.3)])
         ] + blocks[1:]
         # The shard's rows come out of the store in best-score order.
-        columns = sharded.shards()[0].database.columns
+        columns = sharded.shards()[0].columns
         assert columns.keys == ["a", "c", "b"]
         assert list(columns.blocks) == [0, 0, 0, 1, 1, 2]
         # Top-2 intersection ties between {a, b} and {a, c}; a tie goes to

@@ -268,27 +268,24 @@ def test_workers_ship_only_live_rows(backend_name):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("model", ["ti", "bid"])
-def test_short_table_readers_return_zero_rows_past_its_end(backend_name, model):
-    """A summary's count table stops at its support, and the readers of the
-    short table return zero rows past its end: prefix polynomials, and
+def test_short_table_readers_return_zero_rows_past_its_end(backend_name):
+    """A summary's prefix table stops at its support, and the readers of
+    the short table return zero rows past its end: prefix polynomials, and
     grid-aligned rows at thresholds below the table's live rows."""
     rng = random.Random(11)
     k = 3
     probabilities = zero_tailed_probabilities("certain", 40, k, 1, rng)
-    data = (
-        bid_blocks(probabilities, rng) if model == "bid" else ti_rows(probabilities)
-    )
     with use_backend(backend_name) as backend:
-        sharded = ShardedDatabase(database_of(model, data), 1)
+        sharded = ShardedDatabase(
+            TupleIndependentDatabase(ti_rows(probabilities)), 1
+        )
         summary = sharded.shards()[0].summary(k)
-        table = backend.matrix_to_lists(summary.count_table())
+        table = backend.matrix_to_lists(summary.prefix_table)
         prefixes = len(summary.probabilities) + 1
         assert len(table) < prefixes
-        if model == "ti":
-            expected = reference_prefix(probabilities, k)
-            assert table == expected[: len(table)]
-            assert all(not any(row) for row in expected[len(table) :])
+        expected = reference_prefix(probabilities, k)
+        assert table == expected[: len(table)]
+        assert all(not any(row) for row in expected[len(table) :])
         for prefix in range(prefixes):
             polynomial = summary.prefix_polynomial(prefix)
             if prefix < len(table):

@@ -279,6 +279,15 @@ class TestShardSummary:
         if session.independent_tuple_layout() is None:
             with pytest.raises(ModelError):
                 ShardRankSummary(session, 4)
+        # A BID layout has no summary either: a sharded BID database reads
+        # its rank matrix off its store.
+        session = QuerySession(small_bid(5, blocks=6).tree)
+        assert session.layout_kind() == "bid"
+        with pytest.raises(ModelError):
+            session.partial_rank_summary(4)
+        store = session.statistics.flat_rows()
+        with pytest.raises(ModelError):
+            ShardRankSummary.from_layout(store, 4)
 
 
 class TestShardedDatabase:
@@ -370,17 +379,14 @@ class TestShardedDatabase:
         sharded.update_tuple(target, probability=0.42, score=12345.0)
         rebuilt = []
         for shard in sharded.shards():
-            shard_db = shard.database
-            if shard_db is None:
-                continue
-            for key in shard_db.keys():
-                alternative = shard_db.tree.alternatives_of(key)[0]
+            columns = shard.columns
+            for row, alternative in enumerate(columns.row_alternatives()):
                 rebuilt.append(
                     (
-                        key,
+                        alternative.key,
                         alternative.value,
                         alternative.score,
-                        shard_db.tuple_probabilities()[key],
+                        columns.presence(alternative.key),
                     )
                 )
         oracle = QuerySession(TupleIndependentDatabase(rebuilt).tree)
