@@ -398,7 +398,7 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
             # The owning worker's summary recompute and its delta ship are
             # warmed here, outside both timed regions: the comparison is
             # re-merge vs re-merge, not shard-local sweep vs itself.
-            pool.prefetch([K])
+            pool.summaries(K)
             stats_before = incremental.merge_stats()
             start = time.perf_counter()
             merged = incremental.rank_matrix(K)

@@ -119,7 +119,7 @@ The package is organised bottom-up:
 * :mod:`repro.sharding` -- cross-shard statistics merging: per-shard
   partial generating functions convolved into exact global answers.
 * :mod:`repro.serving` -- the asyncio serving front-end (request
-  coalescing keyed by query hashes, micro-batching, per-shard workers,
+  coalescing keyed by query hashes, micro-batching, one update thread,
   invalidation fan-out).
 * :mod:`repro.query` -- the unified declarative layer on top: query
   builders, the hardness-aware planner, execution plans with
@@ -171,7 +171,7 @@ convolving the shards' truncated partial rank generating functions, so
 every consensus query runs unchanged (1e-9 parity with an unsharded
 session).  The asyncio
 front-end (:class:`~repro.serving.ServingExecutor`) adds request
-coalescing, micro-batching, per-shard worker pools and graceful cache
+coalescing, micro-batching, one update thread and graceful cache
 invalidation fan-out on updates; traffic mixes come from
 :func:`repro.workloads.generate_traffic`, which emits the same
 declarative query objects the executor consumes:

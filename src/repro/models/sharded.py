@@ -187,12 +187,12 @@ class PendingUpdate:
     """A prepared block replacement, not yet applied.
 
     Preparation validates the block's new rows and patches them into a
-    copy of the store -- safe to run on a shard worker thread;
+    copy of the store -- safe to run on any thread;
     :meth:`ShardedDatabase.apply_update` then publishes that copy with the
-    shard's version bumped, a pointer swap that the serving executor
-    serializes against queries (re-patching the live store instead when
-    another shard's update was published in between).  This split is what
-    makes the serving layer's invalidation graceful.
+    shard's version bumped, a pointer swap that snapshot-pinned reads
+    never see half done (re-patching the live store instead when another
+    shard's update was published in between).  The serving executor runs
+    both on its update thread and re-prepares when the shard moved on.
     """
 
     __slots__ = (

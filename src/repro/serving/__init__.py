@@ -7,8 +7,8 @@ reproduction's per-shard pieces:
 * :class:`~repro.serving.executor.ServingExecutor` -- the asyncio
   front-end over declarative :class:`~repro.query.ConsensusQuery`
   objects: request coalescing (keyed by the query objects' stable
-  hash), micro-batching, a per-shard worker pool for summary refresh /
-  shard rebuilds, and graceful cache-invalidation fan-out on updates.
+  hash), micro-batching, one update thread for shard rebuilds, and
+  graceful cache-invalidation fan-out on updates.
   Execution routes through the hardness-aware planner
   (:mod:`repro.query.planner`) and self-heals: per-query deadlines,
   per-shard circuit breakers, and exact failover to the parent's shard

@@ -8,14 +8,14 @@ cross-shard coordinator session:
   is still in flight (same request, same shard generation) share one
   computation and one result future.
 * **Micro-batching** -- queued requests are drained into batches; each batch
-  first pre-warms the per-shard partial summaries *concurrently* on the
-  per-shard worker pool, then answers every request on the coordinator
-  worker, so batch members share the freshly merged artifacts.
+  answers every request on the coordinator worker, so batch members share
+  the freshly merged artifacts.  A shard summary is built only where the
+  merge reads it.
 * **Graceful invalidation fan-out** -- an update patches the owning
-  shard's block into a copy of the database's store on that shard's
-  worker (off the event loop and off the query path), then publishes it
-  with the shard's version bumped; the coordinator notices the version
-  change lazily and re-merges from the unchanged shards' warm summaries.
+  shard's block into a copy of the database's store and publishes it with
+  the shard's version bumped, in one hop to the update thread (off the
+  event loop and off the query path); the coordinator notices the version
+  change lazily and re-merges from the unchanged shards' summaries.
 * **Instrumentation** -- per-request latency quantiles, batch sizes,
   coalescing and invalidation counters (:meth:`ServingExecutor.metrics`).
 * **Self-healing** -- per-query deadlines (``deadline_ms`` ->
@@ -65,19 +65,6 @@ from repro.sharding.procpool import counting_failovers
 _SENTINEL = object()
 
 
-def required_max_rank(query: ConsensusQuery) -> Optional[int]:
-    """Rank-matrix truncation a query needs, for shard summary pre-warming.
-
-    ``None`` for queries that never touch the merged rank matrix (the
-    expected-rank family and world/aggregate queries).
-    """
-    if query.family in ("expected_ranks", "world", "aggregate"):
-        return None
-    if query.family == "ranking" and query.semantics == "expected_rank":
-        return None
-    return query.k
-
-
 class ServingExecutor:
     """Async batched query executor over a sharded database.
 
@@ -93,9 +80,6 @@ class ServingExecutor:
         request (0.0 drains whatever is already queued, adding no latency).
     max_batch_size:
         Upper bound on one micro-batch.
-    warm_shards:
-        Pre-compute the per-shard partial summaries of a batch concurrently
-        on the per-shard workers before merging.
     deadline_ms:
         Default per-query deadline in milliseconds (``None`` = none).  A
         query that misses it raises
@@ -125,7 +109,6 @@ class ServingExecutor:
         coalesce: bool = True,
         batch_window: float = 0.0,
         max_batch_size: int = 64,
-        warm_shards: bool = True,
         deadline_ms: Optional[float] = None,
         result_cache: Union[bool, ResultCache] = True,
         fuse_batches: bool = True,
@@ -134,7 +117,6 @@ class ServingExecutor:
         self._coalesce = coalesce
         self._batch_window = batch_window
         self._max_batch_size = max(1, max_batch_size)
-        self._warm_shards = warm_shards
         self._deadline_ms = deadline_ms
         if isinstance(result_cache, ResultCache):
             self._result_cache: Optional[ResultCache] = result_cache
@@ -146,7 +128,7 @@ class ServingExecutor:
         self._metrics = ServingMetrics()
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._shard_pools: List[ThreadPoolExecutor] = []
+        self._update_pool: Optional[ThreadPoolExecutor] = None
         self._merge_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[Any] = None
         self._owns_process_pool = False
@@ -208,12 +190,9 @@ class ServingExecutor:
                 self._owns_process_pool = existing is None or existing.closed
                 self._process_pool = self._database.process_pool()
             self._queue = asyncio.Queue()
-            self._shard_pools = [
-                ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-shard-{index}"
-                )
-                for index in range(self._database.shard_count)
-            ]
+            self._update_pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-update"
+            )
             self._merge_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-coordinator"
             )
@@ -264,12 +243,10 @@ class ServingExecutor:
         self._release_workers()
 
     def _release_workers(self) -> None:
-        for pool in self._shard_pools:
-            pool.shutdown(wait=True)
-        self._shard_pools = []
-        if self._merge_pool is not None:
-            self._merge_pool.shutdown(wait=True)
-            self._merge_pool = None
+        for pool in (self._update_pool, self._merge_pool):
+            if pool is not None:
+                pool.shutdown(wait=True)
+        self._update_pool = self._merge_pool = None
         if self._process_pool is not None:
             if self._owns_process_pool:
                 self._process_pool.close()
@@ -288,9 +265,9 @@ class ServingExecutor:
 
     def _on_invalidation(self, shard_index: int, key: Hashable) -> None:
         # Fires synchronously from whichever thread applied the update
-        # (usually the coordinator worker); all other counters mutate on
-        # the event-loop thread, so hop there instead of racing a
-        # non-atomic increment.
+        # (the update thread, or a caller of the database's own update
+        # methods); all other counters mutate on the event-loop thread,
+        # so hop there instead of racing a non-atomic increment.
         def bump() -> None:
             self._metrics.invalidations += 1
 
@@ -461,34 +438,35 @@ class ServingExecutor:
     ) -> None:
         """Update one tuple; only its shard is rebuilt and invalidated.
 
-        Both the rebuild (a column patch) and the version-bumping swap
-        run on the owning shard's worker: snapshot-pinned reads make the
-        swap safe against in-flight queries, so updates no longer wait
-        behind the coordinator worker's merge queue.  Retries
-        transparently if a concurrent update to the same shard wins the
+        The rebuild (a column patch) and the version-bumping swap run in
+        one hop to the update thread: snapshot-pinned reads make the swap
+        safe against in-flight queries, so an update never waits behind
+        a batch on the coordinator worker, and the blocking worker commit
+        under ``executor="processes"`` stays off the event loop.  Retries
+        on that thread if a concurrent update to the same shard wins the
         race (``StaleUpdateError``).  The update commits to the parent's
         columns even when the shard's worker process is down; the worker
         is respawned from them.
         """
         if self._dispatcher is None:
             await self.start()
-        loop = asyncio.get_running_loop()
-        pool = self._shard_pools[self._database.shard_of(key)]
+        await asyncio.get_running_loop().run_in_executor(
+            self._update_pool, self._apply_update, key, probability, score
+        )
+        self._metrics.updates += 1
+
+    def _apply_update(
+        self,
+        key: Hashable,
+        probability: Optional[float],
+        score: Optional[float],
+    ) -> None:
         while True:
-            pending = await loop.run_in_executor(
-                pool,
-                self._database.prepare_update,
-                key,
-                probability,
-                score,
-            )
+            pending = self._database.prepare_update(key, probability, score)
             try:
-                await loop.run_in_executor(
-                    pool, self._database.apply_update, pending
-                )
+                self._database.apply_update(pending)
             except StaleUpdateError:
                 continue
-            self._metrics.updates += 1
             return
 
     def pending_count(self) -> int:
@@ -576,13 +554,6 @@ class ServingExecutor:
                 if not future.done():
                     future.set_exception(error)
             return
-        if self._warm_shards and self._database.shard_count > 1:
-            try:
-                await self._warm_batch(loop, batch)
-            except Exception:
-                # Warming is advisory; the query path fails over or
-                # surfaces real failures.
-                pass
         if self._fuse_batches and len(batch) > 1:
             try:
                 await self._fuse_batch(loop, coordinator, batch)
@@ -688,48 +659,6 @@ class ServingExecutor:
         if pinned and cache_key is not None:
             self._result_cache.put(cache_key, answer)
         return answer
-
-    async def _warm_batch(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        batch: List[
-            Tuple[ConsensusQuery, asyncio.Future, Tuple[int, ...], Any]
-        ],
-    ) -> None:
-        """Concurrently refresh the shard summaries a batch will merge."""
-        truncations = sorted(
-            {
-                rank
-                for query, _, _, _ in batch
-                for rank in (required_max_rank(query),)
-                if rank is not None
-            }
-        )
-        if not truncations:
-            return
-        pool = self._process_pool
-        if pool is not None and not pool.closed and pool.worker_count():
-            # One prefetch call fans out across the worker processes
-            # in parallel and leaves the partials in the pool's
-            # version-keyed cache for the merge to pick up.
-            await loop.run_in_executor(
-                self._merge_pool,
-                self._counted,
-                lambda: pool.prefetch(truncations),
-            )
-            return
-        tasks = [
-            loop.run_in_executor(
-                self._shard_pools[shard.index], shard.summary, rank
-            )
-            for shard in self._database.shards()
-            if not shard.is_empty
-            for rank in truncations
-        ]
-        if tasks:
-            # Summary failures are not fatal here: the merge recomputes
-            # them (and reports errors) on the query path.
-            await asyncio.gather(*tasks, return_exceptions=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -889,20 +889,6 @@ class ShardProcessPool:
             return table
         return splice_live_rows(get_backend(), table, start, rows, max_rank)
 
-    def prefetch(self, truncations: Sequence[int]) -> None:
-        """Warm the parent-side summary cache for a batch's truncations.
-
-        Advisory: a failed worker is left for the read itself to fail
-        over.  A pool without workers (a block-independent database's)
-        prefetches nothing.
-        """
-        served = self._served()
-        if not served:
-            return
-        state = self._database.state()
-        for max_rank in sorted({max(int(rank), 1) for rank in truncations}):
-            self._fetch(max_rank, served, state)
-
     # ------------------------------------------------------------------
     # Update fan-out
     # ------------------------------------------------------------------

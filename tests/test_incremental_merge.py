@@ -1085,6 +1085,51 @@ class TestBlockIndependentStoreReads:
                 assert coordinator.merge_stats().merges == 0
         assert not summaries
 
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("partitioner", ["hash", "range"])
+    def test_served_reads_match_unsharded_without_merging(
+        self, partitioner, executor, backend_name, monkeypatch
+    ):
+        summaries = []
+        original = ShardRankSummary.from_layout
+
+        def spy(*args, **kwargs):
+            summaries.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ShardRankSummary, "from_layout", staticmethod(spy))
+        queries = READS + (Query.named("expected_rank_table"),)
+
+        async def scenario(sharded, data):
+            # The executor updates tuples only, so the blocks are replaced
+            # on the database between the two rounds of reads.
+            answers = []
+            async with ServingExecutor(sharded, result_cache=False) as serving:
+                for step in range(2):
+                    if step:
+                        for key in _keys_of_distinct_shards(sharded, 2):
+                            data = _update(sharded, data, key)
+                    values = [
+                        (await serving.execute(query)).value
+                        for query in queries
+                    ]
+                    answers.append((data, values))
+            return answers
+
+        with use_backend(_backend_or_skip(backend_name)):
+            data = _bid_spec(61, 16)
+            with ShardedDatabase(
+                _database(data), 4, partitioner=partitioner, executor=executor
+            ) as sharded:
+                answers = asyncio.run(scenario(sharded, data))
+                merges = sharded.coordinator().merge_stats().merges
+            for state, values in answers:
+                for query, value in zip(queries, values):
+                    assert_value_close(value, _oracle(state, query))
+        assert merges == 0
+        assert not summaries
+
 
 class TestTrafficStreams:
     def test_default_stream_unchanged_and_stable(self):

@@ -57,7 +57,6 @@ from repro.query import (
     resolve_session,
 )
 from repro.serving import ServingExecutor
-from repro.serving.executor import required_max_rank
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
 
@@ -175,12 +174,6 @@ class TestBuilder:
         assert Query.named("approximate_topk_kendall", 3, b=1, a=2) == (
             Query.named("approximate_topk_kendall", 3, a=2, b=1)
         )
-
-    def test_required_max_rank(self):
-        assert required_max_rank(Query.named("mean_topk_footrule", 5)) == 5
-        assert required_max_rank(Query.named("expected_rank_table")) is None
-        assert required_max_rank(Query.named("expected_rank_topk", 5)) is None
-        assert required_max_rank(Query.set_consensus()) is None
 
 
 # ----------------------------------------------------------------------

@@ -572,11 +572,7 @@ class TestFailover:
             with ShardedDatabase(
                 database, 2, executor="processes", executor_options=options
             ) as sharded:
-                # warm_shards off: the drop must hit the query path itself,
-                # not the advisory prefetch.
-                async with ServingExecutor(
-                    sharded, warm_shards=False
-                ) as executor:
+                async with ServingExecutor(sharded) as executor:
                     await assert_exact(executor, _oracle(database))
                     assert executor.metrics().failover_served == 1
             assert injector.fired_of_kind("drop")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import math
+import threading
 import weakref
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro import connect
 from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.exceptions import ConsensusError, WorkloadError
-from repro.models import ShardedDatabase
+from repro.models import ShardedDatabase, TupleIndependentDatabase
 from repro.query import NAMED_KINDS, PlanSummary, Query, ResultCache
 from repro.query.wire import query_from_dict
 from repro.serving import ServingExecutor
@@ -261,7 +262,7 @@ class TestServingExecutor:
             return executor
 
         executor = asyncio.run(scenario())
-        assert executor._shard_pools == []
+        assert executor._update_pool is None
         assert executor._merge_pool is None
         executor.close()  # sync close after stop: still a no-op
         executor.close()
@@ -279,7 +280,7 @@ class TestServingExecutor:
         # Simulates teardown after an exception unwound past stop(): the
         # synchronous escape hatch must still release every worker pool.
         executor.close()
-        assert executor._shard_pools == []
+        assert executor._update_pool is None
         assert executor._merge_pool is None
         assert executor._dispatcher is None
         assert executor._on_invalidation not in sharded._subscribers
@@ -296,9 +297,112 @@ class TestServingExecutor:
             return executor
 
         executor = asyncio.run(scenario())
-        assert executor._shard_pools == []
+        assert executor._update_pool is None
         assert executor._merge_pool is None
         assert executor._on_invalidation not in sharded._subscribers
+
+
+class TestThinPath:
+    """An update is one hop to the update thread; a read is one hop to the
+    coordinator worker, with nothing before it."""
+
+    def test_one_hop_per_update_and_per_read(self):
+        _, sharded = make_sharded(count=12, shard_count=4)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            hops = []
+            original = loop.run_in_executor
+
+            def counting(pool, func, *args):
+                hops.append(func)
+                return original(pool, func, *args)
+
+            loop.run_in_executor = counting
+            async with ServingExecutor(
+                sharded, result_cache=False
+            ) as executor:
+                for key in ("t1", "t2", "t3"):
+                    hops.clear()
+                    await executor.update(key, probability=0.3)
+                    assert len(hops) == 1
+                    assert hops == [executor._apply_update]
+                    hops.clear()
+                    await executor.execute(Query.topk(K, "footrule"))
+                    assert len(hops) == 1
+                    assert hops == [executor._counted]
+                return executor.metrics()
+
+        metrics = asyncio.run(scenario())
+        assert metrics.updates == 3
+        assert metrics.batches == 3
+
+    def test_update_retries_on_its_thread_after_losing_a_race(self):
+        rows = [
+            (f"t{i}", float(10 * i), float(10 * i), 0.1 + 0.05 * i)
+            for i in range(1, 13)
+        ]
+        sharded = ShardedDatabase(TupleIndependentDatabase(rows), 4)
+        owners = {}
+        for key, *_ in rows:
+            owners.setdefault(sharded.shard_of(key), []).append(key)
+        first, second = [keys for keys in owners.values() if len(keys) > 1][:2]
+        # Two served updates to two shards, and a direct update from
+        # another thread to the first one's shard, landing between that
+        # update's prepare and apply: the apply raises StaleUpdateError
+        # and the update thread re-prepares.
+        targets = {first[0]: 0.9, second[0]: 0.8}
+        rival, rival_probability = first[1], 0.7
+        original = sharded.prepare_update
+        prepared = []
+
+        def racing(key, probability=None, score=None):
+            pending = original(key, probability, score)
+            prepared.append(key)
+            if key == first[0] and prepared.count(key) == 1:
+                thread = threading.Thread(
+                    target=sharded.update_tuple,
+                    args=(rival,),
+                    kwargs={"probability": rival_probability},
+                )
+                thread.start()
+                thread.join()
+            return pending
+
+        sharded.prepare_update = racing
+
+        async def scenario():
+            async with ServingExecutor(
+                sharded, result_cache=False
+            ) as executor:
+                await asyncio.gather(
+                    *(
+                        executor.update(key, probability=probability)
+                        for key, probability in targets.items()
+                    )
+                )
+                return executor.metrics()
+
+        metrics = asyncio.run(scenario())
+        assert prepared.count(first[0]) == 2
+        assert prepared.count(rival) == 1
+        assert metrics.updates == 2
+        expected = dict(targets, **{rival: rival_probability})
+        oracle_rows = [
+            (key, value, score, expected.get(key, probability))
+            for key, value, score, probability in rows
+        ]
+        store = sharded.state()[1]
+        for key, _, _, probability in oracle_rows:
+            assert math.isclose(
+                float(store.probabilities[store.rows_of(key)[0]]),
+                probability,
+            )
+        oracle = QuerySession(TupleIndependentDatabase(oracle_rows).tree)
+        assert _close(
+            Query.topk(K, "footrule").execute(sharded.coordinator()).value,
+            Query.topk(K, "footrule").execute(oracle).value,
+        )
 
 
 class TestCachedAnswersReleaseTheirReader:
