@@ -166,13 +166,17 @@ To serve heavy concurrent traffic, partition a database into shards
 partitioning, BID blocks kept intact).  The database holds its rows once,
 in one score-ordered store, and a shard is a row view of it; the
 coordinator (:class:`~repro.sharding.ShardedQuerySession`) is a session
-over that store that recovers the *exact* global rank matrix by
-convolving the shards' truncated partial rank generating functions, so
-every consensus query runs unchanged (1e-9 parity with an unsharded
-session).  The asyncio
-front-end (:class:`~repro.serving.ServingExecutor`) adds request
-coalescing, micro-batching, one update thread and graceful cache
-invalidation fan-out on updates; traffic mixes come from
+over that store.  It recovers the *exact* global rank matrix of a
+tuple-independent database by convolving the shards' truncated partial
+rank generating functions, and reads a block-independent database's off
+the store, so every consensus query runs unchanged (1e-9 parity with an
+unsharded session).  An update (``update_tuple`` or ``update_block``) is
+one critical section under the database's lock: it patches the live
+store, bumps the owning shard's version and publishes, so concurrent
+writers serialise and none is rejected.  The asyncio front-end
+(:class:`~repro.serving.ServingExecutor`) adds request coalescing,
+micro-batching, one update thread and graceful cache invalidation
+fan-out on updates; traffic mixes come from
 :func:`repro.workloads.generate_traffic`, which emits the same
 declarative query objects the executor consumes:
 
@@ -191,14 +195,13 @@ Shards default to thread-backed execution.  Passing
 ``ShardedDatabase(database, 4, executor="processes")`` gives every shard
 of a tuple-independent database a worker process holding a copy of its
 rows and a warm session (:class:`~repro.sharding.ShardProcessPool`; a
-block-independent database's summaries are built in the parent, so it
-spawns none): per-shard kernels run
-outside the GIL and only the shards' prefix tables cross the process
-boundary, pickled over each worker's pipe (a row-suffix delta after an
-update).  Coordinator, serving executor and the
-update protocol work unchanged (same 1e-9 parity; stale updates raise
-the same :class:`~repro.exceptions.StaleUpdateError`).  Prefer process
-execution for large shards (n >= 10^4) on the numpy backend, where
+block-independent database reads its rank matrix off the parent's store,
+so it spawns none): per-shard kernels run outside the GIL and only the
+shards' prefix tables cross the process boundary, pickled over each
+worker's pipe (a row-suffix delta after an update).  Coordinator,
+serving executor and updates work unchanged (same 1e-9 parity; an update
+commits to the shard's worker inside its critical section).  Prefer
+process execution for large shards (n >= 10^4) on the numpy backend, where
 shard-local compute dominates the summary-exchange cost; use the
 database as a context manager (or call ``close()``) to release workers.
 

@@ -65,22 +65,6 @@ class Backend:
 
     name: str = "abstract"
 
-    # -- instrumentation ----------------------------------------------------
-    def count_kernel(self, kernel: str) -> None:
-        """Bump the per-instance call counter for one named kernel.
-
-        Only the shard-merge kernels currently report (``convolve_rows``):
-        benchmarks assert the incremental coordinator merge issues O(S)
-        row convolutions per update instead of the O(S²) of a full
-        re-merge, and the counter is how they measure it.
-        """
-        counters = self.__dict__.setdefault("_kernel_calls", {})
-        counters[kernel] = counters.get(kernel, 0) + 1
-
-    def kernel_calls(self, kernel: str) -> int:
-        """Lifetime number of calls recorded for one named kernel."""
-        return self.__dict__.get("_kernel_calls", {}).get(kernel, 0)
-
     # -- polynomial kernels -------------------------------------------------
     def convolve(
         self, a: Sequence[Number], b: Sequence[Number], out_len: int
@@ -891,7 +875,6 @@ class PurePythonBackend(Backend):
         b: List[List[float]],
         out_len: int,
     ) -> List[List[float]]:
-        self.count_kernel("convolve_rows")
         if len(a) != len(b):
             raise ValueError(
                 f"row counts differ: {len(a)} vs {len(b)}"
@@ -1714,7 +1697,6 @@ class NumpyBackend(Backend):
             following[:, 1:] += shifted
 
     def convolve_rows(self, a: Any, b: Any, out_len: int) -> Any:
-        self.count_kernel("convolve_rows")
         a = _np.asarray(a, dtype=_np.float64)
         b = _np.asarray(b, dtype=_np.float64)
         if a.shape[0] != b.shape[0]:

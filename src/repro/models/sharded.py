@@ -13,18 +13,18 @@ restricted to the shard's keys through the fixed key-to-shard map.
 
 The database publishes its state as one ``(versions, store, views)``
 tuple.  An update is one :meth:`~repro.andxor.columns.FlatColumns.\
-replace_block` on the store (re-gathered by best score only when a score
-or key moves; a probability-only patch shares every other column and the
-views), which bumps the owning shard's version and notifies subscribers
-(the serving layer's invalidation fan-out).  The superseded state joins a
-bounded history, so a reader pinned at an older version vector resolves
-that vector's immutable store once.  Exact global answers come from the
-:class:`~repro.sharding.ShardedQuerySession` coordinator, a session over
-the store.  A tuple-independent database's rank matrix convolves the
-shards' partial rank generating functions (:meth:`DatabaseShard.summary`,
-memoised per shard version); a block-independent database's is the
-store's own.  No tree is built unless a world-level or sampling route asks
-for the store's.
+replace_block` on the live store under one lock (re-gathered by best
+score only when a score or key moves; a probability-only patch shares
+every other column and the views), which bumps the owning shard's version
+and notifies subscribers (the serving layer's invalidation fan-out).  The
+superseded state joins a bounded history, so a reader pinned at an older
+version vector resolves that vector's immutable store once.  Exact global
+answers come from the :class:`~repro.sharding.ShardedQuerySession`
+coordinator, a session over the store.  A tuple-independent database's
+rank matrix convolves the shards' partial rank generating functions
+(:meth:`DatabaseShard.summary`, memoised per shard version); a
+block-independent database's is the store's own.  No tree is built unless
+a world-level or sampling route asks for the store's.
 """
 
 from __future__ import annotations
@@ -175,62 +175,51 @@ class DatabaseShard:
         return f"DatabaseShard(index={self.index}, version={self.version})"
 
 
-class StaleUpdateError(ModelError):
-    """Raised by :meth:`ShardedDatabase.apply_update` when the shard moved on.
-
-    The pending update was prepared against an older shard version; callers
-    should re-prepare against the current state and retry.
-    """
-
-
 class PendingUpdate:
-    """A prepared block replacement, not yet applied.
+    """A block replacement whose arguments are checked, not yet applied.
 
-    Preparation validates the block's new rows and patches them into a
-    copy of the store -- safe to run on any thread;
-    :meth:`ShardedDatabase.apply_update` then publishes that copy with the
-    shard's version bumped, a pointer swap that snapshot-pinned reads
-    never see half done (re-patching the live store instead when another
-    shard's update was published in between).  The serving executor runs
-    both on its update thread and re-prepares when the shard moved on.
+    Preparation reads no state.  :meth:`ShardedDatabase.apply_update`
+    derives the block's new rows from the live row (:meth:`rows`) and
+    publishes them, all under the database's update lock.
     """
 
-    __slots__ = (
-        "shard_index",
-        "key",
-        "rows",
-        "base_version",
-        "base",
-        "columns",
-        "removed_scores",
-        "added_scores",
-    )
+    __slots__ = ("shard_index", "key", "probability", "score", "alternatives")
 
     def __init__(
         self,
         shard_index: int,
         key: Hashable,
-        rows: List[Row],
-        base_version: int,
-        base: FlatColumns,
-        columns: FlatColumns,
-        removed_scores: Tuple[float, ...] = (),
-        added_scores: Tuple[float, ...] = (),
+        probability: Optional[float] = None,
+        score: Optional[float] = None,
+        alternatives: Optional[List[Row]] = None,
     ) -> None:
         self.shard_index = shard_index
         self.key = key
-        # The block's new rows, which the owning worker process patches in
-        # (executor="processes") when the update is applied.
-        self.rows = rows
-        self.base_version = base_version
-        #: The store the update was prepared on, and its patched copy.
-        self.base = base
-        self.columns = columns
-        # Distinct-score registry delta, applied (and re-validated) only by
-        # apply_update: an abandoned prepared update must leave the
-        # registry untouched.
-        self.removed_scores = removed_scores
-        self.added_scores = added_scores
+        #: A tuple update's new probability and score (``None`` keeps the
+        #: live one), or a block update's rows in ``alternatives``.
+        self.probability = probability
+        self.score = score
+        self.alternatives = alternatives
+
+    def rows(self, store: FlatColumns) -> List[Row]:
+        """The block's new rows: a tuple update keeps the live row's
+        field it does not set."""
+        if self.alternatives is not None:
+            return self.alternatives
+        row = store.rows_of(self.key)[0]
+        value = store.values[row]
+        old_score = store.explicit_scores[row]
+        score = old_score if self.score is None else self.score
+        # A score update also moves the value when the value doubles as
+        # the score (the common generator layout).
+        if self.score is not None and (
+            old_score is None or value == old_score
+        ):
+            value = score
+        probability = self.probability
+        if probability is None:
+            probability = float(store.probabilities[row])
+        return [(value, score, probability)]
 
 
 class ShardedDatabase:
@@ -579,7 +568,7 @@ class ShardedDatabase:
         probability: Optional[float] = None,
         score: Optional[float] = None,
     ) -> PendingUpdate:
-        """Build (but do not apply) a tuple update for ``key``.
+        """Check (but do not apply) a tuple update for ``key``.
 
         Only tuple-independent databases support in-place
         probability/score updates; use :meth:`prepare_block_update` for
@@ -591,26 +580,11 @@ class ShardedDatabase:
                 f"tuple {key!r} belongs to a BID block; use "
                 "update_block() to replace its alternatives"
             )
-        versions, store, _ = self._state
-        row = store.rows_of(key)[0]
-        value = store.values[row]
-        old_score = store.explicit_scores[row]
-        new_score = old_score if score is None else float(score)
-        # A score update also moves the value when the value doubles as
-        # the score (the common generator layout).
-        if score is not None and (old_score is None or value == old_score):
-            value = new_score
-        new_probability = (
-            float(store.probabilities[row])
-            if probability is None
-            else float(probability)
-        )
-        return self._stage_pending(
+        return PendingUpdate(
             shard_index,
-            versions[shard_index],
-            store,
             key,
-            [(value, new_score, new_probability)],
+            None if probability is None else float(probability),
+            None if score is None else float(score),
         )
 
     def prepare_block_update(
@@ -618,13 +592,12 @@ class ShardedDatabase:
         key: Hashable,
         alternatives: Sequence[Tuple[Hashable, Optional[float], float]],
     ) -> PendingUpdate:
-        """Build a BID block replacement: ``(value, score, probability)``s.
+        """Check a BID block replacement: ``(value, score, probability)``s.
 
         An empty replacement drops the block; a later replacement of the
         same key brings it back.
         """
         shard_index = self.shard_of(key)
-        versions, store, _ = self._state
         rows = [
             (value, None if score is None else float(score), float(probability))
             for value, score, probability in alternatives
@@ -634,110 +607,61 @@ class ShardedDatabase:
                 f"tuple {key!r} is tuple-independent; a replacement "
                 "block must hold exactly one alternative"
             )
-        return self._stage_pending(
-            shard_index, versions[shard_index], store, key, rows
-        )
-
-    def _stage_pending(
-        self,
-        shard_index: int,
-        base_version: int,
-        store: FlatColumns,
-        key: Hashable,
-        rows: List[Row],
-    ) -> PendingUpdate:
-        """Patch ``key``'s block into a copy of ``store``, the store the
-        shard's ``base_version`` was read from (one published state)."""
-        patched = self._patched(store, key, rows)
-        removed: Tuple[float, ...] = ()
-        added: Tuple[float, ...] = ()
-        if self._validate_scores:
-            removed = self._block_scores(store, key)
-            added = self._block_scores(patched, key)
-            if added == removed:
-                removed = added = ()
-            self._check_score_free(key, added)
-        return PendingUpdate(
-            shard_index, key, rows, base_version, store, patched, removed,
-            added,
-        )
-
-    def _patched(
-        self, store: FlatColumns, key: Hashable, rows: List[Row]
-    ) -> FlatColumns:
-        """``store`` with ``key``'s block replaced by ``rows``, its blocks
-        renumbered by best score when a score, key or block moved."""
-        patched = store.replace_block(key, rows, self._independent)
-        if not patched.same_rows(store):
-            patched = patched.by_best_score()
-        return patched
-
-    def _check_score_free(
-        self, key: Hashable, scores: Tuple[float, ...]
-    ) -> None:
-        """Read-only distinct-score validation (no registry mutation)."""
-        if not self._validate_scores:
-            return
-        for score in scores:
-            owner = self._score_owner.get(score)
-            if owner is not None and owner != key:
-                raise ModelError(
-                    f"score {score} is already used by tuple {owner!r}; "
-                    "ranking assumes distinct scores"
-                )
+        return PendingUpdate(shard_index, key, alternatives=rows)
 
     def apply_update(self, pending: PendingUpdate) -> None:
-        """Publish the patched store and fan the invalidation out.
+        """Apply a prepared update in one critical section and fan the
+        invalidation out.
 
-        Raises :class:`StaleUpdateError` when the shard's version changed
-        after the update was prepared (a concurrent update won the race);
-        the caller should re-prepare and retry.  An update of another
-        shard published since is kept: the block is patched into the live
-        store instead.  The outgoing state joins the snapshot history.
+        Under the update lock the block's new rows are derived from the
+        live row, patched into the live store (which validates them) and
+        checked against the distinct-score registry.  Under
+        ``executor="processes"`` the worker then commits; last, the
+        patched store is published with the shard's version bumped, a
+        pointer swap that snapshot-pinned reads never see half done, and
+        the outgoing state joins the snapshot history.  Concurrent updates
+        serialise on the lock, so none is lost and none is rejected.
 
-        Under ``executor="processes"`` the worker commits first and the
-        parent publishes second; the pool pairs the worker's new state id
-        with the shard's new version, so a summary it ships is only ever
-        read with the rows it was computed from.  When the worker misses
-        the commit (it crashed, timed out or lost the message) the parent
-        publishes anyway and the worker is respawned from the new store.
+        The pool pairs the worker's new state id with the shard's new
+        version, so a summary it ships is only ever read with the rows it
+        was computed from.  When the worker misses the commit (it crashed,
+        timed out or lost the message) the parent publishes anyway and the
+        worker is respawned from the new store.
         """
-        index = pending.shard_index
+        index, key = pending.shard_index, pending.key
         with self._apply_lock:
             state = self._state
             versions, store, views = state
-            if versions[index] != pending.base_version:
-                raise StaleUpdateError(
-                    f"shard {index} moved from version "
-                    f"{pending.base_version} to {versions[index]} since the "
-                    "update was prepared; re-prepare and retry"
-                )
-            # Re-validate and apply the distinct-score delta only now, so an
-            # abandoned prepared update (race lost, caller cancelled) leaves
-            # the registry untouched, and a concurrent update of another
-            # shard that claimed the same score since preparation is caught.
-            if self._validate_scores and (
-                pending.added_scores or pending.removed_scores
-            ):
-                self._check_score_free(pending.key, pending.added_scores)
-                for score in pending.removed_scores:
-                    if self._score_owner.get(score) == pending.key:
-                        del self._score_owner[score]
-                for score in pending.added_scores:
-                    self._score_owner[score] = pending.key
-            patched = pending.columns
-            if store is not pending.base:
-                patched = self._patched(store, pending.key, pending.rows)
+            rows = pending.rows(store)
+            patched = store.replace_block(key, rows, self._independent)
+            if not patched.same_rows(store):
+                patched = patched.by_best_score()
+            removed = added = ()
             if self._validate_scores:
+                removed = self._block_scores(store, key)
+                added = self._block_scores(patched, key)
+                for score in added:
+                    owner = self._score_owner.get(score)
+                    if owner is not None and owner != key:
+                        raise ModelError(
+                            f"score {score} is already used by tuple "
+                            f"{owner!r}; ranking assumes distinct scores"
+                        )
                 patched.tie_free = True  # the registry holds every score
             version = versions[index] + 1
             missed = (
                 self._executor == "processes"
                 and self._independent
                 and not self.process_pool().commit_replace(
-                    index, pending.key, pending.rows, version
+                    index, key, rows, version
                 )
             )
+            if added != removed:
+                for score in removed:
+                    if self._score_owner.get(score) == key:
+                        del self._score_owner[score]
+                for score in added:
+                    self._score_owner[score] = key
             self._history[versions] = state
             while len(self._history) > self._snapshot_history:
                 self._history.popitem(last=False)
@@ -751,7 +675,7 @@ class ShardedDatabase:
             )
         if missed and self._pool is not None:
             self._pool.restart_worker(index)
-        self._notify(index, pending.key)
+        self._notify(index, key)
 
     def install_from_committed(
         self, index: int, install: Callable[[int, FlatColumns], None]
@@ -774,9 +698,10 @@ class ShardedDatabase:
     ) -> None:
         """Update one independent tuple's probability and/or score.
 
-        Patches the store's row, bumps the owning shard's version (the
-        coordinator's artifacts of the new vector are built lazily) and
-        notifies subscribers.
+        Patches the live store's row, bumps the owning shard's version
+        (the coordinator's artifacts of the new vector are built lazily)
+        and notifies subscribers.  The field left ``None`` keeps its live
+        value, even when another writer has just set it.
         """
         self.apply_update(self.prepare_update(key, probability, score))
 

@@ -6,7 +6,8 @@ small MAAS-style resource tree onto the serving layer:
 ==============================  =======================================
 ``POST /query``                 one query or a micro-batch (fused by the
                                 executor's batch loop)
-``POST /update``                one tuple update
+``POST /update``                one tuple update or BID block
+                                replacement (``alternatives``)
 ``GET  /health``                liveness + breaker / drain state
 ``GET  /metrics``               full snapshot + delta since last scrape
 ``GET  /plans/<fingerprint>``   the planner's explain() for a seen query
@@ -416,6 +417,16 @@ class ReproServer:
         if "key" not in body:
             raise ConsensusError("an update needs a 'key'")
         key = decode_value(body["key"])
+        alternatives = body.get("alternatives")
+        if alternatives is not None:
+            await self._executor.update_block(
+                key,
+                [
+                    (decode_value(value), score, probability)
+                    for value, score, probability in alternatives
+                ],
+            )
+            return 200, {"updated": True}, None
         probability = body.get("probability")
         score = body.get("score")
         await self._executor.update(

@@ -272,15 +272,33 @@ class ReproClient:
         score: Optional[float] = None,
     ) -> Dict[str, Any]:
         """POST one tuple update (loss-free key encoding)."""
-        status, _headers, body = self.request(
-            "POST",
-            "/update",
+        return self._post_update(
             {
                 "key": encode_value(key),
                 "probability": probability,
                 "score": score,
-            },
+            }
         )
+
+    def update_block(
+        self,
+        key: Any,
+        alternatives: Sequence[Tuple[Any, Optional[float], float]],
+    ) -> Dict[str, Any]:
+        """POST one BID block replacement: its ``(value, score,
+        probability)`` alternatives (loss-free key and value encoding)."""
+        return self._post_update(
+            {
+                "key": encode_value(key),
+                "alternatives": [
+                    [encode_value(value), score, probability]
+                    for value, score, probability in alternatives
+                ],
+            }
+        )
+
+    def _post_update(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        status, _headers, body = self.request("POST", "/update", payload)
         if status != 200:
             self._raise_for(status, body)
         return body

@@ -11,11 +11,13 @@ cross-shard coordinator session:
   answers every request on the coordinator worker, so batch members share
   the freshly merged artifacts.  A shard summary is built only where the
   merge reads it.
-* **Graceful invalidation fan-out** -- an update patches the owning
-  shard's block into a copy of the database's store and publishes it with
-  the shard's version bumped, in one hop to the update thread (off the
-  event loop and off the query path); the coordinator notices the version
-  change lazily and re-merges from the unchanged shards' summaries.
+* **Graceful invalidation fan-out** -- an update is the database's own
+  :meth:`~repro.models.sharded.ShardedDatabase.update_tuple` (or
+  ``update_block``), one hop to the update thread (off the event loop and
+  off the query path): it patches the owning shard's block into the live
+  store under the database's update lock and publishes it with the
+  shard's version bumped; the coordinator notices the version change
+  lazily and re-merges from the unchanged shards' summaries.
 * **Instrumentation** -- per-request latency quantiles, batch sizes,
   coalescing and invalidation counters (:meth:`ServingExecutor.metrics`).
 * **Self-healing** -- per-query deadlines (``deadline_ms`` ->
@@ -49,12 +51,13 @@ from typing import (
     Hashable,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from repro.exceptions import DeadlineExceededError, SnapshotTooOldError
-from repro.models.sharded import ShardedDatabase, StaleUpdateError
+from repro.models.sharded import ShardedDatabase
 from repro.query.answers import QueryAnswer
 from repro.query.builder import ConsensusQuery
 from repro.query.planner import DEFAULT_PLANNER
@@ -438,36 +441,42 @@ class ServingExecutor:
     ) -> None:
         """Update one tuple; only its shard is rebuilt and invalidated.
 
-        The rebuild (a column patch) and the version-bumping swap run in
-        one hop to the update thread: snapshot-pinned reads make the swap
-        safe against in-flight queries, so an update never waits behind
-        a batch on the coordinator worker, and the blocking worker commit
-        under ``executor="processes"`` stays off the event loop.  Retries
-        on that thread if a concurrent update to the same shard wins the
-        race (``StaleUpdateError``).  The update commits to the parent's
-        columns even when the shard's worker process is down; the worker
-        is respawned from them.
+        One hop to the update thread runs the database's
+        :meth:`~repro.models.sharded.ShardedDatabase.update_tuple`, a
+        column patch and a version-bumping swap under the database's
+        update lock: snapshot-pinned reads make the swap safe against
+        in-flight queries, so an update never waits behind a batch on the
+        coordinator worker, and the blocking worker commit under
+        ``executor="processes"`` stays off the event loop.  Concurrent
+        updates serialise on the lock; none is rejected.  The update
+        commits to the parent's store even when the shard's worker process
+        is down; the worker is respawned from it.
         """
+        await self._run_update(
+            self._database.update_tuple, key, probability, score
+        )
+
+    async def update_block(
+        self,
+        key: Hashable,
+        alternatives: Sequence[Tuple[Hashable, Optional[float], float]],
+    ) -> None:
+        """Replace one BID block's ``(value, score, probability)``
+        alternatives, as :meth:`update` does a tuple: one hop to the
+        update thread into the database's ``update_block``."""
+        await self._run_update(
+            self._database.update_block, key, alternatives
+        )
+
+    async def _run_update(
+        self, apply: Callable[..., None], *args: Any
+    ) -> None:
         if self._dispatcher is None:
             await self.start()
         await asyncio.get_running_loop().run_in_executor(
-            self._update_pool, self._apply_update, key, probability, score
+            self._update_pool, apply, *args
         )
         self._metrics.updates += 1
-
-    def _apply_update(
-        self,
-        key: Hashable,
-        probability: Optional[float],
-        score: Optional[float],
-    ) -> None:
-        while True:
-            pending = self._database.prepare_update(key, probability, score)
-            try:
-                self._database.apply_update(pending)
-            except StaleUpdateError:
-                continue
-            return
 
     def pending_count(self) -> int:
         """Distinct queries currently submitted and not yet answered.

@@ -79,8 +79,7 @@ class MergeStatsSnapshot:
     """Counters of the coordinator's merge engine at one instant.
 
     ``convolutions`` counts :meth:`~repro.engine.backends.Backend.\
-convolve_rows` calls issued by the engine (the backend keeps its own
-    independent ``kernel_calls`` tally) and ``convolved_rows`` the rows
+convolve_rows` calls issued by the engine and ``convolved_rows`` the rows
     those calls convolved; ``incremental_merges`` reused cached
     prefix/suffix partials, ``full_merges`` rebuilt the grid state, and
     ``rebuild_merges`` counts from-scratch merges of a pinned snapshot at a

@@ -17,9 +17,9 @@ prefix tables and block patches with it:
   compute concurrently).  The parent builds the
   :class:`~repro.sharding.summary.ShardRankSummary` over its own store's
   view of the shard at the version that state holds;
-* block patches are committed on the worker inside the version-checked
-  update of :meth:`repro.models.sharded.ShardedDatabase.apply_update`
-  (the parent stays the sole authority over shard versions and rows).
+* block patches are committed on the worker inside the locked update of
+  :meth:`repro.models.sharded.ShardedDatabase.apply_update` (the parent
+  stays the sole authority over shard versions and rows).
 
 A shipped table is paired only with the shard version of the worker state
 that computed it.  The parent records which version each worker state
@@ -901,7 +901,7 @@ class ShardProcessPool:
     ) -> bool:
         """Patch ``key``'s block into the worker's committed rows.
 
-        Called under the parent's version check, right before the parent
+        Called under the parent's update lock, right before the parent
         publishes the same patch as the shard's ``version``; the worker's
         new state id is paired with that version when the commit returns.
         The shard's cache entries are deliberately *retained*: a stale

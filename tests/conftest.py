@@ -22,6 +22,15 @@ if _SRC not in sys.path:
 from repro.models.bid import BlockIndependentDatabase  # noqa: E402
 from repro.models.tuple_independent import TupleIndependentDatabase  # noqa: E402
 from repro.models.xtuples import XTupleDatabase  # noqa: E402
+from repro.query import Query  # noqa: E402
+
+#: The four exact reads of the benchmark's churn and cold_query workloads.
+BENCHMARK_READS = (
+    Query.topk(3, "footrule"),
+    Query.topk(3, "symmetric_difference"),
+    Query.membership(3),
+    Query.topk(3, "intersection"),
+)
 
 
 def small_tuple_independent(seed: int, count: int = 5) -> TupleIndependentDatabase:

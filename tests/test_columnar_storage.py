@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCHMARK_READS
 from repro import Query, QuerySession, connect, use_backend
 from repro.andxor.builders import bid_tree, tuple_independent_tree
 from repro.andxor.columns import FlatColumns
@@ -43,13 +44,6 @@ from repro.serving import ServingExecutor
 TOLERANCE = 1e-9
 BACKEND_NAMES = ["python", "numpy"] if numpy_available() else ["python"]
 
-#: The four exact reads of the benchmark's churn and cold_query workloads.
-BENCHMARK_READS = (
-    Query.topk(3, "footrule"),
-    Query.topk(3, "symmetric_difference"),
-    Query.membership(3),
-    Query.topk(3, "intersection"),
-)
 
 
 def same(expected, actual) -> bool:
@@ -456,18 +450,19 @@ class TestPatchedUpdates:
     def test_patch_equals_rebuild(self, score):
         sharded = ShardedDatabase(TupleIndependentDatabase(self.rows()), 3)
         sharded.coordinator().rank_matrix(5)
-        pending = sharded.prepare_update("t7", probability=0.9, score=score)
+        sharded.update_tuple("t7", probability=0.9, score=score)
         # t7's value doubles as its score, so a score update moves both.
         moved = 7.0 if score is None else score
         rows = [
             ("t7", moved, moved, 0.9) if row[0] == "t7" else row
             for row in self.rows()
         ]
-        # The patch is the whole store, blocks in best-score order.
+        # The published store is the whole patched store, blocks in
+        # best-score order.
         rebuilt = TupleIndependentDatabase(
             sorted(rows, key=lambda row: row[2], reverse=True)
         ).columns
-        patched = pending.columns
+        patched = sharded.state()[1]
         assert patched.keys == rebuilt.keys
         assert patched.values == rebuilt.values
         assert patched.explicit_scores == rebuilt.explicit_scores
@@ -475,7 +470,6 @@ class TestPatchedUpdates:
         assert list(patched.probabilities) == list(rebuilt.probabilities)
         assert list(patched.scores) == list(rebuilt.scores)
         assert list(patched.order) == list(rebuilt.order)
-        sharded.apply_update(pending)
         expected = connect(TupleIndependentDatabase(rows), result_cache=False)
         served = connect(sharded, result_cache=False)
         for query in BENCHMARK_READS:
@@ -596,14 +590,18 @@ class TestPatchedUpdates:
             BlockIndependentDatabase({"a": [(1, 0.5)], "b": [(2, 0.5)]}), 1
         )
         sharded.coordinator().rank_matrix(1)
+        before = sharded.state()
         with pytest.raises(ProbabilityError):
-            sharded.prepare_block_update("a", [(1, 1.0, 0.7), (3, 3.0, 0.7)])
+            sharded.update_block("a", [(1, 1.0, 0.7), (3, 3.0, 0.7)])
+        assert sharded.state() is before
         independent = ShardedDatabase(
             TupleIndependentDatabase([("a", 1, 0.5), ("b", 2, 0.5)]), 1
         )
         independent.coordinator().rank_matrix(1)
+        before = independent.state()
         with pytest.raises(ProbabilityError):
-            independent.prepare_update("a", probability=1.5)
+            independent.update_tuple("a", probability=1.5)
+        assert independent.state() is before
 
 
 class TestTreeIndexCaching:

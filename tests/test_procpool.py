@@ -33,7 +33,6 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.models import BlockIndependentDatabase, ShardedDatabase
-from repro.models.sharded import StaleUpdateError
 from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.session import CacheInfo, QuerySession
@@ -208,7 +207,7 @@ class TestUpdateProtocol:
                     plain.coordinator(), pooled.coordinator(), K
                 )
 
-    def test_stale_race_leaves_worker_at_winner(self):
+    def test_prepared_updates_apply_in_order_and_worker_follows(self):
         database = small_tuple_independent(3, count=10)
         with ShardedDatabase(database, 2, executor="processes") as sharded:
             key = sharded.keys()[0]
@@ -216,11 +215,10 @@ class TestUpdateProtocol:
             first = sharded.prepare_update(key, probability=0.3)
             second = sharded.prepare_update(key, probability=0.7)
             sharded.apply_update(first)
-            with pytest.raises(StaleUpdateError):
-                sharded.apply_update(second)
-            # The loser never reached the worker: a fresh merge reflects
-            # the winner's probability 0.3, and the worker's table is the
-            # one the parent sweeps over its (winner) columns.
+            sharded.apply_update(second)
+            # Both reached the worker in the order applied: a fresh merge
+            # reflects the last probability 0.7, and the worker's table is
+            # the one the parent sweeps over its columns.
             pool.forget_cached_summaries()
             summaries = pool.summaries(K)
             probabilities = {
@@ -228,24 +226,23 @@ class TestUpdateProtocol:
                 for summary in summaries
                 for k, p in zip(summary.keys, summary.probabilities)
             }
-            assert abs(probabilities[key] - 0.3) < TOLERANCE
+            assert abs(probabilities[key] - 0.7) < TOLERANCE
             for index, summary in zip(pool.shard_indices(), summaries):
                 swept = parent_summary(sharded, index, K).prefix_table
+                assert len(summary.prefix_table) == len(swept)
                 for shipped, row in zip(summary.prefix_table, swept):
                     assert list(shipped) == list(row)
 
-    def test_retry_after_stale_succeeds(self):
+    def test_prepared_update_lands_on_a_newer_one(self):
         database = small_tuple_independent(9, count=10)
         with ShardedDatabase(database, 2, executor="processes") as sharded:
             key = sharded.keys()[1]
-            loser = sharded.prepare_update(key, probability=0.6)
+            late = sharded.prepare_update(key, score=5000.0)
             sharded.update_tuple(key, probability=0.2)
-            with pytest.raises(StaleUpdateError):
-                sharded.apply_update(loser)
-            sharded.update_tuple(key, probability=0.6)  # re-prepare + apply
+            sharded.apply_update(late)  # keeps the probability 0.2
             merged = sharded.coordinator()
             reference = ShardedDatabase(database, 1)
-            reference.update_tuple(key, probability=0.6)
+            reference.update_tuple(key, probability=0.2, score=5000.0)
             assert_rank_matrix_parity(
                 reference.coordinator(), merged, K
             )

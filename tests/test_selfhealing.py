@@ -37,7 +37,6 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.models import BlockIndependentDatabase, ShardedDatabase
-from repro.models.sharded import StaleUpdateError
 from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.serving.metrics import ServingMetrics
@@ -714,14 +713,8 @@ class TestFailover:
                 for _ in range(4):
                     for key in keys[offset::writers]:
                         probability = round(rng.uniform(0.05, 0.95), 6)
-                        while True:
-                            try:
-                                sharded.update_tuple(
-                                    key, probability=probability
-                                )
-                                break
-                            except StaleUpdateError:
-                                continue  # another writer hit the shard
+                        # No retry: writers serialise on the update lock.
+                        sharded.update_tuple(key, probability=probability)
                         final[key] = probability
 
             interval = sys.getswitchinterval()

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import BENCHMARK_READS
 from repro.consensus import mean_topk_footrule
 from repro.engine import numpy_available, use_backend
 from repro.exceptions import (
@@ -16,7 +17,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     ServerOverloadedError,
 )
-from repro.models import ShardedDatabase
+from repro.models import BlockIndependentDatabase, ShardedDatabase
 from repro.query import NAMED_KINDS, ConsensusQuery, Query
 from repro.query.answers import PlanSummary, QueryAnswer
 from repro.query.wire import (
@@ -422,6 +423,49 @@ class TestEndpoints:
         assert result["updated"] is True
         after = list(sharded.versions())
         assert after[sharded.shard_of(key)] == before[sharded.shard_of(key)] + 1
+
+    def test_block_update_served_and_over_the_wire(self):
+        """A 4-shard BID database takes one block replacement through
+        the serving executor and one over HTTP; every benchmark read then
+        matches an unsharded session over the replaced blocks."""
+        blocks = [
+            (
+                f"s{i}",
+                [(f"a{i}", 10.0 * i + 1, 0.4), (f"b{i}", 10.0 * i + 2, 0.5)],
+            )
+            for i in range(12)
+        ]
+        served = ("s3", [("c3", 500.0, 0.6), ("d3", 0.5, 0.3)])
+        wired = ("s8", [((1, "x"), 7.5, 0.9)])
+        sharded = ShardedDatabase(BlockIndependentDatabase(blocks), 4)
+
+        async def serve():
+            async with ServingExecutor(sharded) as executor:
+                await executor.update_block(*served)
+                return executor.metrics().updates
+
+        assert asyncio.run(serve()) == 1
+        with ServerThread(sharded) as thread:
+            client = thread.client()
+            try:
+                assert client.update_block(*wired) == {"updated": True}
+                snapshot = ServingMetricsSnapshot.from_dict(
+                    client.metrics()["snapshot"]
+                )
+                assert snapshot.updates == 1
+                values = [
+                    client.query(query).value for query in BENCHMARK_READS
+                ]
+            finally:
+                client.close()
+        replaced = dict([served, wired])
+        oracle = QuerySession(
+            BlockIndependentDatabase(
+                [(key, replaced.get(key, rows)) for key, rows in blocks]
+            ).columns
+        )
+        for query, value in zip(BENCHMARK_READS, values):
+            assert _close(value, query.execute(oracle).value)
 
     def test_unknown_resource_404_and_bad_method_405(self, server):
         _database, _sharded, _thread, client = server

@@ -10,10 +10,15 @@ import weakref
 
 import pytest
 
+from conftest import BENCHMARK_READS
 from repro import connect
 from repro.consensus import mean_topk_footrule, mean_topk_symmetric_difference
 from repro.exceptions import ConsensusError, WorkloadError
-from repro.models import ShardedDatabase, TupleIndependentDatabase
+from repro.models import (
+    BlockIndependentDatabase,
+    ShardedDatabase,
+    TupleIndependentDatabase,
+)
 from repro.query import NAMED_KINDS, PlanSummary, Query, ResultCache
 from repro.query.wire import query_from_dict
 from repro.serving import ServingExecutor
@@ -326,7 +331,7 @@ class TestThinPath:
                     hops.clear()
                     await executor.update(key, probability=0.3)
                     assert len(hops) == 1
-                    assert hops == [executor._apply_update]
+                    assert hops == [sharded.update_tuple]
                     hops.clear()
                     await executor.execute(Query.topk(K, "footrule"))
                     assert len(hops) == 1
@@ -337,7 +342,7 @@ class TestThinPath:
         assert metrics.updates == 3
         assert metrics.batches == 3
 
-    def test_update_retries_on_its_thread_after_losing_a_race(self):
+    def test_update_keeps_a_racing_writer_without_retry(self):
         rows = [
             (f"t{i}", float(10 * i), float(10 * i), 0.1 + 0.05 * i)
             for i in range(1, 13)
@@ -349,8 +354,8 @@ class TestThinPath:
         first, second = [keys for keys in owners.values() if len(keys) > 1][:2]
         # Two served updates to two shards, and a direct update from
         # another thread to the first one's shard, landing between that
-        # update's prepare and apply: the apply raises StaleUpdateError
-        # and the update thread re-prepares.
+        # update's prepare and apply: the apply patches the live store,
+        # so the rival's write is kept and nothing is prepared twice.
         targets = {first[0]: 0.9, second[0]: 0.8}
         rival, rival_probability = first[1], 0.7
         original = sharded.prepare_update
@@ -359,7 +364,7 @@ class TestThinPath:
         def racing(key, probability=None, score=None):
             pending = original(key, probability, score)
             prepared.append(key)
-            if key == first[0] and prepared.count(key) == 1:
+            if key == first[0]:
                 thread = threading.Thread(
                     target=sharded.update_tuple,
                     args=(rival,),
@@ -384,8 +389,7 @@ class TestThinPath:
                 return executor.metrics()
 
         metrics = asyncio.run(scenario())
-        assert prepared.count(first[0]) == 2
-        assert prepared.count(rival) == 1
+        assert sorted(prepared) == sorted([first[0], second[0], rival])
         assert metrics.updates == 2
         expected = dict(targets, **{rival: rival_probability})
         oracle_rows = [
@@ -403,6 +407,51 @@ class TestThinPath:
             Query.topk(K, "footrule").execute(sharded.coordinator()).value,
             Query.topk(K, "footrule").execute(oracle).value,
         )
+
+    def test_update_block_is_one_counted_hop(self):
+        blocks = [
+            (
+                f"s{i}",
+                [(f"a{i}", 10.0 * i + 1, 0.4), (f"b{i}", 10.0 * i + 2, 0.5)],
+            )
+            for i in range(12)
+        ]
+        sharded = ShardedDatabase(BlockIndependentDatabase(blocks), 4)
+        replaced = {"s3": [("c3", 500.0, 0.6), ("d3", 0.5, 0.3)], "s7": []}
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            hops = []
+            original = loop.run_in_executor
+
+            def counting(pool, func, *args):
+                hops.append(func)
+                return original(pool, func, *args)
+
+            loop.run_in_executor = counting
+            async with ServingExecutor(
+                sharded, result_cache=False
+            ) as executor:
+                for key, alternatives in replaced.items():
+                    hops.clear()
+                    await executor.update_block(key, alternatives)
+                    assert hops == [sharded.update_block]
+                values = [
+                    (await executor.execute(query)).value
+                    for query in BENCHMARK_READS
+                ]
+                return values, executor.metrics()
+
+        values, metrics = asyncio.run(scenario())
+        assert metrics.updates == 2
+        oracle = connect(
+            BlockIndependentDatabase(
+                [(key, replaced.get(key, rows)) for key, rows in blocks]
+            ),
+            result_cache=False,
+        )
+        for query, value in zip(BENCHMARK_READS, values):
+            assert _close(value, oracle.execute(query).value)
 
 
 class TestCachedAnswersReleaseTheirReader:

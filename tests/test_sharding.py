@@ -11,10 +11,13 @@ databases -- including the single-tuple-shard edge case.
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 
-from conftest import small_bid, small_tuple_independent
+from conftest import parent_summary, small_bid, small_tuple_independent
 from repro.andxor.enumeration import enumerate_worlds
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.baselines import expected_rank_topk, global_topk
@@ -28,13 +31,13 @@ from repro.consensus import (
     median_topk_symmetric_difference,
 )
 from repro.engine import numpy_available, use_backend
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, ProbabilityError
 from repro.models import (
     BlockIndependentDatabase,
     ShardedDatabase,
     TupleIndependentDatabase,
 )
-from repro.models.sharded import StaleUpdateError, hash_shard_of
+from repro.models.sharded import hash_shard_of
 from repro.session import CacheInfo, QuerySession, as_session
 from repro.sharding import ShardRankSummary, ShardedQuerySession
 from repro.workloads.generators import (
@@ -412,14 +415,18 @@ class TestShardedDatabase:
         with pytest.raises(ModelError):
             sharded.update_tuple("no-such-key", probability=0.5)
 
-    def test_stale_update_rejected(self):
+    def test_prepared_update_applies_to_the_live_row(self):
+        # Preparing reads no state: an update published in between is
+        # kept, and the prepared one lands on top of it.
         database = random_tuple_independent_database(8, rng=5)
         sharded = ShardedDatabase(database, 2)
         key = sharded.keys()[0]
         pending = sharded.prepare_update(key, probability=0.3)
         sharded.update_tuple(key, probability=0.6)
-        with pytest.raises(StaleUpdateError):
-            sharded.apply_update(pending)
+        sharded.apply_update(pending)
+        store = sharded.state()[1]
+        assert store.probabilities[store.rows_of(key)[0]] == 0.3
+        assert sharded.versions()[sharded.shard_of(key)] == 2
 
     def test_abandoned_prepare_leaves_score_registry_intact(self):
         # A prepared-but-never-applied score update must not corrupt
@@ -521,6 +528,199 @@ class TestShardedDatabase:
         assert session is sharded.coordinator()
         module_level = mean_topk_symmetric_difference(sharded, 3)
         assert module_level == mean_topk_symmetric_difference(session, 3)
+
+
+class TestOneLockUpdates:
+    """An update is one critical section under the database's lock:
+    concurrent writers need no retry, and a field a tuple update leaves
+    ``None`` keeps its live value."""
+
+    @staticmethod
+    def rows(count):
+        return [
+            (f"t{i}", f"v{i}", float(10 * i + 5), 0.05 + i / (2 * count))
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def assert_row(sharded, key, probability, score):
+        store = sharded.state()[1]
+        row = store.rows_of(key)[0]
+        assert float(store.probabilities[row]) == probability
+        assert store.explicit_scores[row] == score
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_concurrent_writers_need_no_retry(self, backend_name, executor):
+        _backend_or_skip(backend_name)
+        writers, rounds = 4, 16
+        rows = self.rows(24)
+        with use_backend(backend_name), ShardedDatabase(
+            TupleIndependentDatabase(rows), 3, executor=executor
+        ) as sharded:
+            if executor == "processes":
+                sharded.process_pool()  # start the workers first
+            index_of = {key: i for i, (key, *_) in enumerate(rows)}
+            final = {key: [p, score] for key, _, score, p in rows}
+            errors = []
+
+            def write(offset):
+                rng = random.Random(offset)
+                try:
+                    for turn in range(rounds):
+                        for key in sharded.keys()[offset::writers]:
+                            if turn % 2:
+                                # No other write claims this score.
+                                score = float(1000 * turn + index_of[key])
+                                sharded.update_tuple(key, score=score)
+                                final[key][1] = score
+                            else:
+                                probability = round(rng.uniform(0.05, 0.95), 6)
+                                sharded.update_tuple(
+                                    key, probability=probability
+                                )
+                                final[key][0] = probability
+                except Exception as error:  # surfaced by the assert below
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=write, args=(offset,))
+                    for offset in range(writers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert sum(sharded.versions()) == len(rows) * rounds
+            for key, (probability, score) in final.items():
+                self.assert_row(sharded, key, probability, score)
+            oracle = QuerySession(
+                TupleIndependentDatabase(
+                    [
+                        (key, value, *final[key][::-1])
+                        for key, value, _, _ in rows
+                    ]
+                ).tree
+            )
+            assert_rank_matrix_parity(oracle, sharded.coordinator(), K)
+            if executor == "processes":
+                pool = sharded.process_pool()
+                pool.forget_cached_summaries()
+                for index in pool.shard_indices():
+                    worker = pool.summary(index, K)
+                    parent = parent_summary(sharded, index, K)
+                    assert worker.keys == parent.keys
+                    assert [list(row) for row in worker.prefix_table] == [
+                        list(row) for row in parent.prefix_table
+                    ]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"probability": 0.9}, {"score": 500.0}),
+            ({"score": 500.0}, {"probability": 0.9}),
+        ],
+    )
+    def test_probability_and_score_updates_to_one_key_both_land(
+        self, first, second
+    ):
+        rows = self.rows(8)
+        sharded = ShardedDatabase(TupleIndependentDatabase(rows), 3)
+        key = "t3"
+        # The second update runs to completion on another thread while
+        # the first one is between its prepare and its apply.
+        original = sharded.prepare_update
+        raced = []
+
+        def racing(target, probability=None, score=None):
+            pending = original(target, probability, score)
+            if not raced:
+                raced.append(target)
+                thread = threading.Thread(
+                    target=sharded.update_tuple, args=(key,), kwargs=second
+                )
+                thread.start()
+                thread.join()
+            return pending
+
+        sharded.prepare_update = racing
+        sharded.update_tuple(key, **first)
+        assert sharded.versions()[sharded.shard_of(key)] == 2
+        self.assert_row(sharded, key, 0.9, 500.0)
+        oracle = QuerySession(
+            TupleIndependentDatabase(
+                [
+                    (k, value, 500.0, 0.9) if k == key else (k, value, s, p)
+                    for k, value, s, p in rows
+                ]
+            ).tree
+        )
+        assert_rank_matrix_parity(oracle, sharded.coordinator(), K)
+
+    def test_malformed_update_raises_and_publishes_nothing(self):
+        ti = ShardedDatabase([("a", 1.0, 0.5), ("b", 2.0, 0.5)], 2)
+        bid = ShardedDatabase(
+            BlockIndependentDatabase(
+                [
+                    ("x", [(1, 10.0, 0.5), (2, 20.0, 0.3)]),
+                    ("y", [(3, 30.0, 0.9)]),
+                ]
+            ),
+            2,
+        )
+        cases = [
+            (ti, lambda: ti.update_tuple("zz", probability=0.5), ModelError),
+            (
+                ti,
+                lambda: ti.update_tuple("a", probability=1.5),
+                ProbabilityError,
+            ),
+            (ti, lambda: ti.update_tuple("a", probability="x"), ValueError),
+            (ti, lambda: ti.update_tuple("a", score="x"), ValueError),
+            (ti, lambda: ti.update_tuple("a", score=2.0), ModelError),
+            (
+                ti,
+                lambda: ti.update_block("a", [(1, 1.5, 0.2), (2, 2.5, 0.2)]),
+                ModelError,
+            ),
+            (bid, lambda: bid.update_tuple("x", probability=0.2), ModelError),
+            (
+                bid,
+                lambda: bid.update_block(
+                    "x", [(1, 10.0, 0.7), (2, 20.0, 0.6)]
+                ),
+                ProbabilityError,
+            ),
+            (bid, lambda: bid.update_block("x", [(1, 10.0, "q")]), ValueError),
+            (bid, lambda: bid.update_block("x", [(1, 30.0, 0.5)]), ModelError),
+            (
+                bid,
+                lambda: bid.update_block("zz", [(1, 11.0, 0.5)]),
+                ModelError,
+            ),
+        ]
+        notified = []
+        for database in (ti, bid):
+            database.subscribe(lambda *event: notified.append(event))
+        for database, call, error in cases:
+            before = database.state()
+            with pytest.raises(error):
+                call()
+            assert database.state() is before
+        assert notified == []
+        # The failed updates claimed no score and released none.
+        with pytest.raises(ModelError):
+            ti.update_tuple("b", score=1.0)
+        ti.update_tuple("b", score=1.5)
+        bid.update_block("x", [(1, 40.0, 0.5)])
+        assert len(notified) == 2
 
 
 class TestCoordinatorConstruction:
